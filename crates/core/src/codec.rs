@@ -16,6 +16,12 @@
 //! Keys pack in the `Q·K^T` B-operand orientation (contraction over
 //! channels), Values in the `P·V` orientation (contraction over tokens) —
 //! mirroring how the Packing Kernel consumes them.
+//!
+//! The induced layout depends only on the configuration and the tensor
+//! shape, never on the values, so it is computed once per shape as a
+//! `FragmentPlan` — one table entry per physical code position — and
+//! interned process-wide. Packing gathers through the table, unpacking
+//! (fused with dequantization or not) scatters through the same one.
 
 use bd_gpu_sim::{FragmentLayout, Operand};
 use bd_kvcache::{
@@ -24,8 +30,376 @@ use bd_kvcache::{
 };
 use bd_lowbit::fastpath::{register_ops, FastDequantOps};
 use bd_lowbit::{
-    codes_per_u32, fuse_words, pack_u32, split_register, unpack_u32_into, BitWidth, QuantParams,
+    codes_per_u32, fuse_words, split_register, unpack_u32_into, BitWidth, Half2, QuantParams, F16,
 };
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Everything the physical position of a code depends on: the instruction
+/// configuration, the tensor shape, the code width, the metadata grouping
+/// and the B-operand orientation. Two tensors with equal keys share every
+/// table entry, whatever their values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct PlanKey {
+    layout: PackLayout,
+    tokens: usize,
+    dim: usize,
+    width: BitWidth,
+    granularity: KeyGranularity,
+    group: usize,
+    /// `true`: Kᵀ, B(k = channel, n = token). `false`: V, B(k = token,
+    /// n = channel).
+    key_orientation: bool,
+}
+
+/// Where one physical code position of the packed word stream belongs.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// Token-major destination `token · dim + channel`, or [`PAD`].
+    dst: u32,
+    /// First entry of the position's metadata group in the dequant LUT.
+    lut: u32,
+}
+
+/// Destination of a position no value maps to: the tail of a lane's last
+/// register when its stream does not fill it (tiny shapes only).
+const PAD: u32 = u32::MAX;
+
+/// Layout induction as a value (paper §IV-A(1), Fig. 5): the fragment
+/// mapping, the warp tiling and the in-register interleave resolved once
+/// into one entry per physical code position, in word-stream order.
+///
+/// The Residual Kernel gathers codes into registers through it and the
+/// Packing Kernel scatters them back out, so the "unified instruction
+/// configuration" of §IV-A(4) is literally one table; this builder is the
+/// only place the layout is still derived from first principles.
+#[derive(Debug)]
+pub(crate) struct FragmentPlan {
+    key: PlanKey,
+    /// `codes_per_u32(width)` consecutive slots per 32-bit register,
+    /// indexed by physical nibble/crumb position.
+    slots: Vec<Slot>,
+}
+
+impl FragmentPlan {
+    /// Induces the table. The physical stream is ordered by `(warp, lane,
+    /// register)`; each lane's logical stream runs over all of its k-tiles
+    /// and its warp's n-tiles and is chunked densely into 32-bit registers
+    /// (a register may span tiles, e.g. INT2's 16 codes vs 4 B-fragment
+    /// registers per tile), so nothing is padded for a realistic shape and
+    /// the register count matches the `elems / codes_per_u32` the cost
+    /// model charges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor does not tile evenly under the layout.
+    fn build(key: PlanKey) -> Self {
+        let shape = key.layout.shape;
+        let blayout = FragmentLayout::new(shape, Operand::B);
+        let (k_total, n_total) = if key.key_orientation {
+            (key.dim, key.tokens)
+        } else {
+            (key.tokens, key.dim)
+        };
+        assert_eq!(k_total % shape.k(), 0, "K dim must tile by {}", shape.k());
+        assert_eq!(n_total % shape.n(), 0, "N dim must tile by {}", shape.n());
+        let levels = key.width.levels() as usize;
+        assert!(
+            key.tokens * key.dim * levels < PAD as usize,
+            "block too large for 32-bit plan offsets"
+        );
+        let kt = k_total / shape.k();
+        let nt = n_total / shape.n();
+        // Effective warp count along N: the configured `Wn` shrunk
+        // (deterministically, on both kernels) until it divides the tile
+        // count — narrow tensors simply idle the spare warps.
+        let mut wn = key.layout.warps_n.min(nt).max(1);
+        while !nt.is_multiple_of(wn) {
+            wn -= 1;
+        }
+        let tiles_per_warp = nt / wn;
+        let regs = blayout.regs_per_lane();
+        let per_reg32 = codes_per_u32(key.width);
+        let stream_len = kt * tiles_per_warp * regs;
+        let regs32_per_lane = stream_len.div_ceil(per_reg32);
+        let cgroups = key.dim.div_ceil(key.group);
+
+        // The interleave, read off the unpacker itself: physical position
+        // `p` holds the logical element whose code lights up when only
+        // that position's bits are set (exactly one does; the identity
+        // fallback only keeps this path free of `unwrap`).
+        let mut probe = vec![0u8; per_reg32];
+        let logical_of: Vec<usize> = (0..per_reg32)
+            .map(|p| {
+                let lit = 1u32 << (p as u32 * key.width.bits());
+                unpack_u32_into(lit, key.width, key.layout.order, &mut probe);
+                probe.iter().position(|&c| c != 0).unwrap_or(p)
+            })
+            .collect();
+
+        let mut slots = Vec::with_capacity(wn * 32 * regs32_per_lane * per_reg32);
+        for w in 0..wn {
+            for lane in 0..32 {
+                for r32 in 0..regs32_per_lane {
+                    for &logical in &logical_of {
+                        let e = r32 * per_reg32 + logical;
+                        if e >= stream_len {
+                            slots.push(Slot { dst: PAD, lut: 0 });
+                            continue;
+                        }
+                        let tile = e / regs;
+                        let nj = w * tiles_per_warp + tile % tiles_per_warp;
+                        let (kl, nl) = blayout.coords(lane, e % regs);
+                        let k = (tile / tiles_per_warp) * shape.k() + kl;
+                        let n = nj * shape.n() + nl;
+                        let (t, c) = if key.key_orientation { (n, k) } else { (k, n) };
+                        let group = match key.granularity {
+                            KeyGranularity::ChannelWise => (t / key.group) * key.dim + c,
+                            KeyGranularity::TensorWise => t * cgroups + c / key.group,
+                        };
+                        slots.push(Slot {
+                            dst: (t * key.dim + c) as u32,
+                            lut: (group * levels) as u32,
+                        });
+                    }
+                }
+            }
+        }
+        FragmentPlan { key, slots }
+    }
+
+    /// The process-wide plan for `key`, built on first use. Keyed by the
+    /// *caller's* layout, so a mismatched decoder gets its own (wrong for
+    /// the data, right for its configuration) table — the paper's invalid
+    /// layout stays observable. Never panics on the lock: a poisoned
+    /// intern table only costs a private rebuild.
+    fn interned(key: PlanKey) -> Arc<FragmentPlan> {
+        static PLANS: OnceLock<Mutex<HashMap<PlanKey, Arc<FragmentPlan>>>> = OnceLock::new();
+        let plans = PLANS.get_or_init(Mutex::default);
+        if let Ok(map) = plans.lock() {
+            if let Some(plan) = map.get(&key) {
+                return Arc::clone(plan);
+            }
+        }
+        // Built outside the lock: a shape that does not tile panics here
+        // without poisoning the table for everyone else.
+        let built = Arc::new(FragmentPlan::build(key));
+        match plans.lock() {
+            Ok(mut map) => Arc::clone(map.entry(key).or_insert(built)),
+            Err(_) => built,
+        }
+    }
+
+    /// `(tokens, dim)` of the tensors this plan packs.
+    fn shape(&self) -> (usize, usize) {
+        (self.key.tokens, self.key.dim)
+    }
+
+    /// 16-bit storage words in a tensor packed under this plan.
+    fn words(&self) -> usize {
+        self.slots.len() / codes_per_u32(self.key.width) * 2
+    }
+
+    /// `half2` metadata groups in a tensor quantized under this plan.
+    fn params(&self) -> usize {
+        let PlanKey {
+            tokens, dim, group, ..
+        } = self.key;
+        match self.key.granularity {
+            KeyGranularity::ChannelWise => tokens.div_ceil(group) * dim,
+            KeyGranularity::TensorWise => tokens * dim.div_ceil(group),
+        }
+    }
+
+    /// The integer payload of `tensor`, rejected up front — not somewhere
+    /// inside the walk — if it was not packed under this plan's shape.
+    fn payload<'t>(&self, tensor: &'t PackedTensor) -> (&'t [u16], &'t [Half2]) {
+        let PackedPayload::Int { words, params } = &tensor.payload else {
+            panic!("integer decode of FP4 payload");
+        };
+        assert!(
+            words.len() == self.words() && params.len() == self.params(),
+            "packed tensor has {} words and {} params, its plan expects {} and {}",
+            words.len(),
+            params.len(),
+            self.words(),
+            self.params()
+        );
+        (words, params)
+    }
+
+    /// The Residual Kernel's quantize + pack: token-major codes gathered
+    /// into the physical word stream, each 32-bit register split into two
+    /// 16-bit storage words.
+    fn encode(&self, values: &TokenMatrix) -> PackedTensor {
+        let PlanKey {
+            width,
+            granularity,
+            group,
+            ..
+        } = self.key;
+        let (codes, params) = quantize_int_codes(values, width, granularity, group);
+        let mut words = Vec::with_capacity(self.words());
+        for reg_slots in self.slots.chunks_exact(codes_per_u32(width)) {
+            let mut reg32 = 0u32;
+            for (p, slot) in reg_slots.iter().enumerate() {
+                if slot.dst != PAD {
+                    reg32 |= u32::from(codes[slot.dst as usize]) << (p as u32 * width.bits());
+                }
+            }
+            let (lo, hi) = split_register(reg32);
+            words.push(lo);
+            words.push(hi);
+        }
+        PackedTensor {
+            tokens: self.key.tokens,
+            dim: self.key.dim,
+            payload: PackedPayload::Int { words, params },
+        }
+    }
+
+    /// The Packing Kernel's unpack: streams `words` register by register
+    /// and hands every code to `store` with the slot it belongs to.
+    #[inline]
+    fn scatter(&self, words: &[u16], store: impl FnMut(Slot, usize)) {
+        // One arm per width, so each register's extraction unrolls with
+        // constant shifts.
+        match self.key.width {
+            BitWidth::B4 => self.scatter_regs::<8>(words, store),
+            BitWidth::B2 => self.scatter_regs::<16>(words, store),
+        }
+    }
+
+    /// [`FragmentPlan::scatter`] for registers of `N` codes.
+    #[inline]
+    fn scatter_regs<const N: usize>(&self, words: &[u16], mut store: impl FnMut(Slot, usize)) {
+        let bits = 32 / N as u32;
+        let mask = (1u32 << bits) - 1;
+        let (regs, _) = self.slots.as_chunks::<N>();
+        for (pair, reg_slots) in words.chunks_exact(2).zip(regs) {
+            let reg32 = fuse_words(pair[0], pair[1]);
+            for (p, &slot) in reg_slots.iter().enumerate() {
+                if slot.dst != PAD {
+                    store(slot, ((reg32 >> (p as u32 * bits)) & mask) as usize);
+                }
+            }
+        }
+    }
+
+    /// The materializing decode: codes scattered into a token-major code
+    /// matrix, then dequantized by the reference routine.
+    fn decode(&self, tensor: &PackedTensor) -> TokenMatrix {
+        let PlanKey {
+            tokens,
+            dim,
+            width,
+            granularity,
+            group,
+            ..
+        } = self.key;
+        let (words, params) = self.payload(tensor);
+        let mut codes = vec![0u8; tokens * dim];
+        self.scatter(words, |slot, code| codes[slot.dst as usize] = code as u8);
+        dequantize_int_codes(&codes, params, tokens, dim, width, granularity, group)
+    }
+
+    /// Fused unpack **and** dequantize: streams the packed words through
+    /// the plan, converting each code to its FP16 value inline (the same
+    /// per-group FMA as [`bd_kvcache::dequantize_int_codes`], hardware-
+    /// realised by the `lop3` fast path) and scattering it token-major into
+    /// `out` — no intermediate code matrix, no second pass, no transpose.
+    /// Values are bit-identical to [`FragmentPlan::decode`]'s.
+    ///
+    /// Returns the modelled fast-dequant instruction counts for the words
+    /// streamed (two 16-bit storage words per 32-bit register conversion).
+    fn decode_fused(
+        &self,
+        tensor: &PackedTensor,
+        lut: &mut Vec<f32>,
+        out: &mut TokenMatrix,
+    ) -> FastDequantOps {
+        let (words, params) = self.payload(tensor);
+        out.resize_tokens(self.key.tokens, self.key.dim);
+        let flat = out.as_mut_slice();
+
+        // Per-group dequantization LUT: `2^β` values per metadata group —
+        // the value-level equivalent of precomputing the fast path's
+        // FusedScale constants once per group instead of re-deriving them
+        // per element. Same f32 operations as `QuantParams::dequantize`
+        // (an integer code is exact in FP16), with the group's two
+        // conversions hoisted.
+        let levels = self.key.width.levels();
+        lut.clear();
+        for &h in params {
+            let p = QuantParams::from_half2(h);
+            let (scale, zero) = (p.scale.to_f32(), p.zero.to_f32());
+            lut.extend((0..levels).map(|code| F16::from_f32(code as f32 * scale + zero).to_f32()));
+        }
+        self.scatter(words, |slot, code| {
+            flat[slot.dst as usize] = lut[slot.lut as usize + code];
+        });
+
+        let regs32 = words.len() as u32 / 2;
+        let per_reg = register_ops(self.key.width);
+        FastDequantOps {
+            lop3: per_reg.lop3 * regs32,
+            shifts: per_reg.shifts * regs32,
+            hfma2: per_reg.hfma2 * regs32,
+        }
+    }
+}
+
+/// `(tokens, dim)` of a packed tensor — what selects its plan.
+fn packed_shape(tensor: &PackedTensor) -> (usize, usize) {
+    (tensor.tokens, tensor.dim)
+}
+
+/// Decodes a kernel call's packed blocks through plans resolved at the
+/// first block (and again only if a later block has a different shape),
+/// so the walk itself never touches the intern table.
+#[derive(Debug)]
+pub(crate) struct BlockDecoder {
+    codec: FragmentCodec,
+    scheme: QuantScheme,
+    plans: Option<[Arc<FragmentPlan>; 2]>,
+}
+
+impl BlockDecoder {
+    pub(crate) fn new(codec: &FragmentCodec, scheme: QuantScheme) -> Self {
+        BlockDecoder {
+            codec: *codec,
+            scheme,
+            plans: None,
+        }
+    }
+
+    /// [`FragmentCodec::decode_block_fused`] with the dequant LUT built in
+    /// the caller's reusable `lut` buffer.
+    pub(crate) fn decode(
+        &mut self,
+        block: &PackedBlock,
+        lut: &mut Vec<f32>,
+        k_out: &mut TokenMatrix,
+        v_out: &mut TokenMatrix,
+    ) -> FastDequantOps {
+        let shapes = (packed_shape(&block.k), packed_shape(&block.v));
+        let fits = |[k, v]: &[Arc<FragmentPlan>; 2]| (k.shape(), v.shape()) == shapes;
+        if !self.plans.as_ref().is_some_and(fits) {
+            self.plans = self.codec.block_plans(self.scheme, shapes.0, shapes.1);
+        }
+        let Some([k_plan, v_plan]) = &self.plans else {
+            // FP4 blocks (hardware block-scale layout) decode through the
+            // reference nibble walk, which is already flat token-major.
+            let (k, v) = ReferenceCodec.decode(block, self.scheme);
+            for (out, decoded) in [(k_out, k), (v_out, v)] {
+                out.resize_tokens(decoded.tokens(), decoded.dim());
+                out.as_mut_slice().copy_from_slice(decoded.as_slice());
+            }
+            return FastDequantOps::default();
+        };
+        k_plan.decode_fused(&block.k, lut, k_out) + v_plan.decode_fused(&block.v, lut, v_out)
+    }
+}
 
 /// The codec used by BitDecoding's Residual and Packing kernels.
 ///
@@ -43,262 +417,51 @@ impl FragmentCodec {
         FragmentCodec { layout }
     }
 
-    /// Effective warp count along N for a tensor with `nt` N-tiles: the
-    /// configured `Wn` shrunk (deterministically, on both kernels) until it
-    /// divides the tile count — narrow tensors simply idle the spare warps.
-    fn effective_wn(&self, nt: usize) -> usize {
-        let mut wn = self.layout.warps_n.min(nt).max(1);
-        while !nt.is_multiple_of(wn) {
-            wn -= 1;
-        }
-        wn
-    }
-
-    /// Packs a B-operand-oriented code matrix (`k_total × n_total`,
-    /// accessed through `code_at(k, n)`) into the physical word stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix does not tile evenly under the layout.
-    fn pack_b_operand(
+    /// The interned `[K, V]` plans for blocks whose tensors have the given
+    /// `(tokens, dim)` shapes under this codec's layout; `None` for FP4
+    /// schemes, whose hardware-mandated block-scale layout needs no plan.
+    fn block_plans(
         &self,
-        code_at: impl Fn(usize, usize) -> u8,
-        k_total: usize,
-        n_total: usize,
-        width: BitWidth,
-    ) -> Vec<u16> {
-        let shape = self.layout.shape;
-        let blayout = FragmentLayout::new(shape, Operand::B);
-        assert_eq!(k_total % shape.k(), 0, "K dim must tile by {}", shape.k());
-        assert_eq!(n_total % shape.n(), 0, "N dim must tile by {}", shape.n());
-        let kt = k_total / shape.k();
-        let nt = n_total / shape.n();
-        let wn = self.effective_wn(nt);
-        let tiles_per_warp = nt / wn;
-        let regs = blayout.regs_per_lane();
-        let per_reg32 = codes_per_u32(width);
-
-        let mut words = Vec::new();
-        for w in 0..wn {
-            for lane in 0..32 {
-                // The lane's register stream across ALL of its k-tiles and
-                // its warp's n-tiles. Chunking the whole stream (rather
-                // than per k-tile) keeps 32-bit registers densely filled
-                // even when one tile contributes fewer codes than a
-                // register holds (e.g. INT2's 16 codes/register vs 4
-                // B-fragment registers per tile) — no padding, no wasted
-                // storage, and the streamed register count matches the
-                // ideal `elems / codes_per_u32` the cost model charges.
-                let mut stream = Vec::with_capacity(kt * tiles_per_warp * regs);
-                for ki in 0..kt {
-                    for tw in 0..tiles_per_warp {
-                        let nj = w * tiles_per_warp + tw;
-                        for reg in 0..regs {
-                            let (kl, nl) = blayout.coords(lane, reg);
-                            stream.push(code_at(ki * shape.k() + kl, nj * shape.n() + nl));
-                        }
-                    }
-                }
-                // Pack into 32-bit registers with the configured
-                // interleave, then split to 16-bit storage words.
-                for chunk in stream.chunks(per_reg32) {
-                    let mut buf = chunk.to_vec();
-                    buf.resize(per_reg32, 0);
-                    let reg32 = pack_u32(&buf, width, self.layout.order);
-                    let (lo, hi) = split_register(reg32);
-                    words.push(lo);
-                    words.push(hi);
-                }
-            }
-        }
-        words
-    }
-
-    /// Inverse of [`FragmentCodec::pack_b_operand`]: scatters codes back to
-    /// `(k, n)` positions via `store(k, n, code)`.
-    fn unpack_b_operand(
-        &self,
-        words: &[u16],
-        mut store: impl FnMut(usize, usize, u8),
-        k_total: usize,
-        n_total: usize,
-        width: BitWidth,
-    ) {
-        let shape = self.layout.shape;
-        let blayout = FragmentLayout::new(shape, Operand::B);
-        let kt = k_total / shape.k();
-        let nt = n_total / shape.n();
-        let wn = self.effective_wn(nt);
-        let tiles_per_warp = nt / wn;
-        let regs = blayout.regs_per_lane();
-        let per_reg32 = codes_per_u32(width);
-        let stream_len = kt * tiles_per_warp * regs;
-        let regs32_per_lane = stream_len.div_ceil(per_reg32);
-
-        // One reusable register-stream buffer for the whole walk — the hot
-        // fused decode runs through here, so no per-lane allocation. The
-        // stream spans all of a lane's k-tiles, mirroring the dense
-        // cross-tile chunking of `pack_b_operand`.
-        let mut stream = vec![0u8; regs32_per_lane * per_reg32];
-        let mut widx = 0usize;
-        for w in 0..wn {
-            for lane in 0..32 {
-                for r32 in 0..regs32_per_lane {
-                    let reg32 = fuse_words(words[widx], words[widx + 1]);
-                    widx += 2;
-                    unpack_u32_into(
-                        reg32,
-                        width,
-                        self.layout.order,
-                        &mut stream[r32 * per_reg32..(r32 + 1) * per_reg32],
-                    );
-                }
-                for ki in 0..kt {
-                    for tw in 0..tiles_per_warp {
-                        let nj = w * tiles_per_warp + tw;
-                        for reg in 0..regs {
-                            let (kl, nl) = blayout.coords(lane, reg);
-                            store(
-                                ki * shape.k() + kl,
-                                nj * shape.n() + nl,
-                                stream[(ki * tiles_per_warp + tw) * regs + reg],
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn encode_int(
-        &self,
-        values: &TokenMatrix,
-        width: BitWidth,
-        granularity: KeyGranularity,
-        group: usize,
-        key_orientation: bool,
-    ) -> PackedTensor {
-        let tokens = values.len();
-        let dim = values[0].len();
-        let (codes, params) = quantize_int_codes(values, width, granularity, group);
-        let words = if key_orientation {
-            // K^T: B(k = channel, n = token).
-            self.pack_b_operand(|k, n| codes[n * dim + k], dim, tokens, width)
-        } else {
-            // V: B(k = token, n = channel).
-            self.pack_b_operand(|k, n| codes[k * dim + n], tokens, dim, width)
+        scheme: QuantScheme,
+        k_shape: (usize, usize),
+        v_shape: (usize, usize),
+    ) -> Option<[Arc<FragmentPlan>; 2]> {
+        let SchemeKind::Int {
+            width,
+            key_granularity,
+            group,
+        } = scheme.kind()
+        else {
+            return None;
         };
-        PackedTensor {
-            tokens,
-            dim,
-            payload: PackedPayload::Int { words, params },
-        }
-    }
-
-    fn decode_int(
-        &self,
-        tensor: &PackedTensor,
-        width: BitWidth,
-        granularity: KeyGranularity,
-        group: usize,
-        key_orientation: bool,
-    ) -> TokenMatrix {
-        let (tokens, dim) = (tensor.tokens, tensor.dim);
-        let PackedPayload::Int { words, params } = &tensor.payload else {
-            panic!("integer decode of FP4 payload");
-        };
-        let mut codes = vec![0u8; tokens * dim];
-        if key_orientation {
-            self.unpack_b_operand(words, |k, n, c| codes[n * dim + k] = c, dim, tokens, width);
-        } else {
-            self.unpack_b_operand(words, |k, n, c| codes[k * dim + n] = c, tokens, dim, width);
-        }
-        dequantize_int_codes(&codes, params, tokens, dim, width, granularity, group)
-    }
-
-    /// Fused unpack **and** dequantize: walks the packed word stream exactly
-    /// like `decode`, but converts each code to its FP16 value inline (the
-    /// same per-group FMA as [`bd_kvcache::dequantize_int_codes`], hardware-
-    /// realised by the `lop3` fast path) and scatters it token-major into
-    /// `out` — no intermediate code matrix, no second pass, no transpose.
-    /// Values are bit-identical to `decode`'s.
-    ///
-    /// Returns the modelled fast-dequant instruction counts for the words
-    /// streamed (two 16-bit storage words per 32-bit register conversion).
-    fn decode_int_fused(
-        &self,
-        tensor: &PackedTensor,
-        width: BitWidth,
-        granularity: KeyGranularity,
-        group: usize,
-        key_orientation: bool,
-        out: &mut TokenMatrix,
-    ) -> FastDequantOps {
-        let (tokens, dim) = (tensor.tokens, tensor.dim);
-        let PackedPayload::Int { words, params } = &tensor.payload else {
-            panic!("integer decode of FP4 payload");
-        };
-        out.resize_tokens(tokens, dim);
-        let flat = out.as_mut_slice();
-
-        // Per-group dequantization LUT: `2^β` values per metadata group,
-        // produced by the exact FMA of the reference dequantizer — the
-        // value-level equivalent of precomputing the fast path's FusedScale
-        // constants once per group instead of re-deriving them per element.
-        let levels = width.levels() as usize;
-        let mut lut = Vec::with_capacity(params.len() * levels);
-        for &h in params {
-            let p = QuantParams::from_half2(h);
-            for code in 0..levels {
-                lut.push(p.dequantize(code as u8).to_f32());
-            }
-        }
-        let cgroups = dim.div_ceil(group);
-        let group_of = |t: usize, c: usize| -> usize {
-            match granularity {
-                KeyGranularity::ChannelWise => (t / group) * dim + c,
-                KeyGranularity::TensorWise => t * cgroups + c / group,
-            }
-        };
-
-        // Share the one allocation-free physical walk with `decode`; the
-        // scatter closure converts codes through the LUT straight into
-        // `out`, so no intermediate code matrix ever exists.
-        if key_orientation {
-            // K is stored B-oriented as (k = channel, n = token).
-            self.unpack_b_operand(
-                words,
-                |k, n, code| flat[n * dim + k] = lut[group_of(n, k) * levels + code as usize],
-                dim,
-                tokens,
-                width,
-            );
-        } else {
-            // V is stored B-oriented as (k = token, n = channel).
-            self.unpack_b_operand(
-                words,
-                |k, n, code| flat[k * dim + n] = lut[group_of(k, n) * levels + code as usize],
+        let plan = |(tokens, dim), granularity, group, key_orientation| {
+            FragmentPlan::interned(PlanKey {
+                layout: self.layout,
                 tokens,
                 dim,
                 width,
-            );
-        }
-
-        let regs32 = words.len() as u32 / 2;
-        let per_reg = register_ops(width);
-        FastDequantOps {
-            lop3: per_reg.lop3 * regs32,
-            shifts: per_reg.shifts * regs32,
-            hfma2: per_reg.hfma2 * regs32,
-        }
+                granularity,
+                group,
+                key_orientation,
+            })
+        };
+        Some([
+            plan(k_shape, key_granularity, group, true),
+            // V is always tensor-wise along channels.
+            plan(
+                v_shape,
+                KeyGranularity::TensorWise,
+                QuantScheme::DEFAULT_CHANNEL_GROUP,
+                false,
+            ),
+        ])
     }
 
     /// Decodes one packed block straight into reusable flat buffers in the
     /// orientation the fused attention kernel consumes (`k_out`/`v_out`
-    /// token-major). Integer schemes stream through the fused int decode
-    /// path (`FragmentCodec::decode_int_fused`); FP4 blocks (hardware
-    /// block-scale layout) decode through the reference nibble walk, which
-    /// is already flat token-major.
+    /// token-major). Integer schemes stream through the fused plan walk;
+    /// FP4 blocks (hardware block-scale layout) decode through the
+    /// reference nibble walk, which is already flat token-major.
     pub fn decode_block_fused(
         &self,
         block: &PackedBlock,
@@ -306,76 +469,30 @@ impl FragmentCodec {
         k_out: &mut TokenMatrix,
         v_out: &mut TokenMatrix,
     ) -> FastDequantOps {
-        match scheme.kind() {
-            SchemeKind::Int {
-                width,
-                key_granularity,
-                group,
-            } => {
-                let k_ops =
-                    self.decode_int_fused(&block.k, width, key_granularity, group, true, k_out);
-                let v_ops = self.decode_int_fused(
-                    &block.v,
-                    width,
-                    KeyGranularity::TensorWise,
-                    QuantScheme::DEFAULT_CHANNEL_GROUP,
-                    false,
-                    v_out,
-                );
-                k_ops + v_ops
-            }
-            SchemeKind::Fp4(_) => {
-                let (k, v) = ReferenceCodec.decode(block, scheme);
-                *k_out = k;
-                *v_out = v;
-                FastDequantOps::default()
-            }
-        }
+        BlockDecoder::new(self, scheme).decode(block, &mut Vec::new(), k_out, v_out)
     }
 }
 
 impl BlockCodec for FragmentCodec {
     fn encode(&self, k: &TokenMatrix, v: &TokenMatrix, scheme: QuantScheme) -> PackedBlock {
-        match scheme.kind() {
-            SchemeKind::Int {
-                width,
-                key_granularity,
-                group,
-            } => PackedBlock {
-                k: self.encode_int(k, width, key_granularity, group, true),
-                v: self.encode_int(
-                    v,
-                    width,
-                    KeyGranularity::TensorWise,
-                    QuantScheme::DEFAULT_CHANNEL_GROUP,
-                    false,
-                ),
+        let shape = |m: &TokenMatrix| (m.tokens(), m.dim());
+        match self.block_plans(scheme, shape(k), shape(v)) {
+            Some([k_plan, v_plan]) => PackedBlock {
+                k: k_plan.encode(k),
+                v: v_plan.encode(v),
             },
             // Blackwell native FP4 blocks follow the hardware-mandated
             // block-scale layout, which the layout-agnostic transform maps
             // to directly (paper §V-D(2)); physically it matches the
             // reference nibble layout.
-            SchemeKind::Fp4(_) => ReferenceCodec.encode(k, v, scheme),
+            None => ReferenceCodec.encode(k, v, scheme),
         }
     }
 
     fn decode(&self, block: &PackedBlock, scheme: QuantScheme) -> (TokenMatrix, TokenMatrix) {
-        match scheme.kind() {
-            SchemeKind::Int {
-                width,
-                key_granularity,
-                group,
-            } => (
-                self.decode_int(&block.k, width, key_granularity, group, true),
-                self.decode_int(
-                    &block.v,
-                    width,
-                    KeyGranularity::TensorWise,
-                    QuantScheme::DEFAULT_CHANNEL_GROUP,
-                    false,
-                ),
-            ),
-            SchemeKind::Fp4(_) => ReferenceCodec.decode(block, scheme),
+        match self.block_plans(scheme, packed_shape(&block.k), packed_shape(&block.v)) {
+            Some([k_plan, v_plan]) => (k_plan.decode(&block.k), v_plan.decode(&block.v)),
+            None => ReferenceCodec.decode(block, scheme),
         }
     }
 }
@@ -383,7 +500,322 @@ impl BlockCodec for FragmentCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bd_lowbit::PackOrder;
+    use bd_gpu_sim::MmaShape;
+    use bd_lowbit::{pack_u32, PackOrder};
+
+    /// The hand-written five-deep `(warp, lane, k-tile, tile-in-warp,
+    /// register)` walks the plan replaced, kept verbatim as the reference
+    /// the table is checked against.
+    mod reference_walk {
+        use super::*;
+
+        fn effective_wn(layout: PackLayout, nt: usize) -> usize {
+            let mut wn = layout.warps_n.min(nt).max(1);
+            while !nt.is_multiple_of(wn) {
+                wn -= 1;
+            }
+            wn
+        }
+
+        pub fn pack_b_operand(
+            layout: PackLayout,
+            code_at: impl Fn(usize, usize) -> u8,
+            k_total: usize,
+            n_total: usize,
+            width: BitWidth,
+        ) -> Vec<u16> {
+            let shape = layout.shape;
+            let blayout = FragmentLayout::new(shape, Operand::B);
+            let kt = k_total / shape.k();
+            let nt = n_total / shape.n();
+            let wn = effective_wn(layout, nt);
+            let tiles_per_warp = nt / wn;
+            let regs = blayout.regs_per_lane();
+            let per_reg32 = codes_per_u32(width);
+
+            let mut words = Vec::new();
+            for w in 0..wn {
+                for lane in 0..32 {
+                    let mut stream = Vec::with_capacity(kt * tiles_per_warp * regs);
+                    for ki in 0..kt {
+                        for tw in 0..tiles_per_warp {
+                            let nj = w * tiles_per_warp + tw;
+                            for reg in 0..regs {
+                                let (kl, nl) = blayout.coords(lane, reg);
+                                stream.push(code_at(ki * shape.k() + kl, nj * shape.n() + nl));
+                            }
+                        }
+                    }
+                    for chunk in stream.chunks(per_reg32) {
+                        let mut buf = chunk.to_vec();
+                        buf.resize(per_reg32, 0);
+                        let (lo, hi) = split_register(pack_u32(&buf, width, layout.order));
+                        words.push(lo);
+                        words.push(hi);
+                    }
+                }
+            }
+            words
+        }
+
+        pub fn unpack_b_operand(
+            layout: PackLayout,
+            words: &[u16],
+            mut store: impl FnMut(usize, usize, u8),
+            k_total: usize,
+            n_total: usize,
+            width: BitWidth,
+        ) {
+            let shape = layout.shape;
+            let blayout = FragmentLayout::new(shape, Operand::B);
+            let kt = k_total / shape.k();
+            let nt = n_total / shape.n();
+            let wn = effective_wn(layout, nt);
+            let tiles_per_warp = nt / wn;
+            let regs = blayout.regs_per_lane();
+            let per_reg32 = codes_per_u32(width);
+            let regs32_per_lane = (kt * tiles_per_warp * regs).div_ceil(per_reg32);
+
+            let mut stream = vec![0u8; regs32_per_lane * per_reg32];
+            let mut widx = 0usize;
+            for w in 0..wn {
+                for lane in 0..32 {
+                    for r32 in 0..regs32_per_lane {
+                        let reg32 = fuse_words(words[widx], words[widx + 1]);
+                        widx += 2;
+                        unpack_u32_into(
+                            reg32,
+                            width,
+                            layout.order,
+                            &mut stream[r32 * per_reg32..(r32 + 1) * per_reg32],
+                        );
+                    }
+                    for ki in 0..kt {
+                        for tw in 0..tiles_per_warp {
+                            let nj = w * tiles_per_warp + tw;
+                            for reg in 0..regs {
+                                let (kl, nl) = blayout.coords(lane, reg);
+                                store(
+                                    ki * shape.k() + kl,
+                                    nj * shape.n() + nl,
+                                    stream[(ki * tiles_per_warp + tw) * regs + reg],
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every `(Wn, order, width, dim, granularity)` the property tests
+    /// cover, as `(layout, scheme, tokens, dim)` — full residual blocks,
+    /// plus one 32-token shape whose K lanes hold half a register, so the
+    /// padding slots are exercised too.
+    fn plan_grid() -> Vec<(PackLayout, QuantScheme, usize, usize)> {
+        let mut grid = Vec::new();
+        for warps_n in [1, 2, 4] {
+            for order in [PackOrder::Linear, PackOrder::FastDequant] {
+                let layout = PackLayout {
+                    shape: MmaShape::M16N8K16,
+                    order,
+                    warps_n,
+                };
+                for scheme in [
+                    QuantScheme::kc4(),
+                    QuantScheme::kt4(),
+                    QuantScheme::kc2(),
+                    QuantScheme::kt2(),
+                ] {
+                    let width = scheme.int_width().unwrap();
+                    for dim in [16, 32, 64, 128] {
+                        grid.push((layout, scheme, layout.residual_block(width), dim));
+                    }
+                    grid.push((layout, scheme, 32, 16));
+                }
+            }
+        }
+        grid
+    }
+
+    /// The K and V plans `codec` resolves for a `tokens × dim` block.
+    fn block_plans(
+        codec: &FragmentCodec,
+        scheme: QuantScheme,
+        tokens: usize,
+        dim: usize,
+    ) -> [Arc<FragmentPlan>; 2] {
+        codec
+            .block_plans(scheme, (tokens, dim), (tokens, dim))
+            .expect("integer schemes only")
+    }
+
+    #[test]
+    fn plan_is_a_bijection_onto_the_block() {
+        let mut saw_padding = false;
+        for (layout, scheme, tokens, dim) in plan_grid() {
+            for plan in block_plans(&FragmentCodec::new(layout), scheme, tokens, dim) {
+                let mut hits = vec![0u32; tokens * dim];
+                for slot in &plan.slots {
+                    if slot.dst == PAD {
+                        saw_padding = true;
+                    } else {
+                        hits[slot.dst as usize] += 1;
+                        assert!(
+                            (slot.lut as usize) < plan.params() * plan.key.width.levels() as usize
+                        );
+                    }
+                }
+                assert!(
+                    hits.iter().all(|&h| h == 1),
+                    "{layout} {scheme} {tokens}x{dim}: every element exactly once"
+                );
+                assert_eq!(plan.slots.len() % codes_per_u32(plan.key.width), 0);
+            }
+        }
+        assert!(saw_padding, "the grid must include a padded shape");
+    }
+
+    #[test]
+    fn plan_matches_reference_walk_both_ways() {
+        for (layout, scheme, tokens, dim) in plan_grid() {
+            let codec = FragmentCodec::new(layout);
+            let width = scheme.int_width().unwrap();
+            let k = test_matrix(tokens, dim, 0.3);
+            let v = test_matrix(tokens, dim, 1.7);
+            let block = codec.encode(&k, &v, scheme);
+            let (dk, dv) = codec.decode(&block, scheme);
+            let tensors = [(&k, &block.k, &dk), (&v, &block.v, &dv)];
+            for ((values, packed, decoded), plan) in tensors
+                .into_iter()
+                .zip(block_plans(&codec, scheme, tokens, dim))
+            {
+                let PlanKey {
+                    granularity,
+                    group,
+                    key_orientation,
+                    ..
+                } = plan.key;
+                let (codes, params) = quantize_int_codes(values, width, granularity, group);
+                let (k_total, n_total) = if key_orientation {
+                    (dim, tokens)
+                } else {
+                    (tokens, dim)
+                };
+                let index = |k: usize, n: usize| {
+                    if key_orientation {
+                        n * dim + k
+                    } else {
+                        k * dim + n
+                    }
+                };
+                let want_words = reference_walk::pack_b_operand(
+                    layout,
+                    |k, n| codes[index(k, n)],
+                    k_total,
+                    n_total,
+                    width,
+                );
+                let PackedPayload::Int {
+                    words: got_words,
+                    params: got_params,
+                } = &packed.payload
+                else {
+                    panic!("integer payload");
+                };
+                assert_eq!(got_words, &want_words, "{layout} {scheme} {tokens}x{dim}");
+                assert_eq!(got_params, &params);
+
+                let mut unpacked = vec![0u8; tokens * dim];
+                reference_walk::unpack_b_operand(
+                    layout,
+                    got_words,
+                    |k, n, c| unpacked[index(k, n)] = c,
+                    k_total,
+                    n_total,
+                    width,
+                );
+                assert_eq!(unpacked, codes, "walk must invert the plan's pack");
+                let want = dequantize_int_codes(
+                    &unpacked,
+                    &params,
+                    tokens,
+                    dim,
+                    width,
+                    granularity,
+                    group,
+                );
+                assert_eq!(decoded, &want, "{layout} {scheme} {tokens}x{dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_decode_is_bit_identical_across_the_grid() {
+        for (layout, scheme, tokens, dim) in plan_grid() {
+            let codec = FragmentCodec::new(layout);
+            let block = codec.encode(
+                &test_matrix(tokens, dim, 0.4),
+                &test_matrix(tokens, dim, 1.1),
+                scheme,
+            );
+            let (dk, dv) = codec.decode(&block, scheme);
+            // Dirty, wrongly-shaped buffers: every slot must be rewritten.
+            let mut fk = test_matrix(3, 5, 9.0);
+            let mut fv = test_matrix(300, 7, 9.0);
+            codec.decode_block_fused(&block, scheme, &mut fk, &mut fv);
+            assert_eq!(dk, fk, "{layout} {scheme} {tokens}x{dim}: K");
+            assert_eq!(dv, fv, "{layout} {scheme} {tokens}x{dim}: V");
+        }
+    }
+
+    #[test]
+    fn interning_is_keyed_by_the_decoders_layout() {
+        let layout = PackLayout::sm80_default();
+        let narrow = PackLayout {
+            warps_n: 2,
+            ..layout
+        };
+        let scheme = QuantScheme::kc4();
+        let [k4, _] = block_plans(&FragmentCodec::new(layout), scheme, 128, 32);
+        let [k2, _] = block_plans(&FragmentCodec::new(narrow), scheme, 128, 32);
+        let [again, _] = block_plans(&FragmentCodec::new(layout), scheme, 128, 32);
+        assert!(Arc::ptr_eq(&k4, &again), "same key must share one table");
+        assert!(!Arc::ptr_eq(&k4, &k2), "a Wn = 2 decoder gets its own");
+        assert_eq!(k2.key.layout.warps_n, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "its plan expects 1024 and 64")]
+    fn truncated_payload_is_rejected_up_front() {
+        let codec = FragmentCodec::new(PackLayout::sm80_default());
+        let scheme = QuantScheme::kc4();
+        let mut block = codec.encode(
+            &test_matrix(128, 32, 0.2),
+            &test_matrix(128, 32, 0.9),
+            scheme,
+        );
+        let PackedPayload::Int { words, .. } = &mut block.k.payload else {
+            panic!("integer payload");
+        };
+        words.truncate(1000);
+        let (mut k, mut v) = (TokenMatrix::new(0), TokenMatrix::new(0));
+        codec.decode_block_fused(&block, scheme, &mut k, &mut v);
+    }
+
+    #[test]
+    fn fp4_fused_decode_reuses_the_callers_buffers() {
+        let codec = FragmentCodec::new(PackLayout::sm80_default());
+        let scheme = QuantScheme::mxfp4();
+        let block = codec.encode(&test_matrix(64, 32, 0.3), &test_matrix(64, 32, 0.8), scheme);
+        let mut k = TokenMatrix::zeros(64, 32);
+        let mut v = TokenMatrix::zeros(64, 32);
+        let (k_ptr, v_ptr) = (k.as_slice().as_ptr(), v.as_slice().as_ptr());
+        codec.decode_block_fused(&block, scheme, &mut k, &mut v);
+        assert_eq!(k.as_slice().as_ptr(), k_ptr, "K buffer must be reused");
+        assert_eq!(v.as_slice().as_ptr(), v_ptr, "V buffer must be reused");
+        assert_eq!((k, v), codec.decode(&block, scheme));
+    }
 
     fn test_matrix(tokens: usize, dim: usize, seed: f32) -> TokenMatrix {
         (0..tokens)

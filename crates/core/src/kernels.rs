@@ -25,7 +25,7 @@
 //!   contexts. Both are numerically equivalent to the materializing path
 //!   within f32 accumulation-order noise (see `tests/proptests.rs`).
 
-use crate::codec::FragmentCodec;
+use crate::codec::{BlockDecoder, FragmentCodec};
 use crate::softmax::OnlineSoftmax;
 use bd_gpu_sim::{
     ldmatrix, mma, mma_block_scaled_fp4, wgmma_ss, AccFragment, FragmentLayout, MmaShape, Operand,
@@ -36,6 +36,7 @@ use bd_lowbit::fastpath::FastDequantOps;
 use bd_lowbit::fp4::{quantize_fp4_block, E2M1};
 use bd_lowbit::{Fp4Kind, F16};
 use std::borrow::Borrow;
+use std::cell::RefCell;
 
 /// Which Tensor Core instruction family executes the attention GEMMs in
 /// the functional simulator.
@@ -209,15 +210,74 @@ pub fn attend_packed_blocks<B: Borrow<PackedBlock>>(
     }
 }
 
+/// What the fused kernels would otherwise allocate per call or per block,
+/// owned per thread: the serve runtime's `WorkerPool` threads are
+/// long-lived, so one set of buffers serves every step a worker runs.
+#[derive(Default)]
+struct KernelScratch {
+    /// Per-group dequantization LUT of the tensor being decoded.
+    lut: Vec<f32>,
+    /// Decoded K block — or, in the residual kernel, the engine-rounded
+    /// K window.
+    k: TokenMatrix,
+    /// Decoded V block.
+    v: TokenMatrix,
+    /// Engine-rounded `q · scale`, flat row-major (every sharer's rows
+    /// back to back in the cascade walk).
+    q_eff: Vec<f32>,
+    /// One block's `rows × tokens` score tile, flat row-major.
+    scores: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<KernelScratch> = RefCell::default();
+}
+
+/// Appends `q · scale` (rows of `dim` channels) to `out`, rounded as the
+/// engine's instruction rounds its A operand: `mma` loads it through FP16
+/// fragments, `wgmma` consumes it unrounded.
+fn push_effective_queries(
+    q: &[Vec<f32>],
+    dim: usize,
+    scale: f32,
+    engine: MatmulEngine,
+    out: &mut Vec<f32>,
+) {
+    for row in q {
+        assert_eq!(row.len(), dim, "query row width");
+        out.extend(row.iter().map(|&x| match engine {
+            MatmulEngine::Mma => F16::from_f32(x * scale).to_f32(),
+            MatmulEngine::Wgmma => x * scale,
+        }));
+    }
+}
+
+/// `S = Q_eff · Kᵀ` into `scores` (`rows × tokens`, flat): one contiguous
+/// sequential row-dot per score — decoded K is token-major, exactly the
+/// B-operand column each score needs.
+fn score_block(q_eff: &[f32], k: &TokenMatrix, scores: &mut Vec<f32>) {
+    scores.clear();
+    for q_row in q_eff.chunks_exact(k.dim()) {
+        scores.extend(k.iter().map(|k_row| {
+            let mut acc = 0.0f32;
+            for (a, b) in q_row.iter().zip(k_row) {
+                acc += a * b;
+            }
+            acc
+        }));
+    }
+}
+
 /// The fused flat-layout decode-and-attend kernel (paper §IV): for each
 /// block, packed u16 words stream through the fast-dequant model straight
 /// into flat token-major K/V buffers — decoded K lands directly in the
 /// layout the `Q·Kᵀ` row-dot consumes and V in the layout the `P·V`
 /// accumulation consumes, so no intermediate K/V matrices are built and no
-/// per-block `transposed()` round-trips happen. The K/V value buffers are
-/// allocated once and reused across blocks; only the small per-group
-/// dequantization LUT is rebuilt per tensor, because its values depend on
-/// that block's quantization parameters.
+/// per-block `transposed()` round-trips happen. Every buffer lives in the
+/// calling thread's `KernelScratch` and the two fragment plans are
+/// resolved once per call; per block only the dequantization LUT's
+/// *values* are recomputed, because they depend on that block's
+/// quantization parameters.
 ///
 /// Operand precision mirrors the engine: the MMA path rounds both GEMM
 /// operands through FP16 fragments (`ldmatrix`), the WGMMA `_SS` path
@@ -239,38 +299,23 @@ pub fn attend_packed_blocks_fused<B: Borrow<PackedBlock>>(
     if blocks.is_empty() {
         return ops;
     }
-    let rows = q.len();
-    let q_eff: Vec<Vec<f32>> = q
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|&x| match engine {
-                    MatmulEngine::Mma => F16::from_f32(x * scale).to_f32(),
-                    MatmulEngine::Wgmma => x * scale,
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut k_buf = TokenMatrix::new(0);
-    let mut v_buf = TokenMatrix::new(0);
-    for block in blocks {
-        ops += codec.decode_block_fused(block.borrow(), scheme, &mut k_buf, &mut v_buf);
-        let tokens = k_buf.tokens();
-        let mut s = Tile::zeros(rows, tokens);
-        for (r, q_row) in q_eff.iter().enumerate() {
-            for t in 0..tokens {
-                // Contiguous row-dot: decoded K is token-major, exactly the
-                // B-operand column this score needs.
-                let mut acc = 0.0f32;
-                for (a, b) in q_row.iter().zip(k_buf.row(t)) {
-                    acc += a * b;
-                }
-                s[(r, t)] = acc;
-            }
+    SCRATCH.with_borrow_mut(|scratch| {
+        let KernelScratch {
+            lut,
+            k,
+            v,
+            q_eff,
+            scores,
+        } = scratch;
+        q_eff.clear();
+        push_effective_queries(q, state.dim(), scale, engine, q_eff);
+        let mut decoder = BlockDecoder::new(codec, scheme);
+        for block in blocks {
+            ops += decoder.decode(block.borrow(), lut, k, v);
+            score_block(q_eff, k, scores);
+            state.step_scores(scores, v);
         }
-        state.step_rows(&s, &v_buf);
-    }
+    });
     ops
 }
 
@@ -410,85 +455,72 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
 ) -> (Vec<OnlineSoftmax>, FastDequantOps) {
     struct Plan {
         rows: usize,
-        q_eff: Vec<Vec<f32>>,
+        /// This sharer's rows inside the scratch `q_eff` buffer.
+        q_eff: std::ops::Range<usize>,
         n: usize,
         chunk: usize,
         chunks: Vec<OnlineSoftmax>,
     }
     let p = prefix.len();
     let mut ops = FastDequantOps::default();
-    let mut plans: Vec<Plan> = sharers
-        .iter()
-        .map(|s| {
-            let n = p + s.suffix.len();
-            let rows = s.q.len();
-            // Same operand rounding as `attend_packed_blocks_fused`.
-            let q_eff: Vec<Vec<f32>> =
-                s.q.iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|&x| match engine {
-                                MatmulEngine::Mma => F16::from_f32(x * scale).to_f32(),
-                                MatmulEngine::Wgmma => x * scale,
-                            })
-                            .collect()
-                    })
+    let plans = SCRATCH.with_borrow_mut(|scratch| {
+        let KernelScratch {
+            lut,
+            k,
+            v,
+            q_eff,
+            scores,
+        } = scratch;
+        q_eff.clear();
+        let mut plans: Vec<Plan> = sharers
+            .iter()
+            .map(|s| {
+                let n = p + s.suffix.len();
+                let rows = s.q.len();
+                // Same operand rounding as `attend_packed_blocks_fused`.
+                let q_start = q_eff.len();
+                push_effective_queries(s.q, dim, scale, engine, q_eff);
+                // Replicate the sharer's canonical split-K chunking exactly.
+                let shards = default_shards(n).clamp(1, n.max(1));
+                let chunk = n.div_ceil(shards).max(1);
+                let chunks = (0..n.div_ceil(chunk))
+                    .map(|_| OnlineSoftmax::new(rows, dim))
                     .collect();
-            // Replicate the sharer's canonical split-K chunking exactly.
-            let shards = default_shards(n).clamp(1, n.max(1));
-            let chunk = n.div_ceil(shards).max(1);
-            let chunks = (0..n.div_ceil(chunk))
-                .map(|_| OnlineSoftmax::new(rows, dim))
-                .collect();
-            Plan {
-                rows,
-                q_eff,
-                n,
-                chunk,
-                chunks,
-            }
-        })
-        .collect();
-
-    fn apply(plan: &mut Plan, b: usize, k_buf: &TokenMatrix, v_buf: &TokenMatrix) {
-        let tokens = k_buf.tokens();
-        let mut s = Tile::zeros(plan.rows, tokens);
-        for (r, q_row) in plan.q_eff.iter().enumerate() {
-            for t in 0..tokens {
-                let mut acc = 0.0f32;
-                for (a, b) in q_row.iter().zip(k_buf.row(t)) {
-                    acc += a * b;
+                Plan {
+                    rows,
+                    q_eff: q_start..q_eff.len(),
+                    n,
+                    chunk,
+                    chunks,
                 }
-                s[(r, t)] = acc;
-            }
-        }
-        plan.chunks[b / plan.chunk].step_rows(&s, v_buf);
-    }
+            })
+            .collect();
 
-    let max_n = plans.iter().map(|pl| pl.n).max().unwrap_or(0);
-    let mut k_buf = TokenMatrix::new(0);
-    let mut v_buf = TokenMatrix::new(0);
-    // Shared prefix blocks: one decode each, every sharer consumes it.
-    for (b, block) in prefix.iter().take(max_n).enumerate() {
-        ops += codec.decode_block_fused(block.borrow(), scheme, &mut k_buf, &mut v_buf);
-        for plan in plans.iter_mut() {
-            apply(plan, b, &k_buf, &v_buf);
-        }
-    }
-    // Private suffix blocks: decoded per owner, as today.
-    for b in p..max_n {
-        for (plan, sharer) in plans.iter_mut().zip(sharers) {
-            if b < plan.n {
-                ops += codec.decode_block_fused(
-                    sharer.suffix[b - p].borrow(),
-                    scheme,
-                    &mut k_buf,
-                    &mut v_buf,
-                );
-                apply(plan, b, &k_buf, &v_buf);
+        let mut apply = |plan: &mut Plan, b: usize, k: &TokenMatrix, v: &TokenMatrix| {
+            score_block(&q_eff[plan.q_eff.clone()], k, scores);
+            plan.chunks[b / plan.chunk].step_scores(scores, v);
+        };
+
+        let max_n = plans.iter().map(|pl| pl.n).max().unwrap_or(0);
+        let mut decoder = BlockDecoder::new(codec, scheme);
+        // Shared prefix blocks: one decode each, every sharer consumes it.
+        for (b, block) in prefix.iter().take(max_n).enumerate() {
+            ops += decoder.decode(block.borrow(), lut, k, v);
+            for plan in plans.iter_mut() {
+                apply(plan, b, k, v);
             }
         }
-    }
+        // Private suffix blocks: decoded per owner, as today.
+        for b in p..max_n {
+            for (plan, sharer) in plans.iter_mut().zip(sharers) {
+                if b < plan.n {
+                    ops += decoder.decode(sharer.suffix[b - p].borrow(), lut, k, v);
+                    apply(plan, b, k, v);
+                }
+            }
+        }
+        plans
+    });
 
     let partials = plans
         .into_iter()
@@ -676,33 +708,40 @@ pub fn attend_residual_fused(
     }
     // Both modelled instruction families reduce K in 16-wide tiles.
     const K_TILE: usize = 16;
-    let round = |x: f32| match engine {
-        MatmulEngine::Mma => F16::from_f32(x).to_f32(),
-        MatmulEngine::Wgmma => x,
-    };
-    let q_eff: Vec<Vec<f32>> = q
-        .iter()
-        .map(|row| row.iter().map(|&x| round(x * scale)).collect())
-        .collect();
-    let tokens = res_k.tokens();
-    let d = res_k.dim();
-    let mut s = Tile::zeros(q.len(), tokens);
-    for (r, q_row) in q_eff.iter().enumerate() {
-        for t in 0..tokens {
-            let k_row = res_k.row(t);
-            let mut total = 0.0f32;
-            for c0 in (0..d).step_by(K_TILE) {
-                let c1 = (c0 + K_TILE).min(d);
-                let mut partial = 0.0f32;
-                for c in c0..c1 {
-                    partial += q_row[c] * round(k_row[c]);
+    SCRATCH.with_borrow_mut(|scratch| {
+        let KernelScratch {
+            k, q_eff, scores, ..
+        } = scratch;
+        q_eff.clear();
+        push_effective_queries(q, res_k.dim(), scale, engine, q_eff);
+        // `mma` loads K through FP16 fragments too: round the window once
+        // per call, not once per query row.
+        let k_eff = match engine {
+            MatmulEngine::Mma => {
+                k.resize_tokens(res_k.tokens(), res_k.dim());
+                for (out, &x) in k.as_mut_slice().iter_mut().zip(res_k.as_slice()) {
+                    *out = F16::from_f32(x).to_f32();
                 }
-                total += partial;
+                &*k
             }
-            s[(r, t)] = total;
+            MatmulEngine::Wgmma => res_k,
+        };
+        scores.clear();
+        for q_row in q_eff.chunks_exact(k_eff.dim()) {
+            scores.extend(k_eff.iter().map(|k_row| {
+                let mut total = 0.0f32;
+                for (q_tile, k_tile) in q_row.chunks(K_TILE).zip(k_row.chunks(K_TILE)) {
+                    let mut partial = 0.0f32;
+                    for (a, b) in q_tile.iter().zip(k_tile) {
+                        partial += a * b;
+                    }
+                    total += partial;
+                }
+                total
+            }));
         }
-    }
-    state.step_rows(&s, res_v);
+        state.step_scores(scores, res_v);
+    });
 }
 
 /// The functional **Residual Kernel** attention body for one KV group:

@@ -82,10 +82,24 @@ impl OnlineSoftmax {
     pub fn step_rows<V: TokenRows + ?Sized>(&mut self, s: &Tile, v: &V) {
         assert_eq!(s.rows(), self.rows(), "score tile rows");
         assert_eq!(s.cols(), v.token_count(), "score/value token mismatch");
+        self.step_scores(s.as_slice(), v);
+    }
+
+    /// [`OnlineSoftmax::step_rows`] over a flat row-major `rows × tokens`
+    /// score buffer, so the fused kernels can keep their scores in
+    /// reusable scratch instead of a fresh [`Tile`] per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub(crate) fn step_scores<V: TokenRows + ?Sized>(&mut self, s: &[f32], v: &V) {
+        let tokens = v.token_count();
+        assert_eq!(s.len(), self.rows() * tokens, "score buffer shape");
         assert_eq!(v.token_dim(), self.dim, "value dim mismatch");
         let dim = self.dim;
-        for i in 0..s.rows() {
-            let row_max = s.row(i).iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        for i in 0..self.rows() {
+            let s_row = &s[i * tokens..(i + 1) * tokens];
+            let row_max = s_row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
             let m_new = self.m[i].max(row_max);
             let correction = (self.m[i] - m_new).exp();
             let mut l_new = self.l[i] * correction;
@@ -93,8 +107,8 @@ impl OnlineSoftmax {
             for a in acc.iter_mut() {
                 *a *= correction;
             }
-            for t in 0..s.cols() {
-                let p = (s[(i, t)] - m_new).exp();
+            for (t, &score) in s_row.iter().enumerate() {
+                let p = (score - m_new).exp();
                 l_new += p;
                 for (a, &vv) in acc.iter_mut().zip(v.token_row(t)) {
                     *a += p * vv;

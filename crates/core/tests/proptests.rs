@@ -11,7 +11,8 @@ use bd_core::{
 };
 use bd_gpu_sim::Tile;
 use bd_kvcache::{BlockCodec, PackLayout, PackedBlock, QuantScheme, TokenMatrix};
-use bd_lowbit::PackOrder;
+use bd_lowbit::fastpath::{register_ops, FastDequantOps};
+use bd_lowbit::{codes_per_u32, PackOrder};
 use proptest::prelude::*;
 
 fn matrix(rows: usize, cols: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -225,6 +226,54 @@ proptest! {
         let bad = FragmentCodec::new(bad_layout);
         let (wrong, _) = bad.decode(&block, scheme);
         prop_assert!(max_diff(&wrong.to_rows(), &k.to_rows()) > 0.4, "mismatch must corrupt");
+
+        // Fragment plans are interned process-wide and `good`'s is cached
+        // by now: a plan is keyed by the *decoder's* layout, so the
+        // mismatched decoder must still read garbage through the fused
+        // walk, and must not displace the plan `good` decodes with.
+        let (mut fk, mut fv) = (TokenMatrix::new(0), TokenMatrix::new(0));
+        bad.decode_block_fused(&block, scheme, &mut fk, &mut fv);
+        prop_assert_eq!(&fk, &wrong, "fused and materializing agree on the garbage");
+        good.decode_block_fused(&block, scheme, &mut fk, &mut fv);
+        prop_assert_eq!(&fk, &dk, "the matching decoder still reconstructs");
+    }
+
+    /// Plan-driven fused decode equals `BlockCodec::decode` bit for bit and
+    /// charges exactly one fast-dequant register conversion per 32-bit
+    /// register streamed, for every `Wn`, pack order, integer scheme (both
+    /// widths, both key granularities; K and V cover both B-operand
+    /// orientations) and head dim.
+    #[test]
+    fn plan_driven_fused_decode_is_bitwise_with_exact_op_counts(
+        seed: u64,
+        warps_n in prop_oneof![Just(1usize), Just(2), Just(4)],
+        order in prop_oneof![Just(PackOrder::Linear), Just(PackOrder::FastDequant)],
+        scheme in arb_int_scheme(),
+        dim in prop_oneof![Just(16usize), Just(32), Just(64), Just(128)],
+    ) {
+        let layout = PackLayout { warps_n, order, ..PackLayout::sm80_default() };
+        let codec = FragmentCodec::new(layout);
+        let width = scheme.int_width().unwrap();
+        let nr = layout.residual_block(width);
+        let k: TokenMatrix = matrix(nr, dim, seed).into();
+        let v: TokenMatrix = matrix(nr, dim, seed ^ 0xF00D).into();
+        let block = codec.encode(&k, &v, scheme);
+        let (dk, dv) = codec.decode(&block, scheme);
+        let (mut fk, mut fv) = (TokenMatrix::new(0), TokenMatrix::new(0));
+        let ops = codec.decode_block_fused(&block, scheme, &mut fk, &mut fv);
+        prop_assert_eq!(&fk, &dk, "K ({}, {})", layout, scheme);
+        prop_assert_eq!(&fv, &dv, "V ({}, {})", layout, scheme);
+
+        let regs32 = (2 * nr * dim / codes_per_u32(width)) as u32;
+        let per_reg = register_ops(width);
+        prop_assert_eq!(
+            ops,
+            FastDequantOps {
+                lop3: per_reg.lop3 * regs32,
+                shifts: per_reg.shifts * regs32,
+                hfma2: per_reg.hfma2 * regs32,
+            }
+        );
     }
 
     /// The fused flat-layout decode path matches the materializing path

@@ -68,11 +68,13 @@ impl F16 {
     ///
     /// Overflow produces infinity; values below the subnormal range flush to
     /// (signed) zero exactly as the hardware `cvt.rn.f16.f32` instruction.
+    #[inline]
     pub fn from_f32(x: f32) -> Self {
         F16(f32_to_f16_bits(x.to_bits()))
     }
 
     /// Converts to `f32` exactly (binary16 ⊂ binary32).
+    #[inline]
     pub fn to_f32(self) -> f32 {
         f32::from_bits(f16_bits_to_f32(self.0))
     }
@@ -130,6 +132,7 @@ impl F16 {
     /// Fused multiply-add computed in `f32` and rounded once, matching the
     /// GPU `fma.rn.f16` contract used during dequantization
     /// (`x = q * scale + zero`).
+    #[inline]
     pub fn mul_add(self, a: F16, b: F16) -> Self {
         F16::from_f32(self.to_f32() * a.to_f32() + b.to_f32())
     }
@@ -199,6 +202,7 @@ impl Neg for F16 {
 /// `float_to_half_fast3_rtne`): subnormal results are produced by a
 /// round-correct FP addition against a magic bias, normal results by integer
 /// rounding-bias addition.
+#[inline]
 pub fn f32_to_f16_bits(fbits: u32) -> u16 {
     const F32_INFTY: u32 = 255 << 23;
     const F16_MAX: u32 = (127 + 16) << 23;
@@ -228,6 +232,7 @@ pub fn f32_to_f16_bits(fbits: u32) -> u16 {
 }
 
 /// Exact binary16 → `f32` conversion on raw bits.
+#[inline]
 pub fn f16_bits_to_f32(h: u16) -> u32 {
     const MAGIC_BITS: u32 = 113 << 23;
     const SHIFTED_EXP: u32 = 0x7C00 << 13;

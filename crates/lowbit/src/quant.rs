@@ -102,6 +102,7 @@ impl QuantParams {
     }
 
     /// Unpacks from the on-device `half2` layout.
+    #[inline]
     pub fn from_half2(h: Half2) -> Self {
         QuantParams {
             scale: h.lo(),
@@ -122,6 +123,7 @@ impl QuantParams {
 
     /// Dequantizes one code back to FP16 (the slow `static_cast` + FMA path;
     /// the fast path lives in [`crate::fastpath`]).
+    #[inline]
     pub fn dequantize(&self, code: u8) -> F16 {
         F16::from_f32(code as f32).mul_add(self.scale, self.zero)
     }
