@@ -23,10 +23,7 @@ use bd_bench::traces::{bursty_trace, BurstProfile, RequestShape};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::{builtin_topology, GpuArch};
 use bd_kvcache::{Partitioning, QuantScheme};
-use bd_llm::{
-    serve_prefix_cache_functional, serve_shared_prompt_functional,
-    serve_trace_policy_functional_obs, ServePolicy,
-};
+use bd_llm::{serve_scenario, FunctionalServeReport, ScenarioRequest, ServePolicy};
 use bd_serve::{
     FaultPlan, ObsConfig, Quantiles, RequestId, ServeConfig, ServeSession, SloSummary, SpanTracer,
     SynthSequence,
@@ -197,19 +194,31 @@ fn run_bursty_slo() -> (SloSummary, usize) {
     // Pool sized well under the peak burst demand: every request fits on
     // its own, but burst episodes queue (and preempt) behind the pool.
     let config = ServeConfig::new(48, 64, WORKERS, 8);
-    let report = serve_trace_policy_functional_obs(
+    // Two decode steps per trace second; values seeded by trace position.
+    let rows: Vec<ScenarioRequest> = trace
+        .iter()
+        .enumerate()
+        .map(|(i, req)| ScenarioRequest {
+            arrival_step: (req.arrival_s * 2.0).floor() as usize,
+            prompt_seed: i as u64,
+            gen_seed: i as u64,
+            prompt_tokens: req.prompt_tokens,
+            gen_tokens: req.gen_tokens,
+            fork_of: None,
+        })
+        .collect();
+    let report = serve_scenario(
         GpuArch::rtx4090(),
         attn,
         QuantScheme::kc4(),
-        &trace,
-        2.0,
-        config,
+        &rows,
         ServePolicy::FcfsPreempt,
         ObsConfig::off().with_lifecycle(true),
+        config,
     )
     .expect("every trace request fits the pool");
-    assert_eq!(report.completed, trace.len());
-    (report.slo, trace.len())
+    assert_eq!(report.summary.completed, trace.len());
+    (report.summary.slo, trace.len())
 }
 
 /// One heterogeneous-fleet run's outcome.
@@ -301,6 +310,51 @@ fn run_heterogeneous() -> Vec<HeterogeneousRow> {
 /// cascade kernel's compute dedup shows up in the throughput column.
 const GEN_SHARED: usize = 64;
 
+/// Best-of-`reps` (on the throughput column, like [`run_best`]) of `n`
+/// requests that all carry the same 2048-token prompt (seed 0xBD) and
+/// each generate [`GEN_SHARED`] tokens of their own: with `fork`, every
+/// request after the first is submitted as a fork of it; with
+/// `prefix_cache` off, identical prompts are not deduplicated by content
+/// either.
+fn run_same_prompt(n: usize, fork: bool, prefix_cache: bool, reps: usize) -> FunctionalServeReport {
+    let attn = AttentionConfig::gqa(8, 4, 64);
+    let page_tokens = 64;
+    let pages_per_seq = (PROMPT + GEN_SHARED).div_ceil(page_tokens) + 1;
+    let rows: Vec<ScenarioRequest> = (0..n)
+        .map(|i| ScenarioRequest {
+            arrival_step: 0,
+            prompt_seed: 0xBD,
+            gen_seed: i as u64,
+            prompt_tokens: PROMPT,
+            gen_tokens: GEN_SHARED,
+            fork_of: (fork && i > 0).then_some(0),
+        })
+        .collect();
+    let run = || {
+        let config = ServeConfig::new(n * pages_per_seq, page_tokens, WORKERS, n)
+            .with_prefix_cache(prefix_cache);
+        serve_scenario(
+            GpuArch::rtx4090(),
+            attn,
+            QuantScheme::kc4(),
+            &rows,
+            ServePolicy::Fcfs,
+            ObsConfig::off(),
+            config,
+        )
+        .expect("fits pool")
+    };
+    let mut report = run();
+    for _ in 1..reps {
+        let rep = run();
+        if rep.summary.kv_tokens_per_s > report.summary.kv_tokens_per_s {
+            report = rep;
+        }
+    }
+    assert_eq!(report.summary.completed, n);
+    report
+}
+
 /// One shared-prefix scenario's outcome: `sequences` requests carrying
 /// the same long prompt, served with and without copy-on-write prefix
 /// sharing (which, when on, also lets the scheduler form cascade
@@ -322,37 +376,15 @@ struct SharedPrefixRow {
 }
 
 /// N sequences sharing the 2048-token prompt vs the same N prefilling it
-/// privately — identical token output (the proptests pin that down
+/// privately (no fork, and the radix cache off so nothing dedups by
+/// content either) — identical token output (the proptests pin that down
 /// bitwise), different physical page footprint AND different compute:
 /// the shared run's cascade groups stream each packed prefix page through
 /// the dequant LUTs once per `(group, head)` instead of once per sharer.
-/// Best-of-`reps` on the throughput column, like [`run_best`].
 fn run_shared_prefix(sequences: usize, share: bool, reps: usize) -> SharedPrefixRow {
     let attn = AttentionConfig::gqa(8, 4, 64);
     let page_tokens = 64;
-    let pages_per_seq = (PROMPT + GEN_SHARED).div_ceil(page_tokens) + 1;
-    let run = || {
-        let config = ServeConfig::new(sequences * pages_per_seq, page_tokens, WORKERS, sequences);
-        serve_shared_prompt_functional(
-            GpuArch::rtx4090(),
-            attn,
-            QuantScheme::kc4(),
-            sequences,
-            PROMPT,
-            GEN_SHARED,
-            share,
-            config,
-        )
-        .expect("fits pool")
-    };
-    let mut report = run();
-    for _ in 1..reps {
-        let rep = run();
-        if rep.kv_tokens_per_s > report.kv_tokens_per_s {
-            report = rep;
-        }
-    }
-    assert_eq!(report.completed, sequences);
+    let report = run_same_prompt(sequences, share, share, reps).summary;
     if share {
         // In-run reconciliation at devices=1 with a page- and
         // block-aligned prompt: every step forms one group per KV head
@@ -413,31 +445,12 @@ struct PrefixCacheRow {
 /// feed the same cascade attention groups an explicit fork would.
 /// Returns the row plus the token streams for the bitwise check.
 fn run_prefix_cache(tenants: usize, cache: bool, reps: usize) -> (PrefixCacheRow, Vec<Vec<u32>>) {
-    let attn = AttentionConfig::gqa(8, 4, 64);
     let page_tokens = 64;
-    let pages_per_seq = (PROMPT + GEN_SHARED).div_ceil(page_tokens) + 1;
-    let run = || {
-        let config = ServeConfig::new(tenants * pages_per_seq, page_tokens, WORKERS, tenants);
-        serve_prefix_cache_functional(
-            GpuArch::rtx4090(),
-            attn,
-            QuantScheme::kc4(),
-            tenants,
-            PROMPT,
-            GEN_SHARED,
-            cache,
-            config,
-        )
-        .expect("fits pool")
-    };
-    let mut report = run();
-    for _ in 1..reps {
-        let rep = run();
-        if rep.kv_tokens_per_s > report.kv_tokens_per_s {
-            report = rep;
-        }
-    }
-    assert_eq!(report.completed, tenants);
+    let FunctionalServeReport {
+        summary: report,
+        token_streams,
+        ..
+    } = run_same_prompt(tenants, false, cache, reps);
     assert_eq!(report.forks, 0, "content dedup must not fork");
     let prompt_pages = PROMPT / page_tokens;
     if cache {
@@ -467,7 +480,7 @@ fn run_prefix_cache(tenants: usize, cache: bool, reps: usize) -> (PrefixCacheRow
         bytes_reused_kib: report.prefix_bytes_reused as f64 / 1024.0,
         shared_attn_groups: report.shared_attn_groups,
     };
-    (row, report.token_streams)
+    (row, token_streams)
 }
 
 /// One degraded-mode scenario's outcome: the fixed 6-request workload

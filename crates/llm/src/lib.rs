@@ -24,7 +24,6 @@ pub use engine::{Engine, WeightPrecision};
 pub use memory::{MemoryModel, OomError, RESERVE_BYTES};
 pub use model::ModelConfig;
 pub use serving::{
-    max_throughput, serve_functional, serve_prefix_cache_functional,
-    serve_shared_prompt_functional, serve_trace_functional, serve_trace_policy_functional,
-    serve_trace_policy_functional_obs, FunctionalServeReport, ServePolicy, ServingReport,
+    max_throughput, serve_scenario, FunctionalServeReport, ScenarioRequest, ServePolicy,
+    ServingReport,
 };

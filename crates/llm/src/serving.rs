@@ -4,7 +4,6 @@
 //! runtime (`bd-serve`) — concurrent sequences decoding actual values
 //! through the fused kernel over paged packed storage.
 
-use crate::batching::Request;
 use crate::engine::{Engine, WeightPrecision};
 use crate::memory::MemoryModel;
 use crate::model::ModelConfig;
@@ -13,11 +12,11 @@ use bd_core::{AttentionConfig, BitDecoder};
 use bd_gpu_sim::GpuArch;
 use bd_kvcache::{PagedPool, QuantScheme};
 use bd_serve::{
-    AdmissionError, FcfsPreempt, ObsConfig, ServeConfig, ServeSession, ShortestRemainingFirst,
-    SloSummary, SynthSequence,
+    AdmissionError, FcfsPreempt, ObsConfig, ServeConfig, ServeSession, ServeSummary,
+    ShortestRemainingFirst, SynthSequence,
 };
 
-/// Scheduling-policy selector for the functional serve entry points — a
+/// Scheduling-policy selector for [`serve_scenario`] — a
 /// plain enum mirror of `bd_serve`'s policy structs so callers (benches,
 /// CLIs) can pick one without touching trait objects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,82 +117,67 @@ pub fn max_throughput(
     }
 }
 
-/// Outcome of a functional serve run ([`serve_functional`]).
+/// One request of a [`serve_scenario`] run — plain data, so a workload is
+/// a table of these.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScenarioRequest {
+    /// Decode step at which the request arrives
+    /// ([`ServeSession::submit_at`]; 0 = queued before the run starts).
+    pub arrival_step: usize,
+    /// Seed of the synthetic prompt K/V. Requests with equal
+    /// `prompt_seed` and `prompt_tokens` carry the identical prompt.
+    pub prompt_seed: u64,
+    /// Seed of the queries and generated K/V (the request's own
+    /// continuation).
+    pub gen_seed: u64,
+    /// Prompt length.
+    pub prompt_tokens: usize,
+    /// Tokens to generate.
+    pub gen_tokens: usize,
+    /// Index (into the scenario's request slice) of an earlier request
+    /// whose prompt this one shares: submitted through
+    /// [`ServeSession::submit_forked_at`], so admission aliases the
+    /// parent's prompt pages copy-on-write while the parent is live.
+    pub fork_of: Option<usize>,
+}
+
+/// Outcome of a functional serve run ([`serve_scenario`]).
 #[derive(Clone, Debug)]
 pub struct FunctionalServeReport {
-    /// Requests submitted.
-    pub sequences: usize,
-    /// Requests that completed.
-    pub completed: usize,
-    /// Decode steps the scheduler executed.
-    pub steps: usize,
-    /// Total KV tokens attended across all steps.
-    pub kv_tokens: u64,
-    /// Measured aggregate KV-tokens per second.
-    pub kv_tokens_per_s: f64,
-    /// Total fast-dequant instruction slots streamed by the fused kernels.
-    pub dequant_slots: u64,
-    /// Sequences preempted (swapped out) during the run.
-    pub preemptions: usize,
-    /// Preempted sequences swapped back in during the run.
-    pub resumes: usize,
-    /// Shared-prompt requests admitted by forking a live parent
-    /// (copy-on-write page sharing instead of a fresh prefill).
-    pub forks: usize,
-    /// Highest physical page allocation any step ended on — the run's
-    /// page footprint, which prefix sharing shrinks.
-    pub peak_physical_pages: usize,
-    /// Highest per-step packed-byte deduplication sharing achieved.
-    pub peak_shared_bytes_saved: usize,
-    /// Host bytes moved by swap traffic, both directions.
-    pub swap_bytes: f64,
-    /// Cascade shared-prefix attention units executed across the run
-    /// (one per `(prefix-group, kv-head, device)` per step with ≥ 2
-    /// sharers).
-    pub shared_attn_groups: usize,
-    /// Prefix pages the cascade units did not re-walk across the run —
-    /// the compute-side dedup the memory-side `peak_shared_bytes_saved`
-    /// column now finally buys throughput with.
-    pub prefix_pages_walked_saved: usize,
-    /// Fresh admissions that adopted cached prefix pages from the
-    /// content-addressed radix cache (per device).
-    pub prefix_cache_hits: usize,
-    /// Fresh admissions that found nothing cached to adopt (per device).
-    pub prefix_cache_misses: usize,
-    /// Physical pages radix hits adopted instead of re-writing.
-    pub prefix_pages_reused: usize,
-    /// Packed bytes those adopted pages already held.
-    pub prefix_bytes_reused: usize,
+    /// The session's aggregate run summary (every counter, the SLO
+    /// rollup — zeroed unless lifecycle tracking was on).
+    pub summary: ServeSummary,
     /// The emitted token stream of every request, in submission order.
     pub token_streams: Vec<Vec<u32>>,
     /// The decode step at which each request completed, in submission
     /// order.
     pub completion_steps: Vec<usize>,
-    /// Request-lifecycle SLO distributions (TTFT, TBT, queue wait,
-    /// goodput). All-zero unless the run was started with lifecycle
-    /// tracking enabled ([`serve_trace_policy_functional_obs`]).
-    pub slo: SloSummary,
 }
 
-/// Runs the paper's Page serving setting **functionally**: `sequences`
-/// synthetic requests (each `prompt_len` prompt tokens, `gen_tokens` to
-/// generate) decode concurrently on the `bd-serve` runtime — real values
-/// through the fused kernel over paged packed storage, scheduled per step,
-/// fanned across `config.workers` persistent workers. The analytic
-/// [`max_throughput`] above prices this setting; this executes it.
+/// Runs the paper's Page serving setting **functionally**: the synthetic
+/// `requests` decode concurrently on the `bd-serve` runtime — real values
+/// through the fused kernel over paged packed storage, admitted under
+/// `policy`, instrumented per `obs` — until all have completed. The
+/// analytic [`max_throughput`] above prices this setting; this executes
+/// it. Every serving pattern is a choice of rows: a pre-filled queue
+/// (`arrival_step` 0), a trace (`arrival_step` from arrival times),
+/// explicit prompt sharing (`fork_of`), independent tenants repeating a
+/// prompt (equal `prompt_seed`, deduplicated by the radix prefix cache
+/// unless `config` turns it off). Streams are bitwise-checkable against
+/// per-request [`bd_serve::replay_contiguous`] in every case.
 ///
 /// # Errors
 ///
 /// Propagates [`AdmissionError`] when a request cannot be served under
-/// `config` (page budget larger than the whole pool, or zero tokens to
-/// generate).
-pub fn serve_functional(
+/// `config` (page budget larger than the whole pool, zero tokens to
+/// generate), and rejects a `fork_of` that does not name an earlier row.
+pub fn serve_scenario(
     arch: GpuArch,
     attn: AttentionConfig,
     scheme: QuantScheme,
-    sequences: usize,
-    prompt_len: usize,
-    gen_tokens: usize,
+    requests: &[ScenarioRequest],
+    policy: ServePolicy,
+    obs: ObsConfig,
     config: ServeConfig,
 ) -> Result<FunctionalServeReport, AdmissionError> {
     let decoder = BitDecoder::builder(arch)
@@ -201,44 +185,28 @@ pub fn serve_functional(
         .scheme(scheme)
         .paged(true)
         .build();
-    let mut session = ServeSession::new(decoder, config);
-    let ids = (0..sequences)
-        .map(|i| {
-            session.submit(Box::new(SynthSequence::new(
-                attn, i as u64, prompt_len, gen_tokens,
-            )))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut session = policy.install(ServeSession::new(decoder, config).with_obs(obs));
+    let mut ids = Vec::with_capacity(requests.len());
+    for r in requests {
+        let model = Box::new(SynthSequence::forked(
+            attn,
+            r.prompt_seed,
+            r.gen_seed,
+            r.prompt_tokens,
+            r.gen_tokens,
+        ));
+        ids.push(match r.fork_of {
+            Some(parent) => {
+                let unknown = AdmissionError::UnknownParent(parent as u64);
+                let parent = *ids.get(parent).ok_or(unknown)?;
+                session.submit_forked_at(r.arrival_step, parent, model)?
+            }
+            None => session.submit_at(r.arrival_step, model)?,
+        });
+    }
     let summary = session.run_to_completion();
-    Ok(report_from(&session, &ids, &summary))
-}
-
-/// Collects the per-request streams/latencies and run totals into a
-/// [`FunctionalServeReport`].
-fn report_from(
-    session: &ServeSession,
-    ids: &[bd_serve::RequestId],
-    summary: &bd_serve::ServeSummary,
-) -> FunctionalServeReport {
-    FunctionalServeReport {
-        sequences: ids.len(),
-        completed: summary.completed,
-        steps: summary.steps,
-        kv_tokens: summary.kv_tokens,
-        kv_tokens_per_s: summary.kv_tokens_per_s,
-        dequant_slots: u64::from(summary.dequant.total()),
-        preemptions: summary.preemptions,
-        resumes: summary.resumes,
-        forks: summary.forks,
-        peak_physical_pages: summary.peak_physical_pages,
-        peak_shared_bytes_saved: summary.peak_shared_bytes_saved,
-        swap_bytes: summary.swap_bytes,
-        shared_attn_groups: summary.shared_attn_groups,
-        prefix_pages_walked_saved: summary.prefix_pages_walked_saved,
-        prefix_cache_hits: summary.prefix_cache_hits,
-        prefix_cache_misses: summary.prefix_cache_misses,
-        prefix_pages_reused: summary.prefix_pages_reused,
-        prefix_bytes_reused: summary.prefix_bytes_reused,
+    Ok(FunctionalServeReport {
+        summary,
         token_streams: ids
             .iter()
             .map(|id| session.stream(*id).expect("submitted").to_vec())
@@ -247,278 +215,88 @@ fn report_from(
             .iter()
             .map(|id| session.completion_step(*id).expect("completed"))
             .collect(),
-        slo: summary.slo,
-    }
-}
-
-/// Runs the dominant serving pattern **functionally**: `sequences`
-/// requests all carrying the same `prompt_len`-token system prompt, each
-/// generating `gen_tokens` of its own continuation (per-request values
-/// seeded by position). With `share_prompt` the first request is submitted
-/// normally and every later one through
-/// [`ServeSession::submit_forked`], so admission aliases the shared
-/// prompt's packed pages copy-on-write instead of re-prefilling and
-/// re-storing them; without it every request prefills privately — the
-/// baseline the report's `peak_physical_pages` column is compared
-/// against (the radix prefix cache is forced off in that arm, since it
-/// would otherwise dedup the identical prompts by content on its own).
-/// Token streams are identical either way (sharing is a storage
-/// optimization, bitwise invisible).
-///
-/// # Errors
-///
-/// Propagates [`AdmissionError`] when a request cannot be served under
-/// `config`.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_shared_prompt_functional(
-    arch: GpuArch,
-    attn: AttentionConfig,
-    scheme: QuantScheme,
-    sequences: usize,
-    prompt_len: usize,
-    gen_tokens: usize,
-    share_prompt: bool,
-    config: ServeConfig,
-) -> Result<FunctionalServeReport, AdmissionError> {
-    let decoder = BitDecoder::builder(arch)
-        .attention(attn)
-        .scheme(scheme)
-        .paged(true)
-        .build();
-    let config = if share_prompt {
-        config
-    } else {
-        // The private-prefill baseline must not content-dedup.
-        config.with_prefix_cache(false)
-    };
-    let mut session = ServeSession::new(decoder, config);
-    // One prompt seed for everyone, a distinct generation seed each.
-    const PROMPT_SEED: u64 = 0xBD;
-    let mut ids = Vec::with_capacity(sequences);
-    for i in 0..sequences {
-        let model = Box::new(SynthSequence::forked(
-            attn,
-            PROMPT_SEED,
-            i as u64,
-            prompt_len,
-            gen_tokens,
-        ));
-        ids.push(if share_prompt && i > 0 {
-            session.submit_forked(ids[0], model)?
-        } else {
-            session.submit(model)?
-        });
-    }
-    let summary = session.run_to_completion();
-    Ok(report_from(&session, &ids, &summary))
-}
-
-/// Runs the multi-tenant prompt-cache pattern **functionally**:
-/// `sequences` *independent* requests all carrying the same
-/// `prompt_len`-token system prompt (the same synthetic prompt
-/// [`serve_shared_prompt_functional`] uses), each submitted through plain
-/// [`ServeSession::submit`] — **no fork lineage anywhere**. With
-/// `prefix_cache` on, the content-addressed radix index dedups the
-/// identical prompts transparently: every tenant after the first adopts
-/// the sealed prompt pages zero-copy, the adopted pages form cascade
-/// shared-attention groups exactly like an explicit fork, and the report's
-/// `prefix_cache_hits` / `prefix_pages_reused` columns account for it.
-/// With it off every tenant prefills privately — the baseline. Token
-/// streams are identical either way.
-///
-/// # Errors
-///
-/// Propagates [`AdmissionError`] when a request cannot be served under
-/// `config`.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_prefix_cache_functional(
-    arch: GpuArch,
-    attn: AttentionConfig,
-    scheme: QuantScheme,
-    sequences: usize,
-    prompt_len: usize,
-    gen_tokens: usize,
-    prefix_cache: bool,
-    config: ServeConfig,
-) -> Result<FunctionalServeReport, AdmissionError> {
-    let decoder = BitDecoder::builder(arch)
-        .attention(attn)
-        .scheme(scheme)
-        .paged(true)
-        .build();
-    let mut session = ServeSession::new(decoder, config.with_prefix_cache(prefix_cache));
-    const PROMPT_SEED: u64 = 0xBD;
-    let mut ids = Vec::with_capacity(sequences);
-    for i in 0..sequences {
-        let model = Box::new(SynthSequence::forked(
-            attn,
-            PROMPT_SEED,
-            i as u64,
-            prompt_len,
-            gen_tokens,
-        ));
-        ids.push(session.submit(model)?);
-    }
-    let summary = session.run_to_completion();
-    Ok(report_from(&session, &ids, &summary))
-}
-
-/// Runs the Page serving setting functionally under a **trace-driven
-/// arrival process**: the same [`Request`] traces the analytic
-/// continuous-batching simulator ([`crate::batching`]) consumes drive the
-/// real `bd-serve` runtime. Each request's `arrival_s` maps to a decode
-/// step at `steps_per_s` and joins the session through
-/// [`ServeSession::submit_at`], so sequences enter mid-run as pages free
-/// up instead of draining a pre-filled queue; an idle session
-/// fast-forwards to the next arrival. Per-request synthetic values are
-/// seeded by trace position, so the emitted streams are reproducible and
-/// bitwise-checkable against per-sequence contiguous replay.
-///
-/// # Errors
-///
-/// Propagates [`AdmissionError`] when any request cannot be served under
-/// `config`.
-///
-/// # Panics
-///
-/// Panics if `steps_per_s` is not positive.
-pub fn serve_trace_functional(
-    arch: GpuArch,
-    attn: AttentionConfig,
-    scheme: QuantScheme,
-    trace: &[Request],
-    steps_per_s: f64,
-    config: ServeConfig,
-) -> Result<FunctionalServeReport, AdmissionError> {
-    serve_trace_policy_functional(
-        arch,
-        attn,
-        scheme,
-        trace,
-        steps_per_s,
-        config,
-        ServePolicy::Fcfs,
-    )
-}
-
-/// [`serve_trace_functional`] under an explicit [`ServePolicy`]: the same
-/// trace-driven Page setting, but admission (and, for
-/// [`ServePolicy::FcfsPreempt`], swap-out/swap-in preemption under page
-/// pressure) follows the chosen scheduling policy. Streams stay
-/// bitwise-checkable against per-sequence contiguous replay under every
-/// policy — preemption reorders *when* sequences decode, never *what*
-/// they emit.
-///
-/// # Errors
-///
-/// Propagates [`AdmissionError`] when any request cannot be served under
-/// `config`.
-///
-/// # Panics
-///
-/// Panics if `steps_per_s` is not positive.
-pub fn serve_trace_policy_functional(
-    arch: GpuArch,
-    attn: AttentionConfig,
-    scheme: QuantScheme,
-    trace: &[Request],
-    steps_per_s: f64,
-    config: ServeConfig,
-    policy: ServePolicy,
-) -> Result<FunctionalServeReport, AdmissionError> {
-    serve_trace_policy_functional_obs(
-        arch,
-        attn,
-        scheme,
-        trace,
-        steps_per_s,
-        config,
-        policy,
-        ObsConfig::default(),
-    )
-}
-
-/// [`serve_trace_policy_functional`] with an explicit [`ObsConfig`]:
-/// lifecycle tracking populates the report's [`SloSummary`] (TTFT, TBT,
-/// queue-wait, goodput distributions) and span tracing/event logging can
-/// be armed for timeline export. With `ObsConfig::default()` this is the
-/// plain entry point — every instrument off, nothing measured.
-///
-/// # Errors
-///
-/// Propagates [`AdmissionError`] when any request cannot be served under
-/// `config`.
-///
-/// # Panics
-///
-/// Panics if `steps_per_s` is not positive.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_trace_policy_functional_obs(
-    arch: GpuArch,
-    attn: AttentionConfig,
-    scheme: QuantScheme,
-    trace: &[Request],
-    steps_per_s: f64,
-    config: ServeConfig,
-    policy: ServePolicy,
-    obs: ObsConfig,
-) -> Result<FunctionalServeReport, AdmissionError> {
-    assert!(steps_per_s > 0.0, "steps_per_s must be positive");
-    let decoder = BitDecoder::builder(arch)
-        .attention(attn)
-        .scheme(scheme)
-        .paged(true)
-        .build();
-    let mut session = policy.install(ServeSession::new(decoder, config).with_obs(obs));
-    let ids = trace
-        .iter()
-        .enumerate()
-        .map(|(i, req)| {
-            let arrival_step = (req.arrival_s * steps_per_s).floor() as usize;
-            session.submit_at(
-                arrival_step,
-                Box::new(SynthSequence::new(
-                    attn,
-                    i as u64,
-                    req.prompt_tokens,
-                    req.gen_tokens,
-                )),
-            )
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let summary = session.run_to_completion();
-    Ok(report_from(&session, &ids, &summary))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batching::synth_trace;
+    use crate::batching::{synth_trace, Request};
     use bd_baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
-    use bd_serve::replay_contiguous;
+    use bd_serve::{replay_contiguous, SloSummary};
 
     fn report(model: ModelConfig, sys: &dyn DecodeSystem, w: WeightPrecision) -> ServingReport {
         max_throughput(model, sys, GpuArch::a100(), w, 32768)
     }
 
+    /// One independent request, seeded `seed` throughout.
+    fn row(arrival_step: usize, seed: u64, prompt: usize, gen: usize) -> ScenarioRequest {
+        ScenarioRequest {
+            arrival_step,
+            prompt_seed: seed,
+            gen_seed: seed,
+            prompt_tokens: prompt,
+            gen_tokens: gen,
+            fork_of: None,
+        }
+    }
+
+    /// `n` requests queued before the run starts, request `i` seeded `i`.
+    fn queued(n: usize, prompt: usize, gen: usize) -> Vec<ScenarioRequest> {
+        (0..n).map(|i| row(0, i as u64, prompt, gen)).collect()
+    }
+
+    /// One request per trace entry, seeded by trace position, arriving at
+    /// `arrival_s × steps_per_s`.
+    fn trace_rows(trace: &[Request], steps_per_s: f64) -> Vec<ScenarioRequest> {
+        trace
+            .iter()
+            .enumerate()
+            .map(|(i, req)| {
+                let arrival = (req.arrival_s * steps_per_s).floor() as usize;
+                row(arrival, i as u64, req.prompt_tokens, req.gen_tokens)
+            })
+            .collect()
+    }
+
+    /// `n` requests over one prompt (seed 0xBD), each with its own
+    /// continuation; with `fork`, every request after the first forks it.
+    fn same_prompt(n: usize, prompt: usize, gen: usize, fork: bool) -> Vec<ScenarioRequest> {
+        (0..n)
+            .map(|i| ScenarioRequest {
+                prompt_seed: 0xBD,
+                fork_of: (fork && i > 0).then_some(0),
+                ..row(0, i as u64, prompt, gen)
+            })
+            .collect()
+    }
+
+    fn serve(
+        attn: AttentionConfig,
+        scheme: QuantScheme,
+        rows: &[ScenarioRequest],
+        policy: ServePolicy,
+        config: ServeConfig,
+    ) -> FunctionalServeReport {
+        let obs = ObsConfig::default();
+        serve_scenario(GpuArch::a100(), attn, scheme, rows, policy, obs, config).unwrap()
+    }
+
     #[test]
     fn functional_serving_completes_and_matches_contiguous_replay() {
         let attn = AttentionConfig::gqa(4, 2, 16);
-        let r = serve_functional(
-            GpuArch::a100(),
+        let r = serve(
             attn,
             QuantScheme::kc4(),
-            3,
-            140,
-            3,
+            &queued(3, 140, 3),
+            ServePolicy::Fcfs,
             ServeConfig::new(256, 64, 2, 8),
-        )
-        .unwrap();
-        assert_eq!(r.completed, 3);
-        assert_eq!(r.steps, 3);
-        assert_eq!(r.kv_tokens, 3 * (140 + 141 + 142));
-        assert!(r.kv_tokens_per_s > 0.0);
-        assert!(r.dequant_slots > 0);
+        );
+        assert_eq!(r.summary.completed, 3);
+        assert_eq!(r.summary.steps, 3);
+        assert_eq!(r.summary.kv_tokens, 3 * (140 + 141 + 142));
+        assert!(r.summary.kv_tokens_per_s > 0.0);
+        assert!(r.summary.dequant.total() > 0);
         let dec = BitDecoder::builder(GpuArch::a100())
             .attention(attn)
             .scheme(QuantScheme::kc4())
@@ -539,16 +317,14 @@ mod tests {
         assert!(trace.len() > 2, "trace has several arrivals");
         let config =
             ServeConfig::new(16, 32, 0, 4).with_devices(2, bd_kvcache::Partitioning::HeadModulo);
-        let r = serve_trace_functional(
-            GpuArch::a100(),
+        let r = serve(
             attn,
             QuantScheme::kc4(),
-            &trace,
-            2.0,
+            &trace_rows(&trace, 2.0),
+            ServePolicy::Fcfs,
             config,
-        )
-        .unwrap();
-        assert_eq!(r.completed, trace.len(), "every arrival is served");
+        );
+        assert_eq!(r.summary.completed, trace.len(), "every arrival is served");
         let dec = BitDecoder::builder(GpuArch::a100())
             .attention(attn)
             .scheme(QuantScheme::kc4())
@@ -582,22 +358,19 @@ mod tests {
         ];
         let config = ServeConfig::new(4, 32, 0, 8);
         let run = |policy| {
-            serve_trace_policy_functional(
-                GpuArch::a100(),
+            serve(
                 attn,
                 QuantScheme::kc4(),
-                &trace,
-                1.0,
-                config.clone(),
+                &trace_rows(&trace, 1.0),
                 policy,
+                config.clone(),
             )
-            .unwrap()
         };
         let fcfs = run(ServePolicy::Fcfs);
         let pre = run(ServePolicy::FcfsPreempt);
-        assert_eq!((fcfs.preemptions, fcfs.resumes), (0, 0));
-        assert_eq!((pre.preemptions, pre.resumes), (1, 1));
-        assert!(pre.swap_bytes > 0.0);
+        assert_eq!((fcfs.summary.preemptions, fcfs.summary.resumes), (0, 0));
+        assert_eq!((pre.summary.preemptions, pre.summary.resumes), (1, 1));
+        assert!(pre.summary.swap_bytes > 0.0);
         // The late small request completes strictly earlier under
         // preemption…
         assert!(pre.completion_steps[1] < fcfs.completion_steps[1]);
@@ -609,7 +382,7 @@ mod tests {
             .paged(true)
             .build();
         for report in [&fcfs, &pre] {
-            assert_eq!(report.completed, 2);
+            assert_eq!(report.summary.completed, 2);
             for (i, (req, stream)) in trace.iter().zip(&report.token_streams).enumerate() {
                 let want = replay_contiguous(
                     &dec,
@@ -624,32 +397,30 @@ mod tests {
     fn shared_prompt_serving_saves_pages_and_is_bitwise_invisible() {
         let attn = AttentionConfig::gqa(4, 2, 16);
         let config = ServeConfig::new(256, 32, 0, 8);
+        // The private-prefill baseline must not content-dedup either, so
+        // its radix prefix cache is off.
         let run = |share: bool| {
-            serve_shared_prompt_functional(
-                GpuArch::a100(),
+            serve(
                 attn,
                 QuantScheme::kc4(),
-                4,
-                256,
-                3,
-                share,
-                config.clone(),
+                &same_prompt(4, 256, 3, share),
+                ServePolicy::Fcfs,
+                config.clone().with_prefix_cache(share),
             )
-            .unwrap()
         };
         let shared = run(true);
         let unshared = run(false);
-        assert_eq!(shared.completed, 4);
-        assert_eq!((shared.forks, unshared.forks), (3, 0));
+        assert_eq!(shared.summary.completed, 4);
+        assert_eq!((shared.summary.forks, unshared.summary.forks), (3, 0));
         // The page footprint shrinks at equal output…
         assert!(
-            shared.peak_physical_pages < unshared.peak_physical_pages,
+            shared.summary.peak_physical_pages < unshared.summary.peak_physical_pages,
             "{} vs {}",
-            shared.peak_physical_pages,
-            unshared.peak_physical_pages
+            shared.summary.peak_physical_pages,
+            unshared.summary.peak_physical_pages
         );
-        assert!(shared.peak_shared_bytes_saved > 0);
-        assert_eq!(unshared.peak_shared_bytes_saved, 0);
+        assert!(shared.summary.peak_shared_bytes_saved > 0);
+        assert_eq!(unshared.summary.peak_shared_bytes_saved, 0);
         // …while every stream is identical to the unshared run and to the
         // per-sequence contiguous replay.
         assert_eq!(shared.token_streams, unshared.token_streams);
@@ -671,36 +442,37 @@ mod tests {
     fn prefix_cache_serving_dedups_identical_tenants_bitwise_invisibly() {
         let attn = AttentionConfig::gqa(4, 2, 16);
         let config = ServeConfig::new(256, 32, 0, 8);
+        // Independent tenants, no fork lineage anywhere: only the radix
+        // cache can dedup them.
         let run = |cache: bool| {
-            serve_prefix_cache_functional(
-                GpuArch::a100(),
+            serve(
                 attn,
                 QuantScheme::kc4(),
-                4,
-                256,
-                3,
-                cache,
-                config.clone(),
+                &same_prompt(4, 256, 3, false),
+                ServePolicy::Fcfs,
+                config.clone().with_prefix_cache(cache),
             )
-            .unwrap()
         };
         let cached = run(true);
         let cold = run(false);
-        assert_eq!(cached.completed, 4);
+        assert_eq!(cached.summary.completed, 4);
         // No forks anywhere: the tenants are independent submissions and
         // the dedup is purely content-addressed.
-        assert_eq!((cached.forks, cold.forks), (0, 0));
-        assert_eq!(cached.prefix_cache_misses, 1);
-        assert_eq!(cached.prefix_cache_hits, 3);
-        assert!(cached.prefix_pages_reused > 0);
-        assert!(cached.prefix_bytes_reused > 0);
-        assert_eq!(cold.prefix_cache_hits + cold.prefix_pages_reused, 0);
+        assert_eq!((cached.summary.forks, cold.summary.forks), (0, 0));
+        assert_eq!(cached.summary.prefix_cache_misses, 1);
+        assert_eq!(cached.summary.prefix_cache_hits, 3);
+        assert!(cached.summary.prefix_pages_reused > 0);
+        assert!(cached.summary.prefix_bytes_reused > 0);
+        assert_eq!(
+            cold.summary.prefix_cache_hits + cold.summary.prefix_pages_reused,
+            0
+        );
         // Adopted pages shrink the footprint at equal output…
         assert!(
-            cached.peak_physical_pages < cold.peak_physical_pages,
+            cached.summary.peak_physical_pages < cold.summary.peak_physical_pages,
             "{} vs {}",
-            cached.peak_physical_pages,
-            cold.peak_physical_pages
+            cached.summary.peak_physical_pages,
+            cold.summary.peak_physical_pages
         );
         // …and every stream is identical to the cache-off run and to the
         // per-sequence contiguous replay.
@@ -723,36 +495,29 @@ mod tests {
     fn trace_serving_with_lifecycle_tracking_reports_slo() {
         let attn = AttentionConfig::gqa(2, 1, 16);
         let trace = synth_trace(2.0, 5.0, (30, 80), 2, 11);
+        let rows = trace_rows(&trace, 2.0);
         let config = ServeConfig::new(64, 32, 0, 4);
-        let tracked = serve_trace_policy_functional_obs(
+        let tracked = serve_scenario(
             GpuArch::a100(),
             attn,
             QuantScheme::kc4(),
-            &trace,
-            2.0,
-            config.clone(),
+            &rows,
             ServePolicy::Fcfs,
             ObsConfig::default().with_lifecycle(true),
+            config.clone(),
         )
         .unwrap();
-        assert_eq!(tracked.completed, trace.len());
-        assert_eq!(tracked.slo.completed as usize, tracked.completed);
-        assert_eq!(tracked.slo.submitted as usize, trace.len());
-        assert_eq!(tracked.slo.ttft_steps.count as usize, trace.len());
-        assert!(tracked.slo.ttft_s.p99.is_finite());
-        assert!(tracked.slo.aggregate_goodput_tok_s > 0.0);
-        // Observability is bitwise invisible: the plain entry point emits
-        // the same streams and an all-zero SLO block.
-        let plain = serve_trace_functional(
-            GpuArch::a100(),
-            attn,
-            QuantScheme::kc4(),
-            &trace,
-            2.0,
-            config,
-        )
-        .unwrap();
-        assert_eq!(plain.slo, SloSummary::default());
+        let slo = tracked.summary.slo;
+        assert_eq!(tracked.summary.completed, trace.len());
+        assert_eq!(slo.completed as usize, tracked.summary.completed);
+        assert_eq!(slo.submitted as usize, trace.len());
+        assert_eq!(slo.ttft_steps.count as usize, trace.len());
+        assert!(slo.ttft_s.p99.is_finite());
+        assert!(slo.aggregate_goodput_tok_s > 0.0);
+        // Observability is bitwise invisible: with every instrument off
+        // the run emits the same streams and an all-zero SLO block.
+        let plain = serve(attn, QuantScheme::kc4(), &rows, ServePolicy::Fcfs, config);
+        assert_eq!(plain.summary.slo, SloSummary::default());
         assert_eq!(plain.token_streams, tracked.token_streams);
     }
 
@@ -761,15 +526,13 @@ mod tests {
         let attn = AttentionConfig::gqa(2, 1, 16);
         let trace = synth_trace(2.0, 5.0, (30, 80), 2, 11);
         let run = || {
-            serve_trace_functional(
-                GpuArch::a100(),
+            serve(
                 attn,
                 QuantScheme::kc2(),
-                &trace,
-                4.0,
+                &trace_rows(&trace, 4.0),
+                ServePolicy::Fcfs,
                 ServeConfig::new(8, 32, 1, 2),
             )
-            .unwrap()
             .token_streams
         };
         assert_eq!(run(), run());
@@ -779,16 +542,13 @@ mod tests {
     fn functional_serving_is_deterministic_across_runs() {
         let attn = AttentionConfig::gqa(4, 2, 16);
         let run = || {
-            serve_functional(
-                GpuArch::a100(),
+            serve(
                 attn,
                 QuantScheme::kc2(),
-                4,
-                260,
-                2,
+                &queued(4, 260, 2),
+                ServePolicy::Fcfs,
                 ServeConfig::new(256, 32, 3, 2), // batch-capped: two waves
             )
-            .unwrap()
             .token_streams
         };
         assert_eq!(run(), run());

@@ -1,5 +1,8 @@
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::too_many_lines)
+)]
 
 //! # bd-serve — the tensor-parallel batched decode runtime
 //!

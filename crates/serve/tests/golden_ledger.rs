@@ -19,7 +19,7 @@
 //! metrics only the integer fields, the `degraded` flag and the bits of
 //! the modeled/derived floats go in.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::too_many_lines)]
 
 use bd_core::{AttentionConfig, BitDecoder};
 use bd_gpu_sim::GpuArch;
@@ -120,7 +120,7 @@ fn metric_bytes(m: &ServeMetrics) -> Vec<u8> {
 
 /// What the scenario must move for the hashes to mean anything: run
 /// totals of the counters, checked non-zero per scenario below.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Totals {
     forked: usize,
     preempted: usize,

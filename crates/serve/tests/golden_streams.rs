@@ -15,7 +15,7 @@
 //! which the split-K shard count starts to follow
 //! `available_parallelism()`, so the constants hold on any host.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::too_many_lines)]
 
 use bd_core::{query_transform, AttentionConfig, BitDecoder, PrefixSharer};
 use bd_gpu_sim::GpuArch;
