@@ -192,7 +192,9 @@ impl BitDecoderBuilder {
     ///
     /// Panics if no attention configuration was provided.
     pub fn build(self) -> BitDecoder {
-        let attn = self.attn.expect("attention configuration is required");
+        let Some(attn) = self.attn else {
+            panic!("attention configuration is required");
+        };
         let path = self
             .path_override
             .unwrap_or_else(|| ArchPath::select(&self.arch, self.scheme));

@@ -32,6 +32,7 @@ use bd_lowbit::fastpath::{register_ops, FastDequantOps};
 use bd_lowbit::{
     codes_per_u32, fuse_words, split_register, unpack_u32_into, BitWidth, Half2, QuantParams, F16,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -59,6 +60,11 @@ struct Slot {
     dst: u32,
     /// First entry of the position's metadata group in the dequant LUT.
     lut: u32,
+}
+
+thread_local! {
+    /// Token-major codes of the tensor being encoded on this thread.
+    static CODES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Destination of a position no value maps to: the tail of a lane's last
@@ -228,9 +234,10 @@ impl FragmentPlan {
         (words, params)
     }
 
-    /// The Residual Kernel's quantize + pack: token-major codes gathered
-    /// into the physical word stream, each 32-bit register split into two
-    /// 16-bit storage words.
+    /// The Residual Kernel's quantize + pack: token-major codes land in
+    /// the calling thread's scratch and are gathered through the table
+    /// straight into the tensor's word stream, each 32-bit register split
+    /// into two 16-bit storage words.
     fn encode(&self, values: &TokenMatrix) -> PackedTensor {
         let PlanKey {
             width,
@@ -238,23 +245,36 @@ impl FragmentPlan {
             group,
             ..
         } = self.key;
-        let (codes, params) = quantize_int_codes(values, width, granularity, group);
-        let mut words = Vec::with_capacity(self.words());
-        for reg_slots in self.slots.chunks_exact(codes_per_u32(width)) {
+        CODES.with_borrow_mut(|codes| {
+            let params = quantize_int_codes(values, width, granularity, group, codes);
+            let mut words = Vec::with_capacity(self.words());
+            match width {
+                BitWidth::B4 => self.gather_regs::<8>(codes, &mut words),
+                BitWidth::B2 => self.gather_regs::<16>(codes, &mut words),
+            }
+            PackedTensor {
+                tokens: self.key.tokens,
+                dim: self.key.dim,
+                payload: PackedPayload::Int { words, params },
+            }
+        })
+    }
+
+    /// The gather half of the plan for registers of `N` codes — one arm
+    /// per width, like [`FragmentPlan::scatter_regs`], so every register's
+    /// shifts are constants.
+    fn gather_regs<const N: usize>(&self, codes: &[u8], words: &mut Vec<u16>) {
+        let bits = 32 / N as u32;
+        let (regs, _) = self.slots.as_chunks::<N>();
+        for reg_slots in regs {
             let mut reg32 = 0u32;
             for (p, slot) in reg_slots.iter().enumerate() {
                 if slot.dst != PAD {
-                    reg32 |= u32::from(codes[slot.dst as usize]) << (p as u32 * width.bits());
+                    reg32 |= u32::from(codes[slot.dst as usize]) << (p as u32 * bits);
                 }
             }
             let (lo, hi) = split_register(reg32);
-            words.push(lo);
-            words.push(hi);
-        }
-        PackedTensor {
-            tokens: self.key.tokens,
-            dim: self.key.dim,
-            payload: PackedPayload::Int { words, params },
+            words.extend([lo, hi]);
         }
     }
 
@@ -501,6 +521,7 @@ impl BlockCodec for FragmentCodec {
 mod tests {
     use super::*;
     use bd_gpu_sim::MmaShape;
+    use bd_kvcache::{CacheConfig, PagedKvStore};
     use bd_lowbit::{pack_u32, PackOrder};
 
     /// The hand-written five-deep `(warp, lane, k-tile, tile-in-warp,
@@ -696,7 +717,8 @@ mod tests {
                     key_orientation,
                     ..
                 } = plan.key;
-                let (codes, params) = quantize_int_codes(values, width, granularity, group);
+                let mut codes = Vec::new();
+                let params = quantize_int_codes(values, width, granularity, group, &mut codes);
                 let (k_total, n_total) = if key_orientation {
                     (dim, tokens)
                 } else {
@@ -832,6 +854,43 @@ mod tests {
             .zip(b)
             .flat_map(|(x, y)| x.iter().zip(y).map(|(p, q)| (p - q).abs()))
             .fold(0.0, f32::max)
+    }
+
+    #[test]
+    fn one_store_fed_through_two_codecs_adopts_nothing() {
+        // The source digest covers the input rows, not the codec: the same
+        // prompt through another codec finds the cached run by digest, and
+        // only the re-encoded first block tells the layouts apart.
+        let config = CacheConfig::new(32, QuantScheme::kc4(), PackLayout::sm80_default());
+        let mut store = PagedKvStore::new(config, 2, 64, 32);
+        store.set_prefix_cache(true);
+        let k = [test_matrix(2 * 128, 32, 0.2), test_matrix(2 * 128, 32, 0.6)];
+        let v = [test_matrix(2 * 128, 32, 0.9), test_matrix(2 * 128, 32, 1.4)];
+        let fragment = FragmentCodec::new(config.layout);
+        let (a, first) = store
+            .admit_prefill_cached(&k, &v, 256, &ReferenceCodec)
+            .unwrap();
+        let (b, second) = store.admit_prefill_cached(&k, &v, 256, &fragment).unwrap();
+        assert_eq!((first.pages_reused, second.pages_reused), (0, 0));
+        assert_ne!(store.packed_blocks(a, 0), store.packed_blocks(b, 0));
+        for (seq, decoded) in [
+            (
+                a,
+                ReferenceCodec.decode(store.packed_blocks(a, 0)[0], config.scheme),
+            ),
+            (
+                b,
+                fragment.decode(store.packed_blocks(b, 0)[0], config.scheme),
+            ),
+        ] {
+            assert!(
+                max_err(&decoded.0, &k[0].slice_rows(0..128)) < 0.2,
+                "{seq:?}"
+            );
+        }
+        // Each codec still hits its own registration.
+        let (_, again) = store.admit_prefill_cached(&k, &v, 256, &fragment).unwrap();
+        assert_eq!(again.pages_reused, 8);
     }
 
     #[test]

@@ -377,7 +377,10 @@ pub fn attend_packed_blocks_sharded<B: Borrow<PackedBlock> + Sync>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("split-K shard panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| panic!("split-K shard panicked"))
+            })
             .collect()
     });
     let mut ops = FastDequantOps::default();
@@ -530,7 +533,11 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
             0 => OnlineSoftmax::new(pl.rows, dim),
             // Single shard: the fused walk ran straight into the (fresh)
             // state — the chunk partial *is* the state, no merge.
-            1 => pl.chunks.into_iter().next().expect("one chunk"),
+            1 => pl
+                .chunks
+                .into_iter()
+                .next()
+                .unwrap_or_else(|| unreachable!("one chunk")),
             // Split-K: merge [original fresh state] ++ chunk partials, the
             // exact list `attend_packed_blocks_sharded` builds.
             _ => {

@@ -195,7 +195,9 @@ impl OnlineSoftmax {
     /// Panics if `partials` is empty or shapes differ.
     pub fn merge(partials: Vec<OnlineSoftmax>) -> OnlineSoftmax {
         let mut iter = partials.into_iter();
-        let mut out = iter.next().expect("at least one partial");
+        let Some(mut out) = iter.next() else {
+            panic!("at least one partial");
+        };
         let dim = out.dim;
         for p in iter {
             assert_eq!(p.rows(), out.rows(), "partial shape mismatch");

@@ -1,6 +1,7 @@
 //! Property-based tests for the BitDecoding engine: softmax equivalences,
 //! codec layout coordination, split-KV invariance, and the fused
 //! flat-layout decode path against its materializing reference.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bd_core::codec::FragmentCodec;
 use bd_core::softmax::{reference_attention, OnlineSoftmax};

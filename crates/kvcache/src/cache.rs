@@ -17,7 +17,8 @@ use crate::codec::BlockCodec;
 use crate::layout::PackLayout;
 use crate::matrix::{TokenMatrix, TokenRows};
 use crate::scheme::QuantScheme;
-use bd_lowbit::{BitWidth, F16};
+use bd_lowbit::f16::round_through_f16;
+use bd_lowbit::BitWidth;
 use std::fmt;
 
 /// Errors from cache operations.
@@ -271,9 +272,10 @@ impl QuantizedKvCache {
         // Values pass through the FP16 KV projection output before
         // quantization, exactly as in the append path.
         let slot = &mut self.heads[head];
+        let (mut kb, mut vb) = (TokenMatrix::new(0), TokenMatrix::new(0));
         for b0 in (0..packed_len).step_by(nr) {
-            let kb = rounded_block(k, b0, b0 + nr);
-            let vb = rounded_block(v, b0, b0 + nr);
+            round_rows_into(k, b0, b0 + nr, &mut kb);
+            round_rows_into(v, b0, b0 + nr, &mut vb);
             slot.packed.push(codec.encode(&kb, &vb, scheme));
         }
         for t in packed_len..len {
@@ -314,26 +316,29 @@ impl QuantizedKvCache {
     }
 }
 
-/// Appends `row` to `m`, rounding each value through FP16 in place (the KV
-/// projection output precision) — no temporary row allocation. Shared with
-/// the paged store so both containers round identically (the
-/// contiguous-equivalence invariant depends on it).
+/// Appends `row` to `m` rounded through FP16 (the KV projection output
+/// precision) — no temporary row allocation. Shared with the paged store
+/// so both containers round identically (the contiguous-equivalence
+/// invariant depends on it).
 pub(crate) fn push_rounded(m: &mut TokenMatrix, row: &[f32]) {
     let t = m.tokens();
     m.push_row(row);
-    for x in m.row_mut(t) {
-        *x = F16::from_f32(*x).to_f32();
-    }
+    round_through_f16(row, m.row_mut(t));
 }
 
-/// Copies token range `[t0, t1)` of `src` into a fresh flat matrix with
-/// FP16 rounding applied. Shared with the paged store (see
-/// [`push_rounded`]).
-pub(crate) fn rounded_block<M: TokenRows + ?Sized>(src: &M, t0: usize, t1: usize) -> TokenMatrix {
-    let dim = src.token_row(t0).len();
-    TokenMatrix::from_fn(t1 - t0, dim, |t, c| {
-        F16::from_f32(src.token_row(t0 + t)[c]).to_f32()
-    })
+/// Refills `dst` with token range `[t0, t1)` of `src`, FP16-rounded row by
+/// row; `dst` is a scratch matrix its caller reuses across blocks. Shared
+/// with the paged store (see [`push_rounded`]).
+pub(crate) fn round_rows_into<M: TokenRows + ?Sized>(
+    src: &M,
+    t0: usize,
+    t1: usize,
+    dst: &mut TokenMatrix,
+) {
+    dst.resize_tokens(t1 - t0, src.token_row(t0).len());
+    for (t, out) in (t0..t1).zip(dst.iter_mut()) {
+        round_through_f16(src.token_row(t), out);
+    }
 }
 
 #[cfg(test)]

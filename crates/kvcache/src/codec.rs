@@ -52,58 +52,114 @@ pub trait BlockCodec {
 /// Quantizes a `tokens × dim` matrix to integer codes plus `half2` group
 /// parameters, without choosing any physical layout.
 ///
-/// Codes are returned token-major (`token * dim + channel`); parameter
-/// order matches the paper's buffer shapes — `(tokens/G, dim)` for
-/// channel-wise, `(tokens, dim/G)` for tensor-wise.
+/// Codes are written token-major (`token * dim + channel`) into `codes`,
+/// a scratch buffer the caller reuses across blocks (cleared and resized
+/// here); parameter order matches the paper's buffer shapes — `(tokens/G,
+/// dim)` for channel-wise, `(tokens, dim/G)` for tensor-wise.
 ///
 /// This is the *quantization* half of every codec; codecs differ only in
-/// how they arrange the codes physically.
+/// how they arrange the codes physically. Per element it computes exactly
+/// what [`MinMax`] and [`QuantParams::quantize`] define, but walks rows as
+/// slices: channel-wise statistics live in per-channel arrays updated row
+/// by row, every group's `scale`/`zero` is widened to `f32` once, and code
+/// emission is branch-free, so the compiler can vectorize both passes.
 pub fn quantize_int_codes(
     values: &TokenMatrix,
     width: BitWidth,
     granularity: KeyGranularity,
     group: usize,
-) -> (Vec<u8>, Vec<Half2>) {
-    let tokens = values.tokens();
+    codes: &mut Vec<u8>,
+) -> Vec<Half2> {
     let dim = values.dim();
-    let mut codes = vec![0u8; tokens * dim];
-    let mut params = Vec::new();
-
+    codes.clear();
+    codes.resize(values.tokens() * dim, 0);
+    if values.is_empty() {
+        return Vec::new();
+    }
+    let mut params = Vec::with_capacity(match granularity {
+        KeyGranularity::ChannelWise => values.tokens().div_ceil(group) * dim,
+        KeyGranularity::TensorWise => values.tokens() * dim.div_ceil(group),
+    });
+    let max_code = f32::from(width.max_code());
     match granularity {
         KeyGranularity::ChannelWise => {
-            let tgroups = tokens.div_ceil(group);
-            for tg in 0..tgroups {
-                let t0 = tg * group;
-                let t1 = (t0 + group).min(tokens);
-                for c in 0..dim {
-                    let mut mm = MinMax::EMPTY;
-                    for row in values.iter().take(t1).skip(t0) {
-                        mm.update(row[c]);
+            let mut lo = vec![0.0f32; dim];
+            let mut hi = vec![0.0f32; dim];
+            let mut divisor = vec![0.0f32; dim];
+            let mut zero = vec![0.0f32; dim];
+            let groups = values.as_slice().chunks(group * dim);
+            for (rows, out) in groups.zip(codes.chunks_mut(group * dim)) {
+                lo.fill(MinMax::EMPTY.min);
+                hi.fill(MinMax::EMPTY.max);
+                for row in rows.chunks_exact(dim) {
+                    // `MinMax::update` per channel, as selects.
+                    for ((l, h), &x) in lo.iter_mut().zip(&mut hi).zip(row) {
+                        *l = if x < *l { x } else { *l };
+                        *h = if x > *h { x } else { *h };
                     }
-                    let p = mm.params(width);
+                }
+                for c in 0..dim {
+                    let p = QuantParams::from_min_max(lo[c], hi[c], width);
                     params.push(p.to_half2());
-                    for (t, row) in values.iter().enumerate().take(t1).skip(t0) {
-                        codes[t * dim + c] = p.quantize(row[c], width);
+                    (divisor[c], zero[c]) = (code_divisor(p), p.zero.to_f32());
+                }
+                for (row, out) in rows.chunks_exact(dim).zip(out.chunks_exact_mut(dim)) {
+                    for (((o, &x), &s), &z) in out.iter_mut().zip(row).zip(&divisor).zip(&zero) {
+                        *o = emit_code(x, s, z, max_code);
                     }
                 }
             }
         }
         KeyGranularity::TensorWise => {
-            let cgroups = dim.div_ceil(group);
-            for (t, row) in values.iter().enumerate() {
-                for cg in 0..cgroups {
-                    let c0 = cg * group;
-                    let c1 = (c0 + group).min(dim);
-                    let p = MinMax::of(&row[c0..c1]).params(width);
+            for (row, out) in values.iter().zip(codes.chunks_exact_mut(dim)) {
+                for (xs, out) in row.chunks(group).zip(out.chunks_mut(group)) {
+                    let p = MinMax::of(xs).params(width);
                     params.push(p.to_half2());
-                    for c in c0..c1 {
-                        codes[t * dim + c] = p.quantize(row[c], width);
+                    let (s, z) = (code_divisor(p), p.zero.to_f32());
+                    for (o, &x) in out.iter_mut().zip(xs) {
+                        *o = emit_code(x, s, z, max_code);
                     }
                 }
             }
         }
     }
-    (codes, params)
+    params
+}
+
+/// The `f32` divisor [`emit_code`] uses for a group. A scale that rounded
+/// to zero in FP16 quantizes its whole group to code 0
+/// ([`QuantParams::quantize`] tests for it per element); dividing by
+/// infinity instead yields `±0` or NaN for every input, which
+/// [`emit_code`] maps to 0 — the same answer with no branch in the loop.
+fn code_divisor(p: QuantParams) -> f32 {
+    let scale = p.scale.to_f32();
+    if scale == 0.0 {
+        f32::INFINITY
+    } else {
+        scale
+    }
+}
+
+/// [`QuantParams::quantize`] without its branches or its float-to-int
+/// cast: the same subtract and divide, then clamp-and-round instead of
+/// round-and-clamp. The two orders agree because rounding is monotone and
+/// fixes the integer clamp bounds; NaN fails the first comparison and
+/// becomes 0, as `NaN as u8` does.
+///
+/// Inside `[0, max_code]`, adding and subtracting `2^23` rounds to the
+/// nearest integer, ties to even; `t - even` is exact, and is `+0.5`
+/// precisely for the ties that went down, which round-half-away-from-zero
+/// sends up. The integer result plus `2^23` carries its value in the low
+/// mantissa bits, so the code is read off the bit pattern.
+#[inline(always)]
+fn emit_code(x: f32, divisor: f32, zero: f32, max_code: f32) -> u8 {
+    const INTEGER_ULP: f32 = 8_388_608.0;
+    let t = (x - zero) / divisor;
+    let t = if t > 0.0 { t } else { 0.0 };
+    let t = if t < max_code { t } else { max_code };
+    let even = (t + INTEGER_ULP) - INTEGER_ULP;
+    let tie_went_down = if t - even == 0.5 { 1.0 } else { 0.0 };
+    (even + tie_went_down + INTEGER_ULP).to_bits() as u8
 }
 
 /// Inverse of [`quantize_int_codes`]: token-major codes + group parameters
@@ -159,16 +215,15 @@ impl ReferenceCodec {
     ) -> PackedTensor {
         let tokens = values.tokens();
         let dim = values.dim();
-        let (codes, params) = quantize_int_codes(values, width, granularity, group);
+        let mut codes = Vec::new();
+        let params = quantize_int_codes(values, width, granularity, group, &mut codes);
 
+        // The last word of a tensor that does not fill it pads with zeros.
         let per_word = width.packing_ratio();
+        codes.resize(codes.len().next_multiple_of(per_word), 0);
         let words = codes
-            .chunks(per_word)
-            .map(|chunk| {
-                let mut buf = chunk.to_vec();
-                buf.resize(per_word, 0);
-                pack_u16(&buf, width)
-            })
+            .chunks_exact(per_word)
+            .map(|chunk| pack_u16(chunk, width))
             .collect();
 
         PackedTensor {

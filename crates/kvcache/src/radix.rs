@@ -11,12 +11,23 @@
 //! is inherent, two different prefixes of the same bytes-so-far share a
 //! path, and a lookup is a walk from the roots.
 //!
+//! A node registered from a prefill additionally carries a 128-bit
+//! **source digest** — the same kind of chain, folded over the `f32` rows
+//! the run was quantized from — and is reachable through a second child
+//! map keyed by that digest, so an admission can find its cached runs
+//! before it quantizes anything. A node registered by a swap-in (which
+//! only ever sees packed bytes) has none until an identical prefill has
+//! byte-verified it and supplies one.
+//!
 //! The index itself stores no payload bytes. It records which physical
 //! pages hold each run (the store pins those pages so they survive their
 //! sequences) together with the page generations observed at registration,
 //! so a recycled or rewritten page is detected before anything adopts it.
-//! The store additionally byte-verifies candidate runs against the frames
-//! on adoption — a hash collision can therefore never alias pages.
+//! On the packed path the store additionally byte-verifies candidate runs
+//! against the frames on adoption — a chain-hash collision can therefore
+//! never alias pages; the source path trusts the digest — which is only
+//! ever recorded on a node the recording admission verified or wrote —
+//! and one freshly encoded block per head instead (see the store).
 //!
 //! Eviction works on **subtrees**: when the store needs pages back it
 //! repeatedly removes the least-recently-used maximal subtree in which no
@@ -26,12 +37,58 @@
 use crate::paged::PageId;
 use std::collections::BTreeMap;
 
+/// Digest of the `f32` source rows of a whole prefix: two independently
+/// seeded 64-bit lanes, compared whole.
+pub(crate) type SourceDigest = [u64; 2];
+
+/// Multipliers of the two source-digest lanes (odd, unrelated).
+const SOURCE_LANES: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
+
+/// Folds one 64-bit word into both lanes of a source digest: a rotate, an
+/// xor and one multiply per lane (byte-at-a-time FNV would cost eight).
+/// The rotate carries each word's high bits into positions the next
+/// multiply spreads, so flips of two words' top bits cannot cancel.
+pub(crate) fn fold_source_word(d: SourceDigest, word: u64) -> SourceDigest {
+    [
+        (d[0].rotate_left(5) ^ word).wrapping_mul(SOURCE_LANES[0]),
+        (d[1].rotate_left(29) ^ word).wrapping_mul(SOURCE_LANES[1]),
+    ]
+}
+
+/// Folds a row's raw `f32` bit patterns into a source digest, two values
+/// per word.
+pub(crate) fn fold_source_row(mut d: SourceDigest, row: &[f32]) -> SourceDigest {
+    let mut pairs = row.chunks_exact(2);
+    for pair in &mut pairs {
+        let word = u64::from(pair[0].to_bits()) | u64::from(pair[1].to_bits()) << 32;
+        d = fold_source_word(d, word);
+    }
+    if let [last] = pairs.remainder() {
+        d = fold_source_word(d, u64::from(last.to_bits()));
+    }
+    d
+}
+
+/// The runs directly below one position of the tree (a node, or the root
+/// set), by both of their keys.
+#[derive(Clone, Debug, Default)]
+struct Children {
+    /// By packed chain hash — every child is here.
+    by_key: BTreeMap<u64, usize>,
+    /// By source digest — each digest leads to the child it was last
+    /// recorded on.
+    by_source: BTreeMap<SourceDigest, usize>,
+}
+
 /// One page run in the index. See the [module docs](self) for the keying
 /// and eviction rules.
 #[derive(Clone, Debug)]
 pub(crate) struct RadixNode {
     /// Chain hash of the whole prefix this run terminates.
     pub key: u64,
+    /// Source digest last recorded on this run — the only `by_source`
+    /// entry of the parent that can point here.
+    source: Option<SourceDigest>,
     /// Physical pages of the run, in table order.
     pub pages: Vec<PageId>,
     /// Pool generation of each page, observed at registration.
@@ -40,8 +97,7 @@ pub(crate) struct RadixNode {
     pub bytes: usize,
     /// Parent node, `None` for a first-run root.
     parent: Option<usize>,
-    /// Child runs by chain hash.
-    children: BTreeMap<u64, usize>,
+    children: Children,
     /// Logical LRU clock value of the last lookup or registration touch.
     pub last_use: u64,
 }
@@ -54,17 +110,53 @@ pub(crate) struct RadixNode {
 pub(crate) struct RadixIndex {
     nodes: Vec<Option<RadixNode>>,
     free: Vec<usize>,
-    roots: BTreeMap<u64, usize>,
+    roots: Children,
     clock: u64,
 }
 
 impl RadixIndex {
+    fn children(&self, parent: Option<usize>) -> &Children {
+        parent.map_or(&self.roots, |p| &self.node(p).children)
+    }
+
+    fn children_mut(&mut self, parent: Option<usize>) -> &mut Children {
+        match parent {
+            None => &mut self.roots,
+            Some(p) => match self.nodes.get_mut(p) {
+                Some(Some(n)) => &mut n.children,
+                _ => panic!("dangling radix parent id {p}"),
+            },
+        }
+    }
+
     /// The child of `parent` (or the root) keyed by `key`.
     pub fn child(&self, parent: Option<usize>, key: u64) -> Option<usize> {
-        match parent {
-            None => self.roots.get(&key).copied(),
-            Some(p) => self.node(p).children.get(&key).copied(),
+        self.children(parent).by_key.get(&key).copied()
+    }
+
+    /// The child of `parent` (or the root) that `digest` was last recorded
+    /// on.
+    pub fn source_child(&self, parent: Option<usize>, digest: SourceDigest) -> Option<usize> {
+        self.children(parent).by_source.get(&digest).copied()
+    }
+
+    /// Makes `digest` lead to node `id`, replacing whatever either led to
+    /// or answered to before. Two siblings share a digest only when the
+    /// same rows went through two codecs; the one admitted last keeps it.
+    /// The caller must have verified the node's bytes against the rows
+    /// behind `digest`, or written them itself.
+    pub fn set_source(&mut self, id: usize, digest: SourceDigest) {
+        let Some(Some(node)) = self.nodes.get_mut(id) else {
+            panic!("dangling radix node id {id}");
+        };
+        let (parent, old) = (node.parent, node.source.replace(digest));
+        let siblings = self.children_mut(parent);
+        if let Some(old) = old {
+            if siblings.by_source.get(&old) == Some(&id) {
+                siblings.by_source.remove(&old);
+            }
         }
+        siblings.by_source.insert(digest, id);
     }
 
     /// Immutable node access.
@@ -102,11 +194,12 @@ impl RadixIndex {
         self.clock += 1;
         let node = RadixNode {
             key,
+            source: None,
             pages,
             gens,
             bytes,
             parent,
-            children: BTreeMap::new(),
+            children: Children::default(),
             last_use: self.clock,
         };
         let id = match self.free.pop() {
@@ -119,19 +212,8 @@ impl RadixIndex {
                 self.nodes.len() - 1
             }
         };
-        match parent {
-            None => {
-                let prev = self.roots.insert(key, id);
-                debug_assert!(prev.is_none(), "duplicate root key");
-            }
-            Some(p) => {
-                let Some(Some(parent_node)) = self.nodes.get_mut(p) else {
-                    panic!("dangling radix parent id {p}");
-                };
-                let prev = parent_node.children.insert(key, id);
-                debug_assert!(prev.is_none(), "duplicate child key");
-            }
-        }
+        let prev = self.children_mut(parent).by_key.insert(key, id);
+        debug_assert!(prev.is_none(), "duplicate child key");
         id
     }
 
@@ -139,18 +221,15 @@ impl RadixIndex {
     /// subtree held (parent-first order) so the caller can unpin them.
     pub fn remove_subtree(&mut self, id: usize) -> Vec<PageId> {
         // Detach from the parent (or the root set) first.
-        let (parent, key) = {
+        let (parent, key, source) = {
             let n = self.node(id);
-            (n.parent, n.key)
+            (n.parent, n.key, n.source)
         };
-        match parent {
-            None => {
-                self.roots.remove(&key);
-            }
-            Some(p) => {
-                if let Some(Some(parent_node)) = self.nodes.get_mut(p) {
-                    parent_node.children.remove(&key);
-                }
+        let siblings = self.children_mut(parent);
+        siblings.by_key.remove(&key);
+        if let Some(digest) = source {
+            if siblings.by_source.get(&digest) == Some(&id) {
+                siblings.by_source.remove(&digest);
             }
         }
         let mut pages = Vec::new();
@@ -160,7 +239,7 @@ impl RadixIndex {
                 panic!("dangling radix node id {cur}");
             };
             pages.extend(node.pages);
-            stack.extend(node.children.values().copied());
+            stack.extend(node.children.by_key.values().copied());
             self.free.push(cur);
         }
         pages
@@ -172,7 +251,7 @@ impl RadixIndex {
         let n = self.node(id);
         let mut clean = n.pages.iter().all(|&p| evictable(p));
         let mut recency = n.last_use;
-        for &c in n.children.values() {
+        for &c in n.children.by_key.values() {
             let (child_clean, child_recency) = self.subtree_info(c, evictable);
             clean &= child_clean;
             recency = recency.max(child_recency);
@@ -189,7 +268,7 @@ impl RadixIndex {
         evictable: &impl Fn(PageId) -> bool,
     ) -> Option<Vec<PageId>> {
         let mut best: Option<(u64, usize)> = None;
-        let mut stack: Vec<usize> = self.roots.values().copied().collect();
+        let mut stack: Vec<usize> = self.roots.by_key.values().copied().collect();
         while let Some(id) = stack.pop() {
             let (clean, recency) = self.subtree_info(id, evictable);
             if clean {
@@ -199,7 +278,7 @@ impl RadixIndex {
                     best = Some((recency, id));
                 }
             } else {
-                stack.extend(self.node(id).children.values().copied());
+                stack.extend(self.node(id).children.by_key.values().copied());
             }
         }
         best.map(|(_, id)| self.remove_subtree(id))
@@ -242,6 +321,40 @@ mod tests {
         let before = idx.node(a).last_use;
         idx.touch(a);
         assert!(idx.node(a).last_use > before);
+    }
+
+    #[test]
+    fn source_lookup_follows_the_node_it_was_last_recorded_on() {
+        let mut idx = RadixIndex::default();
+        let a = idx.insert(None, 10, pages(&[0]), vec![0], 1);
+        let b = idx.insert(Some(a), 20, pages(&[1]), vec![0], 1);
+        let twin = idx.insert(Some(a), 21, pages(&[2]), vec![0], 1);
+        assert_eq!(idx.source_child(Some(a), [7, 70]), None, "no digest yet");
+        idx.set_source(b, [7, 70]);
+        assert_eq!(idx.source_child(Some(a), [7, 70]), Some(b));
+        assert_eq!(
+            idx.source_child(None, [7, 70]),
+            None,
+            "position is part of the key"
+        );
+        // Digests that differ in either lane are different keys.
+        idx.set_source(twin, [7, 71]);
+        assert_eq!(idx.source_child(Some(a), [7, 70]), Some(b));
+        assert_eq!(idx.source_child(Some(a), [7, 71]), Some(twin));
+        assert_eq!(idx.source_child(Some(a), [8, 70]), None);
+        // A new digest on a node retires the node's old one ...
+        idx.set_source(b, [8, 80]);
+        assert_eq!(idx.source_child(Some(a), [7, 70]), None);
+        assert_eq!(idx.source_child(Some(a), [8, 80]), Some(b));
+        // ... and a digest two siblings share leads to the latest, whose
+        // removal must not leave it dangling or take the other's entry.
+        idx.set_source(twin, [8, 80]);
+        assert_eq!(idx.source_child(Some(a), [8, 80]), Some(twin));
+        assert_eq!(idx.source_child(Some(a), [7, 71]), None);
+        idx.remove_subtree(b);
+        assert_eq!(idx.source_child(Some(a), [8, 80]), Some(twin));
+        idx.remove_subtree(twin);
+        assert_eq!(idx.source_child(Some(a), [8, 80]), None);
     }
 
     #[test]

@@ -26,12 +26,14 @@
 //! page sizes, and eviction orders.
 
 use crate::block::PackedBlock;
-use crate::cache::{CacheConfig, CacheError, QuantizedKvCache};
+use crate::cache::{CacheConfig, QuantizedKvCache};
 use crate::codec::BlockCodec;
 use crate::matrix::{TokenMatrix, TokenRows};
 use crate::paged::{PagedOom, SeqId};
 use crate::placement::{DeviceId, Placement};
-use crate::store::{PagedKvStore, PrefixAdmit, PrefixCacheStats, StoreError, SwappedSeq};
+use crate::store::{
+    check_heads, check_prompt, PagedKvStore, PrefixAdmit, PrefixCacheStats, StoreError, SwappedSeq,
+};
 
 /// Per-device occupancy/eviction snapshot (the storage half of the serve
 /// layer's per-device metrics).
@@ -584,14 +586,7 @@ impl ShardedKvStore {
         v_rows: &[R],
         codec: &impl BlockCodec,
     ) -> Result<bool, StoreError> {
-        for got in [k_rows.len(), v_rows.len()] {
-            if got != self.heads() {
-                return Err(StoreError::HeadCount {
-                    got,
-                    expected: self.heads(),
-                });
-            }
-        }
+        check_heads([k_rows.len(), v_rows.len()], self.heads())?;
         let k_by_dev = self.scatter(k_rows);
         let v_by_dev = self.scatter(v_rows);
         let mut flushed = false;
@@ -619,14 +614,7 @@ impl ShardedKvStore {
         K: TokenRows,
         V: TokenRows,
     {
-        for got in [k.len(), v.len()] {
-            if got != self.heads() {
-                return Err(StoreError::HeadCount {
-                    got,
-                    expected: self.heads(),
-                });
-            }
-        }
+        check_prompt(k, v, self.heads(), self.config().dim)?;
         let k_by_dev = self.scatter(k);
         let v_by_dev = self.scatter(v);
         for (dev, (dk, dv)) in self.devices.iter_mut().zip(k_by_dev.iter().zip(&v_by_dev)) {
@@ -697,32 +685,9 @@ impl ShardedKvStore {
         K: TokenRows,
         V: TokenRows,
     {
-        for got in [k.len(), v.len()] {
-            if got != self.heads() {
-                return Err(StoreError::HeadCount {
-                    got,
-                    expected: self.heads(),
-                });
-            }
-        }
         // Validate shapes up front: the per-device calls below must be
         // infallible so a failure never admits on a subset of devices.
-        let len = k[0].token_count();
-        let dim = self.config().dim;
-        for (hk, hv) in k.iter().zip(v) {
-            assert_eq!(hk.token_count(), len, "per-head prompt length mismatch");
-            assert_eq!(hv.token_count(), len, "per-head prompt length mismatch");
-            for t in 0..len {
-                for row in [hk.token_row(t), hv.token_row(t)] {
-                    if row.len() != dim {
-                        return Err(StoreError::Cache(CacheError::DimMismatch {
-                            expected: dim,
-                            got: row.len(),
-                        }));
-                    }
-                }
-            }
-        }
+        let len = check_prompt(k, v, self.heads(), self.config().dim)?;
         let reserve = reserve_tokens.max(len);
         self.preflight_pages(reserve.div_ceil(self.page_tokens()))
             .map_err(StoreError::Oom)?;

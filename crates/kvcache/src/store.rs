@@ -25,14 +25,16 @@
 //! page sizes and eviction orders.
 
 use crate::block::{PackedBlock, PackedPayload};
-use crate::cache::{push_rounded, rounded_block, CacheConfig, CacheError, QuantizedKvCache};
+use crate::cache::{push_rounded, round_rows_into, CacheConfig, CacheError, QuantizedKvCache};
 use crate::codec::BlockCodec;
-use crate::layout::partition_prefill;
 use crate::matrix::{TokenMatrix, TokenRows};
 use crate::paged::{PageId, PagedOom, PagedPool, SeqId};
-use crate::radix::RadixIndex;
+use crate::radix::{fold_source_row, fold_source_word, RadixIndex, SourceDigest};
+use crate::scheme::SchemeKind;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Errors from paged-store operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -310,6 +312,43 @@ fn fold_packed_block(mut h: u64, block: &PackedBlock) -> u64 {
     h
 }
 
+/// Rejects a K or V side that does not carry one entry per head.
+pub(crate) fn check_heads(got: [usize; 2], expected: usize) -> Result<(), StoreError> {
+    match got.into_iter().find(|&got| got != expected) {
+        Some(got) => Err(StoreError::HeadCount { got, expected }),
+        None => Ok(()),
+    }
+}
+
+/// Validates a prompt's shape — `heads` per-head matrices on both sides,
+/// every row `dim` wide — and returns its token count; panics if per-head
+/// token counts disagree. The one validator behind every prompt write of
+/// the paged and the sharded store.
+pub(crate) fn check_prompt<K: TokenRows, V: TokenRows>(
+    k: &[K],
+    v: &[V],
+    heads: usize,
+    dim: usize,
+) -> Result<usize, StoreError> {
+    check_heads([k.len(), v.len()], heads)?;
+    let len = k[0].token_count();
+    for (hk, hv) in k.iter().zip(v) {
+        assert_eq!(hk.token_count(), len, "per-head prompt length mismatch");
+        assert_eq!(hv.token_count(), len, "per-head prompt length mismatch");
+        for t in 0..len {
+            for row in [hk.token_row(t), hv.token_row(t)] {
+                if row.len() != dim {
+                    return Err(StoreError::Cache(CacheError::DimMismatch {
+                        expected: dim,
+                        got: row.len(),
+                    }));
+                }
+            }
+        }
+    }
+    Ok(len)
+}
+
 /// Greatest common divisor (Euclid).
 fn gcd(mut a: usize, mut b: usize) -> usize {
     while b != 0 {
@@ -485,14 +524,15 @@ pub struct PagedKvStore {
     frames: Vec<Frame>,
     seqs: BTreeMap<SeqId, SeqKv>,
     cow_breaks: usize,
-    /// Content-addressed radix prefix index over pinned sealed page runs
-    /// (`None` = cache disabled, the construction default; the serve layer
-    /// enables it per device). See [`PagedKvStore::set_prefix_cache`].
-    radix: Option<RadixIndex>,
+    /// Whether [`PagedKvStore::set_prefix_cache`] has the radix prefix
+    /// cache on (off at construction; the serve layer enables it).
+    prefix_cache: bool,
+    /// Radix index over pinned sealed page runs; empty while it is off.
+    radix: RadixIndex,
     prefix_stats: PrefixCacheStats,
-    /// Test-only hook: collapse every radix chain key to one constant so
-    /// the collision tests can prove byte-verification — not the hash —
-    /// is what prevents aliasing.
+    /// Test-only hook: collapse every packed chain key and the first lane
+    /// of every source digest to one constant so the collision tests can
+    /// prove verification — not the hash — is what prevents aliasing.
     #[cfg(test)]
     collide_hashes: bool,
 }
@@ -513,7 +553,8 @@ impl PagedKvStore {
             frames: vec![vec![Vec::new(); heads]; total_pages],
             seqs: BTreeMap::new(),
             cow_breaks: 0,
-            radix: None,
+            prefix_cache: false,
+            radix: RadixIndex::default(),
             prefix_stats: PrefixCacheStats::default(),
             #[cfg(test)]
             collide_hashes: false,
@@ -597,12 +638,7 @@ impl PagedKvStore {
         // admit` advances the id counter unconditionally, so checking after
         // the fact would burn a SeqId on failure.
         let need = reserve_tokens.div_ceil(self.pool.page_tokens());
-        if need > self.free_pages() {
-            return Err(PagedOom {
-                requested: need,
-                free: self.free_pages(),
-            });
-        }
+        self.check_free(need)?;
         self.ensure_free(need, &[]);
         let seq = self.pool.admit();
         if reserve_tokens > 0 {
@@ -610,16 +646,37 @@ impl PagedKvStore {
                 .grow(seq, reserve_tokens)
                 .unwrap_or_else(|_| unreachable!("reservation pre-checked against the free list"));
         }
-        self.seqs.insert(
-            seq,
-            SeqKv {
-                len: 0,
-                residual_k: vec![TokenMatrix::new(self.config.dim); self.heads],
-                residual_v: vec![TokenMatrix::new(self.config.dim); self.heads],
-                sealed: false,
-            },
-        );
+        self.seqs.insert(seq, self.empty_seq());
         Ok(seq)
+    }
+
+    /// Refuses a page demand the store cannot meet even after reclaiming
+    /// every unreferenced cache holding.
+    fn check_free(&self, requested: usize) -> Result<(), PagedOom> {
+        let free = self.free_pages();
+        if requested > free {
+            return Err(PagedOom { requested, free });
+        }
+        Ok(())
+    }
+
+    /// Tokens reserved for a resident sequence and the slots of its page
+    /// table.
+    fn reservation(&self, seq: SeqId) -> (usize, usize) {
+        match (self.pool.seq_len(seq), self.pool.table(seq)) {
+            (Some(reserved), Some(table)) => (reserved, table.len()),
+            _ => unreachable!("resident sequence"),
+        }
+    }
+
+    /// The state of a sequence that holds no tokens yet.
+    fn empty_seq(&self) -> SeqKv {
+        SeqKv {
+            len: 0,
+            residual_k: vec![TokenMatrix::new(self.config.dim); self.heads],
+            residual_v: vec![TokenMatrix::new(self.config.dim); self.heads],
+            sealed: false,
+        }
     }
 
     /// `true` when [`PagedKvStore::fork`] at `at_token` would succeed on
@@ -777,9 +834,14 @@ impl PagedKvStore {
     /// still mapped by a sharing sequence keep their frames untouched.
     fn release_pages(&mut self, seq: SeqId) {
         for page in self.pool.release(seq) {
-            for head_blocks in &mut self.frames[page.0 as usize] {
-                head_blocks.clear();
-            }
+            self.clear_frame(page);
+        }
+    }
+
+    /// Empties the frame of a page nothing references any more.
+    fn clear_frame(&mut self, page: PageId) {
+        for head_blocks in &mut self.frames[page.0 as usize] {
+            head_blocks.clear();
         }
     }
 
@@ -814,10 +876,7 @@ impl PagedKvStore {
         let blocks: Vec<Vec<PackedBlock>> = (0..self.heads)
             .map(|h| self.packed_blocks(seq, h).into_iter().cloned().collect())
             .collect();
-        let reserved_tokens = self
-            .pool
-            .seq_len(seq)
-            .unwrap_or_else(|| unreachable!("resident sequence"));
+        let (reserved_tokens, _) = self.reservation(seq);
         // Shared pages survive this swap-out (a sharing sequence still
         // references them); record them with their generation so swap-in
         // can re-share instead of re-materializing, when they are still
@@ -883,23 +942,17 @@ impl PagedKvStore {
         let mut slots = self.reshare_slots(blob);
         // Prefix-cache adoption: any leading full page run of the blob
         // whose bytes are cached (and byte-verified) fills its still-empty
-        // slots zero-copy, exactly like a fresh admission would.
+        // slots zero-copy, exactly like a fresh admission would. A blob
+        // only has packed bytes, so this is the packed chain from the root.
         let mut swap_reused = 0usize;
         let mut swap_reused_bytes = 0usize;
-        if self.radix.is_some() {
-            let rp = self.run_pages();
-            for (r, (run_pages, _)) in self.walk_prefix(&blob.blocks).into_iter().enumerate() {
-                for (i, page) in run_pages.into_iter().enumerate() {
-                    let slot = r * rp + i;
-                    if slot < slots.len() && slots[slot].is_none() {
-                        slots[slot] = Some(page);
-                        swap_reused += 1;
-                        swap_reused_bytes += self.frames[page.0 as usize]
-                            .iter()
-                            .flat_map(|head| head.iter().map(PackedBlock::byte_size))
-                            .sum::<usize>();
-                    }
-                }
+        let mut cached = Vec::new();
+        let keys = self.walk_packed(&blob.blocks, &mut cached);
+        for (slot, page) in self.run_pages_of(&cached).into_iter().enumerate() {
+            if slot < slots.len() && slots[slot].is_none() {
+                slots[slot] = Some(page);
+                swap_reused += 1;
+                swap_reused_bytes += self.frame_bytes(page);
             }
         }
         let adopted: Vec<PageId> = slots.iter().flatten().copied().collect();
@@ -935,15 +988,12 @@ impl PagedKvStore {
                 sealed: blob.sealed,
             },
         );
-        if self.radix.is_some() {
-            self.register_prefix(seq);
-            if swap_reused > 0 {
-                self.prefix_stats.hits += 1;
-                self.prefix_stats.pages_reused += swap_reused as u64;
-                self.prefix_stats.bytes_reused += swap_reused_bytes as u64;
-            } else {
-                self.prefix_stats.misses += 1;
-            }
+        if self.prefix_cache {
+            // Registration looks every run up by key again: a walked run
+            // whose pages lost to a still-resident reshare slot is not
+            // protected from the reclaim above.
+            self.register_prefix(seq, &[], &keys, &[]);
+            self.record_admission(swap_reused, swap_reused_bytes);
         }
         Ok(seq)
     }
@@ -1105,14 +1155,7 @@ impl PagedKvStore {
         if state.sealed {
             return Err(StoreError::Sealed(seq));
         }
-        for got in [k_rows.len(), v_rows.len()] {
-            if got != self.heads {
-                return Err(StoreError::HeadCount {
-                    got,
-                    expected: self.heads,
-                });
-            }
-        }
+        check_heads([k_rows.len(), v_rows.len()], self.heads)?;
         for row in k_rows.iter().chain(v_rows) {
             if row.as_ref().len() != self.config.dim {
                 return Err(StoreError::Cache(CacheError::DimMismatch {
@@ -1127,16 +1170,8 @@ impl PagedKvStore {
         // reservation and/or a copy-on-write of a shared flush target —
         // before mutating anything, so an OOM leaves the sequence (and its
         // sharing relatives) unchanged.
-        let reserved = self
-            .pool
-            .seq_len(seq)
-            .unwrap_or_else(|| unreachable!("resident sequence"));
+        let (reserved, table_len) = self.reservation(seq);
         let pt = self.pool.page_tokens();
-        let table_len = self
-            .pool
-            .table(seq)
-            .map(<[PageId]>::len)
-            .unwrap_or_else(|| unreachable!("resident sequence"));
         let grow_pages = if new_len > reserved {
             new_len.div_ceil(pt).saturating_sub(table_len)
         } else {
@@ -1153,12 +1188,7 @@ impl PagedKvStore {
                     .is_some_and(|t| self.pool.seq_refcount(t[slot]) > 1)
         });
         let need = grow_pages + usize::from(cow_slot.is_some());
-        if need > self.free_pages() {
-            return Err(StoreError::Oom(PagedOom {
-                requested: need,
-                free: self.free_pages(),
-            }));
-        }
+        self.check_free(need)?;
         self.ensure_free(need, &[]);
         if let Some(slot) = cow_slot {
             // First write past a shared boundary: copy only the affected
@@ -1243,68 +1273,74 @@ impl PagedKvStore {
             return Err(StoreError::Sealed(seq));
         }
         assert_eq!(state.len, 0, "prefill requires an empty sequence");
-        for got in [k.len(), v.len()] {
-            if got != self.heads {
-                return Err(StoreError::HeadCount {
-                    got,
-                    expected: self.heads,
-                });
-            }
-        }
-        let len = k[0].token_count();
-        for (hk, hv) in k.iter().zip(v) {
-            assert_eq!(hk.token_count(), len, "per-head prompt length mismatch");
-            assert_eq!(hv.token_count(), len, "per-head prompt length mismatch");
-            for t in 0..len {
-                for row in [hk.token_row(t), hv.token_row(t)] {
-                    if row.len() != self.config.dim {
-                        return Err(StoreError::Cache(CacheError::DimMismatch {
-                            expected: self.config.dim,
-                            got: row.len(),
-                        }));
-                    }
-                }
-            }
-        }
-        let reserved = self
-            .pool
-            .seq_len(seq)
-            .unwrap_or_else(|| unreachable!("resident sequence"));
+        let len = check_prompt(k, v, self.heads, self.config.dim)?;
+        let (reserved, table_len) = self.reservation(seq);
         if len > reserved {
-            let table_len = self
-                .pool
-                .table(seq)
-                .map(<[PageId]>::len)
-                .unwrap_or_else(|| unreachable!("resident sequence"));
             let extra = len.div_ceil(self.page_tokens()).saturating_sub(table_len);
             self.ensure_free(extra, &[]);
             self.pool.grow(seq, len)?;
         }
+        let packed = self.pack_prompt_blocks(k, v, 0..len / self.residual_block(), codec);
+        let keys = self.chain_keys(&packed, 0, self.prefix_seed());
+        self.install_prompt(seq, k, v, packed, 0);
+        let sources = self.source_chain(k, v, keys.len());
+        self.register_prefix(seq, &[], &keys, &sources);
+        Ok(())
+    }
 
+    /// Quantizes blocks `blocks` of every head of a validated prompt: rows
+    /// round through FP16 into a scratch pair reused across the prompt and
+    /// pack through `codec`. The one body behind every prompt write, and
+    /// behind the first-block codec check of the source-keyed lookup.
+    fn pack_prompt_blocks<K: TokenRows, V: TokenRows>(
+        &self,
+        k: &[K],
+        v: &[V],
+        blocks: Range<usize>,
+        codec: &impl BlockCodec,
+    ) -> Vec<Vec<PackedBlock>> {
         let nr = self.residual_block();
-        let (packed_len, _res) = partition_prefill(len, nr);
-        let scheme = self.config.scheme;
-        for head in 0..self.heads {
-            for b0 in (0..packed_len).step_by(nr) {
-                let kb = rounded_block(&k[head], b0, b0 + nr);
-                let vb = rounded_block(&v[head], b0, b0 + nr);
-                let packed = codec.encode(&kb, &vb, scheme);
-                let (page, _) = self.pool.translate(seq, b0);
-                self.frames[page.0 as usize][head].push(packed);
+        let (mut kb, mut vb) = (TokenMatrix::new(0), TokenMatrix::new(0));
+        let mut pack = |hk: &K, hv: &V, b: usize| {
+            round_rows_into(hk, b * nr, (b + 1) * nr, &mut kb);
+            round_rows_into(hv, b * nr, (b + 1) * nr, &mut vb);
+            codec.encode(&kb, &vb, self.config.scheme)
+        };
+        k.iter()
+            .zip(v)
+            .map(|(hk, hv)| blocks.clone().map(|b| pack(hk, hv, b)).collect())
+            .collect()
+    }
+
+    /// Homes `packed[head]` — the prompt's blocks from `first_block` on —
+    /// on the pages covering their first tokens, pushes the rows past the
+    /// last `Nr` boundary into the residual windows, and sets the length.
+    fn install_prompt<K: TokenRows, V: TokenRows>(
+        &mut self,
+        seq: SeqId,
+        k: &[K],
+        v: &[V],
+        packed: Vec<Vec<PackedBlock>>,
+        first_block: usize,
+    ) {
+        let nr = self.residual_block();
+        for (head, blocks) in packed.into_iter().enumerate() {
+            for (b, block) in (first_block..).zip(blocks) {
+                let (page, _) = self.pool.translate(seq, b * nr);
+                self.frames[page.0 as usize][head].push(block);
             }
         }
+        let len = k[0].token_count();
         let Some(state) = self.seqs.get_mut(&seq) else {
-            unreachable!("checked above");
+            unreachable!("resident sequence");
         };
-        for head in 0..self.heads {
-            for t in packed_len..len {
-                push_rounded(&mut state.residual_k[head], k[head].token_row(t));
-                push_rounded(&mut state.residual_v[head], v[head].token_row(t));
+        for (head, (hk, hv)) in k.iter().zip(v).enumerate() {
+            for t in len - len % nr..len {
+                push_rounded(&mut state.residual_k[head], hk.token_row(t));
+                push_rounded(&mut state.residual_v[head], hv.token_row(t));
             }
         }
         state.len = len;
-        self.register_prefix(seq);
-        Ok(())
     }
 
     /// Checks the contiguous-equivalence invariant against a contiguous
@@ -1454,29 +1490,32 @@ impl PagedKvStore {
     /// Enables or disables the content-addressed radix prefix cache.
     ///
     /// Enabled, every admission that prefills (or swaps in) registers its
-    /// sealed full page runs in a radix index keyed by the FNV-1a chain
-    /// hash of their packed bytes (plus scheme, page geometry, and run
-    /// position), pinning those pages past their sequence's lifetime; any
-    /// later admission with a byte-identical packed prefix adopts the
-    /// cached pages zero-copy ([`PagedKvStore::admit_prefill_cached`],
-    /// [`PagedKvStore::swap_in`]). Unreferenced holdings are reclaimed
-    /// LRU-subtree-first whenever an allocation needs room, and they count
-    /// as free in [`PagedKvStore::free_pages`] — cache residency is
-    /// invisible to admission control.
+    /// sealed full page runs in a radix index, pinning those pages past
+    /// their sequence's lifetime. A run is keyed by the FNV-1a chain hash
+    /// of its **packed bytes** (plus scheme, page geometry, and run
+    /// position) and — when it came from a prefill — by a 128-bit digest
+    /// of the `f32` **source rows** it was quantized from, so a later
+    /// [`PagedKvStore::admit_prefill_cached`] finds it before quantizing
+    /// anything; the packed chain (the only key a
+    /// [`PagedKvStore::swap_in`] has) stays behind it. Unreferenced
+    /// holdings are reclaimed LRU-subtree-first whenever an allocation
+    /// needs room, and they count as free in
+    /// [`PagedKvStore::free_pages`] — cache residency is invisible to
+    /// admission control.
+    ///
+    /// Adoption by source digest trusts a non-cryptographic 128-bit hash
+    /// of the exact input bits plus an exact check of each head's first
+    /// block, where the packed path verifies every byte: callers of one
+    /// store share a trust domain.
     ///
     /// Disabling drops the whole index and returns every unreferenced
     /// holding to the pool. The cache starts **disabled**.
     pub fn set_prefix_cache(&mut self, enabled: bool) {
-        if enabled {
-            if self.radix.is_none() {
-                self.radix = Some(RadixIndex::default());
-            }
-        } else if let Some(radix) = self.radix.take() {
-            for p in radix.all_pages() {
+        self.prefix_cache = enabled;
+        if !enabled {
+            for p in std::mem::take(&mut self.radix).all_pages() {
                 if self.pool.unpin_page(p) {
-                    for head_blocks in &mut self.frames[p.0 as usize] {
-                        head_blocks.clear();
-                    }
+                    self.clear_frame(p);
                 }
             }
         }
@@ -1484,7 +1523,7 @@ impl PagedKvStore {
 
     /// Whether the radix prefix cache is enabled.
     pub fn prefix_cache_enabled(&self) -> bool {
-        self.radix.is_some()
+        self.prefix_cache
     }
 
     /// Lifetime prefix-cache counters (all zero while disabled).
@@ -1495,12 +1534,12 @@ impl PagedKvStore {
     /// Pages the prefix cache currently holds pinned (shared with, or
     /// outliving, their registering sequences).
     pub fn prefix_cached_pages(&self) -> usize {
-        self.radix.as_ref().map_or(0, |r| r.all_pages().len())
+        self.radix.all_pages().len()
     }
 
     /// Runs (radix nodes) currently cached.
     pub fn prefix_cached_runs(&self) -> usize {
-        self.radix.as_ref().map_or(0, RadixIndex::node_count)
+        self.radix.node_count()
     }
 
     /// Pages per cache run — the smallest page count whose tokens are a
@@ -1517,119 +1556,167 @@ impl PagedKvStore {
         self.run_pages() * self.page_tokens() / self.residual_block()
     }
 
-    /// Hash seed binding the chain to this store's shape: quant scheme,
+    /// Full cache runs among `blocks` packed blocks per head — none while
+    /// the cache is off, which keeps every lookup and registration a no-op.
+    fn full_runs(&self, blocks: usize) -> usize {
+        usize::from(self.prefix_cache) * (blocks / self.run_blocks())
+    }
+
+    /// Hash seed binding both chains to this store's shape: quant scheme,
     /// head dim, head count, `Nr`, and page size all fold in, so stores
     /// with different geometry can never exchange entries.
     fn prefix_seed(&self) -> u64 {
-        let mut h = fnv_fold(FNV_OFFSET, format!("{:?}", self.config.scheme).as_bytes());
-        for v in [
-            self.config.dim,
-            self.heads,
-            self.residual_block(),
-            self.page_tokens(),
-        ] {
-            h = fnv_fold(h, &(v as u64).to_le_bytes());
+        let scheme = match self.config.scheme.kind() {
+            SchemeKind::Int {
+                width,
+                key_granularity,
+                group,
+            } => [0, width.bits() as usize, key_granularity as usize, group],
+            SchemeKind::Fp4(kind) => [1, kind.block_size(), 0, 0],
+        };
+        let (nr, pt) = (self.residual_block(), self.page_tokens());
+        (scheme
+            .into_iter()
+            .chain([self.config.dim, self.heads, nr, pt]))
+        .fold(FNV_OFFSET, |h, v| fnv_fold(h, &(v as u64).to_le_bytes()))
+    }
+
+    /// Source digests of a prompt's leading `runs` page runs: digest `r`
+    /// folds the run index and the raw `f32` bits of runs `0..=r` (per
+    /// run head-major, each head's K rows then its V rows), so like a
+    /// packed chain key it addresses the whole prefix it terminates.
+    fn source_chain<K: TokenRows, V: TokenRows>(
+        &self,
+        k: &[K],
+        v: &[V],
+        runs: usize,
+    ) -> Vec<SourceDigest> {
+        let run_tokens = self.run_blocks() * self.residual_block();
+        let seed = self.prefix_seed();
+        let mut d = [seed, !seed.rotate_left(32)];
+        (0..runs)
+            .map(|r| {
+                d = fold_source_word(d, r as u64);
+                for (hk, hv) in k.iter().zip(v) {
+                    for t in r * run_tokens..(r + 1) * run_tokens {
+                        d = fold_source_row(d, hk.token_row(t));
+                    }
+                    for t in r * run_tokens..(r + 1) * run_tokens {
+                        d = fold_source_row(d, hv.token_row(t));
+                    }
+                }
+                [self.chain_key(d[0]), d[1]]
+            })
+            .collect()
+    }
+
+    /// A chain state as the index keys it (the test hook collapses it).
+    fn chain_key(&self, h: u64) -> u64 {
+        #[cfg(test)]
+        if self.collide_hashes {
+            return 0x0BAD_C0DE;
         }
         h
     }
 
-    /// Chain keys for the leading `runs` page runs of
-    /// `blocks[head][block]`: key `r` folds the run index and every packed
-    /// block of runs `0..=r` (head-major within a run) over the seed, so a
-    /// key addresses the *entire* prefix it terminates.
-    fn chain_keys<B: std::borrow::Borrow<PackedBlock>>(
+    /// Packed chain keys of the runs in `blocks[head]` — runs
+    /// `first_run..` of a sequence, the chain resuming from state `h` (the
+    /// seed, or run `first_run - 1`'s key): a key folds its run index and
+    /// every packed block of runs `0..=r` (head-major within a run), so
+    /// it addresses the *entire* prefix it terminates.
+    fn chain_keys<B: Borrow<PackedBlock>>(
         &self,
         blocks: &[Vec<B>],
-        runs: usize,
+        first_run: usize,
+        mut h: u64,
     ) -> Vec<u64> {
         let bpr = self.run_blocks();
-        let mut h = self.prefix_seed();
-        let mut keys = Vec::with_capacity(runs);
-        for r in 0..runs {
-            h = fnv_fold(h, &(r as u64).to_le_bytes());
-            for head in blocks {
-                for block in &head[r * bpr..(r + 1) * bpr] {
-                    h = fold_packed_block(h, block.borrow());
-                }
-            }
-            let key = h;
-            #[cfg(test)]
-            let key = if self.collide_hashes {
-                0x0BAD_C0DE
-            } else {
-                key
-            };
-            keys.push(key);
-        }
-        keys
-    }
-
-    /// Walks the radix index over the leading full page runs of
-    /// `blocks[head][block]`, touching every node whose pages still
-    /// byte-verify and evicting stale nodes (recycled or rewritten pages)
-    /// discovered on the way. Returns the verified runs' `(pages, packed
-    /// bytes)` in run order; the walk stops at the first miss.
-    fn walk_prefix<B: std::borrow::Borrow<PackedBlock>>(
-        &mut self,
-        blocks: &[Vec<B>],
-    ) -> Vec<(Vec<PageId>, usize)> {
-        let bpr = self.run_blocks();
-        let runs = blocks.first().map_or(0, Vec::len) / bpr;
-        if runs == 0 || self.radix.is_none() {
-            return Vec::new();
-        }
-        let keys = self.chain_keys(blocks, runs);
-        let mut out = Vec::new();
-        let mut parent = None;
-        let Some(radix) = self.radix.as_mut() else {
-            unreachable!("checked above");
-        };
-        for (r, &key) in keys.iter().enumerate() {
-            let Some(id) = radix.child(parent, key) else {
-                break;
-            };
-            let node = radix.node(id);
-            let node_pages = node.pages.clone();
-            let node_gens = node.gens.clone();
-            let node_bytes = node.bytes;
-            let stale = node_pages
-                .iter()
-                .zip(&node_gens)
-                .any(|(&p, &g)| self.pool.refcount(p) == 0 || self.pool.generation(p) != g);
-            // Byte-verify even on a fresh generation: a chain-hash
-            // collision must never alias pages.
-            let verified = !stale
-                && blocks.iter().enumerate().all(|(head, want)| {
-                    let got: Vec<&PackedBlock> = node_pages
-                        .iter()
-                        .flat_map(|&p| self.frames[p.0 as usize][head].iter())
-                        .collect();
-                    got.len() == bpr
-                        && got
-                            .iter()
-                            .zip(&want[r * bpr..(r + 1) * bpr])
-                            .all(|(a, b)| **a == *b.borrow())
-                });
-            if !verified {
-                if stale {
-                    let dropped = radix.remove_subtree(id);
-                    self.prefix_stats.evicted_subtrees += 1;
-                    self.prefix_stats.evicted_pages += dropped.len() as u64;
-                    for p in dropped {
-                        if self.pool.unpin_page(p) {
-                            for head_blocks in &mut self.frames[p.0 as usize] {
-                                head_blocks.clear();
-                            }
-                        }
+        (0..self.full_runs(blocks.first().map_or(0, Vec::len)))
+            .map(|r| {
+                h = fnv_fold(h, &((first_run + r) as u64).to_le_bytes());
+                for head in blocks {
+                    for block in &head[r * bpr..(r + 1) * bpr] {
+                        h = fold_packed_block(h, block.borrow());
                     }
                 }
+                self.chain_key(h)
+            })
+            .collect()
+    }
+
+    /// `true` when a page of cached run `id` was recycled or rewritten
+    /// since the run was registered.
+    fn run_is_stale(&self, id: usize) -> bool {
+        let node = self.radix.node(id);
+        (node.pages.iter().zip(&node.gens))
+            .any(|(&p, &g)| self.pool.refcount(p) == 0 || self.pool.generation(p) != g)
+    }
+
+    /// Accounts one subtree the index let go of and releases its pages.
+    fn drop_cached(&mut self, dropped: Vec<PageId>) {
+        self.prefix_stats.evicted_subtrees += 1;
+        self.prefix_stats.evicted_pages += dropped.len() as u64;
+        for p in dropped {
+            if self.pool.unpin_page(p) {
+                self.clear_frame(p);
+            }
+        }
+    }
+
+    /// Packed payload bytes homed on `page`, all heads.
+    fn frame_bytes(&self, page: PageId) -> usize {
+        (self.frames[page.0 as usize].iter().flatten())
+            .map(PackedBlock::byte_size)
+            .sum()
+    }
+
+    /// The pages of cached runs `ids`, in run order.
+    fn run_pages_of(&self, ids: &[usize]) -> Vec<PageId> {
+        (ids.iter().flat_map(|&id| &self.radix.node(id).pages))
+            .copied()
+            .collect()
+    }
+
+    /// Extends `adopted` — the nodes of the leading runs an admission has
+    /// matched — through the packed-byte chain over `blocks[head]`, the
+    /// blocks of the runs past them. A run whose node is fresh and whose
+    /// frames byte-verify (a chain-hash collision must never alias pages)
+    /// is touched and appended, a stale node is evicted with its subtree,
+    /// and the walk stops at the first miss. Returns the chain keys of
+    /// **all** the runs in `blocks`, for registration to reuse.
+    fn walk_packed<B: Borrow<PackedBlock>>(
+        &mut self,
+        blocks: &[Vec<B>],
+        adopted: &mut Vec<usize>,
+    ) -> Vec<u64> {
+        let bpr = self.run_blocks();
+        let resume = adopted.last().map(|&id| self.radix.node(id).key);
+        let keys = self.chain_keys(
+            blocks,
+            adopted.len(),
+            resume.unwrap_or_else(|| self.prefix_seed()),
+        );
+        for (r, &key) in keys.iter().enumerate() {
+            let Some(id) = self.radix.child(adopted.last().copied(), key) else {
+                break;
+            };
+            if self.run_is_stale(id) {
+                let dropped = self.radix.remove_subtree(id);
+                self.drop_cached(dropped);
                 break;
             }
-            radix.touch(id);
-            out.push((node_pages, node_bytes));
-            parent = Some(id);
+            let pages = &self.radix.node(id).pages;
+            let verified = blocks.iter().enumerate().all(|(head, want)| {
+                let cached = pages.iter().flat_map(|&p| &self.frames[p.0 as usize][head]);
+                cached.eq(want[r * bpr..(r + 1) * bpr].iter().map(Borrow::borrow))
+            });
+            if !verified {
+                break;
+            }
+            self.radix.touch(id);
+            adopted.push(id);
         }
-        out
+        keys
     }
 
     /// Evicts cold unreferenced cache subtrees until the pool has at
@@ -1639,113 +1726,89 @@ impl PagedKvStore {
     /// same admission.
     fn ensure_free(&mut self, fresh: usize, protect: &[PageId]) {
         while self.pool.free_pages() < fresh {
-            let Some(radix) = self.radix.as_mut() else {
-                return;
-            };
             let pool = &self.pool;
             let evictable = |p: PageId| pool.seq_refcount(p) == 0 && !protect.contains(&p);
-            let Some(dropped) = radix.evict_lru_subtree(&evictable) else {
+            let Some(dropped) = self.radix.evict_lru_subtree(&evictable) else {
                 return;
             };
-            self.prefix_stats.evicted_subtrees += 1;
-            self.prefix_stats.evicted_pages += dropped.len() as u64;
-            for p in dropped {
-                if self.pool.unpin_page(p) {
-                    for head_blocks in &mut self.frames[p.0 as usize] {
-                        head_blocks.clear();
-                    }
-                }
-            }
+            self.drop_cached(dropped);
         }
     }
 
     /// Registers `seq`'s leading full page runs in the radix index,
     /// pinning their pages so they outlive the sequence and later
-    /// byte-identical prompts adopt them zero-copy. Runs already present
-    /// are LRU-touched; stale entries (recycled pages) are replaced.
-    fn register_prefix(&mut self, seq: SeqId) {
-        if self.radix.is_none() {
-            return;
-        }
-        let bpr = self.run_blocks();
+    /// identical prompts adopt them zero-copy: first the `adopted` nodes
+    /// (still protected by the admission that walked them), then one run
+    /// per packed key in `keys` — present ones are LRU-touched, stale
+    /// ones (recycled pages) replaced, the rest inserted. `sources[r]`,
+    /// if the caller had source rows, is recorded on run `r`'s node when
+    /// that node is one of `adopted` (verified against those rows) or
+    /// inserted here (written from them) — never on a node merely found
+    /// by key, which may be a chain-hash collision holding other bytes.
+    fn register_prefix(
+        &mut self,
+        seq: SeqId,
+        adopted: &[usize],
+        keys: &[u64],
+        sources: &[SourceDigest],
+    ) {
         let rp = self.run_pages();
-        let runs = self.seqs[&seq].len / self.residual_block() / bpr;
-        if runs == 0 {
-            return;
-        }
-        let blocks: Vec<Vec<&PackedBlock>> = (0..self.heads)
-            .map(|h| self.packed_blocks(seq, h))
-            .collect();
-        let keys = self.chain_keys(&blocks, runs);
-        let run_bytes: Vec<usize> = (0..runs)
-            .map(|r| {
-                blocks
-                    .iter()
-                    .flat_map(|head| head[r * bpr..(r + 1) * bpr].iter().map(|b| b.byte_size()))
-                    .sum()
-            })
-            .collect();
-        drop(blocks);
-        let table: Vec<PageId> = self
-            .pool
-            .table(seq)
-            .unwrap_or_else(|| unreachable!("resident sequence"))
-            .to_vec();
         let mut parent = None;
-        for (r, (&key, &bytes)) in keys.iter().zip(&run_bytes).enumerate() {
-            let Some(radix) = self.radix.as_mut() else {
-                unreachable!("checked above");
+        for r in 0..adopted.len() + keys.len() {
+            let mut cached = match adopted.get(r) {
+                Some(&id) => Some(id),
+                None => self.radix.child(parent, keys[r - adopted.len()]),
             };
-            if let Some(id) = radix.child(parent, key) {
-                let node = radix.node(id);
-                let stale = node
-                    .pages
-                    .iter()
-                    .zip(&node.gens)
-                    .any(|(&p, &g)| self.pool.refcount(p) == 0 || self.pool.generation(p) != g);
-                if !stale {
-                    // Already cached at this position (this very content,
-                    // or — vanishingly rarely — a hash collision, which
-                    // adoption-time byte-verification keeps harmless).
-                    radix.touch(id);
-                    parent = Some(id);
-                    continue;
+            if let Some(id) = cached.filter(|&id| self.run_is_stale(id)) {
+                let dropped = self.radix.remove_subtree(id);
+                self.drop_cached(dropped);
+                cached = None;
+            }
+            let ours = r < adopted.len() || cached.is_none();
+            let id = match cached {
+                // Already cached at this position (this very content, or —
+                // vanishingly rarely — a hash collision, which
+                // adoption-time verification keeps harmless).
+                Some(id) => {
+                    self.radix.touch(id);
+                    id
                 }
-                let dropped = radix.remove_subtree(id);
-                self.prefix_stats.evicted_subtrees += 1;
-                self.prefix_stats.evicted_pages += dropped.len() as u64;
-                for p in dropped {
-                    if self.pool.unpin_page(p) {
-                        for head_blocks in &mut self.frames[p.0 as usize] {
-                            head_blocks.clear();
-                        }
+                None => {
+                    let Some(table) = self.pool.table(seq) else {
+                        unreachable!("resident sequence");
+                    };
+                    let pages = table[r * rp..(r + 1) * rp].to_vec();
+                    let gens = pages.iter().map(|&p| self.pool.generation(p)).collect();
+                    let bytes = pages.iter().map(|&p| self.frame_bytes(p)).sum();
+                    for &p in &pages {
+                        self.pool.pin_page(p);
                     }
+                    let key = keys[r - adopted.len()];
+                    self.radix.insert(parent, key, pages, gens, bytes)
                 }
-            }
-            let pages = table[r * rp..(r + 1) * rp].to_vec();
-            let gens: Vec<u64> = pages.iter().map(|&p| self.pool.generation(p)).collect();
-            for &p in &pages {
-                self.pool.pin_page(p);
-            }
-            let Some(radix) = self.radix.as_mut() else {
-                unreachable!("checked above");
             };
-            parent = Some(radix.insert(parent, key, pages, gens, bytes));
+            if let Some(&digest) = sources.get(r).filter(|_| ours) {
+                self.radix.set_source(id, digest);
+            }
+            parent = Some(id);
         }
     }
 
     /// Admits **and** prefills a sequence in one step, adopting cached
     /// prefix pages zero-copy — the content-addressed twin of
-    /// [`PagedKvStore::admit`] + [`PagedKvStore::prefill`]. The prompt is
-    /// quantized once up front; every leading full page run whose packed
-    /// bytes match a cached run (generation-checked **and** byte-verified)
-    /// aliases the cached pages instead of writing fresh ones, and the
-    /// remainder installs exactly as a plain prefill would. The admitted
+    /// [`PagedKvStore::admit`] + [`PagedKvStore::prefill`]. The prompt's
+    /// source rows are hashed and looked up **before** anything is
+    /// quantized: every leading full page run whose digest matches
+    /// (generation-checked, and block 0 of every head re-encoded with
+    /// `codec` equals the cached frame, so two codecs on one store never
+    /// alias) is adopted as it is. Only the unmatched suffix is packed;
+    /// it continues through the packed-byte chain (generation-checked
+    /// **and** byte-verified), which still finds a run a swap-in
+    /// registered or different `f32`s that pack identically. The admitted
     /// sequence is bitwise indistinguishable from one admitted with the
-    /// cache off — same gathered blocks, same residual window — and the
-    /// admission decision charges the same [`PagedKvStore::free_pages`]
-    /// budget, so cache hits never change what gets admitted, only how
-    /// many fresh pages the admission costs.
+    /// cache off, and the admission decision charges the same
+    /// [`PagedKvStore::free_pages`] budget, so a hit changes what an
+    /// admission costs, never whether it fits.
     ///
     /// With the cache disabled this is exactly `admit` followed by
     /// `prefill`. Like [`PagedKvStore::admit`], a failed admission
@@ -1771,31 +1834,9 @@ impl PagedKvStore {
         K: TokenRows,
         V: TokenRows,
     {
-        for got in [k.len(), v.len()] {
-            if got != self.heads {
-                return Err(StoreError::HeadCount {
-                    got,
-                    expected: self.heads,
-                });
-            }
-        }
-        let len = k[0].token_count();
-        for (hk, hv) in k.iter().zip(v) {
-            assert_eq!(hk.token_count(), len, "per-head prompt length mismatch");
-            assert_eq!(hv.token_count(), len, "per-head prompt length mismatch");
-            for t in 0..len {
-                for row in [hk.token_row(t), hv.token_row(t)] {
-                    if row.len() != self.config.dim {
-                        return Err(StoreError::Cache(CacheError::DimMismatch {
-                            expected: self.config.dim,
-                            got: row.len(),
-                        }));
-                    }
-                }
-            }
-        }
+        let len = check_prompt(k, v, self.heads, self.config.dim)?;
         let reserve = reserve_tokens.max(len);
-        if self.radix.is_none() {
+        if !self.prefix_cache {
             let seq = self.admit(reserve)?;
             if let Err(e) = self.prefill(seq, k, v, codec) {
                 self.evict(seq);
@@ -1804,83 +1845,73 @@ impl PagedKvStore {
             return Ok((seq, PrefixAdmit::default()));
         }
         let need = reserve.div_ceil(self.page_tokens());
-        if need > self.free_pages() {
-            return Err(StoreError::Oom(PagedOom {
-                requested: need,
-                free: self.free_pages(),
-            }));
+        self.check_free(need)?;
+        // Look up before quantizing. A digest match is checked against
+        // the codec before staleness so that, exactly like the packed
+        // walk, only a node this very admission would have keyed is ever
+        // evicted as stale.
+        let blocks = len / self.residual_block();
+        let sources = self.source_chain(k, v, self.full_runs(blocks));
+        let mut adopted = Vec::new();
+        for (r, digest) in sources.iter().enumerate() {
+            let Some(id) = self.radix.source_child(adopted.last().copied(), *digest) else {
+                break;
+            };
+            if r == 0 {
+                let frame = &self.frames[self.radix.node(id).pages[0].0 as usize];
+                let ours = self.pack_prompt_blocks(k, v, 0..1, codec);
+                if !(ours.iter().zip(frame)).all(|(ours, cached)| ours.first() == cached.first()) {
+                    break;
+                }
+            }
+            if self.run_is_stale(id) {
+                let dropped = self.radix.remove_subtree(id);
+                self.drop_cached(dropped);
+                break;
+            }
+            self.radix.touch(id);
+            adopted.push(id);
         }
-        // Quantize the whole aligned prefix once — both the lookup key
-        // material and the exact blocks a plain prefill would write.
-        let nr = self.residual_block();
-        let (packed_len, _res) = partition_prefill(len, nr);
-        let scheme = self.config.scheme;
-        let packed: Vec<Vec<PackedBlock>> = (0..self.heads)
-            .map(|head| {
-                (0..packed_len)
-                    .step_by(nr)
-                    .map(|b0| {
-                        let kb = rounded_block(&k[head], b0, b0 + nr);
-                        let vb = rounded_block(&v[head], b0, b0 + nr);
-                        codec.encode(&kb, &vb, scheme)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut adopted_pages: Vec<PageId> = Vec::new();
-        let mut adopted_bytes = 0usize;
-        for (pages, bytes) in self.walk_prefix(&packed) {
-            adopted_pages.extend(pages);
-            adopted_bytes += bytes;
+        // Quantize only the unmatched suffix and carry on through the
+        // packed chain from the last adopted node.
+        let by_source = adopted.len();
+        let bpr = self.run_blocks();
+        let mut packed = self.pack_prompt_blocks(k, v, by_source * bpr..blocks, codec);
+        let keys = self.walk_packed(&packed, &mut adopted);
+        for head in &mut packed {
+            head.drain(..(adopted.len() - by_source) * bpr);
         }
-        let adopted_blocks = adopted_pages.len() / self.run_pages() * self.run_blocks();
-        let total_slots = need.max(adopted_pages.len());
-        self.ensure_free(total_slots - adopted_pages.len(), &adopted_pages);
+        let adopted_pages = self.run_pages_of(&adopted);
+        let adopted_bytes = adopted.iter().map(|&id| self.radix.node(id).bytes).sum();
+        self.ensure_free(need.saturating_sub(adopted_pages.len()), &adopted_pages);
         let slots: Vec<Option<PageId>> = adopted_pages.iter().map(|&p| Some(p)).collect();
         let seq = self.pool.adopt(&slots, reserve).map_err(StoreError::Oom)?;
-        for (head, head_blocks) in packed.into_iter().enumerate() {
-            for (b, block) in head_blocks.into_iter().enumerate().skip(adopted_blocks) {
-                let (page, _) = self.pool.translate(seq, b * nr);
-                self.frames[page.0 as usize][head].push(block);
-            }
-        }
-        let mut residual_k = vec![TokenMatrix::new(self.config.dim); self.heads];
-        let mut residual_v = vec![TokenMatrix::new(self.config.dim); self.heads];
-        for head in 0..self.heads {
-            for t in packed_len..len {
-                push_rounded(&mut residual_k[head], k[head].token_row(t));
-                push_rounded(&mut residual_v[head], v[head].token_row(t));
-            }
-        }
-        self.seqs.insert(
-            seq,
-            SeqKv {
-                len,
-                residual_k,
-                residual_v,
-                sealed: false,
-            },
-        );
-        self.register_prefix(seq);
-        let reused = adopted_pages.len();
-        if reused > 0 {
+        self.seqs.insert(seq, self.empty_seq());
+        self.install_prompt(seq, k, v, packed, adopted.len() * bpr);
+        self.register_prefix(seq, &adopted, &keys[adopted.len() - by_source..], &sources);
+        let admit = self.record_admission(adopted_pages.len(), adopted_bytes);
+        Ok((seq, admit))
+    }
+
+    /// Counts one admission that went through lookup — a hit when it
+    /// adopted anything — and reports what it adopted.
+    fn record_admission(&mut self, pages_reused: usize, bytes_reused: usize) -> PrefixAdmit {
+        if pages_reused > 0 {
             self.prefix_stats.hits += 1;
-            self.prefix_stats.pages_reused += reused as u64;
-            self.prefix_stats.bytes_reused += adopted_bytes as u64;
+            self.prefix_stats.pages_reused += pages_reused as u64;
+            self.prefix_stats.bytes_reused += bytes_reused as u64;
         } else {
             self.prefix_stats.misses += 1;
         }
-        Ok((
-            seq,
-            PrefixAdmit {
-                pages_reused: reused,
-                bytes_reused: adopted_bytes,
-            },
-        ))
+        PrefixAdmit {
+            pages_reused,
+            bytes_reused,
+        }
     }
 
-    /// Test-only: collapse every chain key to one constant, so different
-    /// packed bytes collide and only byte-verification separates them.
+    /// Test-only: collapse every packed chain key and every source
+    /// digest's first lane to one constant, so different content
+    /// collides and only verification separates it.
     #[cfg(test)]
     pub(crate) fn force_hash_collisions(&mut self) {
         self.collide_hashes = true;
@@ -2735,8 +2766,9 @@ mod tests {
             .admit_prefill_cached(&ka, &va, 128, &ReferenceCodec)
             .unwrap();
         assert_eq!(ad.pages_reused, 0);
-        // Same (forced) chain key, different packed bytes: adoption-time
-        // byte-verification must reject the candidate run.
+        // Same (forced) chain key and first source lane, different
+        // content: the second digest lane rejects the candidate on the
+        // source path, byte-verification on the packed path.
         let (b, bd) = store
             .admit_prefill_cached(&kb, &vb, 128, &ReferenceCodec)
             .unwrap();
@@ -2748,6 +2780,216 @@ mod tests {
             .unwrap();
         assert_eq!(cd.pages_reused, 4);
         assert_eq!(store.packed_blocks(a, 0), store.packed_blocks(c, 0));
+    }
+
+    /// [`prompt`] of salt `a` whose rows from token `split` on come from
+    /// salt `b` instead.
+    #[allow(clippy::type_complexity)]
+    fn spliced_prompt(
+        heads: usize,
+        len: usize,
+        split: usize,
+        (a, b): (usize, usize),
+    ) -> (Vec<Vec<Vec<f32>>>, Vec<Vec<Vec<f32>>>) {
+        let (mut k, mut v) = prompt(heads, 16, len, a);
+        let (kb, vb) = prompt(heads, 16, len, b);
+        for h in 0..heads {
+            k[h][split..].clone_from_slice(&kb[h][split..]);
+            v[h][split..].clone_from_slice(&vb[h][split..]);
+        }
+        (k, v)
+    }
+
+    /// The contiguous cache that prefilled the same prompt.
+    fn contiguous_twin(
+        store: &PagedKvStore,
+        k: &[Vec<Vec<f32>>],
+        v: &[Vec<Vec<f32>>],
+    ) -> QuantizedKvCache {
+        let mut cache = QuantizedKvCache::new(*store.config(), store.heads());
+        for h in 0..store.heads() {
+            cache.prefill(h, &k[h], &v[h], &ReferenceCodec).unwrap();
+        }
+        cache
+    }
+
+    #[test]
+    fn forced_collisions_never_alias_prompts_that_diverge_late() {
+        // 3 runs of 4 pages; every packed key and every first source lane
+        // collides, so only the second digest lane, the first-block check
+        // and byte-verification tell prompts apart.
+        let len = 3 * 128;
+        let mut store = PagedKvStore::new(cfg(16), 2, 256, 32);
+        store.set_prefix_cache(true);
+        store.force_hash_collisions();
+        let (ka, va) = prompt(2, 16, len, 1);
+        let (a, _) = store
+            .admit_prefill_cached(&ka, &va, len, &ReferenceCodec)
+            .unwrap();
+        // Same first two runs, different last run.
+        let (kb, vb) = spliced_prompt(2, len, 2 * 128, (1, 2));
+        // One mantissa bit of one element of the last run.
+        let (mut kc, vc) = (ka.clone(), va.clone());
+        kc[1][2 * 128 + 5][3] = f32::from_bits(kc[1][2 * 128 + 5][3].to_bits() ^ (1 << 22));
+        for (k, v) in [(&kb, &vb), (&kc, &vc)] {
+            let (seq, admit) = store
+                .admit_prefill_cached(k, v, len, &ReferenceCodec)
+                .unwrap();
+            assert_eq!(admit.pages_reused, 2 * 4, "exactly the two common runs");
+            assert!(store.matches_cache(seq, &contiguous_twin(&store, k, v), 0));
+            assert_ne!(store.packed_blocks(a, 1)[2], store.packed_blocks(seq, 1)[2]);
+        }
+        // The identical prompt still hits through every colliding key.
+        let (again, admit) = store
+            .admit_prefill_cached(&ka, &va, len, &ReferenceCodec)
+            .unwrap();
+        assert_eq!(admit.pages_reused, 3 * 4);
+        assert!(store.matches_cache(again, &contiguous_twin(&store, &ka, &va), 0));
+    }
+
+    #[test]
+    fn partial_prefix_family_reuses_exactly_the_common_runs() {
+        let len = 4 * 128 + 19;
+        let mut store = PagedKvStore::new(cfg(16), 2, 512, 32);
+        store.set_prefix_cache(true);
+        let (k0, v0) = prompt(2, 16, len, 40);
+        store
+            .admit_prefill_cached(&k0, &v0, len, &ReferenceCodec)
+            .unwrap();
+        for m in 0..4 {
+            // Diverges 17 tokens into run `m`: runs `0..m` are common.
+            let (k, v) = spliced_prompt(2, len, m * 128 + 17, (40, 41 + m));
+            let (seq, admit) = store
+                .admit_prefill_cached(&k, &v, len, &ReferenceCodec)
+                .unwrap();
+            assert_eq!(admit.pages_reused, m * 4, "m = {m}");
+            assert!(
+                store.matches_cache(seq, &contiguous_twin(&store, &k, &v), 0),
+                "m = {m}"
+            );
+        }
+        let stats = store.prefix_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (3, 2));
+        assert_eq!(stats.pages_reused, (1 + 2 + 3) * 4);
+    }
+
+    /// [`ReferenceCodec`] that counts the blocks it encodes.
+    struct CountingCodec<'a>(&'a std::cell::Cell<usize>);
+
+    impl BlockCodec for CountingCodec<'_> {
+        fn encode(
+            &self,
+            k: &TokenMatrix,
+            v: &TokenMatrix,
+            scheme: crate::scheme::QuantScheme,
+        ) -> PackedBlock {
+            self.0.set(self.0.get() + 1);
+            ReferenceCodec.encode(k, v, scheme)
+        }
+        fn decode(
+            &self,
+            block: &PackedBlock,
+            scheme: crate::scheme::QuantScheme,
+        ) -> (TokenMatrix, TokenMatrix) {
+            ReferenceCodec.decode(block, scheme)
+        }
+    }
+
+    #[test]
+    fn lookup_precedes_quantization_on_a_full_hit() {
+        let (heads, runs) = (2, 3);
+        let len = runs * 128 + 9;
+        let mut store = PagedKvStore::new(cfg(16), heads, 256, 32);
+        store.set_prefix_cache(true);
+        let (k, v) = prompt(heads, 16, len, 11);
+        let encoded = std::cell::Cell::new(0);
+        let codec = CountingCodec(&encoded);
+        store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
+        assert_eq!(encoded.get(), heads * runs, "cold: every block packed");
+        encoded.set(0);
+        let (seq, admit) = store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
+        assert_eq!(admit.pages_reused, runs * 4);
+        // Only the codec-agreement check (block 0 of each head) encodes.
+        assert_eq!(encoded.get(), heads);
+        assert!(store.matches_cache(seq, &contiguous_twin(&store, &k, &v), 0));
+        // A suffix miss packs exactly the missed suffix.
+        let (k2, v2) = spliced_prompt(heads, len, 2 * 128 + 1, (11, 12));
+        encoded.set(0);
+        store.admit_prefill_cached(&k2, &v2, len, &codec).unwrap();
+        assert_eq!(encoded.get(), heads + heads);
+    }
+
+    #[test]
+    fn swap_in_registered_run_gains_its_source_digest_from_the_next_prefill() {
+        let heads = 2;
+        let len = 2 * 128 + 5;
+        let mut store = PagedKvStore::new(cfg(16), heads, 256, 32);
+        let (k, v) = prompt(heads, 16, len, 21);
+        let seq = store.admit(len).unwrap();
+        store.prefill(seq, &k, &v, &ReferenceCodec).unwrap();
+        let blob = store.swap_out(seq).unwrap();
+        // Registered by a swap-in: packed keys only, no source digest.
+        store.set_prefix_cache(true);
+        store.swap_in(&blob).unwrap();
+        assert_eq!(store.prefix_cached_runs(), 2);
+        let encoded = std::cell::Cell::new(0);
+        let codec = CountingCodec(&encoded);
+        // The source lookup misses, the packed chain behind it hits — and
+        // records the digest on the existing nodes instead of adding any.
+        let (_, first) = store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
+        assert_eq!(first.pages_reused, 2 * 4);
+        assert_eq!(encoded.get(), heads * 2, "packed path quantizes first");
+        assert_eq!(store.prefix_cached_runs(), 2, "adopted, not duplicated");
+        encoded.set(0);
+        let (_, second) = store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
+        assert_eq!(second.pages_reused, 2 * 4);
+        assert_eq!(encoded.get(), heads, "now found before quantizing");
+        assert_eq!(store.prefix_cached_runs(), 2);
+    }
+
+    #[test]
+    fn colliding_digestless_run_never_answers_to_a_foreign_digest() {
+        // A = [X, Y] registered by a swap-in: packed keys only. Under
+        // forced collisions B = [X, Z] finds A's second run by key, fails
+        // its byte-verify and keeps its own Z pages — registration must
+        // not record B's digest on that unverified node, or B's next
+        // admission would adopt Y's pages through the source path.
+        let heads = 2;
+        let len = 2 * 128;
+        let mut store = PagedKvStore::new(cfg(16), heads, 256, 32);
+        let (ka, va) = prompt(heads, 16, len, 1);
+        let seq = store.admit(len).unwrap();
+        store.prefill(seq, &ka, &va, &ReferenceCodec).unwrap();
+        let blob = store.swap_out(seq).unwrap();
+        store.set_prefix_cache(true);
+        store.force_hash_collisions();
+        let a = store.swap_in(&blob).unwrap();
+        let (kb, vb) = spliced_prompt(heads, len, 128, (1, 2));
+        let twin = contiguous_twin(&store, &kb, &vb);
+        for round in 0..3 {
+            let (b, admit) = store
+                .admit_prefill_cached(&kb, &vb, len, &ReferenceCodec)
+                .unwrap();
+            assert_eq!(admit.pages_reused, 4, "round {round}: only run X");
+            assert!(store.matches_cache(b, &twin, 0), "round {round}");
+            assert_ne!(store.packed_blocks(a, 0)[1], store.packed_blocks(b, 0)[1]);
+        }
+        // The same holds on the cold path, which verifies nothing: a
+        // `prefill` of B onto its own pages finds both of A's runs by key.
+        let mut store = PagedKvStore::new(cfg(16), heads, 256, 32);
+        let seq = store.admit(len).unwrap();
+        store.prefill(seq, &ka, &va, &ReferenceCodec).unwrap();
+        let blob = store.swap_out(seq).unwrap();
+        store.set_prefix_cache(true);
+        store.force_hash_collisions();
+        store.swap_in(&blob).unwrap();
+        let c = store.admit(len).unwrap();
+        store.prefill(c, &kb, &vb, &ReferenceCodec).unwrap();
+        let (c2, admit) = store
+            .admit_prefill_cached(&kb, &vb, len, &ReferenceCodec)
+            .unwrap();
+        assert_eq!(admit.pages_reused, 4);
+        assert!(store.matches_cache(c2, &twin, 0));
     }
 
     #[test]

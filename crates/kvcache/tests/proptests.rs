@@ -2,7 +2,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bd_kvcache::*;
-use bd_lowbit::BitWidth;
+use bd_lowbit::{BitWidth, MinMax};
 use proptest::prelude::*;
 
 fn matrix(tokens: usize, dim: usize, seed: u64) -> TokenMatrix {
@@ -32,7 +32,83 @@ fn arb_scheme() -> impl Strategy<Value = QuantScheme> {
     ]
 }
 
+/// What [`quantize_int_codes`] must compute, spelled per element: each
+/// group's [`MinMax`] over its values in order, then
+/// [`QuantParams::quantize`] for every value of the group.
+fn scalar_quantize(
+    values: &TokenMatrix,
+    width: BitWidth,
+    granularity: KeyGranularity,
+    group: usize,
+) -> (Vec<u8>, Vec<u32>) {
+    let (tokens, dim) = (values.tokens(), values.dim());
+    let mut codes = vec![0u8; tokens * dim];
+    let mut params = Vec::new();
+    let mut quantize_group = |cells: Vec<(usize, usize)>| {
+        let mut mm = MinMax::EMPTY;
+        for &(t, c) in &cells {
+            mm.update(values[t][c]);
+        }
+        let p = mm.params(width);
+        params.push(p.to_half2().to_bits());
+        for (t, c) in cells {
+            codes[t * dim + c] = p.quantize(values[t][c], width);
+        }
+    };
+    match granularity {
+        KeyGranularity::ChannelWise => {
+            for t0 in (0..tokens).step_by(group) {
+                for c in 0..dim {
+                    quantize_group((t0..(t0 + group).min(tokens)).map(|t| (t, c)).collect());
+                }
+            }
+        }
+        KeyGranularity::TensorWise => {
+            for t in 0..tokens {
+                for c0 in (0..dim).step_by(group) {
+                    quantize_group((c0..(c0 + group).min(dim)).map(|c| (t, c)).collect());
+                }
+            }
+        }
+    }
+    (codes, params)
+}
+
 proptest! {
+    /// The slab quantizer is the scalar definition, bit for bit: arbitrary
+    /// `f32` bit patterns (NaN, ±Inf, denormals and all), small integers
+    /// whose groups land on exact rounding ties, and f16-range values; both
+    /// granularities, both widths, groups that end in a partial tail.
+    #[test]
+    fn slab_quantizer_matches_the_scalar_definition(
+        seed: u64, tokens in 1usize..70, dim in 1usize..40, group in 1usize..48,
+        int2: bool, channel_wise: bool, class in 0usize..3,
+    ) {
+        let width = if int2 { BitWidth::B2 } else { BitWidth::B4 };
+        let granularity = if channel_wise {
+            KeyGranularity::ChannelWise
+        } else {
+            KeyGranularity::TensorWise
+        };
+        let mut s = seed | 1;
+        let values = TokenMatrix::from_fn(tokens, dim, |_, _| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let r = (s >> 32) as u32;
+            match class {
+                0 => f32::from_bits(r),
+                // A group spanning 0..=2·max has scale 2: odd values tie.
+                1 => (r % (2 * u32::from(width.max_code()) + 1)) as f32,
+                _ => (r % 4001) as f32 / 1000.0 - 2.0,
+            }
+        });
+        let mut codes = vec![0xAA; 3];
+        let params = quantize_int_codes(&values, width, granularity, group, &mut codes);
+        let params: Vec<u32> = params.iter().map(|p| p.to_bits()).collect();
+        let (want_codes, want_params) = scalar_quantize(&values, width, granularity, group);
+        prop_assert_eq!(params, want_params);
+        prop_assert_eq!(codes, want_codes);
+    }
+
     /// encode → decode reconstruction error is bounded by the scheme's
     /// worst-case step over the data range, for every scheme.
     #[test]

@@ -231,6 +231,45 @@ pub fn f32_to_f16_bits(fbits: u32) -> u16 {
     o | (sign >> 16) as u16
 }
 
+/// Writes `F16::from_f32(x).to_f32()` of every `src` value into `dst`, bit
+/// for bit, without leaving the `f32` domain — the KV projection's FP16
+/// output precision applied to a whole row at once.
+///
+/// Magnitudes below 65520 (everything that does not round to infinity) go
+/// through a branch-free pass the compiler can vectorize: results in the
+/// binary16 normal range round their 13 excess mantissa bits to nearest
+/// even in place, results in the subnormal range round through the same
+/// `+ 0.5` alignment [`f32_to_f16_bits`] uses. A row holding anything
+/// larger, infinite or NaN is redone element by element through [`F16`].
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn round_through_f16(src: &[f32], dst: &mut [f32]) {
+    const SIGN_MASK: u32 = 0x8000_0000;
+    /// `2^-14`, the smallest binary16 normal.
+    const MIN_NORMAL: u32 = 113 << 23;
+    /// `65520.0`, the smallest magnitude that rounds to infinity.
+    const OVERFLOW: u32 = 0x477F_F000;
+
+    assert_eq!(src.len(), dst.len(), "slab length mismatch");
+    let mut overflow = false;
+    for (out, &x) in dst.iter_mut().zip(src) {
+        let bits = x.to_bits();
+        let mag = bits & !SIGN_MASK;
+        overflow |= mag >= OVERFLOW;
+        let normal = mag.wrapping_add(0xFFF + ((mag >> 13) & 1)) & !0x1FFF;
+        let subnormal = ((f32::from_bits(mag) + 0.5) - 0.5).to_bits();
+        let rounded = if mag < MIN_NORMAL { subnormal } else { normal };
+        *out = f32::from_bits(rounded | (bits & SIGN_MASK));
+    }
+    if overflow {
+        for (out, &x) in dst.iter_mut().zip(src) {
+            *out = F16::from_f32(x).to_f32();
+        }
+    }
+}
+
 /// Exact binary16 → `f32` conversion on raw bits.
 #[inline]
 pub fn f16_bits_to_f32(h: u16) -> u32 {
@@ -333,6 +372,83 @@ mod tests {
         assert_eq!(F16::EPSILON.to_f32(), 2.0f32.powi(-10));
         assert_eq!(F16::ONE.max(F16::NEG_ONE), F16::ONE);
         assert_eq!(F16::ONE.min(F16::NEG_ONE), F16::NEG_ONE);
+    }
+
+    /// Every binary16 value, the f32 midpoints to both of its neighbours
+    /// and the f32 values one ulp either side of each midpoint — every
+    /// place round-to-nearest-even can change its answer — plus the
+    /// overflow, subnormal and NaN boundaries.
+    fn rounding_edge_cases() -> Vec<f32> {
+        let mut cases = Vec::new();
+        for bits in 0u16..=0xFFFF {
+            let x = F16::from_bits(bits).to_f32();
+            cases.push(x);
+            if !x.is_finite() {
+                continue;
+            }
+            // The neighbour away from zero (past MAX it is 65536, whose
+            // midpoint with MAX is the overflow threshold 65520) and the
+            // one towards it.
+            let mag = bits & 0x7FFF;
+            let away = match mag {
+                0x7BFF => 65536.0,
+                _ => F16::from_bits(mag + 1).to_f32(),
+            };
+            let towards = (mag > 0).then(|| F16::from_bits(mag - 1).to_f32());
+            let sign = u32::from(bits & 0x8000) << 16;
+            for neighbour in [Some(away), towards].into_iter().flatten() {
+                let midpoint = ((x.abs() + neighbour) / 2.0).to_bits();
+                for m in [midpoint - 1, midpoint, midpoint + 1] {
+                    cases.push(f32::from_bits(m | sign));
+                }
+            }
+        }
+        for magnitude in [
+            0x0000_0001u32, // smallest f32 subnormal
+            0x007F_FFFF,    // largest f32 subnormal
+            0x0080_0000,    // smallest f32 normal
+            0x3300_0000,    // 2^-25: half the smallest binary16 subnormal
+            0x3300_0001,
+            0x32FF_FFFF,
+            0x477F_EFFF, // 65519.996: last value that rounds to MAX
+            0x477F_F000, // 65520: first that rounds to infinity
+            0x477F_F001,
+            0x4780_0000, // 65536
+            0x7F7F_FFFF, // f32::MAX
+            0x7F80_0000, // infinity
+            0x7F80_0001, // signalling NaN, smallest payload
+            0x7FC0_0000, // quiet NaN
+            0x7FFF_FFFF, // NaN, every payload bit
+        ] {
+            cases.push(f32::from_bits(magnitude));
+            cases.push(f32::from_bits(magnitude | 0x8000_0000));
+        }
+        cases
+    }
+
+    #[test]
+    fn slab_rounding_matches_scalar_on_every_rounding_edge() {
+        let cases = rounding_edge_cases();
+        assert!(cases.len() > 400_000, "{} cases", cases.len());
+        let want: Vec<u32> = cases
+            .iter()
+            .map(|&x| F16::from_f32(x).to_f32().to_bits())
+            .collect();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        // One value per call: everything below the overflow threshold
+        // takes the branch-free pass on its own.
+        let mut one = [0.0f32];
+        for (&x, &w) in cases.iter().zip(&want) {
+            round_through_f16(&[x], &mut one);
+            assert_eq!(one[0].to_bits(), w, "x = {x:e} ({:#010x})", x.to_bits());
+        }
+        // Row-sized calls: rows that hold an out-of-range value are redone
+        // whole by the fallback, the rest stay on the slab pass.
+        let mut got = vec![0.0f32; cases.len()];
+        for (src, dst) in cases.chunks(64).zip(got.chunks_mut(64)) {
+            round_through_f16(src, dst);
+        }
+        assert_eq!(bits(&got), want);
     }
 
     #[test]
