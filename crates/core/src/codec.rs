@@ -19,7 +19,7 @@
 //!
 //! The induced layout depends only on the configuration and the tensor
 //! shape, never on the values, so it is computed once per shape as a
-//! `FragmentPlan` — one table entry per physical code position — and
+//! `FragmentPlan` — one table entry per 32-bit register of the stream — and
 //! interned process-wide. Packing gathers through the table, unpacking
 //! (fused with dequantization or not) scatters through the same one.
 
@@ -28,9 +28,10 @@ use bd_kvcache::{
     dequantize_int_codes, quantize_int_codes, BlockCodec, KeyGranularity, PackLayout, PackedBlock,
     PackedPayload, PackedTensor, QuantScheme, ReferenceCodec, SchemeKind, TokenMatrix,
 };
+use bd_lowbit::f16::round_through_f16;
 use bd_lowbit::fastpath::{register_ops, FastDequantOps};
 use bd_lowbit::{
-    codes_per_u32, fuse_words, split_register, unpack_u32_into, BitWidth, Half2, QuantParams, F16,
+    codes_per_u32, fuse_words, split_register, unpack_u32_into, BitWidth, Half2, QuantParams,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -53,13 +54,17 @@ struct PlanKey {
     key_orientation: bool,
 }
 
-/// Where one physical code position of the packed word stream belongs.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    /// Token-major destination `token · dim + channel`, or [`PAD`].
-    dst: u32,
-    /// First entry of the position's metadata group in the dequant LUT.
-    lut: u32,
+/// `(token, channel, first dequant-LUT entry of the metadata group)` of a
+/// code: a register's origin, or a position's offset from it.
+type Slot = (u16, u16, u32);
+
+/// Consecutive registers whose positions sit at the same offsets from
+/// their origins (`None`: no value maps here — the tail of a lane stream
+/// that ends mid-register). Realistic shapes are one run; tiny ones add more.
+#[derive(Debug)]
+struct Run {
+    regs: usize,
+    offsets: Vec<Option<Slot>>,
 }
 
 thread_local! {
@@ -67,24 +72,44 @@ thread_local! {
     static CODES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Destination of a position no value maps to: the tail of a lane's last
-/// register when its stream does not fill it (tiny shapes only).
-const PAD: u32 = u32::MAX;
+/// `dst` offset standing in for a position that holds no code.
+const PAD: usize = usize::MAX;
+
+/// One register's `N` code positions resolved against a destination: its
+/// `(dst, lut)` origin, each position's offset, whether any is [`PAD`].
+struct Codes<'a, const N: usize>((usize, usize), &'a [(usize, usize); N], bool);
+
+impl<const N: usize> Codes<'_, N> {
+    /// Calls `visit(shift, dst, lut)` for every code: its bit offset in
+    /// the register, its destination and its metadata group's LUT base.
+    #[inline]
+    fn for_each(&self, mut visit: impl FnMut(u32, usize, usize)) {
+        let Codes(origin, offsets, padded) = *self;
+        for (p, &(dst, lut)) in offsets.iter().enumerate() {
+            if !padded || dst != PAD {
+                visit(p as u32 * (32 / N as u32), origin.0 + dst, origin.1 + lut);
+            }
+        }
+    }
+}
 
 /// Layout induction as a value (paper §IV-A(1), Fig. 5): the fragment
 /// mapping, the warp tiling and the in-register interleave resolved once
-/// into one entry per physical code position, in word-stream order.
+/// into one origin per 32-bit register of the word stream plus the offsets
+/// its code positions share with their neighbours.
 ///
 /// The Residual Kernel gathers codes into registers through it and the
-/// Packing Kernel scatters them back out, so the "unified instruction
+/// Packing Kernel scatters them back out — token-major, or channel-major
+/// into a Kᵀ tile, by choice of strides — so the "unified instruction
 /// configuration" of §IV-A(4) is literally one table; this builder is the
 /// only place the layout is still derived from first principles.
 #[derive(Debug)]
 pub(crate) struct FragmentPlan {
     key: PlanKey,
-    /// `codes_per_u32(width)` consecutive slots per 32-bit register,
-    /// indexed by physical nibble/crumb position.
-    slots: Vec<Slot>,
+    /// Per register, the smallest token, channel and LUT base of its codes.
+    regs: Vec<Slot>,
+    /// Offset patterns covering `regs` front to back.
+    runs: Vec<Run>,
 }
 
 impl FragmentPlan {
@@ -111,8 +136,9 @@ impl FragmentPlan {
         assert_eq!(n_total % shape.n(), 0, "N dim must tile by {}", shape.n());
         let levels = key.width.levels() as usize;
         assert!(
-            key.tokens * key.dim * levels < PAD as usize,
-            "block too large for 32-bit plan offsets"
+            key.tokens.max(key.dim) <= u16::MAX as usize
+                && key.tokens * key.dim * levels <= u32::MAX as usize,
+            "block too large for the plan's 16- and 32-bit offsets"
         );
         let kt = k_total / shape.k();
         let nt = n_total / shape.n();
@@ -143,35 +169,50 @@ impl FragmentPlan {
             })
             .collect();
 
-        let mut slots = Vec::with_capacity(wn * 32 * regs32_per_lane * per_reg32);
+        let mut plan = FragmentPlan {
+            key,
+            regs: Vec::with_capacity(wn * 32 * regs32_per_lane),
+            runs: Vec::new(),
+        };
         for w in 0..wn {
             for lane in 0..32 {
                 for r32 in 0..regs32_per_lane {
-                    for &logical in &logical_of {
+                    let codes = logical_of.iter().map(|&logical| {
                         let e = r32 * per_reg32 + logical;
-                        if e >= stream_len {
-                            slots.push(Slot { dst: PAD, lut: 0 });
-                            continue;
-                        }
-                        let tile = e / regs;
-                        let nj = w * tiles_per_warp + tile % tiles_per_warp;
-                        let (kl, nl) = blayout.coords(lane, e % regs);
-                        let k = (tile / tiles_per_warp) * shape.k() + kl;
-                        let n = nj * shape.n() + nl;
-                        let (t, c) = if key.key_orientation { (n, k) } else { (k, n) };
-                        let group = match key.granularity {
-                            KeyGranularity::ChannelWise => (t / key.group) * key.dim + c,
-                            KeyGranularity::TensorWise => t * cgroups + c / key.group,
-                        };
-                        slots.push(Slot {
-                            dst: (t * key.dim + c) as u32,
-                            lut: (group * levels) as u32,
-                        });
-                    }
+                        (e < stream_len).then(|| {
+                            let tile = e / regs;
+                            let nj = w * tiles_per_warp + tile % tiles_per_warp;
+                            let (kl, nl) = blayout.coords(lane, e % regs);
+                            let k = (tile / tiles_per_warp) * shape.k() + kl;
+                            let n = nj * shape.n() + nl;
+                            let (t, c) = if key.key_orientation { (n, k) } else { (k, n) };
+                            let group = match key.granularity {
+                                KeyGranularity::ChannelWise => (t / key.group) * key.dim + c,
+                                KeyGranularity::TensorWise => t * cgroups + c / key.group,
+                            };
+                            [t, c, group * levels]
+                        })
+                    });
+                    plan.push_register(codes.collect());
                 }
             }
         }
-        FragmentPlan { key, slots }
+        plan
+    }
+
+    /// Appends one register given the `[token, channel, LUT base]` of each
+    /// physical position, extending the last run if its offsets repeat.
+    fn push_register(&mut self, codes: Vec<Option<[usize; 3]>>) {
+        let slot = |[t, c, lut]: [usize; 3]| (t as u16, c as u16, lut as u32);
+        let live = || codes.iter().flatten();
+        let origin = std::array::from_fn(|i| live().map(|s| s[i]).min().unwrap_or(0));
+        let offset = |s: [usize; 3]| slot(std::array::from_fn(|i| s[i] - origin[i]));
+        let offsets: Vec<_> = codes.iter().map(|code| code.map(offset)).collect();
+        self.regs.push(slot(origin));
+        match self.runs.last_mut() {
+            Some(run) if run.offsets == offsets => run.regs += 1,
+            _ => self.runs.push(Run { regs: 1, offsets }),
+        }
     }
 
     /// The process-wide plan for `key`, built on first use. Keyed by the
@@ -203,7 +244,7 @@ impl FragmentPlan {
 
     /// 16-bit storage words in a tensor packed under this plan.
     fn words(&self) -> usize {
-        self.slots.len() / codes_per_u32(self.key.width) * 2
+        self.regs.len() * 2
     }
 
     /// `half2` metadata groups in a tensor quantized under this plan.
@@ -234,6 +275,28 @@ impl FragmentPlan {
         (words, params)
     }
 
+    /// The one walk over the table: hands `visit` every 32-bit register of
+    /// the word stream in order — its index and its code positions resolved
+    /// against a destination with `[per token, per channel]` strides.
+    #[inline]
+    fn for_each_register<const N: usize>(
+        &self,
+        [per_token, per_channel]: [usize; 2],
+        mut visit: impl FnMut(usize, Codes<'_, N>),
+    ) {
+        let at = |&(t, c, _): &Slot| t as usize * per_token + c as usize * per_channel;
+        let resolve = |s: &Slot| (at(s), s.2 as usize);
+        let mut regs = self.regs.iter().enumerate();
+        for run in &self.runs {
+            let offsets =
+                std::array::from_fn(|p| run.offsets[p].as_ref().map_or((PAD, 0), resolve));
+            let padded = run.offsets.contains(&None);
+            for (r, origin) in regs.by_ref().take(run.regs) {
+                visit(r, Codes(resolve(origin), &offsets, padded));
+            }
+        }
+    }
+
     /// The Residual Kernel's quantize + pack: token-major codes land in
     /// the calling thread's scratch and are gathered through the table
     /// straight into the tensor's word stream, each 32-bit register split
@@ -260,50 +323,44 @@ impl FragmentPlan {
         })
     }
 
-    /// The gather half of the plan for registers of `N` codes — one arm
-    /// per width, like [`FragmentPlan::scatter_regs`], so every register's
-    /// shifts are constants.
+    /// The gather half of the plan for registers of `N` codes.
     fn gather_regs<const N: usize>(&self, codes: &[u8], words: &mut Vec<u16>) {
-        let bits = 32 / N as u32;
-        let (regs, _) = self.slots.as_chunks::<N>();
-        for reg_slots in regs {
+        self.for_each_register::<N>([self.key.dim, 1], |_, positions| {
             let mut reg32 = 0u32;
-            for (p, slot) in reg_slots.iter().enumerate() {
-                if slot.dst != PAD {
-                    reg32 |= u32::from(codes[slot.dst as usize]) << (p as u32 * bits);
-                }
-            }
+            positions.for_each(|shift, dst, _| reg32 |= u32::from(codes[dst]) << shift);
             let (lo, hi) = split_register(reg32);
             words.extend([lo, hi]);
-        }
+        });
     }
 
     /// The Packing Kernel's unpack: streams `words` register by register
-    /// and hands every code to `store` with the slot it belongs to.
+    /// into `store(dst, lut, code)`, destinations laid out by `strides`.
     #[inline]
-    fn scatter(&self, words: &[u16], store: impl FnMut(Slot, usize)) {
+    fn scatter(&self, words: &[u16], strides: [usize; 2], store: impl FnMut(usize, usize, usize)) {
         // One arm per width, so each register's extraction unrolls with
         // constant shifts.
         match self.key.width {
-            BitWidth::B4 => self.scatter_regs::<8>(words, store),
-            BitWidth::B2 => self.scatter_regs::<16>(words, store),
+            BitWidth::B4 => self.scatter_regs::<8>(words, strides, store),
+            BitWidth::B2 => self.scatter_regs::<16>(words, strides, store),
         }
     }
 
     /// [`FragmentPlan::scatter`] for registers of `N` codes.
     #[inline]
-    fn scatter_regs<const N: usize>(&self, words: &[u16], mut store: impl FnMut(Slot, usize)) {
-        let bits = 32 / N as u32;
-        let mask = (1u32 << bits) - 1;
-        let (regs, _) = self.slots.as_chunks::<N>();
-        for (pair, reg_slots) in words.chunks_exact(2).zip(regs) {
-            let reg32 = fuse_words(pair[0], pair[1]);
-            for (p, &slot) in reg_slots.iter().enumerate() {
-                if slot.dst != PAD {
-                    store(slot, ((reg32 >> (p as u32 * bits)) & mask) as usize);
-                }
-            }
-        }
+    fn scatter_regs<const N: usize>(
+        &self,
+        words: &[u16],
+        strides: [usize; 2],
+        mut store: impl FnMut(usize, usize, usize),
+    ) {
+        let mask = (1u32 << (32 / N as u32)) - 1;
+        let (pairs, _) = words.as_chunks::<2>();
+        self.for_each_register::<N>(strides, |r, positions| {
+            let [lo, hi] = pairs[r];
+            let reg32 = fuse_words(lo, hi);
+            positions
+                .for_each(|shift, dst, lut| store(dst, lut, ((reg32 >> shift) & mask) as usize));
+        });
     }
 
     /// The materializing decode: codes scattered into a token-major code
@@ -319,44 +376,39 @@ impl FragmentPlan {
         } = self.key;
         let (words, params) = self.payload(tensor);
         let mut codes = vec![0u8; tokens * dim];
-        self.scatter(words, |slot, code| codes[slot.dst as usize] = code as u8);
+        self.scatter(words, [dim, 1], |dst, _, code| codes[dst] = code as u8);
         dequantize_int_codes(&codes, params, tokens, dim, width, granularity, group)
     }
 
     /// Fused unpack **and** dequantize: streams the packed words through
     /// the plan, converting each code to its FP16 value inline (the same
     /// per-group FMA as [`bd_kvcache::dequantize_int_codes`], hardware-
-    /// realised by the `lop3` fast path) and scattering it token-major into
-    /// `out` — no intermediate code matrix, no second pass, no transpose.
-    /// Values are bit-identical to [`FragmentPlan::decode`]'s.
+    /// realised by the `lop3` fast path) and scattering it into `out` —
+    /// token-major, or `transposed` into the `dim × tokens` tile — with no
+    /// intermediate code matrix, no second pass, no transpose. Values are
+    /// bit-identical to [`FragmentPlan::decode`]'s.
     ///
     /// Returns the modelled fast-dequant instruction counts for the words
     /// streamed (two 16-bit storage words per 32-bit register conversion).
     fn decode_fused(
         &self,
         tensor: &PackedTensor,
+        transposed: bool,
         lut: &mut Vec<f32>,
         out: &mut TokenMatrix,
     ) -> FastDequantOps {
+        let (tokens, dim) = self.shape();
         let (words, params) = self.payload(tensor);
-        out.resize_tokens(self.key.tokens, self.key.dim);
+        let (rows, cols, strides) = if transposed {
+            (dim, tokens, [1, tokens])
+        } else {
+            (tokens, dim, [dim, 1])
+        };
+        out.resize_tokens(rows, cols);
         let flat = out.as_mut_slice();
-
-        // Per-group dequantization LUT: `2^β` values per metadata group —
-        // the value-level equivalent of precomputing the fast path's
-        // FusedScale constants once per group instead of re-deriving them
-        // per element. Same f32 operations as `QuantParams::dequantize`
-        // (an integer code is exact in FP16), with the group's two
-        // conversions hoisted.
-        let levels = self.key.width.levels();
-        lut.clear();
-        for &h in params {
-            let p = QuantParams::from_half2(h);
-            let (scale, zero) = (p.scale.to_f32(), p.zero.to_f32());
-            lut.extend((0..levels).map(|code| F16::from_f32(code as f32 * scale + zero).to_f32()));
-        }
-        self.scatter(words, |slot, code| {
-            flat[slot.dst as usize] = lut[slot.lut as usize + code];
+        let lut = dequant_lut(params, self.key.width.levels() as usize, lut);
+        self.scatter(words, strides, |dst, lut0, code| {
+            flat[dst] = lut[lut0 + code]
         });
 
         let regs32 = words.len() as u32 / 2;
@@ -367,6 +419,27 @@ impl FragmentPlan {
             hfma2: per_reg.hfma2 * regs32,
         }
     }
+}
+
+/// Per-group dequantization LUT, entry `group · levels + code`: the
+/// value-level equivalent of precomputing the fast path's FusedScale
+/// constants once per group. Same f32 operations as
+/// `QuantParams::dequantize` (an integer code is exact in FP16), with each
+/// `half2` widened once and the FMA's FP16 rounding applied to the whole
+/// slab, which is staged unrounded in the back half of `buf`.
+fn dequant_lut<'b>(params: &[Half2], levels: usize, buf: &'b mut Vec<f32>) -> &'b [f32] {
+    let codes: [f32; 16] = std::array::from_fn(|code| code as f32);
+    buf.resize(2 * params.len() * levels, 0.0);
+    let (lut, unrounded) = buf.split_at_mut(params.len() * levels);
+    for (entries, &h) in unrounded.chunks_exact_mut(levels).zip(params) {
+        let p = QuantParams::from_half2(h);
+        let (scale, zero) = (p.scale.to_f32(), p.zero.to_f32());
+        for (entry, code) in entries.iter_mut().zip(codes) {
+            *entry = code * scale + zero;
+        }
+    }
+    round_through_f16(unrounded, lut);
+    lut
 }
 
 /// `(tokens, dim)` of a packed tensor — what selects its plan.
@@ -381,14 +454,17 @@ fn packed_shape(tensor: &PackedTensor) -> (usize, usize) {
 pub(crate) struct BlockDecoder {
     codec: FragmentCodec,
     scheme: QuantScheme,
+    k_transposed: bool,
     plans: Option<[Arc<FragmentPlan>; 2]>,
 }
 
 impl BlockDecoder {
-    pub(crate) fn new(codec: &FragmentCodec, scheme: QuantScheme) -> Self {
+    /// With `k_transposed`, K lands as the `dim × tokens` Kᵀ tile.
+    pub(crate) fn new(codec: &FragmentCodec, scheme: QuantScheme, k_transposed: bool) -> Self {
         BlockDecoder {
             codec: *codec,
             scheme,
+            k_transposed,
             plans: None,
         }
     }
@@ -409,15 +485,19 @@ impl BlockDecoder {
         }
         let Some([k_plan, v_plan]) = &self.plans else {
             // FP4 blocks (hardware block-scale layout) decode through the
-            // reference nibble walk, which is already flat token-major.
-            let (k, v) = ReferenceCodec.decode(block, self.scheme);
+            // reference nibble walk, which is flat token-major.
+            let (mut k, v) = ReferenceCodec.decode(block, self.scheme);
+            if self.k_transposed {
+                k = TokenMatrix::from_fn(k.dim(), k.tokens(), |c, t| k[t][c]);
+            }
             for (out, decoded) in [(k_out, k), (v_out, v)] {
                 out.resize_tokens(decoded.tokens(), decoded.dim());
                 out.as_mut_slice().copy_from_slice(decoded.as_slice());
             }
             return FastDequantOps::default();
         };
-        k_plan.decode_fused(&block.k, lut, k_out) + v_plan.decode_fused(&block.v, lut, v_out)
+        k_plan.decode_fused(&block.k, self.k_transposed, lut, k_out)
+            + v_plan.decode_fused(&block.v, false, lut, v_out)
     }
 }
 
@@ -489,7 +569,7 @@ impl FragmentCodec {
         k_out: &mut TokenMatrix,
         v_out: &mut TokenMatrix,
     ) -> FastDequantOps {
-        BlockDecoder::new(self, scheme).decode(block, &mut Vec::new(), k_out, v_out)
+        BlockDecoder::new(self, scheme, false).decode(block, &mut Vec::new(), k_out, v_out)
     }
 }
 
@@ -522,7 +602,7 @@ mod tests {
     use super::*;
     use bd_gpu_sim::MmaShape;
     use bd_kvcache::{CacheConfig, PagedKvStore};
-    use bd_lowbit::{pack_u32, PackOrder};
+    use bd_lowbit::{pack_u32, PackOrder, F16};
 
     /// The hand-written five-deep `(warp, lane, k-tile, tile-in-warp,
     /// register)` walks the plan replaced, kept verbatim as the reference
@@ -632,7 +712,9 @@ mod tests {
     /// Every `(Wn, order, width, dim, granularity)` the property tests
     /// cover, as `(layout, scheme, tokens, dim)` — full residual blocks,
     /// plus one 32-token shape whose K lanes hold half a register, so the
-    /// padding slots are exercised too.
+    /// padding offsets are exercised, and one 48-token shape whose lane
+    /// streams end mid-register or pair tiles unevenly, so a plan needs
+    /// more than one offset pattern.
     fn plan_grid() -> Vec<(PackLayout, QuantScheme, usize, usize)> {
         let mut grid = Vec::new();
         for warps_n in [1, 2, 4] {
@@ -653,6 +735,7 @@ mod tests {
                         grid.push((layout, scheme, layout.residual_block(width), dim));
                     }
                     grid.push((layout, scheme, 32, 16));
+                    grid.push((layout, scheme, 48, 16));
                 }
             }
         }
@@ -673,28 +756,57 @@ mod tests {
 
     #[test]
     fn plan_is_a_bijection_onto_the_block() {
-        let mut saw_padding = false;
+        let (mut saw_padding, mut saw_runs) = (false, false);
         for (layout, scheme, tokens, dim) in plan_grid() {
             for plan in block_plans(&FragmentCodec::new(layout), scheme, tokens, dim) {
-                let mut hits = vec![0u32; tokens * dim];
-                for slot in &plan.slots {
-                    if slot.dst == PAD {
-                        saw_padding = true;
-                    } else {
-                        hits[slot.dst as usize] += 1;
-                        assert!(
-                            (slot.lut as usize) < plan.params() * plan.key.width.levels() as usize
-                        );
+                let per_reg = codes_per_u32(plan.key.width);
+                let lut_len = plan.params() * plan.key.width.levels() as usize;
+                // Token-major and as the transposed tile: the same walk,
+                // the same registers and LUT bases, mirrored destinations.
+                let walk = |strides| {
+                    let mut codes = Vec::new();
+                    match plan.key.width {
+                        BitWidth::B4 => plan.for_each_register::<8>(strides, |r, positions| {
+                            positions.for_each(|shift, dst, lut| codes.push((r, shift, dst, lut)));
+                        }),
+                        BitWidth::B2 => plan.for_each_register::<16>(strides, |r, positions| {
+                            positions.for_each(|shift, dst, lut| codes.push((r, shift, dst, lut)));
+                        }),
                     }
+                    codes
+                };
+                let (token_major, transposed) = (walk([dim, 1]), walk([1, tokens]));
+                let mut hits = vec![0u32; tokens * dim];
+                let mut positions = vec![0u32; plan.regs.len()];
+                for (&(r, shift, dst, lut), &(rt, shift_t, dst_t, lut_t)) in
+                    token_major.iter().zip(&transposed)
+                {
+                    assert_eq!((r, shift, lut), (rt, shift_t, lut_t));
+                    assert_eq!(dst_t, dst % dim * tokens + dst / dim);
+                    assert!(lut < lut_len);
+                    hits[dst] += 1;
+                    assert_eq!(positions[r] & (1 << (shift / plan.key.width.bits())), 0);
+                    positions[r] |= 1 << (shift / plan.key.width.bits());
                 }
+                assert_eq!(token_major.len(), transposed.len());
                 assert!(
                     hits.iter().all(|&h| h == 1),
                     "{layout} {scheme} {tokens}x{dim}: every element exactly once"
                 );
-                assert_eq!(plan.slots.len() % codes_per_u32(plan.key.width), 0);
+                assert_eq!(
+                    plan.runs.iter().map(|run| run.regs).sum::<usize>(),
+                    plan.regs.len()
+                );
+                assert!(plan.runs.iter().all(|run| run.offsets.len() == per_reg));
+                saw_padding |= token_major.len() < plan.regs.len() * per_reg;
+                saw_runs |= plan.runs.len() > 1;
             }
         }
         assert!(saw_padding, "the grid must include a padded shape");
+        assert!(
+            saw_runs,
+            "the grid must include a shape with several offset patterns"
+        );
     }
 
     #[test]
@@ -768,6 +880,11 @@ mod tests {
                     group,
                 );
                 assert_eq!(decoded, &want, "{layout} {scheme} {tokens}x{dim}");
+                // The same walk under the other strides lands the transpose.
+                let mut tile = test_matrix(5, 3, 9.0);
+                plan.decode_fused(packed, true, &mut Vec::new(), &mut tile);
+                let transposed = TokenMatrix::from_fn(dim, tokens, |c, t| want[t][c]);
+                assert_eq!(tile, transposed, "{layout} {scheme} {tokens}x{dim}: tile");
             }
         }
     }
@@ -788,6 +905,54 @@ mod tests {
             codec.decode_block_fused(&block, scheme, &mut fk, &mut fv);
             assert_eq!(dk, fk, "{layout} {scheme} {tokens}x{dim}: K");
             assert_eq!(dv, fv, "{layout} {scheme} {tokens}x{dim}: V");
+        }
+    }
+
+    #[test]
+    fn slab_lut_equals_the_scalar_dequantization_entry_by_entry() {
+        // Every class of `half2` bit pattern a block can carry: `scale`
+        // zero, subnormal, ordinary, negative, huge; `zero` ±0, ordinary,
+        // subnormal, huge, ±Inf, NaN.
+        let scales = [
+            0x0000, 0x0001, 0x03FF, 0x2E66, 0x3C00, 0xB800, 0x7BFF, 0x7C00,
+        ];
+        let zeros = [
+            0x0000, 0x8000, 0x0200, 0xC100, 0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x7E00, 0xFE01,
+        ];
+        let classes: Vec<Half2> = scales
+            .iter()
+            .flat_map(|&s| zeros.map(|z| Half2::new(F16::from_bits(s), F16::from_bits(z))))
+            .collect();
+        let finite = |h: &Half2| {
+            (0..16).all(|code| (code as f32 * h.lo().to_f32() + h.hi().to_f32()).abs() < 65520.0)
+        };
+        let tame: Vec<Half2> = classes.iter().copied().filter(finite).collect();
+        assert!(tame.len() > 20 && tame.len() < classes.len());
+        let mut buf = vec![7.0; 3];
+        for width in [BitWidth::B4, BitWidth::B2] {
+            let levels = width.levels() as usize;
+            // Alone, in the slab pass (`tame`), and beside groups whose
+            // entries overflow FP16, which sends the slab to the
+            // element-by-element fallback of `round_through_f16`.
+            let singles = classes.iter().map(std::slice::from_ref);
+            for params in singles.chain([&tame[..], &classes[..]]) {
+                let lut = dequant_lut(params, levels, &mut buf);
+                assert_eq!(lut.len(), params.len() * levels);
+                for (entries, h) in lut.chunks_exact(levels).zip(params) {
+                    let (scale, zero) = (h.lo().to_f32(), h.hi().to_f32());
+                    for (code, got) in entries.iter().enumerate() {
+                        // A NaN's sign is whatever the FMA's operand order
+                        // made it — not defined even between two scalar
+                        // evaluations — so NaN entries match as a class.
+                        let same =
+                            |a: f32, b: f32| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
+                        let want = F16::from_f32(code as f32 * scale + zero).to_f32();
+                        let reference = QuantParams::from_half2(*h).dequantize(code as u8);
+                        assert!(same(*got, want), "{h:?} code {code}: {got} vs {want}");
+                        assert!(same(want, reference.to_f32()), "{h:?} code {code}");
+                    }
+                }
+            }
         }
     }
 

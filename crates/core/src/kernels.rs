@@ -15,9 +15,9 @@
 //!   race (paper Table III), which requires the explicit warp-sliced walk.
 //! * [`attend_packed_blocks_fused`] / [`attend_packed_blocks_parallel`] —
 //!   the **fused flat-layout** hot path (paper §IV): packed words stream
-//!   through the fast-dequant model straight into flat token-major buffers
-//!   in the orientation the `Q·Kᵀ` row-dot and `P·V` accumulation consume —
-//!   no intermediate K/V materialization, no per-block `transposed()`
+//!   through the fast-dequant model straight into each GEMM's B operand,
+//!   laid out along its N dimension (K as a channel-major Kᵀ tile, V
+//!   token-major) — no intermediate K/V materialization, no `transposed()`
 //!   round-trips. The parallel variant shards the block list across threads
 //!   with per-shard [`OnlineSoftmax`] partials combined by
 //!   [`OnlineSoftmax::merge`], mirroring the paper's cooperative split-K
@@ -26,15 +26,16 @@
 //!   within f32 accumulation-order noise (see `tests/proptests.rs`).
 
 use crate::codec::{BlockDecoder, FragmentCodec};
-use crate::softmax::OnlineSoftmax;
+use crate::softmax::{row_times_matrix, OnlineSoftmax};
 use bd_gpu_sim::{
     ldmatrix, mma, mma_block_scaled_fp4, wgmma_ss, AccFragment, FragmentLayout, MmaShape, Operand,
     Tile,
 };
 use bd_kvcache::{BlockCodec, PackedBlock, QuantScheme, TokenMatrix};
+use bd_lowbit::f16::round_through_f16;
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_lowbit::fp4::{quantize_fp4_block, E2M1};
-use bd_lowbit::{Fp4Kind, F16};
+use bd_lowbit::Fp4Kind;
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
@@ -217,15 +218,16 @@ pub fn attend_packed_blocks<B: Borrow<PackedBlock>>(
 struct KernelScratch {
     /// Per-group dequantization LUT of the tensor being decoded.
     lut: Vec<f32>,
-    /// Decoded K block — or, in the residual kernel, the engine-rounded
-    /// K window.
+    /// Decoded K block as the `dim × tokens` Kᵀ tile — or, in the residual
+    /// kernel, the engine-rounded token-major K window.
     k: TokenMatrix,
     /// Decoded V block.
     v: TokenMatrix,
     /// Engine-rounded `q · scale`, flat row-major (every sharer's rows
     /// back to back in the cascade walk).
     q_eff: Vec<f32>,
-    /// One block's `rows × tokens` score tile, flat row-major.
+    /// One block's `rows × tokens` score tile, flat row-major (before the
+    /// walk: `q · scale` on its way through FP16 into `q_eff`).
     scores: Vec<f32>,
 }
 
@@ -241,43 +243,47 @@ fn push_effective_queries(
     dim: usize,
     scale: f32,
     engine: MatmulEngine,
+    unrounded: &mut Vec<f32>,
     out: &mut Vec<f32>,
 ) {
+    unrounded.clear();
     for row in q {
         assert_eq!(row.len(), dim, "query row width");
-        out.extend(row.iter().map(|&x| match engine {
-            MatmulEngine::Mma => F16::from_f32(x * scale).to_f32(),
-            MatmulEngine::Wgmma => x * scale,
-        }));
+        unrounded.extend(row.iter().map(|&x| x * scale));
+    }
+    let start = out.len();
+    out.extend_from_slice(unrounded);
+    if engine == MatmulEngine::Mma {
+        round_through_f16(unrounded, &mut out[start..]);
     }
 }
 
-/// `S = Q_eff · Kᵀ` into `scores` (`rows × tokens`, flat): one contiguous
-/// sequential row-dot per score — decoded K is token-major, exactly the
-/// B-operand column each score needs.
-fn score_block(q_eff: &[f32], k: &TokenMatrix, scores: &mut Vec<f32>) {
+/// `S = Q_eff · Kᵀ` into `scores` (`rows × tokens`, flat) over the
+/// `dim × tokens` Kᵀ tile: tokens on the lanes, every score adding its
+/// `q[c] · k[c][t]` terms channel-ascending from `0.0` like the row-dot.
+fn score_block(q_eff: &[f32], kt: &TokenMatrix, scores: &mut Vec<f32>) {
+    let (dim, tokens) = (kt.tokens(), kt.dim());
     scores.clear();
-    for q_row in q_eff.chunks_exact(k.dim()) {
-        scores.extend(k.iter().map(|k_row| {
-            let mut acc = 0.0f32;
-            for (a, b) in q_row.iter().zip(k_row) {
-                acc += a * b;
-            }
-            acc
-        }));
+    scores.resize(q_eff.len() / dim * tokens, 0.0);
+    for (q_row, s_row) in q_eff
+        .chunks_exact(dim)
+        .zip(scores.chunks_exact_mut(tokens.max(1)))
+    {
+        row_times_matrix(q_row, kt.as_slice(), s_row);
     }
 }
 
 /// The fused flat-layout decode-and-attend kernel (paper §IV): for each
 /// block, packed u16 words stream through the fast-dequant model straight
-/// into flat token-major K/V buffers — decoded K lands directly in the
-/// layout the `Q·Kᵀ` row-dot consumes and V in the layout the `P·V`
-/// accumulation consumes, so no intermediate K/V matrices are built and no
-/// per-block `transposed()` round-trips happen. Every buffer lives in the
-/// calling thread's `KernelScratch` and the two fragment plans are
-/// resolved once per call; per block only the dequantization LUT's
-/// *values* are recomputed, because they depend on that block's
-/// quantization parameters.
+/// into the two B operands, each laid out along its GEMM's N dimension —
+/// K channel-major, as the `dim × tokens` Kᵀ tile `Q·Kᵀ` walks with tokens
+/// on the lanes, V token-major for the channel-lane `P·V` — so no K/V
+/// matrices are materialized or transposed. Lanes only ever run along N:
+/// every score and output channel still adds its terms in ascending K
+/// order, bit for bit the scalar row-dot. Every buffer lives in the calling
+/// thread's `KernelScratch` and the two fragment plans are resolved once
+/// per call; per block only the dequantization LUT's *values* are
+/// recomputed, because they depend on that block's quantization parameters.
 ///
 /// Operand precision mirrors the engine: the MMA path rounds both GEMM
 /// operands through FP16 fragments (`ldmatrix`), the WGMMA `_SS` path
@@ -308,8 +314,8 @@ pub fn attend_packed_blocks_fused<B: Borrow<PackedBlock>>(
             scores,
         } = scratch;
         q_eff.clear();
-        push_effective_queries(q, state.dim(), scale, engine, q_eff);
-        let mut decoder = BlockDecoder::new(codec, scheme);
+        push_effective_queries(q, state.dim(), scale, engine, scores, q_eff);
+        let mut decoder = BlockDecoder::new(codec, scheme, true);
         for block in blocks {
             ops += decoder.decode(block.borrow(), lut, k, v);
             score_block(q_eff, k, scores);
@@ -457,9 +463,8 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
     engine: MatmulEngine,
 ) -> (Vec<OnlineSoftmax>, FastDequantOps) {
     struct Plan {
-        rows: usize,
-        /// This sharer's rows inside the scratch `q_eff` buffer.
-        q_eff: std::ops::Range<usize>,
+        /// This sharer's query rows among all those in the scratch `q_eff`.
+        rows: std::ops::Range<usize>,
         n: usize,
         chunk: usize,
         chunks: Vec<OnlineSoftmax>,
@@ -475,23 +480,23 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
             scores,
         } = scratch;
         q_eff.clear();
+        let mut first_row = 0;
         let mut plans: Vec<Plan> = sharers
             .iter()
             .map(|s| {
                 let n = p + s.suffix.len();
-                let rows = s.q.len();
+                let rows = first_row..first_row + s.q.len();
+                first_row = rows.end;
                 // Same operand rounding as `attend_packed_blocks_fused`.
-                let q_start = q_eff.len();
-                push_effective_queries(s.q, dim, scale, engine, q_eff);
+                push_effective_queries(s.q, dim, scale, engine, scores, q_eff);
                 // Replicate the sharer's canonical split-K chunking exactly.
                 let shards = default_shards(n).clamp(1, n.max(1));
                 let chunk = n.div_ceil(shards).max(1);
                 let chunks = (0..n.div_ceil(chunk))
-                    .map(|_| OnlineSoftmax::new(rows, dim))
+                    .map(|_| OnlineSoftmax::new(s.q.len(), dim))
                     .collect();
                 Plan {
                     rows,
-                    q_eff: q_start..q_eff.len(),
                     n,
                     chunk,
                     chunks,
@@ -499,18 +504,16 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
             })
             .collect();
 
-        let mut apply = |plan: &mut Plan, b: usize, k: &TokenMatrix, v: &TokenMatrix| {
-            score_block(&q_eff[plan.q_eff.clone()], k, scores);
-            plan.chunks[b / plan.chunk].step_scores(scores, v);
-        };
-
         let max_n = plans.iter().map(|pl| pl.n).max().unwrap_or(0);
-        let mut decoder = BlockDecoder::new(codec, scheme);
-        // Shared prefix blocks: one decode each, every sharer consumes it.
+        let mut decoder = BlockDecoder::new(codec, scheme, true);
+        // Shared prefix blocks: one decode and one score call each (all
+        // sharers' rows sit back to back in `q_eff`), folded per sharer.
         for (b, block) in prefix.iter().take(max_n).enumerate() {
             ops += decoder.decode(block.borrow(), lut, k, v);
+            score_block(q_eff, k, scores);
             for plan in plans.iter_mut() {
-                apply(plan, b, k, v);
+                let own = plan.rows.start * v.tokens()..plan.rows.end * v.tokens();
+                plan.chunks[b / plan.chunk].step_scores(&mut scores[own], v);
             }
         }
         // Private suffix blocks: decoded per owner, as today.
@@ -518,7 +521,9 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
             for (plan, sharer) in plans.iter_mut().zip(sharers) {
                 if b < plan.n {
                     ops += decoder.decode(sharer.suffix[b - p].borrow(), lut, k, v);
-                    apply(plan, b, k, v);
+                    let own = plan.rows.start * dim..plan.rows.end * dim;
+                    score_block(&q_eff[own], k, scores);
+                    plan.chunks[b / plan.chunk].step_scores(scores, v);
                 }
             }
         }
@@ -530,7 +535,7 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
         .map(|pl| match pl.chunks.len() {
             // No packed blocks at all: the canonical path leaves the fresh
             // state untouched.
-            0 => OnlineSoftmax::new(pl.rows, dim),
+            0 => OnlineSoftmax::new(pl.rows.len(), dim),
             // Single shard: the fused walk ran straight into the (fresh)
             // state — the chunk partial *is* the state, no merge.
             1 => pl
@@ -542,7 +547,7 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
             // exact list `attend_packed_blocks_sharded` builds.
             _ => {
                 let mut all = Vec::with_capacity(pl.chunks.len() + 1);
-                all.push(OnlineSoftmax::new(pl.rows, dim));
+                all.push(OnlineSoftmax::new(pl.rows.len(), dim));
                 all.extend(pl.chunks);
                 OnlineSoftmax::merge(all)
             }
@@ -720,15 +725,13 @@ pub fn attend_residual_fused(
             k, q_eff, scores, ..
         } = scratch;
         q_eff.clear();
-        push_effective_queries(q, res_k.dim(), scale, engine, q_eff);
+        push_effective_queries(q, res_k.dim(), scale, engine, scores, q_eff);
         // `mma` loads K through FP16 fragments too: round the window once
         // per call, not once per query row.
         let k_eff = match engine {
             MatmulEngine::Mma => {
                 k.resize_tokens(res_k.tokens(), res_k.dim());
-                for (out, &x) in k.as_mut_slice().iter_mut().zip(res_k.as_slice()) {
-                    *out = F16::from_f32(x).to_f32();
-                }
+                round_through_f16(res_k.as_slice(), k.as_mut_slice());
                 &*k
             }
             MatmulEngine::Wgmma => res_k,

@@ -11,7 +11,34 @@
 //! inconsistency (Table III's "Valid ✗" row).
 
 use bd_gpu_sim::Tile;
-use bd_kvcache::TokenRows;
+use bd_kvcache::{TokenMatrix, TokenRows};
+
+/// `out[n] += Σ_k a[k] · b[k][n]` over row-major `b` (`a.len() × out.len()`)
+/// — either attention GEMM for one query row — with the MMA's N dimension
+/// on the lanes: each adds its terms in ascending `k`, literally the scalar
+/// dot product's sequence, side by side instead of one after another.
+pub(crate) fn row_times_matrix(a: &[f32], b: &[f32], out: &mut [f32]) {
+    // Tiles of 16 lanes stay in registers on the baseline target; columns
+    // past the last full tile go one at a time.
+    let done = row_times_lanes::<16>(a, b, out, 0);
+    row_times_lanes::<1>(a, b, out, done);
+}
+
+/// [`row_times_matrix`] over whole `L`-column tiles from `n`; returns its end.
+fn row_times_lanes<const L: usize>(a: &[f32], b: &[f32], out: &mut [f32], mut n: usize) -> usize {
+    while n + L <= out.len() {
+        let mut lanes = [0.0f32; L];
+        lanes.copy_from_slice(&out[n..n + L]);
+        for (&x, b_row) in a.iter().zip(b.chunks_exact(out.len())) {
+            for (lane, &y) in lanes.iter_mut().zip(&b_row[n..n + L]) {
+                *lane += x * y;
+            }
+        }
+        out[n..n + L].copy_from_slice(&lanes);
+        n += L;
+    }
+    n
+}
 
 /// Running flash-attention state for a block of query rows.
 ///
@@ -68,52 +95,38 @@ impl OnlineSoftmax {
     ///
     /// Panics on shape mismatch.
     pub fn step_tile(&mut self, s: &Tile, v: &Tile) {
-        self.step_rows(s, v);
-    }
-
-    /// [`OnlineSoftmax::step_tile`] over any token-matrix value
-    /// representation — the fused decode kernel feeds flat
-    /// [`bd_kvcache::TokenMatrix`] buffers here without copying them into
-    /// a [`Tile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn step_rows<V: TokenRows + ?Sized>(&mut self, s: &Tile, v: &V) {
         assert_eq!(s.rows(), self.rows(), "score tile rows");
-        assert_eq!(s.cols(), v.token_count(), "score/value token mismatch");
-        self.step_scores(s.as_slice(), v);
+        assert_eq!(s.cols(), v.rows(), "score/value token mismatch");
+        let v = TokenMatrix::from_flat(v.as_slice().to_vec(), v.cols());
+        self.step_scores(&mut s.as_slice().to_vec(), &v);
     }
 
-    /// [`OnlineSoftmax::step_rows`] over a flat row-major `rows × tokens`
-    /// score buffer, so the fused kernels can keep their scores in
-    /// reusable scratch instead of a fresh [`Tile`] per block.
+    /// [`OnlineSoftmax::step_tile`] over the fused kernels' scratch: a flat
+    /// row-major `rows × tokens` score buffer, overwritten with the
+    /// probabilities `exp(s − m)` so `P·V` runs channel lanes over a whole
+    /// row (every `l += p` and `acc += p·v` still in token order).
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub(crate) fn step_scores<V: TokenRows + ?Sized>(&mut self, s: &[f32], v: &V) {
-        let tokens = v.token_count();
+    pub(crate) fn step_scores(&mut self, s: &mut [f32], v: &TokenMatrix) {
+        let (tokens, dim) = (v.tokens(), self.dim);
         assert_eq!(s.len(), self.rows() * tokens, "score buffer shape");
-        assert_eq!(v.token_dim(), self.dim, "value dim mismatch");
-        let dim = self.dim;
-        for i in 0..self.rows() {
-            let s_row = &s[i * tokens..(i + 1) * tokens];
-            let row_max = s_row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        assert_eq!(v.dim(), dim, "value dim mismatch");
+        for (i, p_row) in s.chunks_exact_mut(tokens.max(1)).enumerate() {
+            let row_max = p_row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
             let m_new = self.m[i].max(row_max);
             let correction = (self.m[i] - m_new).exp();
             let mut l_new = self.l[i] * correction;
+            for p in p_row.iter_mut() {
+                *p = (*p - m_new).exp();
+                l_new += *p;
+            }
             let acc = &mut self.acc[i * dim..(i + 1) * dim];
             for a in acc.iter_mut() {
                 *a *= correction;
             }
-            for (t, &score) in s_row.iter().enumerate() {
-                let p = (score - m_new).exp();
-                l_new += p;
-                for (a, &vv) in acc.iter_mut().zip(v.token_row(t)) {
-                    *a += p * vv;
-                }
-            }
+            row_times_matrix(p_row, v.as_slice(), acc);
             self.m[i] = m_new;
             self.l[i] = l_new;
         }
