@@ -1,5 +1,6 @@
-//! Runs every figure and table reproduction in paper order. The output of
-//! this binary is what `EXPERIMENTS.md` records.
+//! Runs every figure and table reproduction in paper order and exits
+//! non-zero if any of them fails. The tables go to stdout; nothing in the
+//! repository records them.
 
 use std::process::Command;
 

@@ -1,8 +1,9 @@
 //! # bd-bench — the figure/table reproduction harness
 //!
 //! One binary per paper artefact (`src/bin/fig*.rs`, `src/bin/tab*.rs`),
-//! each printing the same rows/series the paper reports, plus criterion
-//! microbenches over the functional hot paths (`benches/`).
+//! each printing the same rows/series the paper reports. Measured speed
+//! lives elsewhere: `BENCHMARK.json` + the standalone `benchmark/` package
+//! at the repository root are the only timing harness.
 //!
 //! Run everything with `cargo run -p bd-bench --release --bin all_experiments`,
 //! or an individual artefact, e.g. `--bin fig10_ada`.
@@ -10,8 +11,6 @@
 use bd_baselines::DecodeSystem;
 use bd_core::DecodeShape;
 use bd_gpu_sim::GpuArch;
-
-pub mod traces;
 
 /// Prints a section banner.
 pub fn banner(title: &str) {

@@ -44,8 +44,8 @@
 //!
 //! [`Topology::flat`] wraps a single [`InterconnectModel`] and delegates
 //! to it verbatim — flat prices are **bit-for-bit** the legacy
-//! `InterconnectModel` prices, which keeps historical `BENCH_serve.json`
-//! grids valid.
+//! `InterconnectModel` prices, so a flat fleet's modeled columns are what
+//! they were before topologies existed.
 
 use crate::arch::GpuArch;
 use crate::cost::InterconnectModel;

@@ -496,29 +496,40 @@ mod tests {
         let attn = AttentionConfig::gqa(2, 1, 16);
         let trace = synth_trace(2.0, 5.0, (30, 80), 2, 11);
         let rows = trace_rows(&trace, 2.0);
-        let config = ServeConfig::new(64, 32, 0, 4);
-        let tracked = serve_scenario(
-            GpuArch::a100(),
-            attn,
-            QuantScheme::kc4(),
-            &rows,
-            ServePolicy::Fcfs,
-            ObsConfig::default().with_lifecycle(true),
-            config.clone(),
-        )
-        .unwrap();
-        let slo = tracked.summary.slo;
-        assert_eq!(tracked.summary.completed, trace.len());
-        assert_eq!(slo.completed as usize, tracked.summary.completed);
-        assert_eq!(slo.submitted as usize, trace.len());
-        assert_eq!(slo.ttft_steps.count as usize, trace.len());
-        assert!(slo.ttft_s.p99.is_finite());
-        assert!(slo.aggregate_goodput_tok_s > 0.0);
-        // Observability is bitwise invisible: with every instrument off
-        // the run emits the same streams and an all-zero SLO block.
-        let plain = serve(attn, QuantScheme::kc4(), &rows, ServePolicy::Fcfs, config);
-        assert_eq!(plain.summary.slo, SloSummary::default());
-        assert_eq!(plain.token_streams, tracked.token_streams);
+        // A roomy pool served in order, then one barely wider than a single
+        // request under the preempting policy: arrivals queue behind the
+        // pool and swap each other out, and every request still completes.
+        for (policy, pages, preempts) in [
+            (ServePolicy::Fcfs, 64, false),
+            (ServePolicy::FcfsPreempt, 4, true),
+        ] {
+            let config = ServeConfig::new(pages, 32, 0, 4);
+            let tracked = serve_scenario(
+                GpuArch::a100(),
+                attn,
+                QuantScheme::kc4(),
+                &rows,
+                policy,
+                ObsConfig::default().with_lifecycle(true),
+                config.clone(),
+            )
+            .unwrap();
+            let slo = tracked.summary.slo;
+            assert_eq!(tracked.summary.completed, trace.len());
+            assert_eq!(slo.completed as usize, tracked.summary.completed);
+            assert_eq!(slo.submitted as usize, trace.len());
+            assert_eq!(slo.ttft_steps.count as usize, trace.len());
+            assert!(slo.ttft_steps.p99 >= slo.ttft_steps.p50);
+            assert!(slo.ttft_s.p99.is_finite());
+            assert!(slo.aggregate_goodput_tok_s > 0.0);
+            assert_eq!(slo.preemptions as usize, tracked.summary.preemptions);
+            assert_eq!(tracked.summary.preemptions > 0, preempts);
+            // Observability is bitwise invisible: with every instrument off
+            // the run emits the same streams and an all-zero SLO block.
+            let plain = serve(attn, QuantScheme::kc4(), &rows, policy, config);
+            assert_eq!(plain.summary.slo, SloSummary::default());
+            assert_eq!(plain.token_streams, tracked.token_streams);
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Minimal JSON parser for validating exported artifacts in tests.
 //!
 //! The workspace is zero-external-dependency, yet several tests need to
-//! assert that emitted JSON (Chrome traces, `BENCH_serve.json`, JSONL
-//! event lines) is well-formed and has a particular shape. This is a
-//! small recursive-descent parser, sufficient for machine-emitted JSON:
+//! assert that emitted JSON (Chrome traces, JSONL event lines, the
+//! benchmark's result line) is well-formed and has a particular shape.
+//! This is a small recursive-descent parser for machine-emitted JSON:
 //! objects preserve **insertion order** (stored as a `Vec` of pairs,
 //! duplicate keys kept as-is) so field-order guarantees are testable.
 //!

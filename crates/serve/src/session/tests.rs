@@ -4,7 +4,7 @@ use crate::model::{replay_contiguous, SynthSequence};
 use crate::scheduler::{FcfsPreempt, ShortestRemainingFirst};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;
-use bd_kvcache::{PrefixCacheStats, QuantScheme};
+use bd_kvcache::{DeviceId, PrefixCacheStats, QuantScheme};
 use bd_obs::ClockDomain;
 
 fn decoder(attn: AttentionConfig) -> BitDecoder {
@@ -133,6 +133,75 @@ fn uneven_head_split_shows_in_device_utilization() {
     assert_eq!(m.per_device[1].units, 1);
     assert_eq!(m.per_device[0].utilization, 1.0);
     assert_eq!(m.per_device[1].utilization, 0.5);
+}
+
+#[test]
+fn weighted_placement_balances_the_mixed_fleet_and_stays_bitwise() {
+    // The shipped 2×H100 + 2×A100 fleet, 16 KV heads: apportioned by
+    // modeled decode throughput vs dealt uniformly, on the same fabric.
+    let attn = AttentionConfig::gqa(16, 16, 16);
+    let topo = bd_gpu_sim::builtin_topology("mixed_h100_a100").unwrap();
+    let weights = topo.device_weights();
+    let run = |modulo: bool| {
+        let mut config = ServeConfig::new(32, 32, 1, 4).with_topology(topo.clone());
+        if modulo {
+            config = config.with_devices(4, Partitioning::HeadModulo);
+        }
+        let mut session = ServeSession::new(decoder(attn), config);
+        let ids: Vec<RequestId> = (0..3)
+            .map(|i| {
+                let model = SynthSequence::new(attn, i, 140 + 20 * i as usize, 3);
+                session.submit(Box::new(model)).unwrap()
+            })
+            .collect();
+        let summary = session.run_to_completion();
+        assert_eq!(summary.completed, 3);
+        let heads: Vec<usize> = (0..session.devices())
+            .map(|d| session.store().device_stats(DeviceId(d as u32)).heads)
+            .collect();
+        // Utilization is modeled, not measured: every device's KV tokens
+        // over its throughput weight, against the slowest-finishing
+        // device — so it repeats exactly on any host.
+        for m in session.metrics() {
+            let load = |d: usize| m.per_device[d].kv_tokens as f64 / weights[d];
+            let critical = (0..4).map(load).fold(0.0, f64::max);
+            for (d, dev) in m.per_device.iter().enumerate() {
+                assert_eq!(
+                    dev.utilization,
+                    load(d) / critical,
+                    "step {} dev {d}",
+                    m.step
+                );
+            }
+        }
+        let streams: Vec<Vec<u32>> = ids
+            .iter()
+            .map(|id| session.stream(*id).unwrap().to_vec())
+            .collect();
+        let first: Vec<f64> = session.metrics()[0]
+            .per_device
+            .iter()
+            .map(|d| d.utilization)
+            .collect();
+        (heads, streams, summary.mean_device_utilization, first)
+    };
+    let (w_heads, w_streams, w_util, w) = run(false);
+    let (m_heads, m_streams, m_util, m) = run(true);
+    assert_eq!(w_heads, vec![5, 5, 3, 3]);
+    assert_eq!(m_heads, vec![4, 4, 4, 4]);
+    // Placement decides where bytes live, never what they are.
+    assert_eq!(w_streams, m_streams);
+    // Uniform sharding makes the A100s the stragglers and idles the H100s
+    // for ~38 % of every step; weighting moves the critical path onto the
+    // H100s and leaves the A100s ~4 % short of it.
+    assert_eq!((w[0], w[1], m[2], m[3]), (1.0, 1.0, 1.0, 1.0));
+    assert!(
+        m[0] < w[2] && w[2] < 1.0,
+        "modulo {} weighted {}",
+        m[0],
+        w[2]
+    );
+    assert!((w_util - 0.981).abs() < 1e-3 && (m_util - 0.812).abs() < 1e-3);
 }
 
 #[test]
@@ -798,6 +867,11 @@ fn cascade_grouping_dedups_compute_and_stays_bitwise() {
         attn.heads_kv * on_sum.steps,
         "the group persists across every decode step"
     );
+    assert_eq!(
+        on_sum.prefix_pages_walked_saved,
+        m0.prefix_pages_walked_saved * on_sum.steps,
+        "and skips the whole shared prefix for all but one sharer each time"
+    );
 
     // The whole point: strictly less dequant work for the same tokens.
     assert!(
@@ -855,6 +929,7 @@ fn prefix_cache_dedups_identical_prompts_and_forms_cascade_groups() {
         off_sum.shared_attn_groups, 0,
         "nothing shared without the cache"
     );
+    assert_eq!(off_sum.prefix_pages_walked_saved, 0);
     assert!(
         on_sum.peak_physical_pages < off_sum.peak_physical_pages,
         "content dedup did not shrink the footprint: {} vs {}",
@@ -1099,43 +1174,70 @@ fn metrics_pair_measured_and_modeled_costs() {
 fn device_loss_mid_run_recovers_all_streams_bitwise() {
     let attn = AttentionConfig::gqa(8, 4, 16);
     let dec = decoder(attn);
-    let config = ServeConfig::new(64, 8, 2, 8).with_devices(4, Partitioning::HeadModulo);
-    let plan = FaultPlan::new().device_loss(2, 1);
-    let mut session = ServeSession::new(dec.clone(), config).with_faults(plan);
-    let ids: Vec<RequestId> = (0..4)
-        .map(|i| {
-            session
-                .submit(Box::new(SynthSequence::new(
-                    attn,
-                    i,
-                    20 + 8 * i as usize,
-                    6,
-                )))
-                .unwrap()
-        })
-        .collect();
-    let summary = session.run_to_completion();
+    // The same workload healthy, with device 1 dead before the first
+    // decode step (the whole run executes on 3 survivors, nothing to
+    // recover), and with the loss striking mid-run (recompute replays).
+    let run = |plan: FaultPlan| {
+        let config = ServeConfig::new(64, 8, 2, 8).with_devices(4, Partitioning::HeadModulo);
+        let mut session = ServeSession::new(dec.clone(), config).with_faults(plan);
+        let ids: Vec<RequestId> = (0..4)
+            .map(|i| {
+                session
+                    .submit(Box::new(SynthSequence::new(
+                        attn,
+                        i,
+                        20 + 8 * i as usize,
+                        6,
+                    )))
+                    .unwrap()
+            })
+            .collect();
+        let summary = session.run_to_completion();
+        // The session did not abort: every request completed.
+        assert_eq!(summary.completed, 4);
+        assert_eq!(summary.requests_failed, 0);
+        // Streams are bitwise identical to uninterrupted contiguous
+        // replays, and no pages leak.
+        for (i, id) in ids.iter().enumerate() {
+            let mut m = SynthSequence::new(attn, i as u64, 20 + 8 * i, 6);
+            assert_eq!(
+                session.stream(*id).unwrap(),
+                replay_contiguous(&dec, &mut m).as_slice(),
+                "request {i} diverged after device loss"
+            );
+        }
+        assert_eq!(session.store().free_pages(), session.store().devices() * 64);
+        let done: Vec<usize> = ids
+            .iter()
+            .map(|id| session.completion_step(*id).unwrap())
+            .collect();
+        (session, summary, done)
+    };
+    let (healthy, hsum, healthy_done) = run(FaultPlan::new());
+    assert_eq!((healthy.devices(), hsum.faults_injected), (4, 0));
+    assert_eq!((hsum.recoveries, hsum.degraded_steps), (0, 0));
 
-    // The session did not abort: every request completed, on 3
-    // surviving devices, and the summary reports the fault.
-    assert_eq!(summary.completed, 4);
-    assert_eq!(summary.faults_injected, 1);
-    assert!(summary.recoveries >= 1, "actives at step 2 must recover");
-    assert!(summary.degraded_steps >= 1);
-    assert_eq!(summary.requests_failed, 0);
-    assert_eq!(session.devices(), 3);
-    assert_eq!(session.lost_devices(), &[1]);
-    // Recovered streams are bitwise identical to uninterrupted
-    // contiguous replays, and no pages leak.
-    for (i, id) in ids.iter().enumerate() {
-        let mut m = SynthSequence::new(attn, i as u64, 20 + 8 * i, 6);
+    for (loss_step, recovers) in [(0, false), (2, true)] {
+        let (faulted, summary, done) = run(FaultPlan::new().device_loss(loss_step, 1));
+        // On 3 surviving devices, and the summary reports the fault.
+        assert_eq!(faulted.devices(), 3, "loss at step {loss_step}");
+        assert_eq!(faulted.lost_devices(), &[1]);
+        assert_eq!(summary.faults_injected, 1);
+        assert!(summary.degraded_steps >= 1);
         assert_eq!(
-            session.stream(*id).unwrap(),
-            replay_contiguous(&dec, &mut m).as_slice(),
-            "request {i} diverged after device loss"
+            summary.recoveries >= 1,
+            recovers,
+            "loss at step {loss_step}"
+        );
+        // Recovery replays cost steps, never save them; a loss before any
+        // sequence is resident costs none.
+        assert!(done.iter().zip(&healthy_done).all(|(f, h)| f >= h));
+        assert_eq!(
+            done != healthy_done,
+            recovers,
+            "{done:?} vs {healthy_done:?}"
         );
     }
-    assert_eq!(session.store().free_pages(), session.store().devices() * 64);
 }
 
 #[test]
