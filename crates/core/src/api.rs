@@ -5,9 +5,8 @@
 use crate::codec::FragmentCodec;
 use crate::config::{query_transform, ungroup_outputs, AttentionConfig, QueryHeads};
 use crate::kernels::{
-    attend_packed_blocks, attend_packed_blocks_fp4, attend_packed_blocks_multi,
-    attend_packed_blocks_parallel, attend_residual, attend_residual_fused, MatmulEngine,
-    SharerBlocks,
+    attend_packed_blocks, attend_packed_blocks_fp4, attend_packed_blocks_fused,
+    attend_packed_blocks_multi, attend_residual, attend_residual_fused, MatmulEngine, PrefixSharer,
 };
 use crate::profiles::{decode_plan, ArchPath, OptimizationFlags};
 use crate::shape::DecodeShape;
@@ -18,6 +17,7 @@ use bd_kvcache::{
     CacheConfig, CacheError, PackLayout, PackedBlock, QuantScheme, QuantizedKvCache, TokenMatrix,
 };
 use bd_lowbit::fastpath::FastDequantOps;
+use bd_lowbit::Fp4Kind;
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -70,19 +70,23 @@ impl From<CacheError> for DecodeError {
     }
 }
 
-/// One sharer's inputs to [`BitDecoder::attend_head_partial_multi`]: its
-/// query block, the packed blocks past the shared prefix run (in logical
-/// order), and its FP16 residual window. `prefix ++ suffix ++ residual`
-/// is exactly what the independent path would attend over.
-pub struct PrefixSharer<'a, B> {
-    /// The sharer's per-head query rows.
-    pub q_block: &'a [Vec<f32>],
-    /// Packed blocks private to this sharer (past the shared prefix).
-    pub suffix: &'a [B],
-    /// The sharer's residual K window.
-    pub res_k: &'a TokenMatrix,
-    /// The sharer's residual V window.
-    pub res_v: &'a TokenMatrix,
+/// Fewest packed blocks in one [`BitDecoder::decode`] call that pay for
+/// fanning its heads over scoped threads (two threads' worth of ≥ 1K-token
+/// walks at INT4 `Nr = 128`); below it the heads run on the caller.
+const FAN_OUT_MIN_BLOCKS: usize = 16;
+
+/// Which kernels a configuration's heads run on, resolved once from the
+/// architecture path, scheme and flags.
+struct Route {
+    engine: MatmulEngine,
+    /// Blackwell native FP4: block-scaled MMA consumes the packed operands
+    /// directly (no dequantization, P requantized per tile).
+    fp4: Option<Fp4Kind>,
+    /// `Some(Wn)` for non-cooperative `Wn > 1`: the softmax race of paper
+    /// Table III, which only the materializing warp-sliced walk reproduces.
+    /// Every valid configuration computes the exact cooperative softmax and
+    /// takes the fused flat-layout kernels.
+    race_wn: Option<usize>,
 }
 
 /// Per-step latency report: one entry per launched kernel plus totals.
@@ -333,29 +337,74 @@ impl BitDecoder {
             }
         }
 
-        let mut outputs = Vec::with_capacity(batch);
-        let mut max_len = 0usize;
-        let mut max_res = 0usize;
-        for (b, heads) in q.iter().enumerate() {
-            let grouped = query_transform(heads, &self.attn);
-            let mut blocks_out = Vec::with_capacity(self.attn.heads_kv);
-            for (kv, q_block) in grouped.iter().enumerate() {
-                let head = b * self.attn.heads_kv + kv;
-                max_len = max_len.max(cache.len(head));
-                max_res = max_res.max(cache.residual_len(head));
-                let (res_k, res_v) = cache.residual(head);
-                let (rows, _ops) =
-                    self.attend_head(q_block, cache.packed_blocks(head), res_k, res_v);
-                blocks_out.push(rows);
-            }
-            outputs.push(ungroup_outputs(&blocks_out, &self.attn));
-        }
+        // The `batch × h_kv` heads are independent work units: a call that
+        // holds enough packed blocks fans them over scoped threads, results
+        // collected in unit order. Each head's walk is the same sequential
+        // kernel either way, so the outputs do not depend on the host.
+        let heads_kv = self.attn.heads_kv;
+        let grouped: Vec<_> = q.iter().map(|h| query_transform(h, &self.attn)).collect();
+        let unit = |head: usize| {
+            let (res_k, res_v) = cache.residual(head);
+            let q_block = &grouped[head / heads_kv][head % heads_kv];
+            let (rows, _ops) = self.attend_head(q_block, cache.packed_blocks(head), res_k, res_v);
+            rows
+        };
+        let units = cache.heads();
+        let packed: usize = (0..units).map(|h| cache.packed_blocks(h).len()).sum();
+        let threads = if packed < FAN_OUT_MIN_BLOCKS {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get().min(units))
+        };
+        let rows: Vec<Vec<Vec<f32>>> = if threads <= 1 {
+            (0..units).map(unit).collect()
+        } else {
+            let per_thread = units.div_ceil(threads);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..units)
+                    .step_by(per_thread)
+                    .map(|first| {
+                        let last = (first + per_thread).min(units);
+                        scope.spawn(move || (first..last).map(unit).collect::<Vec<_>>())
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        let outputs = rows
+            .chunks(heads_kv)
+            .map(|blocks_out| ungroup_outputs(blocks_out, &self.attn))
+            .collect();
 
+        let max_len = (0..units).map(|h| cache.len(h)).max().unwrap_or(0);
+        let max_res = (0..units).map(|h| cache.residual_len(h)).max().unwrap_or(0);
         let shape = DecodeShape::new(batch, self.attn, max_len.max(1)).with_residual(max_res);
         Ok(DecodeOutput {
             outputs,
             report: self.latency(&shape),
         })
+    }
+
+    fn route(&self) -> Route {
+        let wn = if self.flags.warp_parallelism {
+            self.layout.warps_n
+        } else {
+            1
+        };
+        Route {
+            engine: match self.path {
+                ArchPath::Sm90 => MatmulEngine::Wgmma,
+                _ => MatmulEngine::Mma,
+            },
+            fp4: match (self.path, self.scheme.kind()) {
+                (ArchPath::Sm100Fp4, SchemeKind::Fp4(kind)) => Some(kind),
+                _ => None,
+            },
+            race_wn: (!self.flags.cooperative_softmax && wn > 1).then_some(wn),
+        }
     }
 
     /// Attention for one `(sequence, kv-head)` **work unit**: the grouped
@@ -368,16 +417,17 @@ impl BitDecoder {
     /// The block list is generic over [`Borrow<PackedBlock>`]: a contiguous
     /// cache passes its slice, [`bd_kvcache::PagedKvStore`] passes the
     /// references it gathered through its page table. Valid (cooperative /
-    /// single-warp) configurations run the fused flat-layout kernel with
-    /// thread-sharded split-K softmax partials merged through
-    /// [`OnlineSoftmax::merge`]; non-cooperative `Wn > 1` configurations
-    /// run the materializing walk that models the paper Table III softmax
-    /// race; Blackwell FP4 schemes run the native block-scaled MMA path.
+    /// single-warp) configurations run the fused flat-layout kernels, one
+    /// sequential walk in block order — the result is a function of the
+    /// inputs alone, on every host; non-cooperative `Wn > 1`
+    /// configurations run the materializing walk that models the paper
+    /// Table III softmax race; Blackwell FP4 schemes run the native
+    /// block-scaled MMA path.
     ///
     /// Returns the normalized `g_q × d` output rows plus the fast-dequant
     /// instruction counts the fused path streamed (zero on the other
     /// paths).
-    pub fn attend_head<B: Borrow<PackedBlock> + Sync>(
+    pub fn attend_head<B: Borrow<PackedBlock>>(
         &self,
         q_block: &[Vec<f32>],
         blocks: &[B],
@@ -398,35 +448,20 @@ impl BitDecoder {
     /// [`OnlineSoftmax::finish`](OnlineSoftmax::finish) reconstructs the
     /// single-device [`BitDecoder::attend_head`] output bit for bit
     /// (merging a single partial is the identity).
-    pub fn attend_head_partial<B: Borrow<PackedBlock> + Sync>(
+    pub fn attend_head_partial<B: Borrow<PackedBlock>>(
         &self,
         q_block: &[Vec<f32>],
         blocks: &[B],
         res_k: &TokenMatrix,
         res_v: &TokenMatrix,
     ) -> (OnlineSoftmax, FastDequantOps) {
+        let route = self.route();
+        let engine = route.engine;
         let codec = self.codec();
         let scale = self.attn.scale();
-        let wn = if self.flags.warp_parallelism {
-            self.layout.warps_n
-        } else {
-            1
-        };
-        let coop = self.flags.cooperative_softmax;
-        let engine = match self.path {
-            ArchPath::Sm90 => MatmulEngine::Wgmma,
-            _ => MatmulEngine::Mma,
-        };
-        // Blackwell native FP4: block-scaled MMA consumes packed operands
-        // directly (no dequantization, P requantized per tile).
-        let fp4_kind = match (self.path, self.scheme.kind()) {
-            (ArchPath::Sm100Fp4, SchemeKind::Fp4(kind)) => Some(kind),
-            _ => None,
-        };
-
         let mut state = OnlineSoftmax::new(q_block.len(), self.attn.head_dim);
         let mut ops = FastDequantOps::default();
-        if let Some(kind) = fp4_kind {
+        if let Some(kind) = route.fp4 {
             attend_packed_blocks_fp4(
                 q_block,
                 blocks,
@@ -436,24 +471,7 @@ impl BitDecoder {
                 scale,
                 &mut state,
             );
-        } else if coop || wn == 1 {
-            // The valid configurations all compute the exact cooperative
-            // softmax, so the hot path is the fused flat-layout kernel with
-            // thread-sharded split-K partials merged through
-            // `OnlineSoftmax::merge`.
-            ops = attend_packed_blocks_parallel(
-                q_block,
-                blocks,
-                &codec,
-                self.scheme,
-                scale,
-                engine,
-                &mut state,
-            );
-        } else {
-            // Non-cooperative Wn > 1 models the softmax race of paper
-            // Table III, which only the materializing warp-sliced walk
-            // reproduces.
+        } else if let Some(wn) = route.race_wn {
             attend_packed_blocks(
                 q_block,
                 blocks,
@@ -461,19 +479,28 @@ impl BitDecoder {
                 self.scheme,
                 scale,
                 wn,
-                coop,
+                false,
+                engine,
+                &mut state,
+            );
+        } else {
+            ops = attend_packed_blocks_fused(
+                q_block,
+                blocks,
+                &codec,
+                self.scheme,
+                scale,
                 engine,
                 &mut state,
             );
         }
-        if coop || wn == 1 {
-            // Valid configurations take the fused flat-layout residual walk
-            // — bitwise identical to the materializing kernel, without the
+        match route.race_wn {
+            Some(wn) => {
+                attend_residual(q_block, res_k, res_v, scale, wn, false, engine, &mut state)
+            }
+            // Bitwise identical to the materializing kernel, without the
             // tile/transpose/fragment round-trips.
-            attend_residual_fused(q_block, res_k, res_v, scale, engine, &mut state);
-        } else {
-            // The softmax-race model needs the explicit warp-sliced walk.
-            attend_residual(q_block, res_k, res_v, scale, wn, coop, engine, &mut state);
+            None => attend_residual_fused(q_block, res_k, res_v, scale, engine, &mut state),
         }
         (state, ops)
     }
@@ -491,28 +518,13 @@ impl BitDecoder {
     /// performed (deduped on the fused path). Configurations outside the
     /// fused fast path (native FP4, non-cooperative multi-warp) fall back
     /// to per-sharer independent walks.
-    pub fn attend_head_partial_multi<B: Borrow<PackedBlock> + Sync>(
+    pub fn attend_head_partial_multi<B: Borrow<PackedBlock>>(
         &self,
         prefix: &[B],
         sharers: &[PrefixSharer<'_, B>],
     ) -> (Vec<OnlineSoftmax>, FastDequantOps) {
-        let codec = self.codec();
-        let scale = self.attn.scale();
-        let wn = if self.flags.warp_parallelism {
-            self.layout.warps_n
-        } else {
-            1
-        };
-        let coop = self.flags.cooperative_softmax;
-        let engine = match self.path {
-            ArchPath::Sm90 => MatmulEngine::Wgmma,
-            _ => MatmulEngine::Mma,
-        };
-        let fp4 = matches!(
-            (self.path, self.scheme.kind()),
-            (ArchPath::Sm100Fp4, SchemeKind::Fp4(_))
-        );
-        if fp4 || !(coop || wn == 1) {
+        let route = self.route();
+        if route.fp4.is_some() || route.race_wn.is_some() {
             // Outside the fused fast path the solo kernel has no
             // shared-decode structure to exploit; run each sharer
             // independently over its concatenated block list.
@@ -533,24 +545,18 @@ impl BitDecoder {
                 .collect();
             return (partials, ops);
         }
-        let blocks: Vec<SharerBlocks<'_, B>> = sharers
-            .iter()
-            .map(|s| SharerBlocks {
-                q: s.q_block,
-                suffix: s.suffix,
-            })
-            .collect();
+        let scale = self.attn.scale();
         let (mut partials, ops) = attend_packed_blocks_multi(
             prefix,
-            &blocks,
+            sharers,
             self.attn.head_dim,
-            &codec,
+            &self.codec(),
             self.scheme,
             scale,
-            engine,
+            route.engine,
         );
         for (state, s) in partials.iter_mut().zip(sharers) {
-            attend_residual_fused(s.q_block, s.res_k, s.res_v, scale, engine, state);
+            attend_residual_fused(s.q_block, s.res_k, s.res_v, scale, route.engine, state);
         }
         (partials, ops)
     }
@@ -709,6 +715,42 @@ mod tests {
         assert_eq!(out.outputs.len(), 2);
         assert_eq!(out.outputs[0].len(), 8);
         assert_eq!(out.outputs[1][7].len(), 32);
+    }
+
+    #[test]
+    fn decode_with_head_fan_out_equals_the_per_head_loop_bitwise() {
+        // Batch 2 × 4 KV heads × 2 packed blocks reaches the spawn
+        // threshold, so on a multi-core host the units run on scoped
+        // threads; per-head data and queries all differ, so a unit landing
+        // in the wrong slot shows.
+        let attn = AttentionConfig::gqa(8, 4, 32);
+        let dec = BitDecoder::builder(GpuArch::rtx4090())
+            .attention(attn)
+            .build();
+        let mut cache = dec.new_cache(2);
+        fill_cache(&dec, &mut cache, 128 * 2 + 19);
+        let packed: usize = (0..cache.heads())
+            .map(|h| cache.packed_blocks(h).len())
+            .sum();
+        assert!(packed >= FAN_OUT_MIN_BLOCKS);
+        let q = vec![query(&dec, 0), query(&dec, 1)];
+        let out = dec.decode(&q, &cache).unwrap();
+        for (b, heads) in q.iter().enumerate() {
+            let rows: Vec<_> = query_transform(heads, &attn)
+                .iter()
+                .enumerate()
+                .map(|(kv, q_block)| {
+                    let head = b * attn.heads_kv + kv;
+                    let (res_k, res_v) = cache.residual(head);
+                    dec.attend_head(q_block, cache.packed_blocks(head), res_k, res_v)
+                        .0
+                })
+                .collect();
+            let want = ungroup_outputs(&rows, &attn);
+            let bits =
+                |o: &QueryHeads| -> Vec<u32> { o.iter().flatten().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&out.outputs[b]), bits(&want), "batch {b}");
+        }
     }
 
     #[test]

@@ -11,19 +11,21 @@
 //! * [`attend_packed_blocks`] — the **materializing** reference path: each
 //!   block is decoded to a full [`TokenMatrix`], round-tripped through
 //!   [`Tile`]s and transposes, and multiplied tile-by-tile on the simulated
-//!   MMA fragments. It also models the non-cooperative multi-warp softmax
-//!   race (paper Table III), which requires the explicit warp-sliced walk.
-//! * [`attend_packed_blocks_fused`] / [`attend_packed_blocks_parallel`] —
-//!   the **fused flat-layout** hot path (paper §IV): packed words stream
+//!   MMA fragments. It is what the fused path is tested against, and it
+//!   models the non-cooperative multi-warp softmax race (paper Table III),
+//!   which requires the explicit warp-sliced walk.
+//! * [`attend_packed_blocks_fused`] / [`attend_packed_blocks_multi`] — the
+//!   **fused flat-layout** hot path (paper §IV): packed words stream
 //!   through the fast-dequant model straight into each GEMM's B operand,
 //!   laid out along its N dimension (K as a channel-major Kᵀ tile, V
 //!   token-major) — no intermediate K/V materialization, no `transposed()`
-//!   round-trips. The parallel variant shards the block list across threads
-//!   with per-shard [`OnlineSoftmax`] partials combined by
-//!   [`OnlineSoftmax::merge`], mirroring the paper's cooperative split-K
-//!   softmax, and falls back to the sequential fused walk for small
-//!   contexts. Both are numerically equivalent to the materializing path
-//!   within f32 accumulation-order noise (see `tests/proptests.rs`).
+//!   round-trips. Both run one block-walk body, sequentially in block
+//!   order: solo for one query block, cascade for several sharers' rows
+//!   back to back over a shared prefix. Nothing here reads the host — a
+//!   partial is a function of its inputs; parallelism lives across heads
+//!   ([`crate::BitDecoder::decode`], the serve worker pool), never inside
+//!   one. Numerically equivalent to the materializing path within f32
+//!   accumulation-order noise (see `tests/proptests.rs`).
 
 use crate::codec::{BlockDecoder, FragmentCodec};
 use crate::softmax::{row_times_matrix, OnlineSoftmax};
@@ -174,9 +176,10 @@ fn matrix_to_tile(m: &TokenMatrix) -> Tile {
 /// configured warp layout.
 ///
 /// The fused flat-layout path ([`attend_packed_blocks_fused`]) avoids all
-/// of the intermediate materialization; this path remains the ground truth
-/// it is tested against, and the only path that can model the
-/// non-cooperative `Wn > 1` softmax race.
+/// of the intermediate materialization; this path is the reference the
+/// fused path is tested against and the only one that can model the
+/// non-cooperative `Wn > 1` softmax race, so it is also what the ablation
+/// rows of `tab3_coop_softmax` decode through.
 ///
 /// Like every packed-attention kernel here, the block list is generic over
 /// [`Borrow<PackedBlock>`]: a contiguous cache passes its `&[PackedBlock]`
@@ -273,6 +276,33 @@ fn score_block(q_eff: &[f32], kt: &TokenMatrix, scores: &mut Vec<f32>) {
     }
 }
 
+impl KernelScratch {
+    /// The packed walk — the one body every fused entry point runs. Block
+    /// by block, in order: decode through the plan, score the Kᵀ tile
+    /// against the `q_rows` elements of `q_eff`, and fold the scores into
+    /// `states`, whose rows sit back to back in that range.
+    fn walk<B: Borrow<PackedBlock>>(
+        &mut self,
+        decoder: &mut BlockDecoder,
+        blocks: &[B],
+        q_rows: std::ops::Range<usize>,
+        states: &mut [OnlineSoftmax],
+    ) -> FastDequantOps {
+        let mut ops = FastDequantOps::default();
+        for block in blocks {
+            ops += decoder.decode(block.borrow(), &mut self.lut, &mut self.k, &mut self.v);
+            score_block(&self.q_eff[q_rows.clone()], &self.k, &mut self.scores);
+            let mut scores = self.scores.as_mut_slice();
+            for state in states.iter_mut() {
+                let (own, rest) = scores.split_at_mut(state.rows() * self.v.tokens());
+                state.step_scores(own, &self.v);
+                scores = rest;
+            }
+        }
+        ops
+    }
+}
+
 /// The fused flat-layout decode-and-attend kernel (paper §IV): for each
 /// block, packed u16 words stream through the fast-dequant model straight
 /// into the two B operands, each laid out along its GEMM's N dimension —
@@ -284,6 +314,12 @@ fn score_block(q_eff: &[f32], kt: &TokenMatrix, scores: &mut Vec<f32>) {
 /// thread's `KernelScratch` and the two fragment plans are resolved once
 /// per call; per block only the dequantization LUT's *values* are
 /// recomputed, because they depend on that block's quantization parameters.
+///
+/// The walk is sequential in block order on every host — this *is* the
+/// definition of a head's partial, so a result is a function of the inputs
+/// alone. Splitting a head's KV (across devices, or the GPU's split-KV
+/// CTAs priced in [`crate::profiles`]) is the caller's explicit
+/// [`OnlineSoftmax::merge`].
 ///
 /// Operand precision mirrors the engine: the MMA path rounds both GEMM
 /// operands through FP16 fragments (`ldmatrix`), the WGMMA `_SS` path
@@ -301,258 +337,82 @@ pub fn attend_packed_blocks_fused<B: Borrow<PackedBlock>>(
     engine: MatmulEngine,
     state: &mut OnlineSoftmax,
 ) -> FastDequantOps {
-    let mut ops = FastDequantOps::default();
-    if blocks.is_empty() {
-        return ops;
-    }
-    SCRATCH.with_borrow_mut(|scratch| {
-        let KernelScratch {
-            lut,
-            k,
-            v,
-            q_eff,
-            scores,
-        } = scratch;
-        q_eff.clear();
-        push_effective_queries(q, state.dim(), scale, engine, scores, q_eff);
-        let mut decoder = BlockDecoder::new(codec, scheme, true);
-        for block in blocks {
-            ops += decoder.decode(block.borrow(), lut, k, v);
-            score_block(q_eff, k, scores);
-            state.step_scores(scores, v);
-        }
-    });
-    ops
-}
-
-/// Smallest shard worth a thread: below ~8 blocks (≥1K tokens at INT4
-/// `Nr = 128`) the merge and spawn overhead outweighs the win, so the
-/// parallel path falls back to the sequential fused walk.
-const MIN_BLOCKS_PER_SHARD: usize = 8;
-
-fn default_shards(blocks: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    hw.min(blocks / MIN_BLOCKS_PER_SHARD).max(1)
-}
-
-/// [`attend_packed_blocks_fused`] sharded across `shards` OS threads: each
-/// shard runs the fused kernel over a contiguous block range into its own
-/// [`OnlineSoftmax`] partial, and the partials are combined with
-/// [`OnlineSoftmax::merge`] — the exact log-sum-exp reduction of the
-/// paper's cooperative split-K softmax (`shards = 1` is the sequential
-/// fused path, bit-for-bit).
-#[allow(clippy::too_many_arguments)]
-pub fn attend_packed_blocks_sharded<B: Borrow<PackedBlock> + Sync>(
-    q: &[Vec<f32>],
-    blocks: &[B],
-    codec: &FragmentCodec,
-    scheme: QuantScheme,
-    scale: f32,
-    engine: MatmulEngine,
-    shards: usize,
-    state: &mut OnlineSoftmax,
-) -> FastDequantOps {
     if blocks.is_empty() {
         return FastDequantOps::default();
     }
-    let shards = shards.clamp(1, blocks.len());
-    if shards == 1 {
-        return attend_packed_blocks_fused(q, blocks, codec, scheme, scale, engine, state);
-    }
-    let rows = state.rows();
-    let dim = state.dim();
-    let chunk = blocks.len().div_ceil(shards);
-    let results: Vec<(OnlineSoftmax, FastDequantOps)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .chunks(chunk)
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut partial = OnlineSoftmax::new(rows, dim);
-                    let ops = attend_packed_blocks_fused(
-                        q,
-                        shard,
-                        codec,
-                        scheme,
-                        scale,
-                        engine,
-                        &mut partial,
-                    );
-                    (partial, ops)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| panic!("split-K shard panicked"))
-            })
-            .collect()
-    });
-    let mut ops = FastDequantOps::default();
-    let mut partials = Vec::with_capacity(results.len() + 1);
-    partials.push(std::mem::replace(state, OnlineSoftmax::new(rows, dim)));
-    for (partial, shard_ops) in results {
-        partials.push(partial);
-        ops += shard_ops;
-    }
-    *state = OnlineSoftmax::merge(partials);
-    ops
+    SCRATCH.with_borrow_mut(|scratch| {
+        scratch.q_eff.clear();
+        let KernelScratch { q_eff, scores, .. } = scratch;
+        push_effective_queries(q, state.dim(), scale, engine, scores, q_eff);
+        let all_rows = 0..q_eff.len();
+        let mut decoder = BlockDecoder::new(codec, scheme, true);
+        scratch.walk(&mut decoder, blocks, all_rows, std::slice::from_mut(state))
+    })
 }
 
-/// The parallel fused decode path: shards the block list across the
-/// machine's available threads (sequential fused fallback for small
-/// contexts) and merges per-shard softmax partials. This is what
-/// [`crate::BitDecoder::decode`] runs for every valid (cooperative or
-/// single-warp) configuration.
-pub fn attend_packed_blocks_parallel<B: Borrow<PackedBlock> + Sync>(
-    q: &[Vec<f32>],
-    blocks: &[B],
-    codec: &FragmentCodec,
-    scheme: QuantScheme,
-    scale: f32,
-    engine: MatmulEngine,
-    state: &mut OnlineSoftmax,
-) -> FastDequantOps {
-    attend_packed_blocks_sharded(
-        q,
-        blocks,
-        codec,
-        scheme,
-        scale,
-        engine,
-        default_shards(blocks.len()),
-        state,
-    )
-}
-
-/// One sharer's view of a cascade multi-query walk: its query block plus
-/// the packed blocks that are private to it (everything past the shared
-/// prefix run). The sharer's full logical block list is
-/// `prefix ++ suffix`, exactly what the independent per-sequence path
-/// would hand [`attend_packed_blocks_parallel`].
-pub struct SharerBlocks<'a, B> {
+/// One sharer's inputs to [`crate::BitDecoder::attend_head_partial_multi`]:
+/// its query block, the packed blocks past the shared prefix run (in
+/// logical order), and its FP16 residual window. `prefix ++ suffix ++
+/// residual` is exactly what the independent path would attend over.
+/// [`attend_packed_blocks_multi`] reads the packed part (`q_block`,
+/// `suffix`); the residual fold is the caller's.
+pub struct PrefixSharer<'a, B> {
     /// The sharer's per-head query rows (un-scaled, as for the solo path).
-    pub q: &'a [Vec<f32>],
-    /// Packed blocks past the shared prefix, in logical order.
+    pub q_block: &'a [Vec<f32>],
+    /// Packed blocks private to this sharer (past the shared prefix).
     pub suffix: &'a [B],
+    /// The sharer's residual K window.
+    pub res_k: &'a TokenMatrix,
+    /// The sharer's residual V window.
+    pub res_v: &'a TokenMatrix,
 }
 
 /// Cascade multi-query fused walk (Hydragen-style shared-prefix
-/// attention): decodes each shared `prefix` block through the dequant
-/// LUTs **once** and applies the decoded K/V to every sharer's query
-/// block, then walks each sharer's private `suffix` individually. Each
-/// sharer gets its own un-normalized [`OnlineSoftmax`] partial built by
-/// replaying that sharer's canonical split-K plan — the same
-/// `default_shards` chunking, fresh per-chunk partials, and
-/// [`OnlineSoftmax::merge`] order [`attend_packed_blocks_parallel`] would
-/// use for `prefix ++ suffix` — so every returned partial is bitwise
-/// identical to the independent per-sequence walk. The walk itself is
-/// block-major and single-threaded: the compute saving is the deduped
-/// decode, reflected in the returned [`FastDequantOps`], which counts
-/// only work actually performed (shared prefix blocks once, not once per
-/// sharer).
-#[allow(clippy::too_many_arguments)]
+/// attention): [`attend_packed_blocks_fused`]'s block walk with every
+/// sharer's query rows back to back. Each shared `prefix` block is decoded
+/// through the dequant LUTs and scored **once**, then folded into every
+/// sharer's own un-normalized [`OnlineSoftmax`] partial; each sharer's
+/// private `suffix` then runs the same walk over its rows alone. A partial
+/// sees exactly the folds the solo walk over `prefix ++ suffix` would
+/// make, in the same order, so it is bitwise identical to it. The compute
+/// saving is the deduped decode, reflected in the returned
+/// [`FastDequantOps`], which counts only work actually performed (shared
+/// prefix blocks once, not once per sharer).
 pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
     prefix: &[B],
-    sharers: &[SharerBlocks<'_, B>],
+    sharers: &[PrefixSharer<'_, B>],
     dim: usize,
     codec: &FragmentCodec,
     scheme: QuantScheme,
     scale: f32,
     engine: MatmulEngine,
 ) -> (Vec<OnlineSoftmax>, FastDequantOps) {
-    struct Plan {
-        /// This sharer's query rows among all those in the scratch `q_eff`.
-        rows: std::ops::Range<usize>,
-        n: usize,
-        chunk: usize,
-        chunks: Vec<OnlineSoftmax>,
-    }
-    let p = prefix.len();
-    let mut ops = FastDequantOps::default();
-    let plans = SCRATCH.with_borrow_mut(|scratch| {
-        let KernelScratch {
-            lut,
-            k,
-            v,
-            q_eff,
-            scores,
-        } = scratch;
-        q_eff.clear();
-        let mut first_row = 0;
-        let mut plans: Vec<Plan> = sharers
-            .iter()
-            .map(|s| {
-                let n = p + s.suffix.len();
-                let rows = first_row..first_row + s.q.len();
-                first_row = rows.end;
-                // Same operand rounding as `attend_packed_blocks_fused`.
-                push_effective_queries(s.q, dim, scale, engine, scores, q_eff);
-                // Replicate the sharer's canonical split-K chunking exactly.
-                let shards = default_shards(n).clamp(1, n.max(1));
-                let chunk = n.div_ceil(shards).max(1);
-                let chunks = (0..n.div_ceil(chunk))
-                    .map(|_| OnlineSoftmax::new(s.q.len(), dim))
-                    .collect();
-                Plan {
-                    rows,
-                    n,
-                    chunk,
-                    chunks,
-                }
-            })
-            .collect();
-
-        let max_n = plans.iter().map(|pl| pl.n).max().unwrap_or(0);
-        let mut decoder = BlockDecoder::new(codec, scheme, true);
-        // Shared prefix blocks: one decode and one score call each (all
-        // sharers' rows sit back to back in `q_eff`), folded per sharer.
-        for (b, block) in prefix.iter().take(max_n).enumerate() {
-            ops += decoder.decode(block.borrow(), lut, k, v);
-            score_block(q_eff, k, scores);
-            for plan in plans.iter_mut() {
-                let own = plan.rows.start * v.tokens()..plan.rows.end * v.tokens();
-                plan.chunks[b / plan.chunk].step_scores(&mut scores[own], v);
-            }
-        }
-        // Private suffix blocks: decoded per owner, as today.
-        for b in p..max_n {
-            for (plan, sharer) in plans.iter_mut().zip(sharers) {
-                if b < plan.n {
-                    ops += decoder.decode(sharer.suffix[b - p].borrow(), lut, k, v);
-                    let own = plan.rows.start * dim..plan.rows.end * dim;
-                    score_block(&q_eff[own], k, scores);
-                    plan.chunks[b / plan.chunk].step_scores(scores, v);
-                }
-            }
-        }
-        plans
-    });
-
-    let partials = plans
-        .into_iter()
-        .map(|pl| match pl.chunks.len() {
-            // No packed blocks at all: the canonical path leaves the fresh
-            // state untouched.
-            0 => OnlineSoftmax::new(pl.rows.len(), dim),
-            // Single shard: the fused walk ran straight into the (fresh)
-            // state — the chunk partial *is* the state, no merge.
-            1 => pl
-                .chunks
-                .into_iter()
-                .next()
-                .unwrap_or_else(|| unreachable!("one chunk")),
-            // Split-K: merge [original fresh state] ++ chunk partials, the
-            // exact list `attend_packed_blocks_sharded` builds.
-            _ => {
-                let mut all = Vec::with_capacity(pl.chunks.len() + 1);
-                all.push(OnlineSoftmax::new(pl.rows.len(), dim));
-                all.extend(pl.chunks);
-                OnlineSoftmax::merge(all)
-            }
-        })
+    let mut partials: Vec<OnlineSoftmax> = sharers
+        .iter()
+        .map(|s| OnlineSoftmax::new(s.q_block.len(), dim))
         .collect();
+    let ops = SCRATCH.with_borrow_mut(|scratch| {
+        scratch.q_eff.clear();
+        let KernelScratch { q_eff, scores, .. } = scratch;
+        for s in sharers {
+            push_effective_queries(s.q_block, dim, scale, engine, scores, q_eff);
+        }
+        let all_rows = 0..q_eff.len();
+        let mut decoder = BlockDecoder::new(codec, scheme, true);
+        let mut ops = scratch.walk(&mut decoder, prefix, all_rows, &mut partials);
+        let mut first = 0;
+        for (s, partial) in sharers.iter().zip(&mut partials) {
+            let own_rows = first..first + s.q_block.len() * dim;
+            first = own_rows.end;
+            ops += scratch.walk(
+                &mut decoder,
+                s.suffix,
+                own_rows,
+                std::slice::from_mut(partial),
+            );
+        }
+        ops
+    });
     (partials, ops)
 }
 
@@ -967,49 +827,6 @@ mod tests {
                     for (x, y) in ar.iter().zip(br) {
                         assert!((x - y).abs() < 1e-4, "{scheme} {engine:?}: {x} vs {y}");
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_split_k_matches_sequential() {
-        let codec = FragmentCodec::new(PackLayout::sm80_default());
-        let scheme = QuantScheme::kc4();
-        let d = 32;
-        let gq = 4;
-        let (_, _, blocks) = synth_blocks(&codec, scheme, 128, 5, d);
-        let q: Vec<Vec<f32>> = (0..gq)
-            .map(|g| (0..d).map(|c| ((g * d + c) as f32 * 0.71).sin()).collect())
-            .collect();
-        let scale = 1.0 / (d as f32).sqrt();
-        let mut seq = OnlineSoftmax::new(gq, d);
-        attend_packed_blocks_fused(
-            &q,
-            &blocks,
-            &codec,
-            scheme,
-            scale,
-            MatmulEngine::Mma,
-            &mut seq,
-        );
-        for shards in [2, 3, 5] {
-            let mut par = OnlineSoftmax::new(gq, d);
-            attend_packed_blocks_sharded(
-                &q,
-                &blocks,
-                &codec,
-                scheme,
-                scale,
-                MatmulEngine::Mma,
-                shards,
-                &mut par,
-            );
-            let a = seq.clone().finish();
-            let b = par.finish();
-            for (ar, br) in a.iter().zip(&b) {
-                for (x, y) in ar.iter().zip(br) {
-                    assert!((x - y).abs() < 1e-5, "shards={shards}: {x} vs {y}");
                 }
             }
         }

@@ -54,15 +54,12 @@ pub mod profiles;
 pub mod shape;
 pub mod softmax;
 
-pub use api::{
-    BitDecoder, BitDecoderBuilder, DecodeError, DecodeOutput, DecodeReport, PrefixSharer,
-};
+pub use api::{BitDecoder, BitDecoderBuilder, DecodeError, DecodeOutput, DecodeReport};
 pub use codec::FragmentCodec;
 pub use config::{query_transform, ungroup_outputs, AttentionConfig, AttentionVariant, QueryHeads};
 pub use kernels::{
-    attend_packed_blocks, attend_packed_blocks_fused, attend_packed_blocks_multi,
-    attend_packed_blocks_parallel, attend_packed_blocks_sharded, attend_residual,
-    attend_residual_fused, matmul, matmul_via_mma, matmul_via_wgmma, MatmulEngine, SharerBlocks,
+    attend_packed_blocks, attend_packed_blocks_fused, attend_packed_blocks_multi, attend_residual,
+    attend_residual_fused, matmul, matmul_via_mma, matmul_via_wgmma, MatmulEngine, PrefixSharer,
 };
 pub use profiles::{
     choose_splits, combine_kernel_profile, decode_plan, fast_dequant_slots_per_elem, overlap_for,

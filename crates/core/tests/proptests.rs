@@ -6,9 +6,8 @@
 use bd_core::codec::FragmentCodec;
 use bd_core::softmax::{reference_attention, OnlineSoftmax};
 use bd_core::{
-    attend_packed_blocks, attend_packed_blocks_fused, attend_packed_blocks_multi,
-    attend_packed_blocks_parallel, attend_packed_blocks_sharded, attend_residual, query_transform,
-    ungroup_outputs, AttentionConfig, MatmulEngine, SharerBlocks,
+    attend_packed_blocks, attend_packed_blocks_fused, attend_packed_blocks_multi, attend_residual,
+    query_transform, ungroup_outputs, AttentionConfig, MatmulEngine, PrefixSharer,
 };
 use bd_gpu_sim::Tile;
 use bd_kvcache::{BlockCodec, PackLayout, PackedBlock, QuantScheme, TokenMatrix};
@@ -131,8 +130,8 @@ proptest! {
     }
 
     /// N-way merge of disjoint partials equals the single-state pass for
-    /// any shard count — the invariant the thread-parallel decode relies
-    /// on (1-shard vs N-shard equivalence of `OnlineSoftmax::merge`).
+    /// any shard count — the invariant the tensor-parallel all-reduce
+    /// relies on (1-shard vs N-shard equivalence of `OnlineSoftmax::merge`).
     #[test]
     fn merge_is_shard_count_invariant(seed: u64, shards in 2usize..6) {
         let rows = 3;
@@ -333,37 +332,6 @@ proptest! {
         );
     }
 
-    /// Thread-sharded split-K equals the sequential fused walk for any
-    /// shard count (1-thread vs N-thread equivalence through
-    /// `OnlineSoftmax::merge`).
-    #[test]
-    fn sharded_decode_is_shard_count_invariant(
-        seed: u64,
-        scheme in arb_int_scheme(),
-        shards in 1usize..6,
-        n_blocks in 1usize..5,
-    ) {
-        let codec = FragmentCodec::new(PackLayout::sm80_default());
-        let dim = 16;
-        let gq = 2;
-        let (_, _, blocks) = synth_blocks(&codec, scheme, n_blocks, dim, seed);
-        let q = matrix(gq, dim, seed ^ 31);
-        let scale = 1.0 / (dim as f32).sqrt();
-
-        let mut sequential = OnlineSoftmax::new(gq, dim);
-        attend_packed_blocks_fused(
-            &q, &blocks, &codec, scheme, scale, MatmulEngine::Mma, &mut sequential,
-        );
-        let mut sharded = OnlineSoftmax::new(gq, dim);
-        attend_packed_blocks_sharded(
-            &q, &blocks, &codec, scheme, scale, MatmulEngine::Mma, shards, &mut sharded,
-        );
-        prop_assert!(
-            max_diff(&sequential.finish(), &sharded.finish()) < 1e-5,
-            "shards = {shards}"
-        );
-    }
-
     /// Edge cases of the fused path: an empty block list leaves the state
     /// untouched, and a lone residual tail (partial block, down to a
     /// single token) still matches the dense reference.
@@ -412,8 +380,8 @@ proptest! {
         let scale = 1.0 / (dim as f32).sqrt();
 
         let mut state = OnlineSoftmax::new(gq, dim);
-        attend_packed_blocks_sharded(
-            &q, &blocks, &codec, scheme, scale, MatmulEngine::Mma, 2, &mut state,
+        attend_packed_blocks_fused(
+            &q, &blocks, &codec, scheme, scale, MatmulEngine::Mma, &mut state,
         );
         if tail > 0 {
             attend_residual(&q, &res_k, &res_v, scale, 4, true, MatmulEngine::Mma, &mut state);
@@ -440,7 +408,7 @@ proptest! {
     }
 
     /// Cascade multi-query walk: each sharer's partial is **bitwise**
-    /// identical to the independent per-sequence parallel walk over its
+    /// identical to the independent per-sequence fused walk over its
     /// full `prefix ++ suffix` block list, for any prefix length, sharer
     /// count, ragged suffix lengths, scheme, and engine — and the deduped
     /// dequant-op count is strictly below the per-sequence sum whenever a
@@ -470,10 +438,16 @@ proptest! {
             .collect();
         let scale = 1.0 / (dim as f32).sqrt();
 
-        let sharers: Vec<SharerBlocks<'_, PackedBlock>> = qs
+        let no_residual = TokenMatrix::new(dim);
+        let sharers: Vec<PrefixSharer<'_, PackedBlock>> = qs
             .iter()
             .zip(&suffixes)
-            .map(|(q, suffix)| SharerBlocks { q, suffix })
+            .map(|(q_block, suffix)| PrefixSharer {
+                q_block,
+                suffix,
+                res_k: &no_residual,
+                res_v: &no_residual,
+            })
             .collect();
         let (partials, multi_ops) =
             attend_packed_blocks_multi(prefix, &sharers, dim, &codec, scheme, scale, engine);
@@ -483,7 +457,7 @@ proptest! {
         for ((q, suffix), got) in qs.iter().zip(&suffixes).zip(&partials) {
             let all: Vec<&PackedBlock> = prefix.iter().chain(suffix.iter()).collect();
             let mut want = OnlineSoftmax::new(gq, dim);
-            let solo_ops = attend_packed_blocks_parallel(
+            let solo_ops = attend_packed_blocks_fused(
                 q, &all, &codec, scheme, scale, engine, &mut want,
             );
             solo_ops_total += solo_ops.total();

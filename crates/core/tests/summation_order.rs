@@ -2,14 +2,14 @@
 //! inside: the oracle below is the arithmetic written out one scalar
 //! operation at a time — every score a channel-ascending `acc += q·k` from
 //! `0.0`, every probability `exp(s − m)`, every output channel a
-//! token-ascending `acc += p·v`, split-K partials folded by the existing
-//! merge — and the kernels must reproduce it bit for bit, however many
-//! lanes they run side by side.
+//! token-ascending `acc += p·v`, blocks folded one after another into one
+//! state — and the kernels must reproduce it bit for bit, however many
+//! lanes they run side by side and whatever host they run on.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bd_core::{
     attend_packed_blocks_fused, attend_packed_blocks_multi, FragmentCodec, MatmulEngine,
-    OnlineSoftmax, SharerBlocks,
+    OnlineSoftmax, PrefixSharer,
 };
 use bd_kvcache::{BlockCodec, PackLayout, PackedBlock, QuantScheme, TokenMatrix};
 use bd_lowbit::F16;
@@ -72,27 +72,6 @@ fn oracle_walk(
     state
 }
 
-/// The split-K rule of the parallel and cascade walks, replayed over
-/// [`oracle_walk`]: contiguous chunks of blocks into fresh partials, merged
-/// behind a fresh state.
-fn oracle_split_k(
-    q: &[Vec<f32>],
-    blocks: &[Decoded],
-    scale: f32,
-    engine: MatmulEngine,
-) -> OnlineSoftmax {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shards = hw.min(blocks.len() / 8).max(1);
-    if shards == 1 {
-        return oracle_walk(q, blocks, scale, engine);
-    }
-    let mut partials = vec![OnlineSoftmax::new(q.len(), q[0].len())];
-    for chunk in blocks.chunks(blocks.len().div_ceil(shards)) {
-        partials.push(oracle_walk(q, chunk, scale, engine));
-    }
-    OnlineSoftmax::merge(partials)
-}
-
 fn assert_same_bits(got: &OnlineSoftmax, want: &OnlineSoftmax, what: &str) {
     let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&got.m), bits(&want.m), "{what}: m");
@@ -137,12 +116,18 @@ fn check(scheme: QuantScheme, tokens: usize, dim: usize, n_blocks: usize) {
 
         let want: Vec<OnlineSoftmax> = queries
             .iter()
-            .map(|q| oracle_split_k(q, &decoded, scale, engine))
+            .map(|q| oracle_walk(q, &decoded, scale, engine))
             .collect();
+        let no_residual = TokenMatrix::new(dim);
         for sharers in [1, 16] {
-            let views: Vec<SharerBlocks<'_, &PackedBlock>> = queries[..sharers]
+            let views: Vec<PrefixSharer<'_, &PackedBlock>> = queries[..sharers]
                 .iter()
-                .map(|q| SharerBlocks { q, suffix })
+                .map(|q_block| PrefixSharer {
+                    q_block,
+                    suffix,
+                    res_k: &no_residual,
+                    res_v: &no_residual,
+                })
                 .collect();
             let (partials, _) =
                 attend_packed_blocks_multi(prefix, &views, dim, &codec, scheme, scale, engine);
@@ -154,9 +139,9 @@ fn check(scheme: QuantScheme, tokens: usize, dim: usize, n_blocks: usize) {
     }
 }
 
-/// `dim ∈ {16, 32, 64, 128}` × 1, 3 and 17 full residual blocks (17 crosses
-/// the split-K threshold on a multi-core host), plus the padded 32 × 16
-/// shape whose K lanes hold half a register.
+/// `dim ∈ {16, 32, 64, 128}` × 1, 3 and 17 full residual blocks (17 is a
+/// walk long enough for the running max to move many times), plus the
+/// padded 32 × 16 shape whose K lanes hold half a register.
 fn check_scheme(scheme: QuantScheme) {
     let nr = PackLayout::sm80_default().residual_block(scheme.int_width().unwrap());
     for dim in [16, 32, 64, 128] {

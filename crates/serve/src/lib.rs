@@ -25,10 +25,11 @@
 //!   worker groups that fan `(sequence, kv-head, device)` work units each
 //!   decode step. Each unit runs [`bd_core::BitDecoder::attend_head_partial`]
 //!   — the per-head body of the single-sequence decode path, un-normalized
-//!   — against only its own device's arena, so batch-, head-, and
-//!   device-level parallelism compose with the kernel's split-K sharding
-//!   while results stay **bitwise identical** to per-sequence
-//!   [`bd_core::BitDecoder::decode`], at any worker *and device* count.
+//!   — against only its own device's arena; the kernel walk inside a unit
+//!   is sequential, so batch-, head-, and device-level parallelism never
+//!   touch a summation tree and results stay **bitwise identical** to
+//!   per-sequence [`bd_core::BitDecoder::decode`], at any worker *and
+//!   device* count.
 //! * **Scheduling** — [`session::ServeSession`]: submit / step / stream,
 //!   plus trace-driven arrivals ([`session::ServeSession::submit_at`]) so
 //!   sequences join mid-run when pages free up. Admission runs under a

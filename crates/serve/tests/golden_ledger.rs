@@ -13,9 +13,7 @@
 //! arrivals, a `submit_forked_at` pair off a mid-page prompt (CoW breaks),
 //! and two independent tenants repeating one prompt (radix hits), all
 //! with `ObsConfig::all()`. The longest context holds 3 packed blocks per
-//! head, far below the 16 at which the split-K shard count starts to
-//! follow `available_parallelism()`, so the constants hold on any host.
-//! Nothing hashed carries wall time: the event log has none, and of the
+//! head. Nothing hashed carries wall time: the event log has none, and of the
 //! metrics only the integer fields, the `degraded` flag and the bits of
 //! the modeled/derived floats go in.
 

@@ -11,9 +11,7 @@
 //! streams" must pass this file unedited.
 //!
 //! Each context holds 3 packed blocks per head at its longest (two sealed
-//! by the prefill, one sealed mid-decode), far below the 16 blocks at
-//! which the split-K shard count starts to follow
-//! `available_parallelism()`, so the constants hold on any host.
+//! by the prefill, one sealed mid-decode).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::too_many_lines)]
 
