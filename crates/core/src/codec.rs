@@ -19,9 +19,9 @@
 //!
 //! The induced layout depends only on the configuration and the tensor
 //! shape, never on the values, so it is computed once per shape as a
-//! `FragmentPlan` — one table entry per 32-bit register of the stream — and
-//! interned process-wide. Packing gathers through the table, unpacking
-//! (fused with dequantization or not) scatters through the same one.
+//! `FragmentPlan` — the list of `ldmatrix` tiles it is made of — and interned
+//! process-wide. Packing, unpacking and the fused dequantization are one
+//! walk over those tiles, a warp's 8 lanes side by side (§IV-A(2)).
 
 use bd_gpu_sim::{FragmentLayout, Operand};
 use bd_kvcache::{
@@ -54,66 +54,57 @@ struct PlanKey {
     key_orientation: bool,
 }
 
-/// `(token, channel, first dequant-LUT entry of the metadata group)` of a
-/// code: a register's origin, or a position's offset from it.
-type Slot = (u16, u16, u32);
-
-/// Consecutive registers whose positions sit at the same offsets from
-/// their origins (`None`: no value maps here — the tail of a lane stream
-/// that ends mid-register). Realistic shapes are one run; tiny ones add more.
-#[derive(Debug)]
-struct Run {
-    regs: usize,
-    offsets: Vec<Option<Slot>>,
-}
-
 thread_local! {
     /// Token-major codes of the tensor being encoded on this thread.
     static CODES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// Dequant LUT of the block `decode_block_fused` decodes on this thread.
+    static LUT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// `dst` offset standing in for a position that holds no code.
-const PAD: usize = usize::MAX;
+/// Lanes of a warp that share a thread-in-group: one `ldmatrix` tile's.
+const TILE_LANES: usize = 8;
 
-/// One register's `N` code positions resolved against a destination: its
-/// `(dst, lut)` origin, each position's offset, whether any is [`PAD`].
-struct Codes<'a, const N: usize>((usize, usize), &'a [(usize, usize); N], bool);
-
-impl<const N: usize> Codes<'_, N> {
-    /// Calls `visit(shift, dst, lut)` for every code: its bit offset in
-    /// the register, its destination and its metadata group's LUT base.
-    #[inline]
-    fn for_each(&self, mut visit: impl FnMut(u32, usize, usize)) {
-        let Codes(origin, offsets, padded) = *self;
-        for (p, &(dst, lut)) in offsets.iter().enumerate() {
-            if !padded || dst != PAD {
-                visit(p as u32 * (32 / N as u32), origin.0 + dst, origin.1 + lut);
-            }
-        }
-    }
+/// One code position of a tile: bits `shift..` of its 8 registers hold one
+/// K row's codes for 8 consecutive N coordinates, lane 0's at `(token,
+/// channel)` under metadata group `group`'s dequant-LUT line (none for a
+/// position past the end of a lane stream that ends mid-register).
+#[derive(Debug)]
+struct Segment {
+    shift: u8,
+    token: u16,
+    channel: u16,
+    group: u32,
 }
 
 /// Layout induction as a value (paper §IV-A(1), Fig. 5): the fragment
 /// mapping, the warp tiling and the in-register interleave resolved once
-/// into one origin per 32-bit register of the word stream plus the offsets
-/// its code positions share with their neighbours.
-///
-/// The Residual Kernel gathers codes into registers through it and the
-/// Packing Kernel scatters them back out — token-major, or channel-major
-/// into a Kᵀ tile, by choice of strides — so the "unified instruction
-/// configuration" of §IV-A(4) is literally one table; this builder is the
-/// only place the layout is still derived from first principles.
+/// into the list of `ldmatrix` tiles the layout is made of. A tile is the 8
+/// registers, `reg_stride` apart in the word stream, that the lanes sharing
+/// a thread-in-group hold at one register index; at every code position
+/// they hold 8 consecutive N coordinates of one K row (tokens of a Kᵀ row,
+/// channels of a V row), so a [`Segment`] names lane 0's. The Residual
+/// Kernel gathers codes into a tile's registers, the Packing Kernel
+/// dequantizes them back out — token-major, or into a Kᵀ tile, by choice of
+/// strides — so §IV-A(4)'s "unified instruction configuration" is one
+/// table; only `build` still derives the layout from first principles.
 #[derive(Debug)]
 pub(crate) struct FragmentPlan {
     key: PlanKey,
-    /// Per register, the smallest token, channel and LUT base of its codes.
-    regs: Vec<Slot>,
-    /// Offset patterns covering `regs` front to back.
-    runs: Vec<Run>,
+    /// Per tile, its first register and the end of its run of `segments`.
+    tiles: Vec<(u32, u32)>,
+    segments: Vec<Segment>,
+    /// Registers between a tile's consecutive lanes.
+    reg_stride: usize,
+    /// Metadata groups between a segment's consecutive lanes: one token's
+    /// for tensor-wise Keys, else 0 (the lanes run along the group).
+    group_step: usize,
+    /// Empty, unless some lane's group is not `group + lane · group_step` (a
+    /// group size 8 does not divide): then every segment's 8, at its `group`.
+    lane_groups: Vec<[u32; TILE_LANES]>,
 }
 
 impl FragmentPlan {
-    /// Induces the table. The physical stream is ordered by `(warp, lane,
+    /// Induces the tiles. The physical stream is ordered by `(warp, lane,
     /// register)`; each lane's logical stream runs over all of its k-tiles
     /// and its warp's n-tiles and is chunked densely into 32-bit registers
     /// (a register may span tiles, e.g. INT2's 16 codes vs 4 B-fragment
@@ -169,50 +160,57 @@ impl FragmentPlan {
             })
             .collect();
 
+        // `[n, k, metadata group]` of element `e` of a lane's stream.
+        let slot = |w: usize, lane: usize, e: usize| {
+            let tile = e / regs;
+            let nj = w * tiles_per_warp + tile % tiles_per_warp;
+            let (kl, nl) = blayout.coords(lane, e % regs);
+            let k = (tile / tiles_per_warp) * shape.k() + kl;
+            let n = nj * shape.n() + nl;
+            let (t, c) = if key.key_orientation { (n, k) } else { (k, n) };
+            let group = match key.granularity {
+                KeyGranularity::ChannelWise => (t / key.group) * key.dim + c,
+                KeyGranularity::TensorWise => t * cgroups + c / key.group,
+            };
+            [n, k, group]
+        };
         let mut plan = FragmentPlan {
             key,
-            regs: Vec::with_capacity(wn * 32 * regs32_per_lane),
-            runs: Vec::new(),
+            tiles: Vec::with_capacity(wn * 4 * regs32_per_lane),
+            segments: Vec::new(),
+            reg_stride: 4 * regs32_per_lane,
+            group_step: slot(0, 4, 0)[2] - slot(0, 0, 0)[2],
+            lane_groups: Vec::new(),
         };
-        for w in 0..wn {
-            for lane in 0..32 {
-                for r32 in 0..regs32_per_lane {
-                    let codes = logical_of.iter().map(|&logical| {
-                        let e = r32 * per_reg32 + logical;
-                        (e < stream_len).then(|| {
-                            let tile = e / regs;
-                            let nj = w * tiles_per_warp + tile % tiles_per_warp;
-                            let (kl, nl) = blayout.coords(lane, e % regs);
-                            let k = (tile / tiles_per_warp) * shape.k() + kl;
-                            let n = nj * shape.n() + nl;
-                            let (t, c) = if key.key_orientation { (n, k) } else { (k, n) };
-                            let group = match key.granularity {
-                                KeyGranularity::ChannelWise => (t / key.group) * key.dim + c,
-                                KeyGranularity::TensorWise => t * cgroups + c / key.group,
-                            };
-                            [t, c, group * levels]
-                        })
+        let (mut lane_groups, mut affine) = (Vec::new(), true);
+        for (w, tig) in (0..wn).flat_map(|w| (0..4).map(move |tig| (w, tig))) {
+            for r32 in 0..regs32_per_lane {
+                let elems = logical_of.iter().map(|logical| r32 * per_reg32 + logical);
+                for (p, e) in elems.enumerate().filter(|&(_, e)| e < stream_len) {
+                    let lanes: [_; TILE_LANES] =
+                        std::array::from_fn(|lane| slot(w, 4 * lane + tig, e));
+                    let [n, k, group] = lanes[0];
+                    // What `ldmatrix` transposes: consecutive N, one K.
+                    assert!((0..TILE_LANES).all(|i| lanes[i][..2] == [n + i, k]));
+                    affine &= (0..TILE_LANES).all(|i| lanes[i][2] == group + i * plan.group_step);
+                    let (t, c) = if key.key_orientation { (n, k) } else { (k, n) };
+                    plan.segments.push(Segment {
+                        shift: (p as u32 * key.width.bits()) as u8,
+                        token: t as u16,
+                        channel: c as u16,
+                        group: group as u32,
                     });
-                    plan.push_register(codes.collect());
+                    lane_groups.push(lanes.map(|[.., group]| group as u32));
                 }
+                let first = (w * 32 + tig) * regs32_per_lane + r32;
+                plan.tiles.push((first as u32, plan.segments.len() as u32));
             }
         }
-        plan
-    }
-
-    /// Appends one register given the `[token, channel, LUT base]` of each
-    /// physical position, extending the last run if its offsets repeat.
-    fn push_register(&mut self, codes: Vec<Option<[usize; 3]>>) {
-        let slot = |[t, c, lut]: [usize; 3]| (t as u16, c as u16, lut as u32);
-        let live = || codes.iter().flatten();
-        let origin = std::array::from_fn(|i| live().map(|s| s[i]).min().unwrap_or(0));
-        let offset = |s: [usize; 3]| slot(std::array::from_fn(|i| s[i] - origin[i]));
-        let offsets: Vec<_> = codes.iter().map(|code| code.map(offset)).collect();
-        self.regs.push(slot(origin));
-        match self.runs.last_mut() {
-            Some(run) if run.offsets == offsets => run.regs += 1,
-            _ => self.runs.push(Run { regs: 1, offsets }),
+        if !affine {
+            (plan.segments.iter_mut().zip(0..)).for_each(|(s, index)| s.group = index);
+            plan.lane_groups = lane_groups;
         }
+        plan
     }
 
     /// The process-wide plan for `key`, built on first use. Keyed by the
@@ -244,17 +242,15 @@ impl FragmentPlan {
 
     /// 16-bit storage words in a tensor packed under this plan.
     fn words(&self) -> usize {
-        self.regs.len() * 2
+        self.tiles.len() * TILE_LANES * 2
     }
 
     /// `half2` metadata groups in a tensor quantized under this plan.
     fn params(&self) -> usize {
-        let PlanKey {
-            tokens, dim, group, ..
-        } = self.key;
-        match self.key.granularity {
-            KeyGranularity::ChannelWise => tokens.div_ceil(group) * dim,
-            KeyGranularity::TensorWise => tokens * dim.div_ceil(group),
+        let key = self.key;
+        match key.granularity {
+            KeyGranularity::ChannelWise => key.tokens.div_ceil(key.group) * key.dim,
+            KeyGranularity::TensorWise => key.tokens * key.dim.div_ceil(key.group),
         }
     }
 
@@ -275,115 +271,106 @@ impl FragmentPlan {
         (words, params)
     }
 
-    /// The one walk over the table: hands `visit` every 32-bit register of
-    /// the word stream in order — its index and its code positions resolved
-    /// against a destination with `[per token, per channel]` strides.
+    /// Lane 0 of `s` in a destination of `[per token, per channel]` strides,
+    /// in 32 bits (`build` bounds the block): no window from it can wrap.
+    fn at(&self, s: &Segment, [per_token, per_channel]: [usize; 2]) -> usize {
+        let (token, channel) = (u32::from(s.token), u32::from(s.channel));
+        (token * per_token as u32 + channel * per_channel as u32) as usize
+    }
+
+    /// The metadata group of `lane` of segment `s`.
+    fn lane_group(&self, s: &Segment, lane: usize) -> usize {
+        match self.lane_groups.get(s.group as usize) {
+            Some(groups) => groups[lane] as usize,
+            None => s.group as usize + lane * self.group_step,
+        }
+    }
+
+    /// The stride between a segment's lanes (N) in such a destination.
+    fn lane_stride(&self, strides: [usize; 2]) -> usize {
+        strides[usize::from(!self.key.key_orientation)]
+    }
+
+    /// The one walk over the plan: hands `visit` every tile — the word-
+    /// stream indices of its 8 registers, and its segments.
     #[inline]
-    fn for_each_register<const N: usize>(
-        &self,
-        [per_token, per_channel]: [usize; 2],
-        mut visit: impl FnMut(usize, Codes<'_, N>),
-    ) {
-        let at = |&(t, c, _): &Slot| t as usize * per_token + c as usize * per_channel;
-        let resolve = |s: &Slot| (at(s), s.2 as usize);
-        let mut regs = self.regs.iter().enumerate();
-        for run in &self.runs {
-            let offsets =
-                std::array::from_fn(|p| run.offsets[p].as_ref().map_or((PAD, 0), resolve));
-            let padded = run.offsets.contains(&None);
-            for (r, origin) in regs.by_ref().take(run.regs) {
-                visit(r, Codes(resolve(origin), &offsets, padded));
-            }
+    fn for_each_tile(&self, mut visit: impl FnMut([usize; TILE_LANES], &[Segment])) {
+        let mut start = 0;
+        for &(first, end) in &self.tiles {
+            let regs = std::array::from_fn(|lane| first as usize + lane * self.reg_stride);
+            visit(regs, &self.segments[start..end as usize]);
+            start = end as usize;
         }
     }
 
     /// The Residual Kernel's quantize + pack: token-major codes land in
-    /// the calling thread's scratch and are gathered through the table
-    /// straight into the tensor's word stream, each 32-bit register split
-    /// into two 16-bit storage words.
+    /// the calling thread's scratch and are gathered tile by tile straight
+    /// into the tensor's word stream, each 32-bit register split into two
+    /// 16-bit storage words.
     fn encode(&self, values: &TokenMatrix) -> PackedTensor {
-        let PlanKey {
-            width,
-            granularity,
-            group,
-            ..
-        } = self.key;
+        let key = self.key;
         CODES.with_borrow_mut(|codes| {
-            let params = quantize_int_codes(values, width, granularity, group, codes);
-            let mut words = Vec::with_capacity(self.words());
-            match width {
-                BitWidth::B4 => self.gather_regs::<8>(codes, &mut words),
-                BitWidth::B2 => self.gather_regs::<16>(codes, &mut words),
+            let params = quantize_int_codes(values, key.width, key.granularity, key.group, codes);
+            let mut words = vec![0u16; self.words()];
+            match self.lane_stride([key.dim, 1]) == 1 {
+                true => self.gather_tiles::<true>(codes, &mut words),
+                false => self.gather_tiles::<false>(codes, &mut words),
             }
             PackedTensor {
-                tokens: self.key.tokens,
-                dim: self.key.dim,
+                tokens: key.tokens,
+                dim: key.dim,
                 payload: PackedPayload::Int { words, params },
             }
         })
     }
 
-    /// The gather half of the plan for registers of `N` codes.
-    fn gather_regs<const N: usize>(&self, codes: &[u8], words: &mut Vec<u16>) {
-        self.for_each_register::<N>([self.key.dim, 1], |_, positions| {
-            let mut reg32 = 0u32;
-            positions.for_each(|shift, dst, _| reg32 |= u32::from(codes[dst]) << shift);
-            let (lo, hi) = split_register(reg32);
-            words.extend([lo, hi]);
+    /// The gather; `UNIT` as in [`FragmentPlan::dequant_tiles`].
+    #[inline]
+    fn gather_tiles<const UNIT: bool>(&self, codes: &[u8], words: &mut [u16]) {
+        let strides = [self.key.dim, 1];
+        let lane_stride = if UNIT { 1 } else { self.lane_stride(strides) };
+        let (pairs, _) = words.as_chunks_mut::<2>();
+        self.for_each_tile(|regs, segments| {
+            let mut tile = [0u32; TILE_LANES];
+            for s in segments {
+                let src = self.at(s, strides);
+                let window = &codes[src..src + (TILE_LANES - 1) * lane_stride + 1];
+                for (lane, reg) in tile.iter_mut().enumerate() {
+                    *reg |= u32::from(window[lane * lane_stride]) << s.shift;
+                }
+            }
+            for (r, reg32) in regs.into_iter().zip(tile) {
+                pairs[r] = split_register(reg32).into();
+            }
         });
     }
 
-    /// The Packing Kernel's unpack: streams `words` register by register
-    /// into `store(dst, lut, code)`, destinations laid out by `strides`.
-    #[inline]
-    fn scatter(&self, words: &[u16], strides: [usize; 2], store: impl FnMut(usize, usize, usize)) {
-        // One arm per width, so each register's extraction unrolls with
-        // constant shifts.
-        match self.key.width {
-            BitWidth::B4 => self.scatter_regs::<8>(words, strides, store),
-            BitWidth::B2 => self.scatter_regs::<16>(words, strides, store),
-        }
-    }
-
-    /// [`FragmentPlan::scatter`] for registers of `N` codes.
-    #[inline]
-    fn scatter_regs<const N: usize>(
-        &self,
-        words: &[u16],
-        strides: [usize; 2],
-        mut store: impl FnMut(usize, usize, usize),
-    ) {
-        let mask = (1u32 << (32 / N as u32)) - 1;
-        let (pairs, _) = words.as_chunks::<2>();
-        self.for_each_register::<N>(strides, |r, positions| {
-            let [lo, hi] = pairs[r];
-            let reg32 = fuse_words(lo, hi);
-            positions
-                .for_each(|shift, dst, lut| store(dst, lut, ((reg32 >> shift) & mask) as usize));
-        });
-    }
-
-    /// The materializing decode: codes scattered into a token-major code
-    /// matrix, then dequantized by the reference routine.
+    /// The materializing decode: codes unpacked tile by tile into a
+    /// token-major code matrix, then dequantized by the reference routine.
     fn decode(&self, tensor: &PackedTensor) -> TokenMatrix {
-        let PlanKey {
-            tokens,
-            dim,
-            width,
-            granularity,
-            group,
-            ..
-        } = self.key;
+        let PlanKey { tokens, dim, .. } = self.key;
+        let PlanKey { width, group, .. } = self.key;
         let (words, params) = self.payload(tensor);
+        let (pairs, _) = words.as_chunks::<2>();
         let mut codes = vec![0u8; tokens * dim];
-        self.scatter(words, [dim, 1], |dst, _, code| codes[dst] = code as u8);
+        let lane_stride = self.lane_stride([dim, 1]);
+        self.for_each_tile(|regs, segments| {
+            let tile = regs.map(|r| fuse_words(pairs[r][0], pairs[r][1]));
+            for s in segments {
+                let dst = self.at(s, [dim, 1]);
+                for (lane, reg) in tile.into_iter().enumerate() {
+                    codes[dst + lane * lane_stride] = ((reg >> s.shift) % width.levels()) as u8;
+                }
+            }
+        });
+        let granularity = self.key.granularity;
         dequantize_int_codes(&codes, params, tokens, dim, width, granularity, group)
     }
 
     /// Fused unpack **and** dequantize: streams the packed words through
-    /// the plan, converting each code to its FP16 value inline (the same
-    /// per-group FMA as [`bd_kvcache::dequantize_int_codes`], hardware-
-    /// realised by the `lop3` fast path) and scattering it into `out` —
+    /// the plan tile by tile, converting each code to its FP16 value inline
+    /// (the same per-group FMA as [`bd_kvcache::dequantize_int_codes`],
+    /// hardware-realised by the `lop3` fast path) and landing it in `out` —
     /// token-major, or `transposed` into the `dim × tokens` tile — with no
     /// intermediate code matrix, no second pass, no transpose. Values are
     /// bit-identical to [`FragmentPlan::decode`]'s.
@@ -405,11 +392,16 @@ impl FragmentPlan {
             (tokens, dim, [dim, 1])
         };
         out.resize_tokens(rows, cols);
-        let flat = out.as_mut_slice();
+        let out = out.as_mut_slice();
         let lut = dequant_lut(params, self.key.width.levels() as usize, lut);
-        self.scatter(words, strides, |dst, lut0, code| {
-            flat[dst] = lut[lut0 + code]
-        });
+        // One arm per width, so a LUT line is an array the code's mask
+        // proves every index of, and per lane stride that is a constant.
+        match (self.key.width, self.lane_stride(strides) == 1) {
+            (BitWidth::B4, true) => self.dequant_tiles::<16, true>(words, lut, strides, out),
+            (BitWidth::B4, false) => self.dequant_tiles::<16, false>(words, lut, strides, out),
+            (BitWidth::B2, true) => self.dequant_tiles::<4, true>(words, lut, strides, out),
+            (BitWidth::B2, false) => self.dequant_tiles::<4, false>(words, lut, strides, out),
+        }
 
         let regs32 = words.len() as u32 / 2;
         let per_reg = register_ops(self.key.width);
@@ -418,6 +410,37 @@ impl FragmentPlan {
             shifts: per_reg.shifts * regs32,
             hfma2: per_reg.hfma2 * regs32,
         }
+    }
+
+    /// [`FragmentPlan::decode_fused`] for codes of `LEVELS` levels: a
+    /// warp's lanes dequantized side by side (paper §IV-A(2)). `UNIT` states
+    /// the lane stride is 1 (N is `out`'s contiguous axis: Kᵀ rows, V rows)
+    /// as a constant: a segment's window is then an array of 8 and, where
+    /// its lanes share one LUT line, no check is left per code.
+    #[inline]
+    fn dequant_tiles<const LEVELS: usize, const UNIT: bool>(
+        &self,
+        words: &[u16],
+        lut: &[f32],
+        strides: [usize; 2],
+        out: &mut [f32],
+    ) {
+        let lane_stride = if UNIT { 1 } else { self.lane_stride(strides) };
+        let (pairs, _) = words.as_chunks::<2>();
+        let (lines, _) = lut.as_chunks::<LEVELS>();
+        let one_line = self.group_step == 0 && self.lane_groups.is_empty();
+        self.for_each_tile(|regs, segments| {
+            let tile = regs.map(|r| fuse_words(pairs[r][0], pairs[r][1]));
+            for s in segments {
+                let dst = self.at(s, strides);
+                let window = &mut out[dst..dst + (TILE_LANES - 1) * lane_stride + 1];
+                let shared = one_line.then(|| &lines[s.group as usize]);
+                for (lane, reg) in tile.into_iter().enumerate() {
+                    let line = shared.unwrap_or_else(|| &lines[self.lane_group(s, lane)]);
+                    window[lane * lane_stride] = line[(reg >> s.shift) as usize % LEVELS];
+                }
+            }
+        });
     }
 }
 
@@ -569,7 +592,9 @@ impl FragmentCodec {
         k_out: &mut TokenMatrix,
         v_out: &mut TokenMatrix,
     ) -> FastDequantOps {
-        BlockDecoder::new(self, scheme, false).decode(block, &mut Vec::new(), k_out, v_out)
+        LUT.with_borrow_mut(|lut| {
+            BlockDecoder::new(self, scheme, false).decode(block, lut, k_out, v_out)
+        })
     }
 }
 
@@ -657,6 +682,57 @@ mod tests {
                 }
             }
             words
+        }
+
+        /// `(k, n)` at every code position of every 32-bit register of the
+        /// stream (`None`: padding), from `FragmentLayout::coords` and the
+        /// packer alone: the same five-deep walk as `pack_b_operand`.
+        pub fn stream_coords(
+            layout: PackLayout,
+            k_total: usize,
+            n_total: usize,
+            width: BitWidth,
+        ) -> Vec<Vec<Option<(usize, usize)>>> {
+            let shape = layout.shape;
+            let blayout = FragmentLayout::new(shape, Operand::B);
+            let kt = k_total / shape.k();
+            let nt = n_total / shape.n();
+            let wn = effective_wn(layout, nt);
+            let tiles_per_warp = nt / wn;
+            let per_reg32 = codes_per_u32(width);
+            // Where the packer puts logical element `j` of a register.
+            let physical_of: Vec<usize> = (0..per_reg32)
+                .map(|j| {
+                    let mut one_hot = vec![0u8; per_reg32];
+                    one_hot[j] = 1;
+                    (pack_u32(&one_hot, width, layout.order).trailing_zeros() / width.bits())
+                        as usize
+                })
+                .collect();
+
+            let mut regs = Vec::new();
+            for w in 0..wn {
+                for lane in 0..32 {
+                    let mut stream = Vec::new();
+                    for ki in 0..kt {
+                        for tw in 0..tiles_per_warp {
+                            let nj = w * tiles_per_warp + tw;
+                            for reg in 0..blayout.regs_per_lane() {
+                                let (kl, nl) = blayout.coords(lane, reg);
+                                stream.push((ki * shape.k() + kl, nj * shape.n() + nl));
+                            }
+                        }
+                    }
+                    for chunk in stream.chunks(per_reg32) {
+                        let mut positions = vec![None; per_reg32];
+                        for (j, &kn) in chunk.iter().enumerate() {
+                            positions[physical_of[j]] = Some(kn);
+                        }
+                        regs.push(positions);
+                    }
+                }
+            }
+            regs
         }
 
         pub fn unpack_b_operand(
@@ -754,30 +830,38 @@ mod tests {
             .expect("integer schemes only")
     }
 
+    /// Every code the tile walk visits under `strides`, as `(register,
+    /// shift, destination, LUT base)`.
+    fn walk(plan: &FragmentPlan, strides: [usize; 2]) -> Vec<(usize, u32, usize, usize)> {
+        let mut codes = Vec::new();
+        plan.for_each_tile(|regs, segments| {
+            for s in segments {
+                for (lane, reg) in regs.into_iter().enumerate() {
+                    codes.push((
+                        reg,
+                        u32::from(s.shift),
+                        plan.at(s, strides) + lane * plan.lane_stride(strides),
+                        plan.lane_group(s, lane) * plan.key.width.levels() as usize,
+                    ));
+                }
+            }
+        });
+        codes
+    }
+
     #[test]
     fn plan_is_a_bijection_onto_the_block() {
-        let (mut saw_padding, mut saw_runs) = (false, false);
+        let (mut saw_padding, mut saw_patterns) = (false, false);
         for (layout, scheme, tokens, dim) in plan_grid() {
             for plan in block_plans(&FragmentCodec::new(layout), scheme, tokens, dim) {
                 let per_reg = codes_per_u32(plan.key.width);
                 let lut_len = plan.params() * plan.key.width.levels() as usize;
+                let regs = plan.words() / 2;
                 // Token-major and as the transposed tile: the same walk,
                 // the same registers and LUT bases, mirrored destinations.
-                let walk = |strides| {
-                    let mut codes = Vec::new();
-                    match plan.key.width {
-                        BitWidth::B4 => plan.for_each_register::<8>(strides, |r, positions| {
-                            positions.for_each(|shift, dst, lut| codes.push((r, shift, dst, lut)));
-                        }),
-                        BitWidth::B2 => plan.for_each_register::<16>(strides, |r, positions| {
-                            positions.for_each(|shift, dst, lut| codes.push((r, shift, dst, lut)));
-                        }),
-                    }
-                    codes
-                };
-                let (token_major, transposed) = (walk([dim, 1]), walk([1, tokens]));
+                let (token_major, transposed) = (walk(&plan, [dim, 1]), walk(&plan, [1, tokens]));
                 let mut hits = vec![0u32; tokens * dim];
-                let mut positions = vec![0u32; plan.regs.len()];
+                let mut positions = vec![0u32; regs];
                 for (&(r, shift, dst, lut), &(rt, shift_t, dst_t, lut_t)) in
                     token_major.iter().zip(&transposed)
                 {
@@ -793,20 +877,245 @@ mod tests {
                     hits.iter().all(|&h| h == 1),
                     "{layout} {scheme} {tokens}x{dim}: every element exactly once"
                 );
-                assert_eq!(
-                    plan.runs.iter().map(|run| run.regs).sum::<usize>(),
-                    plan.regs.len()
-                );
-                assert!(plan.runs.iter().all(|run| run.offsets.len() == per_reg));
-                saw_padding |= token_major.len() < plan.regs.len() * per_reg;
-                saw_runs |= plan.runs.len() > 1;
+                // Every register belongs to exactly one tile.
+                let mut owners = vec![0u32; regs];
+                plan.for_each_tile(|tile, _| tile.into_iter().for_each(|r| owners[r] += 1));
+                assert!(owners.iter().all(|&o| o == 1));
+                saw_padding |= token_major.len() < regs * per_reg;
+                // Segments relative to their tile's first: the offset
+                // patterns the tiles come in.
+                let mut patterns = std::collections::HashSet::new();
+                plan.for_each_tile(|_, segments| {
+                    let origin = segments
+                        .first()
+                        .map_or(0, |s| plan.at(s, [dim, 1]) as isize);
+                    let relative = |s: &Segment| (s.shift, plan.at(s, [dim, 1]) as isize - origin);
+                    patterns.insert(segments.iter().map(relative).collect::<Vec<_>>());
+                });
+                saw_patterns |= patterns.len() > 1;
             }
         }
         assert!(saw_padding, "the grid must include a padded shape");
         assert!(
-            saw_runs,
+            saw_patterns,
             "the grid must include a shape with several offset patterns"
         );
+    }
+
+    #[test]
+    fn tiles_are_the_ldmatrix_transposes_of_the_fragment_mapping() {
+        // The structure, stated from `FragmentLayout::coords` alone: the 8
+        // lanes `tig + 4g` of a warp hold, at one position of their `r`-th
+        // register, nothing at all or 8 consecutive N of one K — and that,
+        // tile for tile and segment for segment, is what the plan lists.
+        let mut grid = plan_grid();
+        for (warps_n, scheme, tokens, dim) in [
+            (4, QuantScheme::kc4(), 64, 32),
+            (2, QuantScheme::kt2(), 128, 16),
+            (4, QuantScheme::kc2(), 24, 8),
+        ] {
+            let layout = PackLayout {
+                shape: MmaShape::M16N8K8,
+                order: PackOrder::FastDequant,
+                warps_n,
+            };
+            grid.push((layout, scheme, tokens, dim));
+        }
+        for (layout, scheme, tokens, dim) in grid {
+            for plan in block_plans(&FragmentCodec::new(layout), scheme, tokens, dim) {
+                let PlanKey {
+                    width,
+                    key_orientation,
+                    ..
+                } = plan.key;
+                let (k_total, n_total) = if key_orientation {
+                    (dim, tokens)
+                } else {
+                    (tokens, dim)
+                };
+                let truth = reference_walk::stream_coords(layout, k_total, n_total, width);
+                assert_eq!(truth.len(), plan.words() / 2);
+                let regs32_per_lane = plan.reg_stride / 4;
+                let mut tiles = Vec::new();
+                plan.for_each_tile(|regs, segments| tiles.push((regs, segments.len())));
+                let mut tiles = tiles.into_iter();
+                let mut covered = vec![0u32; k_total * n_total];
+                let mut listed = walk(&plan, [dim, 1]).into_iter();
+                for w in 0..truth.len() / (32 * regs32_per_lane) {
+                    for tig in 0..4 {
+                        for r32 in 0..regs32_per_lane {
+                            let quad: [usize; TILE_LANES] = std::array::from_fn(|g| {
+                                (w * 32 + tig + 4 * g) * regs32_per_lane + r32
+                            });
+                            let (regs, segments) = tiles.next().expect("a tile per quad register");
+                            assert_eq!(regs, quad, "{layout} {scheme} {tokens}x{dim}");
+                            let mut present = 0;
+                            for (p, &lane0) in truth[quad[0]].iter().enumerate() {
+                                let Some((k, n)) = lane0 else {
+                                    assert!(quad.iter().all(|&r| truth[r][p].is_none()));
+                                    continue;
+                                };
+                                present += 1;
+                                for (g, &r) in quad.iter().enumerate() {
+                                    assert_eq!(truth[r][p], Some((k, n + g)), "lane {g}");
+                                    covered[k * n_total + n + g] += 1;
+                                    // The plan lists exactly this code here.
+                                    let (t, c) = if key_orientation {
+                                        (n + g, k)
+                                    } else {
+                                        (k, n + g)
+                                    };
+                                    let (reg, shift, dst, _) = listed.next().expect("a code");
+                                    assert_eq!(
+                                        (reg, shift as usize, dst),
+                                        (r, p * width.bits() as usize, t * dim + c)
+                                    );
+                                }
+                            }
+                            assert_eq!(segments, present);
+                        }
+                    }
+                }
+                assert!(tiles.next().is_none() && listed.next().is_none());
+                assert!(covered.iter().all(|&hits| hits == 1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_group_that_ends_inside_a_segment_decodes_like_the_reference() {
+        // 12 and 20 are no multiples of 8, so a run of 8 lanes straddles a
+        // group boundary: along tokens for channel-wise Keys, along channels
+        // for the Value orientation. Such plans carry per-lane groups.
+        let layout = PackLayout::sm80_default();
+        let mut irregular = 0;
+        for (group, width) in [
+            (12, BitWidth::B4),
+            (20, BitWidth::B4),
+            (12, BitWidth::B2),
+            (20, BitWidth::B2),
+        ] {
+            for granularity in [KeyGranularity::ChannelWise, KeyGranularity::TensorWise] {
+                for key_orientation in [true, false] {
+                    let (tokens, dim) = (layout.residual_block(width), 64);
+                    let plan = FragmentPlan::interned(PlanKey {
+                        layout,
+                        tokens,
+                        dim,
+                        width,
+                        granularity,
+                        group,
+                        key_orientation,
+                    });
+                    // Lanes run along tokens for Keys, channels for Values;
+                    // groups along tokens only for channel-wise scaling.
+                    let straddles = key_orientation == (granularity == KeyGranularity::ChannelWise);
+                    assert_eq!(!plan.lane_groups.is_empty(), straddles);
+                    irregular += usize::from(straddles);
+
+                    let values = test_matrix(tokens, dim, 0.7);
+                    let mut codes = Vec::new();
+                    let params = quantize_int_codes(&values, width, granularity, group, &mut codes);
+                    let want = dequantize_int_codes(
+                        &codes,
+                        &params,
+                        tokens,
+                        dim,
+                        width,
+                        granularity,
+                        group,
+                    );
+                    let packed = plan.encode(&values);
+                    assert_eq!(plan.decode(&packed), want, "{granularity:?} group {group}");
+                    let (mut flat, mut tile) = (TokenMatrix::new(0), TokenMatrix::new(0));
+                    plan.decode_fused(&packed, false, &mut Vec::new(), &mut flat);
+                    plan.decode_fused(&packed, true, &mut Vec::new(), &mut tile);
+                    assert_eq!(flat, want, "{granularity:?} group {group}: fused");
+                    let transposed = TokenMatrix::from_fn(dim, tokens, |c, t| want[t][c]);
+                    assert_eq!(tile, transposed, "{granularity:?} group {group}: Kᵀ tile");
+                }
+            }
+        }
+        assert_eq!(irregular, 8);
+
+        // And through the public codec, Keys channel- and tensor-wise.
+        for key_granularity in [KeyGranularity::ChannelWise, KeyGranularity::TensorWise] {
+            let scheme = QuantScheme::from_kind(SchemeKind::Int {
+                width: BitWidth::B4,
+                key_granularity,
+                group: 12,
+            });
+            let codec = FragmentCodec::new(layout);
+            let block = codec.encode(
+                &test_matrix(128, 64, 0.4),
+                &test_matrix(128, 64, 1.1),
+                scheme,
+            );
+            let (dk, dv) = codec.decode(&block, scheme);
+            let (mut fk, mut fv) = (TokenMatrix::new(0), TokenMatrix::new(0));
+            codec.decode_block_fused(&block, scheme, &mut fk, &mut fv);
+            assert_eq!((dk, dv), (fk, fv), "{scheme}");
+        }
+    }
+
+    #[test]
+    fn hostile_metadata_decodes_to_the_reference_bits() {
+        // `half2` groups patched to every class a corrupted or degenerate
+        // block can carry — `(scale, zero)` bit patterns: ±Inf, NaN, a
+        // subnormal scale, `scale = 0` — decode through the fused tile walk,
+        // token-major and as the Kᵀ tile, to the value `FragmentPlan::decode`
+        // → `dequantize_int_codes` defines for them: bit for bit, NaN for NaN
+        // (a NaN's sign and payload follow the FMA's operand order, which is
+        // not defined even between two scalar evaluations).
+        let hostile = [
+            (0x7C00, 0x3C00), // scale = +Inf
+            (0xFC00, 0x0000), // scale = -Inf, zero = 0: code 0 gives NaN
+            (0x3C00, 0x7C00), // zero = +Inf
+            (0x3C00, 0xFC00), // zero = -Inf
+            (0x7E00, 0x3C00), // scale = NaN
+            (0x3C00, 0xFE01), // zero = NaN
+            (0x0001, 0xC100), // subnormal scale
+            (0x0000, 0x4200), // scale = 0
+            (0x7BFF, 0x7BFF), // overflows FP16 from code 1 on
+        ];
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
+        let layout = PackLayout::sm80_default();
+        let codec = FragmentCodec::new(layout);
+        let (mut nans, mut infs) = (0, 0);
+        for scheme in [QuantScheme::kc4(), QuantScheme::kc2(), QuantScheme::kt4()] {
+            let tokens = layout.residual_block(scheme.int_width().unwrap());
+            let mut block = codec.encode(
+                &test_matrix(tokens, 64, 0.3),
+                &test_matrix(tokens, 64, 1.9),
+                scheme,
+            );
+            for tensor in [&mut block.k, &mut block.v] {
+                let PackedPayload::Int { params, .. } = &mut tensor.payload else {
+                    panic!("integer payload");
+                };
+                // Two of every three groups hostile, one left as encoded.
+                for (i, param) in params.iter_mut().enumerate().filter(|(i, _)| i % 3 != 2) {
+                    let (scale, zero) = hostile[i % hostile.len()];
+                    *param = Half2::new(F16::from_bits(scale), F16::from_bits(zero));
+                }
+            }
+            let plans = block_plans(&codec, scheme, tokens, 64);
+            for (packed, plan) in [&block.k, &block.v].into_iter().zip(plans) {
+                let want = plan.decode(packed);
+                nans += want.as_slice().iter().filter(|x| x.is_nan()).count();
+                infs += want.as_slice().iter().filter(|x| x.is_infinite()).count();
+                let (mut flat, mut tile) = (TokenMatrix::new(0), TokenMatrix::new(0));
+                plan.decode_fused(packed, false, &mut Vec::new(), &mut flat);
+                plan.decode_fused(packed, true, &mut Vec::new(), &mut tile);
+                for t in 0..tokens {
+                    for c in 0..64 {
+                        assert!(same(flat[t][c], want[t][c]), "{scheme} ({t}, {c})");
+                        assert!(same(tile[c][t], want[t][c]), "{scheme} ({t}, {c}): Kᵀ");
+                    }
+                }
+            }
+        }
+        assert!(nans > 0 && infs > 0, "the patches must reach the output");
     }
 
     #[test]
