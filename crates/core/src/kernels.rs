@@ -215,8 +215,9 @@ pub fn attend_packed_blocks<B: Borrow<PackedBlock>>(
 }
 
 /// What the fused kernels would otherwise allocate per call or per block,
-/// owned per thread: the serve runtime's `WorkerPool` threads are
-/// long-lived, so one set of buffers serves every step a worker runs.
+/// owned per thread: one set of buffers serves every unit a thread runs.
+/// The serve session thread's set persists across steps; a thread a step
+/// spawns warms its own set up and drops it when the step ends.
 #[derive(Default)]
 struct KernelScratch {
     /// Per-group dequantization LUT of the tensor being decoded.

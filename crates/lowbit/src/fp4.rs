@@ -92,7 +92,7 @@ impl E8M0 {
 
     /// Builds the scale `2^exp`, clamping `exp` to the representable range.
     pub fn from_exponent(exp: i32) -> Self {
-        E8M0((exp + 127).clamp(0, 254) as u8)
+        E8M0(exp.saturating_add(127).clamp(0, 254) as u8)
     }
 
     /// Decodes to `f32` (NaN for code 255).
@@ -328,6 +328,27 @@ mod tests {
         assert_eq!(E8M0::from_exponent(3).to_f32(), 8.0);
         assert_eq!(E8M0::from_exponent(-2).to_f32(), 0.25);
         assert!(E8M0::NAN.to_f32().is_nan());
+    }
+
+    #[test]
+    fn e8m0_clamps_extreme_exponents() {
+        assert_eq!(E8M0::from_exponent(i32::MAX).to_bits(), 254);
+        assert_eq!(E8M0::from_exponent(i32::MIN).to_bits(), 0);
+        assert_eq!(E8M0::from_exponent(128).to_bits(), 254);
+        assert_eq!(E8M0::from_exponent(-128).to_bits(), 0);
+    }
+
+    #[test]
+    fn infinite_mx_blocks_saturate() {
+        // `amax = ±Inf` reaches `from_exponent` as `i32::MAX - 2`: the
+        // scale clamps to the largest finite power of two and every
+        // element saturates to ±6 on the E2M1 grid.
+        for (x, code) in [(f32::INFINITY, 0x7u8), (f32::NEG_INFINITY, 0xF)] {
+            let block = quantize_fp4_block(&[x; 32], Fp4Kind::Mx);
+            assert_eq!(block.scale, BlockScale::Mx(E8M0::from_bits(254)));
+            assert!(block.codes.iter().all(|c| c.to_bits() == code));
+            assert_eq!(block.dequantize().len(), 32);
+        }
     }
 
     #[test]

@@ -119,6 +119,41 @@ proptest! {
         }
     }
 
+    /// FP4 block quantization is total over raw `f32` bits: NaN, ±Inf,
+    /// subnormals and ±0 included, for both kinds and every block length,
+    /// it returns one code per input and the block dequantizes.
+    #[test]
+    fn fp4_block_is_total_on_raw_bits(
+        words in prop::collection::vec((any::<u32>(), any::<u8>()), 32),
+    ) {
+        // A quarter of the elements come from the awkward classes, which
+        // uniform bits would almost never produce.
+        const AWKWARD: [f32; 8] = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+            -1.0e-45,
+            -0.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let values: Vec<f32> = words
+            .iter()
+            .map(|&(bits, pick)| match pick {
+                0..=63 => AWKWARD[usize::from(pick) % AWKWARD.len()],
+                _ => f32::from_bits(bits),
+            })
+            .collect();
+        for kind in [Fp4Kind::Mx, Fp4Kind::Nv] {
+            for len in 1..=kind.block_size() {
+                let block = fp4::quantize_fp4_block(&values[..len], kind);
+                prop_assert_eq!(block.codes.len(), len);
+                prop_assert_eq!(block.dequantize().len(), len);
+            }
+        }
+    }
+
     /// Half2 bit packing is lossless.
     #[test]
     fn half2_round_trip(lo_bits: u16, hi_bits: u16) {

@@ -21,15 +21,16 @@
 //!   own deterministic page pool, capacity, and eviction accounting, under
 //!   the sharding invariant (every head's bytes identical to the
 //!   single-device layout).
-//! * **Execution** — [`workers::WorkerPool`]: persistent **device-pinned**
-//!   worker groups that fan `(sequence, kv-head, device)` work units each
-//!   decode step. Each unit runs [`bd_core::BitDecoder::attend_head_partial`]
-//!   — the per-head body of the single-sequence decode path, un-normalized
-//!   — against only its own device's arena; the kernel walk inside a unit
-//!   is sequential, so batch-, head-, and device-level parallelism never
-//!   touch a summation tree and results stay **bitwise identical** to
-//!   per-sequence [`bd_core::BitDecoder::decode`], at any worker *and
-//!   device* count.
+//! * **Execution** — one scoped launch per decode step: the step's
+//!   `(sequence, kv-head, device)` work units fan over
+//!   [`ServeConfig::workers`] × devices threads that borrow the store for
+//!   the step and claim units from one shared cursor. Each unit runs
+//!   [`bd_core::BitDecoder::attend_head_partial`] — the per-head body of
+//!   the single-sequence decode path, un-normalized — against only its own
+//!   device's arena; the kernel walk inside a unit is sequential, so
+//!   batch-, head-, and device-level parallelism never touch a summation
+//!   tree and results stay **bitwise identical** to per-sequence
+//!   [`bd_core::BitDecoder::decode`], at any thread *and device* count.
 //! * **Scheduling** — [`session::ServeSession`]: submit / step / stream,
 //!   plus trace-driven arrivals ([`session::ServeSession::submit_at`]) so
 //!   sequences join mid-run when pages free up. Admission runs under a
@@ -101,7 +102,7 @@ pub mod faults;
 pub mod model;
 pub mod scheduler;
 pub mod session;
-pub mod workers;
+mod workers;
 
 pub use faults::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use model::{replay_contiguous, SequenceModel, StepKv, SynthSequence};
@@ -112,7 +113,7 @@ pub use session::{
     AdmissionError, DeviceStepMetrics, RequestId, ServeConfig, ServeMetrics, ServeSession,
     ServeSummary,
 };
-pub use workers::{ServeError, WorkerPool};
+pub use workers::ServeError;
 
 pub use bd_obs::{
     ClockDomain, EventLog, LifecycleTracker, LogHistogram, MetricsRegistry, ObsConfig, Quantiles,

@@ -223,9 +223,9 @@ impl ServeSession {
                 self.ledger.add_fault(1);
                 let mut damaged = res.blob.clone();
                 damaged.flip_bit((bit >> 48) as usize, bit);
-                self.store_mut().swap_in(&damaged)
+                self.store.swap_in(&damaged)
             }
-            None => self.store_mut().swap_in(&res.blob),
+            None => self.store.swap_in(&res.blob),
         };
         match restored {
             Ok(seq) => {
@@ -284,7 +284,7 @@ impl ServeSession {
         // path instead.
         let fork_seq = self.forkable_parent(&entry);
         let admitted = if let Some(pseq) = fork_seq {
-            let seq = self.store_mut().fork(pseq, prompt_tokens, reserve);
+            let seq = self.store.fork(pseq, prompt_tokens, reserve);
             self.ledger.forked += usize::from(seq.is_ok());
             seq.ok()
         } else {
@@ -302,10 +302,7 @@ impl ServeSession {
             } else {
                 let codec = self.decoder.codec();
                 let (pk, pv) = entry.model.prompt();
-                match self
-                    .store_mut()
-                    .admit_prefill_cached(&pk, &pv, reserve, &codec)
-                {
+                match self.store.admit_prefill_cached(&pk, &pv, reserve, &codec) {
                     Ok((seq, _admit)) => Some(seq),
                     Err(StoreError::Oom(_)) => None,
                     // A model whose prompt disagrees with its declared
@@ -351,7 +348,7 @@ impl ServeSession {
     /// uninterrupted one.
     fn preempt(&mut self, index: usize) {
         let victim = self.active.remove(index);
-        let blob = match self.store_mut().swap_out(victim.seq) {
+        let blob = match self.store.swap_out(victim.seq) {
             Ok(b) => b,
             Err(_) => unreachable!("active sequence is resident"),
         };

@@ -14,7 +14,7 @@ use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{device_lane, EventField, SpanStart, LANE_SESSION};
 
 /// Everything the in-flight step has counted. Phases that did not run
-/// (the execute side of a step whose worker pool failed) leave their
+/// (the execute side of a step whose launch failed) leave their
 /// fields at zero.
 #[derive(Clone, Debug, Default)]
 pub(super) struct StepLedger {
@@ -73,7 +73,7 @@ impl StepLedger {
         self.degraded = true;
     }
 
-    /// The worker pool failed before any token was appended: the planned
+    /// The launch failed before any token was appended: the planned
     /// units did not execute, so nothing they would have counted stands.
     pub fn void_execution(&mut self) {
         self.degraded = true;

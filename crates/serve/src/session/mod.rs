@@ -10,8 +10,9 @@
 //! per `(sequence, kv-head, device)` — coalescing sequences that alias
 //! the same sealed prefix pages into one cascade unit per `(prefix-group,
 //! kv-head, device)` that walks the shared pages once (see
-//! [`ServeConfig::with_shared_attn`]) — across the device-pinned
-//! [`WorkerPool`] groups, **merges each head's softmax partials** (the
+//! [`ServeConfig::with_shared_attn`]) — over one scoped launch of
+//! [`ServeConfig::workers`] threads per device that borrow the store for
+//! the launch, **merges each head's softmax partials** (the
 //! simulated all-reduce, exact by `OnlineSoftmax::merge`), appends each
 //! sequence's new KV token, and retires finished sequences so their pages
 //! recycle into the admission queue.
@@ -58,7 +59,7 @@ mod tests;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::model::SequenceModel;
 use crate::scheduler::{Fcfs, SchedulerPolicy};
-use crate::workers::{ServeError, WorkerPool};
+use crate::workers::ServeError;
 use bd_core::BitDecoder;
 use bd_gpu_sim::{InterconnectModel, Topology};
 use bd_kvcache::{Partitioning, Placement, SeqId, ShardedKvStore, SwappedShardedSeq};
@@ -67,7 +68,6 @@ use bd_obs::{EventLog, LifecycleTracker, MetricsRegistry, ObsConfig, SloSummary,
 use ledger::{RequestEvent, StepLedger, StoreMarks};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier a [`ServeSession`] assigns to a submitted request.
 pub type RequestId = u64;
@@ -79,7 +79,8 @@ pub struct ServeConfig {
     pub total_pages: usize,
     /// Tokens per page.
     pub page_tokens: usize,
-    /// Persistent decode workers per device group (0 = run units inline).
+    /// Threads per device that execute a step's units (0 = run them
+    /// inline on the session thread).
     pub workers: usize,
     /// Maximum concurrently decoding sequences.
     pub max_batch: usize,
@@ -349,7 +350,7 @@ pub struct ServeMetrics {
     /// absorbed). [`ServeSummary::degraded_steps`] counts these over a
     /// run.
     pub degraded: bool,
-    /// Requests permanently failed this step (unattributable worker-pool
+    /// Requests permanently failed this step (unattributable worker
     /// loss, unserveable model).
     pub requests_failed: usize,
     /// Cascade shared-prefix attention units executed this step — one per
@@ -565,9 +566,8 @@ impl Obs {
 
 /// The batched decode runtime session — see the [module docs](self).
 pub struct ServeSession {
-    decoder: Arc<BitDecoder>,
-    store: Arc<ShardedKvStore>,
-    pool: WorkerPool,
+    decoder: BitDecoder,
+    store: ShardedKvStore,
     /// Trace arrivals not yet due, sorted by `(arrival step, id)` — id
     /// order makes FCFS within a step explicit and stable.
     arrivals: VecDeque<(usize, QueueEntry)>,
@@ -630,7 +630,6 @@ impl ServeSession {
         let device_weights = config.topology.device_weights();
         let placement =
             build_placement(config.devices, config.partitioning, &device_weights, heads);
-        let placed_devices = placement.devices();
         let mut store = ShardedKvStore::new(
             cache_config,
             placement,
@@ -639,9 +638,8 @@ impl ServeSession {
         );
         store.set_prefix_cache(config.prefix_cache);
         ServeSession {
-            decoder: Arc::new(decoder),
-            store: Arc::new(store),
-            pool: WorkerPool::new(config.workers, placed_devices),
+            decoder,
+            store,
             arrivals: VecDeque::new(),
             pending: VecDeque::new(),
             active: Vec::new(),
@@ -973,20 +971,6 @@ impl ServeSession {
                 .partition_point(|(s, e)| (*s, e.id) <= (arrival_step, entry.id));
             self.arrivals.insert(pos, (arrival_step, entry));
         }
-    }
-
-    /// Regains exclusive store access after a parallel phase. Workers drop
-    /// their `Arc` clones before reporting results, so by the time every
-    /// result is collected the count is (momentarily) back to one; the spin
-    /// only covers the tail of that hand-back.
-    fn store_mut(&mut self) -> &mut ShardedKvStore {
-        while Arc::strong_count(&self.store) > 1 {
-            std::thread::yield_now();
-        }
-        let Some(store) = Arc::get_mut(&mut self.store) else {
-            unreachable!("no outstanding store refs");
-        };
-        store
     }
 
     /// Steps until every submitted request has finished, returning the

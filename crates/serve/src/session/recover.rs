@@ -2,9 +2,7 @@
 //! page seizures ("hogs") a pool-exhaustion fault holds against admission.
 
 use super::{build_placement, PageHog, QueueEntry, RequestEvent, RequestId, ServeSession};
-use crate::workers::WorkerPool;
 use bd_kvcache::{DeviceId, SeqId, ShardedKvStore};
-use std::sync::Arc;
 
 impl ServeSession {
     /// Kills one device: every KV page it held is gone. The session
@@ -34,9 +32,6 @@ impl ServeSession {
             &self.device_weights,
             heads,
         );
-        // Replace the pool first: dropping it joins the workers, which
-        // releases their store handles before the store itself goes.
-        self.pool = WorkerPool::new(self.config.workers, placement.devices());
         let mut store = ShardedKvStore::new(
             self.decoder.cache_config(),
             placement,
@@ -44,7 +39,7 @@ impl ServeSession {
             self.config.page_tokens,
         );
         store.set_prefix_cache(self.config.prefix_cache);
-        self.store = Arc::new(store);
+        self.store = store;
         // Recovery: every resident sequence lost its share on the dead
         // device, and every parked swap blob was cut for the old device
         // count — both recompute from the prompt.
@@ -88,7 +83,7 @@ impl ServeSession {
             return;
         }
         let tokens = pages * self.config.page_tokens;
-        if let Ok(seq) = self.store_mut().admit(tokens) {
+        if let Ok(seq) = self.store.admit(tokens) {
             self.hogs.push(PageHog {
                 seq,
                 pages,
@@ -108,7 +103,7 @@ impl ServeSession {
             .map(|h| h.seq)
             .collect();
         for seq in expired {
-            self.store_mut().evict(seq);
+            self.store.evict(seq);
         }
         self.hogs.retain(|h| h.release.is_none_or(|r| r > now));
     }
@@ -118,7 +113,7 @@ impl ServeSession {
     pub(super) fn release_all_hogs(&mut self) {
         let hogs = std::mem::take(&mut self.hogs);
         for hog in hogs {
-            self.store_mut().evict(hog.seq);
+            self.store.evict(hog.seq);
         }
     }
 

@@ -4,7 +4,7 @@
 
 use super::{RequestEvent, RequestId, ServeMetrics, ServeSession};
 use crate::model::StepKv;
-use crate::workers::{ServeError, UnitResult, UnitSharer, WorkUnit};
+use crate::workers::{run_units, ServeError, UnitResult, UnitSharer, WorkUnit};
 use bd_core::{query_transform, ungroup_outputs, DecodeShape, OnlineSoftmax};
 use bd_kvcache::{DeviceId, SeqId};
 use bd_obs::LANE_SESSION;
@@ -47,8 +47,8 @@ type DevicePartition = Vec<(Vec<usize>, usize)>;
 
 impl ServeSession {
     /// Runs one decode step: fire due faults and admit (arrivals + queue,
-    /// the `admission` span) → plan and execute the batch's attention
-    /// units over the device-pinned worker groups (`fan_out`) → merge
+    /// the `admission` span) → plan the batch's attention units and launch
+    /// them over the step's scoped threads (`fan_out`) → merge
     /// per-head partials — the simulated all-reduce — and advance the
     /// models (`merge`) → append KV (`append`) → retire finished
     /// sequences → price the step → publish its metrics.
@@ -74,10 +74,10 @@ impl ServeSession {
         // model's query construction above, so kv_tokens_per_s reports the
         // runtime's own throughput.
         let t0 = Instant::now();
-        let mut results = self.execute(units);
+        let mut results = self.execute(&units);
         self.obs.tracer.end(span, "fan_out", LANE_SESSION);
-        // `results` and `appends` live until the function returns, so
-        // freeing the step's buffers is charged to no span.
+        // `units`, `results` and `appends` live until the function
+        // returns, so freeing the step's buffers is charged to no span.
         let appends;
         if let Some(results) = results.as_deref_mut() {
             let span = self.obs.tracer.begin();
@@ -239,17 +239,17 @@ impl ServeSession {
         items
     }
 
-    /// Fans the units across the worker pool. A worker-pool failure
+    /// Launches the units over `workers × devices` scoped threads that
+    /// borrow the store until every unit has finished. A failed launch
     /// happens before any token is appended, so the step simply did not
     /// happen for this batch: the offending sequence is failed when it is
     /// identifiable (its pages free up for the survivors), the whole
     /// in-flight batch when it is not, and `None` is returned. Either way
     /// the session keeps serving — survivors re-run the same generation
     /// step next time and, by determinism, emit the same tokens.
-    fn execute(&mut self, units: Vec<WorkUnit>) -> Option<Vec<UnitResult>> {
-        let run = self
-            .pool
-            .run_step(units, &self.store, &self.decoder, &self.obs.tracer);
+    fn execute(&mut self, units: &[WorkUnit]) -> Option<Vec<UnitResult>> {
+        let threads = self.config.workers * self.store.devices();
+        let run = run_units(units, threads, &self.store, &self.decoder, &self.obs.tracer);
         let err = match run {
             Ok(results) => return Some(results),
             Err(e) => e,
@@ -332,7 +332,7 @@ impl ServeSession {
     /// poisoning the batch.
     fn append(&mut self, appends: &[(SeqId, StepKv)]) {
         let codec = self.decoder.codec();
-        let store = self.store_mut();
+        let store = &mut self.store;
         let failures: Vec<(SeqId, ServeError)> = appends
             .iter()
             .filter_map(|(seq, kv)| {
@@ -354,7 +354,7 @@ impl ServeSession {
             .filter(|a| a.remaining == 0)
             .map(|a| (a.id, a.seq))
             .collect();
-        let store = self.store_mut();
+        let store = &mut self.store;
         for (_, seq) in &done {
             // An active sequence is resident by construction; `seal` only
             // errors on unknown ids, which `evict` tolerates too.
@@ -436,7 +436,7 @@ impl ServeSession {
             return;
         };
         let victim = self.active.remove(pos);
-        self.store_mut().evict(victim.seq);
+        self.store.evict(victim.seq);
         self.ledger.requests_failed += 1;
         self.failed.insert(victim.id, err);
         self.observe(victim.id, RequestEvent::Failed);

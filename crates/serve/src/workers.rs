@@ -1,17 +1,16 @@
-//! The persistent, device-pinned decode worker pool.
+//! One decode step's attention launch.
 //!
 //! Every decode step fans one [`WorkUnit`] per `(sequence, kv-head,
 //! device)` triple — or, when the scheduler detects sequences aliasing
 //! the same sealed prefix pages, one **cascade unit** per `(prefix-group,
-//! kv-head, device)` carrying every sharer's query block — over
-//! long-lived OS threads. Workers are organized into **per-device
-//! groups**: each group has its own task queue and only ever executes
-//! units whose KV head is placed on its device, so a worker touches
-//! exactly one device's page arena — the simulated analogue of a
-//! tensor-parallel rank that can only dereference its own HBM. A unit
-//! gathers its head's packed blocks through the owning device's page table
+//! kv-head, device)` carrying every sharer's query block — over the scoped
+//! threads of one [`run_units`] call: the analogue of a decode kernel
+//! launched over independent (batch × KV-head) work. Device locality is a
+//! property of the unit, not of the thread that runs it: a unit gathers its
+//! head's packed blocks through the owning device's page table
 //! ([`bd_kvcache::PagedKvStore::packed_blocks`] on
-//! [`ShardedKvStore::device`]) and runs
+//! [`ShardedKvStore::device`]) — the simulated analogue of a
+//! tensor-parallel rank that can only dereference its own HBM — and runs
 //! [`BitDecoder::attend_head_partial`] (solo) or
 //! [`BitDecoder::attend_head_partial_multi`] (cascade: the shared packed
 //! prefix pages stream through the dequant LUTs **once** for all
@@ -22,24 +21,15 @@
 //!
 //! Because each unit is an independent, deterministic computation and the
 //! merge of a head's partial set is exact, results are **invariant to the
-//! worker count and the device count** (including the inline `workers = 0`
+//! thread count and the device count** (including the inline `workers = 0`
 //! mode), bit for bit.
-//!
-//! Sharing discipline: the store and decoder cross into workers as [`Arc`]s
-//! cloned per task. The attention phase of a step never mutates the store;
-//! a worker drops its clones *before* reporting its result, so once the
-//! scheduler has collected every result it is again the sole owner and can
-//! mutate the store (appends, evictions) without locks — the
-//! compute/mutate phase separation a real serving engine enforces with
-//! stream ordering.
 
 use bd_core::{BitDecoder, OnlineSoftmax, PrefixSharer};
 use bd_kvcache::{DeviceId, PackedBlock, SeqId, ShardedKvStore, StoreError};
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{device_lane, SpanTracer};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Runtime execution errors of the serve layer — the typed replacements
 /// for what used to be fail-stop panics. The session handles each by
@@ -59,13 +49,8 @@ pub enum ServeError {
         /// The device the placement says owns the head.
         owner: DeviceId,
     },
-    /// A worker thread or its channel died mid-step.
+    /// A thread executing the step's units died mid-step.
     WorkerLost,
-    /// A step finished without producing a result for every unit.
-    MissingResult {
-        /// The unit index with no result.
-        unit: usize,
-    },
     /// A store operation failed while serving the request.
     Store(StoreError),
 }
@@ -83,10 +68,7 @@ impl std::fmt::Display for ServeError {
                 "unit for {seq:?} head {head} routed to {routed:?}, \
                  which does not own the head ({owner:?} does)"
             ),
-            ServeError::WorkerLost => write!(f, "a worker thread or its channel died mid-step"),
-            ServeError::MissingResult { unit } => {
-                write!(f, "step finished without a result for unit {unit}")
-            }
+            ServeError::WorkerLost => write!(f, "a worker thread died mid-step"),
             ServeError::Store(e) => write!(f, "store operation failed: {e}"),
         }
     }
@@ -103,7 +85,7 @@ impl From<StoreError> for ServeError {
 /// One sequence's slice of a work unit: its identity and its grouped
 /// `g_q × d` query block for the unit's head.
 #[derive(Clone, Debug)]
-pub struct UnitSharer {
+pub(crate) struct UnitSharer {
     /// The sequence to attend over.
     pub seq: SeqId,
     /// The grouped `g_q × d` query block for the unit's head.
@@ -117,13 +99,14 @@ pub struct UnitSharer {
 /// leading `prefix_blocks` packed blocks stream through the dequant LUTs
 /// once for all sharers.
 #[derive(Clone, Debug)]
-pub struct WorkUnit {
-    /// Dense index of this unit within the step (results slot).
+pub(crate) struct WorkUnit {
+    /// Dense index of this unit within the step: its position in the
+    /// launch and in the returned results.
     pub unit: usize,
     /// The **global** KV head within the sequences.
     pub head: usize,
-    /// The device owning that head's KV shard — the worker group this
-    /// unit is routed to.
+    /// The device owning that head's KV shard — the only arena the unit
+    /// may read.
     pub device: DeviceId,
     /// Leading packed blocks every sharer reads from the same physical
     /// pages (`0` for solo units).
@@ -134,46 +117,16 @@ pub struct WorkUnit {
 }
 
 impl WorkUnit {
-    /// The classic single-sequence unit.
-    pub fn solo(
-        unit: usize,
-        seq: SeqId,
-        head: usize,
-        device: DeviceId,
-        q_block: Vec<Vec<f32>>,
-    ) -> Self {
-        WorkUnit {
-            unit,
-            head,
-            device,
-            prefix_blocks: 0,
-            sharers: vec![UnitSharer { seq, q_block }],
-        }
-    }
-
     /// The unit's first sharer — the sequence blamed in routing errors.
     pub fn primary_seq(&self) -> SeqId {
         self.sharers[0].seq
     }
 }
 
-struct Task {
-    unit: WorkUnit,
-    store: Arc<ShardedKvStore>,
-    decoder: Arc<BitDecoder>,
-    /// Clone of the session's span tracer: workers record per-unit
-    /// `execute` spans on their device lane (a relaxed atomic load when
-    /// tracing is off).
-    tracer: SpanTracer,
-}
-
-/// One unit's finished attention partials.
+/// One unit's finished attention partials; [`run_units`] returns them in
+/// unit order.
 #[derive(Clone, Debug)]
-pub struct UnitResult {
-    /// The unit index this result fills.
-    pub unit: usize,
-    /// The device that computed it.
-    pub device: DeviceId,
+pub(crate) struct UnitResult {
     /// One un-normalized softmax partial per sharer, in the unit's sharer
     /// order — the all-reduce payload. The scheduler merges each
     /// sequence's per-device partials with `OnlineSoftmax::merge` and
@@ -185,10 +138,7 @@ pub struct UnitResult {
 }
 
 /// Executes one work unit on its owning device: local-arena block gather +
-/// the decode path's per-head attention body, un-normalized. Consumes (and
-/// drops) the task — and its `Arc`s — before the caller sends the result,
-/// preserving the sole-ownership hand-back described in the
-/// [module docs](self).
+/// the decode path's per-head attention body, un-normalized.
 ///
 /// Solo units run [`BitDecoder::attend_head_partial`] exactly as before;
 /// group units run the cascade
@@ -198,43 +148,42 @@ pub struct UnitResult {
 /// Returns [`ServeError::Misrouted`] — computing nothing — if the unit's
 /// head is not placed on the unit's device: the device-locality contract a
 /// real TP rank enforces physically.
-fn run_unit(task: Task) -> Result<UnitResult, ServeError> {
-    let placement = task.store.placement();
-    let owner = placement.device_of(task.unit.head);
-    if owner != task.unit.device {
+fn run_unit(
+    unit: &WorkUnit,
+    store: &ShardedKvStore,
+    decoder: &BitDecoder,
+    tracer: &SpanTracer,
+) -> Result<UnitResult, ServeError> {
+    let placement = store.placement();
+    let owner = placement.device_of(unit.head);
+    if owner != unit.device {
         return Err(ServeError::Misrouted {
-            seq: task.unit.primary_seq(),
-            head: task.unit.head,
-            routed: task.unit.device,
+            seq: unit.primary_seq(),
+            head: unit.head,
+            routed: unit.device,
             owner,
         });
     }
     // Read ONLY this device's arena: the gather goes through the local
     // store and the head's local slot, never through another device.
-    let local = placement.local_index(task.unit.head);
-    let span = task.tracer.begin();
-    let dev_store = task.store.device(task.unit.device);
-    let (partials, ops) = if task.unit.sharers.len() == 1 {
-        let sharer = &task.unit.sharers[0];
+    let local = placement.local_index(unit.head);
+    let span = tracer.begin();
+    let dev_store = store.device(unit.device);
+    let (partials, ops) = if unit.sharers.len() == 1 {
+        let sharer = &unit.sharers[0];
         let blocks = dev_store.packed_blocks(sharer.seq, local);
         let (res_k, res_v) = dev_store.residual(sharer.seq, local);
-        let (partial, ops) =
-            task.decoder
-                .attend_head_partial(&sharer.q_block, &blocks, res_k, res_v);
-        task.tracer.end_with(
+        let (partial, ops) = decoder.attend_head_partial(&sharer.q_block, &blocks, res_k, res_v);
+        tracer.end_with(
             span,
             "execute",
-            device_lane(task.unit.device.0 as usize),
-            vec![
-                ("unit", task.unit.unit as f64),
-                ("head", task.unit.head as f64),
-            ],
+            device_lane(unit.device.0 as usize),
+            vec![("unit", unit.unit as f64), ("head", unit.head as f64)],
         );
         (vec![partial], ops)
     } else {
-        let p = task.unit.prefix_blocks;
-        let gathers: Vec<Vec<&PackedBlock>> = task
-            .unit
+        let p = unit.prefix_blocks;
+        let gathers: Vec<Vec<&PackedBlock>> = unit
             .sharers
             .iter()
             .map(|s| dev_store.packed_blocks(s.seq, local))
@@ -250,8 +199,7 @@ fn run_unit(task: Task) -> Result<UnitResult, ServeError> {
                     .all(|(a, b)| std::ptr::eq(*a, *b))
         }));
         let prefix = &gathers[0][..p];
-        let inputs: Vec<PrefixSharer<'_, &PackedBlock>> = task
-            .unit
+        let inputs: Vec<PrefixSharer<'_, &PackedBlock>> = unit
             .sharers
             .iter()
             .zip(&gathers)
@@ -265,203 +213,72 @@ fn run_unit(task: Task) -> Result<UnitResult, ServeError> {
                 }
             })
             .collect();
-        let (partials, ops) = task.decoder.attend_head_partial_multi(prefix, &inputs);
-        task.tracer.end_with(
+        let (partials, ops) = decoder.attend_head_partial_multi(prefix, &inputs);
+        tracer.end_with(
             span,
             "shared_attn",
-            device_lane(task.unit.device.0 as usize),
+            device_lane(unit.device.0 as usize),
             vec![
-                ("unit", task.unit.unit as f64),
-                ("head", task.unit.head as f64),
-                ("sharers", task.unit.sharers.len() as f64),
+                ("unit", unit.unit as f64),
+                ("head", unit.head as f64),
+                ("sharers", unit.sharers.len() as f64),
                 ("prefix_blocks", p as f64),
             ],
         );
         (partials, ops)
     };
-    Ok(UnitResult {
-        unit: task.unit.unit,
-        device: task.unit.device,
-        partials,
-        ops,
-    })
+    Ok(UnitResult { partials, ops })
 }
 
-/// One device's worker group: its own task queue, its own threads.
-struct DeviceGroup {
-    task_tx: Option<Sender<Task>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-/// A persistent pool of device-pinned decode workers (see the
-/// [module docs](self)).
+/// Runs one step's units to completion and returns their results in unit
+/// order — the step's kernel launch.
 ///
-/// With `workers_per_device = 0` the pool runs every unit inline on the
-/// caller's thread — same results, no threads; useful for tests and
-/// profiling.
-pub struct WorkerPool {
-    groups: Vec<DeviceGroup>,
-    result_rx: Receiver<Result<UnitResult, ServeError>>,
-    workers_per_device: usize,
-}
-
-impl WorkerPool {
-    /// Spawns `workers_per_device` persistent threads for each of
-    /// `devices` device groups (0 = inline execution).
-    pub fn new(workers_per_device: usize, devices: usize) -> Self {
-        let (result_tx, result_rx) = channel::<Result<UnitResult, ServeError>>();
-        let groups = (0..devices.max(1))
-            .map(|_| {
-                let (task_tx, task_rx) = channel::<Task>();
-                let task_rx = Arc::new(Mutex::new(task_rx));
-                let handles = (0..workers_per_device)
-                    .map(|_| {
-                        let task_rx = Arc::clone(&task_rx);
-                        let result_tx = result_tx.clone();
-                        std::thread::spawn(move || loop {
-                            // Hold the queue lock only for the dequeue,
-                            // never across the attention itself. A poisoned
-                            // lock (a sibling panicked mid-dequeue) still
-                            // yields a usable receiver.
-                            let next = {
-                                task_rx
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .recv()
-                            };
-                            let Ok(task) = next else { break };
-                            let result = run_unit(task);
-                            if result_tx.send(result).is_err() {
-                                break;
-                            }
-                        })
-                    })
-                    .collect();
-                DeviceGroup {
-                    task_tx: Some(task_tx),
-                    handles,
-                }
-            })
-            .collect();
-        WorkerPool {
-            groups,
-            result_rx,
-            workers_per_device,
+/// `threads` is the launch width, the calling thread included: the call
+/// spawns `threads.max(1) − 1` scoped threads and then works as the last
+/// of them, so `threads ≤ 1` runs every unit inline through the same code.
+/// Every thread drains one shared cursor: it claims the next unit index
+/// and runs that unit, until none is left. Each index is claimed exactly
+/// once and its result lands in that index's slot, so no result depends
+/// on which thread ran it. The threads borrow `store` and `decoder` for
+/// the call only; once it returns, the caller may mutate the store.
+///
+/// # Errors
+///
+/// Returns the error of the lowest-indexed unit that failed, whatever
+/// order the threads finished in: [`ServeError::Misrouted`] for a unit
+/// routed off its head's device, [`ServeError::WorkerLost`] for a unit
+/// whose spawned thread panicked.
+pub(crate) fn run_units(
+    units: &[WorkUnit],
+    threads: usize,
+    store: &ShardedKvStore,
+    decoder: &BitDecoder,
+    tracer: &SpanTracer,
+) -> Result<Vec<UnitResult>, ServeError> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<Result<UnitResult, ServeError>>> =
+        units.iter().map(|_| OnceLock::new()).collect();
+    let drain = || loop {
+        // `Relaxed`: the cursor publishes no data. Each result reaches the
+        // caller through its slot's `OnceLock` and the join below.
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(unit) = units.get(i) else { return };
+        // The cursor hands out every index once, so the slot is empty.
+        let _ = slots[i].set(run_unit(unit, store, decoder, tracer));
+    };
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..threads).map(|_| s.spawn(drain)).collect();
+        drain();
+        for handle in spawned {
+            // A panicked thread leaves the slot of the unit it was running
+            // empty, which reads as `WorkerLost` below.
+            let _ = handle.join();
         }
-    }
-
-    /// Worker threads per device group (0 = inline mode).
-    pub fn workers(&self) -> usize {
-        self.workers_per_device
-    }
-
-    /// Device groups in the pool.
-    pub fn devices(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Runs one step's units to completion and returns the results ordered
-    /// by unit index. Each unit is dispatched to its device's group; the
-    /// call blocks until every unit has finished.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ServeError`] encountered — a misrouted unit, a
-    /// dead worker, or a missing result. On error every already-dispatched
-    /// unit is still drained from the result channel first, so a failed
-    /// step never leaves stale results behind to pollute the next one,
-    /// and the store's sole-ownership hand-back still holds.
-    pub fn run_step(
-        &self,
-        units: Vec<WorkUnit>,
-        store: &Arc<ShardedKvStore>,
-        decoder: &Arc<BitDecoder>,
-        tracer: &SpanTracer,
-    ) -> Result<Vec<UnitResult>, ServeError> {
-        let n = units.len();
-        let mut out: Vec<Option<UnitResult>> = (0..n).map(|_| None).collect();
-        if self.workers_per_device == 0 {
-            for unit in units {
-                let r = run_unit(Task {
-                    unit,
-                    store: Arc::clone(store),
-                    decoder: Arc::clone(decoder),
-                    tracer: tracer.clone(),
-                })?;
-                let slot = r.unit;
-                out[slot] = Some(r);
-            }
-        } else {
-            let mut first_err = None;
-            let mut dispatched = 0usize;
-            for unit in units {
-                let Some(group) = self.groups.get(unit.device.0 as usize) else {
-                    first_err = Some(ServeError::Misrouted {
-                        seq: unit.primary_seq(),
-                        head: unit.head,
-                        routed: unit.device,
-                        owner: store.placement().device_of(unit.head),
-                    });
-                    break;
-                };
-                let Some(tx) = group.task_tx.as_ref() else {
-                    first_err = Some(ServeError::WorkerLost);
-                    break;
-                };
-                if tx
-                    .send(Task {
-                        unit,
-                        store: Arc::clone(store),
-                        decoder: Arc::clone(decoder),
-                        tracer: tracer.clone(),
-                    })
-                    .is_err()
-                {
-                    first_err = Some(ServeError::WorkerLost);
-                    break;
-                }
-                dispatched += 1;
-            }
-            // Drain EVERY dispatched unit even after an error, so no stale
-            // result crosses into the next step.
-            for _ in 0..dispatched {
-                match self.result_rx.recv() {
-                    Ok(Ok(r)) => {
-                        let slot = r.unit;
-                        if slot < n {
-                            out[slot] = Some(r);
-                        }
-                    }
-                    Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                    Err(_) => {
-                        first_err = first_err.or(Some(ServeError::WorkerLost));
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(unit, r)| r.ok_or(ServeError::MissingResult { unit }))
-            .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the task channels ends every worker loop.
-        for group in &mut self.groups {
-            group.task_tx.take();
-        }
-        for group in &mut self.groups {
-            for h in group.handles.drain(..) {
-                let _ = h.join();
-            }
-        }
-    }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or(Err(ServeError::WorkerLost)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -471,7 +288,26 @@ mod tests {
     use bd_gpu_sim::GpuArch;
     use bd_kvcache::{CacheConfig, PackLayout, Partitioning, Placement, QuantScheme, TokenMatrix};
 
-    fn setup(devices: usize) -> (Arc<BitDecoder>, Arc<ShardedKvStore>, Vec<WorkUnit>) {
+    /// The classic single-sequence unit.
+    fn solo(
+        unit: usize,
+        seq: SeqId,
+        head: usize,
+        device: DeviceId,
+        q_block: Vec<Vec<f32>>,
+    ) -> WorkUnit {
+        WorkUnit {
+            unit,
+            head,
+            device,
+            prefix_blocks: 0,
+            sharers: vec![UnitSharer { seq, q_block }],
+        }
+    }
+
+    /// `seqs` prefilled sequences over `devices` devices and one solo unit
+    /// per `(sequence, kv-head)`, sequence-major.
+    fn setup(devices: usize, seqs: usize) -> (BitDecoder, ShardedKvStore, Vec<WorkUnit>) {
         let attn = AttentionConfig::gqa(4, 2, 16);
         let decoder = BitDecoder::builder(GpuArch::rtx4090())
             .attention(attn)
@@ -481,40 +317,49 @@ mod tests {
         let placement = Placement::new(devices, Partitioning::HeadModulo, attn.heads_kv);
         let mut store = ShardedKvStore::new(cfg, placement.clone(), 64, 32);
         let codec = decoder.codec();
-        let seq = store.admit(0).unwrap();
         let len = 128 + 11;
         let k: Vec<TokenMatrix> = (0..2)
             .map(|h| TokenMatrix::from_fn(len, 16, |t, c| ((h + t * 16 + c) as f32 * 0.3).sin()))
             .collect();
-        store.prefill(seq, &k, &k, &codec).unwrap();
         let q: Vec<Vec<f32>> = (0..4)
             .map(|h| (0..16).map(|c| ((h * 16 + c) as f32 * 0.7).sin()).collect())
             .collect();
-        let units: Vec<WorkUnit> = query_transform(&q, &attn)
-            .into_iter()
-            .enumerate()
-            .map(|(head, q_block)| {
-                WorkUnit::solo(head, seq, head, placement.device_of(head), q_block)
-            })
-            .collect();
-        (Arc::new(decoder), Arc::new(store), units)
+        let mut units = Vec::new();
+        for _ in 0..seqs {
+            let seq = store.admit(0).unwrap();
+            store.prefill(seq, &k, &k, &codec).unwrap();
+            for (head, q_block) in query_transform(&q, &attn).into_iter().enumerate() {
+                units.push(solo(
+                    units.len(),
+                    seq,
+                    head,
+                    placement.device_of(head),
+                    q_block,
+                ));
+            }
+        }
+        (decoder, store, units)
+    }
+
+    fn run(
+        units: &[WorkUnit],
+        threads: usize,
+        store: &ShardedKvStore,
+        decoder: &BitDecoder,
+    ) -> Result<Vec<UnitResult>, ServeError> {
+        run_units(units, threads, store, decoder, &SpanTracer::disabled())
     }
 
     #[test]
     fn threaded_results_match_inline_bitwise_at_any_device_count() {
-        let (decoder, store1, units1) = setup(1);
-        let inline = WorkerPool::new(0, 1)
-            .run_step(units1, &store1, &decoder, &SpanTracer::disabled())
-            .unwrap();
+        let (decoder, store1, units1) = setup(1, 1);
+        let inline = run(&units1, 0, &store1, &decoder).unwrap();
         for devices in [1usize, 2] {
-            let (_, store, units) = setup(devices);
+            let (_, store, units) = setup(devices, 1);
             for workers in [0usize, 1, 3] {
-                let pool = WorkerPool::new(workers, devices);
-                let got = pool
-                    .run_step(units.clone(), &store, &decoder, &SpanTracer::disabled())
-                    .unwrap();
+                let got = run(&units, workers * devices, &store, &decoder).unwrap();
+                assert_eq!(inline.len(), got.len());
                 for (a, b) in inline.iter().zip(&got) {
-                    assert_eq!(a.unit, b.unit);
                     assert_eq!(
                         a.partials[0].clone().finish(),
                         b.partials[0].clone().finish(),
@@ -528,15 +373,25 @@ mod tests {
 
     #[test]
     fn units_are_routed_to_owning_device_groups() {
-        let (decoder, store, units) = setup(2);
-        let pool = WorkerPool::new(2, 2);
-        assert_eq!(pool.devices(), 2);
-        let results = pool
-            .run_step(units.clone(), &store, &decoder, &SpanTracer::disabled())
-            .unwrap();
+        // Each unit reads its owning device's arena: its partial is the one
+        // that arena's blocks and residual give.
+        let (decoder, store, units) = setup(2, 1);
+        assert_eq!(store.devices(), 2);
+        let results = run(&units, 2 * 2, &store, &decoder).unwrap();
         for (u, r) in units.iter().zip(&results) {
-            assert_eq!(r.device, u.device);
-            assert_eq!(r.device, store.placement().device_of(u.head));
+            assert_eq!(u.device, store.placement().device_of(u.head));
+            let dev = store.device(u.device);
+            let local = store.placement().local_index(u.head);
+            let sharer = &u.sharers[0];
+            let (res_k, res_v) = dev.residual(sharer.seq, local);
+            let (partial, ops) = decoder.attend_head_partial(
+                &sharer.q_block,
+                &dev.packed_blocks(sharer.seq, local),
+                res_k,
+                res_v,
+            );
+            assert_eq!(r.partials[0].clone().finish(), partial.finish());
+            assert_eq!(r.ops, ops);
         }
     }
 
@@ -547,12 +402,10 @@ mod tests {
         // three must return, per sharer, exactly the partial its solo
         // unit returns — at every head, on every device, threaded or not.
         let attn = AttentionConfig::gqa(4, 2, 16);
-        let decoder = Arc::new(
-            BitDecoder::builder(GpuArch::rtx4090())
-                .attention(attn)
-                .scheme(QuantScheme::kc4())
-                .build(),
-        );
+        let decoder = BitDecoder::builder(GpuArch::rtx4090())
+            .attention(attn)
+            .scheme(QuantScheme::kc4())
+            .build();
         let cfg = CacheConfig::new(16, QuantScheme::kc4(), PackLayout::sm80_default());
         let placement = Placement::new(2, Partitioning::HeadModulo, attn.heads_kv);
         let mut store = ShardedKvStore::new(cfg, placement.clone(), 128, 32);
@@ -580,12 +433,10 @@ mod tests {
                 store.append_step(seq, &rows, &rows, &codec).unwrap();
             }
         }
-        let store = Arc::new(store);
-        let pool = WorkerPool::new(2, 2);
         for head in 0..attn.heads_kv {
             let device = placement.device_of(head);
-            let run = store.shared_block_run(device, &seqs);
-            assert_eq!(run, 2, "head {head}");
+            let run_len = store.shared_block_run(device, &seqs);
+            assert_eq!(run_len, 2, "head {head}");
             let q_of = |i: usize| -> Vec<Vec<f32>> {
                 let q: Vec<Vec<f32>> = (0..4)
                     .map(|h| {
@@ -599,16 +450,14 @@ mod tests {
             let solo_units: Vec<WorkUnit> = seqs
                 .iter()
                 .enumerate()
-                .map(|(i, &seq)| WorkUnit::solo(i, seq, head, device, q_of(i)))
+                .map(|(i, &seq)| solo(i, seq, head, device, q_of(i)))
                 .collect();
-            let solo = pool
-                .run_step(solo_units, &store, &decoder, &SpanTracer::disabled())
-                .unwrap();
+            let solo_results = run(&solo_units, 2 * 2, &store, &decoder).unwrap();
             let group = WorkUnit {
                 unit: 0,
                 head,
                 device,
-                prefix_blocks: run,
+                prefix_blocks: run_len,
                 sharers: seqs
                     .iter()
                     .enumerate()
@@ -618,12 +467,10 @@ mod tests {
                     })
                     .collect(),
             };
-            let grouped = pool
-                .run_step(vec![group], &store, &decoder, &SpanTracer::disabled())
-                .unwrap();
+            let grouped = run(&[group], 2 * 2, &store, &decoder).unwrap();
             assert_eq!(grouped[0].partials.len(), seqs.len());
             let mut solo_ops = FastDequantOps::default();
-            for (i, r) in solo.iter().enumerate() {
+            for (i, r) in solo_results.iter().enumerate() {
                 assert_eq!(
                     grouped[0].partials[i].clone().finish(),
                     r.partials[0].clone().finish(),
@@ -640,14 +487,11 @@ mod tests {
 
     #[test]
     fn misrouted_unit_is_rejected_with_typed_error() {
-        let (decoder, store, mut units) = setup(2);
+        let (decoder, store, mut units) = setup(2, 1);
         // Head 0 lives on device 0 under head-modulo; claim device 1.
         units[0].device = DeviceId(1);
         for workers in [0usize, 2] {
-            let pool = WorkerPool::new(workers, 2);
-            let err = pool
-                .run_step(units.clone(), &store, &decoder, &SpanTracer::disabled())
-                .unwrap_err();
+            let err = run(&units, workers * 2, &store, &decoder).unwrap_err();
             assert_eq!(
                 err,
                 ServeError::Misrouted {
@@ -658,37 +502,50 @@ mod tests {
                 },
                 "workers={workers}"
             );
-            // The failed step left no stale results behind: a correct
-            // batch on the SAME pool produces a clean, complete step.
+            // The failed step left nothing behind: a correct batch at the
+            // same width produces a clean, complete step, in unit order.
             let fixed = {
                 let mut u = units.clone();
                 u[0].device = DeviceId(0);
                 u
             };
-            let results = pool
-                .run_step(fixed, &store, &decoder, &SpanTracer::disabled())
-                .unwrap();
+            let results = run(&fixed, workers * 2, &store, &decoder).unwrap();
+            let inline = run(&fixed, 0, &store, &decoder).unwrap();
             assert_eq!(results.len(), units.len());
-            for (i, r) in results.iter().enumerate() {
-                assert_eq!(r.unit, i, "workers={workers}");
+            for (r, i) in results.iter().zip(&inline) {
+                assert_eq!(
+                    r.partials[0].clone().finish(),
+                    i.partials[0].clone().finish(),
+                    "workers={workers}"
+                );
             }
         }
     }
 
     #[test]
-    fn pool_survives_multiple_steps_and_store_regains_sole_ownership() {
-        let (decoder, store, units) = setup(2);
-        let mut store = store;
-        let pool = WorkerPool::new(2, 2);
-        for _ in 0..3 {
-            let _ = pool
-                .run_step(units.clone(), &store, &decoder, &SpanTracer::disabled())
-                .unwrap();
-            // All task Arcs were dropped before results were sent.
-            while Arc::strong_count(&store) > 1 {
-                std::thread::yield_now();
+    fn lowest_indexed_error_wins_at_every_thread_count() {
+        // Units 1 and 3 are head 1 of two different sequences; head 1
+        // lives on device 1 under head-modulo, so claiming device 0
+        // misroutes both. The error names unit 1's sequence however the
+        // threads interleave.
+        let (decoder, store, mut units) = setup(2, 2);
+        units[1].device = DeviceId(0);
+        units[3].device = DeviceId(0);
+        assert_ne!(units[1].primary_seq(), units[3].primary_seq());
+        for threads in 0..=5 {
+            for _ in 0..8 {
+                let err = run(&units, threads, &store, &decoder).unwrap_err();
+                assert_eq!(
+                    err,
+                    ServeError::Misrouted {
+                        seq: units[1].primary_seq(),
+                        head: 1,
+                        routed: DeviceId(0),
+                        owner: DeviceId(1),
+                    },
+                    "threads={threads}"
+                );
             }
-            assert!(Arc::get_mut(&mut store).is_some());
         }
     }
 }
