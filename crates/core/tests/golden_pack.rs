@@ -152,7 +152,9 @@ fn scheme_of(label: &str) -> QuantScheme {
 
 /// `scheme` → per content class (in [`CLASSES`] order) `[fragment hash,
 /// reference hash]`, each folded over `tokens ∈ {Nr, 16}` × `dim ∈ {64,
-/// 128}`. Recorded on the commit before the slab encode.
+/// 128}`. Recorded on the commit before the slab encode; MXFP4's two
+/// ±Inf-carrying rows were added once its scale saturated (an infinite
+/// block maximum gets scale 2¹²⁷), without moving any other constant.
 const GOLDEN_ENCODE: [(&str, [[u64; 2]; 9]); 5] = [
     (
         "kc4",
@@ -220,8 +222,8 @@ const GOLDEN_ENCODE: [(&str, [[u64; 2]; 9]); 5] = [
             [0x5B3E2ED9C5FFFFB5, 0x5B3E2ED9C5FFFFB5],
             [0xFBAA2E49C5FFB8CB, 0xFBAA2E49C5FFB8CB],
             [0xBCA13460198051B1, 0xBCA13460198051B1],
-            [0x0000000000000000, 0x0000000000000000],
-            [0x0000000000000000, 0x0000000000000000],
+            [0x6674F7D622026286, 0x6674F7D622026286],
+            [0x9D0D80DB33DFAE05, 0x9D0D80DB33DFAE05],
         ],
     ),
 ];
@@ -237,13 +239,6 @@ fn encoded_words_and_params_match_recorded_constants() {
         let nr = CacheConfig::new(64, scheme, layout).residual_block();
         let mut got = [[0u64; 2]; 9];
         for (ci, class) in CLASSES.iter().enumerate() {
-            // The MXFP4 scale derivation overflows its exponent (a
-            // debug-build panic) on an infinite block maximum; that is
-            // not behaviour to freeze, so FP4 skips the two classes that
-            // carry ±Inf and records zeros for them.
-            if scheme.int_width().is_none() && matches!(*class, "non_finite_rows" | "raw_bits") {
-                continue;
-            }
             let mut h = [FNV_OFFSET; 2];
             for tokens in [nr, 16] {
                 for dim in [64, 128] {
