@@ -10,10 +10,12 @@
 //! [packed + residual cache](crate::cache) itself, pluggable
 //! [block codecs](crate::codec), [paged management](crate::paged), the
 //! [paged physical store](crate::store) that puts packed blocks and
-//! residual windows behind the page tables for the serving setting, and
-//! the [device/placement layer](crate::placement) with its
+//! residual windows behind the page tables for the serving setting (one
+//! file per seam under `store/`), and the
+//! [device/placement layer](crate::placement) with its
 //! [head-sharded multi-device store](crate::sharded) for tensor-parallel
-//! serving.
+//! serving (its all-device admissions share one preflight-then-apply
+//! transaction).
 //!
 //! The cache is a *container*: how values are physically packed is decided
 //! by the [`BlockCodec`] that flushes each residual block. The

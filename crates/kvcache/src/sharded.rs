@@ -32,7 +32,8 @@ use crate::matrix::{TokenMatrix, TokenRows};
 use crate::paged::{PagedOom, SeqId};
 use crate::placement::{DeviceId, Placement};
 use crate::store::{
-    check_heads, check_prompt, PagedKvStore, PrefixAdmit, PrefixCacheStats, StoreError, SwappedSeq,
+    check_heads, check_prompt, KvSharingStats, PagedKvStore, PrefixAdmit, PrefixCacheStats,
+    StoreError, SwappedSeq,
 };
 
 /// Per-device occupancy/eviction snapshot (the storage half of the serve
@@ -234,6 +235,17 @@ impl ShardedKvStore {
         self.devices.iter().map(PagedKvStore::free_pages).sum()
     }
 
+    /// Pages free on **every** device: the smallest per-device
+    /// [`PagedKvStore::free_pages`] — the largest reservation an
+    /// all-device operation can still take.
+    pub fn min_free_pages(&self) -> usize {
+        self.devices
+            .iter()
+            .map(PagedKvStore::free_pages)
+            .min()
+            .unwrap_or(0)
+    }
+
     /// Aggregate page capacity across all devices.
     pub fn total_pages(&self) -> usize {
         self.devices.iter().map(PagedKvStore::total_pages).sum()
@@ -257,8 +269,8 @@ impl ShardedKvStore {
     }
 
     /// Page-sharing snapshot summed over every device.
-    pub fn sharing_stats(&self) -> crate::store::KvSharingStats {
-        let mut stats = crate::store::KvSharingStats::default();
+    pub fn sharing_stats(&self) -> KvSharingStats {
+        let mut stats = KvSharingStats::default();
         for dev in &self.devices {
             stats.absorb(dev.sharing_stats());
         }
@@ -284,22 +296,38 @@ impl ShardedKvStore {
         self.devices[0].resident()
     }
 
-    /// Fails fast when any device cannot supply `need` pages, so the
-    /// all-device operations below never start a reservation they would
-    /// have to roll back. (A rollback via `evict` could not restore the
-    /// per-device id counters, so it would burn a [`SeqId`] on the devices
-    /// that had already admitted — diverging them from a failure-free
-    /// history and from the single-device store.)
-    fn preflight_pages(&self, need: usize) -> Result<(), PagedOom> {
-        for dev in &self.devices {
-            if need > dev.free_pages() {
-                return Err(PagedOom {
-                    requested: need,
-                    free: dev.free_pages(),
-                });
+    /// The one all-device transaction behind `admit`, `fork`, `swap_in` and
+    /// `admit_prefill_cached`: checks device `d`'s page need
+    /// `preflight(d, device)` against its [`PagedKvStore::free_pages`] on
+    /// every device before touching any pool (the first shortfall is the
+    /// [`PagedOom`], and nothing changed), then runs `apply(d, device)` in
+    /// device order and checks once that every device assigned the same
+    /// [`SeqId`]. Callers validate everything else first, so `apply`
+    /// cannot fail once its pages fit. A half-applied failure could not be
+    /// rolled back: `evict` cannot restore the per-device id counters, so
+    /// it would burn a [`SeqId`] on the devices that had already admitted.
+    fn for_all_devices_atomically<T, E>(
+        &mut self,
+        preflight: impl Fn(usize, &PagedKvStore) -> usize,
+        mut apply: impl FnMut(usize, &mut PagedKvStore) -> Result<(SeqId, T), E>,
+    ) -> Result<(SeqId, Vec<T>), PagedOom> {
+        for (d, dev) in self.devices.iter().enumerate() {
+            let (requested, free) = (preflight(d, dev), dev.free_pages());
+            if requested > free {
+                return Err(PagedOom { requested, free });
             }
         }
-        Ok(())
+        let (ids, out): (Vec<SeqId>, Vec<T>) = (self.devices.iter_mut().enumerate())
+            .map(|(d, dev)| {
+                apply(d, dev).unwrap_or_else(|_| unreachable!("pre-checked on every device"))
+            })
+            .unzip();
+        let id = ids[0];
+        debug_assert!(
+            ids.iter().all(|&i| i == id),
+            "device pools diverged on SeqId assignment"
+        );
+        Ok((id, out))
     }
 
     /// Admits a new sequence on **every** device, reserving pages for
@@ -317,20 +345,11 @@ impl ShardedKvStore {
     ///
     /// Returns [`PagedOom`] when any device cannot cover the reservation.
     pub fn admit(&mut self, reserve_tokens: usize) -> Result<SeqId, PagedOom> {
-        self.preflight_pages(reserve_tokens.div_ceil(self.page_tokens()))?;
-        let ids: Vec<SeqId> = self
-            .devices
-            .iter_mut()
-            .map(|dev| {
-                dev.admit(reserve_tokens)
-                    .unwrap_or_else(|_| unreachable!("reservation pre-checked on every device"))
-            })
-            .collect();
-        let id = ids[0];
-        debug_assert!(
-            ids.iter().all(|&i| i == id),
-            "device pools diverged on SeqId assignment"
-        );
+        let need = reserve_tokens.div_ceil(self.page_tokens());
+        let (id, _) = self.for_all_devices_atomically(
+            |_, _| need,
+            |_, dev| dev.admit(reserve_tokens).map(|id| (id, ())),
+        )?;
         Ok(id)
     }
 
@@ -373,26 +392,16 @@ impl ShardedKvStore {
         reserve_tokens: usize,
     ) -> Result<SeqId, StoreError> {
         let Some(need) = self.fork_new_pages(parent, at_token, reserve_tokens) else {
-            // Delegate to the per-device fork for the precise error.
-            return match self.devices[0].fork(parent, at_token, reserve_tokens) {
-                Err(e) => Err(e),
-                Ok(_) => unreachable!("fork_new_pages said invalid"),
-            };
+            // A refused fork changes nothing: device 0 states the error.
+            return self.devices[0].fork(parent, at_token, reserve_tokens);
         };
-        self.preflight_pages(need).map_err(StoreError::Oom)?;
-        let ids: Vec<SeqId> = self
-            .devices
-            .iter_mut()
-            .map(|dev| {
+        let (id, _) = self.for_all_devices_atomically(
+            |_, _| need,
+            |_, dev| {
                 dev.fork(parent, at_token, reserve_tokens)
-                    .unwrap_or_else(|_| unreachable!("fork pre-checked on every device"))
-            })
-            .collect();
-        let id = ids[0];
-        debug_assert!(
-            ids.iter().all(|&i| i == id),
-            "device pools diverged on SeqId assignment"
-        );
+                    .map(|id| (id, ()))
+            },
+        )?;
         Ok(id)
     }
 
@@ -488,29 +497,11 @@ impl ShardedKvStore {
             });
         }
         blob.verify()?;
-        for (dev, b) in self.devices.iter().zip(&blob.per_device) {
-            let need = dev.swap_in_new_pages(b);
-            if need > dev.free_pages() {
-                return Err(StoreError::Oom(PagedOom {
-                    requested: need,
-                    free: dev.free_pages(),
-                }));
-            }
-        }
-        let ids: Vec<SeqId> = self
-            .devices
-            .iter_mut()
-            .zip(&blob.per_device)
-            .map(|(dev, b)| {
-                dev.swap_in(b)
-                    .unwrap_or_else(|_| unreachable!("reservation pre-checked on every device"))
-            })
-            .collect();
-        let id = ids[0];
-        debug_assert!(
-            ids.iter().all(|&i| i == id),
-            "device pools diverged on SeqId assignment"
-        );
+        let shares = &blob.per_device;
+        let (id, _) = self.for_all_devices_atomically(
+            |d, dev| dev.swap_in_new_pages(&shares[d]),
+            |d, dev| dev.swap_in(&shares[d]).map(|id| (id, ())),
+        )?;
         Ok(id)
     }
 
@@ -596,33 +587,6 @@ impl ShardedKvStore {
         Ok(flushed)
     }
 
-    /// Bulk-loads a prompt for an empty sequence: one `tokens × dim`
-    /// matrix per **global** head, scattered to owning devices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] on shape mismatch, unknown/sealed/non-empty
-    /// sequence, or pool exhaustion on any device.
-    pub fn prefill<K, V>(
-        &mut self,
-        seq: SeqId,
-        k: &[K],
-        v: &[V],
-        codec: &impl BlockCodec,
-    ) -> Result<(), StoreError>
-    where
-        K: TokenRows,
-        V: TokenRows,
-    {
-        check_prompt(k, v, self.heads(), self.config().dim)?;
-        let k_by_dev = self.scatter(k);
-        let v_by_dev = self.scatter(v);
-        for (dev, (dk, dv)) in self.devices.iter_mut().zip(k_by_dev.iter().zip(&v_by_dev)) {
-            dev.prefill(seq, dk, dv, codec)?;
-        }
-        Ok(())
-    }
-
     /// Enables or disables the content-addressed prefix cache on **every**
     /// device at once. Disabling drops each device's radix index and
     /// returns its cache-held pages to the pools — see
@@ -657,14 +621,14 @@ impl ShardedKvStore {
             .sum()
     }
 
-    /// Admits **and** prefills a sequence on **every** device in one step,
-    /// adopting cached prefix pages zero-copy where a device's radix index
-    /// matches — the content-addressed twin of [`ShardedKvStore::admit`] +
-    /// [`ShardedKvStore::prefill`]. Shapes and the page budget are
-    /// pre-checked on every device before any pool is touched, so on
-    /// failure nothing is admitted anywhere and no [`SeqId`] is burned.
-    /// All devices assign the same id, which is returned together with the
-    /// adoption totals summed over devices.
+    /// Admits **and** prefills a sequence on **every** device in one step:
+    /// one `tokens × dim` matrix per **global** head, scattered to owning
+    /// devices, adopting cached prefix pages zero-copy where a device's
+    /// radix index matches (with the cache off, nothing matches). Shapes
+    /// and the page budget are pre-checked on every device before any pool
+    /// is touched, so on failure nothing is admitted anywhere and no
+    /// [`SeqId`] is burned. All devices assign the same id, which is
+    /// returned together with the adoption totals summed over devices.
     ///
     /// # Errors
     ///
@@ -688,29 +652,16 @@ impl ShardedKvStore {
         // Validate shapes up front: the per-device calls below must be
         // infallible so a failure never admits on a subset of devices.
         let len = check_prompt(k, v, self.heads(), self.config().dim)?;
-        let reserve = reserve_tokens.max(len);
-        self.preflight_pages(reserve.div_ceil(self.page_tokens()))
-            .map_err(StoreError::Oom)?;
-        let k_by_dev = self.scatter(k);
-        let v_by_dev = self.scatter(v);
+        let need = reserve_tokens.max(len).div_ceil(self.page_tokens());
+        let (k_by_dev, v_by_dev) = (self.scatter(k), self.scatter(v));
+        let (id, per_device) = self.for_all_devices_atomically(
+            |_, _| need,
+            |d, dev| dev.admit_prefill_cached(&k_by_dev[d], &v_by_dev[d], reserve_tokens, codec),
+        )?;
         let mut admit = PrefixAdmit::default();
-        let ids: Vec<SeqId> = self
-            .devices
-            .iter_mut()
-            .zip(k_by_dev.iter().zip(&v_by_dev))
-            .map(|(dev, (dk, dv))| {
-                let (id, dev_admit) = dev
-                    .admit_prefill_cached(dk, dv, reserve_tokens, codec)
-                    .unwrap_or_else(|_| unreachable!("pre-checked on every device"));
-                admit.absorb(dev_admit);
-                id
-            })
-            .collect();
-        let id = ids[0];
-        debug_assert!(
-            ids.iter().all(|&i| i == id),
-            "device pools diverged on SeqId assignment"
-        );
+        for dev_admit in per_device {
+            admit.absorb(dev_admit);
+        }
         Ok((id, admit))
     }
 
@@ -728,25 +679,15 @@ impl ShardedKvStore {
         let Some(len) = self.seq_len(seq) else {
             return false;
         };
-        for head in 0..self.heads() {
+        (0..self.heads()).all(|head| {
             let ch = cache_head_base + head;
-            if len != cache.len(ch) {
-                return false;
-            }
-            let sharded = self.packed_blocks(seq, head);
-            let contiguous = cache.packed_blocks(ch);
-            if sharded.len() != contiguous.len()
-                || sharded.iter().zip(contiguous).any(|(a, b)| **a != *b)
-            {
-                return false;
-            }
-            let (rk, rv) = cache.residual(ch);
-            let (sk, sv) = self.residual(seq, head);
-            if sk != rk || sv != rv {
-                return false;
-            }
-        }
-        true
+            len == cache.len(ch)
+                && self
+                    .packed_blocks(seq, head)
+                    .into_iter()
+                    .eq(cache.packed_blocks(ch))
+                && self.residual(seq, head) == cache.residual(ch)
+        })
     }
 }
 
@@ -812,7 +753,6 @@ mod tests {
     fn prefill_scatters_heads_to_owning_devices() {
         let placement = Placement::new(3, Partitioning::HeadModulo, 5);
         let mut store = ShardedKvStore::new(cfg(16), placement, 32, 64);
-        let seq = store.admit(0).unwrap();
         let len = 128 + 11;
         let k: Vec<TokenMatrix> = (0..5)
             .map(|h| TokenMatrix::from_fn(len, 16, |t, c| ((h * 7 + t * 16 + c) as f32).sin()))
@@ -820,7 +760,9 @@ mod tests {
         let v: Vec<TokenMatrix> = (0..5)
             .map(|h| TokenMatrix::from_fn(len, 16, |t, c| ((h * 13 + t * 16 + c) as f32).cos()))
             .collect();
-        store.prefill(seq, &k, &v, &ReferenceCodec).unwrap();
+        let (seq, _) = store
+            .admit_prefill_cached(&k, &v, 0, &ReferenceCodec)
+            .unwrap();
         let mut cache = QuantizedKvCache::new(cfg(16), 5);
         for h in 0..5 {
             cache.prefill(h, &k[h], &v[h], &ReferenceCodec).unwrap();
@@ -1016,6 +958,57 @@ mod tests {
         ));
         let child = store.fork(parent, 128, 128 + 64).unwrap();
         assert_eq!(child.0, parent.0 + 1, "failed fork burned a SeqId");
+    }
+
+    #[test]
+    fn sharded_admit_prefill_cached_oom_is_atomic() {
+        let build = || {
+            let placement = Placement::new(2, Partitioning::HeadModulo, 2);
+            let mut store = ShardedKvStore::new(cfg(16), placement, 8, 32);
+            store.set_prefix_cache(true);
+            store
+        };
+        let (mut store, mut twin) = (build(), build());
+        // One full 4-page run per device (Nr = 128) plus a residual page.
+        let len = 160;
+        let k: Vec<TokenMatrix> = (0..2)
+            .map(|h| TokenMatrix::from_fn(len, 16, |t, c| ((h * 7 + t * 16 + c) as f32).sin()))
+            .collect();
+        let (a, _) = store
+            .admit_prefill_cached(&k, &k, len, &ReferenceCodec)
+            .unwrap();
+        let (twin_a, _) = twin
+            .admit_prefill_cached(&k, &k, len, &ReferenceCodec)
+            .unwrap();
+        let snapshot = |s: &ShardedKvStore| -> Vec<(usize, PrefixCacheStats)> {
+            (0..s.devices())
+                .map(|d| s.device(DeviceId(d as u32)))
+                .map(|dev| (dev.free_pages(), dev.prefix_cache_stats()))
+                .collect()
+        };
+        let before = snapshot(&store);
+        // The same prompt hits the cache on every device, but its 5-page
+        // budget does not fit the 3 pages each device has left.
+        let err = store
+            .admit_prefill_cached(&k, &k, len, &ReferenceCodec)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::Oom(PagedOom {
+                requested: 5,
+                free: 3
+            })
+        );
+        assert_eq!(snapshot(&store), before, "a device was touched");
+        store.evict(a);
+        twin.evict(twin_a);
+        let (b, _) = store
+            .admit_prefill_cached(&k, &k, len, &ReferenceCodec)
+            .unwrap();
+        let (twin_b, _) = twin
+            .admit_prefill_cached(&k, &k, len, &ReferenceCodec)
+            .unwrap();
+        assert_eq!(b, twin_b, "failed admission burned a SeqId");
     }
 
     #[test]

@@ -294,10 +294,7 @@ impl ServeSession {
             // change what the admission *costs*, never whether it fits),
             // so a doomed attempt can skip prompt construction and
             // quantization entirely.
-            let need = reserve.div_ceil(self.config.page_tokens);
-            let fits = (0..self.store.devices())
-                .all(|d| need <= self.store.device_stats(DeviceId(d as u32)).free_pages);
-            if !fits {
+            if reserve.div_ceil(self.config.page_tokens) > self.store.min_free_pages() {
                 None
             } else {
                 let codec = self.decoder.codec();

@@ -2,7 +2,7 @@
 //! page seizures ("hogs") a pool-exhaustion fault holds against admission.
 
 use super::{build_placement, PageHog, QueueEntry, RequestEvent, RequestId, ServeSession};
-use bd_kvcache::{DeviceId, SeqId, ShardedKvStore};
+use bd_kvcache::{SeqId, ShardedKvStore};
 
 impl ServeSession {
     /// Kills one device: every KV page it held is gone. The session
@@ -74,11 +74,7 @@ impl ServeSession {
     /// a hog reservation the scheduler cannot preempt, releasing it at
     /// step `release` (`None` = when the run ends).
     pub(super) fn seize_pages(&mut self, pages: usize, release: Option<usize>) {
-        let free = (0..self.store.devices())
-            .map(|d| self.store.device_stats(DeviceId(d as u32)).free_pages)
-            .min()
-            .unwrap_or(0);
-        let pages = pages.min(free);
+        let pages = pages.min(self.store.min_free_pages());
         if pages == 0 {
             return;
         }

@@ -326,8 +326,7 @@ mod tests {
             .collect();
         let mut units = Vec::new();
         for _ in 0..seqs {
-            let seq = store.admit(0).unwrap();
-            store.prefill(seq, &k, &k, &codec).unwrap();
+            let (seq, _) = store.admit_prefill_cached(&k, &k, 0, &codec).unwrap();
             for (head, q_block) in query_transform(&q, &attn).into_iter().enumerate() {
                 units.push(solo(
                     units.len(),
@@ -410,11 +409,10 @@ mod tests {
         let placement = Placement::new(2, Partitioning::HeadModulo, attn.heads_kv);
         let mut store = ShardedKvStore::new(cfg, placement.clone(), 128, 32);
         let codec = decoder.codec();
-        let parent = store.admit(512).unwrap();
         let k: Vec<TokenMatrix> = (0..2)
             .map(|h| TokenMatrix::from_fn(256, 16, |t, c| ((h + t * 16 + c) as f32 * 0.3).sin()))
             .collect();
-        store.prefill(parent, &k, &k, &codec).unwrap();
+        let (parent, _) = store.admit_prefill_cached(&k, &k, 512, &codec).unwrap();
         let seqs = [
             parent,
             store.fork(parent, 256, 512).unwrap(),

@@ -234,11 +234,10 @@ proptest! {
         let placement = Placement::new(devices, partitioning, heads);
         let mut sharded = ShardedKvStore::new(dec.cache_config(), placement, pages, page_tokens);
         let mut single = PagedKvStore::new(dec.cache_config(), heads, pages, page_tokens);
-        let sseq = sharded.admit(tokens).unwrap();
         let pseq = single.admit(tokens).unwrap();
         let mut model = SynthSequence::new(ATTN_WIDE, seed, tokens, 1);
         let (pk, pv) = model.prompt();
-        sharded.prefill(sseq, &pk, &pv, &codec).unwrap();
+        let (sseq, _) = sharded.admit_prefill_cached(&pk, &pv, tokens, &codec).unwrap();
         single.prefill(pseq, &pk, &pv, &codec).unwrap();
 
         let q = model.query(0);
@@ -510,9 +509,8 @@ proptest! {
         let mut cache = dec.new_cache(1);
         let mut model = SynthSequence::new(ATTN_QUAD, seed, tokens, 1);
         let (pk, pv) = model.prompt();
-        let sseq = sharded.admit(budget).unwrap();
+        let (sseq, _) = sharded.admit_prefill_cached(&pk, &pv, budget, &codec).unwrap();
         let pseq = single.admit(budget).unwrap();
-        sharded.prefill(sseq, &pk, &pv, &codec).unwrap();
         single.prefill(pseq, &pk, &pv, &codec).unwrap();
         for h in 0..heads {
             cache.prefill(h, &pk[h], &pv[h], &codec).unwrap();
