@@ -40,8 +40,10 @@ pub use crate::matrix::{TokenMatrix, TokenRows};
 /// A codec converting between FP16 token blocks and packed payloads.
 ///
 /// Implementations must be inverses up to quantization error and must
-/// produce identical byte counts for identical configurations.
-pub trait BlockCodec {
+/// produce identical byte counts for identical configurations. A codec
+/// is `Sync` because prompt admission packs one prompt on several threads
+/// of a [launch](crate::launch::launch).
+pub trait BlockCodec: Sync {
     /// Quantizes and packs one block (`k`/`v` are `tokens × dim`).
     fn encode(&self, k: &TokenMatrix, v: &TokenMatrix, scheme: QuantScheme) -> PackedBlock;
 

@@ -15,7 +15,8 @@
 //! [device/placement layer](crate::placement) with its
 //! [head-sharded multi-device store](crate::sharded) for tensor-parallel
 //! serving (its all-device admissions share one preflight-then-apply
-//! transaction).
+//! transaction). Prompt admission's bulk passes and the serve layer's
+//! decode step run on one [scoped launch](mod@crate::launch).
 //!
 //! The cache is a *container*: how values are physically packed is decided
 //! by the [`BlockCodec`] that flushes each residual block. The
@@ -25,6 +26,7 @@
 pub mod block;
 pub mod cache;
 pub mod codec;
+pub mod launch;
 pub mod layout;
 pub mod matrix;
 pub mod paged;
@@ -39,6 +41,7 @@ pub use cache::{CacheConfig, CacheError, QuantizedKvCache};
 pub use codec::{
     dequantize_int_codes, quantize_int_codes, reconstruction_error, BlockCodec, ReferenceCodec,
 };
+pub use launch::launch;
 pub use layout::{partition_prefill, PackLayout};
 pub use matrix::{TokenMatrix, TokenRows};
 pub use paged::{PageId, PagedOom, PagedPool, SeqId};

@@ -256,8 +256,10 @@ impl<'a> IntoIterator for &'a mut TokenMatrix {
 ///
 /// The flat [`TokenMatrix`] is the hot-path type; nested `Vec<Vec<f32>>`
 /// (tests, examples, accuracy harnesses) remains accepted at API
-/// boundaries through this trait.
-pub trait TokenRows {
+/// boundaries through this trait. It is `Sync` because prompt admission
+/// reads one prompt from several threads of a
+/// [launch](crate::launch::launch).
+pub trait TokenRows: Sync {
     /// Number of tokens.
     fn token_count(&self) -> usize;
     /// Channels per token (0 for an empty matrix of unknown width).

@@ -5,19 +5,23 @@
 //! token count is a whole number of packed `Nr` blocks (`lcm(Nr,
 //! page_tokens)` tokens), so adopting a run never splits a packed block
 //! across an adopted/private boundary. Nodes are keyed by a chain hash
-//! (FNV-1a over every packed byte of every run up to and including this
-//! one, seeded with the scheme and page geometry), which makes a node's
-//! key a content address for the entire prefix it terminates — position
-//! is inherent, two different prefixes of the same bytes-so-far share a
-//! path, and a lookup is a walk from the roots.
+//! built **leaf-then-chain**: a leaf is the FNV-1a fold of one head's
+//! packed blocks of one run, started from a fixed seed, and key `r` folds
+//! key `r − 1` (the scheme-and-geometry seed before run 0), the run index
+//! and run `r`'s leaves in head order. A node's key is therefore a content
+//! address for every packed byte of the entire prefix it terminates —
+//! position is inherent, two different prefixes of the same bytes-so-far
+//! share a path, and a lookup is a walk from the roots — while the leaves,
+//! which depend on nothing but their own run and head, can be hashed in
+//! parallel.
 //!
 //! A node registered from a prefill additionally carries a 128-bit
-//! **source digest** — the same kind of chain, folded over the `f32` rows
-//! the run was quantized from — and is reachable through a second child
-//! map keyed by that digest, so an admission can find its cached runs
-//! before it quantizes anything. A node registered by a swap-in (which
-//! only ever sees packed bytes) has none until an identical prefill has
-//! byte-verified it and supplies one.
+//! **source digest** — the same leaf-then-chain construction, each leaf
+//! folded over one head's `f32` K then V rows of the run — and is
+//! reachable through a second child map keyed by that digest, so an
+//! admission can find its cached runs before it quantizes anything. A
+//! node registered by a swap-in (which only ever sees packed bytes) has
+//! none until an identical prefill has byte-verified it and supplies one.
 //!
 //! The index itself stores no payload bytes. It records which physical
 //! pages hold each run (the store pins those pages so they survive their
@@ -37,8 +41,9 @@
 use crate::paged::PageId;
 use std::collections::BTreeMap;
 
-/// Digest of the `f32` source rows of a whole prefix: two independently
-/// seeded 64-bit lanes, compared whole.
+/// Digest of `f32` source rows — one head's run (a leaf) or a whole
+/// prefix (a chain state): two independently seeded 64-bit lanes,
+/// compared whole.
 pub(crate) type SourceDigest = [u64; 2];
 
 /// Multipliers of the two source-digest lanes (odd, unrelated).

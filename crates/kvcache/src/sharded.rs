@@ -195,6 +195,21 @@ impl ShardedKvStore {
         }
     }
 
+    /// Sets the launch width — threads, the calling one included — that
+    /// every device's prompt admission runs its bulk passes over (see
+    /// [`PagedKvStore::admit_prefill_cached`]). A new store has width 1.
+    /// No page, key, counter or [`SeqId`] depends on it.
+    pub fn set_launch_width(&mut self, threads: usize) {
+        for dev in &mut self.devices {
+            dev.set_launch_width(threads);
+        }
+    }
+
+    /// The launch width set by [`ShardedKvStore::set_launch_width`].
+    pub fn launch_width(&self) -> usize {
+        self.devices[0].launch_width()
+    }
+
     /// The placement mapping heads to devices.
     pub fn placement(&self) -> &Placement {
         &self.placement
@@ -630,14 +645,15 @@ impl ShardedKvStore {
     /// [`SeqId`] is burned. All devices assign the same id, which is
     /// returned together with the adoption totals summed over devices.
     ///
+    /// Each device runs its bulk passes on the store's launch width, one
+    /// device after another.
+    ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] on shape mismatch, and [`StoreError::Oom`]
-    /// when any device cannot cover `max(reserve_tokens, prompt_len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k`/`v` per-head token counts disagree.
+    /// Returns [`StoreError`] on shape mismatch — including
+    /// [`StoreError::PromptLength`] when per-head token counts disagree,
+    /// naming the global head — and [`StoreError::Oom`] when any device
+    /// cannot cover `max(reserve_tokens, prompt_len)`.
     pub fn admit_prefill_cached<K, V>(
         &mut self,
         k: &[K],

@@ -16,7 +16,9 @@
 //!
 //! One type in plain `impl` blocks, one file per seam:
 //!
-//! - this file: page tables, admission, append / prefill and seal;
+//! - this file: page tables, admission, append / prefill and seal, and
+//!   the per-head split of prompt admission's bulk passes onto the
+//!   [launch](mod@crate::launch);
 //! - `fork`: fork / copy-on-write and frame reclamation;
 //! - `swap`: swap blobs ([`SwappedSeq`]) and their checksum;
 //! - `prefix`: radix adoption ([`PagedKvStore::admit_prefill_cached`])
@@ -45,9 +47,12 @@ mod tests;
 pub use stats::{KvSharingStats, PrefixAdmit, PrefixCacheStats};
 pub use swap::SwappedSeq;
 
+use prefix::packed_leaf;
+
 use crate::block::PackedBlock;
 use crate::cache::{push_rounded, round_rows_into, CacheConfig, CacheError, QuantizedKvCache};
 use crate::codec::BlockCodec;
+use crate::launch::launch;
 use crate::matrix::{TokenMatrix, TokenRows};
 use crate::paged::{PagedOom, PagedPool, SeqId};
 use crate::radix::RadixIndex;
@@ -73,6 +78,16 @@ pub enum StoreError {
         /// Heads provided.
         got: usize,
         /// Heads the store was built with.
+        expected: usize,
+    },
+    /// One head's K or V prompt rows disagree with head 0's K on the
+    /// prompt's token count.
+    PromptLength {
+        /// The offending head.
+        head: usize,
+        /// Tokens that head's K or V provided.
+        got: usize,
+        /// Tokens head 0's K provided.
         expected: usize,
     },
     /// A fork boundary fell inside an already-quantized packed block: the
@@ -121,6 +136,16 @@ impl fmt::Display for StoreError {
                 write!(
                     f,
                     "{got} per-head rows provided, store has {expected} heads"
+                )
+            }
+            StoreError::PromptLength {
+                head,
+                got,
+                expected,
+            } => {
+                write!(
+                    f,
+                    "head {head} has {got} prompt tokens, head 0 has {expected}"
                 )
             }
             StoreError::ForkBoundary {
@@ -183,9 +208,10 @@ fn check_row(row: &[f32], dim: usize) -> Result<(), StoreError> {
 }
 
 /// Validates a prompt's shape — `heads` per-head matrices on both sides,
-/// every row `dim` wide — and returns its token count; panics if per-head
-/// token counts disagree. The one validator behind every prompt write of
-/// the paged and the sharded store.
+/// one token count across them, every row `dim` wide — and returns its
+/// token count. The one validator behind every prompt write of the paged
+/// and the sharded store: what it passes, the launch's tasks may index
+/// without a check.
 pub(crate) fn check_prompt<K: TokenRows, V: TokenRows>(
     k: &[K],
     v: &[V],
@@ -194,9 +220,16 @@ pub(crate) fn check_prompt<K: TokenRows, V: TokenRows>(
 ) -> Result<usize, StoreError> {
     check_heads([k.len(), v.len()], heads)?;
     let len = k[0].token_count();
-    for (hk, hv) in k.iter().zip(v) {
-        assert_eq!(hk.token_count(), len, "per-head prompt length mismatch");
-        assert_eq!(hv.token_count(), len, "per-head prompt length mismatch");
+    for (head, (hk, hv)) in k.iter().zip(v).enumerate() {
+        for got in [hk.token_count(), hv.token_count()] {
+            if got != len {
+                return Err(StoreError::PromptLength {
+                    head,
+                    got,
+                    expected: len,
+                });
+            }
+        }
         for t in 0..len {
             check_row(hk.token_row(t), dim)?;
             check_row(hv.token_row(t), dim)?;
@@ -220,6 +253,15 @@ struct SeqKv {
 /// head, in logical (append) order. A frame only ever holds blocks of the
 /// single sequence that owns the page.
 type Frame = Vec<Vec<PackedBlock>>;
+
+/// Tasks per launch thread for prompt admission's bulk passes: enough
+/// that a thread the host stalls mid-pass leaves the others work to claim.
+const TASKS_PER_THREAD: usize = 8;
+
+/// One head's task outputs, in order, as one list.
+fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+    chunks.into_iter().flatten().collect()
+}
 
 /// Paged physical KV storage for many concurrent sequences — see the
 /// [module docs](self) for the layout and the contiguous-equivalence
@@ -255,6 +297,9 @@ pub struct PagedKvStore {
     /// Radix index over pinned sealed page runs; empty while it is off.
     radix: RadixIndex,
     prefix_stats: PrefixCacheStats,
+    /// Threads prompt admission's bulk passes [`launch`] over (1 unless
+    /// a [`crate::ShardedKvStore`] was given the serve step's width).
+    launch_width: usize,
     /// Test-only hook: collapse every packed chain key and the first lane
     /// of every source digest to one constant so the collision tests can
     /// prove verification — not the hash — is what prevents aliasing.
@@ -281,9 +326,51 @@ impl PagedKvStore {
             prefix_cache: false,
             radix: RadixIndex::default(),
             prefix_stats: PrefixCacheStats::default(),
+            launch_width: 1,
             #[cfg(test)]
             collide_hashes: false,
         }
+    }
+
+    /// Sets how many threads prompt admission's bulk passes launch over.
+    /// No stored byte, key or counter depends on it.
+    pub(crate) fn set_launch_width(&mut self, threads: usize) {
+        self.launch_width = threads;
+    }
+
+    /// Threads prompt admission's bulk passes launch over.
+    pub(crate) fn launch_width(&self) -> usize {
+        self.launch_width
+    }
+
+    /// Runs `task(head, items)` over the launch for every head and every
+    /// chunk of `items` and returns each head's task outputs in item
+    /// order. At width ≤ 1 a head is one task; wider, it splits into about
+    /// [`TASKS_PER_THREAD`] tasks per thread across the heads, each chunk a
+    /// multiple of `align` items from `items.start`, so a task never splits
+    /// a run.
+    fn launch_per_head<T: Send + Sync>(
+        &self,
+        items: Range<usize>,
+        align: usize,
+        task: impl Fn(usize, Range<usize>) -> T + Sync,
+    ) -> Vec<Vec<T>> {
+        let per_head = if self.launch_width <= 1 {
+            1
+        } else {
+            (TASKS_PER_THREAD * self.launch_width).div_ceil(self.heads)
+        };
+        let chunk = (items.len().div_ceil(per_head).next_multiple_of(align)).max(align);
+        let chunks = items.len().div_ceil(chunk);
+        let slots = launch(self.heads * chunks, self.launch_width, |i| {
+            let start = items.start + i % chunks * chunk;
+            task(i / chunks, start..(start + chunk).min(items.end))
+        });
+        let mut out = (slots.into_iter())
+            .map(|slot| slot.unwrap_or_else(|| panic!("a prompt admission task panicked")));
+        (0..self.heads)
+            .map(|_| out.by_ref().take(chunks).collect())
+            .collect()
     }
 
     /// The cache configuration shared by every sequence.
@@ -577,14 +664,11 @@ impl PagedKvStore {
     /// - [`StoreError::UnknownSeq`] / [`StoreError::Sealed`] /
     ///   [`StoreError::NonEmpty`] for a sequence that is not resident, is
     ///   sealed, or already holds tokens;
-    /// - [`StoreError::HeadCount`] / [`CacheError::DimMismatch`] when the
-    ///   prompt's shape disagrees with the store's;
+    /// - [`StoreError::HeadCount`] / [`StoreError::PromptLength`] /
+    ///   [`CacheError::DimMismatch`] when the prompt's shape disagrees with
+    ///   itself or the store's;
     /// - [`StoreError::Oom`] when the pool cannot cover a prompt longer
     ///   than the sequence's reservation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if per-head token counts disagree.
     pub fn prefill<K, V>(
         &mut self,
         seq: SeqId,
@@ -610,36 +694,64 @@ impl PagedKvStore {
             self.ensure_free(extra, &[]);
             self.pool.grow(seq, len)?;
         }
-        let packed = self.pack_prompt_blocks(k, v, 0..len / self.residual_block(), codec);
-        let keys = self.chain_keys(&packed, 0, self.prefix_seed());
+        let (packed, leaves) = self.pack_prompt_blocks(k, v, 0..len / self.residual_block(), codec);
+        let keys = self.chain_keys(&leaves, 0, self.prefix_seed());
         self.install_prompt(seq, k, v, packed, 0);
         let sources = self.source_chain(k, v, keys.len());
         self.register_prefix(seq, &[], &keys, &sources);
         Ok(())
     }
 
-    /// Quantizes blocks `blocks` of every head of a validated prompt: rows
-    /// round through FP16 into a scratch pair reused across the prompt and
-    /// pack through `codec`. The one body behind every prompt write, and
+    /// Quantizes blocks `blocks` of one head's prompt rows: they round
+    /// through FP16 into a scratch pair reused across the range and pack
+    /// through `codec`. The one encode behind every prompt write, and
     /// behind the first-block codec check of the source-keyed lookup.
+    fn pack_head<K: TokenRows, V: TokenRows>(
+        &self,
+        hk: &K,
+        hv: &V,
+        blocks: Range<usize>,
+        codec: &impl BlockCodec,
+    ) -> Vec<PackedBlock> {
+        let nr = self.residual_block();
+        let (mut kb, mut vb) = (TokenMatrix::new(0), TokenMatrix::new(0));
+        blocks
+            .map(|b| {
+                round_rows_into(hk, b * nr, (b + 1) * nr, &mut kb);
+                round_rows_into(hv, b * nr, (b + 1) * nr, &mut vb);
+                codec.encode(&kb, &vb, self.config.scheme)
+            })
+            .collect()
+    }
+
+    /// Packs blocks `blocks` (run-aligned at the start) of every head of a
+    /// validated prompt on the launch, one task per head and range of
+    /// whole runs. With the cache on, each task also folds the packed leaf
+    /// of every full run it packed while the blocks are still warm.
+    /// Returns, per head, the blocks and the leaves.
     fn pack_prompt_blocks<K: TokenRows, V: TokenRows>(
         &self,
         k: &[K],
         v: &[V],
         blocks: Range<usize>,
         codec: &impl BlockCodec,
-    ) -> Vec<Vec<PackedBlock>> {
-        let nr = self.residual_block();
-        let (mut kb, mut vb) = (TokenMatrix::new(0), TokenMatrix::new(0));
-        let mut pack = |hk: &K, hv: &V, b: usize| {
-            round_rows_into(hk, b * nr, (b + 1) * nr, &mut kb);
-            round_rows_into(hv, b * nr, (b + 1) * nr, &mut vb);
-            codec.encode(&kb, &vb, self.config.scheme)
-        };
-        k.iter()
-            .zip(v)
-            .map(|(hk, hv)| blocks.clone().map(|b| pack(hk, hv, b)).collect())
-            .collect()
+    ) -> (Vec<Vec<PackedBlock>>, Vec<Vec<u64>>) {
+        let bpr = self.run_blocks();
+        let tasks = self.launch_per_head(blocks, bpr, |head, blocks| {
+            let packed = self.pack_head(&k[head], &v[head], blocks, codec);
+            let leaves = if self.prefix_cache {
+                packed.chunks_exact(bpr).map(packed_leaf).collect()
+            } else {
+                Vec::new()
+            };
+            (packed, leaves)
+        });
+        (tasks.into_iter())
+            .map(|head| {
+                let (packed, leaves): (Vec<_>, Vec<_>) = head.into_iter().unzip();
+                (concat(packed), concat(leaves))
+            })
+            .unzip()
     }
 
     /// Homes `packed[head]` — the prompt's blocks from `first_block` on —

@@ -4,14 +4,14 @@
 //! allocation.
 
 use super::swap::{fnv_fold, fold_packed_block, FNV_OFFSET};
-use super::{check_prompt, PagedKvStore, PrefixAdmit, StoreError};
+use super::{check_prompt, concat, PagedKvStore, PrefixAdmit, StoreError};
 use crate::block::PackedBlock;
 use crate::codec::BlockCodec;
 use crate::matrix::TokenRows;
 use crate::paged::{PageId, SeqId};
 use crate::radix::{fold_source_row, fold_source_word, SourceDigest};
 use crate::scheme::SchemeKind;
-use std::borrow::Borrow;
+use std::ops::Range;
 
 /// Greatest common divisor (Euclid).
 fn gcd(mut a: usize, mut b: usize) -> usize {
@@ -21,15 +21,34 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
     a
 }
 
+/// Seed of every source leaf (the store's geometry enters the chain, not
+/// the leaf).
+const SOURCE_LEAF_SEED: SourceDigest = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344];
+
+/// The source leaf of one head's run: the raw `f32` bits of its K rows,
+/// then its V rows, over `tokens`, folded from [`SOURCE_LEAF_SEED`].
+fn source_leaf<K: TokenRows, V: TokenRows>(hk: &K, hv: &V, tokens: Range<usize>) -> SourceDigest {
+    let k = tokens.clone().map(|t| hk.token_row(t));
+    let v = tokens.map(|t| hv.token_row(t));
+    k.chain(v).fold(SOURCE_LEAF_SEED, fold_source_row)
+}
+
+/// The packed leaf of one head's run: every packed block of the run,
+/// FNV-folded from the offset basis.
+pub(super) fn packed_leaf(run: &[PackedBlock]) -> u64 {
+    run.iter().fold(FNV_OFFSET, fold_packed_block)
+}
+
 impl PagedKvStore {
     /// Enables or disables the content-addressed radix prefix cache.
     ///
     /// Enabled, every admission that prefills (or swaps in) registers its
     /// sealed full page runs in a radix index, pinning those pages past
-    /// their sequence's lifetime. A run is keyed by the FNV-1a chain hash
-    /// of its **packed bytes** (plus scheme, page geometry, and run
-    /// position) and — when it came from a prefill — by a 128-bit digest
-    /// of the `f32` **source rows** it was quantized from, so a later
+    /// their sequence's lifetime. A run is keyed by an FNV-1a chain over
+    /// the **packed bytes** of the prefix it ends (plus scheme, page
+    /// geometry, and run position; one leaf per run and head) and — when
+    /// it came from a prefill — by a 128-bit digest chained the same way
+    /// over the `f32` **source rows** it was quantized from, so a later
     /// [`PagedKvStore::admit_prefill_cached`] finds it before quantizing
     /// anything; the packed chain (the only key a
     /// [`PagedKvStore::swap_in`] has) stays behind it. Unreferenced
@@ -71,7 +90,7 @@ impl PagedKvStore {
     }
 
     /// Packed blocks per cache run.
-    fn run_blocks(&self) -> usize {
+    pub(super) fn run_blocks(&self) -> usize {
         self.run_pages() * self.page_tokens() / self.residual_block()
     }
 
@@ -100,10 +119,13 @@ impl PagedKvStore {
         .fold(FNV_OFFSET, |h, v| fnv_fold(h, &(v as u64).to_le_bytes()))
     }
 
-    /// Source digests of a prompt's leading `runs` page runs: digest `r`
-    /// folds the run index and the raw `f32` bits of runs `0..=r` (per
-    /// run head-major, each head's K rows then its V rows), so like a
-    /// packed chain key it addresses the whole prefix it terminates.
+    /// Source digests of a prompt's leading `runs` page runs. The
+    /// per-(run, head) source leaves fold on the launch, one task per head
+    /// and range of runs; then the chain folds them in order: digest `r`
+    /// is digest `r − 1` (the store's seed before run 0) folded with the
+    /// run index and run `r`'s leaves in head order. Like a packed chain
+    /// key it addresses the whole prefix it terminates, and no leaf
+    /// depends on how runs were split into tasks.
     pub(super) fn source_chain<K: TokenRows, V: TokenRows>(
         &self,
         k: &[K],
@@ -111,18 +133,20 @@ impl PagedKvStore {
         runs: usize,
     ) -> Vec<SourceDigest> {
         let run_tokens = self.run_blocks() * self.residual_block();
+        let leaves: Vec<Vec<SourceDigest>> = (self.launch_per_head(0..runs, 1, |head, runs| {
+            runs.map(|r| source_leaf(&k[head], &v[head], r * run_tokens..(r + 1) * run_tokens))
+                .collect()
+        }))
+        .into_iter()
+        .map(concat)
+        .collect();
         let seed = self.prefix_seed();
         let mut d = [seed, !seed.rotate_left(32)];
         (0..runs)
             .map(|r| {
                 d = fold_source_word(d, r as u64);
-                for (hk, hv) in k.iter().zip(v) {
-                    for t in r * run_tokens..(r + 1) * run_tokens {
-                        d = fold_source_row(d, hk.token_row(t));
-                    }
-                    for t in r * run_tokens..(r + 1) * run_tokens {
-                        d = fold_source_row(d, hv.token_row(t));
-                    }
+                for head in &leaves {
+                    d = head[r].into_iter().fold(d, fold_source_word);
                 }
                 [self.chain_key(d[0]), d[1]]
             })
@@ -138,29 +162,35 @@ impl PagedKvStore {
         h
     }
 
-    /// Packed chain keys of the runs in `blocks[head]` — runs
-    /// `first_run..` of a sequence, the chain resuming from state `h` (the
-    /// seed, or run `first_run - 1`'s key): a key folds its run index and
-    /// every packed block of runs `0..=r` (head-major within a run), so
-    /// it addresses the *entire* prefix it terminates.
-    pub(super) fn chain_keys<B: Borrow<PackedBlock>>(
-        &self,
-        blocks: &[Vec<B>],
-        first_run: usize,
-        mut h: u64,
-    ) -> Vec<u64> {
-        let bpr = self.run_blocks();
-        (0..self.full_runs(blocks.first().map_or(0, Vec::len)))
+    /// Packed chain keys of the runs whose per-head packed leaves are
+    /// `leaves[head]` — runs `first_run..` of a sequence, the chain
+    /// resuming from state `h` (the seed, or run `first_run - 1`'s key).
+    /// Key `r` folds key `r − 1`, the run index and run `r`'s leaves in
+    /// head order, so it addresses the *entire* prefix it terminates.
+    pub(super) fn chain_keys(&self, leaves: &[Vec<u64>], first_run: usize, mut h: u64) -> Vec<u64> {
+        (0..leaves.first().map_or(0, Vec::len))
             .map(|r| {
                 h = fnv_fold(h, &((first_run + r) as u64).to_le_bytes());
-                for head in blocks {
-                    for block in &head[r * bpr..(r + 1) * bpr] {
-                        h = fold_packed_block(h, block.borrow());
-                    }
+                for head in leaves {
+                    h = fnv_fold(h, &head[r].to_le_bytes());
                 }
                 self.chain_key(h)
             })
             .collect()
+    }
+
+    /// The packed leaves of every full run in `blocks[head]`, on the
+    /// launch — what a swap-in, which only has packed bytes, keys by.
+    pub(super) fn packed_leaves(&self, blocks: &[Vec<PackedBlock>]) -> Vec<Vec<u64>> {
+        let bpr = self.run_blocks();
+        let runs = self.full_runs(blocks.first().map_or(0, Vec::len));
+        (self.launch_per_head(0..runs, 1, |head, runs| {
+            runs.map(|r| packed_leaf(&blocks[head][r * bpr..(r + 1) * bpr]))
+                .collect()
+        }))
+        .into_iter()
+        .map(concat)
+        .collect()
     }
 
     /// `true` when a page of cached run `id` was recycled or rewritten
@@ -198,20 +228,22 @@ impl PagedKvStore {
 
     /// Extends `adopted` — the nodes of the leading runs an admission has
     /// matched — through the packed-byte chain over `blocks[head]`, the
-    /// blocks of the runs past them. A run whose node is fresh and whose
-    /// frames byte-verify (a chain-hash collision must never alias pages)
-    /// is touched and appended, a stale node is evicted with its subtree,
-    /// and the walk stops at the first miss. Returns the chain keys of
-    /// **all** the runs in `blocks`, for registration to reuse.
-    pub(super) fn walk_packed<B: Borrow<PackedBlock>>(
+    /// blocks of the runs past them, whose full runs' packed leaves are
+    /// `leaves[head]`. A run whose node is fresh and whose frames
+    /// byte-verify (a chain-hash collision must never alias pages) is
+    /// touched and appended, a stale node is evicted with its subtree, and
+    /// the walk stops at the first miss. Returns the chain keys of **all**
+    /// the full runs in `blocks`, for registration to reuse.
+    pub(super) fn walk_packed(
         &mut self,
-        blocks: &[Vec<B>],
+        blocks: &[Vec<PackedBlock>],
+        leaves: &[Vec<u64>],
         adopted: &mut Vec<usize>,
     ) -> Vec<u64> {
         let bpr = self.run_blocks();
         let resume = adopted.last().map(|&id| self.radix.node(id).key);
         let keys = self.chain_keys(
-            blocks,
+            leaves,
             adopted.len(),
             resume.unwrap_or_else(|| self.prefix_seed()),
         );
@@ -227,7 +259,7 @@ impl PagedKvStore {
             let pages = &self.radix.node(id).pages;
             let verified = blocks.iter().enumerate().all(|(head, want)| {
                 let cached = pages.iter().flat_map(|&p| &self.frames[p.0 as usize][head]);
-                cached.eq(want[r * bpr..(r + 1) * bpr].iter().map(Borrow::borrow))
+                cached.eq(&want[r * bpr..(r + 1) * bpr])
             });
             if !verified {
                 break;
@@ -334,15 +366,17 @@ impl PagedKvStore {
     /// [`PagedKvStore::admit`], a failed admission changes nothing and
     /// burns no [`SeqId`].
     ///
+    /// The three bulk passes — the source leaves, packing the unmatched
+    /// suffix, and its packed leaves — run on the store's launch, one task
+    /// per head and range of runs; validation, the lookup, page
+    /// allocation, installation and registration stay sequential in head
+    /// order, so the result is identical at every launch width.
+    ///
     /// # Errors
     ///
     /// Returns [`StoreError::Oom`] when the pool cannot cover
     /// `max(reserve_tokens, prompt_len)`, and shape errors as
     /// [`PagedKvStore::prefill`] would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k`/`v` per-head token counts disagree.
     pub fn admit_prefill_cached<K, V>(
         &mut self,
         k: &[K],
@@ -371,8 +405,10 @@ impl PagedKvStore {
             };
             if r == 0 {
                 let frame = &self.frames[self.radix.node(id).pages[0].0 as usize];
-                let ours = self.pack_prompt_blocks(k, v, 0..1, codec);
-                if !(ours.iter().zip(frame)).all(|(ours, cached)| ours.first() == cached.first()) {
+                let agrees = (k.iter().zip(v).zip(frame)).all(|((hk, hv), cached)| {
+                    self.pack_head(hk, hv, 0..1, codec).first() == cached.first()
+                });
+                if !agrees {
                     break;
                 }
             }
@@ -388,8 +424,8 @@ impl PagedKvStore {
         // packed chain from the last adopted node.
         let by_source = adopted.len();
         let bpr = self.run_blocks();
-        let mut packed = self.pack_prompt_blocks(k, v, by_source * bpr..blocks, codec);
-        let keys = self.walk_packed(&packed, &mut adopted);
+        let (mut packed, leaves) = self.pack_prompt_blocks(k, v, by_source * bpr..blocks, codec);
+        let keys = self.walk_packed(&packed, &leaves, &mut adopted);
         for head in &mut packed {
             head.drain(..(adopted.len() - by_source) * bpr);
         }

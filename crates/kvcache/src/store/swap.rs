@@ -60,7 +60,8 @@ pub(super) fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// Folds one packed block — both tensors' shapes and every payload byte —
 /// into an FNV-1a state. Shared by the swap-blob checksum and the radix
-/// prefix chain hash, so both key on exactly the packed representation.
+/// prefix cache's packed leaves, so both key on exactly the packed
+/// representation.
 pub(super) fn fold_packed_block(mut h: u64, block: &PackedBlock) -> u64 {
     for tensor in [&block.k, &block.v] {
         h = fnv_fold(h, &(tensor.tokens as u64).to_le_bytes());
@@ -307,7 +308,8 @@ impl PagedKvStore {
         let mut swap_reused = 0usize;
         let mut swap_reused_bytes = 0usize;
         let mut cached = Vec::new();
-        let keys = self.walk_packed(&blob.blocks, &mut cached);
+        let leaves = self.packed_leaves(&blob.blocks);
+        let keys = self.walk_packed(&blob.blocks, &leaves, &mut cached);
         for (slot, page) in self.run_pages_of(&cached).into_iter().enumerate() {
             if slot < slots.len() && slots[slot].is_none() {
                 slots[slot] = Some(page);

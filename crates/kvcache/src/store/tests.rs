@@ -3,7 +3,9 @@
 use super::*;
 use crate::codec::ReferenceCodec;
 use crate::layout::PackLayout;
+use crate::paged::PageId;
 use crate::scheme::QuantScheme;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn cfg(dim: usize) -> CacheConfig {
     CacheConfig::new(dim, QuantScheme::kc4(), PackLayout::sm80_default())
@@ -110,8 +112,9 @@ fn contiguous_twin(
     cache
 }
 
-/// [`ReferenceCodec`] that counts the blocks it encodes.
-struct CountingCodec<'a>(&'a std::cell::Cell<usize>);
+/// [`ReferenceCodec`] that counts the blocks it encodes, from any thread
+/// of the launch.
+struct CountingCodec<'a>(&'a AtomicUsize);
 
 impl BlockCodec for CountingCodec<'_> {
     fn encode(
@@ -120,7 +123,7 @@ impl BlockCodec for CountingCodec<'_> {
         v: &TokenMatrix,
         scheme: crate::scheme::QuantScheme,
     ) -> PackedBlock {
-        self.0.set(self.0.get() + 1);
+        self.0.fetch_add(1, Ordering::Relaxed);
         ReferenceCodec.encode(k, v, scheme)
     }
     fn decode(
@@ -380,6 +383,31 @@ fn prefill_into_a_non_empty_sequence_is_a_typed_error() {
     );
     assert_eq!(store.seq_len(seq), Some(1), "nothing stored on error");
     assert_eq!(store.free_pages(), free);
+}
+
+#[test]
+fn a_short_head_is_a_typed_error_that_stores_nothing() {
+    let mut store = PagedKvStore::new(cfg(16), 3, 64, 32);
+    store.set_prefix_cache(true);
+    store.set_launch_width(2);
+    let (k, mut v) = prompt(3, 16, 200, 3);
+    v[2].pop();
+    let short = StoreError::PromptLength {
+        head: 2,
+        got: 199,
+        expected: 200,
+    };
+    let free = store.free_pages();
+    assert_eq!(
+        store.admit_prefill_cached(&k, &v, 200, &ReferenceCodec),
+        Err(short.clone())
+    );
+    let seq = store.admit(200).unwrap();
+    assert_eq!(store.prefill(seq, &k, &v, &ReferenceCodec), Err(short));
+    assert_eq!(store.seq_len(seq), Some(0), "nothing stored on error");
+    store.evict(seq);
+    assert_eq!(store.free_pages(), free);
+    assert_eq!(store.prefix_cache_stats(), PrefixCacheStats::default());
 }
 
 // ── Fork / copy-on-write and frame reclamation (`fork.rs`) ────────────────────
@@ -944,21 +972,25 @@ fn lookup_precedes_quantization_on_a_full_hit() {
     let mut store = PagedKvStore::new(cfg(16), heads, 256, 32);
     store.set_prefix_cache(true);
     let (k, v) = prompt(heads, 16, len, 11);
-    let encoded = std::cell::Cell::new(0);
+    let encoded = AtomicUsize::new(0);
     let codec = CountingCodec(&encoded);
     store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
-    assert_eq!(encoded.get(), heads * runs, "cold: every block packed");
-    encoded.set(0);
+    assert_eq!(
+        encoded.load(Ordering::Relaxed),
+        heads * runs,
+        "cold: every block packed"
+    );
+    encoded.store(0, Ordering::Relaxed);
     let (seq, admit) = store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
     assert_eq!(admit.pages_reused, runs * 4);
     // Only the codec-agreement check (block 0 of each head) encodes.
-    assert_eq!(encoded.get(), heads);
+    assert_eq!(encoded.load(Ordering::Relaxed), heads);
     assert!(store.matches_cache(seq, &contiguous_twin(&store, &k, &v), 0));
     // A suffix miss packs exactly the missed suffix.
     let (k2, v2) = spliced_prompt(heads, len, 2 * 128 + 1, (11, 12));
-    encoded.set(0);
+    encoded.store(0, Ordering::Relaxed);
     store.admit_prefill_cached(&k2, &v2, len, &codec).unwrap();
-    assert_eq!(encoded.get(), heads + heads);
+    assert_eq!(encoded.load(Ordering::Relaxed), heads + heads);
 }
 
 #[test]
@@ -974,18 +1006,26 @@ fn swap_in_registered_run_gains_its_source_digest_from_the_next_prefill() {
     store.set_prefix_cache(true);
     store.swap_in(&blob).unwrap();
     assert_eq!(store.prefix_cached_runs(), 2);
-    let encoded = std::cell::Cell::new(0);
+    let encoded = AtomicUsize::new(0);
     let codec = CountingCodec(&encoded);
     // The source lookup misses, the packed chain behind it hits — and
     // records the digest on the existing nodes instead of adding any.
     let (_, first) = store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
     assert_eq!(first.pages_reused, 2 * 4);
-    assert_eq!(encoded.get(), heads * 2, "packed path quantizes first");
+    assert_eq!(
+        encoded.load(Ordering::Relaxed),
+        heads * 2,
+        "packed path quantizes first"
+    );
     assert_eq!(store.prefix_cached_runs(), 2, "adopted, not duplicated");
-    encoded.set(0);
+    encoded.store(0, Ordering::Relaxed);
     let (_, second) = store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
     assert_eq!(second.pages_reused, 2 * 4);
-    assert_eq!(encoded.get(), heads, "now found before quantizing");
+    assert_eq!(
+        encoded.load(Ordering::Relaxed),
+        heads,
+        "now found before quantizing"
+    );
     assert_eq!(store.prefix_cached_runs(), 2);
 }
 
@@ -1123,6 +1163,141 @@ fn swap_in_adopts_cached_prefix_zero_copy() {
     let stats = store.prefix_cache_stats();
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.pages_reused, 4);
+}
+
+/// Everything an admission history leaves in a store — all of which must
+/// be independent of the launch width.
+#[derive(Debug, PartialEq)]
+struct Snapshot {
+    frames: Vec<Vec<Vec<PackedBlock>>>,
+    tables: Vec<Vec<PageId>>,
+    residuals: Vec<(TokenMatrix, TokenMatrix)>,
+    radix_nodes: usize,
+    radix_pages: Vec<PageId>,
+    stats: PrefixCacheStats,
+    admits: Vec<PrefixAdmit>,
+}
+
+/// A cold admission, a full hit, a prompt that diverges in run 1, its swap
+/// round trip and a cold `prefill` of it, on 3 heads at launch width
+/// `width`. Nr = 128 on 96-token pages makes a run 4 pages = 3 blocks, so
+/// the prompt is 2 full runs, a 2-block partial run and 50 residual rows.
+fn admission_history(width: usize) -> Snapshot {
+    let (heads, len) = (3, 8 * 128 + 50);
+    let mut store = PagedKvStore::new(cfg(16), heads, 256, 96);
+    store.set_prefix_cache(true);
+    store.set_launch_width(width);
+    let (k, v) = prompt(heads, 16, len, 31);
+    let (k2, v2) = spliced_prompt(heads, len, 3 * 128 + 7, (31, 32));
+    let mut admits = Vec::new();
+    for (k, v) in [(&k, &v), (&k, &v), (&k2, &v2)] {
+        admits.push(
+            store
+                .admit_prefill_cached(k, v, len, &ReferenceCodec)
+                .unwrap()
+                .1,
+        );
+    }
+    let last = *store.seqs.keys().last().unwrap();
+    let blob = store.swap_out(last).unwrap();
+    store.swap_in(&blob).unwrap();
+    let cold = store.admit(len).unwrap();
+    store.prefill(cold, &k2, &v2, &ReferenceCodec).unwrap();
+    let seqs: Vec<SeqId> = store.seqs.keys().copied().collect();
+    Snapshot {
+        frames: store.frames.clone(),
+        tables: (seqs.iter())
+            .map(|&s| store.pool.table(s).unwrap().to_vec())
+            .collect(),
+        residuals: (seqs.iter())
+            .flat_map(|&s| (0..heads).map(move |h| (s, h)))
+            .map(|(s, h)| {
+                (
+                    store.residual(s, h).0.clone(),
+                    store.residual(s, h).1.clone(),
+                )
+            })
+            .collect(),
+        radix_nodes: store.radix.node_count(),
+        radix_pages: store.radix.all_pages(),
+        stats: store.prefix_cache_stats(),
+        admits,
+    }
+}
+
+#[test]
+fn admission_is_identical_at_every_launch_width() {
+    let narrow = admission_history(1);
+    // The history exercised both lookups: a full hit and a partial one.
+    let pages: Vec<usize> = narrow.admits.iter().map(|a| a.pages_reused).collect();
+    assert_eq!(pages, [0, 2 * 4, 4]);
+    assert!(narrow.radix_nodes >= 3);
+    for width in [2, 3, 8] {
+        assert_eq!(admission_history(width), narrow, "width {width}");
+    }
+}
+
+#[test]
+fn a_prompt_admitted_at_width_1_is_adopted_in_full_at_width_3() {
+    let (heads, len) = (3, 8 * 128 + 50);
+    let mut store = PagedKvStore::new(cfg(16), heads, 256, 96);
+    store.set_prefix_cache(true);
+    let (k, v) = prompt(heads, 16, len, 31);
+    let encoded = AtomicUsize::new(0);
+    let codec = CountingCodec(&encoded);
+    store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
+    store.set_launch_width(3);
+    encoded.store(0, Ordering::Relaxed);
+    let (seq, admit) = store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
+    assert_eq!(admit.pages_reused, 2 * 4, "both full runs");
+    // Found by source digest: only the codec check (block 0 of each head)
+    // and the 2-block partial run encode.
+    assert_eq!(encoded.load(Ordering::Relaxed), heads + heads * 2);
+    assert!(store.matches_cache(seq, &contiguous_twin(&store, &k, &v), 0));
+}
+
+#[test]
+fn every_heads_leaf_reaches_both_chains() {
+    // 3 heads and 3 one-block runs (32-token pages). A prompt that differs
+    // from a cached one only in head 2's V rows of run `r` adopts exactly
+    // `r` runs — whether the cached runs carry source digests (admitted)
+    // or only packed keys (swapped in).
+    let (heads, runs) = (3, 3);
+    let len = runs * 128;
+    let (k, v) = prompt(heads, 16, len, 50);
+    let (_, other) = prompt(heads, 16, len, 51);
+    for r in [0, 1, runs - 1] {
+        let mut v2 = v.clone();
+        v2[2][r * 128..(r + 1) * 128].clone_from_slice(&other[2][r * 128..(r + 1) * 128]);
+        for swapped_in in [false, true] {
+            let mut store = PagedKvStore::new(cfg(16), heads, 256, 32);
+            store.set_launch_width(2);
+            if swapped_in {
+                let seq = store.admit(len).unwrap();
+                store.prefill(seq, &k, &v, &ReferenceCodec).unwrap();
+                let blob = store.swap_out(seq).unwrap();
+                store.set_prefix_cache(true);
+                store.swap_in(&blob).unwrap();
+            } else {
+                store.set_prefix_cache(true);
+                store
+                    .admit_prefill_cached(&k, &v, len, &ReferenceCodec)
+                    .unwrap();
+            }
+            let (seq, admit) = store
+                .admit_prefill_cached(&k, &v2, len, &ReferenceCodec)
+                .unwrap();
+            let at = format!("r = {r}, swapped in: {swapped_in}");
+            assert_eq!(admit.pages_reused, r * 4, "{at}");
+            // Runs `r..` got keys of their own: none answered to a key
+            // the cached prompt's runs hold.
+            assert_eq!(store.prefix_cached_runs(), 2 * runs - r, "{at}");
+            assert!(
+                store.matches_cache(seq, &contiguous_twin(&store, &k, &v2), 0),
+                "{at}"
+            );
+        }
+    }
 }
 
 // ── Sharing statistics (`stats.rs`) ───────────────────────────────────────────

@@ -79,8 +79,8 @@ pub struct ServeConfig {
     pub total_pages: usize,
     /// Tokens per page.
     pub page_tokens: usize,
-    /// Threads per device that execute a step's units (0 = run them
-    /// inline on the session thread).
+    /// Threads per device that execute a step's units and pack an
+    /// admitted prompt (0 = run them inline on the session thread).
     pub workers: usize,
     /// Maximum concurrently decoding sequences.
     pub max_batch: usize,
@@ -621,22 +621,31 @@ fn build_placement(
     }
 }
 
+/// Builds the session's store over `placement`: `config`'s pools and
+/// prefix cache, and the decode step's launch width — `workers` per device
+/// — for prompt admission's bulk passes too.
+fn build_store(decoder: &BitDecoder, placement: Placement, config: &ServeConfig) -> ShardedKvStore {
+    let threads = config.workers * placement.devices();
+    let mut store = ShardedKvStore::new(
+        decoder.cache_config(),
+        placement,
+        config.total_pages,
+        config.page_tokens,
+    );
+    store.set_prefix_cache(config.prefix_cache);
+    store.set_launch_width(threads);
+    store
+}
+
 impl ServeSession {
     /// Creates a session serving `decoder`'s model/GPU configuration under
     /// `config`'s pool, batch, and device limits.
     pub fn new(decoder: BitDecoder, config: ServeConfig) -> Self {
-        let cache_config = decoder.cache_config();
         let heads = decoder.attention().heads_kv;
         let device_weights = config.topology.device_weights();
         let placement =
             build_placement(config.devices, config.partitioning, &device_weights, heads);
-        let mut store = ShardedKvStore::new(
-            cache_config,
-            placement,
-            config.total_pages,
-            config.page_tokens,
-        );
-        store.set_prefix_cache(config.prefix_cache);
+        let store = build_store(&decoder, placement, &config);
         ServeSession {
             decoder,
             store,

@@ -1,8 +1,10 @@
 //! Fault recovery: rebuilding the fleet around a lost device, and the
 //! page seizures ("hogs") a pool-exhaustion fault holds against admission.
 
-use super::{build_placement, PageHog, QueueEntry, RequestEvent, RequestId, ServeSession};
-use bd_kvcache::{SeqId, ShardedKvStore};
+use super::{
+    build_placement, build_store, PageHog, QueueEntry, RequestEvent, RequestId, ServeSession,
+};
+use bd_kvcache::SeqId;
 
 impl ServeSession {
     /// Kills one device: every KV page it held is gone. The session
@@ -32,14 +34,7 @@ impl ServeSession {
             &self.device_weights,
             heads,
         );
-        let mut store = ShardedKvStore::new(
-            self.decoder.cache_config(),
-            placement,
-            self.config.total_pages,
-            self.config.page_tokens,
-        );
-        store.set_prefix_cache(self.config.prefix_cache);
-        self.store = store;
+        self.store = build_store(&self.decoder, placement, &self.config);
         // Recovery: every resident sequence lost its share on the dead
         // device, and every parked swap blob was cut for the old device
         // count — both recompute from the prompt.

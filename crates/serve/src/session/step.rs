@@ -239,7 +239,8 @@ impl ServeSession {
         items
     }
 
-    /// Launches the units over `workers × devices` scoped threads that
+    /// Launches the units over the store's launch width — `workers ×
+    /// devices` scoped threads, the width prompt admission packs on — that
     /// borrow the store until every unit has finished. A failed launch
     /// happens before any token is appended, so the step simply did not
     /// happen for this batch: the offending sequence is failed when it is
@@ -248,7 +249,7 @@ impl ServeSession {
     /// the session keeps serving — survivors re-run the same generation
     /// step next time and, by determinism, emit the same tokens.
     fn execute(&mut self, units: &[WorkUnit]) -> Option<Vec<UnitResult>> {
-        let threads = self.config.workers * self.store.devices();
+        let threads = self.store.launch_width();
         let run = run_units(units, threads, &self.store, &self.decoder, &self.obs.tracer);
         let err = match run {
             Ok(results) => return Some(results),

@@ -1,10 +1,10 @@
 use super::ledger::STEP_COUNTERS;
 use super::*;
-use crate::model::{replay_contiguous, SynthSequence};
+use crate::model::{replay_contiguous, StepKv, SynthSequence};
 use crate::scheduler::{FcfsPreempt, ShortestRemainingFirst};
-use bd_core::AttentionConfig;
+use bd_core::{AttentionConfig, QueryHeads};
 use bd_gpu_sim::GpuArch;
-use bd_kvcache::{DeviceId, PrefixCacheStats, QuantScheme};
+use bd_kvcache::{DeviceId, PrefixCacheStats, QuantScheme, StoreError, TokenMatrix};
 use bd_obs::ClockDomain;
 
 fn decoder(attn: AttentionConfig) -> BitDecoder {
@@ -1389,6 +1389,70 @@ fn misrouted_batches_fail_typed_without_poisoning_the_session() {
     assert!(session.is_finished(id));
     assert!(!session.is_failed(id));
     assert_eq!(session.failure(id), None);
+}
+
+/// A [`SynthSequence`] whose head-2 K prompt is one row short.
+struct ShortHead(SynthSequence);
+
+impl SequenceModel for ShortHead {
+    fn prompt(&mut self) -> (Vec<TokenMatrix>, Vec<TokenMatrix>) {
+        let (mut k, v) = self.0.prompt();
+        let full = &k[2];
+        k[2] = TokenMatrix::from_fn(full.tokens() - 1, full.dim(), |t, c| full.row(t)[c]);
+        (k, v)
+    }
+    fn prompt_tokens(&self) -> usize {
+        self.0.prompt_tokens()
+    }
+    fn gen_tokens(&self) -> usize {
+        self.0.gen_tokens()
+    }
+    fn query(&mut self, step: usize) -> QueryHeads {
+        self.0.query(step)
+    }
+    fn advance(&mut self, step: usize, output: &QueryHeads) -> StepKv {
+        self.0.advance(step, output)
+    }
+}
+
+#[test]
+fn a_short_head_fails_only_its_request() {
+    // The prompt is checked before the launch packs it: head 2's missing
+    // row is a typed store error for that request alone, at any width.
+    let attn = AttentionConfig::gqa(8, 4, 16);
+    let len = 300;
+    let streams = |with_bad: bool| -> Vec<Vec<u32>> {
+        let mut session = ServeSession::new(decoder(attn), ServeConfig::new(256, 32, 2, 4));
+        let a = session
+            .submit(Box::new(SynthSequence::new(attn, 1, len, 5)))
+            .unwrap();
+        if with_bad {
+            let bad = session
+                .submit(Box::new(ShortHead(SynthSequence::new(attn, 2, len, 5))))
+                .unwrap();
+            session.run_to_completion();
+            assert!(session.is_failed(bad));
+            assert_eq!(
+                session.failure(bad),
+                Some(&ServeError::Store(StoreError::PromptLength {
+                    head: 2,
+                    got: len - 1,
+                    expected: len,
+                }))
+            );
+            assert_eq!(session.stream(bad).map_or(0, <[u32]>::len), 0);
+        }
+        let b = session
+            .submit(Box::new(SynthSequence::new(attn, 3, len, 5)))
+            .unwrap();
+        session.run_to_completion();
+        assert_eq!(session.store().free_pages(), 256, "nothing leaked");
+        [a, b]
+            .iter()
+            .map(|&id| session.stream(id).unwrap().to_vec())
+            .collect()
+    };
+    assert_eq!(streams(true), streams(false));
 }
 
 #[test]

@@ -25,11 +25,9 @@
 //! mode), bit for bit.
 
 use bd_core::{BitDecoder, OnlineSoftmax, PrefixSharer};
-use bd_kvcache::{DeviceId, PackedBlock, SeqId, ShardedKvStore, StoreError};
+use bd_kvcache::{launch, DeviceId, PackedBlock, SeqId, ShardedKvStore, StoreError};
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{device_lane, SpanTracer};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Runtime execution errors of the serve layer — the typed replacements
 /// for what used to be fail-stop panics. The session handles each by
@@ -231,16 +229,14 @@ fn run_unit(
 }
 
 /// Runs one step's units to completion and returns their results in unit
-/// order — the step's kernel launch.
+/// order — the step's kernel launch, one [`launch`] task per unit.
 ///
-/// `threads` is the launch width, the calling thread included: the call
-/// spawns `threads.max(1) − 1` scoped threads and then works as the last
-/// of them, so `threads ≤ 1` runs every unit inline through the same code.
-/// Every thread drains one shared cursor: it claims the next unit index
-/// and runs that unit, until none is left. Each index is claimed exactly
-/// once and its result lands in that index's slot, so no result depends
-/// on which thread ran it. The threads borrow `store` and `decoder` for
-/// the call only; once it returns, the caller may mutate the store.
+/// `threads` is the launch width, the calling thread included, so
+/// `threads ≤ 1` runs every unit inline through the same code. Each unit
+/// index is claimed exactly once and its result lands in that index's
+/// slot, so no result depends on which thread ran it. The threads borrow
+/// `store` and `decoder` for the call only; once it returns, the caller
+/// may mutate the store.
 ///
 /// # Errors
 ///
@@ -255,30 +251,12 @@ pub(crate) fn run_units(
     decoder: &BitDecoder,
     tracer: &SpanTracer,
 ) -> Result<Vec<UnitResult>, ServeError> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Result<UnitResult, ServeError>>> =
-        units.iter().map(|_| OnceLock::new()).collect();
-    let drain = || loop {
-        // `Relaxed`: the cursor publishes no data. Each result reaches the
-        // caller through its slot's `OnceLock` and the join below.
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(unit) = units.get(i) else { return };
-        // The cursor hands out every index once, so the slot is empty.
-        let _ = slots[i].set(run_unit(unit, store, decoder, tracer));
-    };
-    std::thread::scope(|s| {
-        let spawned: Vec<_> = (1..threads).map(|_| s.spawn(drain)).collect();
-        drain();
-        for handle in spawned {
-            // A panicked thread leaves the slot of the unit it was running
-            // empty, which reads as `WorkerLost` below.
-            let _ = handle.join();
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or(Err(ServeError::WorkerLost)))
-        .collect()
+    launch(units.len(), threads, |i| {
+        run_unit(&units[i], store, decoder, tracer)
+    })
+    .into_iter()
+    .map(|slot| slot.unwrap_or(Err(ServeError::WorkerLost)))
+    .collect()
 }
 
 #[cfg(test)]
