@@ -8,8 +8,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bd_core::{
-    attend_packed_blocks_fused, attend_packed_blocks_multi, FragmentCodec, MatmulEngine,
-    OnlineSoftmax, PrefixSharer,
+    attend_packed_blocks_fused, attend_packed_blocks_multi, attend_residual_fused, FragmentCodec,
+    MatmulEngine, OnlineSoftmax, PrefixSharer,
 };
 use bd_kvcache::{BlockCodec, PackLayout, PackedBlock, QuantScheme, TokenMatrix};
 use bd_lowbit::F16;
@@ -170,4 +170,96 @@ fn kt4_walks_reproduce_the_scalar_order_bit_for_bit() {
 #[test]
 fn kt2_walks_reproduce_the_scalar_order_bit_for_bit() {
     check_scheme(QuantScheme::kt2());
+}
+
+/// The residual kernel over one FP16 window, one scalar operation at a
+/// time: each score sums 16-channel k-tiles — per tile a `partial` from
+/// `0.0` in channel order, then `total += partial` with `total` from
+/// `0.0` — over operands rounded as the engine rounds them; then
+/// `exp(s − m)` and a token-ascending `acc += p·v`, all in one fold.
+fn oracle_residual(
+    q: &[Vec<f32>],
+    k: &TokenMatrix,
+    v: &TokenMatrix,
+    scale: f32,
+    engine: MatmulEngine,
+) -> OnlineSoftmax {
+    const K_TILE: usize = 16;
+    let operand = |x: f32| match engine {
+        MatmulEngine::Mma => F16::from_f32(x).to_f32(),
+        MatmulEngine::Wgmma => x,
+    };
+    let dim = q[0].len();
+    let mut state = OnlineSoftmax::new(q.len(), dim);
+    for (r, q_row) in q.iter().enumerate() {
+        let scores: Vec<f32> = k
+            .iter()
+            .map(|k_row| {
+                let mut total = 0.0f32;
+                for c0 in (0..dim).step_by(K_TILE) {
+                    let mut partial = 0.0f32;
+                    for c in c0..(c0 + K_TILE).min(dim) {
+                        partial += operand(q_row[c] * scale) * operand(k_row[c]);
+                    }
+                    total += partial;
+                }
+                total
+            })
+            .collect();
+        let m = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        let mut l = 0.0f32;
+        for (&s, v_row) in scores.iter().zip(v) {
+            let p = (s - m).exp();
+            l += p;
+            for (a, &vv) in state.acc_row_mut(r).iter_mut().zip(v_row) {
+                *a += p * vv;
+            }
+        }
+        state.m[r] = m;
+        state.l[r] = l;
+    }
+    state
+}
+
+/// `attend_residual_fused` against [`oracle_residual`] on both engines, for
+/// `dim ∈ {16, 24, 32, 64, 128}` (24 ends on a short k-tile) and every
+/// window length from 1 to `Nr − 1` of both KC-4 (`Nr` 128) and KC-2
+/// (`Nr` 256) — the second range holds the first. One window per `dim`
+/// has `-0.0` keys on every third token, so those scores sum signed zeros,
+/// and one is all `-0.0`, so `m` is a zero whose sign is the tree's.
+#[test]
+fn residual_kernel_reproduces_the_k_tile_tree_bit_for_bit() {
+    let layout = PackLayout::sm80_default();
+    let nr = [QuantScheme::kc4(), QuantScheme::kc2()]
+        .map(|s| layout.residual_block(s.int_width().unwrap()))
+        .into_iter()
+        .max()
+        .unwrap();
+    for dim in [16, 24, 32, 64, 128] {
+        let scale = 1.0 / (dim as f32).sqrt();
+        let q = matrix(2, dim, dim as u64).to_rows();
+        let k_all = matrix(nr, dim, dim as u64 ^ 0x51);
+        let v_all = matrix(nr, dim, dim as u64 ^ 0xA7);
+        let signed_zeros =
+            TokenMatrix::from_fn(
+                nr - 1,
+                dim,
+                |t, c| if t % 3 == 1 { -0.0 } else { k_all[t][c] },
+            );
+        let all_negative_zero = TokenMatrix::from_fn(7, dim, |_, _| -0.0);
+        let mut windows: Vec<(TokenMatrix, TokenMatrix)> = (1..nr)
+            .map(|len| (k_all.slice_rows(0..len), v_all.slice_rows(0..len)))
+            .collect();
+        windows.push((signed_zeros, v_all.slice_rows(0..nr - 1)));
+        windows.push((all_negative_zero, v_all.slice_rows(0..7)));
+        for engine in [MatmulEngine::Mma, MatmulEngine::Wgmma] {
+            for (k, v) in &windows {
+                let mut got = OnlineSoftmax::new(q.len(), dim);
+                attend_residual_fused(&q, k, v, scale, engine, &mut got);
+                let want = oracle_residual(&q, k, v, scale, engine);
+                let what = format!("residual {engine:?} dim={dim} len={}", k.tokens());
+                assert_same_bits(&got, &want, &what);
+            }
+        }
+    }
 }
