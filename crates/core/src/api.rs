@@ -7,6 +7,7 @@ use crate::config::{query_transform, ungroup_outputs, AttentionConfig, QueryHead
 use crate::kernels::{
     attend_packed_blocks, attend_packed_blocks_fp4, attend_packed_blocks_fused,
     attend_packed_blocks_multi, attend_residual, attend_residual_fused, MatmulEngine, PrefixSharer,
+    ResidualKeys,
 };
 use crate::profiles::{decode_plan, ArchPath, OptimizationFlags};
 use crate::shape::DecodeShape;
@@ -427,11 +428,11 @@ impl BitDecoder {
     /// Returns the normalized `g_q × d` output rows plus the fast-dequant
     /// instruction counts the fused path streamed (zero on the other
     /// paths).
-    pub fn attend_head<B: Borrow<PackedBlock>>(
+    pub fn attend_head<B: Borrow<PackedBlock>, K: ResidualKeys + ?Sized>(
         &self,
         q_block: &[Vec<f32>],
         blocks: &[B],
-        res_k: &TokenMatrix,
+        res_k: &K,
         res_v: &TokenMatrix,
     ) -> (Vec<Vec<f32>>, FastDequantOps) {
         let (state, ops) = self.attend_head_partial(q_block, blocks, res_k, res_v);
@@ -448,11 +449,11 @@ impl BitDecoder {
     /// [`OnlineSoftmax::finish`](OnlineSoftmax::finish) reconstructs the
     /// single-device [`BitDecoder::attend_head`] output bit for bit
     /// (merging a single partial is the identity).
-    pub fn attend_head_partial<B: Borrow<PackedBlock>>(
+    pub fn attend_head_partial<B: Borrow<PackedBlock>, K: ResidualKeys + ?Sized>(
         &self,
         q_block: &[Vec<f32>],
         blocks: &[B],
-        res_k: &TokenMatrix,
+        res_k: &K,
         res_v: &TokenMatrix,
     ) -> (OnlineSoftmax, FastDequantOps) {
         let route = self.route();
@@ -495,9 +496,16 @@ impl BitDecoder {
             );
         }
         match route.race_wn {
-            Some(wn) => {
-                attend_residual(q_block, res_k, res_v, scale, wn, false, engine, &mut state)
-            }
+            Some(wn) => attend_residual(
+                q_block,
+                res_k.rows(),
+                res_v,
+                scale,
+                wn,
+                false,
+                engine,
+                &mut state,
+            ),
             // Bitwise identical to the materializing kernel, without the
             // tile/transpose/fragment round-trips.
             None => attend_residual_fused(q_block, res_k, res_v, scale, engine, &mut state),
@@ -518,10 +526,10 @@ impl BitDecoder {
     /// performed (deduped on the fused path). Configurations outside the
     /// fused fast path (native FP4, non-cooperative multi-warp) fall back
     /// to per-sharer independent walks.
-    pub fn attend_head_partial_multi<B: Borrow<PackedBlock>>(
+    pub fn attend_head_partial_multi<B: Borrow<PackedBlock>, K: ResidualKeys>(
         &self,
         prefix: &[B],
-        sharers: &[PrefixSharer<'_, B>],
+        sharers: &[PrefixSharer<'_, B, K>],
     ) -> (Vec<OnlineSoftmax>, FastDequantOps) {
         let route = self.route();
         if route.fp4.is_some() || route.race_wn.is_some() {

@@ -33,7 +33,8 @@ use bd_gpu_sim::{
     ldmatrix, mma, mma_block_scaled_fp4, wgmma_ss, AccFragment, FragmentLayout, MmaShape, Operand,
     Tile,
 };
-use bd_kvcache::{BlockCodec, PackedBlock, QuantScheme, TokenMatrix};
+use bd_kvcache::window::write_panel;
+use bd_kvcache::{BlockCodec, KeyWindow, PackedBlock, QuantScheme, TokenMatrix, PANEL_TOKENS};
 use bd_lowbit::f16::round_through_f16;
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_lowbit::fp4::{quantize_fp4_block, E2M1};
@@ -222,8 +223,8 @@ pub fn attend_packed_blocks<B: Borrow<PackedBlock>>(
 struct KernelScratch {
     /// Per-group dequantization LUT of the tensor being decoded.
     lut: Vec<f32>,
-    /// Decoded K block as the `dim × tokens` Kᵀ tile — or, in the residual
-    /// kernel, the engine-rounded token-major K window.
+    /// Decoded K block as the `dim × tokens` Kᵀ tile (the packed walk's
+    /// only; the residual kernel reads Kᵀ panels).
     k: TokenMatrix,
     /// Decoded V block.
     v: TokenMatrix,
@@ -233,6 +234,10 @@ struct KernelScratch {
     /// One block's `rows × tokens` score tile, flat row-major (before the
     /// walk: `q · scale` on its way through FP16 into `q_eff`).
     scores: Vec<f32>,
+    /// The residual kernel's `dim × 16` Kᵀ panels written per call, back to
+    /// back: every group of a bare [`TokenMatrix`] window, or the partial
+    /// group past a [`KeyWindow`]'s last whole one.
+    panels: Vec<f32>,
 }
 
 thread_local! {
@@ -357,13 +362,13 @@ pub fn attend_packed_blocks_fused<B: Borrow<PackedBlock>>(
 /// residual` is exactly what the independent path would attend over.
 /// [`attend_packed_blocks_multi`] reads the packed part (`q_block`,
 /// `suffix`); the residual fold is the caller's.
-pub struct PrefixSharer<'a, B> {
+pub struct PrefixSharer<'a, B, K = TokenMatrix> {
     /// The sharer's per-head query rows (un-scaled, as for the solo path).
     pub q_block: &'a [Vec<f32>],
     /// Packed blocks private to this sharer (past the shared prefix).
     pub suffix: &'a [B],
     /// The sharer's residual K window.
-    pub res_k: &'a TokenMatrix,
+    pub res_k: &'a K,
     /// The sharer's residual V window.
     pub res_v: &'a TokenMatrix,
 }
@@ -379,9 +384,9 @@ pub struct PrefixSharer<'a, B> {
 /// saving is the deduped decode, reflected in the returned
 /// [`FastDequantOps`], which counts only work actually performed (shared
 /// prefix blocks once, not once per sharer).
-pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>>(
+pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>, K>(
     prefix: &[B],
-    sharers: &[PrefixSharer<'_, B>],
+    sharers: &[PrefixSharer<'_, B, K>],
     dim: usize,
     codec: &FragmentCodec,
     scheme: QuantScheme,
@@ -554,62 +559,126 @@ pub fn attend_packed_blocks_fp4<B: Borrow<PackedBlock>>(
     }
 }
 
-/// The fused flat-layout **Residual Kernel** body: FP16 attention over the
-/// residual window computed straight from the flat token-major
-/// [`TokenMatrix`] buffers — no per-step [`Tile`] materialization, no
-/// `transposed()` round-trip, no fragment scatter/gather.
+/// The key side of a residual window as the residual kernel reads it:
+/// token-major rows, and the window's write-once Kᵀ panels when it keeps
+/// them. A bare [`TokenMatrix`] keeps none; a store's [`KeyWindow`] keeps
+/// one per whole 16-token group, over rows that are FP16-exact.
+pub trait ResidualKeys {
+    /// The window's rows, token-major.
+    fn rows(&self) -> &TokenMatrix;
+    /// The window with its panels, if it keeps them.
+    fn window(&self) -> Option<&KeyWindow> {
+        None
+    }
+}
+
+impl ResidualKeys for TokenMatrix {
+    fn rows(&self) -> &TokenMatrix {
+        self
+    }
+}
+
+impl ResidualKeys for KeyWindow {
+    fn rows(&self) -> &TokenMatrix {
+        KeyWindow::rows(self)
+    }
+    fn window(&self) -> Option<&KeyWindow> {
+        Some(self)
+    }
+}
+
+/// Both modelled instruction families reduce K in 16-wide tiles.
+const K_TILE: usize = 16;
+
+/// One query row's scores against one `dim × 16` Kᵀ panel into `out` (at
+/// most 16 lanes): for each 16-channel k-tile, each lane builds `partial`
+/// from `0.0` in channel order, then `total += partial`, `total` from
+/// `0.0` — the scalar k-tile tree, 16 tokens side by side.
+fn score_panel(q_row: &[f32], panel: &[f32], out: &mut [f32]) {
+    let mut total = [0.0f32; PANEL_TOKENS];
+    for (q_tile, k_tile) in q_row
+        .chunks(K_TILE)
+        .zip(panel.chunks(K_TILE * PANEL_TOKENS))
+    {
+        let mut partial = [0.0f32; PANEL_TOKENS];
+        let (channels, _) = k_tile.as_chunks::<PANEL_TOKENS>();
+        for (&x, k_lanes) in q_tile.iter().zip(channels) {
+            for (lane, &y) in partial.iter_mut().zip(k_lanes) {
+                *lane += x * y;
+            }
+        }
+        for (t, p) in total.iter_mut().zip(partial) {
+            *t += p;
+        }
+    }
+    out.copy_from_slice(&total[..out.len()]);
+}
+
+/// The fused **Residual Kernel** body: FP16 attention over the residual
+/// window with the window's tokens on the lanes. `Q·Kᵀ` reads the window
+/// as `dim × 16` Kᵀ panels — the MMA's B operand — 16 tokens at a time:
+/// a [`KeyWindow`]'s whole groups from its write-once slots (built here
+/// by the first reader), the rest written into this thread's scratch per
+/// call, zero-padded. No [`Tile`], transpose round-trip or fragment
+/// scatter per step.
 ///
 /// The arithmetic replicates the materializing [`attend_residual`] path
 /// **bitwise** for every valid (cooperative or single-warp) configuration:
 /// operands round exactly as the engine's instruction would round them
 /// (`mma` loads both operands through FP16 fragments; `wgmma_SS` consumes
-/// shared-memory tiles unrounded), and each `Q·Kᵀ` row-dot accumulates
-/// per 16-wide k-tile partials in tile order — the same f32 summation
-/// tree the tiled GEMM walk produces. Tile zero-padding adds exact zeros
-/// and so never changes a result bit. `tests::fused_residual_matches_
-/// materializing_bitwise` pins the equivalence.
-pub fn attend_residual_fused(
+/// shared-memory tiles unrounded), and each score accumulates per 16-wide
+/// k-tile partials in tile order — the same f32 summation tree the tiled
+/// GEMM walk produces. A [`KeyWindow`]'s rows are FP16-exact, so neither
+/// engine rounds them again; a bare [`TokenMatrix`] is rounded (`mma`) or
+/// copied (`wgmma`) into its scratch panels. Tile zero-padding adds exact
+/// zeros and so never changes a result bit.
+/// `tests::fused_residual_matches_materializing_bitwise` and
+/// `summation_order.rs` pin the equivalence.
+pub fn attend_residual_fused<K: ResidualKeys + ?Sized>(
     q: &[Vec<f32>],
-    res_k: &TokenMatrix,
+    res_k: &K,
     res_v: &TokenMatrix,
     scale: f32,
     engine: MatmulEngine,
     state: &mut OnlineSoftmax,
 ) {
-    if res_k.is_empty() {
+    let rows = res_k.rows();
+    if rows.is_empty() {
         return;
     }
-    // Both modelled instruction families reduce K in 16-wide tiles.
-    const K_TILE: usize = 16;
+    let (tokens, dim) = (rows.tokens(), rows.dim());
+    let window = res_k.window();
+    let stored = window.map_or(0, KeyWindow::sealed_groups);
     SCRATCH.with_borrow_mut(|scratch| {
         let KernelScratch {
-            k, q_eff, scores, ..
+            q_eff,
+            scores,
+            panels,
+            ..
         } = scratch;
         q_eff.clear();
-        push_effective_queries(q, res_k.dim(), scale, engine, scores, q_eff);
-        // `mma` loads K through FP16 fragments too: round the window once
-        // per call, not once per query row.
-        let k_eff = match engine {
-            MatmulEngine::Mma => {
-                k.resize_tokens(res_k.tokens(), res_k.dim());
-                round_through_f16(res_k.as_slice(), k.as_mut_slice());
-                &*k
-            }
-            MatmulEngine::Wgmma => res_k,
-        };
+        push_effective_queries(q, dim, scale, engine, scores, q_eff);
+        let panel_len = dim * PANEL_TOKENS;
+        let rest = &rows.as_slice()[stored * panel_len..];
+        panels.resize(rest.len().div_ceil(panel_len) * panel_len, 0.0);
+        let round = window.is_none() && engine == MatmulEngine::Mma;
+        for (group, panel) in rest
+            .chunks(panel_len)
+            .zip(panels.chunks_exact_mut(panel_len))
+        {
+            write_panel(group, dim, round, panel);
+        }
         scores.clear();
-        for q_row in q_eff.chunks_exact(k_eff.dim()) {
-            scores.extend(k_eff.iter().map(|k_row| {
-                let mut total = 0.0f32;
-                for (q_tile, k_tile) in q_row.chunks(K_TILE).zip(k_row.chunks(K_TILE)) {
-                    let mut partial = 0.0f32;
-                    for (a, b) in q_tile.iter().zip(k_tile) {
-                        partial += a * b;
-                    }
-                    total += partial;
-                }
-                total
-            }));
+        scores.resize(q_eff.len() / dim * tokens, 0.0);
+        for group in 0..tokens.div_ceil(PANEL_TOKENS) {
+            let panel = match window {
+                Some(w) if group < stored => w.panel(group),
+                _ => &panels[(group - stored) * panel_len..][..panel_len],
+            };
+            let lanes = group * PANEL_TOKENS..tokens.min((group + 1) * PANEL_TOKENS);
+            for (q_row, s_row) in q_eff.chunks_exact(dim).zip(scores.chunks_exact_mut(tokens)) {
+                score_panel(q_row, panel, &mut s_row[lanes.clone()]);
+            }
         }
         state.step_scores(scores, res_v);
     });
@@ -908,11 +977,90 @@ mod tests {
 
     #[test]
     fn fused_residual_empty_window_is_identity() {
-        let mut state = OnlineSoftmax::new(2, 16);
         let empty = TokenMatrix::new(16);
         let q = vec![vec![0.4f32; 16]; 2];
+        let mut state = OnlineSoftmax::new(2, 16);
         attend_residual_fused(&q, &empty, &empty, 0.25, MatmulEngine::Mma, &mut state);
+        attend_residual_fused(
+            &q,
+            &KeyWindow::new(16),
+            &empty,
+            0.25,
+            MatmulEngine::Mma,
+            &mut state,
+        );
         assert!(state.finish().iter().all(|r| r.iter().all(|&x| x == 0.0)));
+    }
+
+    /// `attend_residual_fused`'s `(m, l, acc)` bits for one query block.
+    fn residual_bits<K: ResidualKeys + ?Sized>(
+        q: &[Vec<f32>],
+        k: &K,
+        v: &TokenMatrix,
+        engine: MatmulEngine,
+    ) -> Vec<u32> {
+        let dim = v.dim();
+        let mut state = OnlineSoftmax::new(q.len(), dim);
+        attend_residual_fused(q, k, v, 1.0 / (dim as f32).sqrt(), engine, &mut state);
+        let acc = (0..q.len()).flat_map(|r| state.acc_row(r).to_vec());
+        (state.m.iter().chain(&state.l).copied().chain(acc))
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn built_slots_never_change_a_bit() {
+        // The window entry against the TokenMatrix entry over the same
+        // FP16-exact rows — and, on mma, over the unrounded rows they were
+        // pushed from — for every window length below KC-4's Nr, with no,
+        // every other or every whole group's panel built beforehand, and 8
+        // query blocks reading one window at once on launches of 1, 2, 3
+        // and 8 threads (so threads race to fill one slot).
+        let nr = PackLayout::sm80_default().residual_block(bd_lowbit::BitWidth::B4);
+        let dim = 24;
+        let raw_k = TokenMatrix::from_fn(nr, dim, |t, c| ((t * dim + c) as f32 * 0.37).sin() * 2.0);
+        let all_v = TokenMatrix::from_fn(nr, dim, |t, c| ((t * 3 + c * 7) as f32 * 0.53).cos());
+        let queries: Vec<Vec<Vec<f32>>> = (0..8)
+            .map(|i| TokenMatrix::from_fn(2, dim, |g, c| ((i * 97 + g * dim + c) as f32).sin()))
+            .map(|q| q.to_rows())
+            .collect();
+        for len in 1..nr {
+            let raw = raw_k.slice_rows(0..len);
+            let v = all_v.slice_rows(0..len);
+            let rounded = KeyWindow::from_rows(&raw).rows().clone();
+            for engine in [MatmulEngine::Mma, MatmulEngine::Wgmma] {
+                let want: Vec<Vec<u32>> = (queries.iter())
+                    .map(|q| residual_bits(q, &rounded, &v, engine))
+                    .collect();
+                if engine == MatmulEngine::Mma {
+                    for (q, want) in queries.iter().zip(&want) {
+                        assert_eq!(&residual_bits(q, &raw, &v, engine), want, "len {len}");
+                    }
+                }
+                // Groups built beforehand: none, every other, all.
+                for every in [0, 2, 1] {
+                    for width in [1, 2, 3, 8] {
+                        let window = KeyWindow::from_rows(&raw);
+                        if every > 0 {
+                            for group in (0..window.sealed_groups()).step_by(every) {
+                                window.panel(group);
+                            }
+                        }
+                        let got = bd_kvcache::launch(queries.len(), width, |i| {
+                            residual_bits(&queries[i], &window, &v, engine)
+                        });
+                        for (i, (got, want)) in got.into_iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                got.as_ref(),
+                                Some(want),
+                                "{engine:?} len {len} every {every} width {width} query {i}"
+                            );
+                        }
+                        assert!(window.panels_match_rows());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

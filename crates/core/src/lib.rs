@@ -60,6 +60,7 @@ pub use config::{query_transform, ungroup_outputs, AttentionConfig, AttentionVar
 pub use kernels::{
     attend_packed_blocks, attend_packed_blocks_fused, attend_packed_blocks_multi, attend_residual,
     attend_residual_fused, matmul, matmul_via_mma, matmul_via_wgmma, MatmulEngine, PrefixSharer,
+    ResidualKeys,
 };
 pub use profiles::{
     choose_splits, combine_kernel_profile, decode_plan, fast_dequant_slots_per_elem, overlap_for,

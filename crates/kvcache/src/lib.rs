@@ -15,7 +15,9 @@
 //! [device/placement layer](crate::placement) with its
 //! [head-sharded multi-device store](crate::sharded) for tensor-parallel
 //! serving (its all-device admissions share one preflight-then-apply
-//! transaction). Prompt admission's bulk passes and the serve layer's
+//! transaction). Each stored residual K window is a
+//! [`KeyWindow`]: FP16 rows plus write-once Kᵀ panels the residual kernel
+//! reads in the MMA's layout. Prompt admission's bulk passes and the serve layer's
 //! decode step run on one [scoped launch](mod@crate::launch).
 //!
 //! The cache is a *container*: how values are physically packed is decided
@@ -35,6 +37,7 @@ mod radix;
 pub mod scheme;
 pub mod sharded;
 pub mod store;
+pub mod window;
 
 pub use block::{PackedBlock, PackedPayload, PackedTensor};
 pub use cache::{CacheConfig, CacheError, QuantizedKvCache};
@@ -51,3 +54,4 @@ pub use sharded::{DeviceKvStats, ShardedKvStore, SwappedShardedSeq};
 pub use store::{
     KvSharingStats, PagedKvStore, PrefixAdmit, PrefixCacheStats, StoreError, SwappedSeq,
 };
+pub use window::{KeyWindow, PANEL_TOKENS};

@@ -6,6 +6,7 @@
 use super::{PagedKvStore, SeqKv, StoreError};
 use crate::matrix::TokenMatrix;
 use crate::paged::{PageId, SeqId};
+use crate::window::KeyWindow;
 
 impl PagedKvStore {
     /// `true` when [`PagedKvStore::fork`] at `at_token` would succeed on
@@ -108,7 +109,9 @@ impl PagedKvStore {
         let res = at_token % nr;
         let copy_prefix =
             |m: &TokenMatrix| TokenMatrix::from_fn(res, self.config.dim, |t, c| m.row(t)[c]);
-        let residual_k: Vec<TokenMatrix> = state.residual_k.iter().map(copy_prefix).collect();
+        let residual_k: Vec<KeyWindow> = (state.residual_k.iter())
+            .map(|w| KeyWindow::from_rounded(copy_prefix(w.rows())))
+            .collect();
         let residual_v: Vec<TokenMatrix> = state.residual_v.iter().map(copy_prefix).collect();
         let shared_slots = at_token.div_ceil(self.pool.page_tokens());
         let Some(parent_table) = self.pool.table(parent) else {

@@ -56,6 +56,7 @@ use crate::launch::launch;
 use crate::matrix::{TokenMatrix, TokenRows};
 use crate::paged::{PagedOom, PagedPool, SeqId};
 use crate::radix::RadixIndex;
+use crate::window::KeyWindow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
@@ -244,7 +245,8 @@ pub(crate) fn check_prompt<K: TokenRows, V: TokenRows>(
 struct SeqKv {
     /// Logical tokens (packed + residual).
     len: usize,
-    residual_k: Vec<TokenMatrix>,
+    /// Per head, the K window with its write-once Kᵀ panels.
+    residual_k: Vec<KeyWindow>,
     residual_v: Vec<TokenMatrix>,
     sealed: bool,
 }
@@ -473,7 +475,7 @@ impl PagedKvStore {
     fn empty_seq(&self) -> SeqKv {
         SeqKv {
             len: 0,
-            residual_k: vec![TokenMatrix::new(self.config.dim); self.heads],
+            residual_k: vec![KeyWindow::new(self.config.dim); self.heads],
             residual_v: vec![TokenMatrix::new(self.config.dim); self.heads],
             sealed: false,
         }
@@ -516,7 +518,7 @@ impl PagedKvStore {
     ///
     /// Panics on a non-resident sequence.
     pub fn residual_len(&self, seq: SeqId) -> usize {
-        self.seqs[&seq].residual_k[0].len()
+        self.seqs[&seq].residual_k[0].tokens()
     }
 
     /// The residual FP16 window of one head (`(k, v)`).
@@ -525,6 +527,18 @@ impl PagedKvStore {
     ///
     /// Panics on a non-resident sequence or bad head index.
     pub fn residual(&self, seq: SeqId, head: usize) -> (&TokenMatrix, &TokenMatrix) {
+        let (k, v) = self.residual_window(seq, head);
+        (k.rows(), v)
+    }
+
+    /// [`PagedKvStore::residual`] with the K side as its [`KeyWindow`]: the
+    /// same rows plus the write-once Kᵀ panels of its whole 16-token
+    /// groups, which the residual kernel reads (and fills) in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-resident sequence or bad head index.
+    pub fn residual_window(&self, seq: SeqId, head: usize) -> (&KeyWindow, &TokenMatrix) {
         let s = &self.seqs[&seq];
         (&s.residual_k[head], &s.residual_v[head])
     }
@@ -636,10 +650,10 @@ impl PagedKvStore {
         };
         let mut flushed = false;
         for head in 0..self.heads {
-            push_rounded(&mut state.residual_k[head], k_rows[head].as_ref());
+            state.residual_k[head].push(k_rows[head].as_ref());
             push_rounded(&mut state.residual_v[head], v_rows[head].as_ref());
             if state.residual_k[head].tokens() == nr {
-                let k_block = std::mem::replace(&mut state.residual_k[head], TokenMatrix::new(dim));
+                let k_block = state.residual_k[head].take_rows();
                 let v_block = std::mem::replace(&mut state.residual_v[head], TokenMatrix::new(dim));
                 let packed = codec.encode(&k_block, &v_block, scheme);
                 let start = new_len - nr;
@@ -778,7 +792,7 @@ impl PagedKvStore {
         };
         for (head, (hk, hv)) in k.iter().zip(v).enumerate() {
             for t in len - len % nr..len {
-                push_rounded(&mut state.residual_k[head], hk.token_row(t));
+                state.residual_k[head].push(hk.token_row(t));
                 push_rounded(&mut state.residual_v[head], hv.token_row(t));
             }
         }

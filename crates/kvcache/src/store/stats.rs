@@ -205,7 +205,7 @@ impl PagedKvStore {
         let residual: usize = self.seqs[&seq]
             .residual_k
             .iter()
-            .map(|m| m.len() * self.config.dim * 2 * 2)
+            .map(|w| w.tokens() * self.config.dim * 2 * 2)
             .sum();
         packed + residual
     }

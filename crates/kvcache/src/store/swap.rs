@@ -7,6 +7,7 @@ use crate::block::{PackedBlock, PackedPayload};
 use crate::cache::CacheError;
 use crate::matrix::TokenMatrix;
 use crate::paged::{PageId, SeqId};
+use crate::window::KeyWindow;
 
 /// A sequence swapped out of the page arena into host memory: the packed
 /// blocks of every head in logical order plus the FP16 residual window,
@@ -259,7 +260,11 @@ impl PagedKvStore {
             reserved_tokens,
             sealed: state.sealed,
             blocks,
-            residual_k: state.residual_k,
+            residual_k: state
+                .residual_k
+                .into_iter()
+                .map(KeyWindow::into_rows)
+                .collect(),
             residual_v: state.residual_v,
             reshare,
             checksum: 0,
@@ -345,7 +350,9 @@ impl PagedKvStore {
             seq,
             SeqKv {
                 len: blob.len,
-                residual_k: blob.residual_k.clone(),
+                residual_k: (blob.residual_k.iter().cloned())
+                    .map(KeyWindow::from_rounded)
+                    .collect(),
                 residual_v: blob.residual_v.clone(),
                 sealed: blob.sealed,
             },

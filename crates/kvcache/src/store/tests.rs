@@ -5,6 +5,7 @@ use crate::codec::ReferenceCodec;
 use crate::layout::PackLayout;
 use crate::paged::PageId;
 use crate::scheme::QuantScheme;
+use crate::window::PANEL_TOKENS;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn cfg(dim: usize) -> CacheConfig {
@@ -1369,4 +1370,99 @@ fn mid_page_fork_boundary_splits_the_group_at_the_last_shared_block() {
     append_n(&mut store, child, 114, 2000, 270);
     assert_eq!(store.seq_len(child), Some(384));
     assert_eq!(store.shared_block_run(&[parent, child]), 2);
+}
+
+// ── The residual K window's panel slots (`crate::window`) ────────────────────
+
+/// Every head of `seq` holds one slot per whole 16-token group, and every
+/// built slot is its group's transposed rows.
+fn assert_slots(store: &PagedKvStore, seq: SeqId, what: &str) {
+    for head in 0..store.heads() {
+        let (window, _) = store.residual_window(seq, head);
+        assert_eq!(
+            window.sealed_groups(),
+            window.tokens() / PANEL_TOKENS,
+            "{what}: head {head}"
+        );
+        assert!(window.panels_match_rows(), "{what}: head {head}");
+    }
+}
+
+/// Reads — and so builds — every panel of `seq`, as a decode step does.
+fn read_panels(store: &PagedKvStore, seq: SeqId) {
+    for head in 0..store.heads() {
+        let (window, _) = store.residual_window(seq, head);
+        for group in 0..window.sealed_groups() {
+            window.panel(group);
+        }
+    }
+}
+
+/// Panels of `seq` built so far, over every head.
+fn built_panels(store: &PagedKvStore, seq: SeqId) -> usize {
+    (0..store.heads())
+        .map(|head| {
+            let (window, _) = store.residual_window(seq, head);
+            (0..window.sealed_groups())
+                .filter(|&g| window.built_panel(g).is_some())
+                .count()
+        })
+        .sum()
+}
+
+#[test]
+fn panel_slots_follow_the_rows_through_every_store_operation() {
+    // dim 24 (a short last k-tile), Nr = 128, 32-token pages, 2 heads.
+    let mut store = PagedKvStore::new(cfg(24), 2, 128, 32);
+    store.set_prefix_cache(true);
+    let seq = store.admit(0).unwrap();
+    // Appends up to and past a flush, every slot read between appends:
+    // a sealing append opens an empty slot, the flush drops them all.
+    for t in 0..128 + 50 {
+        append_n(&mut store, seq, 1, 0, t);
+        assert_slots(&store, seq, &format!("append {t}"));
+        read_panels(&store, seq);
+        assert_slots(&store, seq, &format!("read after append {t}"));
+    }
+    assert_eq!(store.residual_len(seq), 50);
+    assert_eq!(built_panels(&store, seq), 2 * 3);
+
+    // A mid-window fork (2 whole groups + 5 rows of the window): the child
+    // starts with empty slots, the parent keeps its built ones.
+    let child = store.fork(seq, 128 + 37, 512).unwrap();
+    assert_eq!(store.residual_len(child), 37);
+    assert_slots(&store, child, "fork");
+    assert_eq!(built_panels(&store, child), 0);
+    assert_eq!(built_panels(&store, seq), 2 * 3);
+    append_n(&mut store, child, 20, 9, 128 + 37);
+    read_panels(&store, child);
+    assert_slots(&store, child, "child appends");
+
+    // A swap round trip restores the rows with empty slots.
+    let (k_before, _) = store.residual(seq, 1);
+    let k_before = k_before.clone();
+    let blob = store.swap_out(seq).unwrap();
+    let back = store.swap_in(&blob).unwrap();
+    assert_slots(&store, back, "swap in");
+    assert_eq!(built_panels(&store, back), 0);
+    assert_eq!(store.residual(back, 1).0, &k_before);
+    read_panels(&store, back);
+    assert_slots(&store, back, "read after swap in");
+
+    // Prefix adoption installs the residual rows past the adopted run the
+    // way a cold prefill does: slots open, none built.
+    let (k, v) = prompt(2, 24, 128 + 40, 3);
+    let (cold, _) = store
+        .admit_prefill_cached(&k, &v, 256, &ReferenceCodec)
+        .unwrap();
+    read_panels(&store, cold);
+    let (hit, admit) = store
+        .admit_prefill_cached(&k, &v, 256, &ReferenceCodec)
+        .unwrap();
+    assert!(admit.pages_reused > 0, "the second prompt adopts the run");
+    assert_slots(&store, hit, "adoption");
+    assert_eq!(built_panels(&store, hit), 0);
+    assert_eq!(store.residual(hit, 0), store.residual(cold, 0));
+    read_panels(&store, hit);
+    assert_slots(&store, hit, "read after adoption");
 }

@@ -207,7 +207,6 @@ pub fn f32_to_f16_bits(fbits: u32) -> u16 {
     const F32_INFTY: u32 = 255 << 23;
     const F16_MAX: u32 = (127 + 16) << 23;
     const DENORM_MAGIC_BITS: u32 = ((127 - 15) + (23 - 10) + 1) << 23;
-    const SIGN_MASK: u32 = 0x8000_0000;
 
     let sign = fbits & SIGN_MASK;
     let mut f = fbits ^ sign;
@@ -246,22 +245,11 @@ pub fn f32_to_f16_bits(fbits: u32) -> u16 {
 ///
 /// Panics if the slices differ in length.
 pub fn round_through_f16(src: &[f32], dst: &mut [f32]) {
-    const SIGN_MASK: u32 = 0x8000_0000;
-    /// `2^-14`, the smallest binary16 normal.
-    const MIN_NORMAL: u32 = 113 << 23;
-    /// `65520.0`, the smallest magnitude that rounds to infinity.
-    const OVERFLOW: u32 = 0x477F_F000;
-
     assert_eq!(src.len(), dst.len(), "slab length mismatch");
     let mut overflow = false;
     for (out, &x) in dst.iter_mut().zip(src) {
-        let bits = x.to_bits();
-        let mag = bits & !SIGN_MASK;
-        overflow |= mag >= OVERFLOW;
-        let normal = mag.wrapping_add(0xFFF + ((mag >> 13) & 1)) & !0x1FFF;
-        let subnormal = ((f32::from_bits(mag) + 0.5) - 0.5).to_bits();
-        let rounded = if mag < MIN_NORMAL { subnormal } else { normal };
-        *out = f32::from_bits(rounded | (bits & SIGN_MASK));
+        overflow |= rounds_past_f16_max(x);
+        *out = round_below_f16_max(x);
     }
     if overflow {
         for (out, &x) in dst.iter_mut().zip(src) {
@@ -269,6 +257,46 @@ pub fn round_through_f16(src: &[f32], dst: &mut [f32]) {
         }
     }
 }
+
+/// [`round_through_f16`] over `xs` in place, bit for bit the same values.
+pub fn round_through_f16_in_place(xs: &mut [f32]) {
+    if xs
+        .iter()
+        .fold(false, |any, &x| any | rounds_past_f16_max(x))
+    {
+        for x in xs {
+            *x = F16::from_f32(*x).to_f32();
+        }
+    } else {
+        for x in xs {
+            *x = round_below_f16_max(*x);
+        }
+    }
+}
+
+/// `|x| ≥ 65520`, infinite or NaN: where [`round_below_f16_max`] is wrong.
+#[inline(always)]
+fn rounds_past_f16_max(x: f32) -> bool {
+    /// `65520.0`, the smallest magnitude that rounds to infinity.
+    const OVERFLOW: u32 = 0x477F_F000;
+    x.to_bits() & !SIGN_MASK >= OVERFLOW
+}
+
+/// `F16::from_f32(x).to_f32()`, branch-free, for `|x| < 65520`.
+#[inline(always)]
+fn round_below_f16_max(x: f32) -> f32 {
+    /// `2^-14`, the smallest binary16 normal.
+    const MIN_NORMAL: u32 = 113 << 23;
+    let bits = x.to_bits();
+    let mag = bits & !SIGN_MASK;
+    let normal = mag.wrapping_add(0xFFF + ((mag >> 13) & 1)) & !0x1FFF;
+    let subnormal = ((f32::from_bits(mag) + 0.5) - 0.5).to_bits();
+    let rounded = if mag < MIN_NORMAL { subnormal } else { normal };
+    f32::from_bits(rounded | (bits & SIGN_MASK))
+}
+
+/// The `f32` sign bit.
+const SIGN_MASK: u32 = 0x8000_0000;
 
 /// Exact binary16 → `f32` conversion on raw bits.
 #[inline]
@@ -449,6 +477,12 @@ mod tests {
             round_through_f16(src, dst);
         }
         assert_eq!(bits(&got), want);
+        // In place, on the same row-sized chunks.
+        let mut in_place = cases.clone();
+        for chunk in in_place.chunks_mut(64) {
+            round_through_f16_in_place(chunk);
+        }
+        assert_eq!(bits(&in_place), want);
     }
 
     #[test]

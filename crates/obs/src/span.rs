@@ -144,16 +144,17 @@ impl SpanTracer {
     /// Ends a wall-clock span begun with [`Self::begin`].
     #[inline]
     pub fn end(&self, start: SpanStart, name: &'static str, lane: u32) {
-        self.end_with(start, name, lane, Vec::new());
+        self.end_with(start, name, lane, &[]);
     }
 
-    /// Ends a wall-clock span, attaching numeric annotations.
+    /// Ends a wall-clock span, attaching numeric annotations (copied only
+    /// when the span is recorded, so a disabled tracer allocates nothing).
     pub fn end_with(
         &self,
         start: SpanStart,
         name: &'static str,
         lane: u32,
-        args: Vec<(&'static str, f64)>,
+        args: &[(&'static str, f64)],
     ) {
         if !self.is_enabled() || start.0.is_nan() {
             return;
@@ -165,7 +166,7 @@ impl SpanTracer {
             domain: ClockDomain::Wall,
             begin_us: start.0,
             dur_us: (now - start.0).max(0.0),
-            args,
+            args: args.to_vec(),
         });
     }
 
@@ -335,7 +336,7 @@ mod tests {
         // costs is the benchmark's `obs.trace_overhead_frac`.
         for _ in 0..100_000 {
             t.end(t.begin(), "noop", LANE_SESSION);
-            t.end_with(t.begin(), "noop", LANE_SESSION, vec![("batch", 1.0)]);
+            t.end_with(t.begin(), "noop", LANE_SESSION, &[("batch", 1.0)]);
         }
         assert_eq!((t.recorded(), t.dropped()), (0, 0));
         assert!(t.snapshot().is_empty());
@@ -346,7 +347,7 @@ mod tests {
     fn spans_round_trip_through_ring() {
         let t = SpanTracer::with_capacity(8);
         let s = t.begin();
-        t.end_with(s, "step", LANE_SESSION, vec![("batch", 4.0)]);
+        t.end_with(s, "step", LANE_SESSION, &[("batch", 4.0)]);
         let (b, e) = t.clock().advance_sim_s(1e-3);
         t.record_modeled("execute", device_lane(1), b, e - b, vec![("units", 2.0)]);
         let spans = t.snapshot();
@@ -420,7 +421,7 @@ mod tests {
         let t = SpanTracer::with_capacity(64);
         for i in 0..10 {
             let s = t.begin();
-            t.end_with(s, "step", LANE_SESSION, vec![("i", i as f64)]);
+            t.end_with(s, "step", LANE_SESSION, &[("i", i as f64)]);
         }
         let parsed = json::parse(&t.chrome_trace_json()).expect("exporter must emit valid JSON");
         let obj = parsed.as_object().expect("top level is an object");

@@ -313,7 +313,7 @@ impl ServeSession {
             step_span,
             "step",
             LANE_SESSION,
-            vec![("batch", m.batch as f64), ("kv_tokens", m.kv_tokens as f64)],
+            &[("batch", m.batch as f64), ("kv_tokens", m.kv_tokens as f64)],
         );
         self.step_index += 1;
         self.metrics.push(m.clone());

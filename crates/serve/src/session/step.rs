@@ -270,11 +270,11 @@ impl ServeSession {
     }
 
     /// The simulated all-reduce and the model advance: each sequence's
-    /// per-head partials merge through the exact log-sum-exp combine and
-    /// normalize once, the model turns the output into its next token and
-    /// KV row, and the token joins the stream. Under head placement every
-    /// head has exactly one partial, so the merge is the identity and the
-    /// output is bitwise equal to the single-device path. The slot map
+    /// per-head partials normalize, the model turns the output into its
+    /// next token and KV row, and the token joins the stream. Under head
+    /// placement every head has exactly one partial — its log-sum-exp
+    /// merge would be the identity, so it is skipped — and the output is
+    /// bitwise equal to the single-device path. The slot map
     /// routes each head to its unit — a cascade unit carries one partial
     /// per sharer. Returns the KV rows to append, in active order.
     fn reduce_and_advance(
@@ -298,7 +298,10 @@ impl ServeSession {
                         &mut results[unit].partials[sharer],
                         OnlineSoftmax::new(0, 0),
                     );
-                    OnlineSoftmax::merge(vec![partial]).finish()
+                    // The head's one partial, not one already taken: its
+                    // merge would be the identity, so it only normalizes.
+                    debug_assert_eq!(partial.rows(), attn.group_factor(), "one partial per head");
+                    partial.finish()
                 })
                 .collect();
             let output = ungroup_outputs(&blocks, &attn);

@@ -1264,6 +1264,50 @@ fn losing_every_device_still_serves_on_the_last_one() {
 }
 
 #[test]
+fn panel_slots_match_their_rows_across_a_device_loss() {
+    // Windows cross several 16-token groups while the decode steps build
+    // their panels; device 1 dies mid-run and every sequence is re-admitted
+    // from its prompt into rebuilt stores. After every step, every window
+    // of every active sequence holds one slot per whole group, and every
+    // built slot is its group's transposed rows.
+    let attn = AttentionConfig::gqa(8, 4, 16);
+    let dec = decoder(attn);
+    let config = ServeConfig::new(64, 8, 2, 8).with_devices(2, Partitioning::HeadModulo);
+    let plan = FaultPlan::new().device_loss(20, 1);
+    let mut session = ServeSession::new(dec.clone(), config).with_faults(plan);
+    let ids: Vec<RequestId> = (0..3)
+        .map(|i| {
+            let model = SynthSequence::new(attn, i, 20 + 9 * i as usize, 40);
+            session.submit(Box::new(model)).unwrap()
+        })
+        .collect();
+    let mut built = 0;
+    while session.step().is_some() {
+        let store = session.store();
+        for a in &session.active {
+            for head in 0..attn.heads_kv {
+                let device = store.device(store.placement().device_of(head));
+                let local = store.placement().local_index(head);
+                let (window, _) = device.residual_window(a.seq, local);
+                assert!(window.panels_match_rows(), "step {}", session.step_index);
+                built += (0..window.sealed_groups())
+                    .filter(|&g| window.built_panel(g).is_some())
+                    .count();
+            }
+        }
+    }
+    assert_eq!(session.lost_devices(), &[1]);
+    assert!(built > 0, "the decode steps built panels");
+    for (i, id) in ids.iter().enumerate() {
+        let mut m = SynthSequence::new(attn, i as u64, 20 + 9 * i, 40);
+        assert_eq!(
+            session.stream(*id).unwrap(),
+            replay_contiguous(&dec, &mut m).as_slice()
+        );
+    }
+}
+
+#[test]
 fn permanent_page_seizure_drives_typed_backpressure() {
     let attn = AttentionConfig::gqa(2, 1, 16);
     let mut session = ServeSession::new(decoder(attn), ServeConfig::new(8, 32, 0, 8))

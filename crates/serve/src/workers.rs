@@ -25,7 +25,7 @@
 //! mode), bit for bit.
 
 use bd_core::{BitDecoder, OnlineSoftmax, PrefixSharer};
-use bd_kvcache::{launch, DeviceId, PackedBlock, SeqId, ShardedKvStore, StoreError};
+use bd_kvcache::{launch, DeviceId, KeyWindow, PackedBlock, SeqId, ShardedKvStore, StoreError};
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{device_lane, SpanTracer};
 
@@ -170,13 +170,13 @@ fn run_unit(
     let (partials, ops) = if unit.sharers.len() == 1 {
         let sharer = &unit.sharers[0];
         let blocks = dev_store.packed_blocks(sharer.seq, local);
-        let (res_k, res_v) = dev_store.residual(sharer.seq, local);
+        let (res_k, res_v) = dev_store.residual_window(sharer.seq, local);
         let (partial, ops) = decoder.attend_head_partial(&sharer.q_block, &blocks, res_k, res_v);
         tracer.end_with(
             span,
             "execute",
             device_lane(unit.device.0 as usize),
-            vec![("unit", unit.unit as f64), ("head", unit.head as f64)],
+            &[("unit", unit.unit as f64), ("head", unit.head as f64)],
         );
         (vec![partial], ops)
     } else {
@@ -197,12 +197,12 @@ fn run_unit(
                     .all(|(a, b)| std::ptr::eq(*a, *b))
         }));
         let prefix = &gathers[0][..p];
-        let inputs: Vec<PrefixSharer<'_, &PackedBlock>> = unit
+        let inputs: Vec<PrefixSharer<'_, &PackedBlock, KeyWindow>> = unit
             .sharers
             .iter()
             .zip(&gathers)
             .map(|(s, g)| {
-                let (res_k, res_v) = dev_store.residual(s.seq, local);
+                let (res_k, res_v) = dev_store.residual_window(s.seq, local);
                 PrefixSharer {
                     q_block: &s.q_block,
                     suffix: &g[p..],
@@ -216,7 +216,7 @@ fn run_unit(
             span,
             "shared_attn",
             device_lane(unit.device.0 as usize),
-            vec![
+            &[
                 ("unit", unit.unit as f64),
                 ("head", unit.head as f64),
                 ("sharers", unit.sharers.len() as f64),
