@@ -20,10 +20,10 @@
 //! - Slots are a cache. They are not counted in `head_bytes`, pages or
 //!   swap bytes, and no equality, checksum or swap blob reads them.
 //!
-//! Rows enter only through [`KeyWindow::push`], which rounds them through
-//! FP16 (the KV projection's output precision), so a window's rows — and
-//! hence its panels — are FP16-exact: rounding them again, as `mma` rounds
-//! its operands, changes no bit.
+//! Every row a window gains is rounded through FP16 (the KV projection's
+//! output precision) on the way in, so a window's rows — and hence its
+//! panels — are FP16-exact: rounding them again, as `mma` rounds its
+//! operands, changes no bit.
 
 use crate::cache::push_rounded;
 use crate::matrix::TokenMatrix;
@@ -74,7 +74,7 @@ impl KeyWindow {
     /// # Panics
     ///
     /// Panics on a row-width mismatch.
-    pub fn push(&mut self, row: &[f32]) {
+    pub(crate) fn push(&mut self, row: &[f32]) {
         push_rounded(&mut self.rows, row);
         if self.rows.tokens().is_multiple_of(PANEL_TOKENS) {
             self.panels.push(OnceLock::new());
@@ -99,7 +99,7 @@ impl KeyWindow {
     }
 
     /// Tokens in the window.
-    pub fn tokens(&self) -> usize {
+    pub(crate) fn tokens(&self) -> usize {
         self.rows.tokens()
     }
 
@@ -138,8 +138,7 @@ impl KeyWindow {
             && (0..self.panels.len()).all(|g| {
                 self.built_panel(g).is_none_or(|panel| {
                     write_panel(self.group_rows(g), self.rows.dim(), false, &mut want);
-                    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    bits(panel) == bits(&want)
+                    (panel.iter().zip(&want)).all(|(a, b)| a.to_bits() == b.to_bits())
                 })
             })
     }
