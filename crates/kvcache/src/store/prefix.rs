@@ -27,7 +27,11 @@ const SOURCE_LEAF_SEED: SourceDigest = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_
 
 /// The source leaf of one head's run: the raw `f32` bits of its K rows,
 /// then its V rows, over `tokens`, folded from [`SOURCE_LEAF_SEED`].
-fn source_leaf<K: TokenRows, V: TokenRows>(hk: &K, hv: &V, tokens: Range<usize>) -> SourceDigest {
+pub(super) fn source_leaf<K: TokenRows, V: TokenRows>(
+    hk: &K,
+    hv: &V,
+    tokens: Range<usize>,
+) -> SourceDigest {
     let k = tokens.clone().map(|t| hk.token_row(t));
     let v = tokens.map(|t| hv.token_row(t));
     k.chain(v).fold(SOURCE_LEAF_SEED, fold_source_row)

@@ -218,6 +218,28 @@ impl SwappedSeq {
     }
 }
 
+#[cfg(test)]
+impl SwappedSeq {
+    /// Test-only: the blob's per-head packed blocks, K and V residual
+    /// windows and reshare records, for the tests that tamper with them.
+    #[allow(clippy::type_complexity)]
+    pub(super) fn payload_mut(
+        &mut self,
+    ) -> (
+        &mut Vec<Vec<PackedBlock>>,
+        &mut Vec<TokenMatrix>,
+        &mut Vec<TokenMatrix>,
+        &mut Vec<Option<(PageId, u64)>>,
+    ) {
+        (
+            &mut self.blocks,
+            &mut self.residual_k,
+            &mut self.residual_v,
+            &mut self.reshare,
+        )
+    }
+}
+
 impl PagedKvStore {
     /// Swaps a sequence out to host memory: serializes its packed blocks
     /// (in logical order, per head) and FP16 residual window into a

@@ -1,6 +1,7 @@
 //! Unit tests of [`PagedKvStore`], grouped by the seam they exercise.
 
 use super::*;
+use crate::block::PackedPayload;
 use crate::codec::ReferenceCodec;
 use crate::layout::PackLayout;
 use crate::paged::PageId;
@@ -1465,4 +1466,319 @@ fn panel_slots_follow_the_rows_through_every_store_operation() {
     assert_eq!(store.residual(hit, 0), store.residual(cold, 0));
     read_panels(&store, hit);
     assert_slots(&store, hit, "read after adoption");
+}
+
+// ── The fold contract: packed leaves, swap checksums, source leaves ──────────
+
+/// One block of every payload kind: integer words at two widths, both FP4
+/// scale kinds.
+const FOLD_SCHEMES: [QuantScheme; 4] = [
+    QuantScheme::kc4(),
+    QuantScheme::kt2(),
+    QuantScheme::mxfp4(),
+    QuantScheme::nvfp4(),
+];
+
+/// `tokens × dim` rows encoded with `scheme`: a small block whose payload
+/// slices end in partial 64-bit words.
+fn small_block(scheme: QuantScheme, tokens: usize, dim: usize, salt: usize) -> PackedBlock {
+    let k = TokenMatrix::from_fn(tokens, dim, |t, c| row(dim, t, salt)[c]);
+    let v = TokenMatrix::from_fn(tokens, dim, |t, c| row(dim, t + 500, salt)[c]);
+    ReferenceCodec.encode(&k, &v, scheme)
+}
+
+/// Payload bits of `block`: its code words, params, FP4 codes and scales.
+fn payload_bits(block: &PackedBlock) -> usize {
+    8 * block.byte_size()
+}
+
+/// Flips payload bit `bit` of `block`, counting K's slices then V's, each
+/// tensor's words (or codes) before its params (or scales).
+fn flip_payload_bit(block: &mut PackedBlock, mut bit: usize) {
+    for tensor in [&mut block.k, &mut block.v] {
+        match &mut tensor.payload {
+            PackedPayload::Int { words, params } => {
+                if bit < 16 * words.len() {
+                    words[bit / 16] ^= 1 << (bit % 16);
+                    return;
+                }
+                bit -= 16 * words.len();
+                if bit < 32 * params.len() {
+                    let p = &mut params[bit / 32];
+                    *p = bd_lowbit::Half2::from_bits(p.to_bits() ^ 1 << (bit % 32));
+                    return;
+                }
+                bit -= 32 * params.len();
+            }
+            PackedPayload::Fp4 { codes, scales } => {
+                for bytes in [codes, scales] {
+                    if bit < 8 * bytes.len() {
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                        return;
+                    }
+                    bit -= 8 * bytes.len();
+                }
+            }
+        }
+    }
+    panic!("payload bit out of range");
+}
+
+/// Every copy of `s` with two adjacent 64-bit words — `per_word` units
+/// each — swapped, leaving out swaps of equal words.
+fn adjacent_swaps<T: Clone + PartialEq>(s: &[T], per_word: usize) -> Vec<Vec<T>> {
+    (0..(s.len() / per_word).saturating_sub(1))
+        .filter_map(|j| {
+            let mut t = s.to_vec();
+            let (a, b) = t[j * per_word..(j + 2) * per_word].split_at_mut(per_word);
+            a.swap_with_slice(b);
+            (t != s).then_some(t)
+        })
+        .collect()
+}
+
+/// Every copy of `block` with two adjacent 64-bit words of one payload
+/// slice swapped: 4 code words, 2 params or 8 FP4 bytes to a word.
+fn block_word_swaps(block: &PackedBlock) -> Vec<PackedBlock> {
+    let mut out = Vec::new();
+    for side in 0..2 {
+        let tensor = if side == 0 { &block.k } else { &block.v };
+        let payloads: Vec<PackedPayload> = match &tensor.payload {
+            PackedPayload::Int { words, params } => (adjacent_swaps(words, 4).into_iter())
+                .map(|words| PackedPayload::Int {
+                    words,
+                    params: params.clone(),
+                })
+                .chain(
+                    adjacent_swaps(params, 2)
+                        .into_iter()
+                        .map(|params| PackedPayload::Int {
+                            words: words.clone(),
+                            params,
+                        }),
+                )
+                .collect(),
+            PackedPayload::Fp4 { codes, scales } => (adjacent_swaps(codes, 8).into_iter())
+                .map(|codes| PackedPayload::Fp4 {
+                    codes,
+                    scales: scales.clone(),
+                })
+                .chain(
+                    adjacent_swaps(scales, 8)
+                        .into_iter()
+                        .map(|scales| PackedPayload::Fp4 {
+                            codes: codes.clone(),
+                            scales,
+                        }),
+                )
+                .collect(),
+        };
+        for payload in payloads {
+            let mut swapped = block.clone();
+            if side == 0 {
+                swapped.k.payload = payload;
+            } else {
+                swapped.v.payload = payload;
+            }
+            out.push(swapped);
+        }
+    }
+    out
+}
+
+#[test]
+fn packed_leaf_changes_with_every_payload_bit_and_word_swap() {
+    for dim in [16, 20, 24] {
+        for scheme in FOLD_SCHEMES {
+            let mut swaps_seen = 0;
+            for tokens in [3, 5] {
+                let at = format!("{} dim {dim}, {tokens} tokens", scheme.label());
+                let mut run: Vec<PackedBlock> = (1..=2)
+                    .map(|salt| small_block(scheme, tokens, dim, salt))
+                    .collect();
+                let clean = packed_leaf(&run);
+                for b in 0..run.len() {
+                    for bit in 0..payload_bits(&run[b]) {
+                        flip_payload_bit(&mut run[b], bit);
+                        assert_ne!(packed_leaf(&run), clean, "{at}: block {b} bit {bit}");
+                        flip_payload_bit(&mut run[b], bit);
+                    }
+                    let original = run[b].clone();
+                    let swaps = block_word_swaps(&original);
+                    swaps_seen += swaps.len();
+                    for (i, swapped) in swaps.into_iter().enumerate() {
+                        run[b] = swapped;
+                        assert_ne!(packed_leaf(&run), clean, "{at}: block {b} swap {i}");
+                    }
+                    run[b] = original;
+                }
+                assert_eq!(packed_leaf(&run), clean, "{at}: restored");
+            }
+            assert!(
+                swaps_seen > 0,
+                "{} dim {dim}: no word to swap",
+                scheme.label()
+            );
+        }
+    }
+}
+
+/// A 2-head swap blob of `dim`-wide rows that a fork left sharing pages:
+/// one packed block per head, 3 residual rows per window, and reshare
+/// records for the shared pages.
+fn forked_blob(dim: usize) -> SwappedSeq {
+    let mut store = PagedKvStore::new(cfg(dim), 2, 64, 32);
+    let parent = store.admit(256).unwrap();
+    append_n(&mut store, parent, 128 + 5, 0, 0);
+    let child = store.fork(parent, 128 + 3, 256).unwrap();
+    store.swap_out(child).unwrap()
+}
+
+/// Asserts that `tamper`, an involution, changes `blob`'s checksum, then
+/// undoes it.
+fn assert_detected(
+    blob: &mut SwappedSeq,
+    clean: u64,
+    what: &str,
+    tamper: impl Fn(&mut SwappedSeq),
+) {
+    tamper(blob);
+    assert_ne!(
+        blob.computed_checksum(),
+        clean,
+        "{what} escaped the checksum"
+    );
+    tamper(blob);
+}
+
+/// The residual K (`side` 0) or V window of `head` in `blob`.
+fn residual_window(blob: &mut SwappedSeq, side: usize, head: usize) -> &mut TokenMatrix {
+    let (_, k, v, _) = blob.payload_mut();
+    if side == 0 {
+        &mut k[head]
+    } else {
+        &mut v[head]
+    }
+}
+
+#[test]
+fn swap_checksum_changes_with_every_payload_bit_and_word_swap() {
+    for dim in [16, 20, 24] {
+        let mut blob = forked_blob(dim);
+        // Small blocks of every payload kind, so each tail shape is in it.
+        *blob.payload_mut().0 = vec![
+            vec![
+                small_block(FOLD_SCHEMES[0], 3, dim, 1),
+                small_block(FOLD_SCHEMES[2], 5, dim, 2),
+            ],
+            vec![
+                small_block(FOLD_SCHEMES[1], 5, dim, 3),
+                small_block(FOLD_SCHEMES[3], 3, dim, 4),
+            ],
+        ];
+        let clean = blob.computed_checksum();
+        for (head, b) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let bits = payload_bits(&blob.payload_mut().0[head][b]);
+            for bit in 0..bits {
+                let at = format!("dim {dim}: head {head} block {b} bit {bit}");
+                assert_detected(&mut blob, clean, &at, |blob| {
+                    flip_payload_bit(&mut blob.payload_mut().0[head][b], bit);
+                });
+            }
+            let original = blob.payload_mut().0[head][b].clone();
+            for (i, swapped) in block_word_swaps(&original).into_iter().enumerate() {
+                blob.payload_mut().0[head][b] = swapped;
+                let got = blob.computed_checksum();
+                assert_ne!(got, clean, "dim {dim}: head {head} block {b} swap {i}");
+            }
+            blob.payload_mut().0[head][b] = original;
+        }
+        // Every bit of every residual K and V value, and adjacent words
+        // (two values each) swapped.
+        for side in 0..2 {
+            for head in 0..2 {
+                let values = residual_window(&mut blob, side, head).as_slice().to_vec();
+                assert_eq!(values.len(), 3 * dim, "3 residual rows");
+                for i in 0..values.len() {
+                    for bit in 0..32 {
+                        let at = format!("dim {dim}: side {side} head {head} value {i} bit {bit}");
+                        assert_detected(&mut blob, clean, &at, |blob| {
+                            let x = &mut residual_window(blob, side, head).as_mut_slice()[i];
+                            *x = f32::from_bits(x.to_bits() ^ 1 << bit);
+                        });
+                    }
+                }
+                for (i, swapped) in adjacent_swaps(&values, 2).into_iter().enumerate() {
+                    residual_window(&mut blob, side, head)
+                        .as_mut_slice()
+                        .copy_from_slice(&swapped);
+                    let got = blob.computed_checksum();
+                    assert_ne!(got, clean, "dim {dim}: side {side} head {head} swap {i}");
+                }
+                residual_window(&mut blob, side, head)
+                    .as_mut_slice()
+                    .copy_from_slice(&values);
+            }
+        }
+        // Every bit of every reshare record, and each record dropped or
+        // made up.
+        let records = blob.payload_mut().3.clone();
+        assert!(records.iter().any(Option::is_some), "the fork shares pages");
+        for (i, record) in records.iter().enumerate() {
+            if record.is_some() {
+                for bit in 0..96 {
+                    let at = format!("dim {dim}: reshare {i} bit {bit}");
+                    assert_detected(&mut blob, clean, &at, |blob| {
+                        if let Some((page, generation)) = &mut blob.payload_mut().3[i] {
+                            if bit < 32 {
+                                page.0 ^= 1 << bit;
+                            } else {
+                                *generation ^= 1 << (bit - 32);
+                            }
+                        }
+                    });
+                }
+            }
+            blob.payload_mut().3[i] = match record {
+                Some(_) => None,
+                None => Some((PageId(0), 0)),
+            };
+            assert_ne!(blob.computed_checksum(), clean, "dim {dim}: reshare {i}");
+            blob.payload_mut().3[i] = *record;
+        }
+        assert_eq!(blob.computed_checksum(), clean, "dim {dim}: restored");
+    }
+}
+
+#[test]
+fn source_leaf_changes_with_every_bit_and_word_swap_of_every_value() {
+    let tokens = 5;
+    for dim in [16, 20, 24] {
+        let (mut k, mut v) = prompt(1, dim, tokens, 7);
+        let clean = super::prefix::source_leaf(&k[0], &v[0], 0..tokens);
+        for side in 0..2 {
+            for t in 0..tokens {
+                for c in 0..dim {
+                    for bit in 0..32 {
+                        let rows = if side == 0 { &mut k[0] } else { &mut v[0] };
+                        rows[t][c] = f32::from_bits(rows[t][c].to_bits() ^ 1 << bit);
+                        let got = super::prefix::source_leaf(&k[0], &v[0], 0..tokens);
+                        assert_ne!(got, clean, "dim {dim}: side {side} [{t}][{c}] bit {bit}");
+                        let rows = if side == 0 { &mut k[0] } else { &mut v[0] };
+                        rows[t][c] = f32::from_bits(rows[t][c].to_bits() ^ 1 << bit);
+                    }
+                }
+                let row_before = if side == 0 { &k[0][t] } else { &v[0][t] }.clone();
+                for (i, swapped) in adjacent_swaps(&row_before, 2).into_iter().enumerate() {
+                    let rows = if side == 0 { &mut k[0] } else { &mut v[0] };
+                    rows[t] = swapped;
+                    let got = super::prefix::source_leaf(&k[0], &v[0], 0..tokens);
+                    assert_ne!(got, clean, "dim {dim}: side {side} row {t} swap {i}");
+                }
+                let rows = if side == 0 { &mut k[0] } else { &mut v[0] };
+                rows[t] = row_before;
+            }
+        }
+        assert_eq!(super::prefix::source_leaf(&k[0], &v[0], 0..tokens), clean);
+    }
 }
