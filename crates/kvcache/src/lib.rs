@@ -28,6 +28,7 @@
 pub mod block;
 pub mod cache;
 pub mod codec;
+mod fold;
 pub mod launch;
 pub mod layout;
 pub mod matrix;

@@ -5,19 +5,25 @@
 //! token count is a whole number of packed `Nr` blocks (`lcm(Nr,
 //! page_tokens)` tokens), so adopting a run never splits a packed block
 //! across an adopted/private boundary. Nodes are keyed by a chain hash
-//! built **leaf-then-chain**: a leaf is the FNV-1a fold of one head's
-//! packed blocks of one run, started from a fixed seed, and key `r` folds
-//! key `r − 1` (the scheme-and-geometry seed before run 0), the run index
-//! and run `r`'s leaves in head order. A node's key is therefore a content
-//! address for every packed byte of the entire prefix it terminates —
-//! position is inherent, two different prefixes of the same bytes-so-far
-//! share a path, and a lookup is a walk from the roots — while the leaves,
-//! which depend on nothing but their own run and head, can be hashed in
-//! parallel.
+//! built **leaf-then-chain**: a leaf is a word fold (`crate::fold`) of one
+//! head's packed blocks of one run — code words four to a 64-bit word,
+//! `half2` params two, FP4 bytes eight, each slice after its length, over
+//! four lanes — started from a fixed seed, and key `r` folds key `r − 1`
+//! (the scheme-and-geometry seed before run 0), the run index and run
+//! `r`'s leaves in head order. A node's key is therefore a content address
+//! for every packed byte of the entire prefix it terminates — position is
+//! inherent, two different prefixes of the same bytes-so-far share a
+//! path, and a lookup is a walk from the roots — while the leaves, which
+//! depend on nothing but their own run and head, can be hashed in
+//! parallel. A lane step is a bijection of the word it takes, and every
+//! later step and the in-order merge of the lanes are bijections of the
+//! state, so one changed word always changes its leaf.
 //!
 //! A node registered from a prefill additionally carries a 128-bit
 //! **source digest** — the same leaf-then-chain construction, each leaf
-//! folded over one head's `f32` K then V rows of the run — and is
+//! folded over one head's `f32` K then V rows of the run, two values to a
+//! word, into two digest lanes of four chains each (eight chains in one
+//! pass, each digest lane with its own multiplier and rotation) — and is
 //! reachable through a second child map keyed by that digest, so an
 //! admission can find its cached runs before it quantizes anything. A
 //! node registered by a swap-in (which only ever sees packed bytes) has
@@ -38,6 +44,7 @@
 //! page is mapped by any live sequence, returning every page of the
 //! subtree to the caller for unpinning.
 
+use crate::fold::{Chain, Mix, WordFold};
 use crate::paged::PageId;
 use std::collections::BTreeMap;
 
@@ -46,32 +53,42 @@ use std::collections::BTreeMap;
 /// compared whole.
 pub(crate) type SourceDigest = [u64; 2];
 
-/// Multipliers of the two source-digest lanes (odd, unrelated).
-const SOURCE_LANES: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
+/// The two lanes of a source digest as one chain, each with its own
+/// multiplier (odd, unrelated) and rotation.
+type SourceChain = (
+    Mix<5, 0x9E37_79B9_7F4A_7C15>,
+    Mix<29, 0xC2B2_AE3D_27D4_EB4F>,
+);
 
-/// Folds one 64-bit word into both lanes of a source digest: a rotate, an
-/// xor and one multiply per lane (byte-at-a-time FNV would cost eight).
-/// The rotate carries each word's high bits into positions the next
-/// multiply spreads, so flips of two words' top bits cannot cancel.
-pub(crate) fn fold_source_word(d: SourceDigest, word: u64) -> SourceDigest {
-    [
-        (d[0].rotate_left(5) ^ word).wrapping_mul(SOURCE_LANES[0]),
-        (d[1].rotate_left(29) ^ word).wrapping_mul(SOURCE_LANES[1]),
-    ]
+/// A digest as the chain state it is.
+fn chain(d: SourceDigest) -> SourceChain {
+    (Mix(d[0]), Mix(d[1]))
 }
 
-/// Folds a row's raw `f32` bit patterns into a source digest, two values
-/// per word.
-pub(crate) fn fold_source_row(mut d: SourceDigest, row: &[f32]) -> SourceDigest {
-    let mut pairs = row.chunks_exact(2);
-    for pair in &mut pairs {
-        let word = u64::from(pair[0].to_bits()) | u64::from(pair[1].to_bits()) << 32;
-        d = fold_source_word(d, word);
+/// A chain state as the digest the index keys by.
+fn digest((a, b): SourceChain) -> SourceDigest {
+    [a.0, b.0]
+}
+
+/// Folds one 64-bit word into both lanes of a source digest: a rotate, an
+/// xor and one multiply per lane. The chains fold their leaves with it.
+pub(crate) fn fold_source_word(d: SourceDigest, word: u64) -> SourceDigest {
+    digest(chain(d).step(word))
+}
+
+/// Folds rows' raw `f32` bit patterns, two values to a word, into a
+/// source digest seeded `seed`: a [`WordFold`] of four lanes per digest
+/// lane, eight chains in one pass. The row width is fixed by the store's
+/// geometry, so no row folds its length.
+pub(crate) fn fold_source_rows<'a>(
+    seed: SourceDigest,
+    rows: impl Iterator<Item = &'a [f32]>,
+) -> SourceDigest {
+    let mut fold = WordFold::new(chain(seed));
+    for row in rows {
+        fold.units(row);
     }
-    if let [last] = pairs.remainder() {
-        d = fold_source_word(d, u64::from(last.to_bits()));
-    }
-    d
+    digest(fold.finish())
 }
 
 /// The runs directly below one position of the tree (a node, or the root

@@ -3,13 +3,13 @@
 //! [`PagedKvStore::swap_in`], and the reclaim that makes room for every
 //! allocation.
 
-use super::swap::{fnv_fold, fold_packed_block, FNV_OFFSET};
+use super::swap::{fold_packed_block, packed_fold};
 use super::{check_prompt, concat, PagedKvStore, PrefixAdmit, StoreError};
 use crate::block::PackedBlock;
 use crate::codec::BlockCodec;
 use crate::matrix::TokenRows;
 use crate::paged::{PageId, SeqId};
-use crate::radix::{fold_source_row, fold_source_word, SourceDigest};
+use crate::radix::{fold_source_rows, fold_source_word, SourceDigest};
 use crate::scheme::SchemeKind;
 use std::ops::Range;
 
@@ -19,6 +19,19 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
         (a, b) = (b, a % b);
     }
     a
+}
+
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into an FNV-1a 64-bit state — only for the chains, which
+/// fold a few words per run; a leaf or a checksum is a word fold.
+fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
 }
 
 /// Seed of every source leaf (the store's geometry enters the chain, not
@@ -34,13 +47,17 @@ pub(super) fn source_leaf<K: TokenRows, V: TokenRows>(
 ) -> SourceDigest {
     let k = tokens.clone().map(|t| hk.token_row(t));
     let v = tokens.map(|t| hv.token_row(t));
-    k.chain(v).fold(SOURCE_LEAF_SEED, fold_source_row)
+    fold_source_rows(SOURCE_LEAF_SEED, k.chain(v))
 }
 
 /// The packed leaf of one head's run: every packed block of the run,
-/// FNV-folded from the offset basis.
+/// word-folded from the packed fold's seed.
 pub(super) fn packed_leaf(run: &[PackedBlock]) -> u64 {
-    run.iter().fold(FNV_OFFSET, fold_packed_block)
+    let mut fold = packed_fold();
+    for block in run {
+        fold_packed_block(&mut fold, block);
+    }
+    fold.finish().0
 }
 
 impl PagedKvStore {
@@ -48,9 +65,9 @@ impl PagedKvStore {
     ///
     /// Enabled, every admission that prefills (or swaps in) registers its
     /// sealed full page runs in a radix index, pinning those pages past
-    /// their sequence's lifetime. A run is keyed by an FNV-1a chain over
-    /// the **packed bytes** of the prefix it ends (plus scheme, page
-    /// geometry, and run position; one leaf per run and head) and — when
+    /// their sequence's lifetime. A run is keyed by a chain over the
+    /// **packed bytes** of the prefix it ends (plus scheme, page geometry,
+    /// and run position; one word-folded leaf per run and head) and — when
     /// it came from a prefill — by a 128-bit digest chained the same way
     /// over the `f32` **source rows** it was quantized from, so a later
     /// [`PagedKvStore::admit_prefill_cached`] finds it before quantizing

@@ -5,6 +5,7 @@
 use super::{PagedKvStore, SeqKv, StoreError};
 use crate::block::{PackedBlock, PackedPayload};
 use crate::cache::CacheError;
+use crate::fold::{Mix, WordFold};
 use crate::matrix::TokenMatrix;
 use crate::paged::{PageId, SeqId};
 use crate::window::KeyWindow;
@@ -39,7 +40,7 @@ pub struct SwappedSeq {
     /// pages* — whenever the recorded generation still matches, i.e. the
     /// page was never freed in between.
     reshare: Vec<Option<(PageId, u64)>>,
-    /// FNV-1a fold over the packed payloads, the FP16 residual windows,
+    /// Word fold over the packed payloads, the FP16 residual windows,
     /// the reshare records, and the length bookkeeping — recorded at
     /// swap-out, verified at swap-in. Host-side bit rot between the two
     /// surfaces as [`StoreError::CorruptBlob`] instead of silently
@@ -47,42 +48,35 @@ pub struct SwappedSeq {
     checksum: u64,
 }
 
-/// FNV-1a 64-bit offset basis.
-pub(super) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The fold behind packed leaves and swap checksums: a [`WordFold`] of
+/// one 64-bit chain.
+pub(super) type PackedFold = WordFold<Mix<31, 0xFF51_AFD7_ED55_8CCD>>;
 
-/// Folds `bytes` into an FNV-1a 64-bit state.
-pub(super) fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// A packed fold at its fixed seed.
+pub(super) fn packed_fold() -> PackedFold {
+    WordFold::new(Mix(0xcbf2_9ce4_8422_2325))
 }
 
-/// Folds one packed block — both tensors' shapes and every payload byte —
-/// into an FNV-1a state. Shared by the swap-blob checksum and the radix
-/// prefix cache's packed leaves, so both key on exactly the packed
-/// representation.
-pub(super) fn fold_packed_block(mut h: u64, block: &PackedBlock) -> u64 {
+/// Folds one packed block: for K then V, the tensor's shape, then each
+/// payload slice — code words (4 to a word) and `half2` params (2), or
+/// FP4 codes and scales (8) — after its length. Shared by the swap-blob
+/// checksum and the radix prefix cache's packed leaves, so both key on
+/// exactly the packed representation.
+pub(super) fn fold_packed_block(fold: &mut PackedFold, block: &PackedBlock) {
     for tensor in [&block.k, &block.v] {
-        h = fnv_fold(h, &(tensor.tokens as u64).to_le_bytes());
-        h = fnv_fold(h, &(tensor.dim as u64).to_le_bytes());
+        fold.word(tensor.tokens as u64);
+        fold.word(tensor.dim as u64);
         match &tensor.payload {
             PackedPayload::Int { words, params } => {
-                for w in words {
-                    h = fnv_fold(h, &w.to_le_bytes());
-                }
-                for p in params {
-                    h = fnv_fold(h, &p.to_bits().to_le_bytes());
-                }
+                fold.slice(words);
+                fold.slice(params);
             }
             PackedPayload::Fp4 { codes, scales } => {
-                h = fnv_fold(h, codes);
-                h = fnv_fold(h, scales);
+                fold.slice(codes);
+                fold.slice(scales);
             }
         }
     }
-    h
 }
 
 impl SwappedSeq {
@@ -124,40 +118,48 @@ impl SwappedSeq {
         self.checksum
     }
 
-    /// Recomputes the checksum from the blob's current contents: every
-    /// packed code word / quant parameter, every FP16 residual row (as
-    /// exact f32 bit patterns), every reshare `(page, generation)` record,
-    /// and the length bookkeeping.
+    /// Recomputes the checksum from the blob's current contents: the
+    /// length bookkeeping, every packed code word / quant parameter, every
+    /// FP16 residual row (as exact f32 bit patterns, two to a word) and
+    /// every reshare `(page, generation)` record — each container after
+    /// its length (heads, blocks per head, rows per window, records), so
+    /// no content can move from one head, window or record to the next.
     pub fn computed_checksum(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut fold = packed_fold();
         for v in [
             self.dim as u64,
             self.len as u64,
             self.reserved_tokens as u64,
             u64::from(self.sealed),
+            self.blocks.len() as u64,
         ] {
-            h = fnv_fold(h, &v.to_le_bytes());
+            fold.word(v);
         }
         for head in &self.blocks {
+            fold.word(head.len() as u64);
             for block in head {
-                h = fold_packed_block(h, block);
+                fold_packed_block(&mut fold, block);
             }
         }
-        for m in self.residual_k.iter().chain(&self.residual_v) {
-            for &x in m.as_slice() {
-                h = fnv_fold(h, &x.to_bits().to_le_bytes());
+        for windows in [&self.residual_k, &self.residual_v] {
+            fold.word(windows.len() as u64);
+            for m in windows {
+                fold.word(m.len() as u64);
+                fold.units(m.as_slice());
             }
         }
+        fold.word(self.reshare.len() as u64);
         for entry in &self.reshare {
             match entry {
+                // A page id is 32 bits, so no record starts with `u64::MAX`.
                 Some((page, generation)) => {
-                    h = fnv_fold(h, &(page.0 as u64).to_le_bytes());
-                    h = fnv_fold(h, &generation.to_le_bytes());
+                    fold.word(u64::from(page.0));
+                    fold.word(*generation);
                 }
-                None => h = fnv_fold(h, &[0xFF]),
+                None => fold.word(u64::MAX),
             }
         }
-        h
+        fold.finish().0
     }
 
     /// Verifies the blob against its recorded checksum.

@@ -811,6 +811,79 @@ fn single_bit_flip_is_detected_anywhere_in_the_blob() {
     assert!(store.swap_in(&clean).is_ok());
 }
 
+/// Asserts that `blob` fails its integrity check, and that swap-in refuses
+/// it without touching the pool.
+fn assert_corrupt(store: &mut PagedKvStore, blob: &SwappedSeq, what: &str) {
+    let free = store.free_pages();
+    assert!(
+        matches!(blob.verify(), Err(StoreError::CorruptBlob { .. })),
+        "{what} passed verify"
+    );
+    assert!(store.swap_in(blob).is_err(), "{what}: swap-in took it");
+    assert_eq!(store.free_pages(), free, "{what}: rejected swap-in leaked");
+}
+
+#[test]
+fn checksum_folds_every_container_length() {
+    // 2 heads, 2 packed blocks each, 3 residual rows per window.
+    let mut store = PagedKvStore::new(cfg(16), 2, 64, 32);
+    let seq = store.admit(300).unwrap();
+    append_n(&mut store, seq, 2 * 128 + 3, 0, 0);
+    let clean = store.swap_out(seq).unwrap();
+    clean.verify().unwrap();
+
+    // Blocks [[A, B], [C, D]] regrouped as [[A], [B, C, D]], then as one
+    // head [[A, B, C, D]]: the same blocks in the same order.
+    let mut blob = clean.clone();
+    let blocks = blob.payload_mut().0;
+    let b = blocks[0].pop().unwrap();
+    blocks[1].insert(0, b);
+    assert_corrupt(&mut store, &blob, "a block moved to the next head");
+    let mut blob = clean.clone();
+    let blocks = blob.payload_mut().0;
+    let last = blocks.pop().unwrap();
+    blocks[0].extend(last);
+    assert_corrupt(&mut store, &blob, "two heads' blocks as one head");
+
+    // A residual row shifted from head 0's window to the front of head 1's,
+    // on either side.
+    for side in 0..2 {
+        let mut blob = clean.clone();
+        let moved = residual_window(&mut blob, side, 0).row(2).to_vec();
+        let head0 = residual_window(&mut blob, side, 0).slice_rows(0..2);
+        *residual_window(&mut blob, side, 0) = head0;
+        let mut head1 = TokenMatrix::new(16);
+        head1.push_row(&moved);
+        head1.extend_rows(residual_window(&mut blob, side, 1));
+        *residual_window(&mut blob, side, 1) = head1;
+        assert_corrupt(
+            &mut store,
+            &blob,
+            &format!("a row moved between heads, side {side}"),
+        );
+    }
+    store.swap_in(&clean).unwrap();
+
+    // A fork's child shares its first 4 pages. Its first four reshare
+    // records, dropped, reappear as one extra V row of 16 values holding
+    // their bits: the same stream of 64-bit words without the counts.
+    let parent = store.admit(160).unwrap();
+    append_n(&mut store, parent, 128, 5, 0);
+    let child = store.fork(parent, 128, 160).unwrap();
+    let clean = store.swap_out(child).unwrap();
+    let mut blob = clean.clone();
+    let (_, _, v, reshare) = blob.payload_mut();
+    let mut bits = Vec::new();
+    for record in reshare.drain(..4) {
+        let (page, generation) = record.expect("the first 4 pages are shared");
+        bits.extend([page.0, 0, generation as u32, (generation >> 32) as u32]);
+    }
+    let extra: Vec<f32> = bits.into_iter().map(f32::from_bits).collect();
+    v[1].push_row(&extra);
+    assert_corrupt(&mut store, &blob, "reshare records moved into a window");
+    store.swap_in(&clean).unwrap();
+}
+
 // ── Radix adoption and LRU eviction (`prefix.rs`) ─────────────────────────────
 
 #[test]
