@@ -4,6 +4,8 @@
 //! drifts from the published datasheet numbers fails here, not in a
 //! downstream figure.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bd_gpu_sim::{
     builtin_device, builtin_topology, ArchGen, DeviceSpec, GpuArch, TopologySpec, BUILTIN_PROFILES,
     BUILTIN_TOPOLOGIES,

@@ -1,5 +1,7 @@
 //! Property-based tests for the GPU execution model.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bd_gpu_sim::*;
 use proptest::prelude::*;
 
