@@ -194,4 +194,21 @@ mod tests {
         assert_ne!(fold_u16s(&words), fold_u16s(&padded));
         assert_ne!(fold_u16s(&[]), fold_u16s(&[0]));
     }
+
+    #[test]
+    fn lanes_with_the_same_history_still_tell_their_words_apart() {
+        // One group into a fresh fold: lanes 1 and 2 have seen nothing
+        // else, so only their seeds and the ordered finish separate the
+        // two words trading places.
+        let fold = |words: &[u16]| {
+            let mut f = Fold::new(Mix(1));
+            f.units(words);
+            f.finish().0
+        };
+        let words: Vec<u16> = (1..=16).collect();
+        let mut swapped = words.clone();
+        let (a, b) = swapped[4..12].split_at_mut(4);
+        a.swap_with_slice(b);
+        assert_ne!(fold(&words), fold(&swapped));
+    }
 }
