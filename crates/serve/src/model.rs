@@ -31,9 +31,17 @@ pub struct StepKv {
 /// Drives one sequence through the serve runtime — the request-side model
 /// boundary (projections + sampling stand-in).
 ///
-/// The runtime calls `prompt` once at admission, then alternates
+/// The runtime calls `prompt` at admission, then alternates
 /// `query(step)` → attention → `advance(step, output)` for
 /// `gen_tokens()` steps, appending the returned K/V after each step.
+///
+/// `query` and `advance` run on the decode step's launch threads: the
+/// runtime may call different sequences' models at the same time, from
+/// any thread of the launch, which is why a model must be `Send`. Each
+/// model's own calls keep their order — `query(s)` returns before
+/// `advance(s, ·)` starts, once each per step — and a panic in either
+/// fails only the model's own request
+/// ([`crate::ServeError::ModelPanicked`]).
 pub trait SequenceModel: Send {
     /// Prompt K/V, one `tokens × head_dim` matrix per KV head.
     fn prompt(&mut self) -> (Vec<TokenMatrix>, Vec<TokenMatrix>);

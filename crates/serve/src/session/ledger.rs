@@ -14,8 +14,8 @@ use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{device_lane, EventField, SpanStart, LANE_SESSION};
 
 /// Everything the in-flight step has counted. Phases that did not run
-/// (the execute side of a step whose launch failed) leave their
-/// fields at zero.
+/// (the execute side of a step that found no batch) leave their fields
+/// at zero.
 #[derive(Clone, Debug, Default)]
 pub(super) struct StepLedger {
     /// Fresh admissions (prefill or fork) and, of those, forks.
@@ -71,17 +71,6 @@ impl StepLedger {
     pub fn add_fault(&mut self, events: usize) {
         self.faults_injected += events;
         self.degraded = true;
-    }
-
-    /// The launch failed before any token was appended: the planned
-    /// units did not execute, so nothing they would have counted stands.
-    pub fn void_execution(&mut self) {
-        self.degraded = true;
-        self.dev_units.fill(0);
-        self.dev_tokens.fill(0);
-        self.shared_attn_groups = 0;
-        self.shared_attn_sharers = 0;
-        self.prefix_pages_walked_saved = 0;
     }
 }
 

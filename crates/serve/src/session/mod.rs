@@ -11,11 +11,12 @@
 //! the same sealed prefix pages into one cascade unit per `(prefix-group,
 //! kv-head, device)` that walks the shared pages once (see
 //! [`ServeConfig::with_shared_attn`]) — over one scoped launch of
-//! [`ServeConfig::workers`] threads per device that borrow the store for
-//! the launch, **merges each head's softmax partials** (the
-//! simulated all-reduce, exact by `OnlineSoftmax::merge`), appends each
-//! sequence's new KV token, and retires finished sequences so their pages
-//! recycle into the admission queue.
+//! [`ServeConfig::workers`] threads per device that borrow the store and
+//! the models for the launch — the same launch builds each sequence's
+//! query, **normalizes each head's softmax partial** (the simulated
+//! all-reduce) and advances each model — then appends each sequence's new
+//! KV token and retires finished sequences so their pages recycle into the
+//! admission queue.
 //!
 //! Under page pressure a preempting policy (e.g.
 //! [`crate::scheduler::FcfsPreempt`]) may **swap out** a running sequence:
@@ -293,9 +294,10 @@ pub struct ServeMetrics {
     pub completed: usize,
     /// KV tokens attended across the batch (Σ per-sequence context length).
     pub kv_tokens: usize,
-    /// Measured wall-clock of the decode phases — attention fan-out,
-    /// partial merge, model advance, KV append — excluding
-    /// admission/prefill and the models' query construction, seconds.
+    /// Measured wall-clock of the decode phases — the step's launch
+    /// (queries, attention, partial merge, model advance), token
+    /// emission, KV append — excluding admission/prefill and batch
+    /// planning, seconds.
     pub wall_s: f64,
     /// Aggregate measured KV-tokens per second for this step.
     pub kv_tokens_per_s: f64,

@@ -4,8 +4,8 @@
 
 use super::{RequestEvent, RequestId, ServeMetrics, ServeSession};
 use crate::model::StepKv;
-use crate::workers::{run_units, ServeError, UnitResult, UnitSharer, WorkUnit};
-use bd_core::{query_transform, ungroup_outputs, DecodeShape, OnlineSoftmax};
+use crate::workers::{run_units, SeqTask, ServeError, WorkUnit};
+use bd_core::DecodeShape;
 use bd_kvcache::{DeviceId, SeqId};
 use bd_obs::LANE_SESSION;
 use std::collections::{BTreeMap, BTreeSet};
@@ -30,11 +30,8 @@ fn retry_penalty_s(transfer_s: f64, failures: u32) -> f64 {
 
 /// The batch one step decodes, as planned from the active set.
 struct StepPlan {
-    /// Work units, head-major.
+    /// Work units, head-major; a unit's sharers are active indices.
     units: Vec<WorkUnit>,
-    /// `slots[i][kv]` = `(unit index, sharer index)` where active
-    /// sequence `i`'s head-`kv` partial lands.
-    slots: Vec<Vec<(usize, usize)>>,
     /// Longest context and residual window in the batch — the shape the
     /// cost model prices.
     max_len: usize,
@@ -48,10 +45,11 @@ type DevicePartition = Vec<(Vec<usize>, usize)>;
 impl ServeSession {
     /// Runs one decode step: fire due faults and admit (arrivals + queue,
     /// the `admission` span) → plan the batch's attention units and launch
-    /// them over the step's scoped threads (`fan_out`) → merge
-    /// per-head partials — the simulated all-reduce — and advance the
-    /// models (`merge`) → append KV (`append`) → retire finished
-    /// sequences → price the step → publish its metrics.
+    /// them over the step's scoped threads, which also build each
+    /// sequence's query, merge its per-head partials — the simulated
+    /// all-reduce — and advance its model (`fan_out`) → emit the tokens
+    /// into their streams (`merge`) → append KV (`append`) → retire
+    /// finished sequences → price the step → publish its metrics.
     ///
     /// Returns the step's metrics, or `None` when no work remains (the
     /// session is drained). If the session is idle but future arrivals
@@ -65,31 +63,27 @@ impl ServeSession {
         let span = self.obs.tracer.begin();
         let StepPlan {
             units,
-            slots,
             max_len,
             max_res,
         } = self.plan_units();
-        // Time only the decode work (attention fan-out, partial merge,
-        // model advance, append) — not admission/prefill or the user
-        // model's query construction above, so kv_tokens_per_s reports the
+        // Time only the decode work (the launch — queries, attention,
+        // merge, model advance — then emission and append), not
+        // admission/prefill above, so kv_tokens_per_s reports the
         // runtime's own throughput.
         let t0 = Instant::now();
-        let mut results = self.execute(&units);
+        let outs = self.execute(&units);
         self.obs.tracer.end(span, "fan_out", LANE_SESSION);
-        // `units`, `results` and `appends` live until the function
-        // returns, so freeing the step's buffers is charged to no span.
-        let appends;
-        if let Some(results) = results.as_deref_mut() {
-            let span = self.obs.tracer.begin();
-            appends = self.reduce_and_advance(&slots, results);
-            self.obs.tracer.end(span, "merge", LANE_SESSION);
-            let span = self.obs.tracer.begin();
-            self.append(&appends);
-            self.obs.tracer.end(span, "append", LANE_SESSION);
-            self.ledger.wall_s = t0.elapsed().as_secs_f64();
-            self.retire();
-            self.price(max_len, max_res);
-        }
+        // `units` and `appends` live until the function returns, so
+        // freeing the step's buffers is charged to no span.
+        let span = self.obs.tracer.begin();
+        let appends = self.emit(outs);
+        self.obs.tracer.end(span, "merge", LANE_SESSION);
+        let span = self.obs.tracer.begin();
+        self.append(&appends);
+        self.obs.tracer.end(span, "append", LANE_SESSION);
+        self.ledger.wall_s = t0.elapsed().as_secs_f64();
+        self.retire();
+        self.price(max_len, max_res);
         Some(self.publish(step_span))
     }
 
@@ -127,8 +121,7 @@ impl ServeSession {
         let mut max_len = 0usize;
         let mut max_res = 0usize;
         let mut lens = Vec::with_capacity(batch);
-        let mut qs: Vec<Vec<Vec<Vec<f32>>>> = Vec::with_capacity(batch);
-        for a in &mut self.active {
+        for a in &self.active {
             let Some(len) = self.store.seq_len(a.seq) else {
                 unreachable!("active sequence is resident");
             };
@@ -136,7 +129,6 @@ impl ServeSession {
             max_len = max_len.max(len);
             max_res = max_res.max(self.store.residual_len(a.seq));
             lens.push(len);
-            qs.push(query_transform(&a.model.query(a.step), &attn));
         }
         let nr = self.store.config().residual_block();
         let pt = self.store.page_tokens();
@@ -150,7 +142,6 @@ impl ServeSession {
         ledger.dev_units = vec![0; devices];
         ledger.dev_tokens = vec![0; devices];
         let mut units = Vec::with_capacity(batch * attn.heads_kv);
-        let mut slots = vec![vec![(0, 0); attn.heads_kv]; batch];
         for kv in 0..attn.heads_kv {
             let device = placement.device_of(kv);
             let d = device.0 as usize;
@@ -170,29 +161,17 @@ impl ServeSession {
                 } else {
                     ledger.dev_tokens[d] += lens[members[0]];
                 }
-                let sharers = members
-                    .iter()
-                    .enumerate()
-                    .map(|(sharer, &i)| {
-                        slots[i][kv] = (unit, sharer);
-                        UnitSharer {
-                            seq: self.active[i].seq,
-                            q_block: std::mem::take(&mut qs[i][kv]),
-                        }
-                    })
-                    .collect();
                 units.push(WorkUnit {
                     unit,
                     head: kv,
                     device,
                     prefix_blocks: *run,
-                    sharers,
+                    sharers: members.clone(),
                 });
             }
         }
         StepPlan {
             units,
-            slots,
             max_len,
             max_res,
         }
@@ -241,71 +220,51 @@ impl ServeSession {
 
     /// Launches the units over the store's launch width — `workers ×
     /// devices` scoped threads, the width prompt admission packs on — that
-    /// borrow the store until every unit has finished. A failed launch
-    /// happens before any token is appended, so the step simply did not
-    /// happen for this batch: the offending sequence is failed when it is
-    /// identifiable (its pages free up for the survivors), the whole
-    /// in-flight batch when it is not, and `None` is returned. Either way
-    /// the session keeps serving — survivors re-run the same generation
-    /// step next time and, by determinism, emit the same tokens.
-    fn execute(&mut self, units: &[WorkUnit]) -> Option<Vec<UnitResult>> {
+    /// borrow the store and the active models until every unit has
+    /// finished. Returns each active sequence's product, in active order.
+    /// A failed unit fails only the sequences it carries, and a model
+    /// panic only its own; the session keeps serving the rest.
+    fn execute(&mut self, units: &[WorkUnit]) -> Vec<Result<StepKv, ServeError>> {
+        let heads = self.decoder.attention().heads_kv;
+        let seqs = self
+            .active
+            .iter_mut()
+            .map(|a| SeqTask::new(a.seq, a.step, a.model.as_mut(), heads))
+            .collect();
         let threads = self.store.launch_width();
-        let run = run_units(units, threads, &self.store, &self.decoder, &self.obs.tracer);
-        let err = match run {
-            Ok(results) => return Some(results),
-            Err(e) => e,
-        };
-        self.ledger.void_execution();
-        self.observe(0, RequestEvent::Fault("worker_failure"));
-        match err {
-            ServeError::Misrouted { seq, .. } => self.fail_active_seq(seq, err),
-            _ => {
-                let batch: Vec<SeqId> = self.active.iter().map(|a| a.seq).collect();
-                for seq in batch {
-                    self.fail_active_seq(seq, err.clone());
-                }
-            }
+        let out = run_units(
+            units,
+            seqs,
+            threads,
+            &self.store,
+            &self.decoder,
+            &self.obs.tracer,
+        );
+        self.ledger.dequant += out.ops;
+        if out.units_failed {
+            self.ledger.degraded = true;
+            self.observe(0, RequestEvent::Fault("worker_failure"));
         }
-        None
+        out.outs
     }
 
-    /// The simulated all-reduce and the model advance: each sequence's
-    /// per-head partials normalize, the model turns the output into its
-    /// next token and KV row, and the token joins the stream. Under head
-    /// placement every head has exactly one partial — its log-sum-exp
-    /// merge would be the identity, so it is skipped — and the output is
-    /// bitwise equal to the single-device path. The slot map
-    /// routes each head to its unit — a cascade unit carries one partial
-    /// per sharer. Returns the KV rows to append, in active order.
-    fn reduce_and_advance(
-        &mut self,
-        slots: &[Vec<(usize, usize)>],
-        results: &mut [UnitResult],
-    ) -> Vec<(SeqId, StepKv)> {
-        let attn = *self.decoder.attention();
-        for r in results.iter() {
-            self.ledger.dequant += r.ops;
-        }
+    /// Emits each sequence's token into its stream, in active order, and
+    /// returns the KV rows to append; a sequence the launch failed is
+    /// failed here, its pages freed for the survivors.
+    fn emit(&mut self, outs: Vec<Result<StepKv, ServeError>>) -> Vec<(SeqId, StepKv)> {
         // One wall read covers every token this step emits: lifecycle
         // resolution is per step anyway, and it keeps the loop cheap.
         let token_wall_us = self.obs.wall_us();
         let mut appends = Vec::with_capacity(self.active.len());
-        for (a, seq_slots) in self.active.iter_mut().zip(slots) {
-            let blocks: Vec<Vec<Vec<f32>>> = seq_slots
-                .iter()
-                .map(|&(unit, sharer)| {
-                    let partial = std::mem::replace(
-                        &mut results[unit].partials[sharer],
-                        OnlineSoftmax::new(0, 0),
-                    );
-                    // The head's one partial, not one already taken: its
-                    // merge would be the identity, so it only normalizes.
-                    debug_assert_eq!(partial.rows(), attn.group_factor(), "one partial per head");
-                    partial.finish()
-                })
-                .collect();
-            let output = ungroup_outputs(&blocks, &attn);
-            let step_kv = a.model.advance(a.step, &output);
+        let mut failures = Vec::new();
+        for (a, out) in self.active.iter_mut().zip(outs) {
+            let step_kv = match out {
+                Ok(step_kv) => step_kv,
+                Err(e) => {
+                    failures.push((a.seq, e));
+                    continue;
+                }
+            };
             let stream = self.streams.entry(a.id).or_default();
             if a.step < stream.len() {
                 // Recompute replay of an already-streamed step:
@@ -326,6 +285,10 @@ impl ServeSession {
             appends.push((a.seq, step_kv));
             a.step += 1;
             a.remaining -= 1;
+        }
+        for (seq, e) in failures {
+            self.ledger.degraded = true;
+            self.fail_active_seq(seq, e);
         }
         appends
     }

@@ -1,13 +1,13 @@
-//! One decode step's attention launch.
+//! One decode step's launch.
 //!
 //! Every decode step fans one [`WorkUnit`] per `(sequence, kv-head,
 //! device)` triple — or, when the scheduler detects sequences aliasing
 //! the same sealed prefix pages, one **cascade unit** per `(prefix-group,
-//! kv-head, device)` carrying every sharer's query block — over the scoped
-//! threads of one [`run_units`] call: the analogue of a decode kernel
-//! launched over independent (batch × KV-head) work. Device locality is a
-//! property of the unit, not of the thread that runs it: a unit gathers its
-//! head's packed blocks through the owning device's page table
+//! kv-head, device)` carrying every sharer — over the scoped threads of one
+//! [`run_units`] call: the analogue of a decode kernel launched over
+//! independent (batch × KV-head) work. Device locality is a property of the
+//! unit, not of the thread that runs it: a unit gathers its head's packed
+//! blocks through the owning device's page table
 //! ([`bd_kvcache::PagedKvStore::packed_blocks`] on
 //! [`ShardedKvStore::device`]) — the simulated analogue of a
 //! tensor-parallel rank that can only dereference its own HBM — and runs
@@ -15,24 +15,35 @@
 //! [`BitDecoder::attend_head_partial_multi`] (cascade: the shared packed
 //! prefix pages stream through the dequant LUTs **once** for all
 //! sharers) — the per-head body of the decode path *without* the final
-//! normalization, so the scheduler can combine per-device and per-sharer
-//! partials through `OnlineSoftmax::merge` (the simulated all-reduce)
-//! before normalizing once.
+//! normalization.
 //!
-//! Because each unit is an independent, deterministic computation and the
-//! merge of a head's partial set is exact, results are **invariant to the
-//! thread count and the device count** (including the inline `workers = 0`
-//! mode), bit for bit.
+//! The launch also runs each sequence's model, the work around attention.
+//! A sequence's first unit to run builds its query (the model's
+//! [`SequenceModel::query`], regrouped per KV head); each unit hands its
+//! head's partial to the sequence; the unit that hands over the last one
+//! normalizes them all — the simulated all-reduce — and calls the model's
+//! [`SequenceModel::advance`]: a split-K kernel whose last block to finish
+//! runs the epilogue. Different sequences' models run concurrently, each
+//! model's own calls in order.
+//!
+//! Because each unit is an independent, deterministic computation, each
+//! sequence's partials are normalized in head order whoever delivered
+//! them, and a model panic fails only its own sequence, results are
+//! **invariant to the thread count and the device count** (including the
+//! inline `workers = 0` mode), bit for bit.
 
-use bd_core::{BitDecoder, OnlineSoftmax, PrefixSharer};
+use crate::model::{SequenceModel, StepKv};
+use bd_core::{query_transform, AttentionConfig, BitDecoder, OnlineSoftmax, PrefixSharer};
 use bd_kvcache::{launch, DeviceId, KeyWindow, PackedBlock, SeqId, ShardedKvStore, StoreError};
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{device_lane, SpanTracer};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Runtime execution errors of the serve layer — the typed replacements
 /// for what used to be fail-stop panics. The session handles each by
-/// degrading service (failing the affected request, retrying the step)
-/// instead of aborting the run.
+/// degrading service (failing the affected request) instead of aborting
+/// the run.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServeError {
     /// A work unit was routed to a device that does not own its KV head —
@@ -51,6 +62,14 @@ pub enum ServeError {
     WorkerLost,
     /// A store operation failed while serving the request.
     Store(StoreError),
+    /// The request's [`SequenceModel`] panicked (or returned a query of the
+    /// wrong shape) in `call` at generation step `step`.
+    ModelPanicked {
+        /// `"query"` or `"advance"`.
+        call: &'static str,
+        /// The generation step of the call.
+        step: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -68,6 +87,9 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::WorkerLost => write!(f, "a worker thread died mid-step"),
             ServeError::Store(e) => write!(f, "store operation failed: {e}"),
+            ServeError::ModelPanicked { call, step } => {
+                write!(f, "the sequence model panicked in {call} at step {step}")
+            }
         }
     }
 }
@@ -80,16 +102,6 @@ impl From<StoreError> for ServeError {
     }
 }
 
-/// One sequence's slice of a work unit: its identity and its grouped
-/// `g_q × d` query block for the unit's head.
-#[derive(Clone, Debug)]
-pub(crate) struct UnitSharer {
-    /// The sequence to attend over.
-    pub seq: SeqId,
-    /// The grouped `g_q × d` query block for the unit's head.
-    pub q_block: Vec<Vec<f32>>,
-}
-
 /// One attention work unit for the current step: classically a
 /// `(sequence, kv-head, device)` triple (one sharer, no shared prefix),
 /// or — when the scheduler detects sequences aliasing the same sealed
@@ -99,7 +111,7 @@ pub(crate) struct UnitSharer {
 #[derive(Clone, Debug)]
 pub(crate) struct WorkUnit {
     /// Dense index of this unit within the step: its position in the
-    /// launch and in the returned results.
+    /// launch.
     pub unit: usize,
     /// The **global** KV head within the sequences.
     pub head: usize,
@@ -109,282 +121,471 @@ pub(crate) struct WorkUnit {
     /// Leading packed blocks every sharer reads from the same physical
     /// pages (`0` for solo units).
     pub prefix_blocks: usize,
-    /// The sequences this unit attends for; one entry is the classic
-    /// per-sequence unit.
-    pub sharers: Vec<UnitSharer>,
+    /// The sequences this unit attends for, as indices into the launch's
+    /// [`SeqTask`]s; one entry is the classic per-sequence unit.
+    pub sharers: Vec<usize>,
 }
 
-impl WorkUnit {
-    /// The unit's first sharer — the sequence blamed in routing errors.
-    pub fn primary_seq(&self) -> SeqId {
-        self.sharers[0].seq
+/// One sequence's side of a step launch: its model, the grouped query the
+/// first of its units builds, and the per-head partials the last of its
+/// units turns into the model's next token.
+pub(crate) struct SeqTask<'a> {
+    seq: SeqId,
+    /// The generation step this launch decodes.
+    step: usize,
+    /// The `heads_kv × g_q × d` grouped query; `None` when the model
+    /// panicked building it.
+    query: OnceLock<Option<Vec<Vec<Vec<f32>>>>>,
+    state: Mutex<SeqState<'a>>,
+}
+
+/// The mutable half of a [`SeqTask`].
+struct SeqState<'a> {
+    model: &'a mut dyn SequenceModel,
+    /// Each KV head's partial, once its unit has delivered it.
+    partials: Vec<Option<OnlineSoftmax>>,
+    /// Heads whose unit has not delivered yet.
+    left: usize,
+    /// The step's product, set by the last delivery.
+    out: Option<Result<StepKv, ServeError>>,
+}
+
+impl<'a> SeqTask<'a> {
+    /// Sequence `seq` at generation step `step`, driven by `model`, with
+    /// one unit per each of `heads` KV heads to wait for.
+    pub fn new(seq: SeqId, step: usize, model: &'a mut dyn SequenceModel, heads: usize) -> Self {
+        SeqTask {
+            seq,
+            step,
+            query: OnceLock::new(),
+            state: Mutex::new(SeqState {
+                model,
+                partials: (0..heads).map(|_| None).collect(),
+                left: heads,
+                out: None,
+            }),
+        }
+    }
+
+    /// The state, even after a panic elsewhere poisoned its lock: every
+    /// write under it is a plain store, so it is never left half-done.
+    fn state(&self) -> MutexGuard<'_, SeqState<'a>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The grouped query, built by whichever unit asks first (the others
+    /// wait for it); `None` when the model panicked.
+    fn query(
+        &self,
+        attn: &AttentionConfig,
+        tracer: &SpanTracer,
+        lane: u32,
+    ) -> Option<&[Vec<Vec<f32>>]> {
+        self.query
+            .get_or_init(|| {
+                let span = tracer.begin();
+                let mut state = self.state();
+                let q = catch_unwind(AssertUnwindSafe(|| {
+                    query_transform(&state.model.query(self.step), attn)
+                }))
+                .ok();
+                tracer.end(span, "query", lane);
+                q
+            })
+            .as_deref()
+    }
+
+    /// Delivers head `head`'s partial (`None` when the query failed). The
+    /// last delivery normalizes every head's partial, in head order, and
+    /// advances the model.
+    fn deliver(&self, head: usize, partial: Option<OnlineSoftmax>, tracer: &SpanTracer, lane: u32) {
+        let mut state = self.state();
+        state.partials[head] = partial;
+        state.left -= 1;
+        if state.left > 0 {
+            return;
+        }
+        let span = tracer.begin();
+        let failed = |call| ServeError::ModelPanicked {
+            call,
+            step: self.step,
+        };
+        let out = match self.query.get() {
+            Some(Some(_)) => {
+                let SeqState {
+                    model, partials, ..
+                } = &mut *state;
+                // Every head delivered: the heads' rows, head-major, are
+                // the `heads_q × d` output.
+                let output: Vec<Vec<f32>> = partials
+                    .iter_mut()
+                    .filter_map(Option::take)
+                    .flat_map(OnlineSoftmax::finish)
+                    .collect();
+                catch_unwind(AssertUnwindSafe(|| model.advance(self.step, &output)))
+                    .map_err(|_| failed("advance"))
+            }
+            _ => Err(failed("query")),
+        };
+        state.out = Some(out);
+        tracer.end(span, "advance", lane);
     }
 }
 
-/// One unit's finished attention partials; [`run_units`] returns them in
-/// unit order.
-#[derive(Clone, Debug)]
-pub(crate) struct UnitResult {
-    /// One un-normalized softmax partial per sharer, in the unit's sharer
-    /// order — the all-reduce payload. The scheduler merges each
-    /// sequence's per-device partials with `OnlineSoftmax::merge` and
-    /// normalizes once. Solo units carry exactly one.
-    pub partials: Vec<OnlineSoftmax>,
-    /// Fast-dequant instructions the fused kernel streamed for this unit
-    /// (deduped: a shared prefix block counts once, not once per sharer).
+/// What one step launch produced.
+pub(crate) struct StepOutput {
+    /// Per sequence, in [`SeqTask`] order: the model's next token and KV
+    /// rows, or what failed the sequence — its model's panic, or the
+    /// error of the lowest-indexed failed unit it shares.
+    pub outs: Vec<Result<StepKv, ServeError>>,
+    /// Fast-dequant instructions the fused kernels streamed (deduped: a
+    /// shared prefix block counts once, not once per sharer).
     pub ops: FastDequantOps,
+    /// Whether any unit failed.
+    pub units_failed: bool,
 }
 
-/// Executes one work unit on its owning device: local-arena block gather +
-/// the decode path's per-head attention body, un-normalized.
+/// Executes one work unit on its owning device: its sharers' queries,
+/// local-arena block gather + the decode path's per-head attention body,
+/// un-normalized, and the delivery of each sharer's partial.
 ///
-/// Solo units run [`BitDecoder::attend_head_partial`] exactly as before;
-/// group units run the cascade
-/// [`BitDecoder::attend_head_partial_multi`], which walks the shared
-/// prefix blocks once and returns a bitwise-identical partial per sharer.
+/// Solo units run [`BitDecoder::attend_head_partial`]; group units run
+/// the cascade [`BitDecoder::attend_head_partial_multi`], which walks the
+/// shared prefix blocks once and returns a bitwise-identical partial per
+/// sharer. A sharer whose model panicked building its query is left out.
 ///
-/// Returns [`ServeError::Misrouted`] — computing nothing — if the unit's
-/// head is not placed on the unit's device: the device-locality contract a
-/// real TP rank enforces physically.
+/// Returns [`ServeError::Misrouted`] — computing and delivering nothing —
+/// if the unit's head is not placed on the unit's device: the
+/// device-locality contract a real TP rank enforces physically.
 fn run_unit(
     unit: &WorkUnit,
+    seqs: &[SeqTask<'_>],
     store: &ShardedKvStore,
     decoder: &BitDecoder,
     tracer: &SpanTracer,
-) -> Result<UnitResult, ServeError> {
+) -> Result<FastDequantOps, ServeError> {
     let placement = store.placement();
     let owner = placement.device_of(unit.head);
     if owner != unit.device {
         return Err(ServeError::Misrouted {
-            seq: unit.primary_seq(),
+            seq: seqs[unit.sharers[0]].seq,
             head: unit.head,
             routed: unit.device,
             owner,
         });
     }
+    let attn = decoder.attention();
+    let lane = device_lane(unit.device.0 as usize);
     // Read ONLY this device's arena: the gather goes through the local
     // store and the head's local slot, never through another device.
     let local = placement.local_index(unit.head);
-    let span = tracer.begin();
     let dev_store = store.device(unit.device);
-    let (partials, ops) = if unit.sharers.len() == 1 {
-        let sharer = &unit.sharers[0];
-        let blocks = dev_store.packed_blocks(sharer.seq, local);
-        let (res_k, res_v) = dev_store.residual_window(sharer.seq, local);
-        let (partial, ops) = decoder.attend_head_partial(&sharer.q_block, &blocks, res_k, res_v);
+    if let [i] = unit.sharers[..] {
+        let s = &seqs[i];
+        let Some(q) = s.query(attn, tracer, lane) else {
+            s.deliver(unit.head, None, tracer, lane);
+            return Ok(FastDequantOps::default());
+        };
+        let span = tracer.begin();
+        let blocks = dev_store.packed_blocks(s.seq, local);
+        let (res_k, res_v) = dev_store.residual_window(s.seq, local);
+        let (partial, ops) = decoder.attend_head_partial(&q[unit.head], &blocks, res_k, res_v);
         tracer.end_with(
             span,
             "execute",
-            device_lane(unit.device.0 as usize),
+            lane,
             &[("unit", unit.unit as f64), ("head", unit.head as f64)],
         );
-        (vec![partial], ops)
-    } else {
-        let p = unit.prefix_blocks;
-        let gathers: Vec<Vec<&PackedBlock>> = unit
-            .sharers
-            .iter()
-            .map(|s| dev_store.packed_blocks(s.seq, local))
-            .collect();
-        // The scheduler only groups sequences whose first `p` blocks
-        // alias the same physical pages — so the gathers agree not just
-        // bitwise but by identity.
-        debug_assert!(gathers.iter().all(|g| {
-            g.len() >= p
-                && g[..p]
-                    .iter()
-                    .zip(&gathers[0][..p])
-                    .all(|(a, b)| std::ptr::eq(*a, *b))
-        }));
-        let prefix = &gathers[0][..p];
-        let inputs: Vec<PrefixSharer<'_, &PackedBlock, KeyWindow>> = unit
-            .sharers
-            .iter()
-            .zip(&gathers)
-            .map(|(s, g)| {
-                let (res_k, res_v) = dev_store.residual_window(s.seq, local);
-                PrefixSharer {
-                    q_block: &s.q_block,
-                    suffix: &g[p..],
-                    res_k,
-                    res_v,
-                }
-            })
-            .collect();
-        let (partials, ops) = decoder.attend_head_partial_multi(prefix, &inputs);
-        tracer.end_with(
-            span,
-            "shared_attn",
-            device_lane(unit.device.0 as usize),
-            &[
-                ("unit", unit.unit as f64),
-                ("head", unit.head as f64),
-                ("sharers", unit.sharers.len() as f64),
-                ("prefix_blocks", p as f64),
-            ],
-        );
-        (partials, ops)
-    };
-    Ok(UnitResult { partials, ops })
+        s.deliver(unit.head, Some(partial), tracer, lane);
+        return Ok(ops);
+    }
+    let mut live: Vec<(&SeqTask<'_>, &[Vec<f32>])> = Vec::with_capacity(unit.sharers.len());
+    for &i in &unit.sharers {
+        let s = &seqs[i];
+        match s.query(attn, tracer, lane) {
+            Some(q) => live.push((s, &q[unit.head])),
+            None => s.deliver(unit.head, None, tracer, lane),
+        }
+    }
+    if live.is_empty() {
+        return Ok(FastDequantOps::default());
+    }
+    let span = tracer.begin();
+    let p = unit.prefix_blocks;
+    let gathers: Vec<Vec<&PackedBlock>> = live
+        .iter()
+        .map(|(s, _)| dev_store.packed_blocks(s.seq, local))
+        .collect();
+    // The scheduler only groups sequences whose first `p` blocks alias
+    // the same physical pages — so the gathers agree not just bitwise but
+    // by identity.
+    debug_assert!(gathers.iter().all(|g| {
+        g.len() >= p
+            && g[..p]
+                .iter()
+                .zip(&gathers[0][..p])
+                .all(|(a, b)| std::ptr::eq(*a, *b))
+    }));
+    let prefix = &gathers[0][..p];
+    let inputs: Vec<PrefixSharer<'_, &PackedBlock, KeyWindow>> = live
+        .iter()
+        .zip(&gathers)
+        .map(|(&(s, q_block), g)| {
+            let (res_k, res_v) = dev_store.residual_window(s.seq, local);
+            PrefixSharer {
+                q_block,
+                suffix: &g[p..],
+                res_k,
+                res_v,
+            }
+        })
+        .collect();
+    let (partials, ops) = decoder.attend_head_partial_multi(prefix, &inputs);
+    tracer.end_with(
+        span,
+        "shared_attn",
+        lane,
+        &[
+            ("unit", unit.unit as f64),
+            ("head", unit.head as f64),
+            ("sharers", live.len() as f64),
+            ("prefix_blocks", p as f64),
+        ],
+    );
+    for ((s, _), partial) in live.into_iter().zip(partials) {
+        s.deliver(unit.head, Some(partial), tracer, lane);
+    }
+    Ok(ops)
 }
 
-/// Runs one step's units to completion and returns their results in unit
-/// order — the step's kernel launch, one [`launch`] task per unit.
+/// Runs one step's units — and through them every sequence's model — to
+/// completion: the step's kernel launch, one [`launch`] task per unit.
 ///
 /// `threads` is the launch width, the calling thread included, so
 /// `threads ≤ 1` runs every unit inline through the same code. Each unit
-/// index is claimed exactly once and its result lands in that index's
-/// slot, so no result depends on which thread ran it. The threads borrow
-/// `store` and `decoder` for the call only; once it returns, the caller
-/// may mutate the store.
+/// index is claimed exactly once and each sequence's product is built
+/// from its heads in head order, so no result depends on which thread ran
+/// what. The threads borrow `store`, `decoder` and the models for the call
+/// only; once it returns, the caller may mutate the store.
 ///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed unit that failed, whatever
-/// order the threads finished in: [`ServeError::Misrouted`] for a unit
-/// routed off its head's device, [`ServeError::WorkerLost`] for a unit
-/// whose spawned thread panicked.
+/// A failed unit fails the sequences it carries, with
+/// [`ServeError::Misrouted`] for a unit routed off its head's device or
+/// [`ServeError::WorkerLost`] for a unit whose spawned thread panicked
+/// (the lowest-indexed failed unit names the error); every other sequence
+/// completes its step.
 pub(crate) fn run_units(
     units: &[WorkUnit],
+    seqs: Vec<SeqTask<'_>>,
     threads: usize,
     store: &ShardedKvStore,
     decoder: &BitDecoder,
     tracer: &SpanTracer,
-) -> Result<Vec<UnitResult>, ServeError> {
-    launch(units.len(), threads, |i| {
-        run_unit(&units[i], store, decoder, tracer)
-    })
-    .into_iter()
-    .map(|slot| slot.unwrap_or(Err(ServeError::WorkerLost)))
-    .collect()
+) -> StepOutput {
+    let results = launch(units.len(), threads, |i| {
+        run_unit(&units[i], &seqs, store, decoder, tracer)
+    });
+    let mut outs: Vec<Option<Result<StepKv, ServeError>>> = seqs
+        .into_iter()
+        .map(|s| {
+            s.state
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .out
+        })
+        .collect();
+    let mut ops = FastDequantOps::default();
+    let mut units_failed = false;
+    for (unit, result) in units.iter().zip(results) {
+        match result.unwrap_or(Err(ServeError::WorkerLost)) {
+            Ok(unit_ops) => ops += unit_ops,
+            Err(e) => {
+                units_failed = true;
+                // A sequence with an undelivered head never advanced.
+                for &i in &unit.sharers {
+                    outs[i].get_or_insert_with(|| Err(e.clone()));
+                }
+            }
+        }
+    }
+    StepOutput {
+        outs: outs
+            .into_iter()
+            .map(|out| out.unwrap_or(Err(ServeError::WorkerLost)))
+            .collect(),
+        ops,
+        units_failed,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bd_core::{query_transform, AttentionConfig, BitDecoder};
+    use bd_core::{AttentionConfig, BitDecoder, QueryHeads};
     use bd_gpu_sim::GpuArch;
     use bd_kvcache::{CacheConfig, PackLayout, Partitioning, Placement, QuantScheme, TokenMatrix};
 
+    /// Asks the same query at every step and hands back the attention
+    /// output it receives as its K rows, so a test can read it.
+    struct Echo(QueryHeads);
+
+    impl SequenceModel for Echo {
+        fn prompt(&mut self) -> (Vec<TokenMatrix>, Vec<TokenMatrix>) {
+            (Vec::new(), Vec::new())
+        }
+        fn prompt_tokens(&self) -> usize {
+            0
+        }
+        fn gen_tokens(&self) -> usize {
+            1
+        }
+        fn query(&mut self, _: usize) -> QueryHeads {
+            self.0.clone()
+        }
+        fn advance(&mut self, _: usize, output: &QueryHeads) -> StepKv {
+            StepKv {
+                token: 0,
+                k: output.clone(),
+                v: Vec::new(),
+            }
+        }
+    }
+
+    fn attn() -> AttentionConfig {
+        AttentionConfig::gqa(4, 2, 16)
+    }
+
+    fn decoder() -> BitDecoder {
+        BitDecoder::builder(GpuArch::rtx4090())
+            .attention(attn())
+            .scheme(QuantScheme::kc4())
+            .build()
+    }
+
+    /// Sequence `i`'s query.
+    fn query_of(i: usize) -> QueryHeads {
+        (0..4)
+            .map(|h| {
+                (0..16)
+                    .map(|c| ((i * 31 + h * 16 + c) as f32 * 0.7).sin())
+                    .collect()
+            })
+            .collect()
+    }
+
     /// The classic single-sequence unit.
-    fn solo(
-        unit: usize,
-        seq: SeqId,
-        head: usize,
-        device: DeviceId,
-        q_block: Vec<Vec<f32>>,
-    ) -> WorkUnit {
+    fn solo(unit: usize, head: usize, device: DeviceId, sharer: usize) -> WorkUnit {
         WorkUnit {
             unit,
             head,
             device,
             prefix_blocks: 0,
-            sharers: vec![UnitSharer { seq, q_block }],
+            sharers: vec![sharer],
         }
     }
 
     /// `seqs` prefilled sequences over `devices` devices and one solo unit
     /// per `(sequence, kv-head)`, sequence-major.
-    fn setup(devices: usize, seqs: usize) -> (BitDecoder, ShardedKvStore, Vec<WorkUnit>) {
-        let attn = AttentionConfig::gqa(4, 2, 16);
-        let decoder = BitDecoder::builder(GpuArch::rtx4090())
-            .attention(attn)
-            .scheme(QuantScheme::kc4())
-            .build();
+    fn setup(devices: usize, seqs: usize) -> (ShardedKvStore, Vec<SeqId>, Vec<WorkUnit>) {
         let cfg = CacheConfig::new(16, QuantScheme::kc4(), PackLayout::sm80_default());
-        let placement = Placement::new(devices, Partitioning::HeadModulo, attn.heads_kv);
+        let placement = Placement::new(devices, Partitioning::HeadModulo, 2);
         let mut store = ShardedKvStore::new(cfg, placement.clone(), 64, 32);
-        let codec = decoder.codec();
+        let codec = decoder().codec();
         let len = 128 + 11;
         let k: Vec<TokenMatrix> = (0..2)
             .map(|h| TokenMatrix::from_fn(len, 16, |t, c| ((h + t * 16 + c) as f32 * 0.3).sin()))
             .collect();
-        let q: Vec<Vec<f32>> = (0..4)
-            .map(|h| (0..16).map(|c| ((h * 16 + c) as f32 * 0.7).sin()).collect())
-            .collect();
+        let mut ids = Vec::new();
         let mut units = Vec::new();
-        for _ in 0..seqs {
+        for i in 0..seqs {
             let (seq, _) = store.admit_prefill_cached(&k, &k, 0, &codec).unwrap();
-            for (head, q_block) in query_transform(&q, &attn).into_iter().enumerate() {
-                units.push(solo(
-                    units.len(),
-                    seq,
-                    head,
-                    placement.device_of(head),
-                    q_block,
-                ));
+            ids.push(seq);
+            for head in 0..2 {
+                units.push(solo(units.len(), head, placement.device_of(head), i));
             }
         }
-        (decoder, store, units)
+        (store, ids, units)
     }
 
+    /// Launches `units` over the sequences `ids` (sequence `i` asking
+    /// `query_of(i)`) and returns each sequence's attention output, or
+    /// its error, and the launch's dequant ops.
     fn run(
         units: &[WorkUnit],
+        ids: &[SeqId],
         threads: usize,
         store: &ShardedKvStore,
-        decoder: &BitDecoder,
-    ) -> Result<Vec<UnitResult>, ServeError> {
-        run_units(units, threads, store, decoder, &SpanTracer::disabled())
+    ) -> (Vec<Result<QueryHeads, ServeError>>, FastDequantOps) {
+        let decoder = decoder();
+        let mut models: Vec<Echo> = (0..ids.len()).map(|i| Echo(query_of(i))).collect();
+        let seqs = ids
+            .iter()
+            .zip(&mut models)
+            .map(|(&seq, m)| SeqTask::new(seq, 0, m, 2))
+            .collect();
+        let out = run_units(
+            units,
+            seqs,
+            threads,
+            store,
+            &decoder,
+            &SpanTracer::disabled(),
+        );
+        let outputs = out.outs.into_iter().map(|o| o.map(|kv| kv.k)).collect();
+        (outputs, out.ops)
     }
 
     #[test]
     fn threaded_results_match_inline_bitwise_at_any_device_count() {
-        let (decoder, store1, units1) = setup(1, 1);
-        let inline = run(&units1, 0, &store1, &decoder).unwrap();
+        let (store1, ids1, units1) = setup(1, 2);
+        let inline = run(&units1, &ids1, 0, &store1);
+        assert!(inline.0.iter().all(Result::is_ok));
         for devices in [1usize, 2] {
-            let (_, store, units) = setup(devices, 1);
+            let (store, ids, units) = setup(devices, 2);
             for workers in [0usize, 1, 3] {
-                let got = run(&units, workers * devices, &store, &decoder).unwrap();
-                assert_eq!(inline.len(), got.len());
-                for (a, b) in inline.iter().zip(&got) {
-                    assert_eq!(
-                        a.partials[0].clone().finish(),
-                        b.partials[0].clone().finish(),
-                        "devices={devices} workers={workers}"
-                    );
-                    assert_eq!(a.ops, b.ops);
-                }
+                let got = run(&units, &ids, workers * devices, &store);
+                assert_eq!(got, inline, "devices={devices} workers={workers}");
             }
         }
     }
 
     #[test]
     fn units_are_routed_to_owning_device_groups() {
-        // Each unit reads its owning device's arena: its partial is the one
-        // that arena's blocks and residual give.
-        let (decoder, store, units) = setup(2, 1);
+        // Each unit reads its owning device's arena: the output is the one
+        // those arenas' blocks and residuals give, head by head.
+        let (store, ids, units) = setup(2, 1);
         assert_eq!(store.devices(), 2);
-        let results = run(&units, 2 * 2, &store, &decoder).unwrap();
-        for (u, r) in units.iter().zip(&results) {
+        let decoder = decoder();
+        let (outputs, ops) = run(&units, &ids, 2 * 2, &store);
+        let q = bd_core::query_transform(&query_of(0), &attn());
+        let mut want = Vec::new();
+        let mut want_ops = FastDequantOps::default();
+        for u in &units {
             assert_eq!(u.device, store.placement().device_of(u.head));
             let dev = store.device(u.device);
             let local = store.placement().local_index(u.head);
-            let sharer = &u.sharers[0];
-            let (res_k, res_v) = dev.residual(sharer.seq, local);
-            let (partial, ops) = decoder.attend_head_partial(
-                &sharer.q_block,
-                &dev.packed_blocks(sharer.seq, local),
+            let (res_k, res_v) = dev.residual(ids[0], local);
+            let (partial, unit_ops) = decoder.attend_head_partial(
+                &q[u.head],
+                &dev.packed_blocks(ids[0], local),
                 res_k,
                 res_v,
             );
-            assert_eq!(r.partials[0].clone().finish(), partial.finish());
-            assert_eq!(r.ops, ops);
+            want.extend(partial.finish());
+            want_ops += unit_ops;
         }
+        assert_eq!(outputs, vec![Ok(want)]);
+        assert_eq!(ops, want_ops);
     }
 
     #[test]
     fn grouped_unit_partials_match_solo_units_bitwise() {
         // Three sequences forked off one block-aligned 256-token prompt
-        // alias the same sealed prefix pages; a cascade unit over all
-        // three must return, per sharer, exactly the partial its solo
-        // unit returns — at every head, on every device, threaded or not.
-        let attn = AttentionConfig::gqa(4, 2, 16);
-        let decoder = BitDecoder::builder(GpuArch::rtx4090())
-            .attention(attn)
-            .scheme(QuantScheme::kc4())
-            .build();
+        // alias the same sealed prefix pages; one cascade unit per head
+        // over all three must give every sequence exactly the output its
+        // solo units give — on every device, threaded or not.
+        let decoder = decoder();
         let cfg = CacheConfig::new(16, QuantScheme::kc4(), PackLayout::sm80_default());
-        let placement = Placement::new(2, Partitioning::HeadModulo, attn.heads_kv);
+        let placement = Placement::new(2, Partitioning::HeadModulo, 2);
         let mut store = ShardedKvStore::new(cfg, placement.clone(), 128, 32);
         let codec = decoder.codec();
         let k: Vec<TokenMatrix> = (0..2)
@@ -409,118 +610,85 @@ mod tests {
                 store.append_step(seq, &rows, &rows, &codec).unwrap();
             }
         }
-        for head in 0..attn.heads_kv {
+        let mut solo_units = Vec::new();
+        let mut grouped = Vec::new();
+        for head in 0..2 {
             let device = placement.device_of(head);
             let run_len = store.shared_block_run(device, &seqs);
             assert_eq!(run_len, 2, "head {head}");
-            let q_of = |i: usize| -> Vec<Vec<f32>> {
-                let q: Vec<Vec<f32>> = (0..4)
-                    .map(|h| {
-                        (0..16)
-                            .map(|c| ((i * 31 + h * 16 + c) as f32 * 0.7).sin())
-                            .collect()
-                    })
-                    .collect();
-                query_transform(&q, &attn).swap_remove(head)
-            };
-            let solo_units: Vec<WorkUnit> = seqs
-                .iter()
-                .enumerate()
-                .map(|(i, &seq)| solo(i, seq, head, device, q_of(i)))
-                .collect();
-            let solo_results = run(&solo_units, 2 * 2, &store, &decoder).unwrap();
-            let group = WorkUnit {
-                unit: 0,
+            for i in 0..seqs.len() {
+                solo_units.push(solo(solo_units.len(), head, device, i));
+            }
+            grouped.push(WorkUnit {
+                unit: head,
                 head,
                 device,
                 prefix_blocks: run_len,
-                sharers: seqs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &seq)| UnitSharer {
-                        seq,
-                        q_block: q_of(i),
-                    })
-                    .collect(),
-            };
-            let grouped = run(&[group], 2 * 2, &store, &decoder).unwrap();
-            assert_eq!(grouped[0].partials.len(), seqs.len());
-            let mut solo_ops = FastDequantOps::default();
-            for (i, r) in solo_results.iter().enumerate() {
-                assert_eq!(
-                    grouped[0].partials[i].clone().finish(),
-                    r.partials[0].clone().finish(),
-                    "head {head}, sharer {i}"
-                );
-                solo_ops += r.ops;
-            }
+                sharers: vec![0, 1, 2],
+            });
+        }
+        let (solo_out, solo_ops) = run(&solo_units, &seqs, 1, &store);
+        assert!(solo_out.iter().all(Result::is_ok));
+        for threads in [1, 2 * 2] {
+            let (group_out, group_ops) = run(&grouped, &seqs, threads, &store);
+            assert_eq!(group_out, solo_out, "threads={threads}");
             assert!(
-                grouped[0].ops.total() < solo_ops.total(),
-                "head {head}: cascade walk must dedup dequant work"
+                group_ops.total() < solo_ops.total(),
+                "the cascade walk must dedup dequant work"
             );
         }
     }
 
     #[test]
     fn misrouted_unit_is_rejected_with_typed_error() {
-        let (decoder, store, mut units) = setup(2, 1);
-        // Head 0 lives on device 0 under head-modulo; claim device 1.
-        units[0].device = DeviceId(1);
+        // Head 0 lives on device 0 under head-modulo; claim device 1 for
+        // sequence 0's head-0 unit. Sequence 0 fails typed; sequence 1
+        // completes exactly as in a correct launch.
+        let (store, ids, units) = setup(2, 2);
+        let clean = run(&units, &ids, 0, &store);
+        let mut bad = units.clone();
+        bad[0].device = DeviceId(1);
         for workers in [0usize, 2] {
-            let err = run(&units, workers * 2, &store, &decoder).unwrap_err();
+            let (outputs, _) = run(&bad, &ids, workers * 2, &store);
             assert_eq!(
-                err,
-                ServeError::Misrouted {
-                    seq: units[0].primary_seq(),
+                outputs[0],
+                Err(ServeError::Misrouted {
+                    seq: ids[0],
                     head: 0,
                     routed: DeviceId(1),
                     owner: DeviceId(0),
-                },
+                }),
                 "workers={workers}"
             );
-            // The failed step left nothing behind: a correct batch at the
-            // same width produces a clean, complete step, in unit order.
-            let fixed = {
-                let mut u = units.clone();
-                u[0].device = DeviceId(0);
-                u
-            };
-            let results = run(&fixed, workers * 2, &store, &decoder).unwrap();
-            let inline = run(&fixed, 0, &store, &decoder).unwrap();
-            assert_eq!(results.len(), units.len());
-            for (r, i) in results.iter().zip(&inline) {
-                assert_eq!(
-                    r.partials[0].clone().finish(),
-                    i.partials[0].clone().finish(),
-                    "workers={workers}"
-                );
-            }
+            assert_eq!(outputs[1], clean.0[1], "workers={workers}");
+            // The failed launch left nothing behind.
+            assert_eq!(run(&units, &ids, workers * 2, &store), clean);
         }
     }
 
     #[test]
     fn lowest_indexed_error_wins_at_every_thread_count() {
-        // Units 1 and 3 are head 1 of two different sequences; head 1
-        // lives on device 1 under head-modulo, so claiming device 0
-        // misroutes both. The error names unit 1's sequence however the
-        // threads interleave.
-        let (decoder, store, mut units) = setup(2, 2);
+        // Units 0 and 1 are sequence 0's heads 0 and 1; swapping their
+        // devices misroutes both. The sequence's error names unit 0
+        // however the threads interleave, and sequence 1 completes.
+        let (store, ids, mut units) = setup(2, 2);
+        let clean = run(&units, &ids, 0, &store);
+        units[0].device = DeviceId(1);
         units[1].device = DeviceId(0);
-        units[3].device = DeviceId(0);
-        assert_ne!(units[1].primary_seq(), units[3].primary_seq());
         for threads in 0..=5 {
             for _ in 0..8 {
-                let err = run(&units, threads, &store, &decoder).unwrap_err();
+                let (outputs, _) = run(&units, &ids, threads, &store);
                 assert_eq!(
-                    err,
-                    ServeError::Misrouted {
-                        seq: units[1].primary_seq(),
-                        head: 1,
-                        routed: DeviceId(0),
-                        owner: DeviceId(1),
-                    },
+                    outputs[0],
+                    Err(ServeError::Misrouted {
+                        seq: ids[0],
+                        head: 0,
+                        routed: DeviceId(1),
+                        owner: DeviceId(0),
+                    }),
                     "threads={threads}"
                 );
+                assert_eq!(outputs[1], clean.0[1], "threads={threads}");
             }
         }
     }
