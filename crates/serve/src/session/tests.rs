@@ -1499,8 +1499,8 @@ fn a_short_head_fails_only_its_request() {
     assert_eq!(streams(true), streams(false));
 }
 
-/// A [`SynthSequence`] whose model panics in `call` at generation step
-/// `at`.
+/// A [`SynthSequence`] whose model, at generation step `at`, panics in
+/// `query` or `advance`, or (`"shape"`) returns a query one head short.
 struct PanicsAt {
     inner: SynthSequence,
     call: &'static str,
@@ -1519,7 +1519,11 @@ impl SequenceModel for PanicsAt {
     }
     fn query(&mut self, step: usize) -> QueryHeads {
         assert!(self.call != "query" || step != self.at, "query bug");
-        self.inner.query(step)
+        let mut q = self.inner.query(step);
+        if self.call == "shape" && step == self.at {
+            q.pop();
+        }
+        q
     }
     fn advance(&mut self, step: usize, output: &QueryHeads) -> StepKv {
         assert!(self.call != "advance" || step != self.at, "advance bug");
@@ -1530,14 +1534,19 @@ impl SequenceModel for PanicsAt {
 #[test]
 fn a_panicking_model_fails_only_its_request() {
     // A model is code the session does not own: a panic in its query or
-    // advance fails its own request, typed, at every launch width. Every
-    // other stream is untouched and no page leaks.
+    // advance, or a query of the wrong shape, fails its own request,
+    // typed, at every launch width. Every other stream is untouched and no
+    // page leaks.
     let attn = AttentionConfig::gqa(8, 4, 16);
     let dec = decoder(attn);
     let want: Vec<Vec<u32>> = (0..3)
         .map(|i| replay_contiguous(&dec, &mut SynthSequence::new(attn, i, 150, 6)))
         .collect();
-    for call in ["query", "advance"] {
+    for (kind, call) in [
+        ("query", "query"),
+        ("advance", "advance"),
+        ("shape", "query"),
+    ] {
         for workers in 0..=3 {
             let config = ServeConfig::new(256, 32, workers, 4);
             let mut session = ServeSession::new(dec.clone(), config);
@@ -1546,13 +1555,13 @@ fn a_panicking_model_fails_only_its_request() {
             let a = submit(Box::new(SynthSequence::new(attn, 0, 150, 6)));
             let bad = submit(Box::new(PanicsAt {
                 inner: SynthSequence::new(attn, 9, 150, 6),
-                call,
+                call: kind,
                 at: 2,
             }));
             let b = submit(Box::new(SynthSequence::new(attn, 1, 150, 6)));
             let c = submit(Box::new(SynthSequence::new(attn, 2, 150, 6)));
             let summary = session.run_to_completion();
-            let at = format!("{call} at workers={workers}");
+            let at = format!("{kind} at workers={workers}");
             assert_eq!(
                 session.failure(bad),
                 Some(&ServeError::ModelPanicked { call, step: 2 }),

@@ -19,7 +19,8 @@
 //!
 //! The launch also runs each sequence's model, the work around attention.
 //! A sequence's first unit to run builds its query (the model's
-//! [`SequenceModel::query`], regrouped per KV head); each unit hands its
+//! [`SequenceModel::query`]; each unit reads its KV head's rows of it,
+//! without a copy); each unit hands its
 //! head's partial to the sequence; the unit that hands over the last one
 //! normalizes them all — the simulated all-reduce — and calls the model's
 //! [`SequenceModel::advance`]: a split-K kernel whose last block to finish
@@ -33,7 +34,7 @@
 //! inline `workers = 0` mode), bit for bit.
 
 use crate::model::{SequenceModel, StepKv};
-use bd_core::{query_transform, AttentionConfig, BitDecoder, OnlineSoftmax, PrefixSharer};
+use bd_core::{AttentionConfig, BitDecoder, OnlineSoftmax, PrefixSharer, QueryHeads};
 use bd_kvcache::{launch, DeviceId, KeyWindow, PackedBlock, SeqId, ShardedKvStore, StoreError};
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{device_lane, SpanTracer};
@@ -126,16 +127,16 @@ pub(crate) struct WorkUnit {
     pub sharers: Vec<usize>,
 }
 
-/// One sequence's side of a step launch: its model, the grouped query the
-/// first of its units builds, and the per-head partials the last of its
-/// units turns into the model's next token.
+/// One sequence's side of a step launch: its model, the query the first
+/// of its units builds, and the per-head partials the last of its units
+/// turns into the model's next token.
 pub(crate) struct SeqTask<'a> {
     seq: SeqId,
     /// The generation step this launch decodes.
     step: usize,
-    /// The `heads_kv × g_q × d` grouped query; `None` when the model
-    /// panicked building it.
-    query: OnceLock<Option<Vec<Vec<Vec<f32>>>>>,
+    /// The `heads_q × d` query; `None` when the model panicked building
+    /// it or built it in the wrong shape.
+    query: OnceLock<Option<QueryHeads>>,
     state: Mutex<SeqState<'a>>,
 }
 
@@ -173,26 +174,30 @@ impl<'a> SeqTask<'a> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The grouped query, built by whichever unit asks first (the others
-    /// wait for it); `None` when the model panicked.
-    fn query(
+    /// KV head `head`'s `g_q × d` block of the query — query heads
+    /// `head·g_q ..`, the rows [`bd_core::query_transform`] groups — built
+    /// by whichever unit asks first (the others wait for it); `None` when
+    /// the model panicked or returned the wrong shape.
+    fn q_block(
         &self,
+        head: usize,
         attn: &AttentionConfig,
         tracer: &SpanTracer,
         lane: u32,
-    ) -> Option<&[Vec<Vec<f32>>]> {
-        self.query
-            .get_or_init(|| {
-                let span = tracer.begin();
-                let mut state = self.state();
-                let q = catch_unwind(AssertUnwindSafe(|| {
-                    query_transform(&state.model.query(self.step), attn)
-                }))
-                .ok();
-                tracer.end(span, "query", lane);
-                q
-            })
-            .as_deref()
+    ) -> Option<&[Vec<f32>]> {
+        let q = self.query.get_or_init(|| {
+            let span = tracer.begin();
+            let mut state = self.state();
+            let q = catch_unwind(AssertUnwindSafe(|| state.model.query(self.step)))
+                .ok()
+                .filter(|q| {
+                    q.len() == attn.heads_q && q.iter().all(|row| row.len() == attn.head_dim)
+                });
+            tracer.end(span, "query", lane);
+            q
+        });
+        let gq = attn.group_factor();
+        q.as_ref().map(|q| &q[head * gq..(head + 1) * gq])
     }
 
     /// Delivers head `head`'s partial (`None` when the query failed). The
@@ -282,14 +287,14 @@ fn run_unit(
     let dev_store = store.device(unit.device);
     if let [i] = unit.sharers[..] {
         let s = &seqs[i];
-        let Some(q) = s.query(attn, tracer, lane) else {
+        let Some(q_block) = s.q_block(unit.head, attn, tracer, lane) else {
             s.deliver(unit.head, None, tracer, lane);
             return Ok(FastDequantOps::default());
         };
         let span = tracer.begin();
         let blocks = dev_store.packed_blocks(s.seq, local);
         let (res_k, res_v) = dev_store.residual_window(s.seq, local);
-        let (partial, ops) = decoder.attend_head_partial(&q[unit.head], &blocks, res_k, res_v);
+        let (partial, ops) = decoder.attend_head_partial(q_block, &blocks, res_k, res_v);
         tracer.end_with(
             span,
             "execute",
@@ -302,8 +307,8 @@ fn run_unit(
     let mut live: Vec<(&SeqTask<'_>, &[Vec<f32>])> = Vec::with_capacity(unit.sharers.len());
     for &i in &unit.sharers {
         let s = &seqs[i];
-        match s.query(attn, tracer, lane) {
-            Some(q) => live.push((s, &q[unit.head])),
+        match s.q_block(unit.head, attn, tracer, lane) {
+            Some(q_block) => live.push((s, q_block)),
             None => s.deliver(unit.head, None, tracer, lane),
         }
     }
