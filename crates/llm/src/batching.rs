@@ -163,7 +163,7 @@ pub fn simulate_continuous_batching(
         });
     }
 
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    latencies.sort_by(f64::total_cmp);
     let pct = |p: f64| -> f64 {
         if latencies.is_empty() {
             0.0

@@ -150,8 +150,8 @@ pub struct FunctionalServeReport {
     /// The emitted token stream of every request, in submission order.
     pub token_streams: Vec<Vec<u32>>,
     /// The decode step at which each request completed, in submission
-    /// order.
-    pub completion_steps: Vec<usize>,
+    /// order (`None` for a request the session failed).
+    pub completion_steps: Vec<Option<usize>>,
 }
 
 /// Runs the paper's Page serving setting **functionally**: the synthetic
@@ -209,12 +209,9 @@ pub fn serve_scenario(
         summary,
         token_streams: ids
             .iter()
-            .map(|id| session.stream(*id).expect("submitted").to_vec())
+            .map(|id| session.stream(*id).map_or_else(Vec::new, <[u32]>::to_vec))
             .collect(),
-        completion_steps: ids
-            .iter()
-            .map(|id| session.completion_step(*id).expect("completed"))
-            .collect(),
+        completion_steps: ids.iter().map(|id| session.completion_step(*id)).collect(),
     })
 }
 
@@ -373,6 +370,7 @@ mod tests {
         assert!(pre.summary.swap_bytes > 0.0);
         // The late small request completes strictly earlier under
         // preemption…
+        assert!(pre.completion_steps[1].is_some());
         assert!(pre.completion_steps[1] < fcfs.completion_steps[1]);
         // …and every stream still equals the uninterrupted contiguous
         // replay under both policies.
