@@ -19,13 +19,12 @@
 //!
 //! The launch also runs each sequence's model, the work around attention.
 //! A sequence's first unit to run builds its query (the model's
-//! [`SequenceModel::query`]; each unit reads its KV head's rows of it,
-//! without a copy); each unit hands its
-//! head's partial to the sequence; the unit that hands over the last one
-//! normalizes them all — the simulated all-reduce — and calls the model's
-//! [`SequenceModel::advance`]: a split-K kernel whose last block to finish
-//! runs the epilogue. Different sequences' models run concurrently, each
-//! model's own calls in order.
+//! [`SequenceModel::query`]; each unit reads its KV head's rows of it in
+//! place); each unit hands its head's partial to the sequence; the unit
+//! that hands over the last one normalizes them all — the simulated
+//! all-reduce — and calls the model's [`SequenceModel::advance`]: a
+//! split-K kernel whose last block to finish runs the epilogue. Different
+//! sequences' models run concurrently, each model's own calls in order.
 //!
 //! Because each unit is an independent, deterministic computation, each
 //! sequence's partials are normalized in head order whoever delivered
