@@ -53,6 +53,7 @@ pub use placement::{DeviceId, Partitioning, Placement};
 pub use scheme::{KeyGranularity, QuantScheme, SchemeKind};
 pub use sharded::{DeviceKvStats, ShardedKvStore, SwappedShardedSeq};
 pub use store::{
-    KvSharingStats, PagedKvStore, PrefixAdmit, PrefixCacheStats, StoreError, SwappedSeq,
+    KvSharingStats, LaunchPages, LaunchSeq, PagedKvStore, PrefixAdmit, PrefixCacheStats,
+    StoreError, SwappedSeq,
 };
 pub use window::{KeyWindow, PANEL_TOKENS};

@@ -245,6 +245,12 @@ impl ShardedKvStore {
         &self.devices[d.0 as usize]
     }
 
+    /// The placement and every device's store, borrowed apart — what
+    /// [`ShardedKvStore::split_for_launch`] splits further.
+    pub(crate) fn parts_mut(&mut self) -> (&Placement, &mut [PagedKvStore]) {
+        (&self.placement, &mut self.devices)
+    }
+
     /// Aggregate free pages across all devices.
     pub fn free_pages(&self) -> usize {
         self.devices.iter().map(PagedKvStore::free_pages).sum()

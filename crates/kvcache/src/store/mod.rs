@@ -23,7 +23,9 @@
 //! - `swap`: swap blobs ([`SwappedSeq`]) and their checksum;
 //! - `prefix`: radix adoption ([`PagedKvStore::admit_prefill_cached`])
 //!   and LRU eviction;
-//! - `stats`: sharing and prefix-cache statistics.
+//! - `stats`: sharing and prefix-cache statistics;
+//! - `split`: a decode launch's split borrow ([`LaunchPages`] shared,
+//!   one [`LaunchSeq`] per sequence exclusive) and the in-window append.
 //!
 //! # Contiguous-equivalence invariant
 //!
@@ -39,11 +41,13 @@
 
 mod fork;
 mod prefix;
+mod split;
 mod stats;
 mod swap;
 #[cfg(test)]
 mod tests;
 
+pub use split::{LaunchPages, LaunchSeq};
 pub use stats::{KvSharingStats, PrefixAdmit, PrefixCacheStats};
 pub use swap::SwappedSeq;
 
@@ -263,6 +267,30 @@ const TASKS_PER_THREAD: usize = 8;
 /// One head's task outputs, in order, as one list.
 fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
     chunks.into_iter().flatten().collect()
+}
+
+/// The first `own` packed blocks of `seq`'s head `head`, walked through
+/// its page table — see [`PagedKvStore::packed_blocks`].
+fn gather<'a>(
+    pool: &PagedPool,
+    frames: &'a [Frame],
+    seq: SeqId,
+    head: usize,
+    own: usize,
+) -> Vec<&'a PackedBlock> {
+    let Some(table) = pool.table(seq) else {
+        panic!("sequence {seq:?} is not resident");
+    };
+    let mut out = Vec::with_capacity(own);
+    'gather: for page in table {
+        for block in &frames[page.0 as usize][head] {
+            if out.len() == own {
+                break 'gather;
+            }
+            out.push(block);
+        }
+    }
+    out
 }
 
 /// Paged physical KV storage for many concurrent sequences — see the
@@ -561,19 +589,7 @@ impl PagedKvStore {
     pub fn packed_blocks(&self, seq: SeqId, head: usize) -> Vec<&PackedBlock> {
         assert!(head < self.heads, "head {head} out of range");
         let own = self.seqs[&seq].len / self.residual_block();
-        let Some(table) = self.pool.table(seq) else {
-            panic!("sequence {seq:?} is not resident");
-        };
-        let mut out = Vec::with_capacity(own);
-        'gather: for page in table {
-            for block in &self.frames[page.0 as usize][head] {
-                if out.len() == own {
-                    break 'gather;
-                }
-                out.push(block);
-            }
-        }
-        out
+        gather(&self.pool, &self.frames, seq, head, own)
     }
 
     /// Appends one decode-step token (one K/V row per head). Rows round

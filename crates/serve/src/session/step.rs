@@ -4,7 +4,7 @@
 
 use super::{RequestEvent, RequestId, ServeMetrics, ServeSession};
 use crate::model::StepKv;
-use crate::workers::{run_units, SeqTask, ServeError, WorkUnit};
+use crate::workers::{run_units, SeqOut, SeqTask, ServeError, WorkUnit};
 use bd_core::DecodeShape;
 use bd_kvcache::{DeviceId, SeqId};
 use bd_obs::LANE_SESSION;
@@ -47,9 +47,11 @@ impl ServeSession {
     /// the `admission` span) → plan the batch's attention units and launch
     /// them over the step's scoped threads, which also build each
     /// sequence's query, merge its per-head partials — the simulated
-    /// all-reduce — and advance its model (`fan_out`) → emit the tokens
-    /// into their streams (`merge`) → append KV (`append`) → retire
-    /// finished sequences → price the step → publish its metrics.
+    /// all-reduce — advance its model and append its new KV rows in its
+    /// residual windows (`fan_out`) → emit the tokens into their streams
+    /// (`merge`) → append the KV rows that flush a block or grow the pages
+    /// (`append`) → retire finished sequences → price the step → publish
+    /// its metrics.
     ///
     /// Returns the step's metrics, or `None` when no work remains (the
     /// session is drained). If the session is idle but future arrivals
@@ -67,7 +69,8 @@ impl ServeSession {
             max_res,
         } = self.plan_units();
         // Time only the decode work (the launch — queries, attention,
-        // merge, model advance — then emission and append), not
+        // merge, model advance, in-window appends — then emission and the
+        // remaining appends), not
         // admission/prefill above, so kv_tokens_per_s reports the
         // runtime's own throughput.
         let t0 = Instant::now();
@@ -220,23 +223,24 @@ impl ServeSession {
 
     /// Launches the units over the store's launch width — `workers ×
     /// devices` scoped threads, the width prompt admission packs on — that
-    /// borrow the store and the active models until every unit has
-    /// finished. Returns each active sequence's product, in active order.
-    /// A failed unit fails only the sequences it carries, and a model
-    /// panic only its own; the session keeps serving the rest.
-    fn execute(&mut self, units: &[WorkUnit]) -> Vec<Result<StepKv, ServeError>> {
+    /// borrow the store, split into shared pages and each sequence's own
+    /// windows, and the active models until every unit has finished.
+    /// Returns each active sequence's product, in active order. A failed
+    /// unit fails only the sequences it carries, and a model panic only its
+    /// own; the session keeps serving the rest.
+    fn execute(&mut self, units: &[WorkUnit]) -> Vec<Result<SeqOut, ServeError>> {
         let heads = self.decoder.attention().heads_kv;
-        let seqs = self
-            .active
-            .iter_mut()
-            .map(|a| SeqTask::new(a.seq, a.step, a.model.as_mut(), heads))
-            .collect();
         let threads = self.store.launch_width();
+        let ids: Vec<SeqId> = self.active.iter().map(|a| a.seq).collect();
+        let (pages, windows) = self.store.split_for_launch(&ids);
+        let seqs = (self.active.iter_mut().zip(windows))
+            .map(|(a, w)| SeqTask::new(w, a.step, a.model.as_mut(), heads))
+            .collect();
         let out = run_units(
             units,
             seqs,
             threads,
-            &self.store,
+            &pages,
             &self.decoder,
             &self.obs.tracer,
         );
@@ -249,17 +253,19 @@ impl ServeSession {
     }
 
     /// Emits each sequence's token into its stream, in active order, and
-    /// returns the KV rows to append; a sequence the launch failed is
-    /// failed here, its pages freed for the survivors.
-    fn emit(&mut self, outs: Vec<Result<StepKv, ServeError>>) -> Vec<(SeqId, StepKv)> {
+    /// returns the KV rows the launch left to append (those that flush a
+    /// block or grow the pages); a sequence the launch failed is failed
+    /// here, its pages freed for the survivors.
+    fn emit(&mut self, outs: Vec<Result<SeqOut, ServeError>>) -> Vec<(SeqId, StepKv)> {
         // One wall read covers every token this step emits: lifecycle
         // resolution is per step anyway, and it keeps the loop cheap.
         let token_wall_us = self.obs.wall_us();
-        let mut appends = Vec::with_capacity(self.active.len());
+        let mut appends = Vec::new();
         let mut failures = Vec::new();
         for (a, out) in self.active.iter_mut().zip(outs) {
-            let step_kv = match out {
-                Ok(step_kv) => step_kv,
+            let (token, pending) = match out {
+                Ok(SeqOut::Appended(token)) => (token, None),
+                Ok(SeqOut::Pending(step_kv)) => (step_kv.token, Some(step_kv)),
                 Err(e) => {
                     failures.push((a.seq, e));
                     continue;
@@ -270,10 +276,10 @@ impl ServeSession {
                 // Recompute replay of an already-streamed step:
                 // determinism guarantees the same token — a delivered
                 // stream never changes content, only timing.
-                debug_assert_eq!(stream[a.step], step_kv.token, "recompute replay diverged");
-                stream[a.step] = step_kv.token;
+                debug_assert_eq!(stream[a.step], token, "recompute replay diverged");
+                stream[a.step] = token;
             } else {
-                stream.push(step_kv.token);
+                stream.push(token);
                 // Genuinely-new token (not a recovery replay): the
                 // lifecycle tracker's replay guard backstops this, but the
                 // branch keeps the accounting intent visible here.
@@ -282,7 +288,9 @@ impl ServeSession {
                     .on_token(a.id, self.step_index, token_wall_us);
                 self.ledger.new_tokens += 1;
             }
-            appends.push((a.seq, step_kv));
+            if let Some(step_kv) = pending {
+                appends.push((a.seq, step_kv));
+            }
             a.step += 1;
             a.remaining -= 1;
         }
@@ -293,10 +301,10 @@ impl ServeSession {
         appends
     }
 
-    /// Appends every sequence's new KV row. The admission reservation
-    /// makes a failure unreachable in a healthy run; a failing append
-    /// means the sequence cannot continue — it is failed instead of
-    /// poisoning the batch.
+    /// Appends the KV rows the launch could not append in place. The
+    /// admission reservation makes a failure unreachable in a healthy run;
+    /// a failing append means the sequence cannot continue — it is failed
+    /// instead of poisoning the batch.
     fn append(&mut self, appends: &[(SeqId, StepKv)]) {
         let codec = self.decoder.codec();
         let store = &mut self.store;

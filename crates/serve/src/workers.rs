@@ -8,8 +8,7 @@
 //! independent (batch × KV-head) work. Device locality is a property of the
 //! unit, not of the thread that runs it: a unit gathers its head's packed
 //! blocks through the owning device's page table
-//! ([`bd_kvcache::PagedKvStore::packed_blocks`] on
-//! [`ShardedKvStore::device`]) — the simulated analogue of a
+//! ([`LaunchPages::packed_blocks`]) — the simulated analogue of a
 //! tensor-parallel rank that can only dereference its own HBM — and runs
 //! [`BitDecoder::attend_head_partial`] (solo) or
 //! [`BitDecoder::attend_head_partial_multi`] (cascade: the shared packed
@@ -22,9 +21,16 @@
 //! [`SequenceModel::query`]; each unit reads its KV head's rows of it in
 //! place); each unit hands its head's partial to the sequence; the unit
 //! that hands over the last one normalizes them all — the simulated
-//! all-reduce — and calls the model's [`SequenceModel::advance`]: a
+//! all-reduce — calls the model's [`SequenceModel::advance`] and appends
+//! the new K/V rows to the sequence's residual windows in place: a
 //! split-K kernel whose last block to finish runs the epilogue. Different
 //! sequences' models run concurrently, each model's own calls in order.
+//!
+//! The launch holds the store split ([`ShardedKvStore::split_for_launch`]):
+//! every device's pages shared, and each sequence's windows in its
+//! [`SeqTask`] behind an `RwLock` — read by its units, written once by its
+//! epilogue, after the last of them has let go. An append that would flush
+//! a block or grow the page table is left to the session, after the launch.
 //!
 //! Because each unit is an independent, deterministic computation, each
 //! sequence's partials are normalized in head order whoever delivered
@@ -34,11 +40,15 @@
 
 use crate::model::{SequenceModel, StepKv};
 use bd_core::{AttentionConfig, BitDecoder, OnlineSoftmax, PrefixSharer, QueryHeads};
-use bd_kvcache::{launch, DeviceId, KeyWindow, PackedBlock, SeqId, ShardedKvStore, StoreError};
+#[cfg(doc)]
+use bd_kvcache::ShardedKvStore;
+use bd_kvcache::{
+    launch, DeviceId, KeyWindow, LaunchPages, LaunchSeq, PackedBlock, SeqId, StoreError,
+};
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{device_lane, SpanTracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// Runtime execution errors of the serve layer — the typed replacements
 /// for what used to be fail-stop panics. The session handles each by
@@ -126,13 +136,25 @@ pub(crate) struct WorkUnit {
     pub sharers: Vec<usize>,
 }
 
-/// One sequence's side of a step launch: its model, the query the first
-/// of its units builds, and the per-head partials the last of its units
-/// turns into the model's next token.
+/// What a sequence's step produced.
+#[derive(Debug, PartialEq)]
+pub(crate) enum SeqOut {
+    /// The model's token; the launch appended its K/V rows in place.
+    Appended(u32),
+    /// The model's token and the K/V rows the launch left to the session:
+    /// they flush a block, grow the pages or fail a check.
+    Pending(StepKv),
+}
+
+/// One sequence's side of a step launch: its model, its residual windows,
+/// the query the first of its units builds, and the per-head partials the
+/// last of its units turns into the model's next token and appends.
 pub(crate) struct SeqTask<'a> {
-    seq: SeqId,
     /// The generation step this launch decodes.
     step: usize,
+    /// The sequence's windows on every device: units read them, the
+    /// epilogue appends to them once every unit has delivered.
+    windows: RwLock<LaunchSeq<'a>>,
     /// The `heads_q × d` query; `None` when the model panicked building
     /// it or built it in the wrong shape.
     query: OnceLock<Option<QueryHeads>>,
@@ -147,16 +169,21 @@ struct SeqState<'a> {
     /// Heads whose unit has not delivered yet.
     left: usize,
     /// The step's product, set by the last delivery.
-    out: Option<Result<StepKv, ServeError>>,
+    out: Option<Result<SeqOut, ServeError>>,
 }
 
 impl<'a> SeqTask<'a> {
-    /// Sequence `seq` at generation step `step`, driven by `model`, with
-    /// one unit per each of `heads` KV heads to wait for.
-    pub fn new(seq: SeqId, step: usize, model: &'a mut dyn SequenceModel, heads: usize) -> Self {
+    /// The sequence of `windows` at generation step `step`, driven by
+    /// `model`, with one unit per each of `heads` KV heads to wait for.
+    pub fn new(
+        windows: LaunchSeq<'a>,
+        step: usize,
+        model: &'a mut dyn SequenceModel,
+        heads: usize,
+    ) -> Self {
         SeqTask {
-            seq,
             step,
+            windows: RwLock::new(windows),
             query: OnceLock::new(),
             state: Mutex::new(SeqState {
                 model,
@@ -167,10 +194,21 @@ impl<'a> SeqTask<'a> {
         }
     }
 
+    /// The sequence.
+    fn seq(&self) -> SeqId {
+        self.windows().seq()
+    }
+
     /// The state, even after a panic elsewhere poisoned its lock: every
     /// write under it is a plain store, so it is never left half-done.
     fn state(&self) -> MutexGuard<'_, SeqState<'a>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The windows, for reading. A unit lets go before it delivers, so the
+    /// epilogue's write never waits.
+    fn windows(&self) -> RwLockReadGuard<'_, LaunchSeq<'a>> {
+        self.windows.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// KV head `head`'s `g_q × d` block of the query — query heads
@@ -200,8 +238,8 @@ impl<'a> SeqTask<'a> {
     }
 
     /// Delivers head `head`'s partial (`None` when the query failed). The
-    /// last delivery normalizes every head's partial, in head order, and
-    /// advances the model.
+    /// last delivery normalizes every head's partial, in head order,
+    /// advances the model and appends its rows in the windows if they fit.
     fn deliver(&self, head: usize, partial: Option<OnlineSoftmax>, tracer: &SpanTracer, lane: u32) {
         let mut state = self.state();
         state.partials[head] = partial;
@@ -227,6 +265,15 @@ impl<'a> SeqTask<'a> {
                     .flat_map(OnlineSoftmax::finish)
                     .collect();
                 catch_unwind(AssertUnwindSafe(|| model.advance(self.step, &output)))
+                    .map(|kv| {
+                        let mut windows =
+                            self.windows.write().unwrap_or_else(PoisonError::into_inner);
+                        if windows.append_in_window(&kv.k, &kv.v) {
+                            SeqOut::Appended(kv.token)
+                        } else {
+                            SeqOut::Pending(kv)
+                        }
+                    })
                     .map_err(|_| failed("advance"))
             }
             _ => Err(failed("query")),
@@ -239,9 +286,10 @@ impl<'a> SeqTask<'a> {
 /// What one step launch produced.
 pub(crate) struct StepOutput {
     /// Per sequence, in [`SeqTask`] order: the model's next token and KV
-    /// rows, or what failed the sequence — its model's panic, or the
-    /// error of the lowest-indexed failed unit it shares.
-    pub outs: Vec<Result<StepKv, ServeError>>,
+    /// rows and whether they are appended, or what failed the sequence —
+    /// its model's panic, or the error of the lowest-indexed failed unit it
+    /// shares.
+    pub outs: Vec<Result<SeqOut, ServeError>>,
     /// Fast-dequant instructions the fused kernels streamed (deduped: a
     /// shared prefix block counts once, not once per sharer).
     pub ops: FastDequantOps,
@@ -264,15 +312,15 @@ pub(crate) struct StepOutput {
 fn run_unit(
     unit: &WorkUnit,
     seqs: &[SeqTask<'_>],
-    store: &ShardedKvStore,
+    pages: &LaunchPages<'_>,
     decoder: &BitDecoder,
     tracer: &SpanTracer,
 ) -> Result<FastDequantOps, ServeError> {
-    let placement = store.placement();
+    let placement = pages.placement();
     let owner = placement.device_of(unit.head);
     if owner != unit.device {
         return Err(ServeError::Misrouted {
-            seq: seqs[unit.sharers[0]].seq,
+            seq: seqs[unit.sharers[0]].seq(),
             head: unit.head,
             routed: unit.device,
             owner,
@@ -280,10 +328,9 @@ fn run_unit(
     }
     let attn = decoder.attention();
     let lane = device_lane(unit.device.0 as usize);
-    // Read ONLY this device's arena: the gather goes through the local
-    // store and the head's local slot, never through another device.
-    let local = placement.local_index(unit.head);
-    let dev_store = store.device(unit.device);
+    // Read ONLY this device's arena: the gather goes through the device's
+    // page table and the head's local slot, never through another device.
+    let (device, local) = (unit.device, placement.local_index(unit.head));
     if let [i] = unit.sharers[..] {
         let s = &seqs[i];
         let Some(q_block) = s.q_block(unit.head, attn, tracer, lane) else {
@@ -291,9 +338,11 @@ fn run_unit(
             return Ok(FastDequantOps::default());
         };
         let span = tracer.begin();
-        let blocks = dev_store.packed_blocks(s.seq, local);
-        let (res_k, res_v) = dev_store.residual_window(s.seq, local);
+        let windows = s.windows();
+        let blocks = pages.packed_blocks(device, &windows, local);
+        let (res_k, res_v) = windows.residual_window(device, local);
         let (partial, ops) = decoder.attend_head_partial(q_block, &blocks, res_k, res_v);
+        drop(windows);
         tracer.end_with(
             span,
             "execute",
@@ -316,9 +365,10 @@ fn run_unit(
     }
     let span = tracer.begin();
     let p = unit.prefix_blocks;
-    let gathers: Vec<Vec<&PackedBlock>> = live
+    let windows: Vec<_> = live.iter().map(|(s, _)| s.windows()).collect();
+    let gathers: Vec<Vec<&PackedBlock>> = windows
         .iter()
-        .map(|(s, _)| dev_store.packed_blocks(s.seq, local))
+        .map(|w| pages.packed_blocks(device, w, local))
         .collect();
     // The scheduler only groups sequences whose first `p` blocks alias
     // the same physical pages — so the gathers agree not just bitwise but
@@ -331,11 +381,10 @@ fn run_unit(
                 .all(|(a, b)| std::ptr::eq(*a, *b))
     }));
     let prefix = &gathers[0][..p];
-    let inputs: Vec<PrefixSharer<'_, &PackedBlock, KeyWindow>> = live
-        .iter()
+    let inputs: Vec<PrefixSharer<'_, &PackedBlock, KeyWindow>> = (live.iter().zip(&windows))
         .zip(&gathers)
-        .map(|(&(s, q_block), g)| {
-            let (res_k, res_v) = dev_store.residual_window(s.seq, local);
+        .map(|((&(_, q_block), w), g)| {
+            let (res_k, res_v) = w.residual_window(device, local);
             PrefixSharer {
                 q_block,
                 suffix: &g[p..],
@@ -345,6 +394,8 @@ fn run_unit(
         })
         .collect();
     let (partials, ops) = decoder.attend_head_partial_multi(prefix, &inputs);
+    drop(inputs);
+    drop(windows);
     tracer.end_with(
         span,
         "shared_attn",
@@ -369,8 +420,9 @@ fn run_unit(
 /// `threads ≤ 1` runs every unit inline through the same code. Each unit
 /// index is claimed exactly once and each sequence's product is built
 /// from its heads in head order, so no result depends on which thread ran
-/// what. The threads borrow `store`, `decoder` and the models for the call
-/// only; once it returns, the caller may mutate the store.
+/// what. The threads borrow the split store (`pages` and each task's
+/// windows), `decoder` and the models for the call only; once it returns
+/// and the tasks are gone, the caller may mutate the store.
 ///
 /// A failed unit fails the sequences it carries, with
 /// [`ServeError::Misrouted`] for a unit routed off its head's device or
@@ -381,14 +433,14 @@ pub(crate) fn run_units(
     units: &[WorkUnit],
     seqs: Vec<SeqTask<'_>>,
     threads: usize,
-    store: &ShardedKvStore,
+    pages: &LaunchPages<'_>,
     decoder: &BitDecoder,
     tracer: &SpanTracer,
 ) -> StepOutput {
     let results = launch(units.len(), threads, |i| {
-        run_unit(&units[i], &seqs, store, decoder, tracer)
+        run_unit(&units[i], &seqs, pages, decoder, tracer)
     });
-    let mut outs: Vec<Option<Result<StepKv, ServeError>>> = seqs
+    let mut outs: Vec<Option<Result<SeqOut, ServeError>>> = seqs
         .into_iter()
         .map(|s| {
             s.state
@@ -426,11 +478,19 @@ mod tests {
     use super::*;
     use bd_core::{AttentionConfig, BitDecoder, QueryHeads};
     use bd_gpu_sim::GpuArch;
-    use bd_kvcache::{CacheConfig, PackLayout, Partitioning, Placement, QuantScheme, TokenMatrix};
+    use bd_kvcache::{
+        CacheConfig, PackLayout, Partitioning, Placement, QuantScheme, ShardedKvStore, TokenMatrix,
+    };
 
     /// Asks the same query at every step and hands back the attention
-    /// output it receives as its K rows, so a test can read it.
-    struct Echo(QueryHeads);
+    /// output it receives as its K rows, so a test can read it. With
+    /// `append`, its V rows are the output's first `heads_kv` rows and its
+    /// K rows the next ones, a token the windows take; without, it has no V
+    /// rows, and the launch leaves the store as it found it.
+    struct Echo {
+        query: QueryHeads,
+        append: bool,
+    }
 
     impl SequenceModel for Echo {
         fn prompt(&mut self) -> (Vec<TokenMatrix>, Vec<TokenMatrix>) {
@@ -443,13 +503,18 @@ mod tests {
             1
         }
         fn query(&mut self, _: usize) -> QueryHeads {
-            self.0.clone()
+            self.query.clone()
         }
         fn advance(&mut self, _: usize, output: &QueryHeads) -> StepKv {
+            let (v, k) = output.split_at(2);
             StepKv {
                 token: 0,
-                k: output.clone(),
-                v: Vec::new(),
+                k: if self.append {
+                    k.to_vec()
+                } else {
+                    output.clone()
+                },
+                v: if self.append { v.to_vec() } else { Vec::new() },
             }
         }
     }
@@ -487,8 +552,9 @@ mod tests {
         }
     }
 
-    /// `seqs` prefilled sequences over `devices` devices and one solo unit
-    /// per `(sequence, kv-head)`, sequence-major.
+    /// `seqs` prefilled sequences, each with pages for one more token, over
+    /// `devices` devices and one solo unit per `(sequence, kv-head)`,
+    /// sequence-major.
     fn setup(devices: usize, seqs: usize) -> (ShardedKvStore, Vec<SeqId>, Vec<WorkUnit>) {
         let cfg = CacheConfig::new(16, QuantScheme::kc4(), PackLayout::sm80_default());
         let placement = Placement::new(devices, Partitioning::HeadModulo, 2);
@@ -501,7 +567,7 @@ mod tests {
         let mut ids = Vec::new();
         let mut units = Vec::new();
         for i in 0..seqs {
-            let (seq, _) = store.admit_prefill_cached(&k, &k, 0, &codec).unwrap();
+            let (seq, _) = store.admit_prefill_cached(&k, &k, len + 1, &codec).unwrap();
             ids.push(seq);
             for head in 0..2 {
                 units.push(solo(units.len(), head, placement.device_of(head), i));
@@ -511,42 +577,63 @@ mod tests {
     }
 
     /// Launches `units` over the sequences `ids` (sequence `i` asking
-    /// `query_of(i)`) and returns each sequence's attention output, or
-    /// its error, and the launch's dequant ops.
-    fn run(
+    /// `query_of(i)`, appending in its windows if `append`) and returns
+    /// each sequence's product, or its error, and the launch's dequant ops.
+    fn launch_echo(
         units: &[WorkUnit],
         ids: &[SeqId],
         threads: usize,
-        store: &ShardedKvStore,
-    ) -> (Vec<Result<QueryHeads, ServeError>>, FastDequantOps) {
+        store: &mut ShardedKvStore,
+        append: bool,
+    ) -> (Vec<Result<SeqOut, ServeError>>, FastDequantOps) {
         let decoder = decoder();
-        let mut models: Vec<Echo> = (0..ids.len()).map(|i| Echo(query_of(i))).collect();
-        let seqs = ids
-            .iter()
-            .zip(&mut models)
-            .map(|(&seq, m)| SeqTask::new(seq, 0, m, 2))
+        let mut models: Vec<Echo> = (0..ids.len())
+            .map(|i| Echo {
+                query: query_of(i),
+                append,
+            })
+            .collect();
+        let (pages, windows) = store.split_for_launch(ids);
+        let seqs = (windows.into_iter().zip(&mut models))
+            .map(|(w, m)| SeqTask::new(w, 0, m, 2))
             .collect();
         let out = run_units(
             units,
             seqs,
             threads,
-            store,
+            &pages,
             &decoder,
             &SpanTracer::disabled(),
         );
-        let outputs = out.outs.into_iter().map(|o| o.map(|kv| kv.k)).collect();
-        (outputs, out.ops)
+        (out.outs, out.ops)
+    }
+
+    /// [`launch_echo`] without appends: each sequence's attention output.
+    fn run(
+        units: &[WorkUnit],
+        ids: &[SeqId],
+        threads: usize,
+        store: &mut ShardedKvStore,
+    ) -> (Vec<Result<QueryHeads, ServeError>>, FastDequantOps) {
+        let (outs, ops) = launch_echo(units, ids, threads, store, false);
+        let outputs = (outs.into_iter())
+            .map(|out| match out? {
+                SeqOut::Pending(kv) => Ok(kv.k),
+                SeqOut::Appended(_) => unreachable!("no V rows to append"),
+            })
+            .collect();
+        (outputs, ops)
     }
 
     #[test]
     fn threaded_results_match_inline_bitwise_at_any_device_count() {
-        let (store1, ids1, units1) = setup(1, 2);
-        let inline = run(&units1, &ids1, 0, &store1);
+        let (mut store1, ids1, units1) = setup(1, 2);
+        let inline = run(&units1, &ids1, 0, &mut store1);
         assert!(inline.0.iter().all(Result::is_ok));
         for devices in [1usize, 2] {
-            let (store, ids, units) = setup(devices, 2);
+            let (mut store, ids, units) = setup(devices, 2);
             for workers in [0usize, 1, 3] {
-                let got = run(&units, &ids, workers * devices, &store);
+                let got = run(&units, &ids, workers * devices, &mut store);
                 assert_eq!(got, inline, "devices={devices} workers={workers}");
             }
         }
@@ -556,10 +643,10 @@ mod tests {
     fn units_are_routed_to_owning_device_groups() {
         // Each unit reads its owning device's arena: the output is the one
         // those arenas' blocks and residuals give, head by head.
-        let (store, ids, units) = setup(2, 1);
+        let (mut store, ids, units) = setup(2, 1);
         assert_eq!(store.devices(), 2);
         let decoder = decoder();
-        let (outputs, ops) = run(&units, &ids, 2 * 2, &store);
+        let (outputs, ops) = run(&units, &ids, 2 * 2, &mut store);
         let q = bd_core::query_transform(&query_of(0), &attn());
         let mut want = Vec::new();
         let mut want_ops = FastDequantOps::default();
@@ -631,10 +718,10 @@ mod tests {
                 sharers: vec![0, 1, 2],
             });
         }
-        let (solo_out, solo_ops) = run(&solo_units, &seqs, 1, &store);
+        let (solo_out, solo_ops) = run(&solo_units, &seqs, 1, &mut store);
         assert!(solo_out.iter().all(Result::is_ok));
         for threads in [1, 2 * 2] {
-            let (group_out, group_ops) = run(&grouped, &seqs, threads, &store);
+            let (group_out, group_ops) = run(&grouped, &seqs, threads, &mut store);
             assert_eq!(group_out, solo_out, "threads={threads}");
             assert!(
                 group_ops.total() < solo_ops.total(),
@@ -648,12 +735,12 @@ mod tests {
         // Head 0 lives on device 0 under head-modulo; claim device 1 for
         // sequence 0's head-0 unit. Sequence 0 fails typed; sequence 1
         // completes exactly as in a correct launch.
-        let (store, ids, units) = setup(2, 2);
-        let clean = run(&units, &ids, 0, &store);
+        let (mut store, ids, units) = setup(2, 2);
+        let clean = run(&units, &ids, 0, &mut store);
         let mut bad = units.clone();
         bad[0].device = DeviceId(1);
         for workers in [0usize, 2] {
-            let (outputs, _) = run(&bad, &ids, workers * 2, &store);
+            let (outputs, _) = run(&bad, &ids, workers * 2, &mut store);
             assert_eq!(
                 outputs[0],
                 Err(ServeError::Misrouted {
@@ -666,7 +753,7 @@ mod tests {
             );
             assert_eq!(outputs[1], clean.0[1], "workers={workers}");
             // The failed launch left nothing behind.
-            assert_eq!(run(&units, &ids, workers * 2, &store), clean);
+            assert_eq!(run(&units, &ids, workers * 2, &mut store), clean);
         }
     }
 
@@ -675,13 +762,13 @@ mod tests {
         // Units 0 and 1 are sequence 0's heads 0 and 1; swapping their
         // devices misroutes both. The sequence's error names unit 0
         // however the threads interleave, and sequence 1 completes.
-        let (store, ids, mut units) = setup(2, 2);
-        let clean = run(&units, &ids, 0, &store);
+        let (mut store, ids, mut units) = setup(2, 2);
+        let clean = run(&units, &ids, 0, &mut store);
         units[0].device = DeviceId(1);
         units[1].device = DeviceId(0);
         for threads in 0..=5 {
             for _ in 0..8 {
-                let (outputs, _) = run(&units, &ids, threads, &store);
+                let (outputs, _) = run(&units, &ids, threads, &mut store);
                 assert_eq!(
                     outputs[0],
                     Err(ServeError::Misrouted {
@@ -693,6 +780,48 @@ mod tests {
                     "threads={threads}"
                 );
                 assert_eq!(outputs[1], clean.0[1], "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_last_unit_appends_in_window_what_append_step_appends() {
+        // Each sequence's epilogue appends its model's rows on the launch;
+        // a twin store takes the same rows through `append_step`. With
+        // sequence 0's head-0 unit misrouted, sequence 0 appends nothing.
+        let codec = decoder().codec();
+        for (devices, misroute) in [(1usize, false), (2, false), (2, true)] {
+            for threads in [0usize, 1, 3] {
+                let (mut store, ids, mut units) = setup(devices, 2);
+                let (mut twin, _, _) = setup(devices, 2);
+                if misroute {
+                    units[0].device = DeviceId(1);
+                }
+                let (outs, _) = launch_echo(&units, &ids, threads, &mut store, true);
+                // The rows Echo appends: its output, read back unappended.
+                let (echoed, _) = run(&units, &ids, threads, &mut twin);
+                for (i, (&seq, (out, output))) in
+                    ids.iter().zip(outs.into_iter().zip(echoed)).enumerate()
+                {
+                    if misroute && i == 0 {
+                        assert!(out.is_err() && output.is_err());
+                        continue;
+                    }
+                    assert_eq!(
+                        out,
+                        Ok(SeqOut::Appended(0)),
+                        "devices={devices} threads={threads}"
+                    );
+                    let output = output.unwrap();
+                    let (v, k) = output.split_at(2);
+                    twin.append_step(seq, k, v, &codec).unwrap();
+                }
+                for &seq in &ids {
+                    assert_eq!(store.seq_len(seq), twin.seq_len(seq));
+                    for h in 0..2 {
+                        assert_eq!(store.residual(seq, h), twin.residual(seq, h));
+                    }
+                }
             }
         }
     }
