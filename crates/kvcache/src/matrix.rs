@@ -48,6 +48,12 @@ impl TokenMatrix {
         }
     }
 
+    /// Reserves room for at least `tokens` more rows, growing the way a
+    /// push would.
+    pub fn reserve(&mut self, tokens: usize) {
+        self.data.reserve(tokens * self.dim);
+    }
+
     /// A zero-filled `tokens × dim` matrix.
     pub fn zeros(tokens: usize, dim: usize) -> Self {
         TokenMatrix {

@@ -54,7 +54,10 @@ pub struct LaunchSeq<'a> {
 impl ShardedKvStore {
     /// Splits the store for one decode launch over `seqs`: every device's
     /// pages, shared, and — in the order listed — one [`LaunchSeq`] per
-    /// sequence holding its residual windows on every device.
+    /// sequence holding its residual windows on every device, each window
+    /// already grown for the row [`LaunchSeq::append_in_window`] may push
+    /// (as that push would grow it: no byte or capacity differs from an
+    /// `append_step` history).
     ///
     /// # Panics
     ///
@@ -63,22 +66,34 @@ impl ShardedKvStore {
         let (placement, stores) = self.parts_mut();
         let residual_block = stores[0].residual_block();
         let dim = stores[0].config().dim;
+        let mut launch_seqs: Vec<LaunchSeq<'_>> = (seqs.iter())
+            .map(|&seq| LaunchSeq {
+                seq,
+                placement,
+                devices: Vec::with_capacity(stores.len()),
+                reserved: usize::MAX,
+                residual_block,
+                dim,
+            })
+            .collect();
         let mut order: Vec<usize> = (0..seqs.len()).collect();
         order.sort_unstable_by_key(|&i| seqs[i]);
-        let mut states: Vec<Vec<&mut SeqKv>> = seqs
-            .iter()
-            .map(|_| Vec::with_capacity(stores.len()))
-            .collect();
-        let mut reserved = vec![usize::MAX; seqs.len()];
         let mut devices = Vec::with_capacity(stores.len());
         for store in stores.iter_mut() {
             // One walk of the resident map against the sorted listing.
             let mut listed = order.iter().copied().peekable();
             for (&id, kv) in &mut store.seqs {
                 if let Some(i) = listed.next_if(|&i| seqs[i] == id) {
-                    let covered = store.pool.seq_len(id).unwrap_or(0);
-                    reserved[i] = reserved[i].min(covered);
-                    states[i].push(kv);
+                    // Grow each window for its next row here, on the
+                    // calling thread, as the append would: the launch's
+                    // append then allocates nothing.
+                    for (k, v) in kv.residual_k.iter_mut().zip(&mut kv.residual_v) {
+                        k.reserve_row();
+                        v.reserve(1);
+                    }
+                    let s = &mut launch_seqs[i];
+                    s.reserved = s.reserved.min(store.pool.seq_len(id).unwrap_or(0));
+                    s.devices.push(kv);
                 }
             }
             assert!(
@@ -92,16 +107,6 @@ impl ShardedKvStore {
             devices,
             residual_block,
         };
-        let launch_seqs = (seqs.iter().zip(states).zip(reserved))
-            .map(|((&seq, devices), reserved)| LaunchSeq {
-                seq,
-                placement,
-                devices,
-                reserved,
-                residual_block,
-                dim,
-            })
-            .collect();
         (pages, launch_seqs)
     }
 }

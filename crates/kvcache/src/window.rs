@@ -13,7 +13,7 @@
 //! - There is exactly one slot per whole group: `rows / 16` of them.
 //! - A slot is filled at most once, by the first reader of its group
 //!   ([`KeyWindow::panel`], through a shared reference — on the decode
-//!   launch's threads, never during admission or on the append path), and
+//!   launch's threads, never during admission or by an append), and
 //!   then equals the transposed rows of its group bit for bit.
 //! - Only `&mut` methods clear or resize slots: a push that seals a group
 //!   opens an empty slot, a flush or a rebuild from rows starts empty.
@@ -79,6 +79,13 @@ impl KeyWindow {
         if self.rows.tokens().is_multiple_of(PANEL_TOKENS) {
             self.panels.push(OnceLock::new());
         }
+    }
+
+    /// Reserves room for one more row and the slot it may open, growing
+    /// the way [`KeyWindow::push`] would, so that push allocates nothing.
+    pub(crate) fn reserve_row(&mut self) {
+        self.rows.reserve(1);
+        self.panels.reserve(1);
     }
 
     /// Empties the window and returns its rows (a flush), keeping the width.

@@ -26,7 +26,8 @@
 //! split-K kernel whose last block to finish runs the epilogue. Different
 //! sequences' models run concurrently, each model's own calls in order.
 //!
-//! The launch holds the store split ([`ShardedKvStore::split_for_launch`]):
+//! The launch holds the store split
+//! ([`bd_kvcache::ShardedKvStore::split_for_launch`]):
 //! every device's pages shared, and each sequence's windows in its
 //! [`SeqTask`] behind an `RwLock` — read by its units, written once by its
 //! epilogue, after the last of them has let go. An append that would flush
@@ -40,8 +41,6 @@
 
 use crate::model::{SequenceModel, StepKv};
 use bd_core::{AttentionConfig, BitDecoder, OnlineSoftmax, PrefixSharer, QueryHeads};
-#[cfg(doc)]
-use bd_kvcache::ShardedKvStore;
 use bd_kvcache::{
     launch, DeviceId, KeyWindow, LaunchPages, LaunchSeq, PackedBlock, SeqId, StoreError,
 };
