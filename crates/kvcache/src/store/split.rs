@@ -29,7 +29,7 @@ use crate::sharded::ShardedKvStore;
 use crate::window::KeyWindow;
 
 /// Every device's page tables and page arena, read-only, for one decode
-/// launch — see the [module docs](self).
+/// launch: the shared half of [`ShardedKvStore::split_for_launch`].
 #[derive(Debug)]
 pub struct LaunchPages<'a> {
     placement: &'a Placement,
@@ -38,7 +38,8 @@ pub struct LaunchPages<'a> {
 }
 
 /// One sequence's residual windows and length on every device, held
-/// exclusively for one decode launch — see the [module docs](self).
+/// exclusively for one decode launch: the per-sequence half of
+/// [`ShardedKvStore::split_for_launch`].
 #[derive(Debug)]
 pub struct LaunchSeq<'a> {
     seq: SeqId,
@@ -55,9 +56,16 @@ impl ShardedKvStore {
     /// Splits the store for one decode launch over `seqs`: every device's
     /// pages, shared, and — in the order listed — one [`LaunchSeq`] per
     /// sequence holding its residual windows on every device, each window
-    /// already grown for the row [`LaunchSeq::append_in_window`] may push
-    /// (as that push would grow it: no byte or capacity differs from an
-    /// `append_step` history).
+    /// already grown — the way the push would grow it, no stored byte
+    /// changes — for the row [`LaunchSeq::append_in_window`] may push, so
+    /// the launch's threads allocate nothing in a window.
+    ///
+    /// The launch's threads read pages and windows; the thread finishing a
+    /// sequence appends its next token in place while the others still
+    /// read other sequences. An append that flushes, grows the pages or
+    /// fails a check is refused and goes through
+    /// [`ShardedKvStore::append_step`] once the borrows end, so a history
+    /// mixing the two stores the bytes of `append_step` alone.
     ///
     /// # Panics
     ///

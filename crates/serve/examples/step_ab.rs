@@ -7,6 +7,10 @@
 //!
 //! - the median wall time of a steady step (one that neither admits,
 //!   resumes nor preempts), untraced, best of `runs`;
+//! - the first step's decode time (its `ServeMetrics::wall_s`: the launch
+//!   through the appends, after admission), where every residual window
+//!   first grows past its prompt rows and every Kᵀ panel is first built,
+//!   untraced, best of `runs`;
 //! - one traced run's split of a steady step, in µs: the session-lane
 //!   phases (`admission`, `fan_out`, `merge`, `append`, the `step` span's
 //!   own remainder) and, summed over the launch's threads, the model's
@@ -78,13 +82,15 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// Steps an untraced session to the end: the median steady-step wall
-/// time in ms, and the streams.
-fn untraced(requests: usize, gen: usize, width: usize) -> (f64, Vec<Vec<u32>>) {
+/// time and the first step's `wall_s`, in ms, and the streams.
+fn untraced(requests: usize, gen: usize, width: usize) -> (f64, f64, Vec<Vec<u32>>) {
     let mut s = session(requests, gen, width, false);
     let mut ms = Vec::new();
+    let mut first = None;
     loop {
         let start = Instant::now();
         let Some(m) = s.step() else { break };
+        first.get_or_insert(m.wall_s * 1e3);
         if steady(&m) {
             ms.push(start.elapsed().as_secs_f64() * 1e3);
         }
@@ -92,7 +98,7 @@ fn untraced(requests: usize, gen: usize, width: usize) -> (f64, Vec<Vec<u32>>) {
     let streams = (0..requests as u64)
         .map(|id| s.stream(id).unwrap().to_vec())
         .collect();
-    (median(ms), streams)
+    (median(ms), first.unwrap(), streams)
 }
 
 /// Span names the split reports, in print order.
@@ -159,10 +165,11 @@ fn main() {
     );
     let mut reference: Option<Vec<Vec<u32>>> = None;
     for width in [1, 2] {
-        let mut best = f64::INFINITY;
+        let (mut best, mut best_first) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..runs {
-            let (ms, streams) = untraced(requests, gen, width);
+            let (ms, first, streams) = untraced(requests, gen, width);
             best = best.min(ms);
+            best_first = best_first.min(first);
             match &reference {
                 Some(r) => assert_eq!(&streams, r, "streams differ at width {width}"),
                 None => reference = Some(streams),
@@ -171,7 +178,10 @@ fn main() {
         let (phase, own, step) = traced(requests, gen, width);
         let [admission, fan_out, merge, append, query, execute, shared, advance] = phase;
         let busy = (query + execute + shared + advance) / (width as f64 * fan_out);
-        println!("width {width}: steady step p50 {best:.3} ms (untraced, best of {runs})");
+        println!(
+            "width {width}: steady step p50 {best:.3} ms, first step's decode {best_first:.3} ms \
+             (untraced, best of {runs})"
+        );
         println!(
             "  traced, µs per steady step: step {step:.0} = admission {admission:.0} + \
              fan_out {fan_out:.0} + merge {merge:.0} + append {append:.0} + other {own:.0}"
