@@ -70,9 +70,8 @@ impl ServeSession {
         } = self.plan_units();
         // Time only the decode work (the launch — queries, attention,
         // merge, model advance, in-window appends — then emission and the
-        // remaining appends), not
-        // admission/prefill above, so kv_tokens_per_s reports the
-        // runtime's own throughput.
+        // remaining appends), not admission/prefill above, so
+        // kv_tokens_per_s reports the runtime's own throughput.
         let t0 = Instant::now();
         let outs = self.execute(&units);
         self.obs.tracer.end(span, "fan_out", LANE_SESSION);
