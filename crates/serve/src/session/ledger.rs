@@ -1,64 +1,16 @@
 //! What one decode step counted, and the one place it is published.
 //!
 //! Every phase of [`ServeSession::step`] adds what it counts to the
-//! session's [`StepLedger`]; [`ServeSession::publish`] turns the finished
-//! ledger into the step's [`ServeMetrics`] sample, the per-step `serve.*`
-//! registry counters and gauges, and the aggregate events. Per-request
-//! transitions (submit, admit, preempt, …) go through
-//! [`ServeSession::observe`]. A new per-step counter is a ledger field, a
-//! [`STEP_COUNTERS`] row and a `ServeMetrics`/`ServeSummary` field.
+//! session's [`StepLedger`], whose counters are the rows of the `counters`
+//! table; [`ServeSession::publish`] turns the finished ledger into the
+//! step's [`ServeMetrics`] sample, the `serve.*` registry counters and
+//! gauges, and the aggregate events those rows name. Per-request
+//! transitions (submit, admit, preempt, …) go through [`ServeSession::observe`].
 
-use super::{DeviceStepMetrics, ServeMetrics, ServeSession};
+use super::counters::{StepCounter, StepLedger, STEP_COUNTERS};
+use super::{per_second, DeviceStepMetrics, ServeMetrics, ServeSession};
 use bd_kvcache::{DeviceId, PrefixCacheStats, ShardedKvStore};
-use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{device_lane, EventField, SpanStart, LANE_SESSION};
-
-/// Everything the in-flight step has counted. Phases that did not run
-/// (the execute side of a step that found no batch) leave their fields
-/// at zero.
-#[derive(Clone, Debug, Default)]
-pub(super) struct StepLedger {
-    /// Fresh admissions (prefill or fork) and, of those, forks.
-    pub admitted: usize,
-    pub forked: usize,
-    /// Swap-outs and swap-ins, with the host bytes they moved and the
-    /// topology's price for moving them.
-    pub preempted: usize,
-    pub resumed: usize,
-    pub swap_bytes: f64,
-    pub modeled_swap_s: f64,
-    /// Fault and recovery accounting.
-    pub faults_injected: usize,
-    pub recoveries: usize,
-    pub retries: usize,
-    pub requests_failed: usize,
-    pub degraded: bool,
-    /// The planned batch: sequences, Σ context length, and per device the
-    /// units routed to it and the unique tokens they walk.
-    pub batch: usize,
-    pub kv_tokens: usize,
-    pub dev_units: Vec<usize>,
-    pub dev_tokens: Vec<usize>,
-    /// Cascade units, their sharers, and the prefix pages not re-walked.
-    pub shared_attn_groups: usize,
-    pub shared_attn_sharers: usize,
-    pub prefix_pages_walked_saved: usize,
-    /// Execute → append: kernel telemetry, wall time, tokens streamed for
-    /// the first time (recovery replays excluded), retirements.
-    pub dequant: FastDequantOps,
-    pub wall_s: f64,
-    pub new_tokens: usize,
-    pub completed: usize,
-    /// The step's price: per-device utilization against the critical
-    /// path, compute, and the all-reduce (retries included).
-    pub utilization: Vec<f64>,
-    pub modeled_step_s: f64,
-    pub allreduce_bytes_per_device: f64,
-    pub modeled_interconnect_s: f64,
-    /// Store counter movement since the previous sample.
-    pub cow_breaks: u64,
-    pub prefix: PrefixCacheStats,
-}
 
 impl StepLedger {
     /// Records one swap transfer's host traffic and modeled time.
@@ -84,22 +36,25 @@ pub(super) struct StoreMarks {
 }
 
 impl StoreMarks {
-    /// Adds the store's counter movement since the last call to `ledger`.
+    /// Adds the store's counter movement since the last call to `ledger`
+    /// and snapshots its page sharing.
     fn drain_into(&mut self, store: &ShardedKvStore, ledger: &mut StepLedger) {
-        let d = |n: u64, l: u64| n.checked_sub(l).unwrap_or(n);
+        let d = |n: u64, l: u64| n.checked_sub(l).unwrap_or(n) as usize;
         let cow = store.cow_breaks() as u64;
         ledger.cow_breaks += d(cow, self.cow_breaks);
         self.cow_breaks = cow;
         let (now, last) = (store.prefix_cache_stats(), self.prefix);
-        ledger.prefix.absorb(PrefixCacheStats {
-            hits: d(now.hits, last.hits),
-            misses: d(now.misses, last.misses),
-            pages_reused: d(now.pages_reused, last.pages_reused),
-            bytes_reused: d(now.bytes_reused, last.bytes_reused),
-            evicted_subtrees: d(now.evicted_subtrees, last.evicted_subtrees),
-            evicted_pages: d(now.evicted_pages, last.evicted_pages),
-        });
+        ledger.prefix_cache_hits += d(now.hits, last.hits);
+        ledger.prefix_cache_misses += d(now.misses, last.misses);
+        ledger.prefix_pages_reused += d(now.pages_reused, last.pages_reused);
+        ledger.prefix_bytes_reused += d(now.bytes_reused, last.bytes_reused);
+        ledger.prefix_subtrees_evicted += d(now.evicted_subtrees, last.evicted_subtrees);
         self.prefix = now;
+        let sharing = store.sharing_stats();
+        ledger.physical_pages = sharing.physical_pages;
+        ledger.logical_pages = sharing.logical_pages;
+        ledger.shared_pages = sharing.shared_pages;
+        ledger.shared_bytes_saved = sharing.bytes_saved;
     }
 }
 
@@ -108,31 +63,6 @@ impl StoreMarks {
 fn at<T: Copy + Default>(v: &[T], d: usize) -> T {
     v.get(d).copied().unwrap_or_default()
 }
-
-/// One per-step counter: `(registry counter, aggregate event, event field,
-/// value)`.
-pub(super) type CounterRow = (
-    &'static str,
-    &'static str,
-    &'static str,
-    fn(&StepLedger) -> u64,
-);
-
-/// The per-step counters, grouped by event in the order the events are
-/// logged and the fields appear. An event is written — and its registry
-/// counters touched — only on steps where one of its fields is non-zero.
-#[rustfmt::skip]
-pub(super) const STEP_COUNTERS: [CounterRow; 9] = [
-    ("serve.cow_breaks", "cow_break", "count", |l| l.cow_breaks),
-    ("serve.prefix_cache.hits", "prefix_cache", "hits", |l| l.prefix.hits),
-    ("serve.prefix_cache.misses", "prefix_cache", "misses", |l| l.prefix.misses),
-    ("serve.prefix_cache.pages_reused", "prefix_cache", "pages_reused", |l| l.prefix.pages_reused),
-    ("serve.prefix_cache.bytes_reused", "prefix_cache", "bytes_reused", |l| l.prefix.bytes_reused),
-    ("serve.prefix_cache.evicted_subtrees", "prefix_cache", "evicted_subtrees", |l| l.prefix.evicted_subtrees),
-    ("serve.shared_attn.groups", "shared_attn", "groups", |l| l.shared_attn_groups as u64),
-    ("serve.shared_attn.sharers", "shared_attn", "sharers", |l| l.shared_attn_sharers as u64),
-    ("serve.shared_attn.pages_saved", "shared_attn", "pages_saved", |l| l.prefix_pages_walked_saved as u64),
-];
 
 /// A transition [`ServeSession::observe`] records. Every variant but
 /// `Fault` is about one request.
@@ -224,72 +154,34 @@ impl ServeSession {
         let mut ledger = std::mem::take(&mut self.ledger);
         self.marks.drain_into(&self.store, &mut ledger);
         let devices = self.store.devices();
-        let sharing = self.store.sharing_stats();
-        let m = ServeMetrics {
-            step: self.step_index,
-            batch: ledger.batch,
-            admitted: ledger.admitted,
-            forked: ledger.forked,
-            completed: ledger.completed,
-            kv_tokens: ledger.kv_tokens,
-            wall_s: ledger.wall_s,
-            kv_tokens_per_s: if ledger.wall_s > 0.0 {
-                ledger.kv_tokens as f64 / ledger.wall_s
-            } else {
-                0.0
-            },
-            dequant: ledger.dequant,
-            pool_utilization: self.store.utilization(),
-            modeled_step_s: ledger.modeled_step_s,
-            devices,
-            per_device: (0..devices)
-                .map(|d| DeviceStepMetrics {
-                    device: d,
-                    units: at(&ledger.dev_units, d),
-                    kv_tokens: at(&ledger.dev_tokens, d),
-                    utilization: at(&ledger.utilization, d),
-                    page_occupancy: self.store.device_stats(DeviceId(d as u32)).utilization,
-                })
-                .collect(),
-            allreduce_bytes_per_device: ledger.allreduce_bytes_per_device,
-            modeled_interconnect_s: ledger.modeled_interconnect_s,
-            preempted: ledger.preempted,
-            resumed: ledger.resumed,
-            swap_bytes: ledger.swap_bytes,
-            modeled_swap_s: ledger.modeled_swap_s,
-            physical_pages: sharing.physical_pages,
-            logical_pages: sharing.logical_pages,
-            shared_pages: sharing.shared_pages,
-            shared_bytes_saved: sharing.bytes_saved,
-            faults_injected: ledger.faults_injected,
-            recoveries: ledger.recoveries,
-            retries: ledger.retries,
-            degraded: ledger.degraded,
-            requests_failed: ledger.requests_failed,
-            shared_attn_groups: ledger.shared_attn_groups,
-            prefix_pages_walked_saved: ledger.prefix_pages_walked_saved,
-            prefix_cache_hits: ledger.prefix.hits as usize,
-            prefix_cache_misses: ledger.prefix.misses as usize,
-            prefix_pages_reused: ledger.prefix.pages_reused as usize,
-            prefix_bytes_reused: ledger.prefix.bytes_reused as usize,
-            prefix_subtrees_evicted: ledger.prefix.evicted_subtrees as usize,
-        };
-        for rows in STEP_COUNTERS.chunk_by(|a, b| a.1 == b.1) {
-            if rows.iter().all(|row| (row.3)(&ledger) == 0) {
+        let mut m = ServeMetrics::from_ledger(&ledger);
+        m.step = self.step_index;
+        m.kv_tokens_per_s = per_second(ledger.kv_tokens as f64, ledger.wall_s);
+        m.pool_utilization = self.store.utilization();
+        m.devices = devices;
+        m.per_device = (0..devices)
+            .map(|d| DeviceStepMetrics {
+                device: d,
+                units: at(&ledger.dev_units, d),
+                kv_tokens: at(&ledger.dev_tokens, d),
+                utilization: at(&ledger.utilization, d),
+                page_occupancy: self.store.device_stats(DeviceId(d as u32)).utilization,
+            })
+            .collect();
+        let counters: Vec<&StepCounter> = STEP_COUNTERS.iter().flatten().collect();
+        for rows in counters.chunk_by(|a, b| !a.event.is_empty() && a.event == b.event) {
+            if rows.iter().all(|row| (row.value)(&ledger) == 0) {
                 continue;
             }
-            let fields: Vec<(&str, EventField<'_>)> = rows
-                .iter()
-                .map(|(counter, _, field, value)| {
-                    let v = value(&ledger);
-                    self.obs.count(counter, v);
-                    (*field, EventField::U64(v))
-                })
-                .collect();
-            self.obs.events.log(self.step_index, rows[0].1, &fields);
-        }
-        if ledger.new_tokens > 0 {
-            self.obs.count("serve.tokens", ledger.new_tokens as u64);
+            let mut fields = Vec::with_capacity(rows.len());
+            for row in rows {
+                let v = (row.value)(&ledger);
+                self.obs.count(row.counter, v);
+                fields.push((row.field, EventField::U64(v)));
+            }
+            if !rows[0].event.is_empty() {
+                self.obs.events.log(self.step_index, rows[0].event, &fields);
+            }
         }
         if self.obs.lifecycle.is_enabled() {
             let reg = &mut self.obs.registry;

@@ -46,11 +46,13 @@
 //! (PCIe-class by default, drained per island in parallel).
 //!
 //! The module is split by concern: this file holds the types, the
-//! accessors and the `submit*` fronts; `admit` the admission pass; `step`
-//! the per-step phase pipeline; `ledger` what a step counted and the one
-//! path that publishes it; `recover` device loss and page seizures.
+//! accessors and the `submit*` fronts; `counters` the one table of
+//! per-step counters; `admit` the admission pass; `step` the per-step phase
+//! pipeline; `ledger` the one path that publishes what a step counted;
+//! `recover` device loss and page seizures.
 
 mod admit;
+mod counters;
 mod ledger;
 mod recover;
 mod step;
@@ -64,9 +66,10 @@ use crate::workers::ServeError;
 use bd_core::BitDecoder;
 use bd_gpu_sim::{InterconnectModel, Topology};
 use bd_kvcache::{Partitioning, Placement, SeqId, ShardedKvStore, SwappedShardedSeq};
-use bd_lowbit::fastpath::FastDequantOps;
 use bd_obs::{EventLog, LifecycleTracker, MetricsRegistry, ObsConfig, SloSummary, SpanTracer};
-use ledger::{RequestEvent, StepLedger, StoreMarks};
+use counters::StepLedger;
+pub use counters::{ServeMetrics, ServeSummary};
+use ledger::{RequestEvent, StoreMarks};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -278,187 +281,6 @@ pub struct DeviceStepMetrics {
     pub page_occupancy: f64,
 }
 
-/// Per-step runtime report.
-#[derive(Clone, Debug)]
-pub struct ServeMetrics {
-    /// Step index within the session.
-    pub step: usize,
-    /// Sequences decoded this step.
-    pub batch: usize,
-    /// Requests admitted at the top of this step.
-    pub admitted: usize,
-    /// Of those, shared-prompt requests admitted by **forking** a live
-    /// parent (prompt pages aliased copy-on-write, no re-prefill).
-    pub forked: usize,
-    /// Requests that finished (and were evicted) this step.
-    pub completed: usize,
-    /// KV tokens attended across the batch (Σ per-sequence context length).
-    pub kv_tokens: usize,
-    /// Measured wall-clock of the decode phases — the step's launch
-    /// (queries, attention, partial merge, model advance), token
-    /// emission, KV append — excluding admission/prefill and batch
-    /// planning, seconds.
-    pub wall_s: f64,
-    /// Aggregate measured KV-tokens per second for this step.
-    pub kv_tokens_per_s: f64,
-    /// Fast-dequant instructions streamed by the fused kernels this step.
-    pub dequant: FastDequantOps,
-    /// Aggregate page-pool utilization after the step (all devices).
-    pub pool_utilization: f64,
-    /// What the analytic cost model prices this step's shape at on the
-    /// session's target GPU, seconds (compute only).
-    pub modeled_step_s: f64,
-    /// Devices the step sharded across.
-    pub devices: usize,
-    /// Per-device execution/occupancy breakdown.
-    pub per_device: Vec<DeviceStepMetrics>,
-    /// Bytes each device moved over the link to all-reduce the step's
-    /// output partials (0 for a single device).
-    pub allreduce_bytes_per_device: f64,
-    /// What the link model prices that all-reduce at, seconds.
-    pub modeled_interconnect_s: f64,
-    /// Running sequences preempted (swapped out and re-queued) during this
-    /// step's admission pass.
-    pub preempted: usize,
-    /// Previously preempted requests that swapped back in this step.
-    pub resumed: usize,
-    /// Host bytes the step's swap-outs and swap-ins moved, both
-    /// directions combined.
-    pub swap_bytes: f64,
-    /// What the session's host link prices that swap traffic at, seconds
-    /// (one point-to-point transfer per swap event).
-    pub modeled_swap_s: f64,
-    /// Physical pages allocated across all devices after the step
-    /// (post-evict, like the occupancy columns).
-    pub physical_pages: usize,
-    /// Page-table entries summed over resident sequences across all
-    /// devices — what an unshared store would have to allocate.
-    pub logical_pages: usize,
-    /// Physical pages mapped by more than one sequence (shared prefix
-    /// pages); `physical_pages - shared_pages` are singly owned.
-    pub shared_pages: usize,
-    /// Packed-payload bytes prefix sharing deduplicates right now, summed
-    /// over devices.
-    pub shared_bytes_saved: usize,
-    /// Faults the armed [`FaultPlan`] injected during this step.
-    pub faults_injected: usize,
-    /// Sequences recovered this step (recompute-from-prompt re-admissions
-    /// after device loss or a corrupt swap blob).
-    pub recoveries: usize,
-    /// Transient-transfer retries priced into this step's interconnect
-    /// time.
-    pub retries: usize,
-    /// `true` when this step ran degraded (a fault fired or a failure was
-    /// absorbed). [`ServeSummary::degraded_steps`] counts these over a
-    /// run.
-    pub degraded: bool,
-    /// Requests permanently failed this step (unattributable worker
-    /// loss, unserveable model).
-    pub requests_failed: usize,
-    /// Cascade shared-prefix attention units executed this step — one per
-    /// `(prefix-group, kv-head, device)` with ≥ 2 sharers.
-    pub shared_attn_groups: usize,
-    /// Prefix pages the cascade units did **not** re-walk this step: for
-    /// each group unit, `(sharers − 1) ×` the pages covering its shared
-    /// block run. Zero when grouping is off or no groups formed.
-    pub prefix_pages_walked_saved: usize,
-    /// Fresh admissions this step that adopted at least one cached prefix
-    /// page from the radix prefix cache (per device: a 2-device hit
-    /// counts 2).
-    pub prefix_cache_hits: usize,
-    /// Fresh admissions this step that found no cached prefix to adopt
-    /// (per device, like the hits).
-    pub prefix_cache_misses: usize,
-    /// Physical pages this step's cache hits adopted instead of
-    /// re-writing, summed over devices.
-    pub prefix_pages_reused: usize,
-    /// Packed-payload bytes those adopted pages already held.
-    pub prefix_bytes_reused: usize,
-    /// Radix subtrees dropped this step — LRU reclaim or staleness
-    /// (recycled-page generation mismatch), summed over devices.
-    pub prefix_subtrees_evicted: usize,
-}
-
-impl ServeMetrics {
-    /// Mean per-device utilization (1.0 = perfectly balanced step).
-    pub fn mean_device_utilization(&self) -> f64 {
-        if self.per_device.is_empty() {
-            return 0.0;
-        }
-        self.per_device.iter().map(|d| d.utilization).sum::<f64>() / self.per_device.len() as f64
-    }
-}
-
-/// Aggregate outcome of [`ServeSession::run_to_completion`].
-#[derive(Clone, Copy, Debug)]
-pub struct ServeSummary {
-    /// Decode steps executed.
-    pub steps: usize,
-    /// Requests completed.
-    pub completed: usize,
-    /// Total KV tokens attended.
-    pub kv_tokens: u64,
-    /// Total measured decode-phase wall-clock (see
-    /// [`ServeMetrics::wall_s`]), seconds.
-    pub wall_s: f64,
-    /// Aggregate KV-tokens per second over the run.
-    pub kv_tokens_per_s: f64,
-    /// Total fast-dequant instructions streamed.
-    pub dequant: FastDequantOps,
-    /// Devices the session sharded across.
-    pub devices: usize,
-    /// Mean over steps of the mean per-device utilization.
-    pub mean_device_utilization: f64,
-    /// Total modeled all-reduce time across the run, seconds.
-    pub modeled_interconnect_s: f64,
-    /// Total preemptions (swap-outs) across the run.
-    pub preemptions: usize,
-    /// Total swap-ins (resumed preempted requests) across the run.
-    pub resumes: usize,
-    /// Total shared-prompt admissions that forked a live parent.
-    pub forks: usize,
-    /// Highest physical page allocation any step ended on — the run's
-    /// true page footprint (what sharing shrinks vs an unshared run).
-    pub peak_physical_pages: usize,
-    /// Highest per-step packed-byte deduplication sharing achieved.
-    pub peak_shared_bytes_saved: usize,
-    /// Total host bytes moved by swaps, both directions.
-    pub swap_bytes: f64,
-    /// Total modeled swap-transfer time across the run, seconds.
-    pub modeled_swap_s: f64,
-    /// Total faults injected across the run.
-    pub faults_injected: usize,
-    /// Total recompute-from-prompt recoveries across the run.
-    pub recoveries: usize,
-    /// Total transient-transfer retries across the run.
-    pub retries: usize,
-    /// Steps that ran degraded (a fault fired or a failure was absorbed).
-    pub degraded_steps: usize,
-    /// Requests that failed permanently across the run.
-    pub requests_failed: usize,
-    /// Total cascade shared-prefix attention units executed across the
-    /// run (see [`ServeMetrics::shared_attn_groups`]).
-    pub shared_attn_groups: usize,
-    /// Total prefix pages the cascade units did not re-walk across the
-    /// run (see [`ServeMetrics::prefix_pages_walked_saved`]).
-    pub prefix_pages_walked_saved: usize,
-    /// Total radix prefix-cache hits across the run (see
-    /// [`ServeMetrics::prefix_cache_hits`]).
-    pub prefix_cache_hits: usize,
-    /// Total radix prefix-cache misses across the run.
-    pub prefix_cache_misses: usize,
-    /// Total physical pages cache hits adopted instead of re-writing.
-    pub prefix_pages_reused: usize,
-    /// Total packed bytes those adopted pages already held.
-    pub prefix_bytes_reused: usize,
-    /// Total radix subtrees dropped (LRU reclaim or staleness).
-    pub prefix_subtrees_evicted: usize,
-    /// Request-lifecycle SLO rollup (TTFT/TBT/queue-wait/goodput
-    /// distributions). Zeroed unless the session was built
-    /// [`ServeSession::with_obs`] lifecycle tracking enabled.
-    pub slo: SloSummary,
-}
-
 struct ActiveSeq {
     id: RequestId,
     seq: SeqId,
@@ -590,6 +412,9 @@ pub struct ServeSession {
     /// finds the session drained publishes nothing, so what it counted
     /// (a fault that fired) rides into the next sample.
     ledger: StepLedger,
+    /// The unpublished ledger the last [`Self::run_to_completion`] summed,
+    /// and the sample it rides into: the next summary takes it back out.
+    summarized: (usize, StepLedger),
     /// Last-seen store counters the ledger's per-step deltas are taken
     /// against.
     marks: StoreMarks,
@@ -605,6 +430,15 @@ pub struct ServeSession {
     device_weights: Vec<f64>,
     /// Observability instruments (default-off).
     obs: Obs,
+}
+
+/// `tokens` per second of `wall_s` (0 for an untimed step or run).
+fn per_second(tokens: f64, wall_s: f64) -> f64 {
+    if wall_s > 0.0 {
+        tokens / wall_s
+    } else {
+        0.0
+    }
 }
 
 /// Builds the session's head→device placement: weighted apportionment
@@ -664,6 +498,7 @@ impl ServeSession {
             step_index: 0,
             injector: FaultInjector::default(),
             ledger: StepLedger::default(),
+            summarized: (0, StepLedger::default()),
             marks: StoreMarks::default(),
             hogs: Vec::new(),
             failed: BTreeMap::new(),
@@ -985,7 +820,9 @@ impl ServeSession {
     }
 
     /// Steps until every submitted request has finished, returning the
-    /// aggregate summary.
+    /// aggregate summary. It also counts what the step that found the
+    /// session drained counted (a fault), which only the next sample
+    /// carries; the next run's summary does not count it again.
     pub fn run_to_completion(&mut self) -> ServeSummary {
         let start = self.metrics.len();
         loop {
@@ -1002,53 +839,19 @@ impl ServeSession {
             }
         }
         let run = &self.metrics[start..];
-        let kv_tokens: u64 = run.iter().map(|m| m.kv_tokens as u64).sum();
-        let wall_s: f64 = run.iter().map(|m| m.wall_s).sum();
-        let mut dequant = FastDequantOps::default();
-        for m in run {
-            dequant += m.dequant;
+        let mut s = ServeSummary::fold(run);
+        s.add_sums(&self.ledger, false);
+        let (at, counted) = std::mem::take(&mut self.summarized);
+        if at == start {
+            s.add_sums(&counted, true);
         }
-        ServeSummary {
-            steps: run.len(),
-            completed: run.iter().map(|m| m.completed).sum(),
-            kv_tokens,
-            wall_s,
-            kv_tokens_per_s: if wall_s > 0.0 {
-                kv_tokens as f64 / wall_s
-            } else {
-                0.0
-            },
-            dequant,
-            devices: self.devices(),
-            mean_device_utilization: if run.is_empty() {
-                0.0
-            } else {
-                run.iter()
-                    .map(ServeMetrics::mean_device_utilization)
-                    .sum::<f64>()
-                    / run.len() as f64
-            },
-            modeled_interconnect_s: run.iter().map(|m| m.modeled_interconnect_s).sum(),
-            preemptions: run.iter().map(|m| m.preempted).sum(),
-            resumes: run.iter().map(|m| m.resumed).sum(),
-            forks: run.iter().map(|m| m.forked).sum(),
-            peak_physical_pages: run.iter().map(|m| m.physical_pages).max().unwrap_or(0),
-            peak_shared_bytes_saved: run.iter().map(|m| m.shared_bytes_saved).max().unwrap_or(0),
-            swap_bytes: run.iter().map(|m| m.swap_bytes).sum(),
-            modeled_swap_s: run.iter().map(|m| m.modeled_swap_s).sum(),
-            faults_injected: run.iter().map(|m| m.faults_injected).sum(),
-            recoveries: run.iter().map(|m| m.recoveries).sum(),
-            retries: run.iter().map(|m| m.retries).sum(),
-            degraded_steps: run.iter().filter(|m| m.degraded).count(),
-            requests_failed: run.iter().map(|m| m.requests_failed).sum(),
-            shared_attn_groups: run.iter().map(|m| m.shared_attn_groups).sum(),
-            prefix_pages_walked_saved: run.iter().map(|m| m.prefix_pages_walked_saved).sum(),
-            prefix_cache_hits: run.iter().map(|m| m.prefix_cache_hits).sum(),
-            prefix_cache_misses: run.iter().map(|m| m.prefix_cache_misses).sum(),
-            prefix_pages_reused: run.iter().map(|m| m.prefix_pages_reused).sum(),
-            prefix_bytes_reused: run.iter().map(|m| m.prefix_bytes_reused).sum(),
-            prefix_subtrees_evicted: run.iter().map(|m| m.prefix_subtrees_evicted).sum(),
-            slo: self.obs.lifecycle.summary(),
-        }
+        self.summarized = (self.metrics.len(), self.ledger.clone());
+        s.steps = run.len();
+        s.kv_tokens_per_s = per_second(s.kv_tokens as f64, s.wall_s);
+        s.devices = self.devices();
+        let utilization: f64 = run.iter().map(ServeMetrics::mean_device_utilization).sum();
+        s.mean_device_utilization = utilization / run.len().max(1) as f64;
+        s.slo = self.obs.lifecycle.summary();
+        s
     }
 }

@@ -1,10 +1,10 @@
-use super::ledger::STEP_COUNTERS;
+use super::counters::STEP_COUNTERS;
 use super::*;
 use crate::model::{replay_contiguous, StepKv, SynthSequence};
 use crate::scheduler::{FcfsPreempt, ShortestRemainingFirst};
 use bd_core::{AttentionConfig, QueryHeads};
 use bd_gpu_sim::GpuArch;
-use bd_kvcache::{DeviceId, PrefixCacheStats, QuantScheme, StoreError, TokenMatrix};
+use bd_kvcache::{DeviceId, QuantScheme, StoreError, TokenMatrix};
 use bd_obs::ClockDomain;
 
 fn decoder(attn: AttentionConfig) -> BitDecoder {
@@ -1745,26 +1745,22 @@ fn publish_derives_metrics_registry_and_events_from_one_ledger() {
         prefix_pages_walked_saved: 12,
         completed: 1,
         cow_breaks: 3,
-        prefix: PrefixCacheStats {
-            hits: 1,
-            misses: 2,
-            pages_reused: 4,
-            bytes_reused: 4096,
-            evicted_subtrees: 1,
-            evicted_pages: 2,
-        },
+        prefix_cache_hits: 1,
+        prefix_cache_misses: 2,
+        prefix_pages_reused: 4,
+        prefix_bytes_reused: 4096,
+        prefix_subtrees_evicted: 1,
+        new_tokens: 3,
         ..StepLedger::default()
     };
     let degraded = StepLedger {
         cow_breaks: 2,
-        prefix: PrefixCacheStats {
-            hits: 2,
-            misses: 1,
-            pages_reused: 6,
-            bytes_reused: 6144,
-            evicted_subtrees: 0,
-            evicted_pages: 0,
-        },
+        prefix_cache_hits: 2,
+        prefix_cache_misses: 1,
+        prefix_pages_reused: 6,
+        prefix_bytes_reused: 6144,
+        prefix_subtrees_evicted: 0,
+        new_tokens: 0,
         requests_failed: 3,
         degraded: true,
         dev_units: vec![0, 0],
@@ -1800,48 +1796,112 @@ fn publish_derives_metrics_registry_and_events_from_one_ledger() {
     }
     assert_eq!(session.metrics().len(), 2);
 
-    // Every row of the counter table: registry counter == summed event
-    // field == the ledgers' own values.
-    for (counter, event, field, value) in STEP_COUNTERS {
-        let want = value(&healthy) + value(&degraded);
-        assert!(want > 0, "{counter}: the ledgers leave this row untested");
-        assert_eq!(
-            session.metrics_registry().counter(counter),
-            want,
-            "{counter}"
-        );
-        assert_eq!(
-            event_field_sum(&session, event, field),
-            want,
-            "{event}.{field}"
-        );
-    }
-    // …and the sample fields that mirror a row sum to the same totals.
-    let sum = |f: fn(&ServeMetrics) -> usize| samples.iter().map(f).sum::<usize>() as u64;
+    // Every row of the counter table: registry counter == the ledgers'
+    // own values == the summed event field, for rows that log one, and
+    // == the summed sample field, for rows that are one.
     let reg = session.metrics_registry();
-    for (counter, total) in [
-        ("serve.prefix_cache.hits", sum(|m| m.prefix_cache_hits)),
-        ("serve.prefix_cache.misses", sum(|m| m.prefix_cache_misses)),
-        (
-            "serve.prefix_cache.pages_reused",
-            sum(|m| m.prefix_pages_reused),
-        ),
-        (
-            "serve.prefix_cache.bytes_reused",
-            sum(|m| m.prefix_bytes_reused),
-        ),
-        (
-            "serve.prefix_cache.evicted_subtrees",
-            sum(|m| m.prefix_subtrees_evicted),
-        ),
-        ("serve.shared_attn.groups", sum(|m| m.shared_attn_groups)),
-        (
-            "serve.shared_attn.pages_saved",
-            sum(|m| m.prefix_pages_walked_saved),
-        ),
-    ] {
-        assert_eq!(reg.counter(counter), total, "{counter} vs ServeMetrics");
+    for row in STEP_COUNTERS.iter().flatten() {
+        let counter = row.counter;
+        let want = (row.value)(&healthy) + (row.value)(&degraded);
+        assert!(want > 0, "{counter}: the ledgers leave this row untested");
+        assert_eq!(reg.counter(counter), want, "{counter}");
+        if !row.event.is_empty() {
+            let logged = event_field_sum(&session, row.event, row.field);
+            assert_eq!(logged, want, "{}.{}", row.event, row.field);
+        }
+        if let Some(sample) = row.sample {
+            let total: u64 = samples.iter().map(sample).sum();
+            assert_eq!(total, want, "{counter} vs ServeMetrics");
+        }
     }
     // The gauges are written on the degraded step too.
     assert_eq!(reg.gauge("serve.active"), Some(0.0));
+
+    // Over a whole run — preemption, a fork, radix hits, cascade groups,
+    // a device loss and link retries — every summed summary field is its
+    // row's sum over `metrics()`.
+    let config = ServeConfig::new(12, 32, 1, 8).with_devices(2, Partitioning::HeadModulo);
+    let plan = FaultPlan::new().transient_link(2, 2).device_loss(6, 1);
+    let mut session = ServeSession::new(decoder(attn), config)
+        .with_policy(FcfsPreempt::default())
+        .with_faults(plan);
+    let parent = session
+        .submit(Box::new(SynthSequence::new(attn, 7, 128, 12)))
+        .unwrap();
+    session
+        .submit_forked(parent, Box::new(SynthSequence::forked(attn, 7, 8, 128, 10)))
+        .unwrap();
+    for (arrival, gen_seed) in [(1, 9), (3, 10)] {
+        let tenant = SynthSequence::forked(attn, 11, gen_seed, 96, 6);
+        session.submit_at(arrival, Box::new(tenant)).unwrap();
+    }
+    let summary = session.run_to_completion();
+    assert!(summary.forks > 0 && summary.retries > 0 && summary.recoveries > 0);
+    let mut folded = ServeSummary::fold(session.metrics());
+    folded.steps = summary.steps;
+    folded.kv_tokens_per_s = summary.kv_tokens_per_s;
+    folded.devices = summary.devices;
+    folded.mean_device_utilization = summary.mean_device_utilization;
+    folded.slo = summary.slo;
+    assert_eq!(format!("{folded:?}"), format!("{summary:?}"));
+    // …and each fold kind is the fold it names: a sum, a max, a count.
+    let run = session.metrics();
+    let preempted: usize = run.iter().map(|m| m.preempted).sum();
+    let peak = run.iter().map(|m| m.physical_pages).max().unwrap_or(0);
+    let degraded = run.iter().filter(|m| m.degraded).count();
+    assert!(run.len() > 1 && degraded > 0);
+    assert_eq!(
+        (
+            summary.preemptions,
+            summary.peak_physical_pages,
+            summary.degraded_steps
+        ),
+        (preempted, peak, degraded)
+    );
+}
+
+#[test]
+fn a_fault_on_the_drained_step_lands_in_exactly_one_summary() {
+    // One 40 + 3 request decodes at steps 0–2; a pool exhaustion planned
+    // for step 3 fires on the step that finds the session drained, so no
+    // sample carries it. Earlier plans land in a sample as usual.
+    let attn = AttentionConfig::gqa(4, 2, 16);
+    let run = |fault_step: usize| {
+        let plan = FaultPlan::new().pool_exhaustion(fault_step, 2, None);
+        let mut session = ServeSession::new(decoder(attn), ServeConfig::new(64, 32, 0, 8))
+            .with_obs(ObsConfig::all())
+            .with_faults(plan);
+        session
+            .submit(Box::new(SynthSequence::new(attn, 0, 40, 3)))
+            .unwrap();
+        let summary = session.run_to_completion();
+        (session, summary)
+    };
+    for fault_step in 0..=3 {
+        let (session, summary) = run(fault_step);
+        let registry = session.metrics_registry().counter("serve.faults");
+        assert_eq!(registry, 1, "fault at step {fault_step}");
+        assert_eq!(summary.faults_injected, 1, "fault at step {fault_step}");
+        let sampled: usize = session.metrics().iter().map(|m| m.faults_injected).sum();
+        assert_eq!(
+            sampled,
+            usize::from(fault_step < 3),
+            "fault at step {fault_step}"
+        );
+    }
+
+    // The drained step's count still rides into the next sample, as
+    // before, but the next run's summary does not count it again.
+    let (mut session, _) = run(3);
+    session
+        .submit(Box::new(SynthSequence::new(attn, 1, 40, 3)))
+        .unwrap();
+    let second = session.run_to_completion();
+    assert_eq!(session.metrics()[3].faults_injected, 1);
+    assert_eq!(second.faults_injected, 0);
+    assert_eq!(second.degraded_steps, 1);
+    // A run that publishes nothing does not count it again either.
+    let (mut session, _) = run(3);
+    assert_eq!(session.run_to_completion().faults_injected, 0);
+    assert_eq!(session.metrics_registry().counter("serve.faults"), 1);
 }
