@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 //! # bd-baselines — the comparison systems of the BitDecoding evaluation
 //!
