@@ -3,7 +3,7 @@
 
 use crate::synth::KvDistribution;
 use bd_core::reference_attention;
-use bd_kvcache::{BlockCodec, QuantScheme, ReferenceCodec, TokenRows};
+use bd_kvcache::{BlockCodec, QuantScheme, ReferenceCodec, TokenMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -29,16 +29,10 @@ impl fmt::Display for AccuracyReport {
     }
 }
 
-fn softmax_weights<M: TokenRows + ?Sized>(q: &[f32], k: &M, scale: f32) -> Vec<f32> {
-    let scores: Vec<f32> = (0..k.token_count())
-        .map(|t| {
-            k.token_row(t)
-                .iter()
-                .zip(q)
-                .map(|(a, b)| a * b)
-                .sum::<f32>()
-                * scale
-        })
+fn softmax_weights(q: &[f32], k: &TokenMatrix, scale: f32) -> Vec<f32> {
+    let scores: Vec<f32> = k
+        .iter()
+        .map(|k_row| k_row.iter().zip(q).map(|(a, b)| a * b).sum::<f32>() * scale)
         .collect();
     let m = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
     let exps: Vec<f32> = scores.iter().map(|&s| (s - m).exp()).collect();
@@ -70,7 +64,7 @@ pub fn evaluate_scheme(
     for _ in 0..trials {
         let k = dist.sample_keys(tokens, &mut rng);
         let v = dist.sample_values(tokens, &mut rng);
-        let q = dist.sample_queries(4, &mut rng);
+        let q = dist.sample_queries(4, &mut rng).to_rows();
 
         let block = codec.encode(&k, &v, scheme);
         let (dk, dv) = codec.decode(&block, scheme);

@@ -12,7 +12,7 @@
 use crate::eval::AccuracyReport;
 use crate::synth::KvDistribution;
 use bd_core::reference_attention;
-use bd_kvcache::{BlockCodec, QuantScheme, ReferenceCodec, TokenMatrix, TokenRows};
+use bd_kvcache::{BlockCodec, QuantScheme, ReferenceCodec, TokenMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,13 +45,11 @@ pub fn fwht(values: &mut [f32]) {
     }
 }
 
-/// Applies the normalized Hadamard rotation to every row of a matrix
-/// (any representation in, flat [`TokenMatrix`] out).
-pub fn rotate_rows<M: TokenRows + ?Sized>(m: &M) -> TokenMatrix {
-    let mut out = TokenMatrix::with_capacity(m.token_count(), m.token_dim());
-    for t in 0..m.token_count() {
-        out.push_row(m.token_row(t));
-        fwht(out.row_mut(t));
+/// Applies the normalized Hadamard rotation to every row of a matrix.
+pub fn rotate_rows(m: &TokenMatrix) -> TokenMatrix {
+    let mut out = m.clone();
+    for row in &mut out {
+        fwht(row);
     }
     out
 }
@@ -91,8 +89,8 @@ pub fn evaluate_scheme_rotated(
         let block = codec.encode(&rk, &v, scheme);
         let (drk, dv) = codec.decode(&block, scheme);
 
-        let reference = reference_attention(&q, &k, &v, scale);
-        let quantized = reference_attention(&rq, &drk, &dv, scale);
+        let reference = reference_attention(&q.to_rows(), &k, &v, scale);
+        let quantized = reference_attention(&rq.to_rows(), &drk, &dv, scale);
 
         for (r, z) in reference.iter().zip(&quantized) {
             let mut dot = 0.0f64;
@@ -144,8 +142,8 @@ mod tests {
 
     #[test]
     fn rotation_preserves_attention_scores() {
-        let q = vec![vec![0.3, -0.1, 0.7, 0.2, -0.5, 0.9, 0.0, 0.4]];
-        let k = vec![vec![1.0, 2.0, -1.0, 0.5, 0.0, -0.3, 0.8, -0.9]];
+        let q = TokenMatrix::from(vec![vec![0.3, -0.1, 0.7, 0.2, -0.5, 0.9, 0.0, 0.4]]);
+        let k = TokenMatrix::from(vec![vec![1.0, 2.0, -1.0, 0.5, 0.0, -0.3, 0.8, -0.9]]);
         let rq = rotate_rows(&q);
         let rk = rotate_rows(&k);
         let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f32>();

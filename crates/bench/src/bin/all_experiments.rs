@@ -2,9 +2,10 @@
 //! non-zero if any of them fails. The tables go to stdout; nothing in the
 //! repository records them.
 
+use std::error::Error;
 use std::process::Command;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let bins = [
         "fig02_taxonomy",
         "fig04_stalls",
@@ -25,8 +26,8 @@ fn main() {
     ];
     // Invoke in-process when possible? Each bin is its own crate target;
     // shell out to the sibling binaries that cargo placed next to us.
-    let me = std::env::current_exe().expect("current exe");
-    let dir = me.parent().expect("target dir");
+    let me = std::env::current_exe()?;
+    let dir = me.parent().ok_or("the running binary has no target dir")?;
     let mut failures = Vec::new();
     for bin in bins {
         let path = dir.join(bin);
@@ -52,4 +53,5 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nAll {} experiments completed.", bins.len());
+    Ok(())
 }

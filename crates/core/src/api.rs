@@ -15,12 +15,14 @@ use crate::softmax::OnlineSoftmax;
 use bd_gpu_sim::{GpuArch, LatencyBreakdown};
 use bd_kvcache::SchemeKind;
 use bd_kvcache::{
-    CacheConfig, CacheError, PackLayout, PackedBlock, QuantScheme, QuantizedKvCache, TokenMatrix,
+    launch, CacheConfig, CacheError, PackLayout, PackedBlock, QuantScheme, QuantizedKvCache,
+    TokenMatrix,
 };
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_lowbit::Fp4Kind;
 use std::borrow::Borrow;
 use std::fmt;
+use std::num::NonZeroUsize;
 
 /// Errors returned by [`BitDecoder`] operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +74,7 @@ impl From<CacheError> for DecodeError {
 }
 
 /// Fewest packed blocks in one [`BitDecoder::decode`] call that pay for
-/// fanning its heads over scoped threads (two threads' worth of ≥ 1K-token
+/// fanning its heads over a [launch] (two threads' worth of ≥ 1K-token
 /// walks at INT4 `Nr = 128`); below it the heads run on the caller.
 const FAN_OUT_MIN_BLOCKS: usize = 16;
 
@@ -339,7 +341,7 @@ impl BitDecoder {
         }
 
         // The `batch × h_kv` heads are independent work units: a call that
-        // holds enough packed blocks fans them over scoped threads, results
+        // holds enough packed blocks fans them over the launch, results
         // collected in unit order. Each head's walk is the same sequential
         // kernel either way, so the outputs do not depend on the host.
         let heads_kv = self.attn.heads_kv;
@@ -355,26 +357,12 @@ impl BitDecoder {
         let threads = if packed < FAN_OUT_MIN_BLOCKS {
             1
         } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get().min(units))
+            std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
         };
-        let rows: Vec<Vec<Vec<f32>>> = if threads <= 1 {
-            (0..units).map(unit).collect()
-        } else {
-            let per_thread = units.div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..units)
-                    .step_by(per_thread)
-                    .map(|first| {
-                        let last = (first + per_thread).min(units);
-                        scope.spawn(move || (first..last).map(unit).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
+        let rows: Vec<Vec<Vec<f32>>> = launch(units, threads, unit)
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|| panic!("a decode launch thread panicked")))
+            .collect();
         let outputs = rows
             .chunks(heads_kv)
             .map(|blocks_out| ungroup_outputs(blocks_out, &self.attn))
@@ -602,27 +590,17 @@ mod tests {
             .build()
     }
 
-    type StoredKv = Vec<(Vec<Vec<f32>>, Vec<Vec<f32>>)>;
+    type StoredKv = Vec<(TokenMatrix, TokenMatrix)>;
 
     fn fill_cache(dec: &BitDecoder, cache: &mut QuantizedKvCache, len: usize) -> StoredKv {
         let codec = dec.codec();
         let d = dec.attention().head_dim;
         let mut stored = Vec::new();
         for head in 0..cache.heads() {
-            let k: Vec<Vec<f32>> = (0..len)
-                .map(|t| {
-                    (0..d)
-                        .map(|c| ((head * 31 + t * d + c) as f32 * 0.37).sin())
-                        .collect()
-                })
-                .collect();
-            let v: Vec<Vec<f32>> = (0..len)
-                .map(|t| {
-                    (0..d)
-                        .map(|c| ((head * 17 + t * d + c) as f32 * 0.53).cos())
-                        .collect()
-                })
-                .collect();
+            let k =
+                TokenMatrix::from_fn(len, d, |t, c| ((head * 31 + t * d + c) as f32 * 0.37).sin());
+            let v =
+                TokenMatrix::from_fn(len, d, |t, c| ((head * 17 + t * d + c) as f32 * 0.53).cos());
             cache.prefill(head, &k, &v, &codec).unwrap();
             stored.push((k, v));
         }

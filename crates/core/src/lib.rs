@@ -25,7 +25,7 @@
 //! ```
 //! use bd_core::{AttentionConfig, BitDecoder};
 //! use bd_gpu_sim::GpuArch;
-//! use bd_kvcache::QuantScheme;
+//! use bd_kvcache::{QuantScheme, TokenMatrix};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dec = BitDecoder::builder(GpuArch::rtx4090())
@@ -34,8 +34,9 @@
 //!     .build();
 //! let mut cache = dec.new_cache(1);
 //! let codec = dec.codec();
-//! // Prefill 200 tokens, then decode one step.
-//! let kv: Vec<Vec<f32>> = (0..200).map(|t| vec![0.01 * t as f32; 32]).collect();
+//! // Prefill 200 tokens (one `tokens × head_dim` matrix), then decode
+//! // one step.
+//! let kv = TokenMatrix::from_fn(200, 32, |t, _| 0.01 * t as f32);
 //! for head in 0..cache.heads() {
 //!     cache.prefill(head, &kv, &kv, &codec)?;
 //! }

@@ -11,7 +11,7 @@
 //! inconsistency (Table III's "Valid ✗" row).
 
 use bd_gpu_sim::Tile;
-use bd_kvcache::{TokenMatrix, TokenRows};
+use bd_kvcache::TokenMatrix;
 
 /// `out[n] += Σ_k a[k] · b[k][n]` over row-major `b` (`a.len() × out.len()`)
 /// — either attention GEMM for one query row — with the MMA's N dimension
@@ -233,36 +233,25 @@ impl OnlineSoftmax {
 
 /// Dense reference attention `softmax(Q K^T · scale) V` for testing.
 ///
-/// `q` is `rows × d`, `k`/`v` are `tokens × d`. Accepts any token-matrix
-/// representation (flat [`bd_kvcache::TokenMatrix`] or nested
-/// `Vec<Vec<f32>>`) through [`TokenRows`].
-pub fn reference_attention<Q, K, V>(q: &Q, k: &K, v: &V, scale: f32) -> Vec<Vec<f32>>
-where
-    Q: TokenRows + ?Sized,
-    K: TokenRows + ?Sized,
-    V: TokenRows + ?Sized,
-{
-    let rows = q.token_count();
-    let tokens = k.token_count();
-    let dim = v.token_dim();
-    let mut out = vec![vec![0.0f32; dim]; rows];
-    for (i, out_row) in out.iter_mut().enumerate() {
-        let q_row = q.token_row(i);
-        let scores: Vec<f32> = (0..tokens)
-            .map(|t| {
-                q_row
-                    .iter()
-                    .zip(k.token_row(t))
-                    .map(|(a, b)| a * b)
-                    .sum::<f32>()
-                    * scale
-            })
+/// `q` holds `rows` queries of `d` channels (the kernels' query shape),
+/// `k`/`v` are `tokens × d`.
+pub fn reference_attention(
+    q: &[Vec<f32>],
+    k: &TokenMatrix,
+    v: &TokenMatrix,
+    scale: f32,
+) -> Vec<Vec<f32>> {
+    let mut out = vec![vec![0.0f32; v.dim()]; q.len()];
+    for (q_row, out_row) in q.iter().zip(&mut out) {
+        let scores: Vec<f32> = k
+            .iter()
+            .map(|k_row| q_row.iter().zip(k_row).map(|(a, b)| a * b).sum::<f32>() * scale)
             .collect();
         let m = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
         let exps: Vec<f32> = scores.iter().map(|&s| (s - m).exp()).collect();
         let l: f32 = exps.iter().sum();
-        for (t, &p) in exps.iter().enumerate() {
-            for (o, &vv) in out_row.iter_mut().zip(v.token_row(t)) {
+        for (&p, v_row) in exps.iter().zip(v) {
+            for (o, &vv) in out_row.iter_mut().zip(v_row) {
                 *o += p / l * vv;
             }
         }
@@ -409,8 +398,8 @@ mod tests {
     fn reference_attention_rows_sum_properly() {
         // With identical V rows, attention output equals that row.
         let q = vec![vec![0.3f32; 8]; 2];
-        let k: Vec<Vec<f32>> = (0..10).map(|t| vec![t as f32 * 0.1; 8]).collect();
-        let v = vec![vec![2.5f32; 4]; 10];
+        let k = TokenMatrix::from_fn(10, 8, |t, _| t as f32 * 0.1);
+        let v = TokenMatrix::from_fn(10, 4, |_, _| 2.5);
         let out = reference_attention(&q, &k, &v, 0.35);
         for row in out {
             for x in row {

@@ -81,8 +81,8 @@ proptest! {
         let dim = 8;
         let total = tiles * tile_tokens;
         let q = matrix(rows, dim, seed);
-        let k = matrix(total, dim, seed ^ 1);
-        let v = matrix(total, dim, seed ^ 2);
+        let k: TokenMatrix = matrix(total, dim, seed ^ 1).into();
+        let v: TokenMatrix = matrix(total, dim, seed ^ 2).into();
         let scale = 0.3;
 
         let mut state = OnlineSoftmax::new(rows, dim);

@@ -15,7 +15,7 @@
 use crate::block::PackedBlock;
 use crate::codec::BlockCodec;
 use crate::layout::PackLayout;
-use crate::matrix::{TokenMatrix, TokenRows};
+use crate::matrix::TokenMatrix;
 use crate::scheme::QuantScheme;
 use bd_lowbit::f16::round_through_f16;
 use bd_lowbit::BitWidth;
@@ -38,6 +38,13 @@ pub enum CacheError {
         /// Number of heads in the cache.
         heads: usize,
     },
+    /// A prefill's K and V matrices hold different token counts.
+    LengthMismatch {
+        /// Tokens in K.
+        k: usize,
+        /// Tokens in V.
+        v: usize,
+    },
 }
 
 impl fmt::Display for CacheError {
@@ -51,6 +58,9 @@ impl fmt::Display for CacheError {
             }
             CacheError::BadHead { head, heads } => {
                 write!(f, "head index {head} out of range for {heads} heads")
+            }
+            CacheError::LengthMismatch { k, v } => {
+                write!(f, "prefill K holds {k} tokens but V holds {v}")
             }
         }
     }
@@ -168,13 +178,7 @@ impl QuantizedKvCache {
     }
 
     fn check_dim(&self, row: &[f32]) -> Result<(), CacheError> {
-        if row.len() != self.config.dim {
-            return Err(CacheError::DimMismatch {
-                expected: self.config.dim,
-                got: row.len(),
-            });
-        }
-        Ok(())
+        check_width(row.len(), self.config.dim)
     }
 
     /// Total cached tokens for a head (packed + residual).
@@ -246,23 +250,26 @@ impl QuantizedKvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError::DimMismatch`] or [`CacheError::BadHead`].
-    pub fn prefill<K, V>(
+    /// Nothing is stored on error: [`CacheError::LengthMismatch`] when K
+    /// and V hold different token counts, [`CacheError::DimMismatch`] when
+    /// a non-empty matrix is not `dim` wide, [`CacheError::BadHead`].
+    pub fn prefill(
         &mut self,
         head: usize,
-        k: &K,
-        v: &V,
+        k: &TokenMatrix,
+        v: &TokenMatrix,
         codec: &impl BlockCodec,
-    ) -> Result<(), CacheError>
-    where
-        K: TokenRows + ?Sized,
-        V: TokenRows + ?Sized,
-    {
-        let len = k.token_count();
-        assert_eq!(len, v.token_count(), "K/V prefill length mismatch");
-        for t in 0..len {
-            self.check_dim(k.token_row(t))?;
-            self.check_dim(v.token_row(t))?;
+    ) -> Result<(), CacheError> {
+        let len = k.tokens();
+        if v.tokens() != len {
+            return Err(CacheError::LengthMismatch {
+                k: len,
+                v: v.tokens(),
+            });
+        }
+        if len > 0 {
+            check_width(k.dim(), self.config.dim)?;
+            check_width(v.dim(), self.config.dim)?;
         }
         self.head(head)?;
         let nr = self.residual_block();
@@ -279,8 +286,8 @@ impl QuantizedKvCache {
             slot.packed.push(codec.encode(&kb, &vb, scheme));
         }
         for t in packed_len..len {
-            push_rounded(&mut slot.residual_k, k.token_row(t));
-            push_rounded(&mut slot.residual_v, v.token_row(t));
+            push_rounded(&mut slot.residual_k, k.row(t));
+            push_rounded(&mut slot.residual_v, v.row(t));
         }
         Ok(())
     }
@@ -326,18 +333,22 @@ pub(crate) fn push_rounded(m: &mut TokenMatrix, row: &[f32]) {
     round_through_f16(row, m.row_mut(t));
 }
 
-/// Refills `dst` with token range `[t0, t1)` of `src`, FP16-rounded row by
-/// row; `dst` is a scratch matrix its caller reuses across blocks. Shared
-/// with the paged store (see [`push_rounded`]).
-pub(crate) fn round_rows_into<M: TokenRows + ?Sized>(
-    src: &M,
-    t0: usize,
-    t1: usize,
-    dst: &mut TokenMatrix,
-) {
-    dst.resize_tokens(t1 - t0, src.token_row(t0).len());
-    for (t, out) in (t0..t1).zip(dst.iter_mut()) {
-        round_through_f16(src.token_row(t), out);
+/// Refills `dst` with token range `[t0, t1)` of `src`, FP16-rounded in
+/// one pass over the range's contiguous slice; `dst` is a scratch matrix
+/// its caller reuses across blocks. Shared with the paged store (see
+/// [`push_rounded`]).
+pub(crate) fn round_rows_into(src: &TokenMatrix, t0: usize, t1: usize, dst: &mut TokenMatrix) {
+    let dim = src.dim();
+    dst.resize_tokens(t1 - t0, dim);
+    round_through_f16(&src.as_slice()[t0 * dim..t1 * dim], dst.as_mut_slice());
+}
+
+/// Rejects a width that is not the cache's `expected` channel count.
+pub(crate) fn check_width(got: usize, expected: usize) -> Result<(), CacheError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(CacheError::DimMismatch { expected, got })
     }
 }
 
@@ -387,7 +398,7 @@ mod tests {
         let dim = 16;
         let mut cache = QuantizedKvCache::new(cfg(dim), 1);
         let len = 128 * 2 + 50;
-        let k: Vec<Vec<f32>> = (0..len).map(|t| token(dim, t)).collect();
+        let k: TokenMatrix = (0..len).map(|t| token(dim, t)).collect();
         cache.prefill(0, &k, &k, &ReferenceCodec).unwrap();
         assert_eq!(cache.len(0), len);
         assert_eq!(cache.packed_blocks(0).len(), 2);
@@ -399,8 +410,8 @@ mod tests {
         let dim = 16;
         let mut cache = QuantizedKvCache::new(cfg(dim), 1);
         let len = 128 + 9;
-        let k: Vec<Vec<f32>> = (0..len).map(|t| token(dim, t)).collect();
-        let v: Vec<Vec<f32>> = (0..len).map(|t| token(dim, t + 999)).collect();
+        let k: TokenMatrix = (0..len).map(|t| token(dim, t)).collect();
+        let v: TokenMatrix = (0..len).map(|t| token(dim, t + 999)).collect();
         cache.prefill(0, &k, &v, &ReferenceCodec).unwrap();
         let (dk, dv) = cache.logical_kv(0, &ReferenceCodec);
         assert_eq!(dk.len(), len);
@@ -417,11 +428,23 @@ mod tests {
         let dim = 128;
         let mut cache = QuantizedKvCache::new(cfg(dim), 1);
         let len = 128 * 8;
-        let k: Vec<Vec<f32>> = (0..len).map(|t| token(dim, t)).collect();
+        let k: TokenMatrix = (0..len).map(|t| token(dim, t)).collect();
         cache.prefill(0, &k, &k, &ReferenceCodec).unwrap();
         let fp16_bytes = len * dim * 2 * 2;
         let ratio = fp16_bytes as f64 / cache.total_bytes() as f64;
         assert!(ratio > 3.4, "compression {ratio}");
+    }
+
+    #[test]
+    fn prefill_length_mismatch_is_a_typed_error() {
+        let mut cache = QuantizedKvCache::new(cfg(16), 1);
+        let k: TokenMatrix = (0..130).map(|t| token(16, t)).collect();
+        let v = k.slice_rows(0..129);
+        assert_eq!(
+            cache.prefill(0, &k, &v, &ReferenceCodec),
+            Err(CacheError::LengthMismatch { k: 130, v: 129 })
+        );
+        assert_eq!(cache.len(0), 0, "nothing stored on error");
     }
 
     #[test]

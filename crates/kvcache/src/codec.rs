@@ -35,7 +35,7 @@ use bd_lowbit::{
     pack_u16, quant::MinMax, unpack_u16, BitWidth, BlockScale, Half2, QuantParams, E2M1,
 };
 
-pub use crate::matrix::{TokenMatrix, TokenRows};
+use crate::matrix::TokenMatrix;
 
 /// A codec converting between FP16 token blocks and packed payloads.
 ///

@@ -1,7 +1,8 @@
 //! One scoped launch: the kernel-launch shape of every parallel pass in
 //! the system — a decode step's attention units (`bd-serve`'s
-//! `run_units`) and prompt admission's bulk passes in
-//! [`crate::PagedKvStore`].
+//! `run_units`), prompt admission's bulk passes in
+//! [`crate::PagedKvStore`] and `bd-core`'s `BitDecoder::decode` head
+//! fan-out.
 //!
 //! `tasks` independent indices are drained from one shared cursor by up to
 //! `threads` threads, the calling thread the last of them, and every

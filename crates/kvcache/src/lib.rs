@@ -47,7 +47,7 @@ pub use codec::{
 };
 pub use launch::launch;
 pub use layout::{partition_prefill, PackLayout};
-pub use matrix::{TokenMatrix, TokenRows};
+pub use matrix::TokenMatrix;
 pub use paged::{PageId, PagedOom, PagedPool, SeqId};
 pub use placement::{DeviceId, Partitioning, Placement};
 pub use scheme::{KeyGranularity, QuantScheme, SchemeKind};

@@ -1,25 +1,25 @@
-//! Flat, contiguous token-matrix storage — the hot-path value container.
+//! Flat, contiguous token-matrix storage — the one row type of the
+//! workspace.
 //!
 //! # Flat-layout invariants
 //!
-//! [`TokenMatrix`] replaces the historical `Vec<Vec<f32>>` representation
-//! with one contiguous row-major buffer. Every producer and consumer in the
-//! workspace relies on these invariants:
+//! [`TokenMatrix`] holds one block of tokens in one contiguous row-major
+//! buffer. Every producer and consumer in the workspace relies on these
+//! invariants:
 //!
 //! * **Token-major order**: row `t` (one token's channels) occupies
-//!   `data[t * dim .. (t + 1) * dim]`. This is exactly the orientation the
-//!   fused decode kernel's `Q·Kᵀ` row-dot and `P·V` accumulation consume,
-//!   so decoded blocks never need a transpose round-trip.
+//!   `data[t * dim .. (t + 1) * dim]` — the order tokens arrive in, so a
+//!   prompt or a decode step appends without a transpose, and a range of
+//!   tokens is one contiguous slice (prefill rounds a block through FP16
+//!   in one pass). The kernels read their own orientation from it: the
+//!   packed walk decodes K transposed, and the residual kernel scores the
+//!   window's Kᵀ panels.
 //! * **Fixed width**: `dim` is fixed at construction (or adopted from the
-//!   first pushed row); `data.len()` is always a multiple of `dim`.
+//!   first pushed row); `data.len()` is always a multiple of `dim`, so a
+//!   matrix is never ragged and one `dim()` check covers every row.
 //! * **No per-row allocation**: growing by one token (`push_row`) extends
 //!   the single backing `Vec<f32>` — the residual region of the cache grows
 //!   amortized-O(dim) per decode step with no heap churn per token.
-//!
-//! Callers that still traffic in nested `Vec<Vec<f32>>` (tests, accuracy
-//! harnesses, examples) interoperate through [`TokenRows`], the read-only
-//! row-view trait implemented for both representations, plus the
-//! `From`/`FromIterator` conversions.
 
 use std::ops::{Index, IndexMut, Range};
 
@@ -258,94 +258,6 @@ impl<'a> IntoIterator for &'a mut TokenMatrix {
     }
 }
 
-/// Read-only row view over any token-matrix representation.
-///
-/// The flat [`TokenMatrix`] is the hot-path type; nested `Vec<Vec<f32>>`
-/// (tests, examples, accuracy harnesses) remains accepted at API
-/// boundaries through this trait. It is `Sync` because prompt admission
-/// reads one prompt from several threads of a
-/// [launch](crate::launch::launch).
-pub trait TokenRows: Sync {
-    /// Number of tokens.
-    fn token_count(&self) -> usize;
-    /// Channels per token (0 for an empty matrix of unknown width).
-    fn token_dim(&self) -> usize;
-    /// One token's channels.
-    fn token_row(&self, t: usize) -> &[f32];
-}
-
-impl TokenRows for TokenMatrix {
-    fn token_count(&self) -> usize {
-        self.tokens()
-    }
-    fn token_dim(&self) -> usize {
-        self.dim()
-    }
-    fn token_row(&self, t: usize) -> &[f32] {
-        self.row(t)
-    }
-}
-
-impl TokenRows for [Vec<f32>] {
-    fn token_count(&self) -> usize {
-        self.len()
-    }
-    fn token_dim(&self) -> usize {
-        self.first().map_or(0, Vec::len)
-    }
-    fn token_row(&self, t: usize) -> &[f32] {
-        &self[t]
-    }
-}
-
-impl TokenRows for Vec<Vec<f32>> {
-    fn token_count(&self) -> usize {
-        self.len()
-    }
-    fn token_dim(&self) -> usize {
-        self.first().map_or(0, Vec::len)
-    }
-    fn token_row(&self, t: usize) -> &[f32] {
-        &self[t]
-    }
-}
-
-impl<const N: usize> TokenRows for [Vec<f32>; N] {
-    fn token_count(&self) -> usize {
-        N
-    }
-    fn token_dim(&self) -> usize {
-        self.first().map_or(0, Vec::len)
-    }
-    fn token_row(&self, t: usize) -> &[f32] {
-        &self[t]
-    }
-}
-
-impl TokenRows for bd_gpu_sim::Tile {
-    fn token_count(&self) -> usize {
-        self.rows()
-    }
-    fn token_dim(&self) -> usize {
-        self.cols()
-    }
-    fn token_row(&self, t: usize) -> &[f32] {
-        self.row(t)
-    }
-}
-
-impl<T: TokenRows + ?Sized> TokenRows for &T {
-    fn token_count(&self) -> usize {
-        (**self).token_count()
-    }
-    fn token_dim(&self) -> usize {
-        (**self).token_dim()
-    }
-    fn token_row(&self, t: usize) -> &[f32] {
-        (**self).token_row(t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,18 +321,5 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.tokens(), 0);
         assert_eq!(m.iter().count(), 0);
-    }
-
-    #[test]
-    fn token_rows_unifies_representations() {
-        fn total<M: TokenRows + ?Sized>(m: &M) -> f32 {
-            (0..m.token_count())
-                .flat_map(|t| m.token_row(t).to_vec())
-                .sum()
-        }
-        let nested = vec![vec![1.0f32, 2.0], vec![3.0, 4.0]];
-        let flat: TokenMatrix = nested.clone().into();
-        assert_eq!(total(&nested), total(&flat));
-        assert_eq!(nested.token_dim(), flat.token_dim());
     }
 }

@@ -28,13 +28,14 @@
 use crate::block::PackedBlock;
 use crate::cache::{CacheConfig, QuantizedKvCache};
 use crate::codec::BlockCodec;
-use crate::matrix::{TokenMatrix, TokenRows};
+use crate::matrix::TokenMatrix;
 use crate::paged::{PagedOom, SeqId};
 use crate::placement::{DeviceId, Placement};
 use crate::store::{
     check_heads, check_prompt, KvSharingStats, PagedKvStore, PrefixAdmit, PrefixCacheStats,
     StoreError, SwappedSeq,
 };
+use std::borrow::Borrow;
 
 /// Per-device occupancy/eviction snapshot (the storage half of the serve
 /// layer's per-device metrics).
@@ -572,12 +573,12 @@ impl ShardedKvStore {
         self.devices[device.0 as usize].shared_block_run(seqs)
     }
 
-    /// Splits per-global-head rows into per-device row groups, in local
-    /// slot order.
-    fn scatter<'a, R>(&self, rows: &'a [R]) -> Vec<Vec<&'a R>> {
-        let mut out: Vec<Vec<&R>> = (0..self.devices.len()).map(|_| Vec::new()).collect();
-        for (head, row) in rows.iter().enumerate() {
-            out[self.placement.device_of(head).0 as usize].push(row);
+    /// Splits per-global-head items into per-device groups, in local slot
+    /// order.
+    fn scatter<T>(&self, items: impl IntoIterator<Item = T>) -> Vec<Vec<T>> {
+        let mut out: Vec<Vec<T>> = (0..self.devices.len()).map(|_| Vec::new()).collect();
+        for (head, item) in items.into_iter().enumerate() {
+            out[self.placement.device_of(head).0 as usize].push(item);
         }
         out
     }
@@ -660,22 +661,19 @@ impl ShardedKvStore {
     /// [`StoreError::PromptLength`] when per-head token counts disagree,
     /// naming the global head — and [`StoreError::Oom`] when any device
     /// cannot cover `max(reserve_tokens, prompt_len)`.
-    pub fn admit_prefill_cached<K, V>(
+    pub fn admit_prefill_cached<K: Borrow<TokenMatrix> + Sync>(
         &mut self,
         k: &[K],
-        v: &[V],
+        v: &[K],
         reserve_tokens: usize,
         codec: &impl BlockCodec,
-    ) -> Result<(SeqId, PrefixAdmit), StoreError>
-    where
-        K: TokenRows,
-        V: TokenRows,
-    {
+    ) -> Result<(SeqId, PrefixAdmit), StoreError> {
         // Validate shapes up front: the per-device calls below must be
         // infallible so a failure never admits on a subset of devices.
         let len = check_prompt(k, v, self.heads(), self.config().dim)?;
         let need = reserve_tokens.max(len).div_ceil(self.page_tokens());
-        let (k_by_dev, v_by_dev) = (self.scatter(k), self.scatter(v));
+        let k_by_dev = self.scatter(k.iter().map(Borrow::borrow));
+        let v_by_dev = self.scatter(v.iter().map(Borrow::borrow));
         let (id, per_device) = self.for_all_devices_atomically(
             |_, _| need,
             |d, dev| dev.admit_prefill_cached(&k_by_dev[d], &v_by_dev[d], reserve_tokens, codec),

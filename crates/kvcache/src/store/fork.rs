@@ -64,13 +64,15 @@ impl PagedKvStore {
     /// # Examples
     ///
     /// ```
-    /// use bd_kvcache::{CacheConfig, PackLayout, PagedKvStore, QuantScheme, ReferenceCodec};
+    /// use bd_kvcache::{
+    ///     CacheConfig, PackLayout, PagedKvStore, QuantScheme, ReferenceCodec, TokenMatrix,
+    /// };
     ///
     /// let cfg = CacheConfig::new(16, QuantScheme::kc4(), PackLayout::sm80_default());
     /// let mut store = PagedKvStore::new(cfg, 1, 64, 32);
     /// let parent = store.admit(256).unwrap();
-    /// let prompt: Vec<Vec<f32>> = (0..256).map(|t| vec![t as f32 * 0.01; 16]).collect();
-    /// store.prefill(parent, &[prompt.clone()], &[prompt], &ReferenceCodec).unwrap();
+    /// let prompt = [TokenMatrix::from_fn(256, 16, |t, _| t as f32 * 0.01)];
+    /// store.prefill(parent, &prompt, &prompt, &ReferenceCodec).unwrap();
     ///
     /// let free_before = store.free_pages();
     /// let child = store.fork(parent, 256, 256 + 32).unwrap();

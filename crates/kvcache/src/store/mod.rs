@@ -54,13 +54,16 @@ pub use swap::SwappedSeq;
 use prefix::packed_leaf;
 
 use crate::block::PackedBlock;
-use crate::cache::{push_rounded, round_rows_into, CacheConfig, CacheError, QuantizedKvCache};
+use crate::cache::{
+    check_width, push_rounded, round_rows_into, CacheConfig, CacheError, QuantizedKvCache,
+};
 use crate::codec::BlockCodec;
 use crate::launch::launch;
-use crate::matrix::{TokenMatrix, TokenRows};
+use crate::matrix::TokenMatrix;
 use crate::paged::{PagedOom, PagedPool, SeqId};
 use crate::radix::RadixIndex;
 use crate::window::KeyWindow;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
@@ -200,44 +203,32 @@ pub(crate) fn check_heads(got: [usize; 2], expected: usize) -> Result<(), StoreE
     }
 }
 
-/// Rejects a K or V row that is not `dim` wide.
-fn check_row(row: &[f32], dim: usize) -> Result<(), StoreError> {
-    if row.len() == dim {
-        Ok(())
-    } else {
-        Err(StoreError::Cache(CacheError::DimMismatch {
-            expected: dim,
-            got: row.len(),
-        }))
-    }
-}
-
 /// Validates a prompt's shape — `heads` per-head matrices on both sides,
-/// one token count across them, every row `dim` wide — and returns its
-/// token count. The one validator behind every prompt write of the paged
-/// and the sharded store: what it passes, the launch's tasks may index
-/// without a check.
-pub(crate) fn check_prompt<K: TokenRows, V: TokenRows>(
+/// one token count across them, each non-empty matrix `dim` wide — and
+/// returns its token count. The one validator behind every prompt write
+/// of the paged and the sharded store: what it passes, the launch's tasks
+/// may index without a check.
+pub(crate) fn check_prompt<K: Borrow<TokenMatrix> + Sync>(
     k: &[K],
-    v: &[V],
+    v: &[K],
     heads: usize,
     dim: usize,
 ) -> Result<usize, StoreError> {
     check_heads([k.len(), v.len()], heads)?;
-    let len = k[0].token_count();
+    let len = k[0].borrow().tokens();
     for (head, (hk, hv)) in k.iter().zip(v).enumerate() {
-        for got in [hk.token_count(), hv.token_count()] {
-            if got != len {
+        for m in [hk.borrow(), hv.borrow()] {
+            if m.tokens() != len {
                 return Err(StoreError::PromptLength {
                     head,
-                    got,
+                    got: m.tokens(),
                     expected: len,
                 });
             }
         }
-        for t in 0..len {
-            check_row(hk.token_row(t), dim)?;
-            check_row(hv.token_row(t), dim)?;
+        if len > 0 {
+            check_width(hk.borrow().dim(), dim)?;
+            check_width(hv.borrow().dim(), dim)?;
         }
     }
     Ok(len)
@@ -616,7 +607,7 @@ impl PagedKvStore {
         }
         check_heads([k_rows.len(), v_rows.len()], self.heads)?;
         for row in k_rows.iter().chain(v_rows) {
-            check_row(row.as_ref(), self.config.dim)?;
+            check_width(row.as_ref().len(), self.config.dim)?;
         }
         let new_len = state.len + 1;
         let nr = self.residual_block();
@@ -699,17 +690,13 @@ impl PagedKvStore {
     ///   itself or the store's;
     /// - [`StoreError::Oom`] when the pool cannot cover a prompt longer
     ///   than the sequence's reservation.
-    pub fn prefill<K, V>(
+    pub fn prefill<K: Borrow<TokenMatrix> + Sync>(
         &mut self,
         seq: SeqId,
         k: &[K],
-        v: &[V],
+        v: &[K],
         codec: &impl BlockCodec,
-    ) -> Result<(), StoreError>
-    where
-        K: TokenRows,
-        V: TokenRows,
-    {
+    ) -> Result<(), StoreError> {
         let state = self.seqs.get(&seq).ok_or(StoreError::UnknownSeq(seq))?;
         if state.sealed {
             return Err(StoreError::Sealed(seq));
@@ -736,10 +723,10 @@ impl PagedKvStore {
     /// through FP16 into a scratch pair reused across the range and pack
     /// through `codec`. The one encode behind every prompt write, and
     /// behind the first-block codec check of the source-keyed lookup.
-    fn pack_head<K: TokenRows, V: TokenRows>(
+    fn pack_head(
         &self,
-        hk: &K,
-        hv: &V,
+        hk: &TokenMatrix,
+        hv: &TokenMatrix,
         blocks: Range<usize>,
         codec: &impl BlockCodec,
     ) -> Vec<PackedBlock> {
@@ -759,16 +746,16 @@ impl PagedKvStore {
     /// whole runs. With the cache on, each task also folds the packed leaf
     /// of every full run it packed while the blocks are still warm.
     /// Returns, per head, the blocks and the leaves.
-    fn pack_prompt_blocks<K: TokenRows, V: TokenRows>(
+    fn pack_prompt_blocks<K: Borrow<TokenMatrix> + Sync>(
         &self,
         k: &[K],
-        v: &[V],
+        v: &[K],
         blocks: Range<usize>,
         codec: &impl BlockCodec,
     ) -> (Vec<Vec<PackedBlock>>, Vec<Vec<u64>>) {
         let bpr = self.run_blocks();
         let tasks = self.launch_per_head(blocks, bpr, |head, blocks| {
-            let packed = self.pack_head(&k[head], &v[head], blocks, codec);
+            let packed = self.pack_head(k[head].borrow(), v[head].borrow(), blocks, codec);
             let leaves = if self.prefix_cache {
                 packed.chunks_exact(bpr).map(packed_leaf).collect()
             } else {
@@ -787,11 +774,11 @@ impl PagedKvStore {
     /// Homes `packed[head]` — the prompt's blocks from `first_block` on —
     /// on the pages covering their first tokens, pushes the rows past the
     /// last `Nr` boundary into the residual windows, and sets the length.
-    fn install_prompt<K: TokenRows, V: TokenRows>(
+    fn install_prompt<K: Borrow<TokenMatrix> + Sync>(
         &mut self,
         seq: SeqId,
         k: &[K],
-        v: &[V],
+        v: &[K],
         packed: Vec<Vec<PackedBlock>>,
         first_block: usize,
     ) {
@@ -802,14 +789,15 @@ impl PagedKvStore {
                 self.frames[page.0 as usize][head].push(block);
             }
         }
-        let len = k[0].token_count();
+        let len = k[0].borrow().tokens();
         let Some(state) = self.seqs.get_mut(&seq) else {
             unreachable!("resident sequence");
         };
         for (head, (hk, hv)) in k.iter().zip(v).enumerate() {
+            let (hk, hv) = (hk.borrow(), hv.borrow());
             for t in len - len % nr..len {
-                state.residual_k[head].push(hk.token_row(t));
-                push_rounded(&mut state.residual_v[head], hv.token_row(t));
+                state.residual_k[head].push(hk.row(t));
+                push_rounded(&mut state.residual_v[head], hv.row(t));
             }
         }
         state.len = len;

@@ -7,10 +7,11 @@ use super::swap::{fold_packed_block, packed_fold};
 use super::{check_prompt, concat, PagedKvStore, PrefixAdmit, StoreError};
 use crate::block::PackedBlock;
 use crate::codec::BlockCodec;
-use crate::matrix::TokenRows;
+use crate::matrix::TokenMatrix;
 use crate::paged::{PageId, SeqId};
 use crate::radix::{fold_source_rows, fold_source_word, SourceDigest};
 use crate::scheme::SchemeKind;
+use std::borrow::Borrow;
 use std::ops::Range;
 
 /// Greatest common divisor (Euclid).
@@ -40,13 +41,13 @@ const SOURCE_LEAF_SEED: SourceDigest = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_
 
 /// The source leaf of one head's run: the raw `f32` bits of its K rows,
 /// then its V rows, over `tokens`, folded from [`SOURCE_LEAF_SEED`].
-pub(super) fn source_leaf<K: TokenRows, V: TokenRows>(
-    hk: &K,
-    hv: &V,
+pub(super) fn source_leaf(
+    hk: &TokenMatrix,
+    hv: &TokenMatrix,
     tokens: Range<usize>,
 ) -> SourceDigest {
-    let k = tokens.clone().map(|t| hk.token_row(t));
-    let v = tokens.map(|t| hv.token_row(t));
+    let k = tokens.clone().map(|t| hk.row(t));
+    let v = tokens.map(|t| hv.row(t));
     fold_source_rows(SOURCE_LEAF_SEED, k.chain(v))
 }
 
@@ -147,15 +148,16 @@ impl PagedKvStore {
     /// run index and run `r`'s leaves in head order. Like a packed chain
     /// key it addresses the whole prefix it terminates, and no leaf
     /// depends on how runs were split into tasks.
-    pub(super) fn source_chain<K: TokenRows, V: TokenRows>(
+    pub(super) fn source_chain<K: Borrow<TokenMatrix> + Sync>(
         &self,
         k: &[K],
-        v: &[V],
+        v: &[K],
         runs: usize,
     ) -> Vec<SourceDigest> {
         let run_tokens = self.run_blocks() * self.residual_block();
         let leaves: Vec<Vec<SourceDigest>> = (self.launch_per_head(0..runs, 1, |head, runs| {
-            runs.map(|r| source_leaf(&k[head], &v[head], r * run_tokens..(r + 1) * run_tokens))
+            let (hk, hv) = (k[head].borrow(), v[head].borrow());
+            runs.map(|r| source_leaf(hk, hv, r * run_tokens..(r + 1) * run_tokens))
                 .collect()
         }))
         .into_iter()
@@ -398,17 +400,13 @@ impl PagedKvStore {
     /// Returns [`StoreError::Oom`] when the pool cannot cover
     /// `max(reserve_tokens, prompt_len)`, and shape errors as
     /// [`PagedKvStore::prefill`] would.
-    pub fn admit_prefill_cached<K, V>(
+    pub fn admit_prefill_cached<K: Borrow<TokenMatrix> + Sync>(
         &mut self,
         k: &[K],
-        v: &[V],
+        v: &[K],
         reserve_tokens: usize,
         codec: &impl BlockCodec,
-    ) -> Result<(SeqId, PrefixAdmit), StoreError>
-    where
-        K: TokenRows,
-        V: TokenRows,
-    {
+    ) -> Result<(SeqId, PrefixAdmit), StoreError> {
         let len = check_prompt(k, v, self.heads, self.config.dim)?;
         let reserve = reserve_tokens.max(len);
         let need = reserve.div_ceil(self.page_tokens());
@@ -427,7 +425,9 @@ impl PagedKvStore {
             if r == 0 {
                 let frame = &self.frames[self.radix.node(id).pages[0].0 as usize];
                 let agrees = (k.iter().zip(v).zip(frame)).all(|((hk, hv), cached)| {
-                    self.pack_head(hk, hv, 0..1, codec).first() == cached.first()
+                    self.pack_head(hk.borrow(), hv.borrow(), 0..1, codec)
+                        .first()
+                        == cached.first()
                 });
                 if !agrees {
                     break;

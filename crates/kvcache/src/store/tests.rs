@@ -5,7 +5,9 @@ use crate::block::PackedPayload;
 use crate::codec::ReferenceCodec;
 use crate::layout::PackLayout;
 use crate::paged::PageId;
+use crate::placement::{Partitioning, Placement};
 use crate::scheme::QuantScheme;
+use crate::sharded::ShardedKvStore;
 use crate::window::PANEL_TOKENS;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -66,14 +68,13 @@ fn append_n(store: &mut PagedKvStore, seq: SeqId, n: usize, salt: usize, t0: usi
     }
 }
 
-/// Per-head K/V prompt rows for the prefix-cache tests.
-#[allow(clippy::type_complexity)]
+/// Per-head K/V prompt matrices for the prefix-cache tests.
 fn prompt(
     heads: usize,
     dim: usize,
     len: usize,
     salt: usize,
-) -> (Vec<Vec<Vec<f32>>>, Vec<Vec<Vec<f32>>>) {
+) -> (Vec<TokenMatrix>, Vec<TokenMatrix>) {
     let k = (0..heads)
         .map(|h| (0..len).map(|t| row(dim, t, salt + h)).collect())
         .collect();
@@ -85,28 +86,23 @@ fn prompt(
 
 /// [`prompt`] of salt `a` whose rows from token `split` on come from
 /// salt `b` instead.
-#[allow(clippy::type_complexity)]
 fn spliced_prompt(
     heads: usize,
     len: usize,
     split: usize,
     (a, b): (usize, usize),
-) -> (Vec<Vec<Vec<f32>>>, Vec<Vec<Vec<f32>>>) {
+) -> (Vec<TokenMatrix>, Vec<TokenMatrix>) {
     let (mut k, mut v) = prompt(heads, 16, len, a);
     let (kb, vb) = prompt(heads, 16, len, b);
     for h in 0..heads {
-        k[h][split..].clone_from_slice(&kb[h][split..]);
-        v[h][split..].clone_from_slice(&vb[h][split..]);
+        k[h].as_mut_slice()[split * 16..].copy_from_slice(&kb[h].as_slice()[split * 16..]);
+        v[h].as_mut_slice()[split * 16..].copy_from_slice(&vb[h].as_slice()[split * 16..]);
     }
     (k, v)
 }
 
 /// The contiguous cache that prefilled the same prompt.
-fn contiguous_twin(
-    store: &PagedKvStore,
-    k: &[Vec<Vec<f32>>],
-    v: &[Vec<Vec<f32>>],
-) -> QuantizedKvCache {
+fn contiguous_twin(store: &PagedKvStore, k: &[TokenMatrix], v: &[TokenMatrix]) -> QuantizedKvCache {
     let mut cache = QuantizedKvCache::new(*store.config(), store.heads());
     for h in 0..store.heads() {
         cache.prefill(h, &k[h], &v[h], &ReferenceCodec).unwrap();
@@ -298,6 +294,84 @@ fn shape_errors_are_reported() {
 }
 
 #[test]
+fn a_prompt_of_the_wrong_width_is_a_typed_error_from_every_writer() {
+    // Head 1's V is one 8-wide matrix: one width check per matrix, not one
+    // per row, and nothing stored anywhere.
+    let (k, mut v) = prompt(2, 16, 200, 4);
+    v[1] = TokenMatrix::from_fn(200, 8, |t, c| (t * 8 + c) as f32);
+    let narrow = CacheError::DimMismatch {
+        expected: 16,
+        got: 8,
+    };
+
+    let mut cache = QuantizedKvCache::new(cfg(16), 2);
+    assert_eq!(
+        cache.prefill(1, &k[1], &v[1], &ReferenceCodec),
+        Err(narrow.clone())
+    );
+    assert_eq!(cache.len(1), 0, "nothing stored on error");
+
+    let mut store = PagedKvStore::new(cfg(16), 2, 64, 32);
+    store.set_prefix_cache(true);
+    let free = store.free_pages();
+    let err = StoreError::Cache(narrow);
+    assert_eq!(
+        store.admit_prefill_cached(&k, &v, 200, &ReferenceCodec),
+        Err(err.clone())
+    );
+    let seq = store.admit(200).unwrap();
+    assert_eq!(
+        store.prefill(seq, &k, &v, &ReferenceCodec),
+        Err(err.clone())
+    );
+    assert_eq!(store.seq_len(seq), Some(0), "nothing stored on error");
+    store.evict(seq);
+    assert_eq!(store.free_pages(), free);
+    assert_eq!(store.prefix_cache_stats(), PrefixCacheStats::default());
+
+    let placement = Placement::new(2, Partitioning::HeadModulo, 2);
+    let mut sharded = ShardedKvStore::new(cfg(16), placement, 64, 32);
+    let free = sharded.free_pages();
+    assert_eq!(
+        sharded.admit_prefill_cached(&k, &v, 200, &ReferenceCodec),
+        Err(err)
+    );
+    assert_eq!(sharded.free_pages(), free);
+}
+
+#[test]
+fn a_zero_token_prompt_of_any_width_is_accepted() {
+    for width in [0, 8, 16, 24] {
+        let empty = vec![TokenMatrix::new(width); 2];
+        let mut cache = QuantizedKvCache::new(cfg(16), 2);
+        cache
+            .prefill(0, &empty[0], &empty[1], &ReferenceCodec)
+            .unwrap();
+        assert_eq!(cache.len(0), 0, "width {width}");
+
+        let mut store = PagedKvStore::new(cfg(16), 2, 8, 32);
+        store.set_prefix_cache(true);
+        let seq = store.admit(32).unwrap();
+        store.prefill(seq, &empty, &empty, &ReferenceCodec).unwrap();
+        let (cached, _) = store
+            .admit_prefill_cached(&empty, &empty, 32, &ReferenceCodec)
+            .unwrap();
+        assert_eq!(store.seq_len(seq), Some(0), "width {width}");
+        assert_eq!(store.seq_len(cached), Some(0), "width {width}");
+        // The store's own width still governs what comes next.
+        append_n(&mut store, seq, 1, 0, 0);
+        assert_eq!(store.seq_len(seq), Some(1), "width {width}");
+
+        let placement = Placement::new(2, Partitioning::HeadModulo, 2);
+        let mut sharded = ShardedKvStore::new(cfg(16), placement, 8, 32);
+        let (seq, _) = sharded
+            .admit_prefill_cached(&empty, &empty, 32, &ReferenceCodec)
+            .unwrap();
+        assert_eq!(sharded.seq_len(seq), Some(0), "width {width}");
+    }
+}
+
+#[test]
 fn failed_admit_does_not_burn_a_seq_id() {
     // admit-fail → admit-success must hand out the same SeqId stream
     // as a history without the failure: ids are part of the
@@ -378,7 +452,7 @@ fn prefill_into_a_non_empty_sequence_is_a_typed_error() {
         )
         .unwrap();
     let free = store.free_pages();
-    let prompt = vec![vec![row(16, 1, 0); 40]];
+    let prompt = vec![TokenMatrix::from(vec![row(16, 1, 0); 40])];
     assert_eq!(
         store.prefill(seq, &prompt, &prompt, &ReferenceCodec),
         Err(StoreError::NonEmpty(seq))
@@ -393,7 +467,7 @@ fn a_short_head_is_a_typed_error_that_stores_nothing() {
     store.set_prefix_cache(true);
     store.set_launch_width(2);
     let (k, mut v) = prompt(3, 16, 200, 3);
-    v[2].pop();
+    v[2] = v[2].slice_rows(0..199);
     let short = StoreError::PromptLength {
         head: 2,
         got: 199,
@@ -1343,7 +1417,8 @@ fn every_heads_leaf_reaches_both_chains() {
     let (_, other) = prompt(heads, 16, len, 51);
     for r in [0, 1, runs - 1] {
         let mut v2 = v.clone();
-        v2[2][r * 128..(r + 1) * 128].clone_from_slice(&other[2][r * 128..(r + 1) * 128]);
+        let run = r * 128 * 16..(r + 1) * 128 * 16;
+        v2[2].as_mut_slice()[run.clone()].copy_from_slice(&other[2].as_slice()[run]);
         for swapped_in in [false, true] {
             let mut store = PagedKvStore::new(cfg(16), heads, 256, 32);
             store.set_launch_width(2);
@@ -1841,15 +1916,15 @@ fn source_leaf_changes_with_every_bit_and_word_swap_of_every_value() {
                         rows[t][c] = f32::from_bits(rows[t][c].to_bits() ^ 1 << bit);
                     }
                 }
-                let row_before = if side == 0 { &k[0][t] } else { &v[0][t] }.clone();
+                let row_before = if side == 0 { &k[0][t] } else { &v[0][t] }.to_vec();
                 for (i, swapped) in adjacent_swaps(&row_before, 2).into_iter().enumerate() {
                     let rows = if side == 0 { &mut k[0] } else { &mut v[0] };
-                    rows[t] = swapped;
+                    rows[t].copy_from_slice(&swapped);
                     let got = super::prefix::source_leaf(&k[0], &v[0], 0..tokens);
                     assert_ne!(got, clean, "dim {dim}: side {side} row {t} swap {i}");
                 }
                 let rows = if side == 0 { &mut k[0] } else { &mut v[0] };
-                rows[t] = row_before;
+                rows[t].copy_from_slice(&row_before);
             }
         }
         assert_eq!(super::prefix::source_leaf(&k[0], &v[0], 0..tokens), clean);

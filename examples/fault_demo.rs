@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --example fault_demo`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bitdecoding::core::{AttentionConfig, BitDecoder};
 use bitdecoding::kvcache::Partitioning;
 use bitdecoding::serve::{replay_contiguous, FaultPlan, ServeConfig, ServeSession, SynthSequence};

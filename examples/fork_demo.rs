@@ -15,6 +15,8 @@
 //!
 //! Run with: `cargo run --release --example fork_demo`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bitdecoding::core::{AttentionConfig, BitDecoder};
 use bitdecoding::serve::{replay_contiguous, ServeConfig, ServeSession, SynthSequence};
 use bitdecoding::{GpuArch, QuantScheme};

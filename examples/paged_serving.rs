@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example paged_serving`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bitdecoding::kvcache::PagedPool;
 use bitdecoding::llm::{max_throughput, MemoryModel, ModelConfig, WeightPrecision};
 use bitdecoding::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, GpuArch};

@@ -15,6 +15,8 @@
 //!
 //! Run with: `cargo run --release --example preempt_demo`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bitdecoding::core::{AttentionConfig, BitDecoder};
 use bitdecoding::serve::{
     replay_contiguous, FcfsPreempt, SchedulerPolicy, ServeConfig, ServeSession,

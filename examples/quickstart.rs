@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use bitdecoding::core::reference_attention;
+use bitdecoding::kvcache::TokenMatrix;
 use bitdecoding::{AttentionConfig, BitDecoder, GpuArch, QuantScheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,25 +16,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .scheme(QuantScheme::kc4())
         .build();
 
-    // Prefill 500 tokens of synthetic context into the cache. The codec is
-    // the fragment-true quantizer shared by the Residual and Packing
-    // kernels — the layout-induction trick of the paper.
+    // Prefill 500 tokens of synthetic context into the cache: one flat
+    // `tokens × head_dim` matrix per side. The codec is the fragment-true
+    // quantizer shared by the Residual and Packing kernels — the
+    // layout-induction trick of the paper.
     let mut cache = dec.new_cache(1);
     let codec = dec.codec();
-    let context: Vec<Vec<f32>> = (0..500)
-        .map(|t| {
-            (0..64)
-                .map(|c| ((t * 64 + c) as f32 * 0.37).sin())
-                .collect()
-        })
-        .collect();
-    let values: Vec<Vec<f32>> = (0..500)
-        .map(|t| {
-            (0..64)
-                .map(|c| ((t * 64 + c) as f32 * 0.53).cos())
-                .collect()
-        })
-        .collect();
+    let context = TokenMatrix::from_fn(500, 64, |t, c| ((t * 64 + c) as f32 * 0.37).sin());
+    let values = TokenMatrix::from_fn(500, 64, |t, c| ((t * 64 + c) as f32 * 0.53).cos());
     for head in 0..cache.heads() {
         cache.prefill(head, &context, &values, &codec)?;
     }

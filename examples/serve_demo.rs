@@ -5,6 +5,8 @@
 //!
 //! Run with: `cargo run --release --example serve_demo`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bitdecoding::core::{AttentionConfig, BitDecoder};
 use bitdecoding::serve::{replay_contiguous, ServeConfig, ServeSession, SynthSequence};
 use bitdecoding::{GpuArch, QuantScheme};

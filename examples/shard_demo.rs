@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example shard_demo`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bitdecoding::core::{AttentionConfig, BitDecoder};
 use bitdecoding::kvcache::Partitioning;
 use bitdecoding::serve::{replay_contiguous, ServeConfig, ServeSession, SynthSequence};

@@ -30,6 +30,8 @@
 //!
 //! Run with: `cargo run --release --example trace_demo`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bitdecoding::core::{AttentionConfig, BitDecoder};
 use bitdecoding::serve::{
     ClockDomain, FcfsPreempt, ObsConfig, Quantiles, ServeConfig, ServeSession, SynthSequence,

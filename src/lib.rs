@@ -24,6 +24,7 @@
 //! ## Quickstart
 //!
 //! ```
+//! use bitdecoding::kvcache::TokenMatrix;
 //! use bitdecoding::{AttentionConfig, BitDecoder, GpuArch, QuantScheme};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +34,7 @@
 //!     .build();
 //! let mut cache = dec.new_cache(1);
 //! let codec = dec.codec();
-//! let kv: Vec<Vec<f32>> = (0..200).map(|t| vec![0.01 * t as f32; 32]).collect();
+//! let kv = TokenMatrix::from_fn(200, 32, |t, _| 0.01 * t as f32);
 //! for head in 0..cache.heads() {
 //!     cache.prefill(head, &kv, &kv, &codec)?;
 //! }

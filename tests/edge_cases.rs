@@ -1,6 +1,9 @@
 //! Edge-case and failure-injection integration tests.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bitdecoding::baselines::DecodeSystem;
+use bitdecoding::kvcache::TokenMatrix;
 use bitdecoding::{
     AttentionConfig, BitDecoder, BitDecodingSys, DecodeShape, FlashDecoding, GpuArch, QuantScheme,
 };
@@ -28,7 +31,7 @@ fn decode_with_residual_only_cache() {
         .build();
     let mut cache = dec.new_cache(1);
     let codec = dec.codec();
-    let kv: Vec<Vec<f32>> = (0..7).map(|t| vec![0.1 * t as f32; 16]).collect();
+    let kv: TokenMatrix = (0..7).map(|t| vec![0.1 * t as f32; 16]).collect();
     for head in 0..cache.heads() {
         cache.prefill(head, &kv, &kv, &codec).unwrap();
     }
@@ -69,7 +72,7 @@ fn extreme_values_survive_quantization() {
         .build();
     let mut cache = dec.new_cache(1);
     let codec = dec.codec();
-    let kv: Vec<Vec<f32>> = (0..130)
+    let kv: TokenMatrix = (0..130)
         .map(|t| {
             (0..16)
                 .map(|c| if (t + c) % 7 == 0 { 3000.0 } else { -0.01 })
@@ -124,7 +127,7 @@ fn mqa_extreme_grouping_works() {
     let dec = BitDecoder::builder(GpuArch::h100()).attention(attn).build();
     let mut cache = dec.new_cache(1);
     let codec = dec.codec();
-    let kv: Vec<Vec<f32>> = (0..150)
+    let kv: TokenMatrix = (0..150)
         .map(|t| vec![(t as f32 * 0.01).sin(); 32])
         .collect();
     cache.prefill(0, &kv, &kv, &codec).unwrap();

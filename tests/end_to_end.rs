@@ -1,26 +1,17 @@
 //! Cross-crate integration tests: the full pipeline from numeric formats
 //! through fragment-true caching to functional decoding and pricing.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use bitdecoding::core::reference_attention;
+use bitdecoding::kvcache::TokenMatrix;
 use bitdecoding::{
     AttentionConfig, BitDecoder, DecodeShape, GpuArch, OptimizationFlags, QuantScheme,
 };
 
-fn synth_kv(len: usize, dim: usize, seed: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
-    let k = (0..len)
-        .map(|t| {
-            (0..dim)
-                .map(|c| ((seed + t * dim + c) as f32 * 0.37).sin())
-                .collect()
-        })
-        .collect();
-    let v = (0..len)
-        .map(|t| {
-            (0..dim)
-                .map(|c| ((seed + t * dim + c) as f32 * 0.53).cos())
-                .collect()
-        })
-        .collect();
+fn synth_kv(len: usize, dim: usize, seed: usize) -> (TokenMatrix, TokenMatrix) {
+    let k = TokenMatrix::from_fn(len, dim, |t, c| ((seed + t * dim + c) as f32 * 0.37).sin());
+    let v = TokenMatrix::from_fn(len, dim, |t, c| ((seed + t * dim + c) as f32 * 0.53).cos());
     (k, v)
 }
 
