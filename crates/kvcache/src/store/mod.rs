@@ -208,7 +208,7 @@ pub(crate) fn check_heads(got: [usize; 2], expected: usize) -> Result<(), StoreE
 /// returns its token count. The one validator behind every prompt write
 /// of the paged and the sharded store: what it passes, the launch's tasks
 /// may index without a check.
-pub(crate) fn check_prompt<K: Borrow<TokenMatrix> + Sync>(
+pub(crate) fn check_prompt<K: Borrow<TokenMatrix>>(
     k: &[K],
     v: &[K],
     heads: usize,
@@ -774,7 +774,7 @@ impl PagedKvStore {
     /// Homes `packed[head]` — the prompt's blocks from `first_block` on —
     /// on the pages covering their first tokens, pushes the rows past the
     /// last `Nr` boundary into the residual windows, and sets the length.
-    fn install_prompt<K: Borrow<TokenMatrix> + Sync>(
+    fn install_prompt<K: Borrow<TokenMatrix>>(
         &mut self,
         seq: SeqId,
         k: &[K],
