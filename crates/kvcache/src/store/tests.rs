@@ -6,6 +6,7 @@ use crate::codec::ReferenceCodec;
 use crate::layout::PackLayout;
 use crate::paged::PageId;
 use crate::placement::{Partitioning, Placement};
+use crate::radix::SourceDigest;
 use crate::scheme::QuantScheme;
 use crate::sharded::ShardedKvStore;
 use crate::window::PANEL_TOKENS;
@@ -1403,6 +1404,72 @@ fn a_prompt_admitted_at_width_1_is_adopted_in_full_at_width_3() {
     // and the 2-block partial run encode.
     assert_eq!(encoded.load(Ordering::Relaxed), heads + heads * 2);
     assert!(store.matches_cache(seq, &contiguous_twin(&store, &k, &v), 0));
+}
+
+/// How many of `digests` lead, one level at a time from the root, through
+/// the source digests the index recorded.
+fn recorded_sources(store: &PagedKvStore, digests: &[SourceDigest]) -> usize {
+    let mut parent = None;
+    for (r, &digest) in digests.iter().enumerate() {
+        match store.radix.source_child(parent, digest) {
+            Some(id) => parent = Some(id),
+            None => return r,
+        }
+    }
+    digests.len()
+}
+
+#[test]
+fn cold_admissions_record_the_up_front_source_digests() {
+    // Nr = 128 on 96-token pages: a run is 3 blocks, so the prompt is 2
+    // full runs, a 2-block partial run and 50 residual rows.
+    let (heads, len, runs) = (3, 8 * 128 + 50, 2);
+    let (k, v) = prompt(heads, 16, len, 41);
+    let (k2, v2) = spliced_prompt(heads, len, 3 * 128 + 7, (41, 42));
+    for width in [1, 2, 3] {
+        let fresh = || {
+            let mut store = PagedKvStore::new(cfg(16), heads, 256, 96);
+            store.set_prefix_cache(true);
+            store.set_launch_width(width);
+            store
+        };
+        let mut store = fresh();
+        let want = store.source_chain(&k, &v, runs);
+        store
+            .admit_prefill_cached(&k, &v, len, &ReferenceCodec)
+            .unwrap();
+        assert_eq!(
+            recorded_sources(&store, &want),
+            runs,
+            "cold admission, width {width}"
+        );
+        assert_eq!(store.radix.node_count(), runs);
+
+        // Run 0 hits, run 1 misses: the hit path's digests.
+        let want2 = store.source_chain(&k2, &v2, runs);
+        assert_eq!(want2[0], want[0]);
+        assert_ne!(want2[1], want[1]);
+        let (_, admit) = store
+            .admit_prefill_cached(&k2, &v2, len, &ReferenceCodec)
+            .unwrap();
+        assert_eq!(admit.pages_reused, 4, "width {width}");
+        assert_eq!(
+            recorded_sources(&store, &want2),
+            runs,
+            "run 1 missed, width {width}"
+        );
+        assert_eq!(recorded_sources(&store, &want), runs);
+
+        let mut store = fresh();
+        let seq = store.admit(len).unwrap();
+        store.prefill(seq, &k, &v, &ReferenceCodec).unwrap();
+        assert_eq!(
+            recorded_sources(&store, &want),
+            runs,
+            "prefill, width {width}"
+        );
+        assert_eq!(store.radix.node_count(), runs);
+    }
 }
 
 #[test]

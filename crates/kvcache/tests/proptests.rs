@@ -74,15 +74,110 @@ fn scalar_quantize(
     (codes, params)
 }
 
+/// Values where a min/max reduction's order shows in its bits: both
+/// zeros (which compare equal), NaN of both signs (which compare false),
+/// both infinities, and a few ordinary values to sit beside them.
+const SIGNED_ZERO_DENSE: [f32; 10] = [
+    0.0,
+    -0.0,
+    0.0,
+    -0.0,
+    f32::NAN,
+    -f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1.5,
+    -0.25,
+];
+
+/// `quantize_int_codes` = [`scalar_quantize`] on `values`, at both widths
+/// and both granularities under `group`.
+fn assert_quantizes_like_the_scalar_definition(values: &TokenMatrix, group: usize, what: &str) {
+    for width in [BitWidth::B4, BitWidth::B2] {
+        for granularity in [KeyGranularity::TensorWise, KeyGranularity::ChannelWise] {
+            let mut codes = Vec::new();
+            let params = quantize_int_codes(values, width, granularity, group, &mut codes);
+            let params: Vec<u32> = params.iter().map(|p| p.to_bits()).collect();
+            let (want_codes, want_params) = scalar_quantize(values, width, granularity, group);
+            let at = format!("{what}: dim {}, group {group}, {width}", values.dim());
+            assert_eq!(params, want_params, "{at}, {granularity:?}");
+            assert_eq!(codes, want_codes, "{at}, {granularity:?}");
+        }
+    }
+}
+
+/// Deterministic rows for the tensor-wise scan's reduction order: a group
+/// whose min or max is zero with both signs present, in either order, at
+/// spots whose 8-lane positions disagree with their index order; NaN in
+/// some lanes; an all-NaN row; ±Inf. Dims 20, 24, 64 and 72 (partial and
+/// whole 8-lane chunks), groups 16, 32 and 128.
+#[test]
+fn tensor_wise_scan_keeps_the_sequential_rule_on_zeros_nan_and_inf() {
+    for dim in [20, 24, 64, 72] {
+        // (first zero, second zero) pairs: lane of the first above, equal to
+        // and below the second's, and the two in different 8-chunks.
+        let pairs = [
+            (0, 1),
+            (1, 0),
+            (2, 9),
+            (9, 2),
+            (7, 8),
+            (8, 7),
+            (3, 19),
+            (19, 3),
+        ];
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        for &(i, j) in &pairs {
+            for (a, b) in [(-0.0f32, 0.0f32), (0.0, -0.0)] {
+                for base in [1.0f32, -1.0] {
+                    let mut row: Vec<f32> =
+                        (0..dim).map(|c| base * (0.5 + c as f32 * 0.125)).collect();
+                    row[i] = a;
+                    row[j] = b;
+                    rows.push(row.clone());
+                    // NaN in every fourth lane that is not a zero's.
+                    for c in (0..dim).filter(|&c| c % 4 == 2 && c != i && c != j) {
+                        row[c] = f32::NAN;
+                    }
+                    rows.push(row);
+                }
+            }
+        }
+        rows.push(vec![f32::NAN; dim]);
+        rows.push(
+            (0..dim)
+                .map(|c| if c % 2 == 0 { 0.0 } else { -0.0 })
+                .collect(),
+        );
+        rows.push(
+            (0..dim)
+                .map(|c| if c % 2 == 0 { -0.0 } else { 0.0 })
+                .collect(),
+        );
+        let mut inf: Vec<f32> = (0..dim).map(|c| (c as f32 * 0.3).sin()).collect();
+        inf[5] = f32::INFINITY;
+        inf[dim - 3] = f32::NEG_INFINITY;
+        rows.push(inf.clone());
+        inf[11] = f32::NAN;
+        rows.push(inf);
+        let values: TokenMatrix = rows.into();
+        for group in [16, 32, 128] {
+            assert_quantizes_like_the_scalar_definition(&values, group, "crafted rows");
+        }
+    }
+}
+
 proptest! {
     /// The slab quantizer is the scalar definition, bit for bit: arbitrary
     /// `f32` bit patterns (NaN, ±Inf, denormals and all), small integers
-    /// whose groups land on exact rounding ties, and f16-range values; both
-    /// granularities, both widths, groups that end in a partial tail.
+    /// whose groups land on exact rounding ties, f16-range values, and rows
+    /// dense in signed zeros, NaN and infinities (where the order of a
+    /// min/max reduction shows in the bits); both granularities, both
+    /// widths, groups that end in a partial tail.
     #[test]
     fn slab_quantizer_matches_the_scalar_definition(
         seed: u64, tokens in 1usize..70, dim in 1usize..40, group in 1usize..48,
-        int2: bool, channel_wise: bool, class in 0usize..3,
+        int2: bool, channel_wise: bool, class in 0usize..4,
     ) {
         let width = if int2 { BitWidth::B2 } else { BitWidth::B4 };
         let granularity = if channel_wise {
@@ -98,7 +193,8 @@ proptest! {
                 0 => f32::from_bits(r),
                 // A group spanning 0..=2·max has scale 2: odd values tie.
                 1 => (r % (2 * u32::from(width.max_code()) + 1)) as f32,
-                _ => (r % 4001) as f32 / 1000.0 - 2.0,
+                2 => (r % 4001) as f32 / 1000.0 - 2.0,
+                _ => SIGNED_ZERO_DENSE[r as usize % SIGNED_ZERO_DENSE.len()],
             }
         });
         let mut codes = vec![0xAA; 3];

@@ -258,6 +258,89 @@ mod tests {
         assert_eq!(m1.max, 2.0);
     }
 
+    /// `MinMax::of` is the sequential `update` chain, bit for bit: the
+    /// first of `±0` in index order wins, NaN is skipped, an all-NaN slice
+    /// stays [`MinMax::EMPTY`], and infinities are ordinary values.
+    #[test]
+    fn of_is_the_sequential_update_chain_bit_for_bit() {
+        fn sequential(values: &[f32]) -> MinMax {
+            let mut mm = MinMax::EMPTY;
+            for &x in values {
+                mm.update(x);
+            }
+            mm
+        }
+        let check = |values: &[f32], what: &str| {
+            let (got, want) = (MinMax::of(values), sequential(values));
+            assert_eq!(
+                [got.min.to_bits(), got.max.to_bits()],
+                [want.min.to_bits(), want.max.to_bits()],
+                "{what}: {values:?}"
+            );
+        };
+        for len in [
+            1usize, 2, 7, 8, 9, 15, 16, 17, 20, 24, 31, 32, 33, 64, 72, 128,
+        ] {
+            // Zero and its sign at every pair of spots, so the two zeros sit
+            // in lanes whose order disagrees with their index order as often
+            // as it agrees, on a positive row (zero is the min), a negative
+            // row (zero is the max) and a row of zeros.
+            let spots: Vec<usize> = [
+                0,
+                1,
+                2,
+                7,
+                8,
+                9,
+                10,
+                15,
+                17,
+                len / 2,
+                len.saturating_sub(2),
+                len - 1,
+            ]
+            .into_iter()
+            .filter(|&i| i < len)
+            .collect();
+            for base in [1.0f32, -1.0, 0.0] {
+                for &i in &spots {
+                    for &j in spots.iter().filter(|&&j| j != i) {
+                        for (a, b) in [(-0.0f32, 0.0f32), (0.0, -0.0)] {
+                            let mut row: Vec<f32> =
+                                (0..len).map(|t| base * (1.0 + t as f32 * 0.25)).collect();
+                            row[i] = a;
+                            row[j] = b;
+                            check(&row, "zeros");
+                            // NaN in the lanes between and around them.
+                            for t in (0..len).filter(|&t| t != i && t != j && t % 3 == 1) {
+                                row[t] = if t % 2 == 0 { f32::NAN } else { -f32::NAN };
+                            }
+                            check(&row, "zeros and NaN");
+                        }
+                    }
+                }
+            }
+            check(&vec![f32::NAN; len], "all NaN");
+            check(&vec![0.0; len], "all +0");
+            check(&vec![-0.0; len], "all -0");
+            for &i in &spots {
+                let mut row: Vec<f32> = (0..len).map(|t| (t as f32 * 0.7).sin()).collect();
+                row[i] = f32::INFINITY;
+                check(&row, "+Inf");
+                row[len - 1 - i] = f32::NEG_INFINITY;
+                check(&row, "±Inf");
+                row[(i + 1) % len] = f32::NAN;
+                check(&row, "±Inf and NaN");
+                let mut lone = vec![f32::NAN; len];
+                lone[i] = -0.0;
+                check(&lone, "one -0 among NaN");
+                lone[len - 1 - i] = f32::NEG_INFINITY;
+                check(&lone, "-Inf and -0 among NaN");
+            }
+        }
+        check(&[], "empty");
+    }
+
     #[test]
     fn half2_round_trip_of_params() {
         let p = QuantParams::from_min_max(-1.0, 1.0, BitWidth::B4);
