@@ -133,6 +133,13 @@ impl QuantParams {
 ///
 /// On device these are produced by thread-local reductions followed by
 /// `__shfl_xor_sync` butterfly reduction across the warp (paper §V-B(2)).
+/// [`MinMax::of`] does the same on the host: [`MinMax::LANES`] lane-local
+/// reductions, then an ordered merge.
+///
+/// The statistics are defined by the sequential [`MinMax::update`] chain
+/// in index order, and every way of computing them gives its bits: NaN
+/// never updates (so an all-NaN group stays [`MinMax::EMPTY`]), and of
+/// `-0.0` and `+0.0`, which compare equal, the first in index order wins.
 #[derive(Clone, Copy, Debug)]
 pub struct MinMax {
     /// Smallest value seen.
@@ -172,11 +179,48 @@ impl MinMax {
         }
     }
 
-    /// Computes the statistics of a slice.
+    /// Lanes of [`MinMax::of`]'s reduction: two SSE registers, or one
+    /// AVX register, per statistic.
+    pub const LANES: usize = 8;
+
+    /// Computes the statistics of a slice: the [`MinMax::update`] chain's
+    /// bits at lane speed. Each of [`MinMax::LANES`] lanes folds every
+    /// `LANES`-th value with `update`'s comparison — a select the compiler
+    /// turns into a packed `min` (or `max`), which skips NaN exactly as
+    /// `update` does; the min and the max are separate passes, because
+    /// one loop carrying both does not vectorize. The lanes merge in
+    /// order and the tail folds last. Only the sign of a zero depends on
+    /// that order — a nonzero value equals no other bit pattern — so a
+    /// result with a zero min or max is settled by the sequential chain.
     pub fn of(values: &[f32]) -> MinMax {
+        let (chunks, tail) = values.as_chunks::<{ MinMax::LANES }>();
+        let mut lo = [MinMax::EMPTY.min; MinMax::LANES];
+        for chunk in chunks {
+            for (l, &x) in lo.iter_mut().zip(chunk) {
+                *l = if x < *l { x } else { *l };
+            }
+        }
+        let mut hi = [MinMax::EMPTY.max; MinMax::LANES];
+        for chunk in chunks {
+            for (h, &x) in hi.iter_mut().zip(chunk) {
+                *h = if x > *h { x } else { *h };
+            }
+        }
         let mut mm = MinMax::EMPTY;
-        for &v in values {
-            mm.update(v);
+        for (l, h) in lo.into_iter().zip(hi) {
+            mm = MinMax {
+                min: if l < mm.min { l } else { mm.min },
+                max: if h > mm.max { h } else { mm.max },
+            };
+        }
+        for &x in tail {
+            mm.update(x);
+        }
+        if mm.min == 0.0 || mm.max == 0.0 {
+            mm = MinMax::EMPTY;
+            for &x in values {
+                mm.update(x);
+            }
         }
         mm
     }
