@@ -51,7 +51,7 @@ pub use split::{LaunchPages, LaunchSeq};
 pub use stats::{KvSharingStats, PrefixAdmit, PrefixCacheStats};
 pub use swap::SwappedSeq;
 
-use prefix::packed_leaf;
+use prefix::{packed_leaf, source_leaf};
 
 use crate::block::PackedBlock;
 use crate::cache::{
@@ -61,7 +61,7 @@ use crate::codec::BlockCodec;
 use crate::launch::launch;
 use crate::matrix::TokenMatrix;
 use crate::paged::{PagedOom, PagedPool, SeqId};
-use crate::radix::RadixIndex;
+use crate::radix::{RadixIndex, SourceDigest};
 use crate::window::KeyWindow;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -258,6 +258,16 @@ const TASKS_PER_THREAD: usize = 8;
 /// One head's task outputs, in order, as one list.
 fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
     chunks.into_iter().flatten().collect()
+}
+
+/// A prompt's packed blocks, per head, with what the pack tasks folded
+/// from each full run they packed: its packed leaf and, if asked for, its
+/// source leaf (both empty while the prefix cache is off).
+#[derive(Default)]
+struct PackedPrompt {
+    blocks: Vec<Vec<PackedBlock>>,
+    leaves: Vec<Vec<u64>>,
+    sources: Vec<Vec<SourceDigest>>,
 }
 
 /// The first `own` packed blocks of `seq`'s head `head`, walked through
@@ -711,64 +721,80 @@ impl PagedKvStore {
             self.ensure_free(extra, &[]);
             self.pool.grow(seq, len)?;
         }
-        let (packed, leaves) = self.pack_prompt_blocks(k, v, 0..len / self.residual_block(), codec);
-        let keys = self.chain_keys(&leaves, 0, self.prefix_seed());
-        self.install_prompt(seq, k, v, packed, 0);
-        let sources = self.source_chain(k, v, keys.len());
+        let prompt = self.pack_prompt_blocks(k, v, 0..len / self.residual_block(), codec, true);
+        let keys = self.chain_keys(&prompt.leaves, 0, self.prefix_seed());
+        let sources = self.source_digests(&prompt.sources);
+        self.install_prompt(seq, k, v, prompt.blocks, 0);
         self.register_prefix(seq, &[], &keys, &sources);
         Ok(())
     }
 
     /// Quantizes blocks `blocks` of one head's prompt rows: they round
     /// through FP16 into a scratch pair reused across the range and pack
-    /// through `codec`. The one encode behind every prompt write, and
-    /// behind the first-block codec check of the source-keyed lookup.
+    /// through `codec`, and `packed(b, so_far)` sees the list after block
+    /// `b` joins it. The one encode behind every prompt write, and behind
+    /// the first-block codec check of the source-keyed lookup.
     fn pack_head(
         &self,
         hk: &TokenMatrix,
         hv: &TokenMatrix,
         blocks: Range<usize>,
         codec: &impl BlockCodec,
+        mut packed: impl FnMut(usize, &[PackedBlock]),
     ) -> Vec<PackedBlock> {
         let nr = self.residual_block();
         let (mut kb, mut vb) = (TokenMatrix::new(0), TokenMatrix::new(0));
-        blocks
-            .map(|b| {
-                round_rows_into(hk, b * nr, (b + 1) * nr, &mut kb);
-                round_rows_into(hv, b * nr, (b + 1) * nr, &mut vb);
-                codec.encode(&kb, &vb, self.config.scheme)
-            })
-            .collect()
+        let mut out = Vec::with_capacity(blocks.len());
+        for b in blocks {
+            round_rows_into(hk, b * nr, (b + 1) * nr, &mut kb);
+            round_rows_into(hv, b * nr, (b + 1) * nr, &mut vb);
+            out.push(codec.encode(&kb, &vb, self.config.scheme));
+            packed(b, &out);
+        }
+        out
     }
 
     /// Packs blocks `blocks` (run-aligned at the start) of every head of a
     /// validated prompt on the launch, one task per head and range of
-    /// whole runs. With the cache on, each task also folds the packed leaf
-    /// of every full run it packed while the blocks are still warm.
-    /// Returns, per head, the blocks and the leaves.
+    /// whole runs. With the cache on, each task folds the packed leaf of
+    /// every full run right after packing it, while the blocks are still
+    /// warm, and with `sources` its source leaf too, while the rows are:
+    /// a cold prompt's rows are then read from memory once.
     fn pack_prompt_blocks<K: Borrow<TokenMatrix> + Sync>(
         &self,
         k: &[K],
         v: &[K],
         blocks: Range<usize>,
         codec: &impl BlockCodec,
-    ) -> (Vec<Vec<PackedBlock>>, Vec<Vec<u64>>) {
-        let bpr = self.run_blocks();
+        sources: bool,
+    ) -> PackedPrompt {
+        let (bpr, nr) = (self.run_blocks(), self.residual_block());
         let tasks = self.launch_per_head(blocks, bpr, |head, blocks| {
-            let packed = self.pack_head(k[head].borrow(), v[head].borrow(), blocks, codec);
-            let leaves = if self.prefix_cache {
-                packed.chunks_exact(bpr).map(packed_leaf).collect()
-            } else {
-                Vec::new()
-            };
-            (packed, leaves)
+            let (hk, hv) = (k[head].borrow(), v[head].borrow());
+            let (mut leaves, mut source_leaves) = (Vec::new(), Vec::new());
+            let packed = self.pack_head(hk, hv, blocks, codec, |b, packed| {
+                if self.prefix_cache && (b + 1).is_multiple_of(bpr) {
+                    leaves.push(packed_leaf(&packed[packed.len() - bpr..]));
+                    if sources {
+                        source_leaves.push(source_leaf(hk, hv, (b + 1 - bpr) * nr..(b + 1) * nr));
+                    }
+                }
+            });
+            (packed, leaves, source_leaves)
         });
-        (tasks.into_iter())
-            .map(|head| {
-                let (packed, leaves): (Vec<_>, Vec<_>) = head.into_iter().unzip();
-                (concat(packed), concat(leaves))
-            })
-            .unzip()
+        let mut prompt = PackedPrompt::default();
+        for head in tasks {
+            let (mut blocks, mut leaves, mut sources) = (Vec::new(), Vec::new(), Vec::new());
+            for (b, l, s) in head {
+                blocks.extend(b);
+                leaves.extend(l);
+                sources.extend(s);
+            }
+            prompt.blocks.push(blocks);
+            prompt.leaves.push(leaves);
+            prompt.sources.push(sources);
+        }
+        prompt
     }
 
     /// Homes `packed[head]` — the prompt's blocks from `first_block` on —

@@ -141,13 +141,11 @@ impl PagedKvStore {
         .fold(FNV_OFFSET, |h, v| fnv_fold(h, &(v as u64).to_le_bytes()))
     }
 
-    /// Source digests of a prompt's leading `runs` page runs. The
-    /// per-(run, head) source leaves fold on the launch, one task per head
-    /// and range of runs; then the chain folds them in order: digest `r`
-    /// is digest `r − 1` (the store's seed before run 0) folded with the
-    /// run index and run `r`'s leaves in head order. Like a packed chain
-    /// key it addresses the whole prefix it terminates, and no leaf
-    /// depends on how runs were split into tasks.
+    /// Source digests of a prompt's leading `runs` page runs, read up
+    /// front: the per-(run, head) source leaves fold on the launch, one
+    /// task per head and range of runs, and then chain
+    /// ([`PagedKvStore::source_digests`]). A cold prompt's leaves fold in
+    /// its pack tasks instead.
     pub(super) fn source_chain<K: Borrow<TokenMatrix> + Sync>(
         &self,
         k: &[K],
@@ -163,12 +161,22 @@ impl PagedKvStore {
         .into_iter()
         .map(concat)
         .collect();
+        self.source_digests(&leaves)
+    }
+
+    /// The source chain over runs `0..` whose per-head source leaves are
+    /// `leaves[head]`: digest `r` is digest `r − 1` (the store's seed
+    /// before run 0) folded with the run index and run `r`'s leaves in
+    /// head order. Like a packed chain key it addresses the whole prefix
+    /// it terminates, and no leaf depends on how runs were split into
+    /// tasks.
+    pub(super) fn source_digests(&self, leaves: &[Vec<SourceDigest>]) -> Vec<SourceDigest> {
         let seed = self.prefix_seed();
         let mut d = [seed, !seed.rotate_left(32)];
-        (0..runs)
+        (0..leaves.first().map_or(0, Vec::len))
             .map(|r| {
                 d = fold_source_word(d, r as u64);
-                for head in &leaves {
+                for head in leaves {
                     d = head[r].into_iter().fold(d, fold_source_word);
                 }
                 [self.chain_key(d[0]), d[1]]
@@ -389,11 +397,16 @@ impl PagedKvStore {
     /// [`PagedKvStore::admit`], a failed admission changes nothing and
     /// burns no [`SeqId`].
     ///
-    /// The three bulk passes — the source leaves, packing the unmatched
-    /// suffix, and its packed leaves — run on the store's launch, one task
-    /// per head and range of runs; validation, the lookup, page
-    /// allocation, installation and registration stay sequential in head
-    /// order, so the result is identical at every launch width.
+    /// The bulk passes — the source leaves, packing the unmatched suffix,
+    /// and its packed leaves — run on the store's launch, one task per
+    /// head and range of runs; validation, the lookup, page allocation,
+    /// installation and registration stay sequential in head order, so
+    /// the result is identical at every launch width. Only run 0's source
+    /// leaves are folded before the lookup: when no cached run answers to
+    /// its digest (every cold miss), the pack tasks fold each full run's
+    /// source leaf right after packing it, so a cold prompt is read from
+    /// memory once; a prompt whose run 0 hits has its digests folded up
+    /// front, as the lookup needs them.
     ///
     /// # Errors
     ///
@@ -411,12 +424,21 @@ impl PagedKvStore {
         let reserve = reserve_tokens.max(len);
         let need = reserve.div_ceil(self.page_tokens());
         self.check_free(need)?;
-        // Look up before quantizing. A digest match is checked against
-        // the codec before staleness so that, exactly like the packed
-        // walk, only a node this very admission would have keyed is ever
-        // evicted as stale.
+        // Look up before quantizing. Run 0's digest alone tells a cold
+        // prompt: with no source child for it nothing can match, so its
+        // pack tasks fold the source leaves and the rows are read once.
+        // A digest match is checked against the codec before staleness so
+        // that, exactly like the packed walk, only a node this very
+        // admission would have keyed is ever evicted as stale.
         let blocks = len / self.residual_block();
-        let sources = self.source_chain(k, v, self.full_runs(blocks));
+        let runs = self.full_runs(blocks);
+        let first = self.source_chain(k, v, runs.min(1));
+        let cold = (first.first()).is_none_or(|&d| self.radix.source_child(None, d).is_none());
+        let mut sources = if cold {
+            Vec::new()
+        } else {
+            self.source_chain(k, v, runs)
+        };
         let mut adopted = Vec::new();
         for (r, digest) in sources.iter().enumerate() {
             let Some(id) = self.radix.source_child(adopted.last().copied(), *digest) else {
@@ -425,7 +447,7 @@ impl PagedKvStore {
             if r == 0 {
                 let frame = &self.frames[self.radix.node(id).pages[0].0 as usize];
                 let agrees = (k.iter().zip(v).zip(frame)).all(|((hk, hv), cached)| {
-                    self.pack_head(hk.borrow(), hv.borrow(), 0..1, codec)
+                    self.pack_head(hk.borrow(), hv.borrow(), 0..1, codec, |_, _| ())
                         .first()
                         == cached.first()
                 });
@@ -445,8 +467,12 @@ impl PagedKvStore {
         // packed chain from the last adopted node.
         let by_source = adopted.len();
         let bpr = self.run_blocks();
-        let (mut packed, leaves) = self.pack_prompt_blocks(k, v, by_source * bpr..blocks, codec);
-        let keys = self.walk_packed(&packed, &leaves, &mut adopted);
+        let prompt = self.pack_prompt_blocks(k, v, by_source * bpr..blocks, codec, cold);
+        if cold {
+            sources = self.source_digests(&prompt.sources);
+        }
+        let mut packed = prompt.blocks;
+        let keys = self.walk_packed(&packed, &prompt.leaves, &mut adopted);
         for head in &mut packed {
             head.drain(..(adopted.len() - by_source) * bpr);
         }
