@@ -25,8 +25,9 @@
 
 use bd_gpu_sim::{FragmentLayout, Operand};
 use bd_kvcache::{
-    dequantize_int_codes, quantize_int_codes, BlockCodec, KeyGranularity, PackLayout, PackedBlock,
-    PackedPayload, PackedTensor, QuantScheme, ReferenceCodec, SchemeKind, TokenMatrix,
+    assert_block_shape, dequantize_int_codes, quantize_int_codes, BlockCodec, KeyGranularity,
+    PackLayout, PackedBlock, PackedPayload, PackedTensor, QuantScheme, ReferenceCodec, SchemeKind,
+    TokenMatrix,
 };
 use bd_lowbit::f16::round_through_f16;
 use bd_lowbit::fastpath::{register_ops, FastDequantOps};
@@ -55,8 +56,9 @@ struct PlanKey {
 }
 
 thread_local! {
-    /// Token-major codes of the tensor being encoded on this thread.
-    static CODES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// Token-major codes of the tensor being encoded on this thread, and
+    /// (for Kᵀ) the same codes regrouped by [`lanes_along_tokens`].
+    static CODES: RefCell<[Vec<u8>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
     /// Dequant LUT of the block `decode_block_fused` decodes on this thread.
     static LUT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
@@ -190,7 +192,9 @@ impl FragmentPlan {
                     let lanes: [_; TILE_LANES] =
                         std::array::from_fn(|lane| slot(w, 4 * lane + tig, e));
                     let [n, k, group] = lanes[0];
-                    // What `ldmatrix` transposes: consecutive N, one K.
+                    // What `ldmatrix` transposes: consecutive N from a
+                    // multiple of 8, one K.
+                    assert!(n % TILE_LANES == 0);
                     assert!((0..TILE_LANES).all(|i| lanes[i][..2] == [n + i, k]));
                     affine &= (0..TILE_LANES).all(|i| lanes[i][2] == group + i * plan.group_step);
                     let (t, c) = if key.key_orientation { (n, k) } else { (k, n) };
@@ -306,15 +310,21 @@ impl FragmentPlan {
     /// The Residual Kernel's quantize + pack: token-major codes land in
     /// the calling thread's scratch and are gathered tile by tile straight
     /// into the tensor's word stream, each 32-bit register split into two
-    /// 16-bit storage words.
+    /// 16-bit storage words. A segment's 8 lanes run along N, which is the
+    /// codes' contiguous axis for V; for Kᵀ (N = token) the codes are
+    /// first regrouped so that every 8 consecutive tokens of one channel
+    /// are 8 consecutive bytes ([`lanes_along_tokens`]), so in both
+    /// orientations a segment's lanes are one 8-byte load.
     fn encode(&self, values: &TokenMatrix) -> PackedTensor {
         let key = self.key;
-        CODES.with_borrow_mut(|codes| {
+        CODES.with_borrow_mut(|[codes, regrouped]| {
             let params = quantize_int_codes(values, key.width, key.granularity, key.group, codes);
             let mut words = vec![0u16; self.words()];
-            match self.lane_stride([key.dim, 1]) == 1 {
-                true => self.gather_tiles::<true>(codes, &mut words),
-                false => self.gather_tiles::<false>(codes, &mut words),
+            if key.key_orientation {
+                lanes_along_tokens(codes, key.dim, regrouped);
+                self.gather_tiles(regrouped, [key.dim, TILE_LANES], &mut words);
+            } else {
+                self.gather_tiles(codes, [key.dim, 1], &mut words);
             }
             PackedTensor {
                 tokens: key.tokens,
@@ -324,22 +334,24 @@ impl FragmentPlan {
         })
     }
 
-    /// The gather; `UNIT` as in [`FragmentPlan::dequant_tiles`].
+    /// The gather from `lanes`, where segment `s`'s 8 codes are the 8
+    /// bytes at [`FragmentPlan::at`]`(s, strides)` (a multiple of 8: lane
+    /// 0 sits on a multiple of 8 along N, and the other axis's stride is a
+    /// multiple of 8). A tile is built byte-sliced: each segment's 8 codes
+    /// shift within their byte — a code never crosses one — and OR into
+    /// the plane of register byte `shift / 8`, and the 4 planes transpose
+    /// into the 8 registers once per tile ([`registers_of_planes`]).
     #[inline]
-    fn gather_tiles<const UNIT: bool>(&self, codes: &[u8], words: &mut [u16]) {
-        let strides = [self.key.dim, 1];
-        let lane_stride = if UNIT { 1 } else { self.lane_stride(strides) };
+    fn gather_tiles(&self, lanes: &[u8], strides: [usize; 2], words: &mut [u16]) {
+        let (lanes, _) = lanes.as_chunks::<TILE_LANES>();
         let (pairs, _) = words.as_chunks_mut::<2>();
         self.for_each_tile(|regs, segments| {
-            let mut tile = [0u32; TILE_LANES];
+            let mut planes = [0u64; 4];
             for s in segments {
-                let src = self.at(s, strides);
-                let window = &codes[src..src + (TILE_LANES - 1) * lane_stride + 1];
-                for (lane, reg) in tile.iter_mut().enumerate() {
-                    *reg |= u32::from(window[lane * lane_stride]) << s.shift;
-                }
+                let codes = u64::from_le_bytes(lanes[self.at(s, strides) / TILE_LANES]);
+                planes[usize::from(s.shift / 8) % 4] |= codes << (s.shift % 8);
             }
-            for (r, reg32) in regs.into_iter().zip(tile) {
+            for (r, reg32) in regs.into_iter().zip(registers_of_planes(planes)) {
                 pairs[r] = split_register(reg32).into();
             }
         });
@@ -442,6 +454,61 @@ impl FragmentPlan {
             }
         });
     }
+}
+
+/// Regroups token-major codes (`tokens × dim`, both multiples of 8) so
+/// that tokens `8i .. 8i + 8` of channel `c` are the 8 bytes at `8 · (i ·
+/// dim + c)`: each 8 × 8 block of codes transposed in registers, three
+/// rounds of swapping the off-diagonal halves of 2 × 2 sub-blocks.
+fn lanes_along_tokens(codes: &[u8], dim: usize, out: &mut Vec<u8>) {
+    const SWAPS: [(usize, u32, u64); 3] = [
+        (1, 8, 0x00FF_00FF_00FF_00FF),
+        (2, 16, 0x0000_FFFF_0000_FFFF),
+        (4, 32, 0x0000_0000_FFFF_FFFF),
+    ];
+    out.clear();
+    out.resize(codes.len(), 0);
+    let (rows, _) = codes.as_chunks::<TILE_LANES>();
+    let (cols, _) = out.as_chunks_mut::<TILE_LANES>();
+    let per_row = dim / TILE_LANES;
+    for (block_rows, block_cols) in rows
+        .chunks_exact(TILE_LANES * per_row)
+        .zip(cols.chunks_exact_mut(TILE_LANES * per_row))
+    {
+        for cb in 0..per_row {
+            let mut m: [u64; TILE_LANES] =
+                std::array::from_fn(|t| u64::from_le_bytes(block_rows[t * per_row + cb]));
+            for (step, shift, mask) in SWAPS {
+                for i in (0..TILE_LANES).filter(|i| i & step == 0) {
+                    let t = ((m[i] >> shift) ^ m[i + step]) & mask;
+                    m[i + step] ^= t;
+                    m[i] ^= t << shift;
+                }
+            }
+            for (c, col) in m.into_iter().enumerate() {
+                block_cols[cb * TILE_LANES + c] = col.to_le_bytes();
+            }
+        }
+    }
+}
+
+/// The 8 registers of a tile from its byte planes: byte `lane` of
+/// `planes[b]` is byte `b` of register `lane`. Two 4 × 4 byte transposes
+/// at once (lanes 0–3 in the low halves, 4–7 in the high), by the same
+/// swaps as [`lanes_along_tokens`].
+#[inline(always)]
+fn registers_of_planes(mut p: [u64; 4]) -> [u32; TILE_LANES] {
+    for (step, shift, mask) in [
+        (1, 8, 0x00FF_00FF_00FF_00FF),
+        (2, 16, 0x0000_FFFF_0000_FFFF),
+    ] {
+        for i in [0, 1, 2, 3].into_iter().filter(|i| i & step == 0) {
+            let t = ((p[i] >> shift) ^ p[i + step]) & mask;
+            p[i + step] ^= t;
+            p[i] ^= t << shift;
+        }
+    }
+    std::array::from_fn(|lane| (p[lane % 4] >> (32 * (lane / 4))) as u32)
 }
 
 /// Per-group dequantization LUT, entry `group · levels + code`: the
@@ -600,6 +667,7 @@ impl FragmentCodec {
 
 impl BlockCodec for FragmentCodec {
     fn encode(&self, k: &TokenMatrix, v: &TokenMatrix, scheme: QuantScheme) -> PackedBlock {
+        assert_block_shape(k, v);
         let shape = |m: &TokenMatrix| (m.tokens(), m.dim());
         match self.block_plans(scheme, shape(k), shape(v)) {
             Some([k_plan, v_plan]) => PackedBlock {
@@ -1116,6 +1184,53 @@ mod tests {
             }
         }
         assert!(nans > 0 && infs > 0, "the patches must reach the output");
+    }
+
+    #[test]
+    fn both_codecs_reject_a_block_whose_k_and_v_disagree_alike() {
+        let codec = FragmentCodec::new(PackLayout::sm80_default());
+        let k = test_matrix(128, 64, 0.0);
+        let panic_message = |encode: &dyn Fn() -> PackedBlock| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(encode)).err()?;
+            err.downcast_ref::<String>().cloned()
+        };
+        for v in [test_matrix(64, 64, 1.0), test_matrix(128, 32, 1.0)] {
+            for scheme in [QuantScheme::kc4(), QuantScheme::kt2(), QuantScheme::nvfp4()] {
+                let fragment = panic_message(&|| codec.encode(&k, &v, scheme));
+                let reference = panic_message(&|| ReferenceCodec.encode(&k, &v, scheme));
+                let at = format!("{scheme}, V {} × {}", v.tokens(), v.dim());
+                assert!(
+                    fragment
+                        .as_deref()
+                        .is_some_and(|m| m.starts_with("K/V shape mismatch")),
+                    "{at}: {fragment:?}"
+                );
+                assert_eq!(fragment, reference, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn regrouping_and_plane_transposes_move_every_byte_where_stated() {
+        for (tokens, dim) in [(8, 8), (16, 24), (128, 64)] {
+            let codes: Vec<u8> = (0..tokens * dim).map(|i| (i * 7 + i / 3) as u8).collect();
+            let mut out = vec![0xAA; 3];
+            lanes_along_tokens(&codes, dim, &mut out);
+            assert_eq!(out.len(), codes.len());
+            for t in 0..tokens {
+                for c in 0..dim {
+                    assert_eq!(out[8 * ((t / 8) * dim + c) + t % 8], codes[t * dim + c]);
+                }
+            }
+        }
+        let planes: [u64; 4] = std::array::from_fn(|b| {
+            u64::from_le_bytes(std::array::from_fn(|lane| (16 * b + lane) as u8))
+        });
+        let regs = registers_of_planes(planes);
+        for (lane, reg) in regs.into_iter().enumerate() {
+            let want: [u8; 4] = std::array::from_fn(|b| planes[b].to_le_bytes()[lane]);
+            assert_eq!(reg.to_le_bytes(), want, "lane {lane}");
+        }
     }
 
     #[test]

@@ -45,10 +45,32 @@ use crate::matrix::TokenMatrix;
 /// of a [launch](crate::launch::launch).
 pub trait BlockCodec: Sync {
     /// Quantizes and packs one block (`k`/`v` are `tokens × dim`).
+    ///
+    /// # Panics
+    ///
+    /// Panics, through [`assert_block_shape`], when `k` and `v` differ in
+    /// token count or width: every codec rejects such a pair alike instead
+    /// of packing a block whose halves disagree.
     fn encode(&self, k: &TokenMatrix, v: &TokenMatrix, scheme: QuantScheme) -> PackedBlock;
 
     /// Unpacks and dequantizes a block back to `(k, v)` values.
     fn decode(&self, block: &PackedBlock, scheme: QuantScheme) -> (TokenMatrix, TokenMatrix);
+}
+
+/// The shape check every [`BlockCodec::encode`] starts with.
+///
+/// # Panics
+///
+/// Panics unless `k` and `v` have the same token count and the same width.
+pub fn assert_block_shape(k: &TokenMatrix, v: &TokenMatrix) {
+    assert!(
+        k.tokens() == v.tokens() && k.dim() == v.dim(),
+        "K/V shape mismatch: K is {} × {}, V is {} × {}",
+        k.tokens(),
+        k.dim(),
+        v.tokens(),
+        v.dim()
+    );
 }
 
 /// Quantizes a `tokens × dim` matrix to integer codes plus `half2` group
@@ -308,7 +330,7 @@ impl ReferenceCodec {
 
 impl BlockCodec for ReferenceCodec {
     fn encode(&self, k: &TokenMatrix, v: &TokenMatrix, scheme: QuantScheme) -> PackedBlock {
-        assert_eq!(k.tokens(), v.tokens(), "K/V token count mismatch");
+        assert_block_shape(k, v);
         match scheme.kind() {
             SchemeKind::Int {
                 width,

@@ -43,7 +43,8 @@ pub mod window;
 pub use block::{PackedBlock, PackedPayload, PackedTensor};
 pub use cache::{CacheConfig, CacheError, QuantizedKvCache};
 pub use codec::{
-    dequantize_int_codes, quantize_int_codes, reconstruction_error, BlockCodec, ReferenceCodec,
+    assert_block_shape, dequantize_int_codes, quantize_int_codes, reconstruction_error, BlockCodec,
+    ReferenceCodec,
 };
 pub use launch::launch;
 pub use layout::{partition_prefill, PackLayout};
