@@ -1,6 +1,10 @@
-//! Attributes prompt admission's hashes through the public
-//! [`ShardedKvStore`] API, on one device, at launch widths 1 and 2:
+//! Attributes prompt admission through the public [`ShardedKvStore`]
+//! API, on one device, at launch widths 1 and 2, packing with
+//! [`FragmentCodec`] — the codec a [`bd_core::BitDecoder`] serves with:
 //!
+//! - one block's `encode`, split into the K channel-wise quantize, the V
+//!   tensor-wise quantize and the whole `encode` (the rest is the tile
+//!   gather and the buffers), in ns per head-token;
 //! - a cold admission with the prefix cache off, then on (the index is
 //!   dropped between runs, so every cache-on admission misses): the
 //!   difference is the source and packed leaves plus registration;
@@ -14,16 +18,18 @@
 //! ms and in GB/s of bytes folded, next to a `memcpy` probe.
 //!
 //! ```text
-//! cargo run --release -p bd-kvcache --example admit_ab [tokens] [runs]
+//! cargo run --release -p bd-core --example admit_ab [tokens] [runs]
 //! ```
 //!
 //! The defaults are 131,072 tokens and 5 runs: 4 KV heads, `dim` 64, KC-4,
-//! 64-token pages, [`ReferenceCodec`]. No timing is asserted: the numbers
-//! are host time, and only a release build's are meaningful.
+//! 64-token pages. No timing is asserted: the numbers are host time, and
+//! only a release build's are meaningful. It uses only public API, so the
+//! same file builds against an older tree for an A/B.
 
+use bd_core::FragmentCodec;
 use bd_kvcache::{
-    CacheConfig, PackLayout, PackedBlock, Placement, QuantScheme, ReferenceCodec, SeqId,
-    ShardedKvStore, TokenMatrix,
+    quantize_int_codes, BlockCodec, CacheConfig, KeyGranularity, PackLayout, PackedBlock,
+    Placement, QuantScheme, SchemeKind, SeqId, ShardedKvStore, TokenMatrix,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -70,11 +76,67 @@ fn memcpy_gb_per_s(bytes: usize, runs: usize) -> f64 {
     median(rates)
 }
 
+/// The codec every admission packs with.
+fn codec() -> FragmentCodec {
+    FragmentCodec::new(PackLayout::sm80_default())
+}
+
+/// Median ns per head-token of `pass` over one `Nr`-token block, each run
+/// repeated until it covers about 2^16 head-tokens.
+fn per_head_token(nr: usize, runs: usize, mut pass: impl FnMut()) -> f64 {
+    let reps = (1 << 16) / nr;
+    median(
+        (0..runs)
+            .map(|_| timed(|| (0..reps).for_each(|_| pass())).1 * 1e6 / (reps * nr) as f64)
+            .collect(),
+    )
+}
+
+/// Prints `FragmentCodec::encode`'s split on one KC-4 block: the K
+/// channel-wise quantize, the V tensor-wise quantize and the whole encode.
+fn encode_split(runs: usize) {
+    let scheme = QuantScheme::kc4();
+    let SchemeKind::Int {
+        width,
+        key_granularity,
+        group,
+    } = scheme.kind()
+    else {
+        unreachable!("KC-4 is an integer scheme");
+    };
+    let nr = PackLayout::sm80_default().residual_block(width);
+    let (k, v) = (wave(nr, 0), wave(nr, 100));
+    let mut codes = Vec::new();
+    let mut quantize = |m: &TokenMatrix, granularity, group| {
+        black_box(quantize_int_codes(
+            black_box(m),
+            width,
+            granularity,
+            group,
+            &mut codes,
+        ));
+    };
+    let k_ns = per_head_token(nr, runs, || quantize(&k, key_granularity, group));
+    let v_group = QuantScheme::DEFAULT_CHANNEL_GROUP;
+    let v_ns = per_head_token(nr, runs, || {
+        quantize(&v, KeyGranularity::TensorWise, v_group)
+    });
+    let codec = codec();
+    let total = per_head_token(nr, runs, || {
+        black_box(codec.encode(black_box(&k), black_box(&v), scheme));
+    });
+    println!(
+        "  encode, ns per head-token    {total:8.1}  (K channel-wise quantize {k_ns:.1}, \
+         V tensor-wise quantize {v_ns:.1}, gather + buffers {:.1})",
+        total - k_ns - v_ns
+    );
+}
+
 /// Admits the prompt, asserting it adopted `hit` or nothing.
 fn admit(store: &mut ShardedKvStore, k: &[TokenMatrix], v: &[TokenMatrix], hit: bool) -> SeqId {
     let tokens = k[0].tokens();
     let (seq, admit) = store
-        .admit_prefill_cached(k, v, tokens, &ReferenceCodec)
+        .admit_prefill_cached(k, v, tokens, &codec())
         .unwrap_or_else(|e| panic!("admission: {e}"));
     assert_eq!(admit.pages_reused > 0, hit, "expected hit: {hit}");
     seq
@@ -99,6 +161,7 @@ fn main() {
          median of {runs}"
     );
     println!("  memcpy probe                 {memcpy:8.2} GB/s");
+    encode_split(runs);
 
     let cfg = CacheConfig::new(DIM, QuantScheme::kc4(), PackLayout::sm80_default());
     let pages = 2 * tokens.div_ceil(PAGE_TOKENS) + 16;
