@@ -56,9 +56,8 @@ struct PlanKey {
 }
 
 thread_local! {
-    /// Token-major codes of the tensor being encoded on this thread, and
-    /// (for Kᵀ) the same codes regrouped by [`lanes_along_tokens`].
-    static CODES: RefCell<[Vec<u8>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
+    /// Token-major codes of the tensor being encoded on this thread.
+    static CODES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
     /// Dequant LUT of the block `decode_block_fused` decodes on this thread.
     static LUT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
@@ -192,9 +191,7 @@ impl FragmentPlan {
                     let lanes: [_; TILE_LANES] =
                         std::array::from_fn(|lane| slot(w, 4 * lane + tig, e));
                     let [n, k, group] = lanes[0];
-                    // What `ldmatrix` transposes: consecutive N from a
-                    // multiple of 8, one K.
-                    assert!(n % TILE_LANES == 0);
+                    // What `ldmatrix` transposes: consecutive N, one K.
                     assert!((0..TILE_LANES).all(|i| lanes[i][..2] == [n + i, k]));
                     affine &= (0..TILE_LANES).all(|i| lanes[i][2] == group + i * plan.group_step);
                     let (t, c) = if key.key_orientation { (n, k) } else { (k, n) };
@@ -310,21 +307,15 @@ impl FragmentPlan {
     /// The Residual Kernel's quantize + pack: token-major codes land in
     /// the calling thread's scratch and are gathered tile by tile straight
     /// into the tensor's word stream, each 32-bit register split into two
-    /// 16-bit storage words. A segment's 8 lanes run along N, which is the
-    /// codes' contiguous axis for V; for Kᵀ (N = token) the codes are
-    /// first regrouped so that every 8 consecutive tokens of one channel
-    /// are 8 consecutive bytes ([`lanes_along_tokens`]), so in both
-    /// orientations a segment's lanes are one 8-byte load.
+    /// 16-bit storage words.
     fn encode(&self, values: &TokenMatrix) -> PackedTensor {
         let key = self.key;
-        CODES.with_borrow_mut(|[codes, regrouped]| {
+        CODES.with_borrow_mut(|codes| {
             let params = quantize_int_codes(values, key.width, key.granularity, key.group, codes);
             let mut words = vec![0u16; self.words()];
-            if key.key_orientation {
-                lanes_along_tokens(codes, key.dim, regrouped);
-                self.gather_tiles(regrouped, [key.dim, TILE_LANES], &mut words);
-            } else {
-                self.gather_tiles(codes, [key.dim, 1], &mut words);
+            match self.lane_stride([key.dim, 1]) == 1 {
+                true => self.gather_tiles::<true>(codes, &mut words),
+                false => self.gather_tiles::<false>(codes, &mut words),
             }
             PackedTensor {
                 tokens: key.tokens,
@@ -334,22 +325,29 @@ impl FragmentPlan {
         })
     }
 
-    /// The gather from `lanes`, where segment `s`'s 8 codes are the 8
-    /// bytes at [`FragmentPlan::at`]`(s, strides)` (a multiple of 8: lane
-    /// 0 sits on a multiple of 8 along N, and the other axis's stride is a
-    /// multiple of 8). A tile is built byte-sliced: each segment's 8 codes
-    /// shift within their byte — a code never crosses one — and OR into
-    /// the plane of register byte `shift / 8`, and the 4 planes transpose
-    /// into the 8 registers once per tile ([`registers_of_planes`]).
+    /// The gather; `UNIT` as in [`FragmentPlan::dequant_tiles`]. A tile
+    /// is built byte-sliced: a segment's 8 codes, one byte per lane of a
+    /// `u64` (one 8-byte load where `UNIT`), shift within their byte — a
+    /// code never crosses one — and OR into the plane of register byte
+    /// `shift / 8`; the 4 planes then transpose into the 8 registers once
+    /// per tile ([`registers_of_planes`]).
     #[inline]
-    fn gather_tiles(&self, lanes: &[u8], strides: [usize; 2], words: &mut [u16]) {
-        let (lanes, _) = lanes.as_chunks::<TILE_LANES>();
+    fn gather_tiles<const UNIT: bool>(&self, codes: &[u8], words: &mut [u16]) {
+        let strides = [self.key.dim, 1];
+        let lane_stride = if UNIT { 1 } else { self.lane_stride(strides) };
         let (pairs, _) = words.as_chunks_mut::<2>();
         self.for_each_tile(|regs, segments| {
             let mut planes = [0u64; 4];
             for s in segments {
-                let codes = u64::from_le_bytes(lanes[self.at(s, strides) / TILE_LANES]);
-                planes[usize::from(s.shift / 8) % 4] |= codes << (s.shift % 8);
+                let src = self.at(s, strides);
+                let window = &codes[src..src + (TILE_LANES - 1) * lane_stride + 1];
+                let lanes = match window.first_chunk::<TILE_LANES>() {
+                    Some(&bytes) if UNIT => u64::from_le_bytes(bytes),
+                    _ => (0..TILE_LANES).fold(0, |w, lane| {
+                        w | u64::from(window[lane * lane_stride]) << (8 * lane)
+                    }),
+                };
+                planes[usize::from(s.shift / 8) % 4] |= lanes << (s.shift % 8);
             }
             for (r, reg32) in regs.into_iter().zip(registers_of_planes(planes)) {
                 pairs[r] = split_register(reg32).into();
@@ -456,46 +454,10 @@ impl FragmentPlan {
     }
 }
 
-/// Regroups token-major codes (`tokens × dim`, both multiples of 8) so
-/// that tokens `8i .. 8i + 8` of channel `c` are the 8 bytes at `8 · (i ·
-/// dim + c)`: each 8 × 8 block of codes transposed in registers, three
-/// rounds of swapping the off-diagonal halves of 2 × 2 sub-blocks.
-fn lanes_along_tokens(codes: &[u8], dim: usize, out: &mut Vec<u8>) {
-    const SWAPS: [(usize, u32, u64); 3] = [
-        (1, 8, 0x00FF_00FF_00FF_00FF),
-        (2, 16, 0x0000_FFFF_0000_FFFF),
-        (4, 32, 0x0000_0000_FFFF_FFFF),
-    ];
-    out.clear();
-    out.resize(codes.len(), 0);
-    let (rows, _) = codes.as_chunks::<TILE_LANES>();
-    let (cols, _) = out.as_chunks_mut::<TILE_LANES>();
-    let per_row = dim / TILE_LANES;
-    for (block_rows, block_cols) in rows
-        .chunks_exact(TILE_LANES * per_row)
-        .zip(cols.chunks_exact_mut(TILE_LANES * per_row))
-    {
-        for cb in 0..per_row {
-            let mut m: [u64; TILE_LANES] =
-                std::array::from_fn(|t| u64::from_le_bytes(block_rows[t * per_row + cb]));
-            for (step, shift, mask) in SWAPS {
-                for i in (0..TILE_LANES).filter(|i| i & step == 0) {
-                    let t = ((m[i] >> shift) ^ m[i + step]) & mask;
-                    m[i + step] ^= t;
-                    m[i] ^= t << shift;
-                }
-            }
-            for (c, col) in m.into_iter().enumerate() {
-                block_cols[cb * TILE_LANES + c] = col.to_le_bytes();
-            }
-        }
-    }
-}
-
 /// The 8 registers of a tile from its byte planes: byte `lane` of
 /// `planes[b]` is byte `b` of register `lane`. Two 4 × 4 byte transposes
-/// at once (lanes 0–3 in the low halves, 4–7 in the high), by the same
-/// swaps as [`lanes_along_tokens`].
+/// at once (lanes 0–3 in the low halves, 4–7 in the high), each two rounds
+/// of swapping the off-diagonal halves of 2 × 2 sub-blocks.
 #[inline(always)]
 fn registers_of_planes(mut p: [u64; 4]) -> [u32; TILE_LANES] {
     for (step, shift, mask) in [
@@ -1211,18 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn regrouping_and_plane_transposes_move_every_byte_where_stated() {
-        for (tokens, dim) in [(8, 8), (16, 24), (128, 64)] {
-            let codes: Vec<u8> = (0..tokens * dim).map(|i| (i * 7 + i / 3) as u8).collect();
-            let mut out = vec![0xAA; 3];
-            lanes_along_tokens(&codes, dim, &mut out);
-            assert_eq!(out.len(), codes.len());
-            for t in 0..tokens {
-                for c in 0..dim {
-                    assert_eq!(out[8 * ((t / 8) * dim + c) + t % 8], codes[t * dim + c]);
-                }
-            }
-        }
+    fn plane_transpose_moves_every_byte_where_stated() {
         let planes: [u64; 4] = std::array::from_fn(|b| {
             u64::from_le_bytes(std::array::from_fn(|lane| (16 * b + lane) as u8))
         });

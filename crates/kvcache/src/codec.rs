@@ -32,7 +32,7 @@ use crate::block::{PackedBlock, PackedPayload, PackedTensor};
 use crate::scheme::{KeyGranularity, QuantScheme, SchemeKind};
 use bd_lowbit::fp4::quantize_fp4_block;
 use bd_lowbit::{
-    pack_u16, quant::MinMax, unpack_u16, BitWidth, BlockScale, Half2, QuantParams, E2M1,
+    emit_code, pack_u16, quant::MinMax, unpack_u16, BitWidth, BlockScale, Half2, QuantParams, E2M1,
 };
 
 use crate::matrix::TokenMatrix;
@@ -85,8 +85,11 @@ pub fn assert_block_shape(k: &TokenMatrix, v: &TokenMatrix) {
 /// how they arrange the codes physically. Per element it computes exactly
 /// what [`MinMax`] and [`QuantParams::quantize`] define, but walks rows as
 /// slices: channel-wise statistics live in per-channel arrays updated row
-/// by row, every group's `scale`/`zero` is widened to `f32` once, and code
-/// emission is branch-free, so the compiler can vectorize both passes.
+/// by row (the tokens' lanes), tensor-wise ones are [`MinMax::of`]'s lane
+/// reduction of each group (the host's form of the warp butterfly), every
+/// group's `scale`/`zero` is widened to `f32` once, and code emission is
+/// [`emit_code`], branch-free, so the compiler vectorizes every pass over
+/// the values.
 pub fn quantize_int_codes(
     values: &TokenMatrix,
     width: BitWidth,
@@ -125,7 +128,7 @@ pub fn quantize_int_codes(
                 for c in 0..dim {
                     let p = QuantParams::from_min_max(lo[c], hi[c], width);
                     params.push(p.to_half2());
-                    (divisor[c], zero[c]) = (code_divisor(p), p.zero.to_f32());
+                    (divisor[c], zero[c]) = (p.code_divisor(), p.zero.to_f32());
                 }
                 for (row, out) in rows.chunks_exact(dim).zip(out.chunks_exact_mut(dim)) {
                     for (((o, &x), &s), &z) in out.iter_mut().zip(row).zip(&divisor).zip(&zero) {
@@ -135,11 +138,23 @@ pub fn quantize_int_codes(
             }
         }
         KeyGranularity::TensorWise => {
-            for (row, out) in values.iter().zip(codes.chunks_exact_mut(dim)) {
-                for (xs, out) in row.chunks(group).zip(out.chunks_mut(group)) {
-                    let p = MinMax::of(xs).params(width);
+            // Three passes — every group's statistics, then its parameters,
+            // then its codes — so no group's scalar parameter chain stalls
+            // the vector passes around it.
+            let stats: Vec<MinMax> = (values.iter())
+                .flat_map(|row| row.chunks(group).map(MinMax::of))
+                .collect();
+            let emit: Vec<(f32, f32)> = (stats.into_iter())
+                .map(|mm| {
+                    let p = mm.params(width);
                     params.push(p.to_half2());
-                    let (s, z) = (code_divisor(p), p.zero.to_f32());
+                    (p.code_divisor(), p.zero.to_f32())
+                })
+                .collect();
+            let mut emit = emit.into_iter();
+            for (row, out) in values.iter().zip(codes.chunks_exact_mut(dim)) {
+                let groups = row.chunks(group).zip(out.chunks_mut(group));
+                for ((xs, out), (s, z)) in groups.zip(emit.by_ref()) {
                     for (o, &x) in out.iter_mut().zip(xs) {
                         *o = emit_code(x, s, z, max_code);
                     }
@@ -148,42 +163,6 @@ pub fn quantize_int_codes(
         }
     }
     params
-}
-
-/// The `f32` divisor [`emit_code`] uses for a group. A scale that rounded
-/// to zero in FP16 quantizes its whole group to code 0
-/// ([`QuantParams::quantize`] tests for it per element); dividing by
-/// infinity instead yields `±0` or NaN for every input, which
-/// [`emit_code`] maps to 0 — the same answer with no branch in the loop.
-fn code_divisor(p: QuantParams) -> f32 {
-    let scale = p.scale.to_f32();
-    if scale == 0.0 {
-        f32::INFINITY
-    } else {
-        scale
-    }
-}
-
-/// [`QuantParams::quantize`] without its branches or its float-to-int
-/// cast: the same subtract and divide, then clamp-and-round instead of
-/// round-and-clamp. The two orders agree because rounding is monotone and
-/// fixes the integer clamp bounds; NaN fails the first comparison and
-/// becomes 0, as `NaN as u8` does.
-///
-/// Inside `[0, max_code]`, adding and subtracting `2^23` rounds to the
-/// nearest integer, ties to even; `t - even` is exact, and is `+0.5`
-/// precisely for the ties that went down, which round-half-away-from-zero
-/// sends up. The integer result plus `2^23` carries its value in the low
-/// mantissa bits, so the code is read off the bit pattern.
-#[inline(always)]
-fn emit_code(x: f32, divisor: f32, zero: f32, max_code: f32) -> u8 {
-    const INTEGER_ULP: f32 = 8_388_608.0;
-    let t = (x - zero) / divisor;
-    let t = if t > 0.0 { t } else { 0.0 };
-    let t = if t < max_code { t } else { max_code };
-    let even = (t + INTEGER_ULP) - INTEGER_ULP;
-    let tie_went_down = if t - even == 0.5 { 1.0 } else { 0.0 };
-    (even + tie_went_down + INTEGER_ULP).to_bits() as u8
 }
 
 /// Inverse of [`quantize_int_codes`]: token-major codes + group parameters

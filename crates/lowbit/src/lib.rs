@@ -42,4 +42,4 @@ pub use pack::{
     codes_per_u16, codes_per_u32, fuse_words, pack_u16, pack_u32, split_register, unpack_u16,
     unpack_u32, unpack_u32_into, PackOrder, FAST_PERM_INT2, FAST_PERM_INT4,
 };
-pub use quant::{quantize_group, BitWidth, MinMax, QuantParams};
+pub use quant::{emit_code, quantize_group, BitWidth, MinMax, QuantParams};

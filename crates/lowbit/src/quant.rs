@@ -121,6 +121,22 @@ impl QuantParams {
         q.clamp(0.0, width.max_code() as f32) as u8
     }
 
+    /// The `f32` divisor [`emit_code`] uses for this group. A scale that
+    /// rounded to zero in FP16 quantizes its whole group to code 0
+    /// ([`QuantParams::quantize`] tests for it per element); dividing by
+    /// infinity instead yields `±0` or NaN for every input, which
+    /// [`emit_code`] maps to 0 — the same answer with no branch in the
+    /// loop.
+    #[inline]
+    pub fn code_divisor(self) -> f32 {
+        let scale = self.scale.to_f32();
+        if scale == 0.0 {
+            f32::INFINITY
+        } else {
+            scale
+        }
+    }
+
     /// Dequantizes one code back to FP16 (the slow `static_cast` + FMA path;
     /// the fast path lives in [`crate::fastpath`]).
     #[inline]
@@ -231,7 +247,32 @@ impl MinMax {
     }
 }
 
-/// Quantizes a group of values, returning codes and the parameters used.
+/// [`QuantParams::quantize`] without its branches or its float-to-int
+/// cast, for loops the compiler vectorizes: `divisor` is the group's
+/// [`QuantParams::code_divisor`], `zero` its zero widened to `f32` and
+/// `max_code` the width's [`BitWidth::max_code`]. The same subtract and
+/// divide, then clamp-and-round instead of round-and-clamp. The two orders
+/// agree because rounding is monotone and fixes the integer clamp bounds;
+/// NaN fails the first comparison and becomes 0, as `NaN as u8` does.
+///
+/// Inside `[0, max_code]`, adding and subtracting `2^23` rounds to the
+/// nearest integer, ties to even; `t - even` is exact, and is `+0.5`
+/// precisely for the ties that went down, which round-half-away-from-zero
+/// sends up. The integer result plus `2^23` carries its value in the low
+/// mantissa bits, so the code is read off the bit pattern.
+#[inline(always)]
+pub fn emit_code(x: f32, divisor: f32, zero: f32, max_code: f32) -> u8 {
+    const INTEGER_ULP: f32 = 8_388_608.0;
+    let t = (x - zero) / divisor;
+    let t = if t > 0.0 { t } else { 0.0 };
+    let t = if t < max_code { t } else { max_code };
+    let even = (t + INTEGER_ULP) - INTEGER_ULP;
+    let tie_went_down = if t - even == 0.5 { 1.0 } else { 0.0 };
+    (even + tie_went_down + INTEGER_ULP).to_bits() as u8
+}
+
+/// Quantizes a group of values, returning codes and the parameters used:
+/// [`MinMax::of`], then [`emit_code`] per value.
 ///
 /// # Examples
 ///
@@ -246,7 +287,11 @@ impl MinMax {
 /// ```
 pub fn quantize_group(values: &[f32], width: BitWidth) -> (Vec<u8>, QuantParams) {
     let params = MinMax::of(values).params(width);
-    let codes = values.iter().map(|&x| params.quantize(x, width)).collect();
+    let (divisor, zero) = (params.code_divisor(), params.zero.to_f32());
+    let max_code = f32::from(width.max_code());
+    let codes = (values.iter())
+        .map(|&x| emit_code(x, divisor, zero, max_code))
+        .collect();
     (codes, params)
 }
 
@@ -383,6 +428,40 @@ mod tests {
             }
         }
         check(&[], "empty");
+    }
+
+    #[test]
+    fn emit_code_is_quantize_bit_for_bit() {
+        let xs = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 2.0,
+            1e-30,
+            -3.0,
+            70_000.0,
+        ];
+        let ties = (0..=64).map(|i| i as f32 * 0.25 - 2.0);
+        let params = [
+            QuantParams::from_min_max(-2.0, 6.0, BitWidth::B4),
+            QuantParams::from_min_max(0.0, 30.0, BitWidth::B4),
+            QuantParams::from_min_max(0.0, 6.0, BitWidth::B2),
+            QuantParams::from_min_max(1.0, 1.0, BitWidth::B2),
+            // A scale that rounds to zero in FP16, and an overflowing one.
+            QuantParams::from_min_max(0.0, 1e-9, BitWidth::B4),
+            QuantParams::from_min_max(-1e6, 1e6, BitWidth::B4),
+        ];
+        for p in params {
+            for width in [BitWidth::B4, BitWidth::B2] {
+                let max_code = f32::from(width.max_code());
+                for x in xs.into_iter().chain(ties.clone()) {
+                    let got = emit_code(x, p.code_divisor(), p.zero.to_f32(), max_code);
+                    assert_eq!(got, p.quantize(x, width), "{p:?} {width} x = {x}");
+                }
+            }
+        }
     }
 
     #[test]
