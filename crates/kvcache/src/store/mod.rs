@@ -732,8 +732,11 @@ impl PagedKvStore {
     /// Quantizes blocks `blocks` of one head's prompt rows: they round
     /// through FP16 into a scratch pair reused across the range and pack
     /// through `codec`, and `packed(b, so_far)` sees the list after block
-    /// `b` joins it. The one encode behind every prompt write, and behind
-    /// the first-block codec check of the source-keyed lookup.
+    /// `b` joins it, so a caller folds a finished run while its rows are
+    /// in cache without splitting the range (a fresh scratch pair per run
+    /// would zero 2 · `Nr` rows per run). The one encode behind every
+    /// prompt write, and behind the first-block codec check of the
+    /// source-keyed lookup.
     fn pack_head(
         &self,
         hk: &TokenMatrix,
