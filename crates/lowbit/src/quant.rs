@@ -149,8 +149,8 @@ impl QuantParams {
 ///
 /// On device these are produced by thread-local reductions followed by
 /// `__shfl_xor_sync` butterfly reduction across the warp (paper §V-B(2)).
-/// [`MinMax::of`] does the same on the host: [`MinMax::LANES`] lane-local
-/// reductions, then an ordered merge.
+/// [`MinMax::of`] does the same on the host: 8 lane-local reductions,
+/// then an ordered merge.
 ///
 /// The statistics are defined by the sequential [`MinMax::update`] chain
 /// in index order, and every way of computing them gives its bits: NaN
@@ -197,15 +197,15 @@ impl MinMax {
 
     /// Lanes of [`MinMax::of`]'s reduction: two SSE registers, or one
     /// AVX register, per statistic.
-    pub const LANES: usize = 8;
+    const LANES: usize = 8;
 
     /// Computes the statistics of a slice: the [`MinMax::update`] chain's
-    /// bits at lane speed. Each of [`MinMax::LANES`] lanes folds every
-    /// `LANES`-th value with `update`'s comparison — a select the compiler
-    /// turns into a packed `min` (or `max`), which skips NaN exactly as
-    /// `update` does; the min and the max are separate passes, because
-    /// one loop carrying both does not vectorize. The lanes merge in
-    /// order and the tail folds last. Only the sign of a zero depends on
+    /// bits at lane speed. Each of 8 lanes folds every 8th value with
+    /// `update`'s comparison — a select the compiler turns into a packed
+    /// `min` (or `max`), which skips NaN exactly as `update` does; the min
+    /// and the max are separate passes, because one loop carrying both
+    /// does not vectorize. The lanes merge in order and the tail folds
+    /// last. Only the sign of a zero depends on
     /// that order — a nonzero value equals no other bit pattern — so a
     /// result with a zero min or max is settled by the sequential chain.
     pub fn of(values: &[f32]) -> MinMax {
