@@ -1,8 +1,8 @@
 //! Times the residual kernel's two entries on one window: a bare
 //! `TokenMatrix` (rounded into scratch Kᵀ panels on every call — what the
 //! benchmark's `core.attend_residual_ns_per_tok` probe times) and the
-//! store's `KeyWindow` (sealed 16-token groups read from its write-once
-//! panels, only the partial group written per call). Asserts both give the
+//! store's `KeyWindow` (sealed 16-token groups read from the panels its
+//! pushes wrote, only the partial group written per call). Asserts both give the
 //! same bits, then prints the best-of-N cost per KV token of each.
 //!
 //! ```text

@@ -236,7 +236,7 @@ struct KernelScratch {
     scores: Vec<f32>,
     /// The residual kernel's `dim × 16` Kᵀ panels written per call, back to
     /// back: every group of a bare [`TokenMatrix`] window, or the partial
-    /// group past a [`KeyWindow`]'s last whole one.
+    /// group past a [`KeyWindow`]'s last sealed one.
     panels: Vec<f32>,
 }
 
@@ -560,9 +560,9 @@ pub fn attend_packed_blocks_fp4<B: Borrow<PackedBlock>>(
 }
 
 /// The key side of a residual window as the residual kernel reads it:
-/// token-major rows, and the window's write-once Kᵀ panels when it keeps
-/// them. A bare [`TokenMatrix`] keeps none; a store's [`KeyWindow`] keeps
-/// one per whole 16-token group, over rows that are FP16-exact.
+/// token-major rows, and the window's Kᵀ panels when it keeps them. A
+/// bare [`TokenMatrix`] keeps none; a store's [`KeyWindow`] keeps one per
+/// sealed 16-token group, over rows that are FP16-exact.
 pub trait ResidualKeys {
     /// The window's rows, token-major.
     fn rows(&self) -> &TokenMatrix;
@@ -617,9 +617,9 @@ fn score_panel(q_row: &[f32], panel: &[f32], out: &mut [f32]) {
 /// The fused **Residual Kernel** body: FP16 attention over the residual
 /// window with the window's tokens on the lanes. `Q·Kᵀ` reads the window
 /// as `dim × 16` Kᵀ panels — the MMA's B operand — 16 tokens at a time:
-/// a [`KeyWindow`]'s whole groups from its write-once slots (built here
-/// by the first reader), the rest written into this thread's scratch per
-/// call, zero-padded. No [`Tile`], transpose round-trip or fragment
+/// a [`KeyWindow`]'s sealed groups from the panels its sealing pushes
+/// wrote, the rest written into this thread's scratch per call,
+/// zero-padded. No [`Tile`], transpose round-trip or fragment
 /// scatter per step.
 ///
 /// The arithmetic replicates the materializing [`attend_residual`] path
@@ -648,7 +648,7 @@ pub fn attend_residual_fused<K: ResidualKeys + ?Sized>(
     }
     let (tokens, dim) = (rows.tokens(), rows.dim());
     let window = res_k.window();
-    let stored = window.map_or(0, KeyWindow::sealed_groups);
+    let sealed = window.map_or(&[][..], KeyWindow::panels);
     SCRATCH.with_borrow_mut(|scratch| {
         let KernelScratch {
             q_eff,
@@ -659,7 +659,8 @@ pub fn attend_residual_fused<K: ResidualKeys + ?Sized>(
         q_eff.clear();
         push_effective_queries(q, dim, scale, engine, scores, q_eff);
         let panel_len = dim * PANEL_TOKENS;
-        let rest = &rows.as_slice()[stored * panel_len..];
+        // A sealed group's panel holds as many values as its rows.
+        let rest = &rows.as_slice()[sealed.len()..];
         panels.resize(rest.len().div_ceil(panel_len) * panel_len, 0.0);
         let round = window.is_none() && engine == MatmulEngine::Mma;
         for (group, panel) in rest
@@ -670,11 +671,8 @@ pub fn attend_residual_fused<K: ResidualKeys + ?Sized>(
         }
         scores.clear();
         scores.resize(q_eff.len() / dim * tokens, 0.0);
-        for group in 0..tokens.div_ceil(PANEL_TOKENS) {
-            let panel = match window {
-                Some(w) if group < stored => w.panel(group),
-                _ => &panels[(group - stored) * panel_len..][..panel_len],
-            };
+        let groups = (sealed.chunks_exact(panel_len)).chain(panels.chunks_exact(panel_len));
+        for (group, panel) in groups.enumerate() {
             let lanes = group * PANEL_TOKENS..tokens.min((group + 1) * PANEL_TOKENS);
             for (q_row, s_row) in q_eff.chunks_exact(dim).zip(scores.chunks_exact_mut(tokens)) {
                 score_panel(q_row, panel, &mut s_row[lanes.clone()]);
@@ -983,7 +981,7 @@ mod tests {
         attend_residual_fused(&q, &empty, &empty, 0.25, MatmulEngine::Mma, &mut state);
         attend_residual_fused(
             &q,
-            &KeyWindow::new(16),
+            &KeyWindow::new(16, 128),
             &empty,
             0.25,
             MatmulEngine::Mma,
@@ -1012,10 +1010,10 @@ mod tests {
     fn built_slots_never_change_a_bit() {
         // The window entry against the TokenMatrix entry over the same
         // FP16-exact rows — and, on mma, over the unrounded rows they were
-        // pushed from — for every window length below KC-4's Nr, with no,
-        // every other or every whole group's panel built beforehand, and 8
+        // pushed from — for every window length below KC-4's Nr, every
+        // whole group's panel written by the push that sealed it, and 8
         // query blocks reading one window at once on launches of 1, 2, 3
-        // and 8 threads (so threads race to fill one slot).
+        // and 8 threads.
         let nr = PackLayout::sm80_default().residual_block(bd_lowbit::BitWidth::B4);
         let dim = 24;
         let raw_k = TokenMatrix::from_fn(nr, dim, |t, c| ((t * dim + c) as f32 * 0.37).sin() * 2.0);
@@ -1037,26 +1035,19 @@ mod tests {
                         assert_eq!(&residual_bits(q, &raw, &v, engine), want, "len {len}");
                     }
                 }
-                // Groups built beforehand: none, every other, all.
-                for every in [0, 2, 1] {
-                    for width in [1, 2, 3, 8] {
-                        let window = KeyWindow::from_rows(&raw);
-                        if every > 0 {
-                            for group in (0..window.sealed_groups()).step_by(every) {
-                                window.panel(group);
-                            }
-                        }
-                        let got = bd_kvcache::launch(queries.len(), width, |i| {
-                            residual_bits(&queries[i], &window, &v, engine)
-                        });
-                        for (i, (got, want)) in got.into_iter().zip(&want).enumerate() {
-                            assert_eq!(
-                                got.as_ref(),
-                                Some(want),
-                                "{engine:?} len {len} every {every} width {width} query {i}"
-                            );
-                        }
-                        assert!(window.panels_match_rows());
+                let window = KeyWindow::from_rows(&raw);
+                assert_eq!(window.sealed_groups(), len / PANEL_TOKENS);
+                assert!(window.panels_match_rows());
+                for width in [1, 2, 3, 8] {
+                    let got = bd_kvcache::launch(queries.len(), width, |i| {
+                        residual_bits(&queries[i], &window, &v, engine)
+                    });
+                    for (i, (got, want)) in got.into_iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            got.as_ref(),
+                            Some(want),
+                            "{engine:?} len {len} width {width} query {i}"
+                        );
                     }
                 }
             }

@@ -16,8 +16,8 @@
 //! [head-sharded multi-device store](crate::sharded) for tensor-parallel
 //! serving (its all-device admissions share one preflight-then-apply
 //! transaction). Each stored residual K window is a
-//! [`KeyWindow`]: FP16 rows plus write-once Kᵀ panels the residual kernel
-//! reads in the MMA's layout. Prompt admission's bulk passes and the serve layer's
+//! [`KeyWindow`]: FP16 rows plus the Kᵀ panels the residual kernel reads
+//! in the MMA's layout, written by the push that seals each group. Prompt admission's bulk passes and the serve layer's
 //! decode step run on one [scoped launch](mod@crate::launch).
 //!
 //! The cache is a *container*: how values are physically packed is decided

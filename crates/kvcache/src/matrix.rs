@@ -48,12 +48,6 @@ impl TokenMatrix {
         }
     }
 
-    /// Reserves room for at least `tokens` more rows, growing the way a
-    /// push would.
-    pub fn reserve(&mut self, tokens: usize) {
-        self.data.reserve(tokens * self.dim);
-    }
-
     /// A zero-filled `tokens × dim` matrix.
     pub fn zeros(tokens: usize, dim: usize) -> Self {
         TokenMatrix {
@@ -186,6 +180,18 @@ impl TokenMatrix {
     /// Removes all tokens, keeping the width and capacity.
     pub fn clear(&mut self) {
         self.data.clear();
+    }
+
+    /// The matrix without the capacity past its rows.
+    pub(crate) fn shrunk(mut self) -> TokenMatrix {
+        self.data.shrink_to_fit();
+        self
+    }
+
+    /// The backing buffer as `(data pointer, capacity)`.
+    #[cfg(test)]
+    pub(crate) fn storage(&self) -> (*const f32, usize) {
+        (self.data.as_ptr(), self.data.capacity())
     }
 
     /// Reshapes to `tokens × dim`, reusing the backing allocation.

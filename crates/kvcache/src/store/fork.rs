@@ -4,9 +4,7 @@
 //! reads the blocks it holds.
 
 use super::{PagedKvStore, SeqKv, StoreError};
-use crate::matrix::TokenMatrix;
 use crate::paged::{PageId, SeqId};
-use crate::window::KeyWindow;
 
 impl PagedKvStore {
     /// `true` when [`PagedKvStore::fork`] at `at_token` would succeed on
@@ -108,13 +106,11 @@ impl PagedKvStore {
         }
         // Deep-copy the shared prefix of the parent's residual window (the
         // rows of tokens `at_token - at_token % Nr .. at_token`).
-        let res = at_token % nr;
-        let copy_prefix =
-            |m: &TokenMatrix| TokenMatrix::from_fn(res, self.config.dim, |t, c| m.row(t)[c]);
-        let residual_k: Vec<KeyWindow> = (state.residual_k.iter())
-            .map(|w| KeyWindow::from_rounded(copy_prefix(w.rows())))
-            .collect();
-        let residual_v: Vec<TokenMatrix> = state.residual_v.iter().map(copy_prefix).collect();
+        let prefix = at_token % nr * self.config.dim;
+        let kv = SeqKv::new(at_token, false, self.window_shape(), |head| {
+            let (k, v) = (&state.residual_k[head], &state.residual_v[head]);
+            (&k.rows().as_slice()[..prefix], &v.as_slice()[..prefix])
+        });
         let shared_slots = at_token.div_ceil(self.pool.page_tokens());
         let Some(parent_table) = self.pool.table(parent) else {
             unreachable!("resident sequence");
@@ -134,15 +130,7 @@ impl PagedKvStore {
             .pool
             .adopt(&slots, fork_reserve)
             .map_err(StoreError::Oom)?;
-        self.seqs.insert(
-            child,
-            SeqKv {
-                len: at_token,
-                residual_k,
-                residual_v,
-                sealed: false,
-            },
-        );
+        self.seqs.insert(child, kv);
         Ok(child)
     }
 

@@ -240,10 +240,39 @@ pub(crate) fn check_prompt<K: Borrow<TokenMatrix>>(
 struct SeqKv {
     /// Logical tokens (packed + residual).
     len: usize,
-    /// Per head, the K window with its write-once Kᵀ panels.
+    /// Per head, the K window with its sealed groups' Kᵀ panels.
     residual_k: Vec<KeyWindow>,
     residual_v: Vec<TokenMatrix>,
     sealed: bool,
+}
+
+impl SeqKv {
+    /// A sequence at `len` tokens whose windows hold, per head, the
+    /// FP16-exact flat `(k, v)` rows `rows(head)` returns, every window
+    /// with all of its storage for `nr` rows from here on.
+    fn new<'a>(
+        len: usize,
+        sealed: bool,
+        (heads, dim, nr): (usize, usize, usize),
+        rows: impl Fn(usize) -> (&'a [f32], &'a [f32]),
+    ) -> Self {
+        let (residual_k, residual_v) = (0..heads)
+            .map(|head| {
+                let (k, v) = rows(head);
+                let mut window_v = TokenMatrix::with_capacity(nr, dim);
+                for row in v.chunks_exact(dim) {
+                    window_v.push_row(row);
+                }
+                (KeyWindow::from_rounded(k, dim, nr), window_v)
+            })
+            .unzip();
+        SeqKv {
+            len,
+            residual_k,
+            residual_v,
+            sealed,
+        }
+    }
 }
 
 /// One physical page frame: the packed blocks homed on this page, per KV
@@ -502,12 +531,13 @@ impl PagedKvStore {
 
     /// The state of a sequence that holds no tokens yet.
     fn empty_seq(&self) -> SeqKv {
-        SeqKv {
-            len: 0,
-            residual_k: vec![KeyWindow::new(self.config.dim); self.heads],
-            residual_v: vec![TokenMatrix::new(self.config.dim); self.heads],
-            sealed: false,
-        }
+        SeqKv::new(0, false, self.window_shape(), |_| (&[], &[]))
+    }
+
+    /// `(heads, dim, Nr)`: how many residual windows a sequence has, their
+    /// width and their bound.
+    fn window_shape(&self) -> (usize, usize, usize) {
+        (self.heads, self.config.dim, self.residual_block())
     }
 
     /// Marks a sequence finished: no further tokens may be appended. Its
@@ -561,8 +591,8 @@ impl PagedKvStore {
     }
 
     /// [`PagedKvStore::residual`] with the K side as its [`KeyWindow`]: the
-    /// same rows plus the write-once Kᵀ panels of its whole 16-token
-    /// groups, which the residual kernel reads (and fills) in place.
+    /// same rows plus the Kᵀ panels of its whole 16-token groups, which the
+    /// residual kernel reads in place.
     ///
     /// # Panics
     ///
@@ -660,19 +690,21 @@ impl PagedKvStore {
             self.reclaim_flush_target(seq, new_len - nr);
         }
 
-        let dim = self.config.dim;
         let scheme = self.config.scheme;
         let Some(state) = self.seqs.get_mut(&seq) else {
             unreachable!("checked above");
         };
         let mut flushed = false;
         for head in 0..self.heads {
-            state.residual_k[head].push(k_rows[head].as_ref());
-            push_rounded(&mut state.residual_v[head], v_rows[head].as_ref());
-            if state.residual_k[head].tokens() == nr {
-                let k_block = state.residual_k[head].take_rows();
-                let v_block = std::mem::replace(&mut state.residual_v[head], TokenMatrix::new(dim));
-                let packed = codec.encode(&k_block, &v_block, scheme);
+            let (k, v) = (&mut state.residual_k[head], &mut state.residual_v[head]);
+            k.push(k_rows[head].as_ref());
+            push_rounded(v, v_rows[head].as_ref());
+            if k.tokens() == nr {
+                // Encode straight from the windows, then empty them: they
+                // keep their storage for the next block.
+                let packed = codec.encode(k.rows(), v, scheme);
+                k.clear();
+                v.clear();
                 let start = new_len - nr;
                 let (page, _) = self.pool.translate(seq, start);
                 self.frames[page.0 as usize][head].push(packed);

@@ -14,7 +14,8 @@
 //!
 //! [`LaunchSeq::append_in_window`] does to the windows exactly what
 //! [`ShardedKvStore::append_step`] does — the same FP16 rounding, the same
-//! panel slots — and refuses, changing nothing, every append that would
+//! panel written by a sealing push, into storage the window has had since
+//! its creation — and refuses, changing nothing, every append that would
 //! flush, grow, or fail one of `append_step`'s checks; the caller sends
 //! those through `append_step` once the borrows end. A history that mixes
 //! the two is therefore bitwise identical to one of `append_step` alone.
@@ -55,10 +56,9 @@ pub struct LaunchSeq<'a> {
 impl ShardedKvStore {
     /// Splits the store for one decode launch over `seqs`: every device's
     /// pages, shared, and — in the order listed — one [`LaunchSeq`] per
-    /// sequence holding its residual windows on every device, each window
-    /// already grown — the way the push would grow it, no stored byte
-    /// changes — for the row [`LaunchSeq::append_in_window`] may push, so
-    /// the launch's threads allocate nothing in a window.
+    /// sequence holding its residual windows on every device. A window
+    /// has all of its storage from its creation, so the launch's threads
+    /// allocate nothing in one.
     ///
     /// The launch's threads read pages and windows; the thread finishing a
     /// sequence appends its next token in place while the others still
@@ -92,13 +92,6 @@ impl ShardedKvStore {
             let mut listed = order.iter().copied().peekable();
             for (&id, kv) in &mut store.seqs {
                 if let Some(i) = listed.next_if(|&i| seqs[i] == id) {
-                    // Grow each window for its next row here, on the
-                    // calling thread, as the append would: the launch's
-                    // append then allocates nothing.
-                    for (k, v) in kv.residual_k.iter_mut().zip(&mut kv.residual_v) {
-                        k.reserve_row();
-                        v.reserve(1);
-                    }
                     let s = &mut launch_seqs[i];
                     s.reserved = s.reserved.min(store.pool.seq_len(id).unwrap_or(0));
                     s.devices.push(kv);
@@ -239,13 +232,20 @@ mod tests {
             })
     }
 
+    /// Every window buffer of `seq` on every device.
+    fn storage(s: &ShardedKvStore, seq: SeqId) -> Vec<[(*const f32, usize); 3]> {
+        (0..s.devices())
+            .flat_map(|d| crate::store::tests::window_storage(s.device(DeviceId(d as u32)), seq))
+            .collect()
+    }
+
     #[test]
     fn in_window_appends_match_append_step_bitwise() {
         // A parent and a child forked off it at the first block boundary,
         // both appended past a flush into the shared page (a CoW break):
         // one store only through `append_step`, its twin through
-        // `append_in_window` wherever that takes the append, with every
-        // panel built before each append, as the launch's readers do.
+        // `append_in_window` wherever that takes the append. The twin's
+        // windows never move.
         let codec = ReferenceCodec;
         for devices in [1, 2, 3] {
             for part in [Partitioning::HeadModulo, Partitioning::HeadContiguous] {
@@ -263,6 +263,7 @@ mod tests {
                 }
                 let mut lens = [nr + 8, nr];
                 let mut taken = 0;
+                let buffers: Vec<_> = seqs.iter().map(|&seq| storage(&split, seq)).collect();
                 for t in 0..(nr + 4) {
                     let outs: Vec<_> = (0..2)
                         .map(|i| (rows(t, 2 * i + 2), rows(t, 2 * i + 3)))
@@ -273,15 +274,6 @@ mod tests {
                     let mut refused = Vec::new();
                     let (pages, mut launch) = split.split_for_launch(&seqs);
                     for (i, (l, (k, v))) in launch.iter_mut().zip(&outs).enumerate() {
-                        for d in 0..devices {
-                            let dev = DeviceId(d as u32);
-                            for local in 0..pages.placement().heads_on(dev) {
-                                let (window, _) = l.residual_window(dev, local);
-                                for g in 0..window.sealed_groups() {
-                                    window.panel(g);
-                                }
-                            }
-                        }
                         let took = l.append_in_window(k, v);
                         assert_eq!(took, !(lens[i] + 1).is_multiple_of(nr), "t={t} seq {i}");
                         if took {
@@ -297,8 +289,9 @@ mod tests {
                             .append_step(seqs[i], &outs[i].0, &outs[i].1, &codec)
                             .unwrap();
                     }
-                    for &seq in &seqs {
+                    for (&seq, buffers) in seqs.iter().zip(&buffers) {
                         assert!(same(&plain, &split, seq), "devices={devices} {part} t={t}");
+                        assert_eq!(&storage(&split, seq), buffers, "t={t}");
                     }
                 }
                 assert_eq!(taken, 2 * (nr + 4) - 2);

@@ -8,7 +8,6 @@ use crate::cache::CacheError;
 use crate::fold::{Mix, WordFold};
 use crate::matrix::TokenMatrix;
 use crate::paged::{PageId, SeqId};
-use crate::window::KeyWindow;
 
 /// A sequence swapped out of the page arena into host memory: the packed
 /// blocks of every head in logical order plus the FP16 residual window,
@@ -284,12 +283,15 @@ impl PagedKvStore {
             reserved_tokens,
             sealed: state.sealed,
             blocks,
-            residual_k: state
-                .residual_k
-                .into_iter()
-                .map(KeyWindow::into_rows)
+            // The rows at their length: a blob carries no window storage.
+            residual_k: (state.residual_k.into_iter())
+                .map(|w| w.into_rows().shrunk())
                 .collect(),
-            residual_v: state.residual_v,
+            residual_v: state
+                .residual_v
+                .into_iter()
+                .map(TokenMatrix::shrunk)
+                .collect(),
             reshare,
             checksum: 0,
         };
@@ -370,17 +372,13 @@ impl PagedKvStore {
                 self.frames[page.0 as usize][head].push(block.clone());
             }
         }
-        self.seqs.insert(
-            seq,
-            SeqKv {
-                len: blob.len,
-                residual_k: (blob.residual_k.iter().cloned())
-                    .map(KeyWindow::from_rounded)
-                    .collect(),
-                residual_v: blob.residual_v.clone(),
-                sealed: blob.sealed,
-            },
-        );
+        let state = SeqKv::new(blob.len, blob.sealed, self.window_shape(), |head| {
+            (
+                blob.residual_k[head].as_slice(),
+                blob.residual_v[head].as_slice(),
+            )
+        });
+        self.seqs.insert(seq, state);
         // Registration looks every run up by key again: a walked run whose
         // pages lost to a still-resident reshare slot is not protected from
         // the reclaim above. With the cache off there are no keys and

@@ -1588,10 +1588,10 @@ fn mid_page_fork_boundary_splits_the_group_at_the_last_shared_block() {
     assert_eq!(store.shared_block_run(&[parent, child]), 2);
 }
 
-// ── The residual K window's panel slots (`crate::window`) ────────────────────
+// ── The residual windows' panels and storage (`crate::window`) ──────────────
 
-/// Every head of `seq` holds one slot per whole 16-token group, and every
-/// built slot is its group's transposed rows.
+/// Every head of `seq` holds the panel of every whole 16-token group, each
+/// its group's transposed rows.
 fn assert_slots(store: &PagedKvStore, seq: SeqId, what: &str) {
     for head in 0..store.heads() {
         let (window, _) = store.residual_window(seq, head);
@@ -1604,83 +1604,130 @@ fn assert_slots(store: &PagedKvStore, seq: SeqId, what: &str) {
     }
 }
 
-/// Reads — and so builds — every panel of `seq`, as a decode step does.
-fn read_panels(store: &PagedKvStore, seq: SeqId) {
-    for head in 0..store.heads() {
-        let (window, _) = store.residual_window(seq, head);
-        for group in 0..window.sealed_groups() {
-            window.panel(group);
-        }
-    }
-}
-
-/// Panels of `seq` built so far, over every head.
-fn built_panels(store: &PagedKvStore, seq: SeqId) -> usize {
-    (0..store.heads())
-        .map(|head| {
-            let (window, _) = store.residual_window(seq, head);
-            (0..window.sealed_groups())
-                .filter(|&g| window.built_panel(g).is_some())
-                .count()
-        })
-        .sum()
-}
-
 #[test]
 fn panel_slots_follow_the_rows_through_every_store_operation() {
     // dim 24 (a short last k-tile), Nr = 128, 32-token pages, 2 heads.
     let mut store = PagedKvStore::new(cfg(24), 2, 128, 32);
     store.set_prefix_cache(true);
     let seq = store.admit(0).unwrap();
-    // Appends up to and past a flush, every slot read between appends:
-    // a sealing append opens an empty slot, the flush drops them all.
+    // Appends up to and past a flush: a sealing append writes its group's
+    // panel, the flush drops them all.
     for t in 0..128 + 50 {
         append_n(&mut store, seq, 1, 0, t);
         assert_slots(&store, seq, &format!("append {t}"));
-        read_panels(&store, seq);
-        assert_slots(&store, seq, &format!("read after append {t}"));
     }
     assert_eq!(store.residual_len(seq), 50);
-    assert_eq!(built_panels(&store, seq), 2 * 3);
 
     // A mid-window fork (2 whole groups + 5 rows of the window): the child
-    // starts with empty slots, the parent keeps its built ones.
+    // starts with both groups' panels, the parent keeps its own.
     let child = store.fork(seq, 128 + 37, 512).unwrap();
     assert_eq!(store.residual_len(child), 37);
     assert_slots(&store, child, "fork");
-    assert_eq!(built_panels(&store, child), 0);
-    assert_eq!(built_panels(&store, seq), 2 * 3);
+    assert_slots(&store, seq, "fork parent");
     append_n(&mut store, child, 20, 9, 128 + 37);
-    read_panels(&store, child);
     assert_slots(&store, child, "child appends");
 
-    // A swap round trip restores the rows with empty slots.
+    // A swap round trip restores the rows and writes every panel again.
     let (k_before, _) = store.residual(seq, 1);
     let k_before = k_before.clone();
     let blob = store.swap_out(seq).unwrap();
     let back = store.swap_in(&blob).unwrap();
     assert_slots(&store, back, "swap in");
-    assert_eq!(built_panels(&store, back), 0);
     assert_eq!(store.residual(back, 1).0, &k_before);
-    read_panels(&store, back);
-    assert_slots(&store, back, "read after swap in");
 
     // Prefix adoption installs the residual rows past the adopted run the
-    // way a cold prefill does: slots open, none built.
+    // way a cold prefill does, panels included.
     let (k, v) = prompt(2, 24, 128 + 40, 3);
     let (cold, _) = store
         .admit_prefill_cached(&k, &v, 256, &ReferenceCodec)
         .unwrap();
-    read_panels(&store, cold);
+    assert_slots(&store, cold, "cold prefill");
     let (hit, admit) = store
         .admit_prefill_cached(&k, &v, 256, &ReferenceCodec)
         .unwrap();
     assert!(admit.pages_reused > 0, "the second prompt adopts the run");
     assert_slots(&store, hit, "adoption");
-    assert_eq!(built_panels(&store, hit), 0);
     assert_eq!(store.residual(hit, 0), store.residual(cold, 0));
-    read_panels(&store, hit);
-    assert_slots(&store, hit, "read after adoption");
+}
+
+/// Per head of `seq`, its K rows', panels' and V rows' buffers as
+/// `(data pointer, capacity)`.
+pub(super) fn window_storage(store: &PagedKvStore, seq: SeqId) -> Vec<[(*const f32, usize); 3]> {
+    let kv = &store.seqs[&seq];
+    (kv.residual_k.iter().zip(&kv.residual_v))
+        .map(|(k, v)| {
+            let [rows, panels] = k.storage();
+            [rows, panels, v.storage()]
+        })
+        .collect()
+}
+
+/// The capacities of [`window_storage`].
+fn capacities(storage: &[[(*const f32, usize); 3]]) -> Vec<[usize; 3]> {
+    storage.iter().map(|b| b.map(|(_, cap)| cap)).collect()
+}
+
+#[test]
+fn window_storage_never_moves() {
+    // For Nr 32 and 128 and dims 24 and 64: a window's K rows, panels and
+    // V rows keep their buffers from admission through every append, every
+    // seal and two flushes, and a fork child, a swap-in and a radix
+    // adoption start with the same capacities.
+    for warps_n in [1, 4] {
+        for dim in [24, 64] {
+            let layout = PackLayout {
+                warps_n,
+                ..PackLayout::sm80_default()
+            };
+            let mut store =
+                PagedKvStore::new(CacheConfig::new(dim, QuantScheme::kc4(), layout), 2, 64, 32);
+            store.set_prefix_cache(true);
+            let nr = store.residual_block();
+            let what = format!("Nr {nr} dim {dim}");
+            let seq = store.admit(0).unwrap();
+            let storage = window_storage(&store, seq);
+            for [rows, panels, v] in capacities(&storage) {
+                assert!(rows >= nr * dim && v >= nr * dim, "{what}");
+                assert!(panels >= (nr - 1) / PANEL_TOKENS * dim * PANEL_TOKENS);
+            }
+            for t in 0..2 * nr + nr / 2 {
+                append_n(&mut store, seq, 1, 0, t);
+                assert_eq!(window_storage(&store, seq), storage, "{what}: append {t}");
+            }
+            let child = store.fork(seq, 2 * nr + 5, 4 * nr).unwrap();
+            let blob = store.swap_out(seq).unwrap();
+            let back = store.swap_in(&blob).unwrap();
+            let (k, v) = prompt(2, dim, nr + nr / 2, 7);
+            let (cold, _) = store
+                .admit_prefill_cached(&k, &v, 2 * nr, &ReferenceCodec)
+                .unwrap();
+            let (hit, admit) = store
+                .admit_prefill_cached(&k, &v, 2 * nr, &ReferenceCodec)
+                .unwrap();
+            assert!(admit.pages_reused > 0, "{what}: the second prompt adopts");
+            for seq in [child, back, cold, hit] {
+                let got = capacities(&window_storage(&store, seq));
+                assert_eq!(got, capacities(&storage), "{what}: {seq:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_swap_blob_holds_window_rows_at_their_length() {
+    // A flushed block and a half-full window: the blob keeps the rows,
+    // not the window's storage.
+    let mut store = PagedKvStore::new(cfg(24), 2, 16, 32);
+    let seq = store.admit(0).unwrap();
+    append_n(&mut store, seq, 128 + 64, 0, 0);
+    let mut blob = store.swap_out(seq).unwrap();
+    for side in 0..2 {
+        for head in 0..2 {
+            let rows = residual_window(&mut blob, side, head);
+            assert_eq!(rows.tokens(), 64);
+            assert_eq!(rows.storage().1, 64 * 24, "side {side} head {head}");
+        }
+    }
 }
 
 // ── The fold contract: packed leaves, swap checksums, source leaves ──────────

@@ -1,24 +1,33 @@
-//! The residual K window in the MMA's layout: FP16 rows plus write-once
-//! Kᵀ panels.
+//! The residual K window in the MMA's layout: FP16 rows plus the Kᵀ
+//! panels of their whole groups, in storage fixed at creation.
 //!
 //! A [`KeyWindow`] holds a head's residual K rows token-major — the record
 //! every comparison, checksum and flush reads — and, beside them, one
-//! **panel slot** per whole [`PANEL_TOKENS`]-token group of rows. A slot
-//! holds that group as a `dim × 16` channel-major tile, the `ldmatrix`
-//! shape of the `Q·Kᵀ` B operand, so the residual kernel scores a sealed
-//! group with its 16 tokens on the lanes and no per-step transpose.
+//! **panel** per whole [`PANEL_TOKENS`]-token group of rows, back to back
+//! in one buffer. A panel holds its group as a `dim × 16` channel-major
+//! tile, the `ldmatrix` shape of the `Q·Kᵀ` B operand, so the residual
+//! kernel scores a sealed group with its 16 tokens on the lanes and no
+//! per-step transpose.
 //!
-//! # Slot invariant
+//! # Storage
 //!
-//! - There is exactly one slot per whole group: `rows / 16` of them.
-//! - A slot is filled at most once, by the first reader of its group
-//!   ([`KeyWindow::panel`], through a shared reference — on the decode
-//!   launch's threads, never during admission or by an append), and
-//!   then equals the transposed rows of its group bit for bit.
-//! - Only `&mut` methods clear or resize slots: a push that seals a group
-//!   opens an empty slot, a flush or a rebuild from rows starts empty.
-//! - Slots are a cache. They are not counted in `head_bytes`, pages or
-//!   swap bytes, and no equality, checksum or swap blob reads them.
+//! A window is created with all of its storage for its bound — `Nr` rows
+//! in a store, where the row that reaches `Nr` flushes the window: room
+//! for `Nr` rows and for the panels of the ⌊(`Nr` − 1)/16⌋ groups that can
+//! seal before that. No push, seal or flush allocates: a flush encodes
+//! straight from the rows and then clears the window, keeping its
+//! storage.
+//!
+//! # Panel invariant
+//!
+//! - The push that seals a group writes that group's panel into the
+//!   window's one buffer, so every whole group below the bound has its
+//!   panel, equal to its transposed rows bit for bit. Every sealing push
+//!   holds `&mut`; readers see plain slices.
+//! - A group completed by the row that reaches the bound gets no panel:
+//!   that row flushes the window.
+//! - Panels are derived data. They are not counted in `head_bytes`, pages
+//!   or swap bytes, and no equality, checksum or swap blob reads them.
 //!
 //! Every row a window gains is rounded through FP16 (the KV projection's
 //! output precision) on the way in, so a window's rows — and hence its
@@ -28,71 +37,85 @@
 use crate::cache::push_rounded;
 use crate::matrix::TokenMatrix;
 use bd_lowbit::f16::round_through_f16_in_place;
-use std::sync::OnceLock;
 
 /// Tokens per Kᵀ panel: the MMA's N extent, the lanes the residual kernel
 /// scores side by side.
 pub const PANEL_TOKENS: usize = 16;
 
-/// A residual K window: FP16-exact token-major rows plus one write-once
-/// Kᵀ panel slot per whole [`PANEL_TOKENS`]-token group — see the
-/// [module docs](self) for the slot invariant.
-#[derive(Clone, Debug, Default)]
+/// A residual K window: FP16-exact token-major rows plus the Kᵀ panel of
+/// every whole [`PANEL_TOKENS`]-token group, in storage fixed at creation
+/// — see the [module docs](self) for the panel invariant.
+#[derive(Clone, Debug)]
 pub struct KeyWindow {
     rows: TokenMatrix,
-    panels: Vec<OnceLock<Box<[f32]>>>,
+    /// The whole groups' panels, back to back.
+    panels: Vec<f32>,
+    /// The most rows the window holds; the row that reaches it flushes.
+    bound: usize,
 }
 
 impl KeyWindow {
-    /// An empty window of `dim`-channel rows.
-    pub fn new(dim: usize) -> Self {
+    /// An empty window of `dim`-channel rows with all of its storage for
+    /// `bound` rows.
+    pub fn new(dim: usize, bound: usize) -> Self {
+        let groups = bound.saturating_sub(1) / PANEL_TOKENS;
         KeyWindow {
-            rows: TokenMatrix::new(dim),
-            panels: Vec::new(),
+            rows: TokenMatrix::with_capacity(bound, dim),
+            panels: Vec::with_capacity(groups * dim * PANEL_TOKENS),
+            bound,
         }
     }
 
-    /// A window holding `rows`, each rounded through FP16, no slot filled.
+    /// A window holding `rows`, each rounded through FP16, with room for
+    /// one more and every whole group's panel written.
     pub fn from_rows(rows: &TokenMatrix) -> Self {
-        let mut window = KeyWindow::new(rows.dim());
+        let mut window = KeyWindow::new(rows.dim(), rows.tokens() + 1);
         for row in rows {
             window.push(row);
         }
         window
     }
 
-    /// A window over rows that are already FP16-exact (a flushed window's
-    /// copy, a swap blob's rows), no slot filled.
-    pub(crate) fn from_rounded(rows: TokenMatrix) -> Self {
-        let panels = vec![OnceLock::new(); rows.tokens() / PANEL_TOKENS];
-        KeyWindow { rows, panels }
+    /// A window of bound `bound` over `rows`, flat `dim`-channel rows that
+    /// are already FP16-exact (a fork's shared rows, a swap blob's), every
+    /// whole group's panel written.
+    pub(crate) fn from_rounded(rows: &[f32], dim: usize, bound: usize) -> Self {
+        let mut window = KeyWindow::new(dim, bound);
+        for row in rows.chunks_exact(dim) {
+            window.rows.push_row(row);
+            window.seal_if_whole();
+        }
+        window
     }
 
     /// Appends one row rounded through FP16; a row that completes a group
-    /// opens that group's (empty) slot.
+    /// below the bound writes that group's panel.
     ///
     /// # Panics
     ///
     /// Panics on a row-width mismatch.
     pub(crate) fn push(&mut self, row: &[f32]) {
         push_rounded(&mut self.rows, row);
-        if self.rows.tokens().is_multiple_of(PANEL_TOKENS) {
-            self.panels.push(OnceLock::new());
+        self.seal_if_whole();
+    }
+
+    /// Writes the last group's panel if the last row completed it below
+    /// the bound.
+    fn seal_if_whole(&mut self) {
+        let (tokens, dim) = (self.rows.tokens(), self.rows.dim());
+        if tokens.is_multiple_of(PANEL_TOKENS) && tokens < self.bound {
+            let len = dim * PANEL_TOKENS;
+            let at = self.panels.len();
+            self.panels.resize(at + len, 0.0);
+            let group = &self.rows.as_slice()[tokens * dim - len..];
+            write_panel(group, dim, false, &mut self.panels[at..]);
         }
     }
 
-    /// Reserves room for one more row and the slot it may open, growing
-    /// the way [`KeyWindow::push`] would, so that push allocates nothing.
-    pub(crate) fn reserve_row(&mut self) {
-        self.rows.reserve(1);
-        self.panels.reserve(1);
-    }
-
-    /// Empties the window and returns its rows (a flush), keeping the width.
-    pub(crate) fn take_rows(&mut self) -> TokenMatrix {
+    /// Empties the window after a flush, keeping its width and storage.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
         self.panels.clear();
-        let dim = self.rows.dim();
-        std::mem::replace(&mut self.rows, TokenMatrix::new(dim))
     }
 
     /// The window's rows, token-major — the record.
@@ -110,54 +133,46 @@ impl KeyWindow {
         self.rows.tokens()
     }
 
-    /// Whole groups, i.e. panel slots.
+    /// Whole groups that have their panels.
     pub fn sealed_groups(&self) -> usize {
-        self.panels.len()
+        (self.panels.len())
+            .checked_div(self.rows.dim() * PANEL_TOKENS)
+            .unwrap_or(0)
     }
 
-    /// The Kᵀ panel of whole group `group`, built by the first reader —
-    /// `panel[c * PANEL_TOKENS + j]` is channel `c` of the group's token
-    /// `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is not a whole group.
-    pub fn panel(&self, group: usize) -> &[f32] {
-        self.panels[group].get_or_init(|| {
-            let mut panel = vec![0.0; self.rows.dim() * PANEL_TOKENS].into_boxed_slice();
-            write_panel(self.group_rows(group), self.rows.dim(), false, &mut panel);
-            panel
-        })
+    /// The sealed groups' Kᵀ panels, back to back: in group `g`'s panel
+    /// `panels()[(g * dim + c) * PANEL_TOKENS + j]` is channel `c` of the
+    /// group's token `j`.
+    pub fn panels(&self) -> &[f32] {
+        &self.panels
     }
 
-    /// The panel of whole group `group` if a reader has built it.
-    pub fn built_panel(&self, group: usize) -> Option<&[f32]> {
-        self.panels
-            .get(group)
-            .and_then(|slot| slot.get().map(|p| &**p))
-    }
-
-    /// Checks the slot invariant: one slot per whole group, and every
-    /// built slot equal, bit for bit, to its group's transposed rows.
+    /// Checks the panel invariant: one panel per whole group below the
+    /// bound, each equal, bit for bit, to its group's transposed rows.
     pub fn panels_match_rows(&self) -> bool {
-        let mut want = vec![0.0; self.rows.dim() * PANEL_TOKENS];
-        self.panels.len() == self.tokens() / PANEL_TOKENS
-            && (0..self.panels.len()).all(|g| {
-                self.built_panel(g).is_none_or(|panel| {
-                    write_panel(self.group_rows(g), self.rows.dim(), false, &mut want);
-                    (panel.iter().zip(&want)).all(|(a, b)| a.to_bits() == b.to_bits())
-                })
-            })
+        let dim = self.rows.dim();
+        let whole = self.tokens().min(self.bound.saturating_sub(1)) / PANEL_TOKENS;
+        let mut want = vec![0.0; self.panels.len()];
+        for (group, panel) in (self.rows.as_slice().chunks_exact(dim * PANEL_TOKENS))
+            .zip(want.chunks_exact_mut(dim * PANEL_TOKENS))
+        {
+            write_panel(group, dim, false, panel);
+        }
+        self.sealed_groups() == whole
+            && (self.panels.iter().zip(&want)).all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
-    /// Whole group `group`'s rows, token-major.
-    fn group_rows(&self, group: usize) -> &[f32] {
-        let len = PANEL_TOKENS * self.rows.dim();
-        &self.rows.as_slice()[group * len..(group + 1) * len]
+    /// The rows' and the panels' buffers as `(data pointer, capacity)`.
+    #[cfg(test)]
+    pub(crate) fn storage(&self) -> [(*const f32, usize); 2] {
+        [
+            self.rows.storage(),
+            (self.panels.as_ptr(), self.panels.capacity()),
+        ]
     }
 }
 
-/// Two windows are equal when their rows are: the slots are a cache.
+/// Two windows are equal when their rows are: the panels derive from them.
 impl PartialEq for KeyWindow {
     fn eq(&self, other: &Self) -> bool {
         self.rows == other.rows
@@ -206,33 +221,42 @@ mod tests {
     #[test]
     fn slots_track_whole_groups_and_panels_are_the_transposed_rows() {
         let dim = 24;
-        let mut w = KeyWindow::new(dim);
+        let mut w = KeyWindow::new(dim, 64);
         for (t, row) in rows(50, dim).iter().enumerate() {
             w.push(row);
             assert_eq!(w.sealed_groups(), (t + 1) / PANEL_TOKENS);
+            assert!(w.panels_match_rows());
         }
-        assert!(w.built_panel(0).is_none());
-        let panel = w.panel(1).to_vec();
+        let panel = &w.panels()[dim * PANEL_TOKENS..][..dim * PANEL_TOKENS];
         for c in 0..dim {
             for j in 0..PANEL_TOKENS {
                 assert_eq!(panel[c * PANEL_TOKENS + j], w.rows()[PANEL_TOKENS + j][c]);
             }
         }
-        assert_eq!(w.built_panel(1), Some(&panel[..]));
-        assert!(w.built_panel(0).is_none() && w.panels_match_rows());
-        let taken = w.take_rows();
-        assert_eq!((taken.tokens(), w.tokens(), w.sealed_groups()), (50, 0, 0));
-        assert_eq!(w.rows().dim(), dim);
+        w.clear();
+        assert_eq!((w.tokens(), w.sealed_groups(), w.rows().dim()), (0, 0, dim));
+    }
+
+    #[test]
+    fn the_row_that_reaches_the_bound_seals_nothing() {
+        let dim = 8;
+        let mut w = KeyWindow::new(dim, 32);
+        for row in &rows(32, dim) {
+            w.push(row);
+        }
+        assert_eq!((w.tokens(), w.sealed_groups()), (32, 1));
+        assert!(w.panels_match_rows());
+        assert_eq!(KeyWindow::from_rows(&rows(32, dim)).sealed_groups(), 2);
     }
 
     #[test]
     fn rows_are_fp16_exact_and_equality_ignores_slots() {
         let src = rows(33, 16);
         let a = KeyWindow::from_rows(&src);
-        let b = KeyWindow::from_rounded(a.rows().clone());
-        assert_eq!(b.sealed_groups(), 2);
-        a.panel(0);
-        assert_eq!(a, b);
+        let b = KeyWindow::from_rounded(a.rows().as_slice(), 16, 128);
+        assert_eq!((a.sealed_groups(), b.sealed_groups()), (2, 2));
+        assert_eq!(a.panels(), b.panels());
+        assert_eq!(a, KeyWindow::from_rounded(a.rows().as_slice(), 16, 32));
         let mut again = TokenMatrix::zeros(33, 16);
         bd_lowbit::f16::round_through_f16(a.rows().as_slice(), again.as_mut_slice());
         assert_eq!(&again, a.rows());

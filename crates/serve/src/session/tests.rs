@@ -1265,11 +1265,11 @@ fn losing_every_device_still_serves_on_the_last_one() {
 
 #[test]
 fn panel_slots_match_their_rows_across_a_device_loss() {
-    // Windows cross several 16-token groups while the decode steps build
-    // their panels; device 1 dies mid-run and every sequence is re-admitted
-    // from its prompt into rebuilt stores. After every step, every window
-    // of every active sequence holds one slot per whole group, and every
-    // built slot is its group's transposed rows.
+    // Windows cross several 16-token groups while the decode steps seal
+    // them; device 1 dies mid-run and every sequence is re-admitted from
+    // its prompt into rebuilt stores. After every step, every window of
+    // every active sequence holds the panel of every whole group, each its
+    // group's transposed rows.
     let attn = AttentionConfig::gqa(8, 4, 16);
     let dec = decoder(attn);
     let config = ServeConfig::new(64, 8, 2, 8).with_devices(2, Partitioning::HeadModulo);
@@ -1290,14 +1290,13 @@ fn panel_slots_match_their_rows_across_a_device_loss() {
                 let local = store.placement().local_index(head);
                 let (window, _) = device.residual_window(a.seq, local);
                 assert!(window.panels_match_rows(), "step {}", session.step_index);
-                built += (0..window.sealed_groups())
-                    .filter(|&g| window.built_panel(g).is_some())
-                    .count();
+                assert_eq!(window.sealed_groups(), window.rows().tokens() / 16);
+                built += window.sealed_groups();
             }
         }
     }
     assert_eq!(session.lost_devices(), &[1]);
-    assert!(built > 0, "the decode steps built panels");
+    assert!(built > 0, "the windows sealed groups");
     for (i, id) in ids.iter().enumerate() {
         let mut m = SynthSequence::new(attn, i as u64, 20 + 9 * i, 40);
         assert_eq!(

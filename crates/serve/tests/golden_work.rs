@@ -344,22 +344,22 @@ use Kind::{Admitting, Doubling, Seal, Steady};
 
 #[rustfmt::skip]
 const ROWS: [Row; 16] = [
-    row("long_solo", 0, Admitting, 467, 1571680, 96, [0, 3, 6]),
+    row("long_solo", 0, Admitting, 411, 1655296, 88, [0, 3, 6]),
     row("long_solo", 5, Steady, 124, 16196, 2, [0, 1, 2]),
-    row("long_solo", 8, Seal, 130, 37380, 6, [0, 1, 2]),
-    row("long_solo", 24, Doubling, 140, 295492, 6, [0, 1, 2]),
-    row("short_batch", 0, Admitting, 2469, 5959976, 399, [0, 1, 2]),
+    row("long_solo", 8, Seal, 126, 20996, 2, [0, 1, 2]),
+    row("long_solo", 24, Doubling, 124, 16196, 2, [0, 1, 2]),
+    row("short_batch", 0, Admitting, 1573, 7297832, 271, [0, 1, 2]),
     row("short_batch", 5, Steady, 878, 170496, 2, [0, 1, 2]),
-    row("short_batch", 16, Seal, 959, 444160, 66, [0, 1, 2]),
-    row("short_batch", 32, Doubling, 1151, 4662272, 66, [0, 1, 2]),
-    row("shared_fleet", 0, Admitting, 1199, 4979096, 155, [0, 9, 18]),
+    row("short_batch", 16, Seal, 895, 182016, 2, [0, 1, 2]),
+    row("short_batch", 32, Doubling, 895, 193536, 2, [0, 1, 2]),
+    row("shared_fleet", 0, Admitting, 975, 5313560, 123, [0, 9, 18]),
     row("shared_fleet", 5, Steady, 305, 51560, 2, [0, 1, 2]),
-    row("shared_fleet", 8, Seal, 326, 122088, 18, [0, 1, 2]),
-    row("shared_fleet", 24, Doubling, 369, 1168744, 18, [0, 1, 2]),
-    row("bursty", 0, Admitting, 443, 2037660, 73, [0, 5, 7]),
+    row("shared_fleet", 8, Seal, 310, 56552, 2, [0, 1, 2]),
+    row("shared_fleet", 24, Doubling, 305, 51560, 2, [0, 1, 2]),
+    row("bursty", 0, Admitting, 387, 2514876, 65, [0, 5, 7]),
     row("bursty", 12, Steady, 227, 36676, 2, [0, 1, 3]),
-    row("bursty", 14, Seal, 232, 53124, 6, [0, 1, 3]),
-    row("bursty", 9, Doubling, 248, 595332, 10, [0, 1, 3]),
+    row("bursty", 14, Seal, 228, 36740, 2, [0, 1, 3]),
+    row("bursty", 9, Doubling, 228, 36740, 2, [0, 1, 3]),
 ];
 
 /// Serves every shape at each of its widths and returns the observed
