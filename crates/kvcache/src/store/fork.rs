@@ -3,7 +3,7 @@
 //! only that page, and a frame is cleared or truncated once no sharer
 //! reads the blocks it holds.
 
-use super::{PagedKvStore, SeqKv, StoreError};
+use super::{PagedKvStore, StoreError};
 use crate::paged::{PageId, SeqId};
 
 impl PagedKvStore {
@@ -107,7 +107,7 @@ impl PagedKvStore {
         // Deep-copy the shared prefix of the parent's residual window (the
         // rows of tokens `at_token - at_token % Nr .. at_token`).
         let prefix = at_token % nr * self.config.dim;
-        let kv = SeqKv::new(at_token, false, self.window_shape(), |head| {
+        let kv = self.seq_kv(at_token, false, |head| {
             let (k, v) = (&state.residual_k[head], &state.residual_v[head]);
             (&k.rows().as_slice()[..prefix], &v.as_slice()[..prefix])
         });

@@ -246,35 +246,6 @@ struct SeqKv {
     sealed: bool,
 }
 
-impl SeqKv {
-    /// A sequence at `len` tokens whose windows hold, per head, the
-    /// FP16-exact flat `(k, v)` rows `rows(head)` returns, every window
-    /// with all of its storage for `nr` rows from here on.
-    fn new<'a>(
-        len: usize,
-        sealed: bool,
-        (heads, dim, nr): (usize, usize, usize),
-        rows: impl Fn(usize) -> (&'a [f32], &'a [f32]),
-    ) -> Self {
-        let (residual_k, residual_v) = (0..heads)
-            .map(|head| {
-                let (k, v) = rows(head);
-                let mut window_v = TokenMatrix::with_capacity(nr, dim);
-                for row in v.chunks_exact(dim) {
-                    window_v.push_row(row);
-                }
-                (KeyWindow::from_rounded(k, dim, nr), window_v)
-            })
-            .unzip();
-        SeqKv {
-            len,
-            residual_k,
-            residual_v,
-            sealed,
-        }
-    }
-}
-
 /// One physical page frame: the packed blocks homed on this page, per KV
 /// head, in logical (append) order. A frame only ever holds blocks of the
 /// single sequence that owns the page.
@@ -531,13 +502,35 @@ impl PagedKvStore {
 
     /// The state of a sequence that holds no tokens yet.
     fn empty_seq(&self) -> SeqKv {
-        SeqKv::new(0, false, self.window_shape(), |_| (&[], &[]))
+        self.seq_kv(0, false, |_| (&[], &[]))
     }
 
-    /// `(heads, dim, Nr)`: how many residual windows a sequence has, their
-    /// width and their bound.
-    fn window_shape(&self) -> (usize, usize, usize) {
-        (self.heads, self.config.dim, self.residual_block())
+    /// A sequence's state at `len` tokens whose windows hold, per head,
+    /// the FP16-exact flat `(k, v)` rows `rows(head)` returns: every
+    /// window gets all of its storage for `Nr` rows here, once.
+    fn seq_kv<'a>(
+        &self,
+        len: usize,
+        sealed: bool,
+        rows: impl Fn(usize) -> (&'a [f32], &'a [f32]),
+    ) -> SeqKv {
+        let (dim, nr) = (self.config.dim, self.residual_block());
+        let (residual_k, residual_v) = (0..self.heads)
+            .map(|head| {
+                let (k, v) = rows(head);
+                let mut window_v = TokenMatrix::with_capacity(nr, dim);
+                for row in v.chunks_exact(dim) {
+                    window_v.push_row(row);
+                }
+                (KeyWindow::from_rounded(k, dim, nr), window_v)
+            })
+            .unzip();
+        SeqKv {
+            len,
+            residual_k,
+            residual_v,
+            sealed,
+        }
     }
 
     /// Marks a sequence finished: no further tokens may be appended. Its

@@ -2,7 +2,7 @@
 //! sequence into a host-side [`SwappedSeq`], [`PagedKvStore::swap_in`]
 //! verifies and restores it bitwise.
 
-use super::{PagedKvStore, SeqKv, StoreError};
+use super::{PagedKvStore, StoreError};
 use crate::block::{PackedBlock, PackedPayload};
 use crate::cache::CacheError;
 use crate::fold::{Mix, WordFold};
@@ -372,7 +372,7 @@ impl PagedKvStore {
                 self.frames[page.0 as usize][head].push(block.clone());
             }
         }
-        let state = SeqKv::new(blob.len, blob.sealed, self.window_shape(), |head| {
+        let state = self.seq_kv(blob.len, blob.sealed, |head| {
             (
                 blob.residual_k[head].as_slice(),
                 blob.residual_v[head].as_slice(),

@@ -8,9 +8,8 @@
 //! - the median wall time of a steady step (one that neither admits,
 //!   resumes nor preempts), untraced, best of `runs`;
 //! - the first step's decode time (its `ServeMetrics::wall_s`: the launch
-//!   through the appends, after admission), where every residual window
-//!   first grows past its prompt rows and every Kᵀ panel is first built,
-//!   untraced, best of `runs`;
+//!   through the appends, after admission), the first read of every
+//!   window admission filled, untraced, best of `runs`;
 //! - one traced run's split of a steady step, in µs: the session-lane
 //!   phases (`admission`, `fan_out`, `merge`, `append`, the `step` span's
 //!   own remainder) and, summed over the launch's threads, the model's
