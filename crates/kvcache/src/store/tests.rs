@@ -1715,17 +1715,17 @@ fn window_storage_never_moves() {
 
 #[test]
 fn a_swap_blob_holds_window_rows_at_their_length() {
-    // A flushed block and a half-full window: the blob keeps the rows,
-    // not the window's storage.
+    // A flushed block and a window about half full: the blob keeps the
+    // rows at their length, not the window's storage.
     let mut store = PagedKvStore::new(cfg(24), 2, 16, 32);
     let seq = store.admit(0).unwrap();
-    append_n(&mut store, seq, 128 + 64, 0, 0);
+    append_n(&mut store, seq, 128 + 60, 0, 0);
     let mut blob = store.swap_out(seq).unwrap();
     for side in 0..2 {
         for head in 0..2 {
             let rows = residual_window(&mut blob, side, head);
-            assert_eq!(rows.tokens(), 64);
-            assert_eq!(rows.storage().1, 64 * 24, "side {side} head {head}");
+            assert_eq!(rows.tokens(), 60);
+            assert_eq!(rows.storage().1, 60 * 24, "side {side} head {head}");
         }
     }
 }
