@@ -151,10 +151,11 @@ impl KeyWindow {
     /// bound, each equal, bit for bit, to its group's transposed rows.
     pub fn panels_match_rows(&self) -> bool {
         let dim = self.rows.dim();
+        let len = (dim * PANEL_TOKENS).max(1);
         let whole = self.tokens().min(self.bound.saturating_sub(1)) / PANEL_TOKENS;
         let mut want = vec![0.0; self.panels.len()];
-        for (group, panel) in (self.rows.as_slice().chunks_exact(dim * PANEL_TOKENS))
-            .zip(want.chunks_exact_mut(dim * PANEL_TOKENS))
+        for (group, panel) in
+            (self.rows.as_slice().chunks_exact(len)).zip(want.chunks_exact_mut(len))
         {
             write_panel(group, dim, false, panel);
         }
