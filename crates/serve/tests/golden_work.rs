@@ -28,7 +28,20 @@
 //!   leaves behind;
 //! - `spawned`: threads the step spawned, counted as the threads that
 //!   first touched the allocator during the step (every spawned thread
-//!   frees the boxed closure it runs, so none escapes the count).
+//!   frees the boxed closure it runs, so none escapes the count);
+//! - `walked`: packed bytes the step's units stream — the code words and
+//!   `half2` parameters of every packed block a unit walks, a cascade's
+//!   shared prefix block once;
+//! - `lines`: dequant-LUT lines those walks build, one per `half2` group.
+//!
+//! `walked` and `lines` are read off the store, not off a ledger: a
+//! sequence decoded this step walks the blocks it had before the step (a
+//! flush lands after the walk), and one the step admits or resumes walks
+//! what it has after the step, less the block its append flushed, if any.
+//! Blocks are told apart by address, which is what a cascade dedups by.
+//! Every step checks the result against the step's
+//! [`ServeMetrics::dequant`], the ops the kernels reported: the two must
+//! agree register for register.
 //!
 //! # What depends on the schedule
 //!
@@ -57,10 +70,13 @@
 
 use bd_core::{AttentionConfig, BitDecoder};
 use bd_gpu_sim::GpuArch;
-use bd_kvcache::{Partitioning, QuantScheme, SeqId};
+use bd_kvcache::{PackedBlock, PackedPayload, Partitioning, QuantScheme, SeqId};
+use bd_lowbit::fastpath::{register_ops, FastDequantOps};
+use bd_lowbit::BitWidth;
 use bd_serve::{FcfsPreempt, ServeConfig, ServeMetrics, ServeSession, SynthSequence};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 /// The system allocator with counters that run while [`ARMED`] is set.
@@ -127,6 +143,8 @@ struct Work {
     bytes: u64,
     live: i64,
     spawned: u64,
+    /// The packed walk's `walked` and `lines`, derived after the step.
+    walk: (u64, u64),
 }
 
 /// Runs `f` with the counters armed; the calling thread is not counted as
@@ -145,6 +163,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Work) {
         bytes: BYTES.load(Relaxed),
         live: allocs as i64 - frees as i64,
         spawned: THREADS.load(Relaxed),
+        walk: (0, 0),
     };
     (out, work)
 }
@@ -242,15 +261,134 @@ fn windows(s: &ServeSession) -> Vec<usize> {
         .collect()
 }
 
+/// One packed block as a walk reads it: its address (what tells a shared
+/// block from a copy), its code words and its `half2` groups, K and V.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Packed {
+    at: usize,
+    words: u64,
+    groups: u64,
+}
+
+impl Packed {
+    fn of(block: &PackedBlock) -> Packed {
+        let (mut words, mut groups) = (0, 0);
+        for tensor in [&block.k, &block.v] {
+            let PackedPayload::Int { words: w, params } = &tensor.payload else {
+                panic!("integer payload");
+            };
+            words += w.len() as u64;
+            groups += params.len() as u64;
+        }
+        let at = std::ptr::from_ref(block) as usize;
+        Packed { at, words, groups }
+    }
+}
+
+/// A resident sequence between steps: its length, its residual rows and
+/// each head's packed blocks.
+struct Resident {
+    len: usize,
+    residual: usize,
+    heads: Vec<Vec<Packed>>,
+}
+
+fn residents(s: &ServeSession) -> BTreeMap<SeqId, Resident> {
+    let store = s.store();
+    (0..256)
+        .map(SeqId)
+        .filter_map(|seq| {
+            let len = store.seq_len(seq)?;
+            let heads = (0..store.heads())
+                .map(|head| {
+                    store
+                        .packed_blocks(seq, head)
+                        .into_iter()
+                        .map(Packed::of)
+                        .collect()
+                })
+                .collect();
+            let residual = store.residual_len(seq);
+            Some((
+                seq,
+                Resident {
+                    len,
+                    residual,
+                    heads,
+                },
+            ))
+        })
+        .collect()
+}
+
+/// The packed blocks step `m` walked, from the residents before and after
+/// it (see the module docs), each once.
+fn walked(
+    m: &ServeMetrics,
+    before: &BTreeMap<SeqId, Resident>,
+    after: &BTreeMap<SeqId, Resident>,
+) -> BTreeSet<Packed> {
+    let stepped = |seq, was: &Resident| after.get(seq).is_some_and(|now| now.len == was.len + 1);
+    let mut out = BTreeSet::new();
+    for (seq, was) in before {
+        // One that is gone finished (walked, then evicted) or was swapped
+        // out before the walk; a step that did both could not tell them
+        // apart.
+        let gone = !after.contains_key(seq);
+        assert!(
+            !gone || m.completed == 0 || m.preempted == 0,
+            "step {}",
+            m.step
+        );
+        if stepped(seq, was) || gone && m.preempted == 0 {
+            out.extend(was.heads.iter().flatten());
+        }
+    }
+    for (seq, now) in after {
+        if before.get(seq).is_some_and(|was| stepped(seq, was)) {
+            continue;
+        }
+        // Admitted or resumed this step: a window that reads 0 rows after
+        // its one append flushed each head's last block.
+        let flushed = usize::from(now.residual == 0);
+        for head in &now.heads {
+            out.extend(&head[..head.len() - flushed]);
+        }
+    }
+    out
+}
+
+/// `walked` and `lines` of a walked set, checked against the fast-dequant
+/// ops the step reported for codes of `width`.
+fn walk_work(m: &ServeMetrics, blocks: &BTreeSet<Packed>, width: BitWidth) -> (u64, u64) {
+    let words: u64 = blocks.iter().map(|b| b.words).sum();
+    let groups: u64 = blocks.iter().map(|b| b.groups).sum();
+    let per_reg = register_ops(width);
+    let regs = (words / 2) as u32;
+    let want = FastDequantOps {
+        lop3: per_reg.lop3 * regs,
+        shifts: per_reg.shifts * regs,
+        hfma2: per_reg.hfma2 * regs,
+    };
+    assert_eq!(
+        m.dequant, want,
+        "step {}: the walked blocks are not what the kernels read",
+        m.step
+    );
+    (2 * words + 4 * groups, groups)
+}
+
 /// Every step of a session: its metrics, the window rows it started
-/// from, and its work, counted.
+/// from, and its work, counted and derived.
 fn serve(mut s: ServeSession) -> Vec<(ServeMetrics, Vec<usize>, Work)> {
+    let width = s.decoder().scheme().int_width().expect("integer scheme");
     let mut out = Vec::new();
     loop {
-        let before = windows(&s);
-        let (m, work) = counted(|| s.step());
+        let (rows, before) = (windows(&s), residents(&s));
+        let (m, mut work) = counted(|| s.step());
         let Some(m) = m else { break };
-        out.push((m, before, work));
+        work.walk = walk_work(&m, &walked(&m, &before, &residents(&s)), width);
+        out.push((m, rows, work));
     }
     out
 }
@@ -308,7 +446,8 @@ impl Kind {
 }
 
 /// One pinned step. `allocs`, `bytes` and `live` are the shape's first
-/// width (1, or 0 for the 2-device shape); `spawned` is per width.
+/// width (1, or 0 for the 2-device shape); `spawned` is per width;
+/// `walked` and `lines` are the same at every width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Row {
     shape: &'static str,
@@ -318,8 +457,11 @@ struct Row {
     bytes: u64,
     live: i64,
     spawned: [u64; 3],
+    walked: u64,
+    lines: u64,
 }
 
+#[allow(clippy::too_many_arguments)]
 const fn row(
     shape: &'static str,
     step: usize,
@@ -328,6 +470,8 @@ const fn row(
     bytes: u64,
     live: i64,
     spawned: [u64; 3],
+    walked: u64,
+    lines: u64,
 ) -> Row {
     Row {
         shape,
@@ -337,6 +481,8 @@ const fn row(
         bytes,
         live,
         spawned,
+        walked,
+        lines,
     }
 }
 
@@ -344,22 +490,22 @@ use Kind::{Admitting, Doubling, Seal, Steady};
 
 #[rustfmt::skip]
 const ROWS: [Row; 16] = [
-    row("long_solo", 0, Admitting, 411, 1655296, 88, [0, 3, 6]),
-    row("long_solo", 5, Steady, 124, 16196, 2, [0, 1, 2]),
-    row("long_solo", 8, Seal, 126, 20996, 2, [0, 1, 2]),
-    row("long_solo", 24, Doubling, 124, 16196, 2, [0, 1, 2]),
-    row("short_batch", 0, Admitting, 1573, 7297832, 271, [0, 1, 2]),
-    row("short_batch", 5, Steady, 878, 170496, 2, [0, 1, 2]),
-    row("short_batch", 16, Seal, 895, 182016, 2, [0, 1, 2]),
-    row("short_batch", 32, Doubling, 895, 193536, 2, [0, 1, 2]),
-    row("shared_fleet", 0, Admitting, 975, 5313560, 123, [0, 9, 18]),
-    row("shared_fleet", 5, Steady, 305, 51560, 2, [0, 1, 2]),
-    row("shared_fleet", 8, Seal, 310, 56552, 2, [0, 1, 2]),
-    row("shared_fleet", 24, Doubling, 305, 51560, 2, [0, 1, 2]),
-    row("bursty", 0, Admitting, 387, 2514876, 65, [0, 5, 7]),
-    row("bursty", 12, Steady, 227, 36676, 2, [0, 1, 3]),
-    row("bursty", 14, Seal, 228, 36740, 2, [0, 1, 3]),
-    row("bursty", 9, Doubling, 228, 36740, 2, [0, 1, 3]),
+    row("long_solo", 0, Admitting, 411, 1655296, 88, [0, 3, 6], 73728, 2048),
+    row("long_solo", 5, Steady, 124, 16196, 2, [0, 1, 2], 73728, 2048),
+    row("long_solo", 8, Seal, 126, 20996, 2, [0, 1, 2], 73728, 2048),
+    row("long_solo", 24, Doubling, 124, 16196, 2, [0, 1, 2], 73728, 2048),
+    row("short_batch", 0, Admitting, 1573, 7297832, 271, [0, 1, 2], 0, 0),
+    row("short_batch", 5, Steady, 878, 170496, 2, [0, 1, 2], 0, 0),
+    row("short_batch", 16, Seal, 895, 182016, 2, [0, 1, 2], 0, 0),
+    row("short_batch", 32, Doubling, 895, 193536, 2, [0, 1, 2], 0, 0),
+    row("shared_fleet", 0, Admitting, 975, 5313560, 123, [0, 9, 18], 73728, 2048),
+    row("shared_fleet", 5, Steady, 305, 51560, 2, [0, 1, 2], 73728, 2048),
+    row("shared_fleet", 8, Seal, 310, 56552, 2, [0, 1, 2], 73728, 2048),
+    row("shared_fleet", 24, Doubling, 305, 51560, 2, [0, 1, 2], 73728, 2048),
+    row("bursty", 0, Admitting, 387, 2514876, 65, [0, 5, 7], 40960, 2048),
+    row("bursty", 12, Steady, 227, 36676, 2, [0, 1, 3], 0, 0),
+    row("bursty", 14, Seal, 228, 36740, 2, [0, 1, 3], 0, 0),
+    row("bursty", 9, Doubling, 228, 36740, 2, [0, 1, 3], 0, 0),
 ];
 
 /// Serves every shape at each of its widths and returns the observed
@@ -380,6 +526,13 @@ fn observe() -> Vec<Row> {
                 pinned.kind
             );
             let spawned = [0, 1, 2].map(|i| runs[i][pinned.step].2.spawned);
+            for (run, w) in runs.iter().zip(shape.workers) {
+                assert_eq!(
+                    run[pinned.step].2.walk, work.walk,
+                    "{} step {}: packed walk at {w} workers",
+                    shape.name, pinned.step
+                );
+            }
             if pinned.kind != Admitting {
                 for (run, w) in runs.iter().zip(shape.workers) {
                     assert_eq!(
@@ -397,6 +550,8 @@ fn observe() -> Vec<Row> {
                 work.bytes,
                 work.live,
                 spawned,
+                work.walk.0,
+                work.walk.1,
             ));
         }
     }
@@ -409,8 +564,8 @@ fn main() {
         println!("observed rows:");
         for r in &observed {
             println!(
-                "    row({:?}, {}, {:?}, {}, {}, {}, {:?}),",
-                r.shape, r.step, r.kind, r.allocs, r.bytes, r.live, r.spawned
+                "    row({:?}, {}, {:?}, {}, {}, {}, {:?}, {}, {}),",
+                r.shape, r.step, r.kind, r.allocs, r.bytes, r.live, r.spawned, r.walked, r.lines
             );
         }
         for (want, got) in ROWS.iter().zip(&observed) {
