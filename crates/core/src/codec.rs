@@ -23,6 +23,7 @@
 //! process-wide. Packing, unpacking and the fused dequantization are one
 //! walk over those tiles, a warp's 8 lanes side by side (§IV-A(2)).
 
+use crate::isa::{Avx2, Isa};
 use bd_gpu_sim::{FragmentLayout, Operand};
 use bd_kvcache::{
     assert_block_shape, dequantize_int_codes, quantize_int_codes, BlockCodec, KeyGranularity,
@@ -294,7 +295,7 @@ impl FragmentPlan {
 
     /// The one walk over the plan: hands `visit` every tile — the word-
     /// stream indices of its 8 registers, and its segments.
-    #[inline]
+    #[inline(always)]
     fn for_each_tile(&self, mut visit: impl FnMut([usize; TILE_LANES], &[Segment])) {
         let mut start = 0;
         for &(first, end) in &self.tiles {
@@ -383,12 +384,17 @@ impl FragmentPlan {
     /// hardware-realised by the `lop3` fast path) and landing it in `out` —
     /// token-major, or `transposed` into the `dim × tokens` tile — with no
     /// intermediate code matrix, no second pass, no transpose. Values are
-    /// bit-identical to [`FragmentPlan::decode`]'s.
+    /// bit-identical to [`FragmentPlan::decode`]'s in either `isa`: the
+    /// AVX2 instance permutes a LUT line where a segment's 8 lanes are
+    /// unit-stride and share it (every Kᵀ row of a channel-wise K, every V
+    /// row), and gathers like the baseline elsewhere.
     ///
     /// Returns the modelled fast-dequant instruction counts for the words
     /// streamed (two 16-bit storage words per 32-bit register conversion).
+    #[inline(always)]
     fn decode_fused(
         &self,
+        isa: Isa,
         tensor: &PackedTensor,
         transposed: bool,
         lut: &mut Vec<f32>,
@@ -406,11 +412,16 @@ impl FragmentPlan {
         let lut = dequant_lut(params, self.key.width.levels() as usize, lut);
         // One arm per width, so a LUT line is an array the code's mask
         // proves every index of, and per lane stride that is a constant.
-        match (self.key.width, self.lane_stride(strides) == 1) {
-            (BitWidth::B4, true) => self.dequant_tiles::<16, true>(words, lut, strides, out),
-            (BitWidth::B4, false) => self.dequant_tiles::<16, false>(words, lut, strides, out),
-            (BitWidth::B2, true) => self.dequant_tiles::<4, true>(words, lut, strides, out),
-            (BitWidth::B2, false) => self.dequant_tiles::<4, false>(words, lut, strides, out),
+        let avx2 = isa
+            .avx2()
+            .filter(|_| self.group_step == 0 && self.lane_groups.is_empty());
+        match (self.key.width, self.lane_stride(strides) == 1, avx2) {
+            (BitWidth::B4, true, Some(x)) => self.permute_tiles::<16>(x, words, lut, strides, out),
+            (BitWidth::B2, true, Some(x)) => self.permute_tiles::<4>(x, words, lut, strides, out),
+            (BitWidth::B4, true, _) => self.dequant_tiles::<16, true>(words, lut, strides, out),
+            (BitWidth::B4, false, _) => self.dequant_tiles::<16, false>(words, lut, strides, out),
+            (BitWidth::B2, true, _) => self.dequant_tiles::<4, true>(words, lut, strides, out),
+            (BitWidth::B2, false, _) => self.dequant_tiles::<4, false>(words, lut, strides, out),
         }
 
         let regs32 = words.len() as u32 / 2;
@@ -426,7 +437,9 @@ impl FragmentPlan {
     /// warp's lanes dequantized side by side (paper §IV-A(2)). `UNIT` states
     /// the lane stride is 1 (N is `out`'s contiguous axis: Kᵀ rows, V rows)
     /// as a constant: a segment's window is then an array of 8 and, where
-    /// its lanes share one LUT line, no check is left per code.
+    /// its lanes share one LUT line, no check is left per code. This is
+    /// the baseline instance's path everywhere and the AVX2 instance's
+    /// where [`FragmentPlan::permute_tiles`] does not apply.
     #[inline]
     fn dequant_tiles<const LEVELS: usize, const UNIT: bool>(
         &self,
@@ -449,6 +462,31 @@ impl FragmentPlan {
                     let line = shared.unwrap_or_else(|| &lines[self.lane_group(s, lane)]);
                     window[lane * lane_stride] = line[(reg >> s.shift) as usize % LEVELS];
                 }
+            }
+        });
+    }
+
+    /// [`FragmentPlan::dequant_tiles`]`::<LEVELS, true>` where every
+    /// segment's lanes share one LUT line, in the AVX2 instance: the same
+    /// entries, permuted in registers rather than loaded one by one.
+    #[inline(always)]
+    fn permute_tiles<const LEVELS: usize>(
+        &self,
+        avx2: Avx2,
+        words: &[u16],
+        lut: &[f32],
+        strides: [usize; 2],
+        out: &mut [f32],
+    ) {
+        let (pairs, _) = words.as_chunks::<2>();
+        let (lines, _) = lut.as_chunks::<LEVELS>();
+        self.for_each_tile(|regs, segments| {
+            let tile = regs.map(|r| fuse_words(pairs[r][0], pairs[r][1]));
+            for s in segments {
+                let Some(window) = out[self.at(s, strides)..].first_chunk_mut() else {
+                    panic!("a segment's window runs past the tile");
+                };
+                avx2.permute(&tile, s.shift, &lines[s.group as usize], window);
             }
         });
     }
@@ -507,6 +545,9 @@ pub(crate) struct BlockDecoder {
     codec: FragmentCodec,
     scheme: QuantScheme,
     k_transposed: bool,
+    /// The instance of the walk the decoder runs in: the host's, unless
+    /// set.
+    pub(crate) isa: Isa,
     plans: Option<[Arc<FragmentPlan>; 2]>,
 }
 
@@ -517,12 +558,14 @@ impl BlockDecoder {
             codec: *codec,
             scheme,
             k_transposed,
+            isa: Isa::host(),
             plans: None,
         }
     }
 
     /// [`FragmentCodec::decode_block_fused`] with the dequant LUT built in
     /// the caller's reusable `lut` buffer.
+    #[inline(always)]
     pub(crate) fn decode(
         &mut self,
         block: &PackedBlock,
@@ -548,8 +591,8 @@ impl BlockDecoder {
             }
             return FastDequantOps::default();
         };
-        k_plan.decode_fused(&block.k, self.k_transposed, lut, k_out)
-            + v_plan.decode_fused(&block.v, false, lut, v_out)
+        k_plan.decode_fused(self.isa, &block.k, self.k_transposed, lut, k_out)
+            + v_plan.decode_fused(self.isa, &block.v, false, lut, v_out)
     }
 }
 
@@ -613,7 +656,9 @@ impl FragmentCodec {
     /// orientation the fused attention kernel consumes (`k_out`/`v_out`
     /// token-major). Integer schemes stream through the fused plan walk;
     /// FP4 blocks (hardware block-scale layout) decode through the
-    /// reference nibble walk, which is already flat token-major.
+    /// reference nibble walk, which is already flat token-major. This runs
+    /// the baseline instance on every host: the packed walk decodes K as
+    /// the Kᵀ tile instead, in the host's instance.
     pub fn decode_block_fused(
         &self,
         block: &PackedBlock,
@@ -622,7 +667,9 @@ impl FragmentCodec {
         v_out: &mut TokenMatrix,
     ) -> FastDequantOps {
         LUT.with_borrow_mut(|lut| {
-            BlockDecoder::new(self, scheme, false).decode(block, lut, k_out, v_out)
+            let mut decoder = BlockDecoder::new(self, scheme, false);
+            decoder.isa = Isa::BASELINE;
+            decoder.decode(block, lut, k_out, v_out)
         })
     }
 }
@@ -1058,8 +1105,9 @@ mod tests {
                     let packed = plan.encode(&values);
                     assert_eq!(plan.decode(&packed), want, "{granularity:?} group {group}");
                     let (mut flat, mut tile) = (TokenMatrix::new(0), TokenMatrix::new(0));
-                    plan.decode_fused(&packed, false, &mut Vec::new(), &mut flat);
-                    plan.decode_fused(&packed, true, &mut Vec::new(), &mut tile);
+                    let isa = Isa::BASELINE;
+                    plan.decode_fused(isa, &packed, false, &mut Vec::new(), &mut flat);
+                    plan.decode_fused(isa, &packed, true, &mut Vec::new(), &mut tile);
                     assert_eq!(flat, want, "{granularity:?} group {group}: fused");
                     let transposed = TokenMatrix::from_fn(dim, tokens, |c, t| want[t][c]);
                     assert_eq!(tile, transposed, "{granularity:?} group {group}: Kᵀ tile");
@@ -1093,10 +1141,12 @@ mod tests {
         // `half2` groups patched to every class a corrupted or degenerate
         // block can carry — `(scale, zero)` bit patterns: ±Inf, NaN, a
         // subnormal scale, `scale = 0` — decode through the fused tile walk,
-        // token-major and as the Kᵀ tile, to the value `FragmentPlan::decode`
-        // → `dequantize_int_codes` defines for them: bit for bit, NaN for NaN
-        // (a NaN's sign and payload follow the FMA's operand order, which is
-        // not defined even between two scalar evaluations).
+        // token-major and as the Kᵀ tile, in every instance of the walk, to
+        // the value `FragmentPlan::decode` → `dequantize_int_codes` defines
+        // for them: bit for bit, NaN for NaN (a NaN's sign and payload follow
+        // the FMA's operand order, which is not defined even between two
+        // scalar evaluations). Between instances, which build the same LUT
+        // and only move its entries, even a NaN's bits must agree.
         let hostile = [
             (0x7C00, 0x3C00), // scale = +Inf
             (0xFC00, 0x0000), // scale = -Inf, zero = 0: code 0 gives NaN
@@ -1134,14 +1184,27 @@ mod tests {
                 let want = plan.decode(packed);
                 nans += want.as_slice().iter().filter(|x| x.is_nan()).count();
                 infs += want.as_slice().iter().filter(|x| x.is_infinite()).count();
-                let (mut flat, mut tile) = (TokenMatrix::new(0), TokenMatrix::new(0));
-                plan.decode_fused(packed, false, &mut Vec::new(), &mut flat);
-                plan.decode_fused(packed, true, &mut Vec::new(), &mut tile);
-                for t in 0..tokens {
-                    for c in 0..64 {
-                        assert!(same(flat[t][c], want[t][c]), "{scheme} ({t}, {c})");
-                        assert!(same(tile[c][t], want[t][c]), "{scheme} ({t}, {c}): Kᵀ");
+                let mut baseline = None;
+                for isa in Isa::each() {
+                    let (mut flat, mut tile) = (TokenMatrix::new(0), TokenMatrix::new(0));
+                    plan.decode_fused(isa, packed, false, &mut Vec::new(), &mut flat);
+                    plan.decode_fused(isa, packed, true, &mut Vec::new(), &mut tile);
+                    for t in 0..tokens {
+                        for c in 0..64 {
+                            assert!(same(flat[t][c], want[t][c]), "{isa:?} {scheme} ({t}, {c})");
+                            assert!(
+                                same(tile[c][t], want[t][c]),
+                                "{isa:?} {scheme} ({t}, {c}): Kᵀ"
+                            );
+                        }
                     }
+                    let bits = |m: &TokenMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect();
+                    let got: [Vec<u32>; 2] = [bits(&flat), bits(&tile)];
+                    assert_eq!(
+                        baseline.get_or_insert(got.clone()),
+                        &got,
+                        "{isa:?} {scheme}"
+                    );
                 }
             }
         }
@@ -1257,7 +1320,7 @@ mod tests {
                 assert_eq!(decoded, &want, "{layout} {scheme} {tokens}x{dim}");
                 // The same walk under the other strides lands the transpose.
                 let mut tile = test_matrix(5, 3, 9.0);
-                plan.decode_fused(packed, true, &mut Vec::new(), &mut tile);
+                plan.decode_fused(Isa::BASELINE, packed, true, &mut Vec::new(), &mut tile);
                 let transposed = TokenMatrix::from_fn(dim, tokens, |c, t| want[t][c]);
                 assert_eq!(tile, transposed, "{layout} {scheme} {tokens}x{dim}: tile");
             }
@@ -1266,6 +1329,7 @@ mod tests {
 
     #[test]
     fn fused_decode_is_bit_identical_across_the_grid() {
+        let isas = Isa::each();
         for (layout, scheme, tokens, dim) in plan_grid() {
             let codec = FragmentCodec::new(layout);
             let block = codec.encode(
@@ -1280,6 +1344,17 @@ mod tests {
             codec.decode_block_fused(&block, scheme, &mut fk, &mut fv);
             assert_eq!(dk, fk, "{layout} {scheme} {tokens}x{dim}: K");
             assert_eq!(dv, fv, "{layout} {scheme} {tokens}x{dim}: V");
+            // K as the walk decodes it, the Kᵀ tile, in every instance.
+            let dkt = TokenMatrix::from_fn(dim, tokens, |c, t| dk[t][c]);
+            for &isa in &isas {
+                let mut decoder = BlockDecoder::new(&codec, scheme, true);
+                decoder.isa = isa;
+                let (mut fkt, mut fv) = (test_matrix(3, 5, 9.0), test_matrix(300, 7, 9.0));
+                decoder.decode(&block, &mut vec![9.0; 5], &mut fkt, &mut fv);
+                let at = format!("{isa:?} {layout} {scheme} {tokens}x{dim}");
+                assert_eq!(dkt, fkt, "{at}: Kᵀ");
+                assert_eq!(dv, fv, "{at}: V");
+            }
         }
     }
 

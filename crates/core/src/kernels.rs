@@ -270,6 +270,7 @@ fn push_effective_queries(
 /// `S = Q_eff · Kᵀ` into `scores` (`rows × tokens`, flat) over the
 /// `dim × tokens` Kᵀ tile: tokens on the lanes, every score adding its
 /// `q[c] · k[c][t]` terms channel-ascending from `0.0` like the row-dot.
+#[inline(always)]
 fn score_block(q_eff: &[f32], kt: &TokenMatrix, scores: &mut Vec<f32>) {
     let (dim, tokens) = (kt.tokens(), kt.dim());
     scores.clear();
@@ -283,11 +284,28 @@ fn score_block(q_eff: &[f32], kt: &TokenMatrix, scores: &mut Vec<f32>) {
 }
 
 impl KernelScratch {
-    /// The packed walk — the one body every fused entry point runs. Block
-    /// by block, in order: decode through the plan, score the Kᵀ tile
-    /// against the `q_rows` elements of `q_eff`, and fold the scores into
-    /// `states`, whose rows sit back to back in that range.
+    /// The packed walk — the one body every fused entry point runs — as the
+    /// decoder's instance ([`crate::isa::Isa::run`]). Block by block, in
+    /// order: decode through the plan, score the Kᵀ tile against the
+    /// `q_rows` elements of `q_eff`, and fold the scores into `states`,
+    /// whose rows sit back to back in that range.
     fn walk<B: Borrow<PackedBlock>>(
+        &mut self,
+        decoder: &mut BlockDecoder,
+        blocks: &[B],
+        q_rows: std::ops::Range<usize>,
+        states: &mut [OnlineSoftmax],
+    ) -> FastDequantOps {
+        decoder.isa.run(
+            #[inline(always)]
+            || self.walk_blocks(decoder, blocks, q_rows, states),
+        )
+    }
+
+    /// [`KernelScratch::walk`]'s body, inlined into each instance with
+    /// everything it calls per block.
+    #[inline(always)]
+    fn walk_blocks<B: Borrow<PackedBlock>>(
         &mut self,
         decoder: &mut BlockDecoder,
         blocks: &[B],
@@ -393,6 +411,19 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>, K>(
     scale: f32,
     engine: MatmulEngine,
 ) -> (Vec<OnlineSoftmax>, FastDequantOps) {
+    let decoder = BlockDecoder::new(codec, scheme, true);
+    walk_shared(decoder, prefix, sharers, dim, scale, engine)
+}
+
+/// [`attend_packed_blocks_multi`] through `decoder`, in its instance.
+fn walk_shared<B: Borrow<PackedBlock>, K>(
+    mut decoder: BlockDecoder,
+    prefix: &[B],
+    sharers: &[PrefixSharer<'_, B, K>],
+    dim: usize,
+    scale: f32,
+    engine: MatmulEngine,
+) -> (Vec<OnlineSoftmax>, FastDequantOps) {
     let mut partials: Vec<OnlineSoftmax> = sharers
         .iter()
         .map(|s| OnlineSoftmax::new(s.q_block.len(), dim))
@@ -404,7 +435,6 @@ pub fn attend_packed_blocks_multi<B: Borrow<PackedBlock>, K>(
             push_effective_queries(s.q_block, dim, scale, engine, scores, q_eff);
         }
         let all_rows = 0..q_eff.len();
-        let mut decoder = BlockDecoder::new(codec, scheme, true);
         let mut ops = scratch.walk(&mut decoder, prefix, all_rows, &mut partials);
         let mut first = 0;
         for (s, partial) in sharers.iter().zip(&mut partials) {
@@ -722,6 +752,7 @@ pub fn attend_residual(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::Isa;
     use crate::softmax::reference_attention;
     use bd_kvcache::PackLayout;
 
@@ -894,6 +925,65 @@ mod tests {
                 for (ar, br) in a.iter().zip(&b) {
                     for (x, y) in ar.iter().zip(br) {
                         assert!((x - y).abs() < 1e-4, "{scheme} {engine:?}: {x} vs {y}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_instance_walks_to_the_baseline_bits() {
+        // The cascade walk in each instance of this host: a prefix of half
+        // the blocks, shared by every sharer, then each sharer's suffix of
+        // the rest. Every partial's `m`, `l` and `acc` must match the
+        // baseline instance's bit for bit.
+        let layout = PackLayout::sm80_default();
+        let codec = FragmentCodec::new(layout);
+        let (d, gq) = (64, 2);
+        let scale = 1.0 / (d as f32).sqrt();
+        let isas = Isa::each();
+        let empty = TokenMatrix::new(d);
+        for scheme in [QuantScheme::kc4(), QuantScheme::kc2(), QuantScheme::kt4()] {
+            let nr = layout.residual_block(scheme.int_width().unwrap());
+            for n in [1, 3, 17] {
+                let (_, _, blocks) = synth_blocks(&codec, scheme, nr, n, d);
+                let (prefix, suffix) = blocks.split_at(n / 2);
+                for (engine, sharers) in [MatmulEngine::Mma, MatmulEngine::Wgmma]
+                    .into_iter()
+                    .flat_map(|engine| [1, 16].map(|sharers| (engine, sharers)))
+                {
+                    let queries: Vec<Vec<Vec<f32>>> = (0..sharers * gq)
+                        .map(|r| (0..d).map(|c| ((r * d + c) as f32 * 0.71).sin()).collect())
+                        .collect::<Vec<_>>()
+                        .chunks(gq)
+                        .map(<[_]>::to_vec)
+                        .collect();
+                    let sharers: Vec<PrefixSharer<'_, PackedBlock>> = (queries.iter())
+                        .map(|q_block| PrefixSharer {
+                            q_block,
+                            suffix,
+                            res_k: &empty,
+                            res_v: &empty,
+                        })
+                        .collect();
+                    let walk = |isa| {
+                        let mut decoder = BlockDecoder::new(&codec, scheme, true);
+                        decoder.isa = isa;
+                        let (partials, _) =
+                            walk_shared(decoder, prefix, &sharers, d, scale, engine);
+                        let bits = |x: &[f32]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        (partials.iter())
+                            .map(|p| {
+                                let acc: Vec<f32> =
+                                    (0..p.rows()).flat_map(|r| p.acc_row(r).to_vec()).collect();
+                                [bits(&p.m), bits(&p.l), bits(&acc)]
+                            })
+                            .collect::<Vec<_>>()
+                    };
+                    let want = walk(Isa::BASELINE);
+                    for &isa in &isas[1..] {
+                        let at = format!("{isa:?} {scheme} {engine:?} {n} blocks");
+                        assert_eq!(walk(isa), want, "{at}, {} sharers", sharers.len());
                     }
                 }
             }

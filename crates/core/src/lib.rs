@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 //! # bd-core — the BitDecoding engine
@@ -50,6 +50,7 @@
 pub mod api;
 pub mod codec;
 pub mod config;
+mod isa;
 pub mod kernels;
 pub mod profiles;
 pub mod shape;

@@ -17,6 +17,7 @@ use bd_kvcache::TokenMatrix;
 /// — either attention GEMM for one query row — with the MMA's N dimension
 /// on the lanes: each adds its terms in ascending `k`, literally the scalar
 /// dot product's sequence, side by side instead of one after another.
+#[inline(always)]
 pub(crate) fn row_times_matrix(a: &[f32], b: &[f32], out: &mut [f32]) {
     // Tiles of 16 lanes stay in registers on the baseline target; columns
     // past the last full tile go one at a time.
@@ -25,6 +26,7 @@ pub(crate) fn row_times_matrix(a: &[f32], b: &[f32], out: &mut [f32]) {
 }
 
 /// [`row_times_matrix`] over whole `L`-column tiles from `n`; returns its end.
+#[inline(always)]
 fn row_times_lanes<const L: usize>(a: &[f32], b: &[f32], out: &mut [f32], mut n: usize) -> usize {
     while n + L <= out.len() {
         let mut lanes = [0.0f32; L];
@@ -109,6 +111,7 @@ impl OnlineSoftmax {
     /// # Panics
     ///
     /// Panics on shape mismatch.
+    #[inline(always)]
     pub(crate) fn step_scores(&mut self, s: &mut [f32], v: &TokenMatrix) {
         let (tokens, dim) = (v.tokens(), self.dim);
         assert_eq!(s.len(), self.rows() * tokens, "score buffer shape");
