@@ -454,35 +454,56 @@ mod tests {
         cases
     }
 
+    /// Rounds `cases` in slabs of `len` both ways, and checks every value
+    /// against the scalar [`F16`] round trip, bit for bit.
+    fn assert_slabs_round_like_scalar(cases: &[f32], len: usize) {
+        let want = |x: f32| F16::from_f32(x).to_f32().to_bits();
+        let mut got = vec![0.0f32; len];
+        let mut in_place = vec![0.0f32; len];
+        for src in cases.chunks(len) {
+            let (got, in_place) = (&mut got[..src.len()], &mut in_place[..src.len()]);
+            round_through_f16(src, got);
+            in_place.copy_from_slice(src);
+            round_through_f16_in_place(in_place);
+            for ((&x, g), p) in src.iter().zip(&*got).zip(&*in_place) {
+                if [g.to_bits(), p.to_bits()] != [want(x); 2] {
+                    let (g, p) = (g.to_bits(), p.to_bits());
+                    panic!(
+                        "slab of {len}: {:#010x} gave {g:#010x}, in place {p:#010x}, want {:#010x}",
+                        x.to_bits(),
+                        want(x)
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn slab_rounding_matches_scalar_on_every_rounding_edge() {
         let cases = rounding_edge_cases();
         assert!(cases.len() > 400_000, "{} cases", cases.len());
-        let want: Vec<u32> = cases
-            .iter()
-            .map(|&x| F16::from_f32(x).to_f32().to_bits())
-            .collect();
-        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        // One value per call: everything below the overflow threshold
-        // takes the branch-free pass on its own.
-        let mut one = [0.0f32];
-        for (&x, &w) in cases.iter().zip(&want) {
-            round_through_f16(&[x], &mut one);
-            assert_eq!(one[0].to_bits(), w, "x = {x:e} ({:#010x})", x.to_bits());
+        // One value per slab: everything below the overflow threshold takes
+        // the branch-free pass on its own. Longer slabs: those that hold an
+        // out-of-range value are redone whole by the fallback, the rest
+        // stay on the slab pass, and lengths around 8 end in every tail.
+        for len in [1, 7, 8, 9, 63, 64, 8192] {
+            assert_slabs_round_like_scalar(&cases, len);
         }
-        // Row-sized calls: rows that hold an out-of-range value are redone
-        // whole by the fallback, the rest stay on the slab pass.
-        let mut got = vec![0.0f32; cases.len()];
-        for (src, dst) in cases.chunks(64).zip(got.chunks_mut(64)) {
-            round_through_f16(src, dst);
+    }
+
+    /// Every `f32` bit pattern (about 30 s in a release build:
+    /// `cargo test --release -p bd-lowbit -- --ignored`).
+    #[test]
+    #[ignore = "2^32 values; run with --release -- --ignored"]
+    fn slab_rounding_matches_scalar_on_every_f32() {
+        const SLAB: u32 = 1 << 16;
+        let mut cases = vec![0.0f32; SLAB as usize];
+        for high in 0..=u32::MAX / SLAB {
+            for (low, x) in (0..).zip(&mut cases) {
+                *x = f32::from_bits(high * SLAB + low);
+            }
+            assert_slabs_round_like_scalar(&cases, 8192);
         }
-        assert_eq!(bits(&got), want);
-        // In place, on the same row-sized chunks.
-        let mut in_place = cases.clone();
-        for chunk in in_place.chunks_mut(64) {
-            round_through_f16_in_place(chunk);
-        }
-        assert_eq!(bits(&in_place), want);
     }
 
     #[test]
