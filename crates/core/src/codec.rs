@@ -23,15 +23,14 @@
 //! process-wide. Packing, unpacking and the fused dequantization are one
 //! walk over those tiles, a warp's 8 lanes side by side (§IV-A(2)).
 
-use crate::isa::{Avx2, Isa};
 use bd_gpu_sim::{FragmentLayout, Operand};
 use bd_kvcache::{
     assert_block_shape, dequantize_int_codes, quantize_int_codes, BlockCodec, KeyGranularity,
     PackLayout, PackedBlock, PackedPayload, PackedTensor, QuantScheme, ReferenceCodec, SchemeKind,
     TokenMatrix,
 };
-use bd_lowbit::f16::round_through_f16;
 use bd_lowbit::fastpath::{register_ops, FastDequantOps};
+use bd_lowbit::isa::{Avx2, Isa};
 use bd_lowbit::{
     codes_per_u32, fuse_words, split_register, unpack_u32_into, BitWidth, Half2, QuantParams,
 };
@@ -409,7 +408,7 @@ impl FragmentPlan {
         };
         out.resize_tokens(rows, cols);
         let out = out.as_mut_slice();
-        let lut = dequant_lut(params, self.key.width.levels() as usize, lut);
+        let lut = dequant_lut(isa, params, self.key.width.levels() as usize, lut);
         // One arm per width, so a LUT line is an array the code's mask
         // proves every index of, and per lane stride that is a constant.
         let avx2 = isa
@@ -514,22 +513,28 @@ fn registers_of_planes(mut p: [u64; 4]) -> [u32; TILE_LANES] {
 /// Per-group dequantization LUT, entry `group · levels + code`: the
 /// value-level equivalent of precomputing the fast path's FusedScale
 /// constants once per group. Same f32 operations as
-/// `QuantParams::dequantize` (an integer code is exact in FP16), with each
-/// `half2` widened once and the FMA's FP16 rounding applied to the whole
-/// slab, which is staged unrounded in the back half of `buf`.
-fn dequant_lut<'b>(params: &[Half2], levels: usize, buf: &'b mut Vec<f32>) -> &'b [f32] {
-    let codes: [f32; 16] = std::array::from_fn(|code| code as f32);
-    buf.resize(2 * params.len() * levels, 0.0);
-    let (lut, unrounded) = buf.split_at_mut(params.len() * levels);
-    for (entries, &h) in unrounded.chunks_exact_mut(levels).zip(params) {
-        let p = QuantParams::from_half2(h);
-        let (scale, zero) = (p.scale.to_f32(), p.zero.to_f32());
-        for (entry, code) in entries.iter_mut().zip(codes) {
-            *entry = code * scale + zero;
+/// `QuantParams::dequantize` (an integer code is exact in FP16) with each
+/// `half2` widened once, and the FMA's FP16 rounding: in the baseline
+/// instance over the whole slab once its entries are written, in the AVX2
+/// instance on each line in registers ([`Avx2::dequant_lines`]).
+fn dequant_lut<'b>(isa: Isa, params: &[Half2], levels: usize, buf: &'b mut Vec<f32>) -> &'b [f32] {
+    buf.resize(params.len() * levels, 0.0);
+    match isa.avx2() {
+        Some(avx2) if levels == 16 => avx2.dequant_lines::<16>(params, buf),
+        Some(avx2) => avx2.dequant_lines::<4>(params, buf),
+        None => {
+            let codes: [f32; 16] = std::array::from_fn(|code| code as f32);
+            for (entries, &h) in buf.chunks_exact_mut(levels).zip(params) {
+                let p = QuantParams::from_half2(h);
+                let (scale, zero) = (p.scale.to_f32(), p.zero.to_f32());
+                for (entry, code) in entries.iter_mut().zip(codes) {
+                    *entry = code * scale + zero;
+                }
+            }
+            isa.round_through_f16_in_place(buf);
         }
     }
-    round_through_f16(unrounded, lut);
-    lut
+    buf
 }
 
 /// `(tokens, dim)` of a packed tensor — what selects its plan.
@@ -1173,9 +1178,10 @@ mod tests {
                 let PackedPayload::Int { params, .. } = &mut tensor.payload else {
                     panic!("integer payload");
                 };
-                // Two of every three groups hostile, one left as encoded.
-                for (i, param) in params.iter_mut().enumerate().filter(|(i, _)| i % 3 != 2) {
-                    let (scale, zero) = hostile[i % hostile.len()];
+                // Two of every three groups hostile, taking the patterns in
+                // turn, one left as encoded.
+                let patched = params.iter_mut().enumerate().filter(|(i, _)| i % 3 != 2);
+                for ((_, param), &(scale, zero)) in patched.zip(hostile.iter().cycle()) {
                     *param = Half2::new(F16::from_bits(scale), F16::from_bits(zero));
                 }
             }
@@ -1369,38 +1375,71 @@ mod tests {
         let zeros = [
             0x0000, 0x8000, 0x0200, 0xC100, 0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x7E00, 0xFE01,
         ];
+        let half2 = |scale, zero| Half2::new(F16::from_bits(scale), F16::from_bits(zero));
         let classes: Vec<Half2> = scales
             .iter()
-            .flat_map(|&s| zeros.map(|z| Half2::new(F16::from_bits(s), F16::from_bits(z))))
+            .flat_map(|&s| zeros.map(|z| half2(s, z)))
             .collect();
         let finite = |h: &Half2| {
             (0..16).all(|code| (code as f32 * h.lo().to_f32() + h.hi().to_f32()).abs() < 65520.0)
         };
         let tame: Vec<Half2> = classes.iter().copied().filter(finite).collect();
         assert!(tame.len() > 20 && tame.len() < classes.len());
+        // And every 16-bit scale against the edges of `zero`, every 16-bit
+        // zero against the same values as scales.
+        let edges = [
+            0x0000, 0x8000, 0x3C00, 0xBC00, 0x0200, 0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x7E00,
+        ];
+        let sweep: Vec<Half2> = edges
+            .iter()
+            .flat_map(|&e| (0..=u16::MAX).flat_map(move |x| [half2(x, e), half2(e, x)]))
+            .collect();
+        // A NaN's sign is whatever the FMA's operand order made it — not
+        // defined even between two scalar evaluations — so NaN entries
+        // match the scalar dequantization as a class. Between instances a
+        // NaN's payload must agree too (both canonicalize it through `F16`),
+        // but not its sign: `code · scale + zero` with a NaN product and a
+        // NaN `zero` returns the NaN the compiler put first, and it commutes
+        // the sum (a release build adds `zero + product` in the AVX2 line).
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
+        let unsigned_nan = |x: &f32| x.to_bits() & if x.is_nan() { 0x7FFF_FFFF } else { !0 };
+        let isas = Isa::each();
         let mut buf = vec![7.0; 3];
         for width in [BitWidth::B4, BitWidth::B2] {
             let levels = width.levels() as usize;
-            // Alone, in the slab pass (`tame`), and beside groups whose
-            // entries overflow FP16, which sends the slab to the
-            // element-by-element fallback of `round_through_f16`.
+            // Alone, in the baseline's slab pass (`tame`), and beside groups
+            // whose entries overflow FP16, which sends the baseline's slab to
+            // the element-by-element fallback of its round (the AVX2
+            // instance falls back per line).
             let singles = classes.iter().map(std::slice::from_ref);
-            for params in singles.chain([&tame[..], &classes[..]]) {
-                let lut = dequant_lut(params, levels, &mut buf);
-                assert_eq!(lut.len(), params.len() * levels);
-                for (entries, h) in lut.chunks_exact(levels).zip(params) {
-                    let (scale, zero) = (h.lo().to_f32(), h.hi().to_f32());
-                    for (code, got) in entries.iter().enumerate() {
-                        // A NaN's sign is whatever the FMA's operand order
-                        // made it — not defined even between two scalar
-                        // evaluations — so NaN entries match as a class.
-                        let same =
-                            |a: f32, b: f32| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
-                        let want = F16::from_f32(code as f32 * scale + zero).to_f32();
-                        let reference = QuantParams::from_half2(*h).dequantize(code as u8);
-                        assert!(same(*got, want), "{h:?} code {code}: {got} vs {want}");
-                        assert!(same(want, reference.to_f32()), "{h:?} code {code}");
+            let slabs = singles
+                .chain([&tame[..], &classes[..]])
+                .chain(sweep.chunks(8));
+            for params in slabs {
+                let want: Vec<f32> = params
+                    .iter()
+                    .flat_map(|&h| {
+                        (0..levels as u8).map(move |c| QuantParams::from_half2(h).dequantize(c))
+                    })
+                    .map(F16::to_f32)
+                    .collect();
+                let mut first = None;
+                for &isa in &isas {
+                    let lut = dequant_lut(isa, params, levels, &mut buf);
+                    assert_eq!(lut.len(), want.len());
+                    for (i, (&got, &want)) in lut.iter().zip(&want).enumerate() {
+                        let (h, code) = (params[i / levels], i % levels);
+                        assert!(
+                            same(got, want),
+                            "{isa:?} {h:?} code {code}: {got} vs {want}"
+                        );
                     }
+                    let bits: Vec<u32> = lut.iter().map(unsigned_nan).collect();
+                    assert_eq!(
+                        first.get_or_insert(bits.clone()),
+                        &bits,
+                        "{isa:?} {params:?}"
+                    );
                 }
             }
         }

@@ -285,7 +285,7 @@ fn score_block(q_eff: &[f32], kt: &TokenMatrix, scores: &mut Vec<f32>) {
 
 impl KernelScratch {
     /// The packed walk — the one body every fused entry point runs — as the
-    /// decoder's instance ([`crate::isa::Isa::run`]). Block by block, in
+    /// decoder's instance ([`bd_lowbit::isa::Isa::run`]). Block by block, in
     /// order: decode through the plan, score the Kᵀ tile against the
     /// `q_rows` elements of `q_eff`, and fold the scores into `states`,
     /// whose rows sit back to back in that range.
@@ -752,9 +752,9 @@ pub fn attend_residual(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::Isa;
     use crate::softmax::reference_attention;
     use bd_kvcache::PackLayout;
+    use bd_lowbit::isa::Isa;
 
     #[test]
     fn wgmma_matmul_matches_dense() {

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 //! # bd-core — the BitDecoding engine
@@ -50,7 +50,6 @@
 pub mod api;
 pub mod codec;
 pub mod config;
-mod isa;
 pub mod kernels;
 pub mod profiles;
 pub mod shape;

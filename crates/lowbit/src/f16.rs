@@ -10,6 +10,7 @@
 //! matches the behaviour of mixed-precision GPU pipelines that accumulate in
 //! FP32 registers.
 
+use crate::isa::Isa;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -240,36 +241,63 @@ pub fn f32_to_f16_bits(fbits: u32) -> u16 {
 /// even in place, results in the subnormal range round through the same
 /// `+ 0.5` alignment [`f32_to_f16_bits`] uses. A row holding anything
 /// larger, infinite or NaN is redone element by element through [`F16`].
+/// On a host with F16C the pass converts 8 values per `vcvtps2ph` /
+/// `vcvtph2ps` pair instead ([`Isa::round_through_f16`]).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn round_through_f16(src: &[f32], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "slab length mismatch");
-    let mut overflow = false;
-    for (out, &x) in dst.iter_mut().zip(src) {
-        overflow |= rounds_past_f16_max(x);
-        *out = round_below_f16_max(x);
-    }
-    if overflow {
-        for (out, &x) in dst.iter_mut().zip(src) {
-            *out = F16::from_f32(x).to_f32();
-        }
-    }
+    Isa::host().round_through_f16(src, dst);
 }
 
 /// [`round_through_f16`] over `xs` in place, bit for bit the same values.
 pub fn round_through_f16_in_place(xs: &mut [f32]) {
-    if xs
-        .iter()
-        .fold(false, |any, &x| any | rounds_past_f16_max(x))
-    {
-        for x in xs {
-            *x = F16::from_f32(*x).to_f32();
+    Isa::host().round_through_f16_in_place(xs);
+}
+
+impl Isa {
+    /// [`round_through_f16`] in this instance.
+    pub fn round_through_f16(self, src: &[f32], dst: &mut [f32]) {
+        let overflow = match self.avx2() {
+            Some(avx2) => avx2.round(src, dst),
+            None => {
+                assert_eq!(src.len(), dst.len(), "slab length mismatch");
+                let mut overflow = false;
+                for (out, &x) in dst.iter_mut().zip(src) {
+                    overflow |= rounds_past_f16_max(x);
+                    *out = round_below_f16_max(x);
+                }
+                overflow
+            }
+        };
+        if overflow {
+            for (out, &x) in dst.iter_mut().zip(src) {
+                *out = F16::from_f32(x).to_f32();
+            }
         }
-    } else {
-        for x in xs {
-            *x = round_below_f16_max(*x);
+    }
+
+    /// [`round_through_f16_in_place`] in this instance.
+    pub fn round_through_f16_in_place(self, xs: &mut [f32]) {
+        if xs
+            .iter()
+            .fold(false, |any, &x| any | rounds_past_f16_max(x))
+        {
+            for x in xs {
+                *x = F16::from_f32(*x).to_f32();
+            }
+        } else if let Some(avx2) = self.avx2() {
+            let mut copy = [0.0; 64];
+            for chunk in xs.chunks_mut(64) {
+                let copy = &mut copy[..chunk.len()];
+                copy.copy_from_slice(chunk);
+                avx2.round(copy, chunk);
+            }
+        } else {
+            for x in xs {
+                *x = round_below_f16_max(*x);
+            }
         }
     }
 }
@@ -454,22 +482,22 @@ mod tests {
         cases
     }
 
-    /// Rounds `cases` in slabs of `len` both ways, and checks every value
-    /// against the scalar [`F16`] round trip, bit for bit.
-    fn assert_slabs_round_like_scalar(cases: &[f32], len: usize) {
+    /// Rounds `cases` in slabs of `len` both ways in `isa`, and checks
+    /// every value against the scalar [`F16`] round trip, bit for bit.
+    fn assert_slabs_round_like_scalar(isa: Isa, cases: &[f32], len: usize) {
         let want = |x: f32| F16::from_f32(x).to_f32().to_bits();
         let mut got = vec![0.0f32; len];
         let mut in_place = vec![0.0f32; len];
         for src in cases.chunks(len) {
             let (got, in_place) = (&mut got[..src.len()], &mut in_place[..src.len()]);
-            round_through_f16(src, got);
+            isa.round_through_f16(src, got);
             in_place.copy_from_slice(src);
-            round_through_f16_in_place(in_place);
+            isa.round_through_f16_in_place(in_place);
             for ((&x, g), p) in src.iter().zip(&*got).zip(&*in_place) {
                 if [g.to_bits(), p.to_bits()] != [want(x); 2] {
                     let (g, p) = (g.to_bits(), p.to_bits());
                     panic!(
-                        "slab of {len}: {:#010x} gave {g:#010x}, in place {p:#010x}, want {:#010x}",
+                        "{isa:?}, slab of {len}: {:#010x} gave {g:#010x}, in place {p:#010x}, want {:#010x}",
                         x.to_bits(),
                         want(x)
                     );
@@ -486,13 +514,15 @@ mod tests {
         // the branch-free pass on its own. Longer slabs: those that hold an
         // out-of-range value are redone whole by the fallback, the rest
         // stay on the slab pass, and lengths around 8 end in every tail.
-        for len in [1, 7, 8, 9, 63, 64, 8192] {
-            assert_slabs_round_like_scalar(&cases, len);
+        for isa in Isa::each() {
+            for len in [1, 7, 8, 9, 63, 64, 8192] {
+                assert_slabs_round_like_scalar(isa, &cases, len);
+            }
         }
     }
 
-    /// Every `f32` bit pattern (about 30 s in a release build:
-    /// `cargo test --release -p bd-lowbit -- --ignored`).
+    /// Every `f32` bit pattern, in every instance (about a minute in a
+    /// release build: `cargo test --release -p bd-lowbit -- --ignored`).
     #[test]
     #[ignore = "2^32 values; run with --release -- --ignored"]
     fn slab_rounding_matches_scalar_on_every_f32() {
@@ -502,7 +532,9 @@ mod tests {
             for (low, x) in (0..).zip(&mut cases) {
                 *x = f32::from_bits(high * SLAB + low);
             }
-            assert_slabs_round_like_scalar(&cases, 8192);
+            for isa in Isa::each() {
+                assert_slabs_round_like_scalar(isa, &cases, 8192);
+            }
         }
     }
 

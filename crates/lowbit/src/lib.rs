@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 //! # bd-lowbit — low-precision numerics for BitDecoding-RS
@@ -32,6 +32,7 @@ pub mod f16;
 pub mod fastpath;
 pub mod fp4;
 pub mod half2;
+pub mod isa;
 pub mod pack;
 pub mod quant;
 

@@ -490,7 +490,7 @@ use Kind::{Admitting, Doubling, Seal, Steady};
 
 #[rustfmt::skip]
 const ROWS: [Row; 16] = [
-    row("long_solo", 0, Admitting, 411, 1655296, 88, [0, 3, 6], 73728, 2048),
+    row("long_solo", 0, Admitting, 411, 1647104, 88, [0, 3, 6], 73728, 2048),
     row("long_solo", 5, Steady, 124, 16196, 2, [0, 1, 2], 73728, 2048),
     row("long_solo", 8, Seal, 126, 20996, 2, [0, 1, 2], 73728, 2048),
     row("long_solo", 24, Doubling, 124, 16196, 2, [0, 1, 2], 73728, 2048),
