@@ -259,10 +259,10 @@ pub fn round_through_f16_in_place(xs: &mut [f32]) {
 impl Isa {
     /// [`round_through_f16`] in this instance.
     pub fn round_through_f16(self, src: &[f32], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len(), "slab length mismatch");
         let overflow = match self.avx2() {
             Some(avx2) => avx2.round(src, dst),
             None => {
-                assert_eq!(src.len(), dst.len(), "slab length mismatch");
                 let mut overflow = false;
                 for (out, &x) in dst.iter_mut().zip(src) {
                     overflow |= rounds_past_f16_max(x);

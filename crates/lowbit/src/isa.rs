@@ -2,11 +2,12 @@
 //! `unsafe` in the workspace: the baseline build, and AVX2 with F16C, picked
 //! at run time ([`Isa::host`]). The bits agree: Rust never contracts
 //! `a * b + c` into an FMA nor reassociates a float sum on any target,
-//! `vpermps` / `vblendvps` only move bits, and F16C rounds like [`F16`]
+//! `vpermps` / `vblendvps` only move bits, and F16C rounds like [`crate::F16`]
 //! below 65520 in magnitude; a slab holding anything else (NaN, whose
-//! payload F16C keeps, among it) takes [`F16`]'s round.
+//! payload F16C keeps, among it) takes the software round.
 #![allow(unsafe_code)]
 
+#[cfg(target_arch = "x86_64")]
 use crate::f16::F16;
 use crate::half2::Half2;
 #[cfg(target_arch = "x86_64")]
@@ -105,7 +106,6 @@ impl Avx2 {
     /// `dst[i] = F16::from_f32(src[i]).to_f32()` wherever `|src[i]| <
     /// 65520`; `true` if some value is not.
     pub(crate) fn round(self, src: &[f32], dst: &mut [f32]) -> bool {
-        assert_eq!(src.len(), dst.len(), "slab length mismatch");
         // SAFETY: an `Avx2` exists only where the host reported AVX2 and
         // F16C.
         #[cfg(target_arch = "x86_64")]
@@ -151,7 +151,7 @@ fn permute<const L: usize>(tile: &[u32; 8], shift: u8, line: &[f32; L], out: &mu
 }
 
 /// [`Avx2::dequant_lines`]: `code · scale` then `+ zero`, 8 codes wide,
-/// rounded by [`round_slab`], or per entry by [`F16`] where it cannot.
+/// rounded by [`round_slab`], or per entry by `F16` where it cannot.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,f16c")]
 #[inline]
@@ -192,7 +192,7 @@ fn round_slab(src: &[f32], dst: &mut [f32]) -> bool {
 
 /// Stores `x` rounded through binary16 (`vcvtps2ph` in the immediate
 /// round-to-nearest-even mode, not MXCSR's, then `vcvtph2ps`); returns the
-/// lanes where that is not [`F16`]'s round: `|x| ≥ 65520`, or NaN.
+/// lanes where that is not `F16`'s round: `|x| ≥ 65520`, or NaN.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,f16c")]
 #[inline]

@@ -11,9 +11,10 @@
 //! [fast dequantization](crate::fastpath) path, and Blackwell
 //! [micro-scaling FP4 formats](crate::fp4) (MXFP4 / NVFP4).
 //!
-//! Everything in this crate is pure arithmetic — no GPU model, no caches —
-//! so it can be tested exhaustively and reused by every other crate in the
-//! workspace.
+//! Everything in this crate is arithmetic — no GPU model, no caches — so
+//! it can be tested exhaustively and reused by every other crate in the
+//! workspace. The one part that depends on the host, [`isa`], picks the
+//! baseline build or AVX2 with F16C at run time, with the same bits.
 //!
 //! ## Example: quantize, pack, fast-dequantize
 //!
