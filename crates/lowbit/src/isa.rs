@@ -1,6 +1,6 @@
 //! The two instances of the packed walk and the FP16 round, and the only
-//! `unsafe` in the workspace: the baseline build, and AVX2 with F16C, picked
-//! at run time ([`Isa::host`]). The bits agree: Rust never contracts
+//! `unsafe` in the crates' library code: the baseline build, and AVX2 with
+//! F16C, picked at run time ([`Isa::host`]). The bits agree: Rust never contracts
 //! `a * b + c` into an FMA nor reassociates a float sum on any target,
 //! `vpermps` / `vblendvps` only move bits, and F16C rounds like [`crate::F16`]
 //! below 65520 in magnitude; a slab holding anything else (NaN, whose
