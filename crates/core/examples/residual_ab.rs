@@ -2,8 +2,10 @@
 //! `TokenMatrix` (rounded into scratch Kᵀ panels on every call — what the
 //! benchmark's `core.attend_residual_ns_per_tok` probe times) and the
 //! store's `KeyWindow` (sealed 16-token groups read from the panels its
-//! pushes wrote, only the partial group written per call). Asserts both give the
-//! same bits, then prints the best-of-N cost per KV token of each.
+//! pushes wrote, only the partial group written per call). Both run in
+//! the host's instance (`Isa::host`: AVX2 with F16C and FMA where the CPU
+//! reports them, else the baseline build). Asserts both give the same
+//! bits, then prints the best-of-N cost per KV token of each.
 //!
 //! ```text
 //! cargo run --release -p bd-core --example residual_ab [runs]

@@ -38,6 +38,7 @@ use bd_kvcache::{BlockCodec, KeyWindow, PackedBlock, QuantScheme, TokenMatrix, P
 use bd_lowbit::f16::round_through_f16;
 use bd_lowbit::fastpath::FastDequantOps;
 use bd_lowbit::fp4::{quantize_fp4_block, E2M1};
+use bd_lowbit::isa::Isa;
 use bd_lowbit::Fp4Kind;
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -271,7 +272,7 @@ fn push_effective_queries(
 /// `dim × tokens` Kᵀ tile: tokens on the lanes, every score adding its
 /// `q[c] · k[c][t]` terms channel-ascending from `0.0` like the row-dot.
 #[inline(always)]
-fn score_block(q_eff: &[f32], kt: &TokenMatrix, scores: &mut Vec<f32>) {
+fn score_block(isa: Isa, q_eff: &[f32], kt: &TokenMatrix, scores: &mut Vec<f32>) {
     let (dim, tokens) = (kt.tokens(), kt.dim());
     scores.clear();
     scores.resize(q_eff.len() / dim * tokens, 0.0);
@@ -279,7 +280,7 @@ fn score_block(q_eff: &[f32], kt: &TokenMatrix, scores: &mut Vec<f32>) {
         .chunks_exact(dim)
         .zip(scores.chunks_exact_mut(tokens.max(1)))
     {
-        row_times_matrix(q_row, kt.as_slice(), s_row);
+        row_times_matrix(isa, q_row, kt.as_slice(), s_row);
     }
 }
 
@@ -315,11 +316,12 @@ impl KernelScratch {
         let mut ops = FastDequantOps::default();
         for block in blocks {
             ops += decoder.decode(block.borrow(), &mut self.lut, &mut self.k, &mut self.v);
-            score_block(&self.q_eff[q_rows.clone()], &self.k, &mut self.scores);
+            let q_eff = &self.q_eff[q_rows.clone()];
+            score_block(decoder.isa, q_eff, &self.k, &mut self.scores);
             let mut scores = self.scores.as_mut_slice();
             for state in states.iter_mut() {
                 let (own, rest) = scores.split_at_mut(state.rows() * self.v.tokens());
-                state.step_scores(own, &self.v);
+                state.step_scores(decoder.isa, own, &self.v);
                 scores = rest;
             }
         }
@@ -624,6 +626,7 @@ const K_TILE: usize = 16;
 /// most 16 lanes): for each 16-channel k-tile, each lane builds `partial`
 /// from `0.0` in channel order, then `total += partial`, `total` from
 /// `0.0` — the scalar k-tile tree, 16 tokens side by side.
+#[inline(always)]
 fn score_panel(q_row: &[f32], panel: &[f32], out: &mut [f32]) {
     let mut total = [0.0f32; PANEL_TOKENS];
     for (q_tile, k_tile) in q_row
@@ -663,8 +666,22 @@ fn score_panel(q_row: &[f32], panel: &[f32], out: &mut [f32]) {
 /// copied (`wgmma`) into its scratch panels. Tile zero-padding adds exact
 /// zeros and so never changes a result bit.
 /// `tests::fused_residual_matches_materializing_bitwise` and
-/// `summation_order.rs` pin the equivalence.
+/// `summation_order.rs` pin the equivalence. Runs in the host's instance
+/// ([`Isa::host`]), with the same bits as the baseline's.
 pub fn attend_residual_fused<K: ResidualKeys + ?Sized>(
+    q: &[Vec<f32>],
+    res_k: &K,
+    res_v: &TokenMatrix,
+    scale: f32,
+    engine: MatmulEngine,
+    state: &mut OnlineSoftmax,
+) {
+    attend_residual_in(Isa::host(), q, res_k, res_v, scale, engine, state);
+}
+
+/// [`attend_residual_fused`]'s body inside `isa`'s entry ([`Isa::run`]).
+fn attend_residual_in<K: ResidualKeys + ?Sized>(
+    isa: Isa,
     q: &[Vec<f32>],
     res_k: &K,
     res_v: &TokenMatrix,
@@ -701,14 +718,21 @@ pub fn attend_residual_fused<K: ResidualKeys + ?Sized>(
         }
         scores.clear();
         scores.resize(q_eff.len() / dim * tokens, 0.0);
-        let groups = (sealed.chunks_exact(panel_len)).chain(panels.chunks_exact(panel_len));
-        for (group, panel) in groups.enumerate() {
-            let lanes = group * PANEL_TOKENS..tokens.min((group + 1) * PANEL_TOKENS);
-            for (q_row, s_row) in q_eff.chunks_exact(dim).zip(scores.chunks_exact_mut(tokens)) {
-                score_panel(q_row, panel, &mut s_row[lanes.clone()]);
-            }
-        }
-        state.step_scores(scores, res_v);
+        isa.run(
+            #[inline(always)]
+            || {
+                let groups = (sealed.chunks_exact(panel_len)).chain(panels.chunks_exact(panel_len));
+                for (group, panel) in groups.enumerate() {
+                    let lanes = group * PANEL_TOKENS..tokens.min((group + 1) * PANEL_TOKENS);
+                    for (q_row, s_row) in
+                        q_eff.chunks_exact(dim).zip(scores.chunks_exact_mut(tokens))
+                    {
+                        score_panel(q_row, panel, &mut s_row[lanes.clone()]);
+                    }
+                }
+                state.step_scores(isa, scores, res_v);
+            },
+        );
     });
 }
 
@@ -1045,17 +1069,19 @@ mod tests {
                         engine,
                         &mut materializing,
                     );
-                    let mut fused = OnlineSoftmax::new(rows, d);
-                    attend_residual_fused(&q, &res_k, &res_v, scale, engine, &mut fused);
                     let a = materializing.finish();
-                    let b = fused.finish();
-                    for (ar, br) in a.iter().zip(&b) {
-                        for (x, y) in ar.iter().zip(br) {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "{engine:?} rows={rows} d={d} tokens={tokens} wn={wn}: {x} vs {y}"
-                            );
+                    for isa in Isa::each() {
+                        let mut fused = OnlineSoftmax::new(rows, d);
+                        attend_residual_in(isa, &q, &res_k, &res_v, scale, engine, &mut fused);
+                        let b = fused.finish();
+                        for (ar, br) in a.iter().zip(&b) {
+                            for (x, y) in ar.iter().zip(br) {
+                                assert_eq!(
+                                    x.to_bits(),
+                                    y.to_bits(),
+                                    "{isa:?} {engine:?} rows={rows} d={d} tokens={tokens} wn={wn}: {x} vs {y}"
+                                );
+                            }
                         }
                     }
                 }
@@ -1080,8 +1106,10 @@ mod tests {
         assert!(state.finish().iter().all(|r| r.iter().all(|&x| x == 0.0)));
     }
 
-    /// `attend_residual_fused`'s `(m, l, acc)` bits for one query block.
+    /// The residual kernel's `(m, l, acc)` bits for one query block in
+    /// `isa`.
     fn residual_bits<K: ResidualKeys + ?Sized>(
+        isa: Isa,
         q: &[Vec<f32>],
         k: &K,
         v: &TokenMatrix,
@@ -1089,7 +1117,8 @@ mod tests {
     ) -> Vec<u32> {
         let dim = v.dim();
         let mut state = OnlineSoftmax::new(q.len(), dim);
-        attend_residual_fused(q, k, v, 1.0 / (dim as f32).sqrt(), engine, &mut state);
+        let scale = 1.0 / (dim as f32).sqrt();
+        attend_residual_in(isa, q, k, v, scale, engine, &mut state);
         let acc = (0..q.len()).flat_map(|r| state.acc_row(r).to_vec());
         (state.m.iter().chain(&state.l).copied().chain(acc))
             .map(f32::to_bits)
@@ -1103,7 +1132,8 @@ mod tests {
         // pushed from — for every window length below KC-4's Nr, every
         // whole group's panel written by the push that sealed it, and 8
         // query blocks reading one window at once on launches of 1, 2, 3
-        // and 8 threads.
+        // and 8 threads — in every instance, against the baseline's
+        // TokenMatrix entry.
         let nr = PackLayout::sm80_default().residual_block(bd_lowbit::BitWidth::B4);
         let dim = 24;
         let raw_k = TokenMatrix::from_fn(nr, dim, |t, c| ((t * dim + c) as f32 * 0.37).sin() * 2.0);
@@ -1115,29 +1145,28 @@ mod tests {
         for len in 1..nr {
             let raw = raw_k.slice_rows(0..len);
             let v = all_v.slice_rows(0..len);
-            let rounded = KeyWindow::from_rows(&raw).rows().clone();
+            let window = KeyWindow::from_rows(&raw);
+            let rounded = window.rows().clone();
+            assert_eq!(window.sealed_groups(), len / PANEL_TOKENS);
+            assert!(window.panels_match_rows());
             for engine in [MatmulEngine::Mma, MatmulEngine::Wgmma] {
                 let want: Vec<Vec<u32>> = (queries.iter())
-                    .map(|q| residual_bits(q, &rounded, &v, engine))
+                    .map(|q| residual_bits(Isa::BASELINE, q, &rounded, &v, engine))
                     .collect();
-                if engine == MatmulEngine::Mma {
-                    for (q, want) in queries.iter().zip(&want) {
-                        assert_eq!(&residual_bits(q, &raw, &v, engine), want, "len {len}");
+                for isa in Isa::each() {
+                    let at = format!("{isa:?} {engine:?} len {len}");
+                    if engine == MatmulEngine::Mma {
+                        for (q, want) in queries.iter().zip(&want) {
+                            assert_eq!(&residual_bits(isa, q, &raw, &v, engine), want, "{at}");
+                        }
                     }
-                }
-                let window = KeyWindow::from_rows(&raw);
-                assert_eq!(window.sealed_groups(), len / PANEL_TOKENS);
-                assert!(window.panels_match_rows());
-                for width in [1, 2, 3, 8] {
-                    let got = bd_kvcache::launch(queries.len(), width, |i| {
-                        residual_bits(&queries[i], &window, &v, engine)
-                    });
-                    for (i, (got, want)) in got.into_iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            got.as_ref(),
-                            Some(want),
-                            "{engine:?} len {len} width {width} query {i}"
-                        );
+                    for width in [1, 2, 3, 8] {
+                        let got = bd_kvcache::launch(queries.len(), width, |i| {
+                            residual_bits(isa, &queries[i], &window, &v, engine)
+                        });
+                        for (i, (got, want)) in got.into_iter().zip(&want).enumerate() {
+                            assert_eq!(got.as_ref(), Some(want), "{at} width {width} query {i}");
+                        }
                     }
                 }
             }

@@ -12,16 +12,22 @@
 
 use bd_gpu_sim::Tile;
 use bd_kvcache::TokenMatrix;
+use bd_lowbit::isa::Isa;
 
 /// `out[n] += Σ_k a[k] · b[k][n]` over row-major `b` (`a.len() × out.len()`)
 /// — either attention GEMM for one query row — with the MMA's N dimension
 /// on the lanes: each adds its terms in ascending `k`, literally the scalar
 /// dot product's sequence, side by side instead of one after another.
 #[inline(always)]
-pub(crate) fn row_times_matrix(a: &[f32], b: &[f32], out: &mut [f32]) {
-    // Tiles of 16 lanes stay in registers on the baseline target; columns
-    // past the last full tile go one at a time.
-    let done = row_times_lanes::<16>(a, b, out, 0);
+pub(crate) fn row_times_matrix(isa: Isa, a: &[f32], b: &[f32], out: &mut [f32]) {
+    // 64-lane tiles are 8 independent `ymm` add chains in the AVX2
+    // instance; on the baseline target 16 lanes is what stays in
+    // registers. Columns past the last full tile go one at a time.
+    let done = match isa.avx2() {
+        Some(_) => row_times_lanes::<64>(a, b, out, 0),
+        None => 0,
+    };
+    let done = row_times_lanes::<16>(a, b, out, done);
     row_times_lanes::<1>(a, b, out, done);
 }
 
@@ -100,19 +106,21 @@ impl OnlineSoftmax {
         assert_eq!(s.rows(), self.rows(), "score tile rows");
         assert_eq!(s.cols(), v.rows(), "score/value token mismatch");
         let v = TokenMatrix::from_flat(v.as_slice().to_vec(), v.cols());
-        self.step_scores(&mut s.as_slice().to_vec(), &v);
+        self.step_scores(Isa::BASELINE, &mut s.as_slice().to_vec(), &v);
     }
 
-    /// [`OnlineSoftmax::step_tile`] over the fused kernels' scratch: a flat
-    /// row-major `rows × tokens` score buffer, overwritten with the
-    /// probabilities `exp(s − m)` so `P·V` runs channel lanes over a whole
-    /// row (every `l += p` and `acc += p·v` still in token order).
+    /// [`OnlineSoftmax::step_tile`] over the fused kernels' scratch, in
+    /// `isa`: a flat row-major `rows × tokens` score buffer, overwritten
+    /// with the probabilities `exp(s − m)` a row at a time — all of a
+    /// row's exps first, then `l += p` in token order — so `P·V` runs
+    /// channel lanes over a whole row (every `l += p` and `acc += p·v`
+    /// still in token order).
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
     #[inline(always)]
-    pub(crate) fn step_scores(&mut self, s: &mut [f32], v: &TokenMatrix) {
+    pub(crate) fn step_scores(&mut self, isa: Isa, s: &mut [f32], v: &TokenMatrix) {
         let (tokens, dim) = (v.tokens(), self.dim);
         assert_eq!(s.len(), self.rows() * tokens, "score buffer shape");
         assert_eq!(v.dim(), dim, "value dim mismatch");
@@ -120,16 +128,16 @@ impl OnlineSoftmax {
             let row_max = p_row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
             let m_new = self.m[i].max(row_max);
             let correction = (self.m[i] - m_new).exp();
-            let mut l_new = self.l[i] * correction;
             for p in p_row.iter_mut() {
-                *p = (*p - m_new).exp();
-                l_new += *p;
+                *p -= m_new;
             }
+            isa.exp_in_place(p_row);
+            let l_new = p_row.iter().fold(self.l[i] * correction, |l, &p| l + p);
             let acc = &mut self.acc[i * dim..(i + 1) * dim];
             for a in acc.iter_mut() {
                 *a *= correction;
             }
-            row_times_matrix(p_row, v.as_slice(), acc);
+            row_times_matrix(isa, p_row, v.as_slice(), acc);
             self.m[i] = m_new;
             self.l[i] = l_new;
         }

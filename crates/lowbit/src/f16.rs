@@ -134,7 +134,7 @@ impl F16 {
     /// GPU `fma.rn.f16` contract used during dequantization
     /// (`x = q * scale + zero`).
     #[inline]
-    pub fn mul_add(self, a: F16, b: F16) -> Self {
+    pub fn hfma(self, a: F16, b: F16) -> Self {
         F16::from_f32(self.to_f32() * a.to_f32() + b.to_f32())
     }
 }
@@ -415,7 +415,7 @@ mod tests {
         let c = a + b;
         assert!((c.to_f32() - 0.3).abs() < 1e-3);
         assert_eq!((-a).to_f32(), -a.to_f32());
-        assert_eq!(a.mul_add(b, F16::ONE).to_f32(), {
+        assert_eq!(a.hfma(b, F16::ONE).to_f32(), {
             F16::from_f32(a.to_f32() * b.to_f32() + 1.0).to_f32()
         });
     }

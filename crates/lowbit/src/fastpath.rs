@@ -144,7 +144,7 @@ pub fn dequant_register(
         ops.lop3 += 1;
 
         let raw = Half2::from_bits(extracted);
-        let scaled = raw.mul_add(fused.scale2, fused.bias2);
+        let scaled = raw.hfma2(fused.scale2, fused.bias2);
         ops.hfma2 += 1;
 
         // Physical (i, i + steps) hold logical (2i, 2i + 1) by construction

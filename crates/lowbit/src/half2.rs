@@ -62,10 +62,10 @@ impl Half2 {
 
     /// Element-wise fused multiply-add: `self * a + b`, the `HFMA2`
     /// instruction applied during dequantization.
-    pub fn mul_add(self, a: Half2, b: Half2) -> Self {
+    pub fn hfma2(self, a: Half2, b: Half2) -> Self {
         Half2 {
-            lo: self.lo.mul_add(a.lo, b.lo),
-            hi: self.hi.mul_add(a.hi, b.hi),
+            lo: self.lo.hfma(a.lo, b.lo),
+            hi: self.hi.hfma(a.hi, b.hi),
         }
     }
 }
@@ -92,7 +92,7 @@ mod tests {
         let x = Half2::new(F16::from_f32(2.0), F16::from_f32(3.0));
         let a = Half2::new(F16::from_f32(0.5), F16::from_f32(2.0));
         let b = Half2::new(F16::from_f32(1.0), F16::from_f32(-1.0));
-        let y = x.mul_add(a, b);
+        let y = x.hfma2(a, b);
         assert_eq!(y.lo().to_f32(), 2.0);
         assert_eq!(y.hi().to_f32(), 5.0);
     }

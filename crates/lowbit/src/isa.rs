@@ -1,10 +1,14 @@
-//! The two instances of the packed walk and the FP16 round, and the only
-//! `unsafe` in the crates' library code: the baseline build, and AVX2 with
-//! F16C, picked at run time ([`Isa::host`]). The bits agree: Rust never contracts
-//! `a * b + c` into an FMA nor reassociates a float sum on any target,
-//! `vpermps` / `vblendvps` only move bits, and F16C rounds like [`crate::F16`]
-//! below 65520 in magnitude; a slab holding anything else (NaN, whose
-//! payload F16C keeps, among it) takes the software round.
+//! The two instances of the fused kernels, the FP16 round and the
+//! softmax exp, and the only `unsafe` in the crates' library code: the
+//! baseline build, and AVX2 with F16C and FMA, picked at run time
+//! ([`Isa::host`]). The bits agree: Rust never contracts `a * b + c` into
+//! an FMA nor reassociates a float sum on any target, `vpermps` /
+//! `vblendvps` only move bits, F16C rounds like [`crate::F16`] below 65520
+//! in magnitude (a slab holding anything else, NaN among it, takes the
+//! software round), and the 8-wide exp is glibc's `__expf_fma` algorithm,
+//! whose FMAs are the only ones here: equal to `f32::exp` on a host whose
+//! libm runs that variant, with the lanes it sends to its special case
+//! (`|x| ≥ 88`, Inf, NaN) given to `f32::exp` itself.
 #![allow(unsafe_code)]
 
 #[cfg(target_arch = "x86_64")]
@@ -17,8 +21,8 @@ use std::arch::x86_64::*;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Isa(Option<Avx2>);
 
-/// Proof that the host runs AVX2 and F16C: only [`Isa::host`] makes one,
-/// and only on `x86_64`.
+/// Proof that the host runs AVX2, F16C and FMA: only [`Isa::host`] makes
+/// one, and only on `x86_64`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub struct Avx2(());
@@ -27,24 +31,27 @@ impl Isa {
     /// The build target's instance.
     pub const BASELINE: Isa = Isa(None);
 
-    /// AVX2 and F16C where an `x86_64` CPU reports both (the standard
-    /// library probes once and caches the answer), the baseline everywhere
-    /// else.
+    /// AVX2, F16C and FMA where an `x86_64` CPU reports all three (the
+    /// standard library probes once and caches the answer), the baseline
+    /// everywhere else.
     pub fn host() -> Isa {
         #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("f16c") {
+        if std::is_x86_feature_detected!("avx2")
+            && std::is_x86_feature_detected!("f16c")
+            && std::is_x86_feature_detected!("fma")
+        {
             return Isa(Some(Avx2(())));
         }
         Isa::BASELINE
     }
 
     /// Every instance this host runs, the baseline first: what bit tests
-    /// compare. Without AVX2 and F16C that side is skipped, with a printed
-    /// line.
+    /// compare. Without AVX2, F16C and FMA that side is skipped, with a
+    /// printed line.
     pub fn each() -> Vec<Isa> {
         let host = Isa::host();
         if host == Isa::BASELINE {
-            println!("this host has no AVX2 and F16C: the AVX2 instance is skipped");
+            println!("this host lacks AVX2, F16C or FMA: the AVX2 instance is skipped");
             return vec![host];
         }
         vec![Isa::BASELINE, host]
@@ -55,16 +62,27 @@ impl Isa {
         self.0
     }
 
-    /// Runs `body` as this instance: inside the `avx2,f16c` entry, where
-    /// all that `body` inlines compiles for AVX2 and F16C, or as it is.
+    /// Runs `body` as this instance: inside the `avx2,f16c,fma` entry,
+    /// where all that `body` inlines compiles for AVX2, F16C and FMA, or
+    /// as it is.
     #[inline(always)]
     pub fn run<R>(self, body: impl FnOnce() -> R) -> R {
         match self.0 {
-            // SAFETY: an `Avx2` exists only where the host reported AVX2
-            // and F16C.
+            // SAFETY: an `Avx2` exists only where the host reported AVX2,
+            // F16C and FMA.
             #[cfg(target_arch = "x86_64")]
             Some(Avx2(())) => unsafe { with_avx2(body) },
             _ => body(),
+        }
+    }
+
+    /// `*x = x.exp()` for every `x` in `xs`, bit for bit `f32::exp` on a
+    /// host whose libm runs `__expf_fma` (see [`Avx2::exp`]).
+    #[inline(always)]
+    pub fn exp_in_place(self, xs: &mut [f32]) {
+        match self.0 {
+            Some(avx2) => avx2.exp(xs),
+            None => xs.iter_mut().for_each(|x| *x = x.exp()),
         }
     }
 }
@@ -103,6 +121,26 @@ impl Avx2 {
         }
     }
 
+    /// `*x = x.exp()` for every `x` in `xs`, 8 lanes at a time: glibc
+    /// 2.36's `__expf_fma` on 2 × 4 doubles, its special-case lanes
+    /// (`|x| ≥ 88`, Inf, NaN) by `f32::exp`.
+    #[inline(always)]
+    pub fn exp(self, xs: &mut [f32]) {
+        let (chunks, tail) = xs.as_chunks_mut::<8>();
+        let mut padded = [0.0; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        let padded_tail = (!tail.is_empty()).then_some(&mut padded);
+        for chunk in chunks.iter_mut().chain(padded_tail) {
+            // SAFETY: an `Avx2` exists only where the host reported AVX2
+            // and FMA.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                exp8(chunk);
+            }
+        }
+        tail.copy_from_slice(&padded[..tail.len()]);
+    }
+
     /// `dst[i] = F16::from_f32(src[i]).to_f32()` wherever `|src[i]| <
     /// 65520`; `true` if some value is not.
     pub(crate) fn round(self, src: &[f32], dst: &mut [f32]) -> bool {
@@ -119,7 +157,7 @@ impl Avx2 {
 
 /// The AVX2 instance's entry.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,f16c")]
+#[target_feature(enable = "avx2,f16c,fma")]
 fn with_avx2<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
@@ -204,6 +242,60 @@ fn round8(x: __m256, out: &mut [f32; 8]) -> __m256 {
     _mm256_or_ps(huge, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
 }
 
+/// glibc's `__exp2f_data.tab`: `bits(2^(i/32)) - (i << 47)`.
+#[cfg(target_arch = "x86_64")]
+#[rustfmt::skip]
+const EXP2F_TAB: [u64; 32] = [
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+];
+
+/// `__expf_fma` on 8 lanes, each as a double: `k = round(x·32/ln2)`,
+/// `r = x·32/ln2 − k`, `2^(k/32)` from the table and the exponent field,
+/// a degree-3 polynomial in `r`, one multiply and one narrowing. The lanes
+/// `__expf_fma` sends to its special case take `f32::exp`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn exp8(xs: &mut [f32; 8]) {
+    let x = load(xs);
+    let halves = [_mm256_castps256_ps128(x), _mm256_extractf128_ps::<1>(x)];
+    let [low, high] = halves.map(|half| {
+        let xd = _mm256_cvtps_pd(half);
+        let f64s = |bits: u64| _mm256_set1_pd(f64::from_bits(bits));
+        let (inv_ln2_n, shift) = (f64s(0x40471547652b82fe), f64s(0x4338000000000000));
+        let kd_shifted = _mm256_fmadd_pd(xd, inv_ln2_n, shift);
+        let ki = _mm256_castpd_si256(kd_shifted);
+        let r = _mm256_fmsub_pd(inv_ln2_n, xd, _mm256_sub_pd(kd_shifted, shift));
+        let index = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+        // SAFETY: every index is `ki & 31`, inside the 32-entry table.
+        let t = unsafe { _mm256_i64gather_epi64::<8>(EXP2F_TAB.as_ptr().cast(), index) };
+        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+        let [c0, c1, c2] = [0x3ebc6af84b912394, 0x3f2ebfce50fac4f3, 0x3f962e42ff0c52d6].map(f64s);
+        let z = _mm256_fmadd_pd(r, c0, c1);
+        let y = _mm256_fmadd_pd(r, c2, _mm256_set1_pd(1.0));
+        let y = _mm256_fmadd_pd(z, _mm256_mul_pd(r, r), y);
+        _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+    });
+    let top = _mm256_srli_epi32::<20>(_mm256_castps_si256(x));
+    let top = _mm256_and_si256(top, _mm256_set1_epi32(0x7ff));
+    let special = _mm256_cmpgt_epi32(top, _mm256_set1_epi32(0x42a));
+    let special = _mm256_movemask_ps(_mm256_castsi256_ps(special));
+    let unpatched = *xs;
+    store(xs, _mm256_set_m128(high, low));
+    for (lane, (out, x)) in xs.iter_mut().zip(unpatched).enumerate() {
+        if special >> lane & 1 != 0 {
+            *out = x.exp();
+        }
+    }
+}
+
 /// An 8-wide load.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -220,4 +312,105 @@ fn load(values: &[f32; 8]) -> __m256 {
 fn store(out: &mut [f32; 8], values: __m256) {
     // SAFETY: `out` is 8 writable `f32`s; `storeu` needs no alignment.
     unsafe { _mm256_storeu_ps(out.as_mut_ptr(), values) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Isa;
+
+    /// `isa`'s exp over `cases` in slabs of `len`, checked against
+    /// `f32::exp` bit for bit ("is NaN" for NaN).
+    fn assert_exp_like_scalar(isa: Isa, cases: &[f32], len: usize) {
+        let mut got = vec![0.0f32; len];
+        for src in cases.chunks(len) {
+            let got = &mut got[..src.len()];
+            got.copy_from_slice(src);
+            isa.exp_in_place(got);
+            for (&x, &g) in src.iter().zip(&*got) {
+                let want = x.exp();
+                if g.to_bits() != want.to_bits() && !(g.is_nan() && want.is_nan()) {
+                    panic!(
+                        "{isa:?}, slab of {len}: exp({:#010x}) gave {:#010x}, want {:#010x}",
+                        x.to_bits(),
+                        g.to_bits(),
+                        want.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Signed zeros, subnormals, infinities and NaN payloads; ±2 ulp
+    /// around every `k·ln2/32` in [−88, 88], where the table index
+    /// changes; 2^20 seeded random bit patterns; and every `f32` in [−104,
+    /// −87] and [87, 89], where results go subnormal, to zero and to
+    /// infinity and the special case begins.
+    fn exp_edge_cases() -> Vec<f32> {
+        let mut cases = Vec::new();
+        for magnitude in [
+            0x0000_0000u32, // zero
+            0x0000_0001,    // smallest subnormal
+            0x0000_1234,
+            0x007F_FFFF, // largest subnormal
+            0x0080_0000, // smallest normal
+            0x7F80_0000, // infinity
+            0x7F80_0001, // signalling NaN, smallest payload
+            0x7FA0_0000,
+            0x7FC0_0000, // quiet NaN
+            0x7FFF_FFFF, // NaN, every payload bit
+        ] {
+            cases.push(f32::from_bits(magnitude));
+            cases.push(f32::from_bits(magnitude | 0x8000_0000));
+        }
+        for k in -4066i32..=4066 {
+            let bits = (f64::from(k) * std::f64::consts::LN_2 / 32.0) as f32;
+            let bits = bits.to_bits();
+            cases.extend((bits.saturating_sub(2)..=bits + 2).map(f32::from_bits));
+        }
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        cases.extend((0..1 << 20).map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            f32::from_bits((s >> 32) as u32)
+        }));
+        let every = |from: f32, to: f32| (from.to_bits()..=to.to_bits()).map(f32::from_bits);
+        cases.extend(every(87.0, 104.0).map(|x| -x));
+        cases.extend(every(87.0, 89.0));
+        cases
+    }
+
+    #[test]
+    fn exp_matches_libm_on_every_edge() {
+        let cases = exp_edge_cases();
+        assert!(cases.len() > 3_000_000, "{} cases", cases.len());
+        // Every case in slabs of 129; the first 2^18 (the named values,
+        // the table edges and most of the random ones) also in slabs of
+        // 1, 7, 8 and 9, which end on every tail of an 8-lane pass.
+        for isa in Isa::each() {
+            assert_exp_like_scalar(isa, &cases, 129);
+            for len in [1, 7, 8, 9] {
+                assert_exp_like_scalar(isa, &cases[..1 << 18], len);
+            }
+        }
+    }
+
+    /// Every `f32` bit pattern, in every instance (about a minute in a
+    /// release build: `cargo test --release -p bd-lowbit -- --ignored
+    /// exp_matches_libm_on_every_f32`).
+    #[test]
+    #[ignore = "2^32 values; run with --release -- --ignored"]
+    fn exp_matches_libm_on_every_f32() {
+        const SLAB: u32 = 1 << 16;
+        let isas = Isa::each();
+        let mut cases = vec![0.0f32; SLAB as usize];
+        for high in 0..=u32::MAX / SLAB {
+            for (low, x) in (0..).zip(&mut cases) {
+                *x = f32::from_bits(high * SLAB + low);
+            }
+            for &isa in &isas {
+                assert_exp_like_scalar(isa, &cases, 4096);
+            }
+        }
+    }
 }

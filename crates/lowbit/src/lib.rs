@@ -14,7 +14,10 @@
 //! Everything in this crate is arithmetic — no GPU model, no caches — so
 //! it can be tested exhaustively and reused by every other crate in the
 //! workspace. The one part that depends on the host, [`isa`], picks the
-//! baseline build or AVX2 with F16C at run time, with the same bits.
+//! baseline build or AVX2 with F16C and FMA at run time, with the same
+//! bits: the fused kernels' instance, the FP16 round, and the softmax's
+//! 8-wide exp (glibc's `__expf_fma` algorithm, equal to `f32::exp` where
+//! libm runs that variant).
 //!
 //! ## Example: quantize, pack, fast-dequantize
 //!

@@ -141,7 +141,7 @@ impl QuantParams {
     /// the fast path lives in [`crate::fastpath`]).
     #[inline]
     pub fn dequantize(&self, code: u8) -> F16 {
-        F16::from_f32(code as f32).mul_add(self.scale, self.zero)
+        F16::from_f32(code as f32).hfma(self.scale, self.zero)
     }
 }
 
