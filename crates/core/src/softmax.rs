@@ -111,10 +111,9 @@ impl OnlineSoftmax {
 
     /// [`OnlineSoftmax::step_tile`] over the fused kernels' scratch, in
     /// `isa`: a flat row-major `rows × tokens` score buffer, overwritten
-    /// with the probabilities `exp(s − m)` a row at a time — all of a
-    /// row's exps first, then `l += p` in token order — so `P·V` runs
-    /// channel lanes over a whole row (every `l += p` and `acc += p·v`
-    /// still in token order).
+    /// row by row with the probabilities `exp(s − m)` (all of a row's exps
+    /// first) so `P·V` runs channel lanes over a whole row; every `l += p`
+    /// and `acc += p·v` stays in token order.
     ///
     /// # Panics
     ///
