@@ -68,13 +68,28 @@ const TILE_LANES: usize = 8;
 /// One code position of a tile: bits `shift..` of its 8 registers hold one
 /// K row's codes for 8 consecutive N coordinates, lane 0's at `(token,
 /// channel)` under metadata group `group`'s dequant-LUT line (none for a
-/// position past the end of a lane stream that ends mid-register).
+/// position past the end of a lane stream that ends mid-register). The 8
+/// values are one 8-value chunk of the unit-stride layout the walk writes
+/// (Kᵀ for a Key plan, token-major for a Value plan): its index and the
+/// shift share one word, `chunk << 5 | shift`, so a segment stays 12 bytes.
 #[derive(Debug)]
 struct Segment {
-    shift: u8,
+    chunk_shift: u32,
     token: u16,
     channel: u16,
     group: u32,
+}
+
+impl Segment {
+    /// The bit offset of the segment's codes in each register.
+    fn shift(&self) -> u32 {
+        self.chunk_shift % 32
+    }
+
+    /// Lane 0's 8-value chunk in the unit-stride layout.
+    fn chunk(&self) -> usize {
+        (self.chunk_shift >> 5) as usize
+    }
 }
 
 /// Layout induction as a value (paper §IV-A(1), Fig. 5): the fragment
@@ -126,6 +141,8 @@ impl FragmentPlan {
         };
         assert_eq!(k_total % shape.k(), 0, "K dim must tile by {}", shape.k());
         assert_eq!(n_total % shape.n(), 0, "N dim must tile by {}", shape.n());
+        // With at least 4 levels this also bounds a chunk index below
+        // 2^27, so `chunk << 5` fits a `u32`.
         let levels = key.width.levels() as usize;
         assert!(
             key.tokens.max(key.dim) <= u16::MAX as usize
@@ -195,8 +212,10 @@ impl FragmentPlan {
                     assert!((0..TILE_LANES).all(|i| lanes[i][..2] == [n + i, k]));
                     affine &= (0..TILE_LANES).all(|i| lanes[i][2] == group + i * plan.group_step);
                     let (t, c) = if key.key_orientation { (n, k) } else { (k, n) };
+                    // N is the unit-stride axis, and lane 0's N a multiple of 8.
+                    let chunk = (n + k * n_total) / TILE_LANES;
                     plan.segments.push(Segment {
-                        shift: (p as u32 * key.width.bits()) as u8,
+                        chunk_shift: ((chunk as u32) << 5) | (p as u32 * key.width.bits()),
                         token: t as u16,
                         channel: c as u16,
                         group: group as u32,
@@ -274,6 +293,9 @@ impl FragmentPlan {
 
     /// Lane 0 of `s` in a destination of `[per token, per channel]` strides,
     /// in 32 bits (`build` bounds the block): no window from it can wrap.
+    /// Only token-major destinations need it — the encode gather, the
+    /// materializing decode and the non-unit paths; the unit-stride walk
+    /// reads the segment's chunk.
     fn at(&self, s: &Segment, [per_token, per_channel]: [usize; 2]) -> usize {
         let (token, channel) = (u32::from(s.token), u32::from(s.channel));
         (token * per_token as u32 + channel * per_channel as u32) as usize
@@ -302,6 +324,27 @@ impl FragmentPlan {
             visit(regs, &self.segments[start..end as usize]);
             start = end as usize;
         }
+    }
+
+    /// A tile's 8 registers, each fused from its two storage words, built
+    /// where it is called: `regs.map(..)` stays an out-of-line call in an
+    /// instance.
+    #[inline(always)]
+    fn tile(pairs: &[[u16; 2]], regs: [usize; TILE_LANES]) -> [u32; TILE_LANES] {
+        let reg = |lane: usize| {
+            let [low, high] = pairs[regs[lane]];
+            fuse_words(low, high)
+        };
+        [
+            reg(0),
+            reg(1),
+            reg(2),
+            reg(3),
+            reg(4),
+            reg(5),
+            reg(6),
+            reg(7),
+        ]
     }
 
     /// The Residual Kernel's quantize + pack: token-major codes land in
@@ -347,7 +390,7 @@ impl FragmentPlan {
                         w | u64::from(window[lane * lane_stride]) << (8 * lane)
                     }),
                 };
-                planes[usize::from(s.shift / 8) % 4] |= lanes << (s.shift % 8);
+                planes[(s.shift() / 8) as usize % 4] |= lanes << (s.shift() % 8);
             }
             for (r, reg32) in regs.into_iter().zip(registers_of_planes(planes)) {
                 pairs[r] = split_register(reg32).into();
@@ -365,11 +408,11 @@ impl FragmentPlan {
         let mut codes = vec![0u8; tokens * dim];
         let lane_stride = self.lane_stride([dim, 1]);
         self.for_each_tile(|regs, segments| {
-            let tile = regs.map(|r| fuse_words(pairs[r][0], pairs[r][1]));
+            let tile = Self::tile(pairs, regs);
             for s in segments {
                 let dst = self.at(s, [dim, 1]);
                 for (lane, reg) in tile.into_iter().enumerate() {
-                    codes[dst + lane * lane_stride] = ((reg >> s.shift) % width.levels()) as u8;
+                    codes[dst + lane * lane_stride] = ((reg >> s.shift()) % width.levels()) as u8;
                 }
             }
         });
@@ -386,7 +429,11 @@ impl FragmentPlan {
     /// bit-identical to [`FragmentPlan::decode`]'s in either `isa`: the
     /// AVX2 instance permutes a LUT line where a segment's 8 lanes are
     /// unit-stride and share it (every Kᵀ row of a channel-wise K, every V
-    /// row), and gathers like the baseline elsewhere.
+    /// row), and gathers like the baseline elsewhere. The unit-stride
+    /// layout is the plan's own (Kᵀ for a Key plan, token-major for a
+    /// Value plan): there both instances write each segment to the chunk
+    /// the plan records, and only the other layout computes destinations
+    /// from strides.
     ///
     /// Returns the modelled fast-dequant instruction counts for the words
     /// streamed (two 16-bit storage words per 32-bit register conversion).
@@ -410,13 +457,14 @@ impl FragmentPlan {
         let out = out.as_mut_slice();
         let lut = dequant_lut(isa, params, self.key.width.levels() as usize, lut);
         // One arm per width, so a LUT line is an array the code's mask
-        // proves every index of, and per lane stride that is a constant.
+        // proves every index of, and per lane stride that is a constant
+        // (1 where `out` is the plan's own, unit-stride layout).
         let avx2 = isa
             .avx2()
             .filter(|_| self.group_step == 0 && self.lane_groups.is_empty());
-        match (self.key.width, self.lane_stride(strides) == 1, avx2) {
-            (BitWidth::B4, true, Some(x)) => self.permute_tiles::<16>(x, words, lut, strides, out),
-            (BitWidth::B2, true, Some(x)) => self.permute_tiles::<4>(x, words, lut, strides, out),
+        match (self.key.width, transposed == self.key.key_orientation, avx2) {
+            (BitWidth::B4, true, Some(x)) => self.permute_tiles::<16>(x, words, lut, out),
+            (BitWidth::B2, true, Some(x)) => self.permute_tiles::<4>(x, words, lut, out),
             (BitWidth::B4, true, _) => self.dequant_tiles::<16, true>(words, lut, strides, out),
             (BitWidth::B4, false, _) => self.dequant_tiles::<16, false>(words, lut, strides, out),
             (BitWidth::B2, true, _) => self.dequant_tiles::<4, true>(words, lut, strides, out),
@@ -438,7 +486,9 @@ impl FragmentPlan {
     /// as a constant: a segment's window is then an array of 8 and, where
     /// its lanes share one LUT line, no check is left per code. This is
     /// the baseline instance's path everywhere and the AVX2 instance's
-    /// where [`FragmentPlan::permute_tiles`] does not apply.
+    /// where [`FragmentPlan::permute_tiles`] does not apply. Where `UNIT`,
+    /// a segment lands on its chunk, as in `permute_tiles`; `strides` only
+    /// places the other layout's lanes.
     #[inline]
     fn dequant_tiles<const LEVELS: usize, const UNIT: bool>(
         &self,
@@ -452,14 +502,18 @@ impl FragmentPlan {
         let (lines, _) = lut.as_chunks::<LEVELS>();
         let one_line = self.group_step == 0 && self.lane_groups.is_empty();
         self.for_each_tile(|regs, segments| {
-            let tile = regs.map(|r| fuse_words(pairs[r][0], pairs[r][1]));
+            let tile = Self::tile(pairs, regs);
             for s in segments {
-                let dst = self.at(s, strides);
+                let dst = if UNIT {
+                    TILE_LANES * s.chunk()
+                } else {
+                    self.at(s, strides)
+                };
                 let window = &mut out[dst..dst + (TILE_LANES - 1) * lane_stride + 1];
                 let shared = one_line.then(|| &lines[s.group as usize]);
                 for (lane, reg) in tile.into_iter().enumerate() {
                     let line = shared.unwrap_or_else(|| &lines[self.lane_group(s, lane)]);
-                    window[lane * lane_stride] = line[(reg >> s.shift) as usize % LEVELS];
+                    window[lane * lane_stride] = line[(reg >> s.shift()) as usize % LEVELS];
                 }
             }
         });
@@ -467,27 +521,31 @@ impl FragmentPlan {
 
     /// [`FragmentPlan::dequant_tiles`]`::<LEVELS, true>` where every
     /// segment's lanes share one LUT line, in the AVX2 instance: the same
-    /// entries, permuted in registers rather than loaded one by one.
+    /// entries, permuted in registers rather than loaded one by one, into
+    /// `out`'s 8-value chunk the plan names per segment. Per segment that
+    /// is a shift, the permute and one store: the destination is read, not
+    /// computed.
     #[inline(always)]
     fn permute_tiles<const LEVELS: usize>(
         &self,
         avx2: Avx2,
         words: &[u16],
         lut: &[f32],
-        strides: [usize; 2],
         out: &mut [f32],
     ) {
         let (pairs, _) = words.as_chunks::<2>();
         let (lines, _) = lut.as_chunks::<LEVELS>();
-        self.for_each_tile(|regs, segments| {
-            let tile = regs.map(|r| fuse_words(pairs[r][0], pairs[r][1]));
-            for s in segments {
-                let Some(window) = out[self.at(s, strides)..].first_chunk_mut() else {
-                    panic!("a segment's window runs past the tile");
-                };
-                avx2.permute(&tile, s.shift, &lines[s.group as usize], window);
-            }
-        });
+        let (chunks, _) = out.as_chunks_mut::<TILE_LANES>();
+        self.for_each_tile(
+            #[inline(always)]
+            |regs, segments| {
+                let tile = Self::tile(pairs, regs);
+                for s in segments {
+                    let (line, chunk) = (&lines[s.group as usize], &mut chunks[s.chunk()]);
+                    avx2.permute(&tile, s.shift(), line, chunk);
+                }
+            },
+        );
     }
 }
 
@@ -921,7 +979,7 @@ mod tests {
                 for (lane, reg) in regs.into_iter().enumerate() {
                     codes.push((
                         reg,
-                        u32::from(s.shift),
+                        s.shift(),
                         plan.at(s, strides) + lane * plan.lane_stride(strides),
                         plan.lane_group(s, lane) * plan.key.width.levels() as usize,
                     ));
@@ -971,7 +1029,8 @@ mod tests {
                     let origin = segments
                         .first()
                         .map_or(0, |s| plan.at(s, [dim, 1]) as isize);
-                    let relative = |s: &Segment| (s.shift, plan.at(s, [dim, 1]) as isize - origin);
+                    let relative =
+                        |s: &Segment| (s.shift(), plan.at(s, [dim, 1]) as isize - origin);
                     patterns.insert(segments.iter().map(relative).collect::<Vec<_>>());
                 });
                 saw_patterns |= patterns.len() > 1;
@@ -982,6 +1041,29 @@ mod tests {
             saw_patterns,
             "the grid must include a shape with several offset patterns"
         );
+    }
+
+    #[test]
+    fn segment_chunks_are_the_unit_stride_destinations() {
+        for (layout, scheme, tokens, dim) in plan_grid() {
+            for plan in block_plans(&FragmentCodec::new(layout), scheme, tokens, dim) {
+                // N contiguous: Kᵀ for a Key plan, token-major for a Value plan.
+                let unit = if plan.key.key_orientation {
+                    [1, tokens]
+                } else {
+                    [dim, 1]
+                };
+                let mut hits = vec![0u32; tokens * dim / TILE_LANES];
+                for s in &plan.segments {
+                    assert_eq!(TILE_LANES * s.chunk(), plan.at(s, unit));
+                    hits[s.chunk()] += 1;
+                }
+                assert!(
+                    hits.iter().all(|&h| h == 1),
+                    "{layout} {scheme} {tokens}x{dim}: every chunk exactly once"
+                );
+            }
+        }
     }
 
     #[test]

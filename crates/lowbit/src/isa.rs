@@ -97,7 +97,7 @@ impl Avx2 {
     pub fn permute<const L: usize>(
         self,
         tile: &[u32; 8],
-        shift: u8,
+        shift: u32,
         line: &[f32; L],
         out: &mut [f32; 8],
     ) {
@@ -166,11 +166,13 @@ fn with_avx2<R>(body: impl FnOnce() -> R) -> R {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn permute<const L: usize>(tile: &[u32; 8], shift: u8, line: &[f32; L], out: &mut [f32; 8]) {
+fn permute<const L: usize>(tile: &[u32; 8], shift: u32, line: &[f32; L], out: &mut [f32; 8]) {
     const { assert!(L == 16 || L == 4) };
-    let [a, b, c, d, e, f, g, h] = tile.map(|reg| reg as i32);
-    let count = _mm_cvtsi32_si128(i32::from(shift));
-    let codes = _mm256_srl_epi32(_mm256_setr_epi32(a, b, c, d, e, f, g, h), count);
+    let [a, b, c, d, e, f, g, h] = *tile;
+    let tile = _mm256_setr_epi32(
+        a as i32, b as i32, c as i32, d as i32, e as i32, f as i32, g as i32, h as i32,
+    );
+    let codes = _mm256_srl_epi32(tile, _mm_cvtsi32_si128(shift as i32));
     let values = match (line.first_chunk(), line.last_chunk()) {
         (Some(low), Some(high)) if L == 16 => {
             let low = _mm256_permutevar8x32_ps(load(low), codes);
@@ -256,33 +258,17 @@ const EXP2F_TAB: [u64; 32] = [
     0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
 ];
 
-/// `__expf_fma` on 8 lanes, each as a double: `k = round(x·32/ln2)`,
-/// `r = x·32/ln2 − k`, `2^(k/32)` from the table and the exponent field,
-/// a degree-3 polynomial in `r`, one multiply and one narrowing. The lanes
-/// `__expf_fma` sends to its special case take `f32::exp`.
+/// `__expf_fma` on 8 lanes, each as a double, 4 at a time ([`exp4`]). The
+/// lanes `__expf_fma` sends to its special case take `f32::exp`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline]
 fn exp8(xs: &mut [f32; 8]) {
     let x = load(xs);
-    let halves = [_mm256_castps256_ps128(x), _mm256_extractf128_ps::<1>(x)];
-    let [low, high] = halves.map(|half| {
-        let xd = _mm256_cvtps_pd(half);
-        let f64s = |bits: u64| _mm256_set1_pd(f64::from_bits(bits));
-        let (inv_ln2_n, shift) = (f64s(0x40471547652b82fe), f64s(0x4338000000000000));
-        let kd_shifted = _mm256_fmadd_pd(xd, inv_ln2_n, shift);
-        let ki = _mm256_castpd_si256(kd_shifted);
-        let r = _mm256_fmsub_pd(inv_ln2_n, xd, _mm256_sub_pd(kd_shifted, shift));
-        let index = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
-        // SAFETY: every index is `ki & 31`, inside the 32-entry table.
-        let t = unsafe { _mm256_i64gather_epi64::<8>(EXP2F_TAB.as_ptr().cast(), index) };
-        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
-        let [c0, c1, c2] = [0x3ebc6af84b912394, 0x3f2ebfce50fac4f3, 0x3f962e42ff0c52d6].map(f64s);
-        let z = _mm256_fmadd_pd(r, c0, c1);
-        let y = _mm256_fmadd_pd(r, c2, _mm256_set1_pd(1.0));
-        let y = _mm256_fmadd_pd(z, _mm256_mul_pd(r, r), y);
-        _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
-    });
+    // Two calls, not a `map` over the halves: an array `map` stays out of
+    // line, and its closure with it.
+    let low = exp4(_mm256_castps256_ps128(x));
+    let high = exp4(_mm256_extractf128_ps::<1>(x));
     let top = _mm256_srli_epi32::<20>(_mm256_castps_si256(x));
     let top = _mm256_and_si256(top, _mm256_set1_epi32(0x7ff));
     let special = _mm256_cmpgt_epi32(top, _mm256_set1_epi32(0x42a));
@@ -294,6 +280,34 @@ fn exp8(xs: &mut [f32; 8]) {
             *out = x.exp();
         }
     }
+}
+
+/// `__expf_fma`'s main path on 4 lanes: `k = round(x·32/ln2)`, `r =
+/// x·32/ln2 − k`, `2^(k/32)` from the table and the exponent field, a
+/// degree-3 polynomial in `r`, one multiply and one narrowing.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn exp4(x: __m128) -> __m128 {
+    let xd = _mm256_cvtps_pd(x);
+    let f64s = |bits: u64| _mm256_set1_pd(f64::from_bits(bits));
+    let (inv_ln2_n, shift) = (f64s(0x40471547652b82fe), f64s(0x4338000000000000));
+    let kd_shifted = _mm256_fmadd_pd(xd, inv_ln2_n, shift);
+    let ki = _mm256_castpd_si256(kd_shifted);
+    let r = _mm256_fmsub_pd(inv_ln2_n, xd, _mm256_sub_pd(kd_shifted, shift));
+    let index = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+    // SAFETY: every index is `ki & 31`, inside the 32-entry table.
+    let t = unsafe { _mm256_i64gather_epi64::<8>(EXP2F_TAB.as_ptr().cast(), index) };
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let (c0, c1, c2) = (
+        f64s(0x3ebc6af84b912394),
+        f64s(0x3f2ebfce50fac4f3),
+        f64s(0x3f962e42ff0c52d6),
+    );
+    let z = _mm256_fmadd_pd(r, c0, c1);
+    let y = _mm256_fmadd_pd(r, c2, _mm256_set1_pd(1.0));
+    let y = _mm256_fmadd_pd(z, _mm256_mul_pd(r, r), y);
+    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
 }
 
 /// An 8-wide load.
