@@ -3,9 +3,10 @@
 //! benchmark's `core.attend_residual_ns_per_tok` probe times) and the
 //! store's `KeyWindow` (sealed 16-token groups read from the panels its
 //! pushes wrote, only the partial group written per call). Both run in
-//! the host's instance (`Isa::host`: AVX2 with F16C and FMA where the CPU
-//! reports them, else the baseline build). Asserts both give the same
-//! bits, then prints the best-of-N cost per KV token of each.
+//! the AVX2 instance where the CPU reports AVX2, F16C and FMA, on an
+//! AVX-512 host too (the residual kernel does not take that instance),
+//! else in the baseline build. Asserts both give the same bits, then
+//! prints the best-of-N cost per KV token of each.
 //!
 //! ```text
 //! cargo run --release -p bd-core --example residual_ab [runs]

@@ -1,12 +1,16 @@
-//! Times the packed walk on 64 blocks at head dim 64, for KC-4 and KC-2:
-//! solo, one 2-row query block (what a `long_ctx_solo` decode step runs
-//! per KV head), and as a cascade of 16 sharers × 2 rows over the same
-//! blocks as their shared prefix (what `shared_prefix_fleet` runs).
+//! Times the packed walk on 64 blocks at head dim 64, for KC-4, KC-2 and
+//! KT-4: solo, one 2-row query block (what a `long_ctx_solo` decode step
+//! runs per KV head), and as a cascade of 16 sharers × 2 rows over the
+//! same blocks as their shared prefix (what `shared_prefix_fleet` runs).
+//! KT-4's tensor-wise K gives each lane of a segment its own LUT line, so
+//! its K takes the per-lane gather, not the permute; no benchmark
+//! workload runs it.
 //! Asserts that each cascade partial equals, bit for bit, the solo walk of
 //! that sharer's rows, then prints the best-of-N cost per KV token of
 //! each (for the cascade, per token of the shared prefix, all 16 sharers
-//! included). Both run in the host's instance (`Isa::host`: AVX2 with F16C
-//! and FMA where the CPU reports them, else the baseline build).
+//! included). Both run in the host's instance (`Isa::host`: AVX-512
+//! F/BW/VL/DQ with AVX2, F16C and FMA, or AVX2 with F16C and FMA, where
+//! the CPU reports them, else the baseline build).
 //!
 //! ```text
 //! cargo run --release -p bd-core --example walk_ab [runs]
@@ -75,7 +79,11 @@ fn main() {
         .collect();
     let empty = TokenMatrix::from_fn(0, HEAD_DIM, |_, _| 0.0);
     println!("packed walk: {BLOCKS} blocks, d {HEAD_DIM}, g_q {GROUP_Q}, Mma, best of {runs}");
-    for (name, scheme) in [("KC-4", QuantScheme::kc4()), ("KC-2", QuantScheme::kc2())] {
+    for (name, scheme) in [
+        ("KC-4", QuantScheme::kc4()),
+        ("KC-2", QuantScheme::kc2()),
+        ("KT-4", QuantScheme::kt4()),
+    ] {
         let block_tokens = CacheConfig::new(HEAD_DIM, scheme, layout).residual_block();
         let blocks: Vec<PackedBlock> = (0..BLOCKS)
             .map(|b| {

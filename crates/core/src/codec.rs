@@ -30,7 +30,7 @@ use bd_kvcache::{
     TokenMatrix,
 };
 use bd_lowbit::fastpath::{register_ops, FastDequantOps};
-use bd_lowbit::isa::{Avx2, Isa};
+use bd_lowbit::isa::{Avx2, Avx512, Isa};
 use bd_lowbit::{
     codes_per_u32, fuse_words, split_register, unpack_u32_into, BitWidth, Half2, QuantParams,
 };
@@ -426,14 +426,14 @@ impl FragmentPlan {
     /// hardware-realised by the `lop3` fast path) and landing it in `out` —
     /// token-major, or `transposed` into the `dim × tokens` tile — with no
     /// intermediate code matrix, no second pass, no transpose. Values are
-    /// bit-identical to [`FragmentPlan::decode`]'s in either `isa`: the
-    /// AVX2 instance permutes a LUT line where a segment's 8 lanes are
-    /// unit-stride and share it (every Kᵀ row of a channel-wise K, every V
-    /// row), and gathers like the baseline elsewhere. The unit-stride
-    /// layout is the plan's own (Kᵀ for a Key plan, token-major for a
-    /// Value plan): there both instances write each segment to the chunk
-    /// the plan records, and only the other layout computes destinations
-    /// from strides.
+    /// bit-identical to [`FragmentPlan::decode`]'s in every `isa`: the
+    /// AVX2 and AVX-512 instances permute a LUT line where a segment's 8
+    /// lanes are unit-stride and share it (every Kᵀ row of a channel-wise
+    /// K, every V row), and gather like the baseline elsewhere. The
+    /// unit-stride layout is the plan's own (Kᵀ for a Key plan,
+    /// token-major for a Value plan): there every instance writes each
+    /// segment to the chunk the plan records, and only the other layout
+    /// computes destinations from strides.
     ///
     /// Returns the modelled fast-dequant instruction counts for the words
     /// streamed (two 16-bit storage words per 32-bit register conversion).
@@ -462,9 +462,10 @@ impl FragmentPlan {
         let avx2 = isa
             .avx2()
             .filter(|_| self.group_step == 0 && self.lane_groups.is_empty());
+        let wide = isa.avx512();
         match (self.key.width, transposed == self.key.key_orientation, avx2) {
-            (BitWidth::B4, true, Some(x)) => self.permute_tiles::<16>(x, words, lut, out),
-            (BitWidth::B2, true, Some(x)) => self.permute_tiles::<4>(x, words, lut, out),
+            (BitWidth::B4, true, Some(x)) => self.permute_tiles::<16>(x, wide, words, lut, out),
+            (BitWidth::B2, true, Some(x)) => self.permute_tiles::<4>(x, wide, words, lut, out),
             (BitWidth::B4, true, _) => self.dequant_tiles::<16, true>(words, lut, strides, out),
             (BitWidth::B4, false, _) => self.dequant_tiles::<16, false>(words, lut, strides, out),
             (BitWidth::B2, true, _) => self.dequant_tiles::<4, true>(words, lut, strides, out),
@@ -485,11 +486,12 @@ impl FragmentPlan {
     /// the lane stride is 1 (N is `out`'s contiguous axis: Kᵀ rows, V rows)
     /// as a constant: a segment's window is then an array of 8 and, where
     /// its lanes share one LUT line, no check is left per code. This is
-    /// the baseline instance's path everywhere and the AVX2 instance's
-    /// where [`FragmentPlan::permute_tiles`] does not apply. Where `UNIT`,
+    /// the baseline instance's path everywhere and the AVX2 and AVX-512
+    /// instances' where [`FragmentPlan::permute_tiles`] does not apply. Where `UNIT`,
     /// a segment lands on its chunk, as in `permute_tiles`; `strides` only
-    /// places the other layout's lanes.
-    #[inline]
+    /// places the other layout's lanes. Always inlined, so the per-lane
+    /// paths run inside the instance's entry too.
+    #[inline(always)]
     fn dequant_tiles<const LEVELS: usize, const UNIT: bool>(
         &self,
         words: &[u16],
@@ -501,34 +503,39 @@ impl FragmentPlan {
         let (pairs, _) = words.as_chunks::<2>();
         let (lines, _) = lut.as_chunks::<LEVELS>();
         let one_line = self.group_step == 0 && self.lane_groups.is_empty();
-        self.for_each_tile(|regs, segments| {
-            let tile = Self::tile(pairs, regs);
-            for s in segments {
-                let dst = if UNIT {
-                    TILE_LANES * s.chunk()
-                } else {
-                    self.at(s, strides)
-                };
-                let window = &mut out[dst..dst + (TILE_LANES - 1) * lane_stride + 1];
-                let shared = one_line.then(|| &lines[s.group as usize]);
-                for (lane, reg) in tile.into_iter().enumerate() {
-                    let line = shared.unwrap_or_else(|| &lines[self.lane_group(s, lane)]);
-                    window[lane * lane_stride] = line[(reg >> s.shift()) as usize % LEVELS];
+        self.for_each_tile(
+            #[inline(always)]
+            |regs, segments| {
+                let tile = Self::tile(pairs, regs);
+                for s in segments {
+                    let dst = if UNIT {
+                        TILE_LANES * s.chunk()
+                    } else {
+                        self.at(s, strides)
+                    };
+                    let window = &mut out[dst..dst + (TILE_LANES - 1) * lane_stride + 1];
+                    let shared = one_line.then(|| &lines[s.group as usize]);
+                    for (lane, reg) in tile.into_iter().enumerate() {
+                        let line = shared.unwrap_or_else(|| &lines[self.lane_group(s, lane)]);
+                        window[lane * lane_stride] = line[(reg >> s.shift()) as usize % LEVELS];
+                    }
                 }
-            }
-        });
+            },
+        );
     }
 
     /// [`FragmentPlan::dequant_tiles`]`::<LEVELS, true>` where every
-    /// segment's lanes share one LUT line, in the AVX2 instance: the same
-    /// entries, permuted in registers rather than loaded one by one, into
-    /// `out`'s 8-value chunk the plan names per segment. Per segment that
-    /// is a shift, the permute and one store: the destination is read, not
-    /// computed.
+    /// segment's lanes share one LUT line, in the AVX2 and AVX-512
+    /// instances: the same entries, permuted in registers rather than
+    /// loaded one by one, into `out`'s 8-value chunk the plan names per
+    /// segment. Per segment that is a shift, the permute and one store: the
+    /// destination is read, not computed. With `wide` a tile's segments go
+    /// two per permute ([`Avx512::permute2`]), an odd last one alone.
     #[inline(always)]
     fn permute_tiles<const LEVELS: usize>(
         &self,
         avx2: Avx2,
+        wide: Option<Avx512>,
         words: &[u16],
         lut: &[f32],
         out: &mut [f32],
@@ -540,7 +547,19 @@ impl FragmentPlan {
             #[inline(always)]
             |regs, segments| {
                 let tile = Self::tile(pairs, regs);
-                for s in segments {
+                let singles = match wide {
+                    Some(wide) => {
+                        let (twos, odd) = segments.as_chunks::<2>();
+                        for [s0, s1] in twos {
+                            let lines = [&lines[s0.group as usize], &lines[s1.group as usize]];
+                            let (shifts, at) = ([s0.shift(), s1.shift()], [s0.chunk(), s1.chunk()]);
+                            wide.permute2(&tile, shifts, lines, chunks, at);
+                        }
+                        odd
+                    }
+                    None => segments,
+                };
+                for s in singles {
                     let (line, chunk) = (&lines[s.group as usize], &mut chunks[s.chunk()]);
                     avx2.permute(&tile, s.shift(), line, chunk);
                 }
@@ -574,13 +593,17 @@ fn registers_of_planes(mut p: [u64; 4]) -> [u32; TILE_LANES] {
 /// `QuantParams::dequantize` (an integer code is exact in FP16) with each
 /// `half2` widened once, and the FMA's FP16 rounding: in the baseline
 /// instance over the whole slab once its entries are written, in the AVX2
-/// instance on each line in registers ([`Avx2::dequant_lines`]).
+/// and AVX-512 instances on each line in registers
+/// ([`Avx2::dequant_lines`], [`Avx512::dequant_lines`]). Always inlined:
+/// in an instance's entry only that instance's arm is left.
+#[inline(always)]
 fn dequant_lut<'b>(isa: Isa, params: &[Half2], levels: usize, buf: &'b mut Vec<f32>) -> &'b [f32] {
     buf.resize(params.len() * levels, 0.0);
-    match isa.avx2() {
-        Some(avx2) if levels == 16 => avx2.dequant_lines::<16>(params, buf),
-        Some(avx2) => avx2.dequant_lines::<4>(params, buf),
-        None => {
+    match (isa.avx512(), isa.avx2()) {
+        (Some(wide), _) if levels == 16 => wide.dequant_lines(params, buf),
+        (_, Some(avx2)) if levels == 16 => avx2.dequant_lines::<16>(params, buf),
+        (_, Some(avx2)) => avx2.dequant_lines::<4>(params, buf),
+        (_, None) => {
             let codes: [f32; 16] = std::array::from_fn(|code| code as f32);
             for (entries, &h) in buf.chunks_exact_mut(levels).zip(params) {
                 let p = QuantParams::from_half2(h);
@@ -626,11 +649,13 @@ impl BlockDecoder {
         }
     }
 
-    /// [`FragmentCodec::decode_block_fused`] with the dequant LUT built in
-    /// the caller's reusable `lut` buffer.
+    /// [`FragmentCodec::decode_block_fused`] in `isa` (the instance the
+    /// caller runs in), with the dequant LUT built in the caller's
+    /// reusable `lut` buffer.
     #[inline(always)]
     pub(crate) fn decode(
         &mut self,
+        isa: Isa,
         block: &PackedBlock,
         lut: &mut Vec<f32>,
         k_out: &mut TokenMatrix,
@@ -654,8 +679,8 @@ impl BlockDecoder {
             }
             return FastDequantOps::default();
         };
-        k_plan.decode_fused(self.isa, &block.k, self.k_transposed, lut, k_out)
-            + v_plan.decode_fused(self.isa, &block.v, false, lut, v_out)
+        k_plan.decode_fused(isa, &block.k, self.k_transposed, lut, k_out)
+            + v_plan.decode_fused(isa, &block.v, false, lut, v_out)
     }
 }
 
@@ -731,8 +756,7 @@ impl FragmentCodec {
     ) -> FastDequantOps {
         LUT.with_borrow_mut(|lut| {
             let mut decoder = BlockDecoder::new(self, scheme, false);
-            decoder.isa = Isa::BASELINE;
-            decoder.decode(block, lut, k_out, v_out)
+            decoder.decode(Isa::BASELINE, block, lut, k_out, v_out)
         })
     }
 }
@@ -1436,14 +1460,51 @@ mod tests {
             let dkt = TokenMatrix::from_fn(dim, tokens, |c, t| dk[t][c]);
             for &isa in &isas {
                 let mut decoder = BlockDecoder::new(&codec, scheme, true);
-                decoder.isa = isa;
                 let (mut fkt, mut fv) = (test_matrix(3, 5, 9.0), test_matrix(300, 7, 9.0));
-                decoder.decode(&block, &mut vec![9.0; 5], &mut fkt, &mut fv);
+                decoder.decode(isa, &block, &mut vec![9.0; 5], &mut fkt, &mut fv);
                 let at = format!("{isa:?} {layout} {scheme} {tokens}x{dim}");
                 assert_eq!(dkt, fkt, "{at}: Kᵀ");
                 assert_eq!(dv, fv, "{at}: V");
             }
+            // A tile's segment count is even in every plan (a lane's stream
+            // is whole B-fragment registers, 2 or 4 of them per tile), so
+            // the AVX-512 instance's unpaired last segment runs on plans
+            // with each tile's last segment dropped, in the unit layout.
+            let [k_plan, v_plan] = block_plans(&codec, scheme, tokens, dim);
+            for (plan, packed) in [(&k_plan, &block.k), (&v_plan, &block.v)] {
+                let odd = without_last_segments(plan);
+                let decode = |isa| {
+                    let mut out = test_matrix(3, 5, 9.0);
+                    let unit = odd.key.key_orientation;
+                    odd.decode_fused(isa, packed, unit, &mut Vec::new(), &mut out);
+                    out
+                };
+                let want = decode(Isa::BASELINE);
+                for &isa in &isas[1..] {
+                    let at = format!("{isa:?} {layout} {scheme} {tokens}x{dim}");
+                    assert_eq!(decode(isa), want, "{at}: odd segment runs");
+                }
+            }
         }
+    }
+
+    /// `plan` with each tile's last segment dropped.
+    fn without_last_segments(plan: &FragmentPlan) -> FragmentPlan {
+        let mut odd = FragmentPlan {
+            key: plan.key,
+            tiles: Vec::new(),
+            segments: Vec::new(),
+            reg_stride: plan.reg_stride,
+            group_step: plan.group_step,
+            lane_groups: plan.lane_groups.clone(),
+        };
+        plan.for_each_tile(|regs, segments| {
+            let kept = &segments[..segments.len() - 1];
+            assert!(kept.len() % 2 == 1, "a tile of {} segments", segments.len());
+            odd.segments.extend(kept.iter().map(|s| Segment { ..*s }));
+            odd.tiles.push((regs[0] as u32, odd.segments.len() as u32));
+        });
+        odd
     }
 
     #[test]

@@ -299,15 +299,16 @@ impl KernelScratch {
     ) -> FastDequantOps {
         decoder.isa.run(
             #[inline(always)]
-            || self.walk_blocks(decoder, blocks, q_rows, states),
+            |isa| self.walk_blocks(isa, decoder, blocks, q_rows, states),
         )
     }
 
     /// [`KernelScratch::walk`]'s body, inlined into each instance with
-    /// everything it calls per block.
+    /// everything it calls per block; `isa` is the instance's constant.
     #[inline(always)]
     fn walk_blocks<B: Borrow<PackedBlock>>(
         &mut self,
+        isa: Isa,
         decoder: &mut BlockDecoder,
         blocks: &[B],
         q_rows: std::ops::Range<usize>,
@@ -315,13 +316,13 @@ impl KernelScratch {
     ) -> FastDequantOps {
         let mut ops = FastDequantOps::default();
         for block in blocks {
-            ops += decoder.decode(block.borrow(), &mut self.lut, &mut self.k, &mut self.v);
+            ops += decoder.decode(isa, block.borrow(), &mut self.lut, &mut self.k, &mut self.v);
             let q_eff = &self.q_eff[q_rows.clone()];
-            score_block(decoder.isa, q_eff, &self.k, &mut self.scores);
+            score_block(isa, q_eff, &self.k, &mut self.scores);
             let mut scores = self.scores.as_mut_slice();
             for state in states.iter_mut() {
                 let (own, rest) = scores.split_at_mut(state.rows() * self.v.tokens());
-                state.step_scores(decoder.isa, own, &self.v);
+                state.step_scores(isa, own, &self.v);
                 scores = rest;
             }
         }
@@ -676,7 +677,8 @@ pub fn attend_residual_fused<K: ResidualKeys + ?Sized>(
     engine: MatmulEngine,
     state: &mut OnlineSoftmax,
 ) {
-    attend_residual_in(Isa::host(), q, res_k, res_v, scale, engine, state);
+    let isa = Isa::host().without_avx512();
+    attend_residual_in(isa, q, res_k, res_v, scale, engine, state);
 }
 
 /// [`attend_residual_fused`]'s body inside `isa`'s entry ([`Isa::run`]).
@@ -720,7 +722,7 @@ fn attend_residual_in<K: ResidualKeys + ?Sized>(
         scores.resize(q_eff.len() / dim * tokens, 0.0);
         isa.run(
             #[inline(always)]
-            || {
+            |isa| {
                 let groups = (sealed.chunks_exact(panel_len)).chain(panels.chunks_exact(panel_len));
                 for (group, panel) in groups.enumerate() {
                     let lanes = group * PANEL_TOKENS..tokens.min((group + 1) * PANEL_TOKENS);
@@ -960,7 +962,10 @@ mod tests {
         // The cascade walk in each instance of this host: a prefix of half
         // the blocks, shared by every sharer, then each sharer's suffix of
         // the rest. Every partial's `m`, `l` and `acc` must match the
-        // baseline instance's bit for bit.
+        // baseline instance's bit for bit. Two more sharers' query rows are
+        // all `+0.0` and all `−0.0`: each of their scores is a zero (`+0.0`,
+        // as every sum starts from `+0.0`), so their `m` pins the zero each
+        // instance's row max keeps.
         let layout = PackLayout::sm80_default();
         let codec = FragmentCodec::new(layout);
         let (d, gq) = (64, 2);
@@ -976,12 +981,13 @@ mod tests {
                     .into_iter()
                     .flat_map(|engine| [1, 16].map(|sharers| (engine, sharers)))
                 {
-                    let queries: Vec<Vec<Vec<f32>>> = (0..sharers * gq)
+                    let mut queries: Vec<Vec<Vec<f32>>> = (0..sharers * gq)
                         .map(|r| (0..d).map(|c| ((r * d + c) as f32 * 0.71).sin()).collect())
                         .collect::<Vec<_>>()
                         .chunks(gq)
                         .map(<[_]>::to_vec)
                         .collect();
+                    queries.extend([0.0, -0.0].map(|zero| vec![vec![zero; d]; gq]));
                     let sharers: Vec<PrefixSharer<'_, PackedBlock>> = (queries.iter())
                         .map(|q_block| PrefixSharer {
                             q_block,

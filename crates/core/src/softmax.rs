@@ -20,12 +20,17 @@ use bd_lowbit::isa::Isa;
 /// dot product's sequence, side by side instead of one after another.
 #[inline(always)]
 pub(crate) fn row_times_matrix(isa: Isa, a: &[f32], b: &[f32], out: &mut [f32]) {
-    // 64-lane tiles are 8 independent `ymm` add chains in the AVX2
-    // instance; on the baseline target 16 lanes is what stays in
-    // registers. Columns past the last full tile go one at a time.
-    let done = match isa.avx2() {
-        Some(_) => row_times_lanes::<64>(a, b, out, 0),
+    // 128- and 64-lane tiles are 8 independent `zmm` / `ymm` add chains
+    // in the AVX-512 and AVX2 instances; on the baseline target 16 lanes
+    // is what stays in registers. Columns past the last full tile go one
+    // at a time.
+    let done = match isa.avx512() {
+        Some(_) => row_times_lanes::<128>(a, b, out, 0),
         None => 0,
+    };
+    let done = match isa.avx2() {
+        Some(_) => row_times_lanes::<64>(a, b, out, done),
+        None => done,
     };
     let done = row_times_lanes::<16>(a, b, out, done);
     row_times_lanes::<1>(a, b, out, done);

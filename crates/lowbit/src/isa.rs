@@ -1,14 +1,23 @@
-//! The two instances of the fused kernels, the FP16 round and the
+//! The three instances of the fused kernels, the FP16 round and the
 //! softmax exp, and the only `unsafe` in the crates' library code: the
-//! baseline build, and AVX2 with F16C and FMA, picked at run time
-//! ([`Isa::host`]). The bits agree: Rust never contracts `a * b + c` into
-//! an FMA nor reassociates a float sum on any target, `vpermps` /
-//! `vblendvps` only move bits, F16C rounds like [`crate::F16`] below 65520
-//! in magnitude (a slab holding anything else, NaN among it, takes the
-//! software round), and the 8-wide exp is glibc's `__expf_fma` algorithm,
-//! whose FMAs are the only ones here: equal to `f32::exp` on a host whose
-//! libm runs that variant, with the lanes it sends to its special case
-//! (`|x| ≥ 88`, Inf, NaN) given to `f32::exp` itself.
+//! baseline build; AVX2 with F16C and FMA; and AVX-512 F/BW/VL/DQ on top
+//! of those, picked at run time ([`Isa::host`]). The bits agree: Rust
+//! never contracts `a * b + c` into an FMA nor reassociates a float sum on
+//! any target, `vpermps` / `vpermt2ps` / `vblendvps` only move bits,
+//! F16C's and AVX-512F's `vcvtps2ph` round like [`crate::F16`] below 65520
+//! in magnitude (a slab or line holding anything else, NaN among it, takes
+//! the software round), and the 8-wide exp is glibc's `__expf_fma`
+//! algorithm, whose FMAs are the only ones here: equal to `f32::exp` on a
+//! host whose libm runs that variant, with the lanes it sends to its
+//! special case (`|x| ≥ 88`, Inf, NaN) given to `f32::exp` itself.
+//!
+//! The AVX-512 instance widens three kernels of the packed walk and keeps
+//! the rest as the AVX2 instance has them (its proof hands out the AVX2
+//! one): a tile's segments are permuted two at a time
+//! ([`Avx512::permute2`]), a 16-entry LUT line is built in one register
+//! ([`Avx512::dequant_lines`]), and `row_times_matrix` runs 128-lane
+//! tiles first. The residual kernel runs in the AVX2 instance on such a
+//! host too ([`Isa::without_avx512`]): wider, it timed slower.
 #![allow(unsafe_code)]
 
 #[cfg(target_arch = "x86_64")]
@@ -19,7 +28,14 @@ use std::arch::x86_64::*;
 
 /// Which instance of the vector code runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Isa(Option<Avx2>);
+pub struct Isa(Level);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Level {
+    Baseline,
+    Avx2(Avx2),
+    Avx512(Avx512),
+}
 
 /// Proof that the host runs AVX2, F16C and FMA: only [`Isa::host`] makes
 /// one, and only on `x86_64`.
@@ -27,52 +43,98 @@ pub struct Isa(Option<Avx2>);
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub struct Avx2(());
 
+/// Proof that the host runs AVX-512 F, BW, VL and DQ besides what
+/// [`Avx2`] proves: only [`Isa::host`] makes one, and only on `x86_64`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub struct Avx512(());
+
 impl Isa {
     /// The build target's instance.
-    pub const BASELINE: Isa = Isa(None);
+    pub const BASELINE: Isa = Isa(Level::Baseline);
 
-    /// AVX2, F16C and FMA where an `x86_64` CPU reports all three (the
-    /// standard library probes once and caches the answer), the baseline
-    /// everywhere else.
+    /// The widest instance an `x86_64` CPU reports every feature of (the
+    /// standard library probes once and caches the answer): AVX-512
+    /// F/BW/VL/DQ with AVX2, F16C and FMA, else AVX2, F16C and FMA; the
+    /// baseline everywhere else.
     pub fn host() -> Isa {
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2")
             && std::is_x86_feature_detected!("f16c")
             && std::is_x86_feature_detected!("fma")
         {
-            return Isa(Some(Avx2(())));
+            if std::is_x86_feature_detected!("avx512f")
+                && std::is_x86_feature_detected!("avx512bw")
+                && std::is_x86_feature_detected!("avx512vl")
+                && std::is_x86_feature_detected!("avx512dq")
+            {
+                return Isa(Level::Avx512(Avx512(())));
+            }
+            return Isa(Level::Avx2(Avx2(())));
         }
         Isa::BASELINE
     }
 
     /// Every instance this host runs, the baseline first: what bit tests
-    /// compare. Without AVX2, F16C and FMA that side is skipped, with a
-    /// printed line.
+    /// compare. An instance the host lacks is skipped, with a printed
+    /// line.
     pub fn each() -> Vec<Isa> {
         let host = Isa::host();
         if host == Isa::BASELINE {
-            println!("this host lacks AVX2, F16C or FMA: the AVX2 instance is skipped");
+            println!(
+                "this host lacks AVX2, F16C or FMA: the AVX2 and AVX-512 instances are skipped"
+            );
             return vec![host];
         }
-        vec![Isa::BASELINE, host]
+        if host.avx512().is_none() {
+            println!("this host lacks AVX-512 F, BW, VL or DQ: the AVX-512 instance is skipped");
+            return vec![Isa::BASELINE, host];
+        }
+        vec![Isa::BASELINE, host.without_avx512(), host]
     }
 
-    /// The AVX2 proof, in the AVX2 instance.
+    /// The AVX2 proof, in the AVX2 and the AVX-512 instance.
     pub fn avx2(self) -> Option<Avx2> {
-        self.0
+        match self.0 {
+            Level::Baseline => None,
+            Level::Avx2(avx2) => Some(avx2),
+            Level::Avx512(avx512) => Some(avx512.avx2()),
+        }
     }
 
-    /// Runs `body` as this instance: inside the `avx2,f16c,fma` entry,
-    /// where all that `body` inlines compiles for AVX2, F16C and FMA, or
-    /// as it is.
+    /// The AVX-512 proof, in the AVX-512 instance.
+    pub fn avx512(self) -> Option<Avx512> {
+        match self.0 {
+            Level::Avx512(avx512) => Some(avx512),
+            _ => None,
+        }
+    }
+
+    /// This instance, or the AVX2 one in its place: for a kernel that
+    /// runs no faster 16 lanes wide.
+    pub fn without_avx512(self) -> Isa {
+        match self.avx2() {
+            Some(avx2) => Isa(Level::Avx2(avx2)),
+            None => self,
+        }
+    }
+
+    /// Runs `body` as this instance: inside its target-feature entry,
+    /// where all that `body` inlines compiles for the instance's features,
+    /// or as it is. `body` receives the instance as a constant, so each
+    /// entry keeps only its own paths of what `body` inlines.
     #[inline(always)]
-    pub fn run<R>(self, body: impl FnOnce() -> R) -> R {
+    pub fn run<R>(self, body: impl FnOnce(Isa) -> R) -> R {
         match self.0 {
             // SAFETY: an `Avx2` exists only where the host reported AVX2,
             // F16C and FMA.
             #[cfg(target_arch = "x86_64")]
-            Some(Avx2(())) => unsafe { with_avx2(body) },
-            _ => body(),
+            Level::Avx2(_) => unsafe { with_avx2(body) },
+            // SAFETY: an `Avx512` exists only where the host reported
+            // those and AVX-512 F, BW, VL and DQ.
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx512(_) => unsafe { with_avx512(body) },
+            _ => body(Isa::BASELINE),
         }
     }
 
@@ -80,7 +142,7 @@ impl Isa {
     /// host whose libm runs `__expf_fma` (see [`Avx2::exp`]).
     #[inline(always)]
     pub fn exp_in_place(self, xs: &mut [f32]) {
-        match self.0 {
+        match self.avx2() {
             Some(avx2) => avx2.exp(xs),
             None => xs.iter_mut().for_each(|x| *x = x.exp()),
         }
@@ -155,11 +217,62 @@ impl Avx2 {
     }
 }
 
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+impl Avx512 {
+    /// The AVX2 proof: AVX-512 F, BW, VL and DQ come on top of it.
+    pub fn avx2(self) -> Avx2 {
+        Avx2(())
+    }
+
+    /// [`Avx2::permute`] for two segments of one tile: `chunks[at[i]]
+    /// [lane] = lines[i][(tile[lane] >> shifts[i]) % L]`. The tile fills
+    /// both halves of one register, each half shifts by its segment's
+    /// shift (`vpsrlvd`), and one `vpermt2ps` indexes the two lines as one
+    /// 32-entry table (lanes 8–15 offset by 16); two 8-wide stores land
+    /// the halves.
+    #[inline(always)]
+    pub fn permute2<const L: usize>(
+        self,
+        tile: &[u32; 8],
+        shifts: [u32; 2],
+        lines: [&[f32; L]; 2],
+        chunks: &mut [[f32; 8]],
+        at: [usize; 2],
+    ) {
+        // SAFETY: an `Avx512` exists only where the host reported AVX2
+        // and AVX-512 F, BW, VL and DQ.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            permute2(tile, shifts, lines, chunks, at);
+        }
+    }
+
+    /// [`Avx2::dequant_lines`] for 16-entry lines, a line in one register:
+    /// the multiply, the add, `vcvtps2ph` / `vcvtph2ps` and one mask
+    /// compare for the lanes that round otherwise.
+    #[inline(always)]
+    pub fn dequant_lines(self, params: &[Half2], lut: &mut [f32]) {
+        // SAFETY: an `Avx512` exists only where the host reported AVX2,
+        // F16C and AVX-512 F, BW, VL and DQ.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            dequant_lines16(params, lut);
+        }
+    }
+}
+
 /// The AVX2 instance's entry.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,f16c,fma")]
-fn with_avx2<R>(body: impl FnOnce() -> R) -> R {
-    body()
+fn with_avx2<R>(body: impl FnOnce(Isa) -> R) -> R {
+    body(Isa(Level::Avx2(Avx2(()))))
+}
+
+/// The AVX-512 instance's entry.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c,fma,avx512f,avx512bw,avx512vl,avx512dq")]
+fn with_avx512<R>(body: impl FnOnce(Isa) -> R) -> R {
+    body(Isa(Level::Avx512(Avx512(()))))
 }
 
 /// [`Avx2::permute`].
@@ -190,6 +303,40 @@ fn permute<const L: usize>(tile: &[u32; 8], shift: u32, line: &[f32; L], out: &m
     store(out, values);
 }
 
+/// [`Avx512::permute2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512dq")]
+#[inline]
+fn permute2<const L: usize>(
+    tile: &[u32; 8],
+    [s0, s1]: [u32; 2],
+    [line0, line1]: [&[f32; L]; 2],
+    chunks: &mut [[f32; 8]],
+    [at0, at1]: [usize; 2],
+) {
+    const { assert!(L == 16 || L == 4) };
+    let [a, b, c, d, e, f, g, h] = *tile;
+    let tile = _mm256_setr_epi32(
+        a as i32, b as i32, c as i32, d as i32, e as i32, f as i32, g as i32, h as i32,
+    );
+    let shifts = _mm512_mask_set1_epi32(_mm512_set1_epi32(s0 as i32), 0xFF00, s1 as i32);
+    let codes = _mm512_srlv_epi32(_mm512_broadcast_i32x8(tile), shifts);
+    // Bit 4 of a `vpermt2ps` index picks the second table: lanes 8–15
+    // read `line1`.
+    let high = _mm512_inserti64x4::<1>(_mm512_setzero_si512(), _mm256_set1_epi32(16));
+    let index = _mm512_or_si512(
+        _mm512_and_si512(codes, _mm512_set1_epi32(L as i32 - 1)),
+        high,
+    );
+    let table = |line: &[f32; L]| match line.first_chunk::<16>() {
+        Some(line) => load16(line),
+        None => _mm512_zextps128_ps512(_mm_setr_ps(line[0], line[1], line[2], line[3])),
+    };
+    let values = _mm512_permutex2var_ps(table(line0), index, table(line1));
+    store(&mut chunks[at0], _mm512_castps512_ps256(values));
+    store(&mut chunks[at1], _mm512_extractf32x8_ps::<1>(values));
+}
+
 /// [`Avx2::dequant_lines`]: `code · scale` then `+ zero`, 8 codes wide,
 /// rounded by [`round_slab`], or per entry by `F16` where it cannot.
 #[cfg(target_arch = "x86_64")]
@@ -209,6 +356,36 @@ fn dequant_lines<const L: usize>(params: &[Half2], lut: &mut [f32]) {
         }
         if round_slab(&unrounded[..L], line) {
             *line = std::array::from_fn(|code| F16::from_f32(unrounded[code]).to_f32());
+        }
+    }
+}
+
+/// [`Avx512::dequant_lines`]: the 16 codes of a line in one register,
+/// each line rounded by `vcvtps2ph` in the immediate round-to-nearest-even
+/// mode, or per entry by `F16` where a lane is `|x| ≥ 65520` or NaN (one
+/// unordered not-less-than compare).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c,avx512f")]
+#[inline]
+fn dequant_lines16(params: &[Half2], lut: &mut [f32]) {
+    let codes = _mm512_setr_ps(
+        0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
+    );
+    for (line, h) in lut.as_chunks_mut::<16>().0.iter_mut().zip(params) {
+        let pair = _mm_cvtph_ps(_mm_cvtsi32_si128(h.to_bits() as i32));
+        let scale = _mm512_broadcastss_ps(pair);
+        let zero = _mm512_broadcastss_ps(_mm_movehdup_ps(pair));
+        let unrounded = _mm512_add_ps(_mm512_mul_ps(codes, scale), zero);
+        let magnitude = _mm512_abs_ps(unrounded);
+        let past = _mm512_cmp_ps_mask::<_CMP_NLT_UQ>(magnitude, _mm512_set1_ps(65520.0));
+        if past == 0 {
+            let rounded = _mm512_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(unrounded);
+            store16(line, _mm512_cvtph_ps(rounded));
+        } else {
+            store16(line, unrounded);
+            for x in line.iter_mut() {
+                *x = F16::from_f32(*x).to_f32();
+            }
         }
     }
 }
@@ -326,6 +503,24 @@ fn load(values: &[f32; 8]) -> __m256 {
 fn store(out: &mut [f32; 8], values: __m256) {
     // SAFETY: `out` is 8 writable `f32`s; `storeu` needs no alignment.
     unsafe { _mm256_storeu_ps(out.as_mut_ptr(), values) }
+}
+
+/// A 16-wide load.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn load16(values: &[f32; 16]) -> __m512 {
+    // SAFETY: `values` is 16 readable `f32`s; `loadu` needs no alignment.
+    unsafe { _mm512_loadu_ps(values.as_ptr()) }
+}
+
+/// A 16-wide store.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn store16(out: &mut [f32; 16], values: __m512) {
+    // SAFETY: `out` is 16 writable `f32`s; `storeu` needs no alignment.
+    unsafe { _mm512_storeu_ps(out.as_mut_ptr(), values) }
 }
 
 #[cfg(test)]
