@@ -55,21 +55,35 @@ macro_rules! step_counters {
             }
         }
         impl ServeSummary {
-            /// Every counter folded over `run`; the hand-written fields at zero.
-            pub(super) fn fold(run: &[ServeMetrics]) -> Self {
-                let mut s = ServeSummary {
-                    $($sh: Default::default(),)*
-                    $($($($total: Default::default(),)?)?)*
-                };
+            /// `run` folded sample by sample with [`Self::add`], as `publish`
+            /// folds each sample into the run totals: the tests' oracle.
+            #[cfg(test)]
+            pub(super) fn fold<'a>(run: impl IntoIterator<Item = &'a ServeMetrics>) -> Self {
+                let mut s = ServeSummary::default();
                 for m in run {
-                    $($($(step_counters!(@fold $fold, m.$name, s.$total);)?)?)*
+                    s.add(m);
                 }
                 s
             }
 
-            /// Adds (or with `undo`, takes back) a ledger's summed counters.
-            pub(super) fn add_sums(&mut self, l: &StepLedger, undo: bool) {
-                $($($(step_counters!(@sum $fold, l.$name, self.$total, undo);)?)?)*
+            /// Folds one sample into every counter, `steps`, and the sum of
+            /// utilizations `mean_device_utilization` holds until a run ends.
+            pub(super) fn add(&mut self, m: &ServeMetrics) {
+                self.steps += 1;
+                self.mean_device_utilization += m.mean_device_utilization();
+                $($($(step_counters!(@fold $fold, m.$name, self.$total);)?)?)*
+            }
+
+            /// Adds a ledger's summed counters.
+            pub(super) fn with_sums(mut self, l: &StepLedger) -> Self {
+                $($($(step_counters!(@sum $fold, l.$name, self.$total);)?)?)*
+                self
+            }
+
+            /// The summed counters less what `start` held.
+            pub(super) fn since(mut self, start: &Self) -> Self {
+                $($($(step_counters!(@since $fold, $ty, self.$total, start.$total);)?)?)*
+                self
             }
         }
         /// One entry per row, `Some` for the rows with a registry counter. An
@@ -82,11 +96,13 @@ macro_rules! step_counters {
     (@doc sum $n:ident) => { concat!("Run total of [`ServeMetrics::", stringify!($n), "`].") };
     (@doc max $n:ident) => { concat!("Run peak of [`ServeMetrics::", stringify!($n), "`].") };
     (@doc count $n:ident) => { concat!("Steps whose [`ServeMetrics::", stringify!($n), "`] is set.") };
-    (@fold sum, $v:expr, $t:expr) => { Total::add_to($v, &mut $t, false) };
+    (@fold sum, $v:expr, $t:expr) => { Total::add_to($v, &mut $t) };
     (@fold max, $v:expr, $t:expr) => { $t = $t.max($v) };
     (@fold count, $v:expr, $t:expr) => { $t += usize::from($v) };
-    (@sum sum, $v:expr, $t:expr, $undo:ident) => { Total::add_to($v, &mut $t, $undo) };
-    (@sum $fold:ident, $v:expr, $t:expr, $undo:ident) => {};
+    (@sum sum, $v:expr, $t:expr) => { Total::add_to($v, &mut $t) };
+    (@sum $fold:ident, $v:expr, $t:expr) => {};
+    (@since sum, $ty:ty, $t:expr, $s:expr) => { $t = <$ty as Total<_>>::less($t, $s) };
+    (@since $fold:ident, $ty:ty, $t:expr, $s:expr) => {};
     (@row [$($l:ident)?] [$($n:ident)?]) => { None };
     (@row [$($l:ident)?] [$($n:ident)?] $counter:literal $(, $event:literal $field:literal)?) => {
         Some(StepCounter {
@@ -120,7 +136,7 @@ step_counters! {
 
     /// Aggregate outcome of
     /// [`ServeSession::run_to_completion`](super::ServeSession::run_to_completion).
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Copy, Debug, Default)]
     pub struct ServeSummary {
         /// Decode steps executed.
         pub steps: usize,
@@ -195,7 +211,7 @@ step_counters! {
         pub logical_pages: usize;
         /// Physical pages mapped by more than one sequence (shared prefix
         /// pages); `physical_pages - shared_pages` are singly owned.
-        pub shared_pages: usize;
+        pub shared_pages: usize => peak_shared_pages: usize = max;
         /// Packed-payload bytes prefix sharing deduplicates right now, summed
         /// over devices.
         pub shared_bytes_saved: usize => peak_shared_bytes_saved: usize = max;
@@ -265,17 +281,21 @@ pub(super) struct StepCounter {
     pub sample: Option<fn(&ServeMetrics) -> u64>,
 }
 
-/// How a summed row's value enters (or, undone, leaves) its run total.
+/// How a summed row's value enters its run total; `less` subtracts totals.
 trait Total<T> {
-    fn add_to(self, total: &mut T, undo: bool);
+    fn add_to(self, total: &mut T);
+    fn less(total: T, start: T) -> T;
 }
 
 macro_rules! numeric_total {
     ($($from:ty => $to:ty),*) => {$(
         #[allow(clippy::unnecessary_cast)]
         impl Total<$to> for $from {
-            fn add_to(self, total: &mut $to, undo: bool) {
-                if undo { *total -= self as $to } else { *total += self as $to }
+            fn add_to(self, total: &mut $to) {
+                *total += self as $to
+            }
+            fn less(total: $to, start: $to) -> $to {
+                total - start
             }
         }
     )*};
@@ -283,14 +303,12 @@ macro_rules! numeric_total {
 numeric_total!(usize => usize, usize => u64, f64 => f64);
 
 impl Total<FastDequantOps> for FastDequantOps {
-    fn add_to(self, total: &mut FastDequantOps, undo: bool) {
-        if !undo {
-            *total += self;
-            return;
-        }
-        total.lop3 -= self.lop3;
-        total.shifts -= self.shifts;
-        total.hfma2 -= self.hfma2;
+    fn add_to(self, total: &mut FastDequantOps) {
+        *total += self;
+    }
+    fn less(mut t: FastDequantOps, s: FastDequantOps) -> FastDequantOps {
+        (t.lop3, t.shifts, t.hfma2) = (t.lop3 - s.lop3, t.shifts - s.shifts, t.hfma2 - s.hfma2);
+        t
     }
 }
 

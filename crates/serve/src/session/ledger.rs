@@ -8,7 +8,7 @@
 //! transitions (submit, admit, preempt, …) go through [`ServeSession::observe`].
 
 use super::counters::{StepCounter, StepLedger, STEP_COUNTERS};
-use super::{per_second, DeviceStepMetrics, ServeMetrics, ServeSession};
+use super::{per_second, DeviceStepMetrics, ServeMetrics, ServeSession, RECENT_SAMPLES};
 use bd_kvcache::{DeviceId, PrefixCacheStats, ShardedKvStore};
 use bd_obs::{device_lane, EventField, SpanStart, LANE_SESSION};
 
@@ -148,8 +148,9 @@ impl ServeSession {
 
     /// Closes the step: drains the ledger into the [`ServeMetrics`]
     /// sample, the per-step registry counters and gauges, the aggregate
-    /// events and the modeled timeline, ends the `step` span and advances
-    /// the step clock. The only place any of those is written.
+    /// events, the modeled timeline, the run totals and the sample ring,
+    /// ends the `step` span and advances the step clock. The only place
+    /// any of those is written.
     pub(super) fn publish(&mut self, step_span: SpanStart) -> ServeMetrics {
         let mut ledger = std::mem::take(&mut self.ledger);
         self.marks.drain_into(&self.store, &mut ledger);
@@ -197,7 +198,11 @@ impl ServeSession {
             &[("batch", m.batch as f64), ("kv_tokens", m.kv_tokens as f64)],
         );
         self.step_index += 1;
-        self.metrics.push(m.clone());
+        self.totals.add(&m);
+        if self.metrics.len() == RECENT_SAMPLES {
+            self.metrics.pop_front();
+        }
+        self.metrics.push_back(m.clone());
         m
     }
 

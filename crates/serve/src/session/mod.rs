@@ -66,11 +66,11 @@ use crate::workers::ServeError;
 use bd_core::BitDecoder;
 use bd_gpu_sim::{InterconnectModel, Topology};
 use bd_kvcache::{Partitioning, Placement, SeqId, ShardedKvStore, SwappedShardedSeq};
-use bd_obs::{EventLog, LifecycleTracker, MetricsRegistry, ObsConfig, SloSummary, SpanTracer};
+use bd_obs::{EventLog, LifecycleTracker, MetricsRegistry, ObsConfig, SpanTracer};
 use counters::StepLedger;
 pub use counters::{ServeMetrics, ServeSummary};
 use ledger::{RequestEvent, StoreMarks};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Identifier a [`ServeSession`] assigns to a submitted request.
@@ -339,7 +339,6 @@ struct PageHog {
 /// [`ObsConfig`] (everything off by default — the disabled paths cost a
 /// branch or a relaxed atomic load).
 struct Obs {
-    config: ObsConfig,
     tracer: SpanTracer,
     events: EventLog,
     lifecycle: LifecycleTracker,
@@ -349,7 +348,6 @@ struct Obs {
 impl Obs {
     fn new(config: ObsConfig) -> Self {
         Obs {
-            config,
             tracer: if config.spans {
                 SpanTracer::with_capacity(config.span_capacity)
             } else {
@@ -399,10 +397,12 @@ pub struct ServeSession {
     active: Vec<ActiveSeq>,
     policy: Box<dyn SchedulerPolicy>,
     streams: BTreeMap<RequestId, Vec<u32>>,
-    finished: BTreeSet<RequestId>,
     /// Step at which each finished request completed.
     finished_step: BTreeMap<RequestId, usize>,
-    metrics: Vec<ServeMetrics>,
+    /// The newest [`RECENT_SAMPLES`] published samples, oldest first.
+    metrics: VecDeque<ServeMetrics>,
+    /// The samples published since the latest run began, folded.
+    totals: ServeSummary,
     next_id: RequestId,
     config: ServeConfig,
     step_index: usize,
@@ -412,9 +412,6 @@ pub struct ServeSession {
     /// finds the session drained publishes nothing, so what it counted
     /// (a fault that fired) rides into the next sample.
     ledger: StepLedger,
-    /// The unpublished ledger the last [`Self::run_to_completion`] summed,
-    /// and the sample it rides into: the next summary takes it back out.
-    summarized: (usize, StepLedger),
     /// Last-seen store counters the ledger's per-step deltas are taken
     /// against.
     marks: StoreMarks,
@@ -431,6 +428,9 @@ pub struct ServeSession {
     /// Observability instruments (default-off).
     obs: Obs,
 }
+
+/// Samples [`ServeSession::metrics`] keeps (more than any test reads back).
+const RECENT_SAMPLES: usize = 256;
 
 /// `tokens` per second of `wall_s` (0 for an untimed step or run).
 fn per_second(tokens: f64, wall_s: f64) -> f64 {
@@ -490,15 +490,14 @@ impl ServeSession {
             active: Vec::new(),
             policy: Box::new(Fcfs),
             streams: BTreeMap::new(),
-            finished: BTreeSet::new(),
             finished_step: BTreeMap::new(),
-            metrics: Vec::new(),
+            metrics: VecDeque::new(),
+            totals: ServeSummary::default(),
             next_id: 0,
             config,
             step_index: 0,
             injector: FaultInjector::default(),
             ledger: StepLedger::default(),
-            summarized: (0, StepLedger::default()),
             marks: StoreMarks::default(),
             hogs: Vec::new(),
             failed: BTreeMap::new(),
@@ -576,7 +575,7 @@ impl ServeSession {
 
     /// `true` once a request has generated all its tokens.
     pub fn is_finished(&self, id: RequestId) -> bool {
-        self.finished.contains(&id)
+        self.finished_step.contains_key(&id)
     }
 
     /// The decode step at which a request finished (`None` while it is
@@ -586,8 +585,9 @@ impl ServeSession {
         self.finished_step.get(&id).copied()
     }
 
-    /// Per-step metrics recorded so far.
-    pub fn metrics(&self) -> &[ServeMetrics] {
+    /// The newest per-step samples, oldest first: at most 256, however
+    /// long the session runs (a run's summary reads none of them).
+    pub fn metrics(&self) -> &VecDeque<ServeMetrics> {
         &self.metrics
     }
 
@@ -608,12 +608,6 @@ impl ServeSession {
         &self.lost_devices
     }
 
-    /// The observability configuration installed by
-    /// [`ServeSession::with_obs`] (all-off by default).
-    pub fn obs_config(&self) -> ObsConfig {
-        self.obs.config
-    }
-
     /// The session's span tracer. Disabled unless [`ObsConfig::spans`] was
     /// set; export captured spans with [`SpanTracer::chrome_trace_json`].
     pub fn tracer(&self) -> &SpanTracer {
@@ -627,7 +621,7 @@ impl ServeSession {
         &self.obs.events
     }
 
-    /// The request-lifecycle tracker behind [`ServeSession::slo`].
+    /// The request-lifecycle tracker behind [`ServeSummary::slo`].
     /// Disabled unless [`ObsConfig::lifecycle`] was set.
     pub fn lifecycle(&self) -> &LifecycleTracker {
         &self.obs.lifecycle
@@ -637,13 +631,6 @@ impl ServeSession {
     /// populated while lifecycle tracking is enabled).
     pub fn metrics_registry(&self) -> &MetricsRegistry {
         &self.obs.registry
-    }
-
-    /// The request-lifecycle SLO summary so far: TTFT, TBT, queue-wait
-    /// and goodput distributions. All-zero unless [`ObsConfig::lifecycle`]
-    /// was enabled via [`ServeSession::with_obs`].
-    pub fn slo(&self) -> SloSummary {
-        self.obs.lifecycle.summary()
     }
 
     fn validate(&self, model: &dyn SequenceModel) -> Result<(), AdmissionError> {
@@ -792,10 +779,8 @@ impl ServeSession {
         self.next_id += 1;
         self.streams.insert(id, Vec::new());
         let entry = QueueEntry {
-            id,
-            model,
-            resume: None,
             fork_of,
+            ..QueueEntry::fresh(id, model)
         };
         self.queue_at(arrival_step, entry);
         let step = arrival_step.max(self.step_index);
@@ -820,11 +805,12 @@ impl ServeSession {
     }
 
     /// Steps until every submitted request has finished, returning the
-    /// aggregate summary. It also counts what the step that found the
-    /// session drained counted (a fault), which only the next sample
-    /// carries; the next run's summary does not count it again.
+    /// aggregate summary of what was counted from the call to its return —
+    /// a fault the final, drained step counted too, though only the next
+    /// sample carries it.
     pub fn run_to_completion(&mut self) -> ServeSummary {
-        let start = self.metrics.len();
+        self.totals = ServeSummary::default();
+        let start = self.totals.with_sums(&self.ledger);
         loop {
             while self.step().is_some() {}
             // The run is over for live work; pages still fault-seized
@@ -838,19 +824,10 @@ impl ServeSession {
                 break;
             }
         }
-        let run = &self.metrics[start..];
-        let mut s = ServeSummary::fold(run);
-        s.add_sums(&self.ledger, false);
-        let (at, counted) = std::mem::take(&mut self.summarized);
-        if at == start {
-            s.add_sums(&counted, true);
-        }
-        self.summarized = (self.metrics.len(), self.ledger.clone());
-        s.steps = run.len();
+        let mut s = self.totals.with_sums(&self.ledger).since(&start);
         s.kv_tokens_per_s = per_second(s.kv_tokens as f64, s.wall_s);
         s.devices = self.devices();
-        let utilization: f64 = run.iter().map(ServeMetrics::mean_device_utilization).sum();
-        s.mean_device_utilization = utilization / run.len().max(1) as f64;
+        s.mean_device_utilization /= s.steps.max(1) as f64;
         s.slo = self.obs.lifecycle.summary();
         s
     }

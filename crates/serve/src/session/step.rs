@@ -336,7 +336,6 @@ impl ServeSession {
             store.evict(*seq);
         }
         for (id, _) in &done {
-            self.finished.insert(*id);
             self.finished_step.insert(*id, self.step_index);
             self.observe(*id, RequestEvent::Completed);
         }

@@ -1904,3 +1904,70 @@ fn a_fault_on_the_drained_step_lands_in_exactly_one_summary() {
     assert_eq!(session.run_to_completion().faults_injected, 0);
     assert_eq!(session.metrics_registry().counter("serve.faults"), 1);
 }
+
+#[test]
+fn a_run_past_the_sample_ring_is_summarized_whole() {
+    // One request decodes RECENT_SAMPLES + 40 steps on 2 devices, with a
+    // link fault at step 10 that the ring no longer holds at the end. One
+    // session is stepped by hand, its twin runs to completion.
+    let attn = AttentionConfig::gqa(4, 2, 16);
+    let steps = RECENT_SAMPLES + 40;
+    let session = || {
+        let config = ServeConfig::new(24, 32, 0, 1).with_devices(2, Partitioning::HeadModulo);
+        let plan = FaultPlan::new().transient_link(10, 2);
+        let mut s = ServeSession::new(decoder(attn), config).with_faults(plan);
+        s.submit(Box::new(SynthSequence::new(attn, 5, 40, steps)))
+            .unwrap();
+        s
+    };
+    let mut stepped = session();
+    let mut returned = Vec::new();
+    while let Some(m) = stepped.step() {
+        returned.push(m);
+    }
+    assert_eq!(returned.len(), steps);
+    let kept = stepped.metrics();
+    assert_eq!(kept.len(), RECENT_SAMPLES);
+    assert!(kept
+        .iter()
+        .map(|m| m.step)
+        .eq(steps - RECENT_SAMPLES..steps));
+    let newest = &returned[steps - RECENT_SAMPLES..];
+    assert_eq!(format!("{kept:?}"), format!("{newest:?}"));
+    assert_eq!(kept.iter().filter(|m| m.retries > 0).count(), 0);
+
+    let summary = session().run_to_completion();
+    let mut folded = ServeSummary::fold(&returned);
+    assert!(folded.retries > 0 && folded.steps == steps);
+    // The twins count alike; only their wall clocks differ.
+    folded.wall_s = summary.wall_s;
+    folded.kv_tokens_per_s = summary.kv_tokens_per_s;
+    folded.devices = summary.devices;
+    folded.mean_device_utilization /= steps as f64;
+    assert_eq!(format!("{folded:?}"), format!("{summary:?}"));
+}
+
+#[test]
+fn a_fault_on_a_drained_step_outside_any_run_lands_in_no_summary() {
+    // Stepped by hand: the exhaustion planned for step 3 fires on the bare
+    // `step()` that finds the session drained. The next run's first sample
+    // carries it, but it was counted before that run began.
+    let attn = AttentionConfig::gqa(4, 2, 16);
+    let plan = FaultPlan::new().pool_exhaustion(3, 2, None);
+    let mut session = ServeSession::new(decoder(attn), ServeConfig::new(64, 32, 0, 8))
+        .with_obs(ObsConfig::all())
+        .with_faults(plan);
+    session
+        .submit(Box::new(SynthSequence::new(attn, 0, 40, 3)))
+        .unwrap();
+    while session.step().is_some() {}
+    assert_eq!(session.metrics().len(), 3);
+    session
+        .submit(Box::new(SynthSequence::new(attn, 1, 40, 3)))
+        .unwrap();
+    let summary = session.run_to_completion();
+    assert_eq!(session.metrics()[3].faults_injected, 1);
+    assert_eq!(session.metrics_registry().counter("serve.faults"), 1);
+    assert_eq!((summary.faults_injected, summary.steps), (0, 3));
+    assert_eq!(summary.degraded_steps, 1);
+}

@@ -34,6 +34,11 @@
 //!   shared prefix block once;
 //! - `lines`: dequant-LUT lines those walks build, one per `half2` group.
 //!
+//! A fifth shape, `long_run` (one KC-4 request that decodes past the 256
+//! samples a session keeps), pins one steady step taken once that history
+//! is full: it frees the oldest sample as it keeps its own, so it leaves
+//! one allocation fewer live than an early steady step.
+//!
 //! `walked` and `lines` are read off the store, not off a ledger: a
 //! sequence decoded this step walks the blocks it had before the step (a
 //! flush lands after the walk), and one the step admits or resumes walks
@@ -233,6 +238,17 @@ fn shared_fleet(workers: usize) -> ServeSession {
     session(QuantScheme::kc4(), config, models)
 }
 
+/// More decode steps than the session keeps samples of.
+const LONG_RUN_GEN: usize = 300;
+
+fn long_run(workers: usize) -> ServeSession {
+    let prompt = 32;
+    let pages = (prompt + LONG_RUN_GEN).div_ceil(PAGE_TOKENS) + 2;
+    let config = ServeConfig::new(pages, PAGE_TOKENS, workers, 1);
+    let model = SynthSequence::new(ATTN, 400, prompt, LONG_RUN_GEN);
+    session(QuantScheme::kc4(), config, [(0, model)])
+}
+
 /// `(arrival step, prompt, gen)`: a burst at step 0 that fills the pool,
 /// then arrivals that preempt into it.
 const BURSTY: [(usize, usize, usize); 6] = [
@@ -393,7 +409,7 @@ fn serve(mut s: ServeSession) -> Vec<(ServeMetrics, Vec<usize>, Work)> {
     out
 }
 
-const SHAPES: [Shape; 4] = [
+const SHAPES: [Shape; 5] = [
     Shape {
         name: "long_solo",
         workers: [1, 2, 3],
@@ -413,6 +429,11 @@ const SHAPES: [Shape; 4] = [
         name: "bursty",
         workers: [0, 1, 2],
         build: bursty,
+    },
+    Shape {
+        name: "long_run",
+        workers: [1, 2, 3],
+        build: long_run,
     },
 ];
 
@@ -489,7 +510,7 @@ const fn row(
 use Kind::{Admitting, Doubling, Seal, Steady};
 
 #[rustfmt::skip]
-const ROWS: [Row; 16] = [
+const ROWS: [Row; 17] = [
     row("long_solo", 0, Admitting, 411, 1647104, 88, [0, 3, 6], 73728, 2048),
     row("long_solo", 5, Steady, 124, 16196, 2, [0, 1, 2], 73728, 2048),
     row("long_solo", 8, Seal, 126, 20996, 2, [0, 1, 2], 73728, 2048),
@@ -506,6 +527,7 @@ const ROWS: [Row; 16] = [
     row("bursty", 12, Steady, 227, 36676, 2, [0, 1, 3], 0, 0),
     row("bursty", 14, Seal, 228, 36740, 2, [0, 1, 3], 0, 0),
     row("bursty", 9, Doubling, 228, 36740, 2, [0, 1, 3], 0, 0),
+    row("long_run", 261, Steady, 124, 16196, 1, [0, 1, 2], 73728, 2048),
 ];
 
 /// Serves every shape at each of its widths and returns the observed

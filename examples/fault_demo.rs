@@ -55,7 +55,8 @@ fn main() {
         "{:>5} {:>5} {:>8} {:>7} {:>7} {:>10} {:>9} {:>9}",
         "step", "batch", "devices", "faults", "recov", "kv_tokens", "degraded", "completed"
     );
-    while let Some(m) = session.step() {
+    let summary = session.run_to_completion();
+    for m in session.metrics() {
         println!(
             "{:>5} {:>5} {:>8} {:>7} {:>7} {:>10} {:>9} {:>9}",
             m.step,
@@ -69,9 +70,7 @@ fn main() {
         );
     }
 
-    let run = session.metrics();
-    let summary_faults: usize = run.iter().map(|m| m.faults_injected).sum();
-    let recoveries: usize = run.iter().map(|m| m.recoveries).sum();
+    let (summary_faults, recoveries) = (summary.faults_injected, summary.recoveries);
     assert_eq!(summary_faults, 1, "the planned loss must fire exactly once");
     assert!(recoveries >= 1, "in-flight sequences must recover");
     assert_eq!(session.devices(), devices - 1);

@@ -18,7 +18,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bitdecoding::core::{AttentionConfig, BitDecoder};
-use bitdecoding::serve::{replay_contiguous, ServeConfig, ServeSession, SynthSequence};
+use bitdecoding::serve::{
+    replay_contiguous, ServeConfig, ServeSession, ServeSummary, SynthSequence,
+};
 use bitdecoding::{GpuArch, QuantScheme};
 
 const PROMPT_SEED: u64 = 0xBD;
@@ -27,7 +29,11 @@ const GEN: usize = 8;
 const SEQUENCES: usize = 8;
 const PAGE_TOKENS: usize = 64;
 
-fn run(decoder: &BitDecoder, attn: AttentionConfig, share: bool) -> (ServeSession, Vec<u64>) {
+fn run(
+    decoder: &BitDecoder,
+    attn: AttentionConfig,
+    share: bool,
+) -> (ServeSession, ServeSummary, Vec<u64>) {
     let pages_per_seq = (PROMPT + GEN).div_ceil(PAGE_TOKENS) + 1;
     // The unshared arm is the *cold* baseline: the content-addressed radix
     // cache (on by default) would otherwise dedup the identical prompts
@@ -53,8 +59,8 @@ fn run(decoder: &BitDecoder, attn: AttentionConfig, share: bool) -> (ServeSessio
         };
         ids.push(id);
     }
-    session.run_to_completion();
-    (session, ids)
+    let summary = session.run_to_completion();
+    (session, summary, ids)
 }
 
 fn main() {
@@ -68,40 +74,21 @@ fn main() {
     println!("=== bd-serve: copy-on-write shared-prompt admission ===\n");
     println!("{SEQUENCES} requests x ({PROMPT}-token shared prompt + {GEN} generated tokens), {PAGE_TOKENS}-token pages\n");
 
-    let (unshared, unshared_ids) = run(&decoder, attn, false);
-    let (shared, shared_ids) = run(&decoder, attn, true);
+    let (unshared, unshared_sum, unshared_ids) = run(&decoder, attn, false);
+    let (shared, shared_sum, shared_ids) = run(&decoder, attn, true);
 
     println!(
         "{:>10} {:>12} {:>12} {:>8} {:>16}",
         "mode", "peak_pages", "shared_pages", "forks", "bytes_deduped"
     );
-    for (label, session) in [("unshared", &unshared), ("shared", &shared)] {
-        let peak = session
-            .metrics()
-            .iter()
-            .map(|m| m.physical_pages)
-            .max()
-            .unwrap_or(0);
-        let shared_pages = session
-            .metrics()
-            .iter()
-            .map(|m| m.shared_pages)
-            .max()
-            .unwrap_or(0);
-        let forks: usize = session.metrics().iter().map(|m| m.forked).sum();
-        let deduped = session
-            .metrics()
-            .iter()
-            .map(|m| m.shared_bytes_saved)
-            .max()
-            .unwrap_or(0);
+    for (label, s) in [("unshared", &unshared_sum), ("shared", &shared_sum)] {
         println!(
             "{:>10} {:>12} {:>12} {:>8} {:>13} KiB",
             label,
-            peak,
-            shared_pages,
-            forks,
-            deduped / 1024,
+            s.peak_physical_pages,
+            s.peak_shared_pages,
+            s.forks,
+            s.peak_shared_bytes_saved / 1024,
         );
     }
 
@@ -127,13 +114,15 @@ fn main() {
     }
 
     // 2. Strictly smaller footprint at equal output.
-    let peak = |s: &ServeSession| s.metrics().iter().map(|m| m.physical_pages).max().unwrap();
-    let (up, sp) = (peak(&unshared), peak(&shared));
+    let (up, sp) = (
+        unshared_sum.peak_physical_pages,
+        shared_sum.peak_physical_pages,
+    );
     assert!(
         sp < up,
         "sharing did not shrink the page footprint ({sp} vs {up})"
     );
-    let forks: usize = shared.metrics().iter().map(|m| m.forked).sum();
+    let forks = shared_sum.forks;
     assert_eq!(forks, SEQUENCES - 1, "every child admitted by forking");
 
     println!("\nverified: {verified}/16 streams bitwise-identical to contiguous decode");

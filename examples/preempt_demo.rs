@@ -19,7 +19,7 @@
 
 use bitdecoding::core::{AttentionConfig, BitDecoder};
 use bitdecoding::serve::{
-    replay_contiguous, FcfsPreempt, SchedulerPolicy, ServeConfig, ServeSession,
+    replay_contiguous, FcfsPreempt, SchedulerPolicy, ServeConfig, ServeSession, ServeSummary,
     ShortestRemainingFirst, SynthSequence,
 };
 use bitdecoding::{GpuArch, QuantScheme};
@@ -33,7 +33,7 @@ fn run(
     decoder: &BitDecoder,
     attn: AttentionConfig,
     policy: Option<Box<dyn SchedulerPolicy>>,
-) -> (ServeSession, Vec<u64>) {
+) -> (ServeSession, ServeSummary, Vec<u64>) {
     // 16 pages × 32 tokens: request 0 alone reserves 16 pages — the pool
     // is sized for roughly half the offered load.
     let mut session = ServeSession::new(decoder.clone(), ServeConfig::new(16, 32, 2, 8));
@@ -48,8 +48,8 @@ fn run(
                 .expect("request fits the pool")
         })
         .collect();
-    session.run_to_completion();
-    (session, ids)
+    let summary = session.run_to_completion();
+    (session, summary, ids)
 }
 
 fn main() {
@@ -63,7 +63,7 @@ fn main() {
     println!("=== bd-serve: scheduler policies under page pressure ===\n");
     println!("pool 16 pages x 32 tokens; request 0 reserves all 16; small requests arrive at steps 5-7\n");
 
-    let runs: Vec<(ServeSession, Vec<u64>)> = vec![
+    let runs: Vec<(ServeSession, ServeSummary, Vec<u64>)> = vec![
         run(&decoder, attn, None),
         run(&decoder, attn, Some(Box::new(FcfsPreempt::default()))),
         run(&decoder, attn, Some(Box::new(ShortestRemainingFirst))),
@@ -73,12 +73,11 @@ fn main() {
         "{:>26} {:>10} {:>10} {:>10} {:>10} {:>12}",
         "policy", "req0_done", "req1_done", "req2_done", "req3_done", "swap_KiB"
     );
-    for (session, ids) in &runs {
+    for (session, summary, ids) in &runs {
         let done: Vec<usize> = ids
             .iter()
             .map(|id| session.completion_step(*id).expect("completed"))
             .collect();
-        let swapped: f64 = session.metrics().iter().map(|m| m.swap_bytes).sum();
         println!(
             "{:>26} {:>10} {:>10} {:>10} {:>10} {:>12.1}",
             session.policy_label(),
@@ -86,13 +85,13 @@ fn main() {
             done[1],
             done[2],
             done[3],
-            swapped / 1024.0,
+            summary.swap_bytes / 1024.0,
         );
     }
 
     // 1. Bitwise identity under every policy.
     let mut verified = 0;
-    for (session, ids) in &runs {
+    for (session, _, ids) in &runs {
         for (&(seed, prompt, gen, _), id) in REQUESTS.iter().zip(ids) {
             let want =
                 replay_contiguous(&decoder, &mut SynthSequence::new(attn, seed, prompt, gen));
@@ -108,8 +107,8 @@ fn main() {
 
     // 2. No head-of-line starvation: each late small request completes
     // strictly earlier under FcfsPreempt than under Fcfs.
-    let (fcfs, fcfs_ids) = &runs[0];
-    let (pre, pre_ids) = &runs[1];
+    let (fcfs, _, fcfs_ids) = &runs[0];
+    let (pre, pre_summary, pre_ids) = &runs[1];
     let mut preempt_wins = 0;
     for i in 1..REQUESTS.len() {
         let f = fcfs.completion_step(fcfs_ids[i]).unwrap();
@@ -120,7 +119,7 @@ fn main() {
         );
         preempt_wins += 1;
     }
-    let preemptions: usize = pre.metrics().iter().map(|m| m.preempted).sum();
+    let preemptions = pre_summary.preemptions;
     assert!(preemptions > 0, "the preempting run never preempted");
 
     println!(
