@@ -58,7 +58,9 @@ struct PlanKey {
 thread_local! {
     /// Token-major codes of the tensor being encoded on this thread.
     static CODES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-    /// Dequant LUT of the block `decode_block_fused` decodes on this thread.
+    /// Dequant LUT of the block [`FragmentCodec::decode_block_fused`]
+    /// decodes on this thread (the packed walk keeps its own in its
+    /// scratch).
     static LUT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -100,9 +102,11 @@ impl Segment {
 /// they hold 8 consecutive N coordinates of one K row (tokens of a Kᵀ row,
 /// channels of a V row), so a [`Segment`] names lane 0's. The Residual
 /// Kernel gathers codes into a tile's registers, the Packing Kernel
-/// dequantizes them back out — token-major, or into a Kᵀ tile, by choice of
-/// strides — so §IV-A(4)'s "unified instruction configuration" is one
-/// table; only `build` still derives the layout from first principles.
+/// dequantizes them back out into the plan's one unit-stride layout (the
+/// `dim × tokens` Kᵀ tile for a Key plan, token-major for a Value plan:
+/// the MMA B operand, N contiguous) — so §IV-A(4)'s "unified instruction
+/// configuration" is one table; only `build` still derives the layout from
+/// first principles.
 #[derive(Debug)]
 pub(crate) struct FragmentPlan {
     key: PlanKey,
@@ -291,14 +295,12 @@ impl FragmentPlan {
         (words, params)
     }
 
-    /// Lane 0 of `s` in a destination of `[per token, per channel]` strides,
-    /// in 32 bits (`build` bounds the block): no window from it can wrap.
-    /// Only token-major destinations need it — the encode gather, the
-    /// materializing decode and the non-unit paths; the unit-stride walk
-    /// reads the segment's chunk.
-    fn at(&self, s: &Segment, [per_token, per_channel]: [usize; 2]) -> usize {
-        let (token, channel) = (u32::from(s.token), u32::from(s.channel));
-        (token * per_token as u32 + channel * per_channel as u32) as usize
+    /// Lane 0 of `s` in the token-major code matrix, in 32 bits (`build`
+    /// bounds the block): no window from it can wrap. Only the encode
+    /// gather and the materializing decode read token-major codes; the
+    /// fused decode writes the segment's chunk.
+    fn at(&self, s: &Segment) -> usize {
+        (u32::from(s.token) * self.key.dim as u32 + u32::from(s.channel)) as usize
     }
 
     /// The metadata group of `lane` of segment `s`.
@@ -309,9 +311,14 @@ impl FragmentPlan {
         }
     }
 
-    /// The stride between a segment's lanes (N) in such a destination.
-    fn lane_stride(&self, strides: [usize; 2]) -> usize {
-        strides[usize::from(!self.key.key_orientation)]
+    /// The stride between a segment's lanes (N) in the token-major code
+    /// matrix: a Key plan's run along tokens, a Value plan's along channels.
+    fn lane_stride(&self) -> usize {
+        if self.key.key_orientation {
+            self.key.dim
+        } else {
+            1
+        }
     }
 
     /// The one walk over the plan: hands `visit` every tile — the word-
@@ -356,7 +363,7 @@ impl FragmentPlan {
         CODES.with_borrow_mut(|codes| {
             let params = quantize_int_codes(values, key.width, key.granularity, key.group, codes);
             let mut words = vec![0u16; self.words()];
-            match self.lane_stride([key.dim, 1]) == 1 {
+            match self.lane_stride() == 1 {
                 true => self.gather_tiles::<true>(codes, &mut words),
                 false => self.gather_tiles::<false>(codes, &mut words),
             }
@@ -368,21 +375,20 @@ impl FragmentPlan {
         })
     }
 
-    /// The gather; `UNIT` as in [`FragmentPlan::dequant_tiles`]. A tile
-    /// is built byte-sliced: a segment's 8 codes, one byte per lane of a
-    /// `u64` (one 8-byte load where `UNIT`), shift within their byte — a
-    /// code never crosses one — and OR into the plane of register byte
-    /// `shift / 8`; the 4 planes then transpose into the 8 registers once
-    /// per tile ([`registers_of_planes`]).
+    /// The gather; `UNIT` states the lane stride is 1 (a Value plan's
+    /// codes) as a constant. A tile is built byte-sliced: a segment's 8
+    /// codes, one byte per lane of a `u64` (one 8-byte load where `UNIT`),
+    /// shift within their byte — a code never crosses one — and OR into
+    /// the plane of register byte `shift / 8`; the 4 planes then transpose
+    /// into the 8 registers once per tile ([`registers_of_planes`]).
     #[inline]
     fn gather_tiles<const UNIT: bool>(&self, codes: &[u8], words: &mut [u16]) {
-        let strides = [self.key.dim, 1];
-        let lane_stride = if UNIT { 1 } else { self.lane_stride(strides) };
+        let lane_stride = if UNIT { 1 } else { self.lane_stride() };
         let (pairs, _) = words.as_chunks_mut::<2>();
         self.for_each_tile(|regs, segments| {
             let mut planes = [0u64; 4];
             for s in segments {
-                let src = self.at(s, strides);
+                let src = self.at(s);
                 let window = &codes[src..src + (TILE_LANES - 1) * lane_stride + 1];
                 let lanes = match window.first_chunk::<TILE_LANES>() {
                     Some(&bytes) if UNIT => u64::from_le_bytes(bytes),
@@ -406,11 +412,11 @@ impl FragmentPlan {
         let (words, params) = self.payload(tensor);
         let (pairs, _) = words.as_chunks::<2>();
         let mut codes = vec![0u8; tokens * dim];
-        let lane_stride = self.lane_stride([dim, 1]);
+        let lane_stride = self.lane_stride();
         self.for_each_tile(|regs, segments| {
             let tile = Self::tile(pairs, regs);
             for s in segments {
-                let dst = self.at(s, [dim, 1]);
+                let dst = self.at(s);
                 for (lane, reg) in tile.into_iter().enumerate() {
                     codes[dst + lane * lane_stride] = ((reg >> s.shift()) % width.levels()) as u8;
                 }
@@ -423,17 +429,15 @@ impl FragmentPlan {
     /// Fused unpack **and** dequantize: streams the packed words through
     /// the plan tile by tile, converting each code to its FP16 value inline
     /// (the same per-group FMA as [`bd_kvcache::dequantize_int_codes`],
-    /// hardware-realised by the `lop3` fast path) and landing it in `out` —
-    /// token-major, or `transposed` into the `dim × tokens` tile — with no
-    /// intermediate code matrix, no second pass, no transpose. Values are
-    /// bit-identical to [`FragmentPlan::decode`]'s in every `isa`: the
-    /// AVX2 and AVX-512 instances permute a LUT line where a segment's 8
-    /// lanes are unit-stride and share it (every Kᵀ row of a channel-wise
-    /// K, every V row), and gather like the baseline elsewhere. The
-    /// unit-stride layout is the plan's own (Kᵀ for a Key plan,
-    /// token-major for a Value plan): there every instance writes each
-    /// segment to the chunk the plan records, and only the other layout
-    /// computes destinations from strides.
+    /// hardware-realised by the `lop3` fast path) and landing it in `out`
+    /// in the plan's unit-stride layout — the `dim × tokens` Kᵀ tile for a
+    /// Key plan, token-major for a Value plan — with no intermediate code
+    /// matrix, no second pass, no transpose: every instance writes each
+    /// segment to the chunk the plan records. Values are bit-identical to
+    /// [`FragmentPlan::decode`]'s (transposed for a Key plan) in every
+    /// `isa`: the AVX2 and AVX-512 instances permute a LUT line where a
+    /// segment's 8 lanes share it (every Kᵀ row of a channel-wise K, every
+    /// V row), and look up lane by lane like the baseline elsewhere.
     ///
     /// Returns the modelled fast-dequant instruction counts for the words
     /// streamed (two 16-bit storage words per 32-bit register conversion).
@@ -442,34 +446,29 @@ impl FragmentPlan {
         &self,
         isa: Isa,
         tensor: &PackedTensor,
-        transposed: bool,
         lut: &mut Vec<f32>,
         out: &mut TokenMatrix,
     ) -> FastDequantOps {
         let (tokens, dim) = self.shape();
         let (words, params) = self.payload(tensor);
-        let (rows, cols, strides) = if transposed {
-            (dim, tokens, [1, tokens])
+        if self.key.key_orientation {
+            out.resize_tokens(dim, tokens);
         } else {
-            (tokens, dim, [dim, 1])
-        };
-        out.resize_tokens(rows, cols);
+            out.resize_tokens(tokens, dim);
+        }
         let out = out.as_mut_slice();
         let lut = dequant_lut(isa, params, self.key.width.levels() as usize, lut);
         // One arm per width, so a LUT line is an array the code's mask
-        // proves every index of, and per lane stride that is a constant
-        // (1 where `out` is the plan's own, unit-stride layout).
+        // proves every index of.
         let avx2 = isa
             .avx2()
             .filter(|_| self.group_step == 0 && self.lane_groups.is_empty());
         let wide = isa.avx512();
-        match (self.key.width, transposed == self.key.key_orientation, avx2) {
-            (BitWidth::B4, true, Some(x)) => self.permute_tiles::<16>(x, wide, words, lut, out),
-            (BitWidth::B2, true, Some(x)) => self.permute_tiles::<4>(x, wide, words, lut, out),
-            (BitWidth::B4, true, _) => self.dequant_tiles::<16, true>(words, lut, strides, out),
-            (BitWidth::B4, false, _) => self.dequant_tiles::<16, false>(words, lut, strides, out),
-            (BitWidth::B2, true, _) => self.dequant_tiles::<4, true>(words, lut, strides, out),
-            (BitWidth::B2, false, _) => self.dequant_tiles::<4, false>(words, lut, strides, out),
+        match (self.key.width, avx2) {
+            (BitWidth::B4, Some(x)) => self.permute_tiles::<16>(x, wide, words, lut, out),
+            (BitWidth::B2, Some(x)) => self.permute_tiles::<4>(x, wide, words, lut, out),
+            (BitWidth::B4, None) => self.dequant_tiles::<16>(words, lut, out),
+            (BitWidth::B2, None) => self.dequant_tiles::<4>(words, lut, out),
         }
 
         let regs32 = words.len() as u32 / 2;
@@ -482,49 +481,36 @@ impl FragmentPlan {
     }
 
     /// [`FragmentPlan::decode_fused`] for codes of `LEVELS` levels: a
-    /// warp's lanes dequantized side by side (paper §IV-A(2)). `UNIT` states
-    /// the lane stride is 1 (N is `out`'s contiguous axis: Kᵀ rows, V rows)
-    /// as a constant: a segment's window is then an array of 8 and, where
-    /// its lanes share one LUT line, no check is left per code. This is
-    /// the baseline instance's path everywhere and the AVX2 and AVX-512
-    /// instances' where [`FragmentPlan::permute_tiles`] does not apply. Where `UNIT`,
-    /// a segment lands on its chunk, as in `permute_tiles`; `strides` only
-    /// places the other layout's lanes. Always inlined, so the per-lane
-    /// paths run inside the instance's entry too.
+    /// warp's lanes dequantized side by side (paper §IV-A(2)) into the
+    /// 8-value chunk of `out` the plan names per segment, as in
+    /// `permute_tiles`; where its lanes share one LUT line, no check is
+    /// left per code. This is the baseline instance's path everywhere and
+    /// the AVX2 and AVX-512 instances' where [`FragmentPlan::permute_tiles`]
+    /// does not apply. Always inlined, so the per-lane path runs inside the
+    /// instance's entry too.
     #[inline(always)]
-    fn dequant_tiles<const LEVELS: usize, const UNIT: bool>(
-        &self,
-        words: &[u16],
-        lut: &[f32],
-        strides: [usize; 2],
-        out: &mut [f32],
-    ) {
-        let lane_stride = if UNIT { 1 } else { self.lane_stride(strides) };
+    fn dequant_tiles<const LEVELS: usize>(&self, words: &[u16], lut: &[f32], out: &mut [f32]) {
         let (pairs, _) = words.as_chunks::<2>();
         let (lines, _) = lut.as_chunks::<LEVELS>();
+        let (chunks, _) = out.as_chunks_mut::<TILE_LANES>();
         let one_line = self.group_step == 0 && self.lane_groups.is_empty();
         self.for_each_tile(
             #[inline(always)]
             |regs, segments| {
                 let tile = Self::tile(pairs, regs);
                 for s in segments {
-                    let dst = if UNIT {
-                        TILE_LANES * s.chunk()
-                    } else {
-                        self.at(s, strides)
-                    };
-                    let window = &mut out[dst..dst + (TILE_LANES - 1) * lane_stride + 1];
+                    let chunk = &mut chunks[s.chunk()];
                     let shared = one_line.then(|| &lines[s.group as usize]);
                     for (lane, reg) in tile.into_iter().enumerate() {
                         let line = shared.unwrap_or_else(|| &lines[self.lane_group(s, lane)]);
-                        window[lane * lane_stride] = line[(reg >> s.shift()) as usize % LEVELS];
+                        chunk[lane] = line[(reg >> s.shift()) as usize % LEVELS];
                     }
                 }
             },
         );
     }
 
-    /// [`FragmentPlan::dequant_tiles`]`::<LEVELS, true>` where every
+    /// [`FragmentPlan::dequant_tiles`]`::<LEVELS>` where every
     /// segment's lanes share one LUT line, in the AVX2 and AVX-512
     /// instances: the same entries, permuted in registers rather than
     /// loaded one by one, into `out`'s 8-value chunk the plan names per
@@ -630,7 +616,6 @@ fn packed_shape(tensor: &PackedTensor) -> (usize, usize) {
 pub(crate) struct BlockDecoder {
     codec: FragmentCodec,
     scheme: QuantScheme,
-    k_transposed: bool,
     /// The instance of the walk the decoder runs in: the host's, unless
     /// set.
     pub(crate) isa: Isa,
@@ -638,12 +623,11 @@ pub(crate) struct BlockDecoder {
 }
 
 impl BlockDecoder {
-    /// With `k_transposed`, K lands as the `dim × tokens` Kᵀ tile.
-    pub(crate) fn new(codec: &FragmentCodec, scheme: QuantScheme, k_transposed: bool) -> Self {
+    /// A decoder running in the host's instance.
+    pub(crate) fn new(codec: &FragmentCodec, scheme: QuantScheme) -> Self {
         BlockDecoder {
             codec: *codec,
             scheme,
-            k_transposed,
             isa: Isa::host(),
             plans: None,
         }
@@ -668,19 +652,18 @@ impl BlockDecoder {
         }
         let Some([k_plan, v_plan]) = &self.plans else {
             // FP4 blocks (hardware block-scale layout) decode through the
-            // reference nibble walk, which is flat token-major.
-            let (mut k, v) = ReferenceCodec.decode(block, self.scheme);
-            if self.k_transposed {
-                k = TokenMatrix::from_fn(k.dim(), k.tokens(), |c, t| k[t][c]);
-            }
-            for (out, decoded) in [(k_out, k), (v_out, v)] {
+            // reference nibble walk, which is flat token-major: K is
+            // transposed to the Kᵀ tile.
+            let (k, v) = ReferenceCodec.decode(block, self.scheme);
+            let kt = TokenMatrix::from_fn(k.dim(), k.tokens(), |c, t| k[t][c]);
+            for (out, decoded) in [(k_out, kt), (v_out, v)] {
                 out.resize_tokens(decoded.tokens(), decoded.dim());
                 out.as_mut_slice().copy_from_slice(decoded.as_slice());
             }
             return FastDequantOps::default();
         };
-        k_plan.decode_fused(isa, &block.k, self.k_transposed, lut, k_out)
-            + v_plan.decode_fused(isa, &block.v, false, lut, v_out)
+        k_plan.decode_fused(isa, &block.k, lut, k_out)
+            + v_plan.decode_fused(isa, &block.v, lut, v_out)
     }
 }
 
@@ -740,13 +723,12 @@ impl FragmentCodec {
         ])
     }
 
-    /// Decodes one packed block straight into reusable flat buffers in the
-    /// orientation the fused attention kernel consumes (`k_out`/`v_out`
-    /// token-major). Integer schemes stream through the fused plan walk;
-    /// FP4 blocks (hardware block-scale layout) decode through the
-    /// reference nibble walk, which is already flat token-major. This runs
-    /// the baseline instance on every host: the packed walk decodes K as
-    /// the Kᵀ tile instead, in the host's instance.
+    /// Decodes one packed block straight into reusable flat buffers as the
+    /// fused attention kernel's walk decodes it, in the host's instance: K
+    /// as the `dim × tokens` Kᵀ tile in `k_out`, V token-major in `v_out`
+    /// (each its MMA B operand, N contiguous). Integer schemes stream
+    /// through the fused plan walk; FP4 blocks (hardware block-scale
+    /// layout) decode through the reference nibble walk, K then transposed.
     pub fn decode_block_fused(
         &self,
         block: &PackedBlock,
@@ -754,9 +736,12 @@ impl FragmentCodec {
         k_out: &mut TokenMatrix,
         v_out: &mut TokenMatrix,
     ) -> FastDequantOps {
+        let mut decoder = BlockDecoder::new(self, scheme);
         LUT.with_borrow_mut(|lut| {
-            let mut decoder = BlockDecoder::new(self, scheme, false);
-            decoder.decode(Isa::BASELINE, block, lut, k_out, v_out)
+            decoder.isa.run(
+                #[inline(always)]
+                |isa| decoder.decode(isa, block, lut, k_out, v_out),
+            )
         })
     }
 }
@@ -994,9 +979,9 @@ mod tests {
             .expect("integer schemes only")
     }
 
-    /// Every code the tile walk visits under `strides`, as `(register,
-    /// shift, destination, LUT base)`.
-    fn walk(plan: &FragmentPlan, strides: [usize; 2]) -> Vec<(usize, u32, usize, usize)> {
+    /// Every code the tile walk visits, as `(register, shift, token-major
+    /// destination, LUT base)`.
+    fn walk(plan: &FragmentPlan) -> Vec<(usize, u32, usize, usize)> {
         let mut codes = Vec::new();
         plan.for_each_tile(|regs, segments| {
             for s in segments {
@@ -1004,7 +989,7 @@ mod tests {
                     codes.push((
                         reg,
                         s.shift(),
-                        plan.at(s, strides) + lane * plan.lane_stride(strides),
+                        plan.at(s) + lane * plan.lane_stride(),
                         plan.lane_group(s, lane) * plan.key.width.levels() as usize,
                     ));
                 }
@@ -1021,22 +1006,15 @@ mod tests {
                 let per_reg = codes_per_u32(plan.key.width);
                 let lut_len = plan.params() * plan.key.width.levels() as usize;
                 let regs = plan.words() / 2;
-                // Token-major and as the transposed tile: the same walk,
-                // the same registers and LUT bases, mirrored destinations.
-                let (token_major, transposed) = (walk(&plan, [dim, 1]), walk(&plan, [1, tokens]));
+                let codes = walk(&plan);
                 let mut hits = vec![0u32; tokens * dim];
                 let mut positions = vec![0u32; regs];
-                for (&(r, shift, dst, lut), &(rt, shift_t, dst_t, lut_t)) in
-                    token_major.iter().zip(&transposed)
-                {
-                    assert_eq!((r, shift, lut), (rt, shift_t, lut_t));
-                    assert_eq!(dst_t, dst % dim * tokens + dst / dim);
+                for &(r, shift, dst, lut) in &codes {
                     assert!(lut < lut_len);
                     hits[dst] += 1;
                     assert_eq!(positions[r] & (1 << (shift / plan.key.width.bits())), 0);
                     positions[r] |= 1 << (shift / plan.key.width.bits());
                 }
-                assert_eq!(token_major.len(), transposed.len());
                 assert!(
                     hits.iter().all(|&h| h == 1),
                     "{layout} {scheme} {tokens}x{dim}: every element exactly once"
@@ -1045,16 +1023,13 @@ mod tests {
                 let mut owners = vec![0u32; regs];
                 plan.for_each_tile(|tile, _| tile.into_iter().for_each(|r| owners[r] += 1));
                 assert!(owners.iter().all(|&o| o == 1));
-                saw_padding |= token_major.len() < regs * per_reg;
+                saw_padding |= codes.len() < regs * per_reg;
                 // Segments relative to their tile's first: the offset
                 // patterns the tiles come in.
                 let mut patterns = std::collections::HashSet::new();
                 plan.for_each_tile(|_, segments| {
-                    let origin = segments
-                        .first()
-                        .map_or(0, |s| plan.at(s, [dim, 1]) as isize);
-                    let relative =
-                        |s: &Segment| (s.shift(), plan.at(s, [dim, 1]) as isize - origin);
+                    let origin = segments.first().map_or(0, |s| plan.at(s) as isize);
+                    let relative = |s: &Segment| (s.shift(), plan.at(s) as isize - origin);
                     patterns.insert(segments.iter().map(relative).collect::<Vec<_>>());
                 });
                 saw_patterns |= patterns.len() > 1;
@@ -1071,15 +1046,17 @@ mod tests {
     fn segment_chunks_are_the_unit_stride_destinations() {
         for (layout, scheme, tokens, dim) in plan_grid() {
             for plan in block_plans(&FragmentCodec::new(layout), scheme, tokens, dim) {
-                // N contiguous: Kᵀ for a Key plan, token-major for a Value plan.
-                let unit = if plan.key.key_orientation {
-                    [1, tokens]
-                } else {
-                    [dim, 1]
-                };
                 let mut hits = vec![0u32; tokens * dim / TILE_LANES];
                 for s in &plan.segments {
-                    assert_eq!(TILE_LANES * s.chunk(), plan.at(s, unit));
+                    // N contiguous: Kᵀ for a Key plan, token-major for a
+                    // Value plan.
+                    let (t, c) = (usize::from(s.token), usize::from(s.channel));
+                    let unit = if plan.key.key_orientation {
+                        c * tokens + t
+                    } else {
+                        t * dim + c
+                    };
+                    assert_eq!(TILE_LANES * s.chunk(), unit);
                     hits[s.chunk()] += 1;
                 }
                 assert!(
@@ -1128,7 +1105,7 @@ mod tests {
                 plan.for_each_tile(|regs, segments| tiles.push((regs, segments.len())));
                 let mut tiles = tiles.into_iter();
                 let mut covered = vec![0u32; k_total * n_total];
-                let mut listed = walk(&plan, [dim, 1]).into_iter();
+                let mut listed = walk(&plan).into_iter();
                 for w in 0..truth.len() / (32 * regs32_per_lane) {
                     for tig in 0..4 {
                         for r32 in 0..regs32_per_lane {
@@ -1215,13 +1192,10 @@ mod tests {
                     );
                     let packed = plan.encode(&values);
                     assert_eq!(plan.decode(&packed), want, "{granularity:?} group {group}");
-                    let (mut flat, mut tile) = (TokenMatrix::new(0), TokenMatrix::new(0));
-                    let isa = Isa::BASELINE;
-                    plan.decode_fused(isa, &packed, false, &mut Vec::new(), &mut flat);
-                    plan.decode_fused(isa, &packed, true, &mut Vec::new(), &mut tile);
-                    assert_eq!(flat, want, "{granularity:?} group {group}: fused");
-                    let transposed = TokenMatrix::from_fn(dim, tokens, |c, t| want[t][c]);
-                    assert_eq!(tile, transposed, "{granularity:?} group {group}: Kᵀ tile");
+                    let mut fused = TokenMatrix::new(0);
+                    plan.decode_fused(Isa::BASELINE, &packed, &mut Vec::new(), &mut fused);
+                    let want = in_layout(&plan, want);
+                    assert_eq!(fused, want, "{granularity:?} group {group}: fused");
                 }
             }
         }
@@ -1243,7 +1217,7 @@ mod tests {
             let (dk, dv) = codec.decode(&block, scheme);
             let (mut fk, mut fv) = (TokenMatrix::new(0), TokenMatrix::new(0));
             codec.decode_block_fused(&block, scheme, &mut fk, &mut fv);
-            assert_eq!((dk, dv), (fk, fv), "{scheme}");
+            assert_eq!((transposed(&dk), dv), (fk, fv), "{scheme}");
         }
     }
 
@@ -1252,7 +1226,7 @@ mod tests {
         // `half2` groups patched to every class a corrupted or degenerate
         // block can carry — `(scale, zero)` bit patterns: ±Inf, NaN, a
         // subnormal scale, `scale = 0` — decode through the fused tile walk,
-        // token-major and as the Kᵀ tile, in every instance of the walk, to
+        // into each plan's own layout, in every instance of the walk, to
         // the value `FragmentPlan::decode` → `dequantize_int_codes` defines
         // for them: bit for bit, NaN for NaN (a NaN's sign and payload follow
         // the FMA's operand order, which is not defined even between two
@@ -1293,25 +1267,20 @@ mod tests {
             }
             let plans = block_plans(&codec, scheme, tokens, 64);
             for (packed, plan) in [&block.k, &block.v].into_iter().zip(plans) {
-                let want = plan.decode(packed);
+                let want = in_layout(&plan, plan.decode(packed));
                 nans += want.as_slice().iter().filter(|x| x.is_nan()).count();
                 infs += want.as_slice().iter().filter(|x| x.is_infinite()).count();
                 let mut baseline = None;
                 for isa in Isa::each() {
-                    let (mut flat, mut tile) = (TokenMatrix::new(0), TokenMatrix::new(0));
-                    plan.decode_fused(isa, packed, false, &mut Vec::new(), &mut flat);
-                    plan.decode_fused(isa, packed, true, &mut Vec::new(), &mut tile);
-                    for t in 0..tokens {
-                        for c in 0..64 {
-                            assert!(same(flat[t][c], want[t][c]), "{isa:?} {scheme} ({t}, {c})");
-                            assert!(
-                                same(tile[c][t], want[t][c]),
-                                "{isa:?} {scheme} ({t}, {c}): Kᵀ"
-                            );
-                        }
+                    let mut fused = TokenMatrix::new(0);
+                    plan.decode_fused(isa, packed, &mut Vec::new(), &mut fused);
+                    assert_eq!((fused.tokens(), fused.dim()), (want.tokens(), want.dim()));
+                    for (i, (&got, &want)) in
+                        fused.as_slice().iter().zip(want.as_slice()).enumerate()
+                    {
+                        assert!(same(got, want), "{isa:?} {scheme} value {i}");
                     }
-                    let bits = |m: &TokenMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect();
-                    let got: [Vec<u32>; 2] = [bits(&flat), bits(&tile)];
+                    let got: Vec<u32> = fused.as_slice().iter().map(|x| x.to_bits()).collect();
                     assert_eq!(
                         baseline.get_or_insert(got.clone()),
                         &got,
@@ -1430,11 +1399,11 @@ mod tests {
                     group,
                 );
                 assert_eq!(decoded, &want, "{layout} {scheme} {tokens}x{dim}");
-                // The same walk under the other strides lands the transpose.
-                let mut tile = test_matrix(5, 3, 9.0);
-                plan.decode_fused(Isa::BASELINE, packed, true, &mut Vec::new(), &mut tile);
-                let transposed = TokenMatrix::from_fn(dim, tokens, |c, t| want[t][c]);
-                assert_eq!(tile, transposed, "{layout} {scheme} {tokens}x{dim}: tile");
+                // The fused walk lands the same values in the plan's layout.
+                let mut fused = test_matrix(5, 3, 9.0);
+                plan.decode_fused(Isa::BASELINE, packed, &mut Vec::new(), &mut fused);
+                let want = in_layout(&plan, want);
+                assert_eq!(fused, want, "{layout} {scheme} {tokens}x{dim}: fused");
             }
         }
     }
@@ -1454,12 +1423,12 @@ mod tests {
             let mut fk = test_matrix(3, 5, 9.0);
             let mut fv = test_matrix(300, 7, 9.0);
             codec.decode_block_fused(&block, scheme, &mut fk, &mut fv);
-            assert_eq!(dk, fk, "{layout} {scheme} {tokens}x{dim}: K");
+            let dkt = transposed(&dk);
+            assert_eq!(dkt, fk, "{layout} {scheme} {tokens}x{dim}: Kᵀ");
             assert_eq!(dv, fv, "{layout} {scheme} {tokens}x{dim}: V");
-            // K as the walk decodes it, the Kᵀ tile, in every instance.
-            let dkt = TokenMatrix::from_fn(dim, tokens, |c, t| dk[t][c]);
+            // The same in every instance.
             for &isa in &isas {
-                let mut decoder = BlockDecoder::new(&codec, scheme, true);
+                let mut decoder = BlockDecoder::new(&codec, scheme);
                 let (mut fkt, mut fv) = (test_matrix(3, 5, 9.0), test_matrix(300, 7, 9.0));
                 decoder.decode(isa, &block, &mut vec![9.0; 5], &mut fkt, &mut fv);
                 let at = format!("{isa:?} {layout} {scheme} {tokens}x{dim}");
@@ -1469,14 +1438,13 @@ mod tests {
             // A tile's segment count is even in every plan (a lane's stream
             // is whole B-fragment registers, 2 or 4 of them per tile), so
             // the AVX-512 instance's unpaired last segment runs on plans
-            // with each tile's last segment dropped, in the unit layout.
+            // with each tile's last segment dropped.
             let [k_plan, v_plan] = block_plans(&codec, scheme, tokens, dim);
             for (plan, packed) in [(&k_plan, &block.k), (&v_plan, &block.v)] {
                 let odd = without_last_segments(plan);
                 let decode = |isa| {
                     let mut out = test_matrix(3, 5, 9.0);
-                    let unit = odd.key.key_orientation;
-                    odd.decode_fused(isa, packed, unit, &mut Vec::new(), &mut out);
+                    odd.decode_fused(isa, packed, &mut Vec::new(), &mut out);
                     out
                 };
                 let want = decode(Isa::BASELINE);
@@ -1633,7 +1601,22 @@ mod tests {
         codec.decode_block_fused(&block, scheme, &mut k, &mut v);
         assert_eq!(k.as_slice().as_ptr(), k_ptr, "K buffer must be reused");
         assert_eq!(v.as_slice().as_ptr(), v_ptr, "V buffer must be reused");
-        assert_eq!((k, v), codec.decode(&block, scheme));
+        let (dk, dv) = codec.decode(&block, scheme);
+        assert_eq!((k, v), (transposed(&dk), dv));
+    }
+
+    /// `m` with tokens and channels swapped: a token-major K as its Kᵀ tile.
+    fn transposed(m: &TokenMatrix) -> TokenMatrix {
+        TokenMatrix::from_fn(m.dim(), m.tokens(), |c, t| m[t][c])
+    }
+
+    /// A token-major `m` in `plan`'s unit-stride layout, what
+    /// `decode_fused` writes: transposed for a Key plan.
+    fn in_layout(plan: &FragmentPlan, m: TokenMatrix) -> TokenMatrix {
+        match plan.key.key_orientation {
+            true => transposed(&m),
+            false => m,
+        }
     }
 
     fn test_matrix(tokens: usize, dim: usize, seed: f32) -> TokenMatrix {
@@ -1799,7 +1782,11 @@ mod tests {
             let mut fk = TokenMatrix::new(0);
             let mut fv = TokenMatrix::new(0);
             let ops = codec.decode_block_fused(&block, scheme, &mut fk, &mut fv);
-            assert_eq!(dk, fk, "{scheme}: fused K decode must be bit-identical");
+            assert_eq!(
+                transposed(&dk),
+                fk,
+                "{scheme}: fused Kᵀ decode must be bit-identical"
+            );
             assert_eq!(dv, fv, "{scheme}: fused V decode must be bit-identical");
             if scheme.int_width().is_some() {
                 assert!(ops.total() > 0, "{scheme}: dequant work must be charged");

@@ -36,6 +36,11 @@ fn max_diff(a: &[Vec<f32>], b: &[Vec<f32>]) -> f32 {
         .fold(0.0, f32::max)
 }
 
+/// A token-major K as the `dim × tokens` Kᵀ tile the fused decode writes.
+fn transposed(m: &TokenMatrix) -> TokenMatrix {
+    TokenMatrix::from_fn(m.dim(), m.tokens(), |c, t| m[t][c])
+}
+
 fn arb_int_scheme() -> impl Strategy<Value = QuantScheme> {
     prop_oneof![
         Just(QuantScheme::kc4()),
@@ -230,15 +235,17 @@ proptest! {
         // Fragment plans are interned process-wide and `good`'s is cached
         // by now: a plan is keyed by the *decoder's* layout, so the
         // mismatched decoder must still read garbage through the fused
-        // walk, and must not displace the plan `good` decodes with.
+        // walk, and must not displace the plan `good` decodes with. The
+        // fused decode lands K as the Kᵀ tile.
         let (mut fk, mut fv) = (TokenMatrix::new(0), TokenMatrix::new(0));
         bad.decode_block_fused(&block, scheme, &mut fk, &mut fv);
-        prop_assert_eq!(&fk, &wrong, "fused and materializing agree on the garbage");
+        prop_assert_eq!(&fk, &transposed(&wrong), "fused and materializing agree on the garbage");
         good.decode_block_fused(&block, scheme, &mut fk, &mut fv);
-        prop_assert_eq!(&fk, &dk, "the matching decoder still reconstructs");
+        prop_assert_eq!(&fk, &transposed(&dk), "the matching decoder still reconstructs");
     }
 
-    /// Plan-driven fused decode equals `BlockCodec::decode` bit for bit and
+    /// Plan-driven fused decode equals `BlockCodec::decode` (K transposed)
+    /// bit for bit and
     /// charges exactly one fast-dequant register conversion per 32-bit
     /// register streamed, for every `Wn`, pack order, integer scheme (both
     /// widths, both key granularities; K and V cover both B-operand
@@ -261,7 +268,7 @@ proptest! {
         let (dk, dv) = codec.decode(&block, scheme);
         let (mut fk, mut fv) = (TokenMatrix::new(0), TokenMatrix::new(0));
         let ops = codec.decode_block_fused(&block, scheme, &mut fk, &mut fv);
-        prop_assert_eq!(&fk, &dk, "K ({}, {})", layout, scheme);
+        prop_assert_eq!(&fk, &transposed(&dk), "Kᵀ ({}, {})", layout, scheme);
         prop_assert_eq!(&fv, &dv, "V ({}, {})", layout, scheme);
 
         let regs32 = (2 * nr * dim / codes_per_u32(width)) as u32;

@@ -375,14 +375,6 @@ impl Topology {
         &self.name
     }
 
-    /// The single link of a flat topology, `None` for a tiered fleet.
-    pub fn flat_link(&self) -> Option<InterconnectModel> {
-        match &self.fabric {
-            Fabric::Flat { link, .. } => Some(*link),
-            Fabric::Hierarchical { .. } => None,
-        }
-    }
-
     /// The topology-wide default host link.
     pub fn host_link(&self) -> InterconnectModel {
         match &self.fabric {

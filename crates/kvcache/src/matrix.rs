@@ -172,11 +172,6 @@ impl TokenMatrix {
         &mut self.data
     }
 
-    /// Consumes into the backing buffer.
-    pub fn into_flat(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Removes all tokens, keeping the width and capacity.
     pub fn clear(&mut self) {
         self.data.clear();

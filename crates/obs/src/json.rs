@@ -60,14 +60,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean value, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// First value under `key`, if this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         self.as_object()?

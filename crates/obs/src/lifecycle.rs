@@ -285,21 +285,6 @@ impl LifecycleTracker {
         self.reqs.get(&id).map(|r| r.tokens)
     }
 
-    /// TTFT histogram in scheduler steps (for reconciliation tests).
-    pub fn ttft_steps_hist(&self) -> &LogHistogram {
-        &self.ttft_steps
-    }
-
-    /// TBT histogram in scheduler steps (for reconciliation tests).
-    pub fn tbt_steps_hist(&self) -> &LogHistogram {
-        &self.tbt_steps
-    }
-
-    /// Queue-wait histogram in scheduler steps.
-    pub fn queue_wait_steps_hist(&self) -> &LogHistogram {
-        &self.queue_wait_steps
-    }
-
     /// Rolls the tracker up into a `Copy` summary. Zeroed when disabled.
     pub fn summary(&self) -> SloSummary {
         if !self.enabled {

@@ -169,19 +169,26 @@ impl ServeSession {
                 page_occupancy: self.store.device_stats(DeviceId(d as u32)).utilization,
             })
             .collect();
-        let counters: Vec<&StepCounter> = STEP_COUNTERS.iter().flatten().collect();
-        for rows in counters.chunk_by(|a, b| !a.event.is_empty() && a.event == b.event) {
-            if rows.iter().all(|row| (row.value)(&ledger) == 0) {
+        // A run of rows naming one event; a row without a registry counter
+        // stands alone, and its group has nothing to publish.
+        let one_event = |a: &Option<StepCounter>, b: &Option<StepCounter>| match (a, b) {
+            (Some(a), Some(b)) => !a.event.is_empty() && a.event == b.event,
+            _ => false,
+        };
+        for group in STEP_COUNTERS.chunk_by(one_event) {
+            let rows = group.iter().flatten();
+            if rows.clone().all(|row| (row.value)(&ledger) == 0) {
                 continue;
             }
-            let mut fields = Vec::with_capacity(rows.len());
+            let (mut event, mut fields) = ("", Vec::with_capacity(group.len()));
             for row in rows {
                 let v = (row.value)(&ledger);
                 self.obs.count(row.counter, v);
                 fields.push((row.field, EventField::U64(v)));
+                event = row.event;
             }
-            if !rows[0].event.is_empty() {
-                self.obs.events.log(self.step_index, rows[0].event, &fields);
+            if !event.is_empty() {
+                self.obs.events.log(self.step_index, event, &fields);
             }
         }
         if self.obs.lifecycle.is_enabled() {

@@ -511,23 +511,23 @@ use Kind::{Admitting, Doubling, Seal, Steady};
 
 #[rustfmt::skip]
 const ROWS: [Row; 17] = [
-    row("long_solo", 0, Admitting, 411, 1647104, 88, [0, 3, 6], 73728, 2048),
-    row("long_solo", 5, Steady, 124, 16196, 2, [0, 1, 2], 73728, 2048),
-    row("long_solo", 8, Seal, 126, 20996, 2, [0, 1, 2], 73728, 2048),
-    row("long_solo", 24, Doubling, 124, 16196, 2, [0, 1, 2], 73728, 2048),
-    row("short_batch", 0, Admitting, 1573, 7297832, 271, [0, 1, 2], 0, 0),
-    row("short_batch", 5, Steady, 878, 170496, 2, [0, 1, 2], 0, 0),
-    row("short_batch", 16, Seal, 895, 182016, 2, [0, 1, 2], 0, 0),
-    row("short_batch", 32, Doubling, 895, 193536, 2, [0, 1, 2], 0, 0),
-    row("shared_fleet", 0, Admitting, 975, 5313560, 123, [0, 9, 18], 73728, 2048),
-    row("shared_fleet", 5, Steady, 305, 51560, 2, [0, 1, 2], 73728, 2048),
-    row("shared_fleet", 8, Seal, 310, 56552, 2, [0, 1, 2], 73728, 2048),
-    row("shared_fleet", 24, Doubling, 305, 51560, 2, [0, 1, 2], 73728, 2048),
-    row("bursty", 0, Admitting, 387, 2514876, 65, [0, 5, 7], 40960, 2048),
-    row("bursty", 12, Steady, 227, 36676, 2, [0, 1, 3], 0, 0),
-    row("bursty", 14, Seal, 228, 36740, 2, [0, 1, 3], 0, 0),
-    row("bursty", 9, Doubling, 228, 36740, 2, [0, 1, 3], 0, 0),
-    row("long_run", 261, Steady, 124, 16196, 1, [0, 1, 2], 73728, 2048),
+    row("long_solo", 0, Admitting, 408, 1646880, 88, [0, 3, 6], 73728, 2048),
+    row("long_solo", 5, Steady, 121, 15972, 2, [0, 1, 2], 73728, 2048),
+    row("long_solo", 8, Seal, 123, 20772, 2, [0, 1, 2], 73728, 2048),
+    row("long_solo", 24, Doubling, 121, 15972, 2, [0, 1, 2], 73728, 2048),
+    row("short_batch", 0, Admitting, 1570, 7297608, 271, [0, 1, 2], 0, 0),
+    row("short_batch", 5, Steady, 875, 170272, 2, [0, 1, 2], 0, 0),
+    row("short_batch", 16, Seal, 892, 181792, 2, [0, 1, 2], 0, 0),
+    row("short_batch", 32, Doubling, 892, 193312, 2, [0, 1, 2], 0, 0),
+    row("shared_fleet", 0, Admitting, 972, 5313336, 123, [0, 9, 18], 73728, 2048),
+    row("shared_fleet", 5, Steady, 302, 51336, 2, [0, 1, 2], 73728, 2048),
+    row("shared_fleet", 8, Seal, 307, 56328, 2, [0, 1, 2], 73728, 2048),
+    row("shared_fleet", 24, Doubling, 302, 51336, 2, [0, 1, 2], 73728, 2048),
+    row("bursty", 0, Admitting, 384, 2514652, 65, [0, 5, 7], 40960, 2048),
+    row("bursty", 12, Steady, 224, 36452, 2, [0, 1, 3], 0, 0),
+    row("bursty", 14, Seal, 225, 36516, 2, [0, 1, 3], 0, 0),
+    row("bursty", 9, Doubling, 225, 36516, 2, [0, 1, 3], 0, 0),
+    row("long_run", 261, Steady, 121, 15972, 1, [0, 1, 2], 73728, 2048),
 ];
 
 /// Serves every shape at each of its widths and returns the observed
