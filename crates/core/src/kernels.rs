@@ -1,31 +1,23 @@
-//! Functional kernel implementations: attention executed through the
-//! simulated Tensor Core ISA.
-//!
-//! These routines compute *real values* — every matrix product goes through
-//! [`bd_gpu_sim::mma`] tile by tile, so fragment-layout bugs corrupt the
-//! output exactly as they would on hardware. The analytic twin of this code
-//! lives in [`crate::profiles`].
-//!
-//! Two functional decode paths exist:
+//! Functional kernel implementations: attention over real values.
 //!
 //! * [`attend_packed_blocks`] — the **materializing** reference path: each
-//!   block is decoded to a full [`TokenMatrix`], round-tripped through
-//!   [`Tile`]s and transposes, and multiplied tile-by-tile on the simulated
-//!   MMA fragments. It is what the fused path is tested against, and it
-//!   models the non-cooperative multi-warp softmax race (paper Table III),
-//!   which requires the explicit warp-sliced walk.
+//!   block is decoded to a full [`TokenMatrix`] and multiplied tile by tile
+//!   on the simulated MMA fragments ([`bd_gpu_sim::mma`]), so a
+//!   fragment-layout bug corrupts the output as it would on hardware. The
+//!   fused path is tested against it, and it models the non-cooperative
+//!   multi-warp softmax race (paper Table III).
 //! * [`attend_packed_blocks_fused`] / [`attend_packed_blocks_multi`] — the
 //!   **fused flat-layout** hot path (paper §IV): packed words stream
 //!   through the fast-dequant model straight into each GEMM's B operand,
 //!   laid out along its N dimension (K as a channel-major Kᵀ tile, V
-//!   token-major) — no intermediate K/V materialization, no `transposed()`
-//!   round-trips. Both run one block-walk body, sequentially in block
-//!   order: solo for one query block, cascade for several sharers' rows
-//!   back to back over a shared prefix. Nothing here reads the host — a
-//!   partial is a function of its inputs; parallelism lives across heads
-//!   ([`crate::BitDecoder::decode`], the serve worker pool), never inside
-//!   one. Numerically equivalent to the materializing path within f32
-//!   accumulation-order noise (see `tests/proptests.rs`).
+//!   token-major). Both run one block walk, sequentially in block order,
+//!   for one query block or for a cascade's sharers' rows back to back. A
+//!   partial is a function of its inputs alone; parallelism lives across
+//!   heads ([`crate::BitDecoder::decode`], the serve launch), never inside
+//!   one. It matches the materializing path to f32 accumulation-order
+//!   noise (`tests/proptests.rs`).
+//!
+//! The analytic twin of this code lives in [`crate::profiles`].
 
 use crate::codec::{BlockDecoder, FragmentCodec};
 use crate::softmax::{row_times_matrix, OnlineSoftmax};
@@ -54,54 +46,46 @@ pub enum MatmulEngine {
     Wgmma,
 }
 
+/// The `rows × cols` tile of `t` at `(r0, c0)`, zero past `t`'s edges.
+fn padded_tile(t: &Tile, (r0, c0): (usize, usize), rows: usize, cols: usize) -> Tile {
+    Tile::from_fn(rows, cols, |r, c| {
+        let (gr, gc) = (r0 + r, c0 + c);
+        if gr < t.rows() && gc < t.cols() {
+            t[(gr, gc)]
+        } else {
+            0.0
+        }
+    })
+}
+
+/// Writes the part of `tile` that falls inside `out`, at `(r0, c0)`.
+fn store_tile(out: &mut Tile, (r0, c0): (usize, usize), tile: &Tile) {
+    for r in 0..tile.rows().min(out.rows() - r0) {
+        for c in 0..tile.cols().min(out.cols() - c0) {
+            out[(r0 + r, c0 + c)] = tile[(r, c)];
+        }
+    }
+}
+
 /// Multiplies `a (m × k)` by `b (k × n)` using `mma.m16n8k16` warp tiles,
 /// padding every dimension to the tile grid (the padding models Tensor
 /// Core tile underfill — partial query groups still issue full tiles).
 pub fn matmul_via_mma(a: &Tile, b: &Tile) -> Tile {
     let shape = MmaShape::M16N8K16;
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    assert_eq!(b.rows(), k, "inner dimension mismatch");
-    let mt = m.div_ceil(shape.m());
-    let nt = n.div_ceil(shape.n());
-    let kt = k.div_ceil(shape.k());
-
-    let mut out = Tile::zeros(m, n);
+    let (m, k, n) = (shape.m(), shape.k(), shape.n());
+    assert_eq!(b.rows(), a.cols(), "inner dimension mismatch");
+    let mut out = Tile::zeros(a.rows(), b.cols());
     let la = FragmentLayout::new(shape, Operand::A);
     let lb = FragmentLayout::new(shape, Operand::B);
-    for mi in 0..mt {
-        for ni in 0..nt {
+    for mi in 0..a.rows().div_ceil(m) {
+        for ni in 0..b.cols().div_ceil(n) {
             let mut acc = AccFragment::zeroed(shape);
-            for ki in 0..kt {
-                let a_tile = Tile::from_fn(shape.m(), shape.k(), |r, c| {
-                    let (gr, gc) = (mi * shape.m() + r, ki * shape.k() + c);
-                    if gr < m && gc < k {
-                        a[(gr, gc)]
-                    } else {
-                        0.0
-                    }
-                });
-                let b_tile = Tile::from_fn(shape.k(), shape.n(), |r, c| {
-                    let (gr, gc) = (ki * shape.k() + r, ni * shape.n() + c);
-                    if gr < k && gc < n {
-                        b[(gr, gc)]
-                    } else {
-                        0.0
-                    }
-                });
-                let fa = ldmatrix(&a_tile, la);
-                let fb = ldmatrix(&b_tile, lb);
+            for ki in 0..a.cols().div_ceil(k) {
+                let fa = ldmatrix(&padded_tile(a, (mi * m, ki * k), m, k), la);
+                let fb = ldmatrix(&padded_tile(b, (ki * k, ni * n), k, n), lb);
                 mma(shape, &fa, &fb, &mut acc);
             }
-            let acc_tile = acc.to_tile();
-            for r in 0..shape.m() {
-                for c in 0..shape.n() {
-                    let (gr, gc) = (mi * shape.m() + r, ni * shape.n() + c);
-                    if gr < m && gc < n {
-                        out[(gr, gc)] = acc_tile[(r, c)];
-                    }
-                }
-            }
+            store_tile(&mut out, (mi * m, ni * n), &acc.to_tile());
         }
     }
     out
@@ -115,40 +99,16 @@ pub fn matmul_via_wgmma(a: &Tile, b: &Tile) -> Tile {
     const M: usize = 64;
     const N: usize = 64;
     const K: usize = 16;
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    assert_eq!(b.rows(), k, "inner dimension mismatch");
-    let mut out = Tile::zeros(m, n);
-    for mi in 0..m.div_ceil(M) {
-        for ni in 0..n.div_ceil(N) {
+    assert_eq!(b.rows(), a.cols(), "inner dimension mismatch");
+    let mut out = Tile::zeros(a.rows(), b.cols());
+    for mi in 0..a.rows().div_ceil(M) {
+        for ni in 0..b.cols().div_ceil(N) {
             let mut acc = Tile::zeros(M, N);
-            for ki in 0..k.div_ceil(K) {
-                let a_tile = Tile::from_fn(M, K, |r, c| {
-                    let (gr, gc) = (mi * M + r, ki * K + c);
-                    if gr < m && gc < k {
-                        a[(gr, gc)]
-                    } else {
-                        0.0
-                    }
-                });
-                let b_tile = Tile::from_fn(K, N, |r, c| {
-                    let (gr, gc) = (ki * K + r, ni * N + c);
-                    if gr < k && gc < n {
-                        b[(gr, gc)]
-                    } else {
-                        0.0
-                    }
-                });
-                wgmma_ss(&a_tile, &b_tile, &mut acc);
+            for ki in 0..a.cols().div_ceil(K) {
+                let a_tile = padded_tile(a, (mi * M, ki * K), M, K);
+                wgmma_ss(&a_tile, &padded_tile(b, (ki * K, ni * N), K, N), &mut acc);
             }
-            for r in 0..M {
-                for c in 0..N {
-                    let (gr, gc) = (mi * M + r, ni * N + c);
-                    if gr < m && gc < n {
-                        out[(gr, gc)] = acc[(r, c)];
-                    }
-                }
-            }
+            store_tile(&mut out, (mi * M, ni * N), &acc);
         }
     }
     out
@@ -160,10 +120,6 @@ pub fn matmul(engine: MatmulEngine, a: &Tile, b: &Tile) -> Tile {
         MatmulEngine::Mma => matmul_via_mma(a, b),
         MatmulEngine::Wgmma => matmul_via_wgmma(a, b),
     }
-}
-
-fn rows_to_tile(rows: &[Vec<f32>]) -> Tile {
-    Tile::from_fn(rows.len(), rows[0].len(), |r, c| rows[r][c])
 }
 
 fn matrix_to_tile(m: &TokenMatrix) -> Tile {
@@ -202,11 +158,7 @@ pub fn attend_packed_blocks<B: Borrow<PackedBlock>>(
     if blocks.is_empty() {
         return;
     }
-    let q_scaled: Vec<Vec<f32>> = q
-        .iter()
-        .map(|row| row.iter().map(|&x| x * scale).collect())
-        .collect();
-    let q_tile = rows_to_tile(&q_scaled);
+    let q_tile = Tile::from_fn(q.len(), q[0].len(), |r, c| q[r][c] * scale);
     for block in blocks {
         let (k, v) = codec.decode(block.borrow(), scheme);
         let kt_tile = matrix_to_tile(&k).transposed();
@@ -317,14 +269,8 @@ impl KernelScratch {
         let mut ops = FastDequantOps::default();
         for block in blocks {
             ops += decoder.decode(isa, block.borrow(), &mut self.lut, &mut self.k, &mut self.v);
-            let q_eff = &self.q_eff[q_rows.clone()];
-            score_block(isa, q_eff, &self.k, &mut self.scores);
-            let mut scores = self.scores.as_mut_slice();
-            for state in states.iter_mut() {
-                let (own, rest) = scores.split_at_mut(state.rows() * self.v.tokens());
-                state.step_scores(isa, own, &self.v);
-                scores = rest;
-            }
+            score_block(isa, &self.q_eff[q_rows.clone()], &self.k, &mut self.scores);
+            OnlineSoftmax::step_scores(isa, states, &mut self.scores, &self.v);
         }
         ops
     }
@@ -481,16 +427,31 @@ fn quantize_fp4_operand(
     (codes, scales)
 }
 
+/// [`quantize_fp4_operand`] for a GEMM's B operand, whose contraction runs
+/// along its `rows`: codes per (row, column), scales per (row block,
+/// column).
+fn quantize_fp4_b_operand(
+    rows: usize,
+    cols: usize,
+    at: impl Fn(usize, usize) -> f32,
+    kind: Fp4Kind,
+) -> (Vec<Vec<E2M1>>, Vec<Vec<f32>>) {
+    fn transpose<T: Copy>(m: &[Vec<T>]) -> Vec<Vec<T>> {
+        let rows = m.first().map_or(0, Vec::len);
+        (0..rows)
+            .map(|r| m.iter().map(|col| col[r]).collect())
+            .collect()
+    }
+    let (codes, scales) = quantize_fp4_operand(cols, rows, |c, r| at(r, c), kind);
+    (transpose(&codes), transpose(&scales))
+}
+
 /// The Blackwell-native functional path: `S = Q_fp4 · K_fp4^T` and
 /// `O += Quant(P)_fp4 · V_fp4` through the block-scaled MMA — no software
 /// dequantization, but `P` is re-quantized after every softmax tile
-/// (paper Challenge 2 / §V-D(2)).
-///
-/// With flat decoded blocks, each operand is quantized in a **single
-/// pass** straight into its MMA orientation: K along channels scattered to
-/// `(channel, token)`, V along tokens (the P·V contraction dimension) read
-/// column-strided — the transpose → quantize → transpose round-trips of
-/// the earlier nested-`Vec` implementation are gone.
+/// (paper Challenge 2 / §V-D(2)). Each operand is quantized along its
+/// GEMM's contraction dimension: Q and K along channels, P and V along
+/// tokens.
 pub fn attend_packed_blocks_fp4<B: Borrow<PackedBlock>>(
     q: &[Vec<f32>],
     blocks: &[B],
@@ -511,22 +472,9 @@ pub fn attend_packed_blocks_fp4<B: Borrow<PackedBlock>>(
     for packed in blocks {
         let (k, v) = codec.decode(packed.borrow(), scheme);
         let tokens = k.tokens();
-        // K as the S-GEMM B operand: codes per (channel, token). Quantize
-        // each token's channels (the contraction dimension) and scatter the
-        // codes directly into B orientation.
-        let mut b_codes = vec![vec![E2M1::from_bits(0); tokens]; d];
-        let mut b_scales = vec![vec![0.0f32; tokens]; d.div_ceil(block_size)];
-        for t in 0..tokens {
-            let row = k.row(t);
-            for b0 in (0..d).step_by(block_size) {
-                let b1 = (b0 + block_size).min(d);
-                let qb = quantize_fp4_block(&row[b0..b1], kind);
-                b_scales[b0 / block_size][t] = qb.scale.to_f32();
-                for (i, code) in qb.codes.iter().enumerate() {
-                    b_codes[b0 + i][t] = *code;
-                }
-            }
-        }
+        // K as the S-GEMM B operand: codes per (channel, token), each
+        // token's channels (the contraction dimension) quantized together.
+        let (b_codes, b_scales) = quantize_fp4_b_operand(d, tokens, |c, t| k.row(t)[c], kind);
         let mut s_tile = Tile::zeros(rows, tokens);
         mma_block_scaled_fp4(
             &q_codes,
@@ -539,34 +487,21 @@ pub fn attend_packed_blocks_fp4<B: Borrow<PackedBlock>>(
 
         // Softmax in FP16/FP32 registers, then requantize P to FP4 for the
         // second block-scaled MMA.
-        let mut p = Tile::zeros(rows, tokens);
-        let mut row_max = vec![f32::NEG_INFINITY; rows];
-        for r in 0..rows {
-            for t in 0..tokens {
-                row_max[r] = row_max[r].max(s_tile[(r, t)]);
-            }
-            for t in 0..tokens {
-                p[(r, t)] = (s_tile[(r, t)] - row_max[r]).exp();
-            }
-        }
+        let row_max: Vec<f32> = (0..rows)
+            .map(|r| {
+                s_tile
+                    .row(r)
+                    .iter()
+                    .fold(f32::NEG_INFINITY, |m, &x| m.max(x))
+            })
+            .collect();
+        let p = Tile::from_fn(rows, tokens, |r, t| (s_tile[(r, t)] - row_max[r]).exp());
         let (p_codes, p_scales) = quantize_fp4_operand(rows, tokens, |r, t| p[(r, t)], kind);
 
         // V as the P·V B operand: (k = token, n = channel), scale blocks
-        // along tokens. One column-strided quantization pass.
+        // along tokens.
         let dv = v.dim();
-        let mut vb_codes = vec![vec![E2M1::from_bits(0); dv]; tokens];
-        let mut vb_scales = vec![vec![0.0f32; dv]; tokens.div_ceil(block_size)];
-        for c in 0..dv {
-            for t0 in (0..tokens).step_by(block_size) {
-                let t1 = (t0 + block_size).min(tokens);
-                let vals: Vec<f32> = (t0..t1).map(|t| v.row(t)[c]).collect();
-                let qb = quantize_fp4_block(&vals, kind);
-                vb_scales[t0 / block_size][c] = qb.scale.to_f32();
-                for (i, code) in qb.codes.iter().enumerate() {
-                    vb_codes[t0 + i][c] = *code;
-                }
-            }
-        }
+        let (vb_codes, vb_scales) = quantize_fp4_b_operand(tokens, dv, |t, c| v.row(t)[c], kind);
         let mut pv = Tile::zeros(rows, dv);
         mma_block_scaled_fp4(
             &p_codes, &p_scales, &vb_codes, &vb_scales, block_size, &mut pv,
@@ -579,10 +514,7 @@ pub fn attend_packed_blocks_fp4<B: Borrow<PackedBlock>>(
             let m_new = state.m[r].max(row_max[r]);
             let corr_old = (state.m[r] - m_new).exp();
             let corr_tile = (row_max[r] - m_new).exp();
-            let mut l_tile = 0.0f32;
-            for t in 0..tokens {
-                l_tile += p[(r, t)];
-            }
+            let l_tile = p.row(r).iter().fold(0.0f32, |l, &x| l + x);
             state.l[r] = state.l[r] * corr_old + l_tile * corr_tile;
             for (c, acc) in state.acc_row_mut(r).iter_mut().enumerate() {
                 *acc = *acc * corr_old + pv[(r, c)] * corr_tile;
@@ -650,25 +582,21 @@ fn score_panel(q_row: &[f32], panel: &[f32], out: &mut [f32]) {
 
 /// The fused **Residual Kernel** body: FP16 attention over the residual
 /// window with the window's tokens on the lanes. `Q·Kᵀ` reads the window
-/// as `dim × 16` Kᵀ panels — the MMA's B operand — 16 tokens at a time:
-/// a [`KeyWindow`]'s sealed groups from the panels its sealing pushes
-/// wrote, the rest written into this thread's scratch per call,
-/// zero-padded. No [`Tile`], transpose round-trip or fragment
-/// scatter per step.
+/// as `dim × 16` Kᵀ panels (the MMA's B operand): a [`KeyWindow`]'s sealed
+/// groups from the panels its sealing pushes wrote, the rest written
+/// zero-padded into this thread's scratch per call.
 ///
-/// The arithmetic replicates the materializing [`attend_residual`] path
-/// **bitwise** for every valid (cooperative or single-warp) configuration:
-/// operands round exactly as the engine's instruction would round them
-/// (`mma` loads both operands through FP16 fragments; `wgmma_SS` consumes
-/// shared-memory tiles unrounded), and each score accumulates per 16-wide
-/// k-tile partials in tile order — the same f32 summation tree the tiled
-/// GEMM walk produces. A [`KeyWindow`]'s rows are FP16-exact, so neither
-/// engine rounds them again; a bare [`TokenMatrix`] is rounded (`mma`) or
-/// copied (`wgmma`) into its scratch panels. Tile zero-padding adds exact
-/// zeros and so never changes a result bit.
+/// The result is the materializing [`attend_residual`]'s **bit for bit**
+/// in every valid (cooperative or single-warp) configuration: operands
+/// round as the engine's instruction rounds them (`mma` loads both through
+/// FP16 fragments, `wgmma_SS` consumes them unrounded; a [`KeyWindow`]'s
+/// rows are FP16-exact already, a bare [`TokenMatrix`] is rounded or copied
+/// into its panels), each score adds 16-channel k-tile partials in tile
+/// order, and the padding adds exact zeros.
 /// `tests::fused_residual_matches_materializing_bitwise` and
-/// `summation_order.rs` pin the equivalence. Runs in the host's instance
-/// ([`Isa::host`]), with the same bits as the baseline's.
+/// `summation_order.rs` pin it. Runs in the host's instance, or in the
+/// AVX2 one on an AVX-512 host ([`Isa::without_avx512`]: wider, it timed
+/// slower), with the baseline's bits.
 pub fn attend_residual_fused<K: ResidualKeys + ?Sized>(
     q: &[Vec<f32>],
     res_k: &K,
@@ -732,7 +660,7 @@ fn attend_residual_in<K: ResidualKeys + ?Sized>(
                         score_panel(q_row, panel, &mut s_row[lanes.clone()]);
                     }
                 }
-                state.step_scores(isa, scores, res_v);
+                OnlineSoftmax::step_scores(isa, std::slice::from_mut(state), scores, res_v);
             },
         );
     });
@@ -762,11 +690,7 @@ pub fn attend_residual(
     if res_k.is_empty() {
         return;
     }
-    let q_scaled: Vec<Vec<f32>> = q
-        .iter()
-        .map(|row| row.iter().map(|&x| x * scale).collect())
-        .collect();
-    let q_tile = rows_to_tile(&q_scaled);
+    let q_tile = Tile::from_fn(q.len(), q[0].len(), |r, c| q[r][c] * scale);
     let kt_tile = matrix_to_tile(res_k).transposed();
     let s = matmul(engine, &q_tile, &kt_tile);
     // The residual region is narrower than a full warp tile set; it runs
@@ -778,7 +702,7 @@ pub fn attend_residual(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::softmax::reference_attention;
+    use crate::softmax::{fold_rows, max_in_order, reference_attention};
     use bd_kvcache::PackLayout;
     use bd_lowbit::isa::Isa;
 
@@ -1204,6 +1128,220 @@ mod tests {
         for (gr, wr) in got.iter().zip(&want) {
             for (g, w) in gr.iter().zip(wr) {
                 assert!((g - w).abs() < 2e-2, "{g} vs {w}");
+            }
+        }
+    }
+
+    /// The stages of the packed walk, in order.
+    const STAGES: [&str; 6] = ["decode", "scores", "max", "exp", "l", "P·V"];
+
+    /// [`fold_rows`] over one group of `R` rows: their max, or (`sum`)
+    /// `out` plus their sum.
+    fn group_fold<const R: usize>(sum: bool, s: &[f32], out: &mut [f32]) {
+        let folded = match sum {
+            true => fold_rows::<R>(s, out.try_into().unwrap(), |l, p| l + p),
+            false => fold_rows::<R>(s, [f32::NEG_INFINITY; R], max_in_order),
+        };
+        out.copy_from_slice(&folded);
+    }
+
+    /// [`KernelScratch::walk_blocks`] in `isa` with its softmax pass taken
+    /// apart stage by stage over the whole block, adding each stage's time
+    /// to `times`: the same groups and, for each row, the same operations
+    /// in the same order.
+    fn staged_walk(
+        isa: Isa,
+        decoder: &mut BlockDecoder,
+        scratch: &mut KernelScratch,
+        blocks: &[PackedBlock],
+        states: &mut [OnlineSoftmax],
+        times: &mut [std::time::Duration; STAGES.len()],
+    ) {
+        use std::time::Instant;
+        let at: Vec<(usize, usize)> = (states.iter().enumerate())
+            .flat_map(|(i, state)| (0..state.rows()).map(move |j| (i, j)))
+            .collect();
+        let rows = at.len();
+        let (eights, pairs) = (rows / 8 * 8, rows / 8 * 8 + (rows % 8) / 2 * 2);
+        let groups: Vec<std::ops::Range<usize>> = (0..rows)
+            .step_by(8)
+            .take(rows / 8)
+            .map(|r| r..r + 8)
+            .chain((eights..pairs).step_by(2).map(|r| r..r + 2))
+            .chain((pairs..rows).map(|r| r..r + 1))
+            .collect();
+        let fold = |sum: bool, s: &[f32], out: &mut [f32]| match out.len() {
+            8 => group_fold::<8>(sum, s, out),
+            2 => group_fold::<2>(sum, s, out),
+            _ => group_fold::<1>(sum, s, out),
+        };
+        let (mut m_new, mut correction, mut l) =
+            (vec![0.0; rows], vec![0.0; rows], vec![0.0; rows]);
+        isa.run(
+            #[inline(always)]
+            |isa| {
+                let KernelScratch {
+                    lut,
+                    k,
+                    v,
+                    q_eff,
+                    scores,
+                    ..
+                } = scratch;
+                for block in blocks {
+                    let mut lap = Instant::now();
+                    let mut time = |stage: usize| {
+                        let now = Instant::now();
+                        times[stage] += now - lap;
+                        lap = now;
+                    };
+                    decoder.decode(isa, block, lut, k, v);
+                    time(0);
+                    score_block(isa, q_eff, k, scores);
+                    time(1);
+                    let tokens = v.tokens();
+                    let row = |r: usize| r * tokens..(r + 1) * tokens;
+                    for g in &groups {
+                        let s = &scores[g.start * tokens..g.end * tokens];
+                        fold(false, s, &mut m_new[g.clone()]);
+                    }
+                    for (r, &(i, j)) in at.iter().enumerate() {
+                        let m = states[i].m[j];
+                        let m_new = &mut m_new[r];
+                        *m_new = max_in_order(m, *m_new);
+                        correction[r] = (m - *m_new).exp();
+                        l[r] = states[i].l[j] * correction[r];
+                        for p in &mut scores[row(r)] {
+                            *p -= *m_new;
+                        }
+                    }
+                    time(2);
+                    for g in &groups {
+                        isa.exp_in_place(&mut scores[g.start * tokens..g.end * tokens]);
+                    }
+                    time(3);
+                    for g in &groups {
+                        fold(
+                            true,
+                            &scores[g.start * tokens..g.end * tokens],
+                            &mut l[g.clone()],
+                        );
+                    }
+                    time(4);
+                    for (r, &(i, j)) in at.iter().enumerate() {
+                        let state = &mut states[i];
+                        for a in state.acc_row_mut(j) {
+                            *a *= correction[r];
+                        }
+                        row_times_matrix(isa, &scores[row(r)], v.as_slice(), state.acc_row_mut(j));
+                        (state.m[j], state.l[j]) = (m_new[r], l[r]);
+                    }
+                    time(5);
+                }
+            },
+        );
+    }
+
+    /// Every state's `m`, `l` and accumulator bits, in order.
+    fn state_bits(states: &[OnlineSoftmax]) -> Vec<u32> {
+        let rows = |p: &OnlineSoftmax| (0..p.rows()).flat_map(|r| p.acc_row(r).to_vec()).collect();
+        (states.iter())
+            .flat_map(|p| [p.m.clone(), p.l.clone(), rows(p)].concat())
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    /// Best-of-`runs` nanoseconds of the walk of `blocks` in `isa`, as a
+    /// prefix all `sharers` share, and of each stage of the staged walk;
+    /// asserts that the two leave the same bits.
+    fn best_split(
+        isa: Isa,
+        decoder: impl Fn() -> BlockDecoder,
+        blocks: &[PackedBlock],
+        sharers: &[PrefixSharer<'_, PackedBlock>],
+        runs: usize,
+    ) -> (f64, [f64; STAGES.len()]) {
+        let (gq, d) = (sharers[0].q_block.len(), sharers[0].q_block[0].len());
+        let scale = 1.0 / (d as f32).sqrt();
+        let (mut walk_ns, mut want) = (f64::INFINITY, Vec::new());
+        for _ in 0..runs {
+            let start = std::time::Instant::now();
+            let (partials, _) =
+                walk_shared(decoder(), blocks, sharers, d, scale, MatmulEngine::Mma);
+            walk_ns = walk_ns.min(start.elapsed().as_nanos() as f64);
+            want = state_bits(&partials);
+        }
+        let mut scratch = KernelScratch::default();
+        for s in sharers {
+            let KernelScratch { q_eff, scores, .. } = &mut scratch;
+            push_effective_queries(s.q_block, d, scale, MatmulEngine::Mma, scores, q_eff);
+        }
+        let mut best = [f64::INFINITY; STAGES.len()];
+        for _ in 0..runs {
+            let mut states: Vec<OnlineSoftmax> =
+                sharers.iter().map(|_| OnlineSoftmax::new(gq, d)).collect();
+            let mut times = [std::time::Duration::ZERO; STAGES.len()];
+            let (decoder, scratch) = (&mut decoder(), &mut scratch);
+            staged_walk(isa, decoder, scratch, blocks, &mut states, &mut times);
+            let at = format!("{isa:?}, {} sharers", sharers.len());
+            assert_eq!(state_bits(&states), want, "{at}");
+            for (b, t) in best.iter_mut().zip(times) {
+                *b = b.min(t.as_nanos() as f64);
+            }
+        }
+        (walk_ns, best)
+    }
+
+    /// The stage split of the packed walk (run with `cargo test --release
+    /// -p bd-core --lib -- --ignored --nocapture stage_split`): 64 blocks
+    /// of KC-4, KC-2 and KT-4 at `dim` 64, solo (2 query rows) and as a
+    /// 16-sharer × 2-row cascade over them as the shared prefix, in every
+    /// instance; prints each stage's best-of-15 ns per KV token next to
+    /// the whole walk's. Asserts only that the staged walk's bits equal
+    /// the walk's.
+    #[test]
+    #[ignore = "timing; run in release with --ignored --nocapture"]
+    fn stage_split() {
+        let layout = PackLayout::sm80_default();
+        let codec = FragmentCodec::new(layout);
+        let (d, gq, n) = (64, 2, 64);
+        let empty = TokenMatrix::new(d);
+        let queries: Vec<Vec<Vec<f32>>> = (0..16)
+            .map(|s| {
+                TokenMatrix::from_fn(gq, d, |g, c| (((s * gq + g) * d + c) as f32 * 0.71).sin())
+                    .to_rows()
+            })
+            .collect();
+        let sharers: Vec<PrefixSharer<'_, PackedBlock>> = (queries.iter())
+            .map(|q_block| PrefixSharer {
+                q_block,
+                suffix: &[],
+                res_k: &empty,
+                res_v: &empty,
+            })
+            .collect();
+        println!("stage split: {n} blocks, d {d}, g_q {gq}, Mma, best of 15, ns per KV token");
+        for isa in Isa::each() {
+            for scheme in [QuantScheme::kc4(), QuantScheme::kc2(), QuantScheme::kt4()] {
+                let nr = layout.residual_block(scheme.int_width().unwrap());
+                let (_, _, blocks) = synth_blocks(&codec, scheme, nr, n, d);
+                let decoder = || {
+                    let mut decoder = BlockDecoder::new(&codec, scheme);
+                    decoder.isa = isa;
+                    decoder
+                };
+                for count in [1, 16] {
+                    let (walk, best) = best_split(isa, decoder, &blocks, &sharers[..count], 15);
+                    let per_tok = (n * nr) as f64;
+                    let split: Vec<String> = (STAGES.iter().zip(best))
+                        .map(|(stage, ns)| format!("{stage} {:.1}", ns / per_tok))
+                        .collect();
+                    println!(
+                        "  {isa:?} {scheme} {count:>2} x {gq} rows: walk {:.1} = {}",
+                        walk / per_tok,
+                        split.join(" / ")
+                    );
+                }
             }
         }
     }

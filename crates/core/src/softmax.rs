@@ -53,6 +53,88 @@ fn row_times_lanes<const L: usize>(a: &[f32], b: &[f32], out: &mut [f32], mut n:
     n
 }
 
+/// `f32::max` in a fold from `−∞`, with the `+0` / `−0` tie it leaves
+/// open (so that a compiler may vectorize its fold in any order) given to
+/// `m`, the value seen first. A NaN `x` is skipped.
+#[inline(always)]
+pub(crate) fn max_in_order(m: f32, x: f32) -> f32 {
+    if x > m {
+        x
+    } else {
+        m
+    }
+}
+
+/// `R` folds side by side, one per row of `s` (`R` rows back to back),
+/// each in token order: `acc[r] = f(acc[r], s[r][t])`.
+#[inline(always)]
+pub(crate) fn fold_rows<const R: usize>(
+    s: &[f32],
+    mut acc: [f32; R],
+    f: impl Fn(f32, f32) -> f32,
+) -> [f32; R] {
+    let tokens = s.len() / R;
+    let mut rows = [&s[..0]; R];
+    for (row, p) in rows.iter_mut().zip(s.chunks_exact(tokens)) {
+        *row = p;
+    }
+    // Every row is `tokens` long, so the loop indexes them unchecked.
+    assert!(rows.iter().all(|row| row.len() == tokens));
+    for t in 0..tokens {
+        for (a, row) in acc.iter_mut().zip(rows) {
+            *a = f(*a, row[t]);
+        }
+    }
+    acc
+}
+
+/// [`OnlineSoftmax::step_scores`] over whole groups of `R` rows of `s`,
+/// from the row at `next` (state, row); returns the rest of `s`.
+#[inline(always)]
+fn step_groups<'s, const R: usize>(
+    isa: Isa,
+    states: &mut [OnlineSoftmax],
+    next: &mut (usize, usize),
+    s: &'s mut [f32],
+    v: &TokenMatrix,
+) -> &'s mut [f32] {
+    let tokens = v.tokens();
+    let mut groups = s.chunks_exact_mut((R * tokens).max(1));
+    for s in &mut groups {
+        let mut at = [(0, 0); R];
+        for at in &mut at {
+            while states[next.0].rows() == next.1 {
+                *next = (next.0 + 1, 0);
+            }
+            *at = *next;
+            next.1 += 1;
+        }
+        let row_max = fold_rows(s, [f32::NEG_INFINITY; R], max_in_order);
+        let (mut m_new, mut correction, mut l) = ([0.0; R], [0.0; R], [0.0; R]);
+        for (r, (&(i, j), p_row)) in at.iter().zip(s.chunks_exact_mut(tokens)).enumerate() {
+            let m = states[i].m[j];
+            m_new[r] = max_in_order(m, row_max[r]);
+            correction[r] = (m - m_new[r]).exp();
+            l[r] = states[i].l[j] * correction[r];
+            for p in p_row {
+                *p -= m_new[r];
+            }
+        }
+        isa.exp_in_place(s);
+        let l = fold_rows(s, l, |l, p| l + p);
+        for (r, (&(i, j), p_row)) in at.iter().zip(s.chunks_exact(tokens)).enumerate() {
+            let state = &mut states[i];
+            let acc = &mut state.acc[j * state.dim..(j + 1) * state.dim];
+            for a in acc.iter_mut() {
+                *a *= correction[r];
+            }
+            row_times_matrix(isa, p_row, v.as_slice(), acc);
+            (state.m[j], state.l[j]) = (m_new[r], l[r]);
+        }
+    }
+    groups.into_remainder()
+}
+
 /// Running flash-attention state for a block of query rows.
 ///
 /// The output accumulator is stored **flat** (`rows × dim` row-major in one
@@ -111,40 +193,33 @@ impl OnlineSoftmax {
         assert_eq!(s.rows(), self.rows(), "score tile rows");
         assert_eq!(s.cols(), v.rows(), "score/value token mismatch");
         let v = TokenMatrix::from_flat(v.as_slice().to_vec(), v.cols());
-        self.step_scores(Isa::BASELINE, &mut s.as_slice().to_vec(), &v);
+        let states = std::slice::from_mut(self);
+        OnlineSoftmax::step_scores(Isa::BASELINE, states, &mut s.as_slice().to_vec(), &v);
     }
 
     /// [`OnlineSoftmax::step_tile`] over the fused kernels' scratch, in
-    /// `isa`: a flat row-major `rows × tokens` score buffer, overwritten
-    /// row by row with the probabilities `exp(s − m)` (all of a row's exps
-    /// first) so `P·V` runs channel lanes over a whole row; every `l += p`
-    /// and `acc += p·v` stays in token order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
+    /// `isa`, for every row of `states` in one pass: `s` holds their
+    /// scores back to back (flat row-major `rows × tokens`) and is
+    /// overwritten with the probabilities `exp(s − m)`. The rows go in
+    /// groups of 8, then 2, then 1, across states, as the MMA's M
+    /// dimension holds a head's query rows and a cascade's sharers; a
+    /// group's max and `l` chains run side by side. Every row still sees
+    /// the operations it would alone, in the same order. Panics on a shape
+    /// mismatch.
     #[inline(always)]
-    pub(crate) fn step_scores(&mut self, isa: Isa, s: &mut [f32], v: &TokenMatrix) {
-        let (tokens, dim) = (v.tokens(), self.dim);
-        assert_eq!(s.len(), self.rows() * tokens, "score buffer shape");
-        assert_eq!(v.dim(), dim, "value dim mismatch");
-        for (i, p_row) in s.chunks_exact_mut(tokens.max(1)).enumerate() {
-            let row_max = p_row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-            let m_new = self.m[i].max(row_max);
-            let correction = (self.m[i] - m_new).exp();
-            for p in p_row.iter_mut() {
-                *p -= m_new;
-            }
-            isa.exp_in_place(p_row);
-            let l_new = p_row.iter().fold(self.l[i] * correction, |l, &p| l + p);
-            let acc = &mut self.acc[i * dim..(i + 1) * dim];
-            for a in acc.iter_mut() {
-                *a *= correction;
-            }
-            row_times_matrix(isa, p_row, v.as_slice(), acc);
-            self.m[i] = m_new;
-            self.l[i] = l_new;
-        }
+    pub(crate) fn step_scores(
+        isa: Isa,
+        states: &mut [OnlineSoftmax],
+        s: &mut [f32],
+        v: &TokenMatrix,
+    ) {
+        let rows: usize = states.iter().map(OnlineSoftmax::rows).sum();
+        assert_eq!(s.len(), rows * v.tokens(), "score buffer shape");
+        assert!(states.iter().all(|st| st.dim == v.dim()), "value dim");
+        let next = &mut (0, 0);
+        let s = step_groups::<8>(isa, states, next, s, v);
+        let s = step_groups::<2>(isa, states, next, s, v);
+        step_groups::<1>(isa, states, next, s, v);
     }
 
     /// The multi-warp path: the score tile is split into `wn` column
@@ -433,5 +508,147 @@ mod tests {
         let direct = state.clone().finish();
         let merged = OnlineSoftmax::merge(vec![state]).finish();
         assert!(max_diff(&direct, &merged) < 1e-9);
+    }
+
+    /// The row-at-a-time pass every fused kernel ran before rows were
+    /// grouped, written out: per row, its max from `−∞` in token order,
+    /// `m_new`, the correction, `s − m_new`, `exp`, `l` in token order,
+    /// `acc *= correction`, then `acc[c] += p · v[t][c]` token-ascending.
+    fn one_row_at_a_time(state: &mut OnlineSoftmax, s: &mut [f32], v: &TokenMatrix) {
+        let (tokens, dim) = (v.tokens(), state.dim());
+        for (i, p_row) in s.chunks_exact_mut(tokens).enumerate() {
+            let max = |m: f32, x: f32| if x > m { x } else { m };
+            let row_max = p_row.iter().fold(f32::NEG_INFINITY, |m, &x| max(m, x));
+            let m_new = max(state.m[i], row_max);
+            let correction = (state.m[i] - m_new).exp();
+            for p in p_row.iter_mut() {
+                *p = (*p - m_new).exp();
+            }
+            let l_new = p_row.iter().fold(state.l[i] * correction, |l, &p| l + p);
+            let acc = &mut state.acc[i * dim..(i + 1) * dim];
+            for a in acc.iter_mut() {
+                *a *= correction;
+            }
+            for (&p, v_row) in p_row.iter().zip(v.iter()) {
+                for (a, &x) in acc.iter_mut().zip(v_row) {
+                    *a += p * x;
+                }
+            }
+            state.m[i] = m_new;
+            state.l[i] = l_new;
+        }
+    }
+
+    /// Raw score bits for one row of `tokens`, of a kind picked by `kind`:
+    /// ordinary values among NaN payloads, ±Inf, ±0 and subnormals; only
+    /// signed zeros; signed zeros among negative values; only `−∞`; only
+    /// NaN; ordinary values alone.
+    fn hostile_row(kind: u64, tokens: usize, next: &mut impl FnMut() -> u64) -> Vec<f32> {
+        const SPECIAL: [u32; 14] = [
+            0x7FC0_0000, // quiet NaN
+            0xFFC0_0001, // negative NaN with a payload
+            0x7F80_0001, // signalling NaN
+            0x7FFF_FFFF,
+            0x7F80_0000, // +Inf
+            0xFF80_0000, // −Inf
+            0x0000_0000, // +0
+            0x8000_0000, // −0
+            0x0000_0001, // subnormals
+            0x807F_FFFF,
+            0x0040_0000,
+            0x7F7F_FFFF, // ±f32::MAX
+            0xFF7F_FFFF,
+            0x4120_0000, // 10
+        ];
+        let ordinary = |x: u64| (x % 4001) as f32 / 100.0 - 20.0;
+        (0..tokens)
+            .map(|_| {
+                let x = next();
+                let zero = f32::from_bits(if x.is_multiple_of(2) { 0 } else { 0x8000_0000 });
+                match kind % 6 {
+                    0 if x.is_multiple_of(3) => {
+                        f32::from_bits(SPECIAL[(x >> 8) as usize % SPECIAL.len()])
+                    }
+                    1 => zero,
+                    2 if x % 8 < 3 => zero,
+                    2 => -ordinary(x >> 8).abs() - 1.0,
+                    3 => f32::NEG_INFINITY,
+                    4 => f32::from_bits(0x7F80_0000 | (x >> 40) as u32 | 1 | ((x as u32) << 31)),
+                    _ => ordinary(x >> 8),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grouped_pass_matches_one_row_at_a_time() {
+        // Two blocks folded in turn (so the second rescales what the first
+        // left) into 1, 2, 7, 8, 9 or 33 rows split over 1 to 16 states,
+        // each block 1, 15, 128 or 129 tokens of raw-bit scores: in every
+        // instance, every `m`, `l`, accumulator and probability equals
+        // the row-at-a-time pass's bits ("is NaN" for NaN).
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let dim = 24;
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for isa in Isa::each() {
+            for rows in [1, 2, 7, 8, 9, 33] {
+                for states in [1, 2, 5, 16].into_iter().filter(|&n| n <= rows) {
+                    let sizes: Vec<usize> = (0..states)
+                        .map(|i| rows / states + usize::from(i < rows % states))
+                        .collect();
+                    for tokens in [1, 15, 128, 129] {
+                        let mut want: Vec<OnlineSoftmax> =
+                            sizes.iter().map(|&n| OnlineSoftmax::new(n, dim)).collect();
+                        let mut got = want.clone();
+                        for _ in 0..2 {
+                            let s: Vec<f32> = (0..rows)
+                                .flat_map(|_| hostile_row(next(), tokens, &mut next))
+                                .collect();
+                            let v = TokenMatrix::from_fn(tokens, dim, |t, c| {
+                                ((t * dim + c) as f32 * 0.37).sin() * 3.0
+                            });
+                            let mut want_p = s.clone();
+                            let mut first = 0;
+                            for (state, &n) in want.iter_mut().zip(&sizes) {
+                                let own = &mut want_p[first * tokens..(first + n) * tokens];
+                                one_row_at_a_time(state, own, &v);
+                                first += n;
+                            }
+                            let mut got_p = s.clone();
+                            isa.run(|isa| {
+                                OnlineSoftmax::step_scores(isa, &mut got, &mut got_p, &v)
+                            });
+                            let at =
+                                format!("{isa:?}, {rows} rows in {states} states, {tokens} tokens");
+                            for (i, (&a, &b)) in got_p.iter().zip(&want_p).enumerate() {
+                                assert!(same(a, b), "{at}: p[{i}] {a:?} vs {b:?}");
+                            }
+                        }
+                        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                            let at = format!("{isa:?}, {rows} rows in {states} states, {tokens} tokens, state {i}");
+                            for (x, y) in
+                                a.m.iter()
+                                    .zip(&b.m)
+                                    .chain(a.l.iter().zip(&b.l))
+                                    .chain(a.acc.iter().zip(&b.acc))
+                            {
+                                assert!(
+                                    same(*x, *y),
+                                    "{at}: {x:?} vs {y:?} (m {:?} vs {:?})",
+                                    a.m,
+                                    b.m
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -6,17 +6,17 @@
 //! any target, `vpermps` / `vpermt2ps` / `vblendvps` only move bits,
 //! F16C's and AVX-512F's `vcvtps2ph` round like [`crate::F16`] below 65520
 //! in magnitude (a slab or line holding anything else, NaN among it, takes
-//! the software round), and the 8-wide exp is glibc's `__expf_fma`
+//! the software round), and the 8-wide exps are glibc's `__expf_fma`
 //! algorithm, whose FMAs are the only ones here: equal to `f32::exp` on a
 //! host whose libm runs that variant, with the lanes it sends to its
 //! special case (`|x| ≥ 88`, Inf, NaN) given to `f32::exp` itself.
 //!
-//! The AVX-512 instance widens three kernels of the packed walk and keeps
-//! the rest as the AVX2 instance has them (its proof hands out the AVX2
-//! one): a tile's segments are permuted two at a time
+//! The AVX-512 instance widens three kernels of the packed walk and the
+//! exp, and keeps the rest as the AVX2 instance has them (its proof hands
+//! out the AVX2 one): a tile's segments are permuted two at a time
 //! ([`Avx512::permute2`]), a 16-entry LUT line is built in one register
-//! ([`Avx512::dequant_lines`]), and `row_times_matrix` runs 128-lane
-//! tiles first. The residual kernel runs in the AVX2 instance on such a
+//! ([`Avx512::dequant_lines`]), `row_times_matrix` runs 128-lane tiles
+//! first, and the exp takes 8 doubles per register ([`Avx512::exp`]). The residual kernel runs in the AVX2 instance on such a
 //! host too ([`Isa::without_avx512`]): wider, it timed slower.
 #![allow(unsafe_code)]
 
@@ -139,12 +139,14 @@ impl Isa {
     }
 
     /// `*x = x.exp()` for every `x` in `xs`, bit for bit `f32::exp` on a
-    /// host whose libm runs `__expf_fma` (see [`Avx2::exp`]).
+    /// host whose libm runs `__expf_fma` (see [`Avx2::exp`] and
+    /// [`Avx512::exp`]).
     #[inline(always)]
     pub fn exp_in_place(self, xs: &mut [f32]) {
-        match self.avx2() {
-            Some(avx2) => avx2.exp(xs),
-            None => xs.iter_mut().for_each(|x| *x = x.exp()),
+        match (self.avx512(), self.avx2()) {
+            (Some(avx512), _) => avx512.exp(xs),
+            (None, Some(avx2)) => avx2.exp(xs),
+            (None, None) => xs.iter_mut().for_each(|x| *x = x.exp()),
         }
     }
 }
@@ -188,19 +190,18 @@ impl Avx2 {
     /// (`|x| ≥ 88`, Inf, NaN) by `f32::exp`.
     #[inline(always)]
     pub fn exp(self, xs: &mut [f32]) {
-        let (chunks, tail) = xs.as_chunks_mut::<8>();
-        let mut padded = [0.0; 8];
-        padded[..tail.len()].copy_from_slice(tail);
-        let padded_tail = (!tail.is_empty()).then_some(&mut padded);
-        for chunk in chunks.iter_mut().chain(padded_tail) {
-            // SAFETY: an `Avx2` exists only where the host reported AVX2
-            // and FMA.
-            #[cfg(target_arch = "x86_64")]
-            unsafe {
-                exp8(chunk);
-            }
-        }
-        tail.copy_from_slice(&padded[..tail.len()]);
+        exp_by_8(
+            xs,
+            #[inline(always)]
+            |chunk| {
+                // SAFETY: an `Avx2` exists only where the host reported
+                // AVX2 and FMA.
+                #[cfg(target_arch = "x86_64")]
+                unsafe {
+                    exp8(chunk);
+                }
+            },
+        );
     }
 
     /// `dst[i] = F16::from_f32(src[i]).to_f32()` wherever `|src[i]| <
@@ -247,6 +248,24 @@ impl Avx512 {
         }
     }
 
+    /// [`Avx2::exp`] with each 8 lanes' doubles in one register: the same
+    /// steps, and a table read by two `vpermt2q` and a blend, not a gather.
+    #[inline(always)]
+    pub fn exp(self, xs: &mut [f32]) {
+        exp_by_8(
+            xs,
+            #[inline(always)]
+            |chunk| {
+                // SAFETY: an `Avx512` exists only where the host reported
+                // AVX2, FMA and AVX-512 F and DQ.
+                #[cfg(target_arch = "x86_64")]
+                unsafe {
+                    exp8_wide(chunk);
+                }
+            },
+        );
+    }
+
     /// [`Avx2::dequant_lines`] for 16-entry lines, a line in one register:
     /// the multiply, the add, `vcvtps2ph` / `vcvtph2ps` and one mask
     /// compare for the lanes that round otherwise.
@@ -259,6 +278,19 @@ impl Avx512 {
             dequant_lines16(params, lut);
         }
     }
+}
+
+/// `exp8` over `xs` 8 lanes at a time, the tail zero-padded.
+#[inline(always)]
+fn exp_by_8(xs: &mut [f32], mut exp8: impl FnMut(&mut [f32; 8])) {
+    let (chunks, tail) = xs.as_chunks_mut::<8>();
+    let mut padded = [0.0; 8];
+    padded[..tail.len()].copy_from_slice(tail);
+    let padded_tail = (!tail.is_empty()).then_some(&mut padded);
+    for chunk in chunks.iter_mut().chain(padded_tail) {
+        exp8(chunk);
+    }
+    tail.copy_from_slice(&padded[..tail.len()]);
 }
 
 /// The AVX2 instance's entry.
@@ -424,7 +456,7 @@ fn round8(x: __m256, out: &mut [f32; 8]) -> __m256 {
 /// glibc's `__exp2f_data.tab`: `bits(2^(i/32)) - (i << 47)`.
 #[cfg(target_arch = "x86_64")]
 #[rustfmt::skip]
-const EXP2F_TAB: [u64; 32] = [
+const EXP2F_TAB: [i64; 32] = [
     0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
     0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
     0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
@@ -446,12 +478,59 @@ fn exp8(xs: &mut [f32; 8]) {
     // line, and its closure with it.
     let low = exp4(_mm256_castps256_ps128(x));
     let high = exp4(_mm256_extractf128_ps::<1>(x));
-    let top = _mm256_srli_epi32::<20>(_mm256_castps_si256(x));
+    exp_store(xs, _mm256_set_m128(high, low));
+}
+
+/// [`exp8`] with the 8 lanes as doubles in one register: [`exp4`]'s
+/// steps, with `2^(k/32)` read from the table as two 16-entry halves by
+/// one `vpermt2q` each (index bits 0–3) and one blend on bit 4 of `ki`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,avx512f,avx512dq")]
+#[inline]
+fn exp8_wide(xs: &mut [f32; 8]) {
+    let xd = _mm512_cvtps_pd(load(xs));
+    let f64s = |bits: u64| _mm512_set1_pd(f64::from_bits(bits));
+    let (inv_ln2_n, shift) = (f64s(0x40471547652b82fe), f64s(0x4338000000000000));
+    let kd_shifted = _mm512_fmadd_pd(xd, inv_ln2_n, shift);
+    let ki = _mm512_castpd_si512(kd_shifted);
+    let r = _mm512_fmsub_pd(inv_ln2_n, xd, _mm512_sub_pd(kd_shifted, shift));
+    let eighth = |i: usize| {
+        let [a, b, c, d, e, f, g, h] = EXP2F_TAB.as_chunks::<8>().0[i];
+        _mm512_setr_epi64(a, b, c, d, e, f, g, h)
+    };
+    let low = _mm512_permutex2var_epi64(eighth(0), ki, eighth(1));
+    let high = _mm512_permutex2var_epi64(eighth(2), ki, eighth(3));
+    let bit4 = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+    let t = _mm512_mask_blend_epi64(bit4, low, high);
+    let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+    let (c0, c1, c2) = (
+        f64s(0x3ebc6af84b912394),
+        f64s(0x3f2ebfce50fac4f3),
+        f64s(0x3f962e42ff0c52d6),
+    );
+    let z = _mm512_fmadd_pd(r, c0, c1);
+    let y = _mm512_fmadd_pd(r, c2, _mm512_set1_pd(1.0));
+    let y = _mm512_fmadd_pd(z, _mm512_mul_pd(r, r), y);
+    exp_store(xs, _mm512_cvtpd_ps(_mm512_mul_pd(y, s)));
+}
+
+/// Stores `exp`, computed from `xs`, over it, except in the lanes
+/// `__expf_fma` sends to its special case (`(bits(x) >> 20) & 0x7ff >
+/// 0x42a`: `|x| ≥ 88`, Inf, NaN), which take `f32::exp`; when there are
+/// none, as in almost every slab, no lane is looked at.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn exp_store(xs: &mut [f32; 8], exp: __m256) {
+    let top = _mm256_srli_epi32::<20>(_mm256_castps_si256(load(xs)));
     let top = _mm256_and_si256(top, _mm256_set1_epi32(0x7ff));
     let special = _mm256_cmpgt_epi32(top, _mm256_set1_epi32(0x42a));
     let special = _mm256_movemask_ps(_mm256_castsi256_ps(special));
     let unpatched = *xs;
-    store(xs, _mm256_set_m128(high, low));
+    store(xs, exp);
+    if special == 0 {
+        return;
+    }
     for (lane, (out, x)) in xs.iter_mut().zip(unpatched).enumerate() {
         if special >> lane & 1 != 0 {
             *out = x.exp();
