@@ -22,7 +22,7 @@ use rand::SeedableRng;
 /// # Panics
 ///
 /// Panics if the length is not a power of two.
-pub fn fwht(values: &mut [f32]) {
+pub(crate) fn fwht(values: &mut [f32]) {
     let n = values.len();
     assert!(
         n.is_power_of_two(),
@@ -46,7 +46,7 @@ pub fn fwht(values: &mut [f32]) {
 }
 
 /// Applies the normalized Hadamard rotation to every row of a matrix.
-pub fn rotate_rows(m: &TokenMatrix) -> TokenMatrix {
+pub(crate) fn rotate_rows(m: &TokenMatrix) -> TokenMatrix {
     let mut out = m.clone();
     for row in &mut out {
         fwht(row);

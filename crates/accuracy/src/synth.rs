@@ -34,7 +34,7 @@ pub struct KvDistribution {
 
 impl KvDistribution {
     /// Builds a distribution with the published outlier profile.
-    pub fn new(dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(dim: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let outlier_fraction = 0.03;
         let outlier_scale = 25.0;
@@ -62,24 +62,25 @@ impl KvDistribution {
     }
 
     /// Samples a Key matrix (`tokens × dim`, flat) with channel outliers.
-    pub fn sample_keys(&self, tokens: usize, rng: &mut StdRng) -> TokenMatrix {
+    pub(crate) fn sample_keys(&self, tokens: usize, rng: &mut StdRng) -> TokenMatrix {
         TokenMatrix::from_fn(tokens, self.dim, |_, c| {
             normal(rng) * self.per_channel_scale[c] + self.per_channel_mean[c]
         })
     }
 
     /// Samples a Value matrix (`tokens × dim`, flat), isotropic.
-    pub fn sample_values(&self, tokens: usize, rng: &mut StdRng) -> TokenMatrix {
+    pub(crate) fn sample_values(&self, tokens: usize, rng: &mut StdRng) -> TokenMatrix {
         TokenMatrix::from_fn(tokens, self.dim, |_, _| normal(rng))
     }
 
     /// Samples a query block (`rows × dim`, flat), isotropic.
-    pub fn sample_queries(&self, rows: usize, rng: &mut StdRng) -> TokenMatrix {
+    pub(crate) fn sample_queries(&self, rows: usize, rng: &mut StdRng) -> TokenMatrix {
         TokenMatrix::from_fn(rows, self.dim, |_, _| normal(rng))
     }
 
     /// Indices of the hot channels (for tests).
-    pub fn outlier_channels(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn outlier_channels(&self) -> Vec<usize> {
         let threshold = self.outlier_scale * 0.5;
         self.per_channel_mean
             .iter()

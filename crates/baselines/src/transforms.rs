@@ -63,7 +63,7 @@ impl TransformKind {
 
     /// Profile of quantizing+packing `tokens` cached tokens (K tensor of
     /// one KV head, matching the paper's single-tensor measurement).
-    pub fn quant_pack_profile(
+    pub(crate) fn quant_pack_profile(
         self,
         tokens: usize,
         dim: usize,
@@ -92,7 +92,7 @@ impl TransformKind {
     /// re-transform the whole packed cache (their layouts are not
     /// incrementally maintainable); BitDecoding touches one residual block
     /// every `Nr` steps (amortized).
-    pub fn decode_step_profile(
+    pub(crate) fn decode_step_profile(
         self,
         shape: &DecodeShape,
         scheme: QuantScheme,

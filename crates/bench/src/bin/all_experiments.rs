@@ -22,7 +22,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         "tab2_quant_overhead",
         "tab3_coop_softmax",
         "ext_rotation_nvfp4",
-        "ext_serving_trace",
     ];
     // Invoke in-process when possible? Each bin is its own crate target;
     // shell out to the sibling binaries that cargo placed next to us.

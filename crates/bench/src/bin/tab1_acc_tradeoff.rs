@@ -59,5 +59,6 @@ fn main() {
     println!();
     println!("Paper reference: FP16 49.25 tok/s @ 48.25; INT4 147.21 (+2.98x) @ 48.16");
     println!("(-0.2%); INT2 209.48 (+4.25x) @ 47.38 (-2.7%). The proxy score is a");
-    println!("calibrated mapping from measured attention fidelity — see DESIGN.md.");
+    println!("calibrated mapping from measured attention fidelity — see");
+    println!("`bd_accuracy::longbench_proxy`.");
 }

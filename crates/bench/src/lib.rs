@@ -1,3 +1,5 @@
+#![warn(unreachable_pub)]
+
 //! # bd-bench — the figure/table reproduction harness
 //!
 //! One binary per paper artefact (`src/bin/fig*.rs`, `src/bin/tab*.rs`),

@@ -151,7 +151,6 @@ pub struct BitDecoderBuilder {
     layout: PackLayout,
     flags: OptimizationFlags,
     paged: bool,
-    path_override: Option<ArchPath>,
 }
 
 impl BitDecoderBuilder {
@@ -186,13 +185,6 @@ impl BitDecoderBuilder {
         self
     }
 
-    /// Forces a specific architecture path (e.g. run the SM80 "v2" kernels
-    /// on Hopper for the v2-vs-v3 comparison of Fig. 9).
-    pub fn path_override(mut self, path: ArchPath) -> Self {
-        self.path_override = Some(path);
-        self
-    }
-
     /// Finalizes the decoder.
     ///
     /// # Panics
@@ -202,9 +194,7 @@ impl BitDecoderBuilder {
         let Some(attn) = self.attn else {
             panic!("attention configuration is required");
         };
-        let path = self
-            .path_override
-            .unwrap_or_else(|| ArchPath::select(&self.arch, self.scheme));
+        let path = ArchPath::select(&self.arch, self.scheme);
         BitDecoder {
             arch: self.arch,
             attn,
@@ -255,7 +245,6 @@ impl BitDecoder {
             layout: PackLayout::sm80_default(),
             flags: OptimizationFlags::ALL,
             paged: false,
-            path_override: None,
         }
     }
 

@@ -792,7 +792,7 @@ mod tests {
             wn
         }
 
-        pub fn pack_b_operand(
+        pub(crate) fn pack_b_operand(
             layout: PackLayout,
             code_at: impl Fn(usize, usize) -> u8,
             k_total: usize,
@@ -836,7 +836,7 @@ mod tests {
         /// `(k, n)` at every code position of every 32-bit register of the
         /// stream (`None`: padding), from `FragmentLayout::coords` and the
         /// packer alone: the same five-deep walk as `pack_b_operand`.
-        pub fn stream_coords(
+        pub(crate) fn stream_coords(
             layout: PackLayout,
             k_total: usize,
             n_total: usize,
@@ -884,7 +884,7 @@ mod tests {
             regs
         }
 
-        pub fn unpack_b_operand(
+        pub(crate) fn unpack_b_operand(
             layout: PackLayout,
             words: &[u16],
             mut store: impl FnMut(usize, usize, u8),

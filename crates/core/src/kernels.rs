@@ -70,7 +70,7 @@ fn store_tile(out: &mut Tile, (r0, c0): (usize, usize), tile: &Tile) {
 /// Multiplies `a (m × k)` by `b (k × n)` using `mma.m16n8k16` warp tiles,
 /// padding every dimension to the tile grid (the padding models Tensor
 /// Core tile underfill — partial query groups still issue full tiles).
-pub fn matmul_via_mma(a: &Tile, b: &Tile) -> Tile {
+pub(crate) fn matmul_via_mma(a: &Tile, b: &Tile) -> Tile {
     let shape = MmaShape::M16N8K16;
     let (m, k, n) = (shape.m(), shape.k(), shape.n());
     assert_eq!(b.rows(), a.cols(), "inner dimension mismatch");
@@ -95,7 +95,7 @@ pub fn matmul_via_mma(a: &Tile, b: &Tile) -> Tile {
 /// tiles. The B operand is consumed from (simulated) shared memory — on
 /// Hopper, dequantized values reach it via `STSM` without register-layout
 /// correction, which is exactly why the `_SS` form matters to BitDecoding.
-pub fn matmul_via_wgmma(a: &Tile, b: &Tile) -> Tile {
+pub(crate) fn matmul_via_wgmma(a: &Tile, b: &Tile) -> Tile {
     const M: usize = 64;
     const N: usize = 64;
     const K: usize = 16;
@@ -452,7 +452,7 @@ fn quantize_fp4_b_operand(
 /// (paper Challenge 2 / §V-D(2)). Each operand is quantized along its
 /// GEMM's contraction dimension: Q and K along channels, P and V along
 /// tokens.
-pub fn attend_packed_blocks_fp4<B: Borrow<PackedBlock>>(
+pub(crate) fn attend_packed_blocks_fp4<B: Borrow<PackedBlock>>(
     q: &[Vec<f32>],
     blocks: &[B],
     codec: &FragmentCodec,

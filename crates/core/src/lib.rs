@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -60,12 +61,11 @@ pub use codec::FragmentCodec;
 pub use config::{query_transform, ungroup_outputs, AttentionConfig, AttentionVariant, QueryHeads};
 pub use kernels::{
     attend_packed_blocks, attend_packed_blocks_fused, attend_packed_blocks_multi, attend_residual,
-    attend_residual_fused, matmul, matmul_via_mma, matmul_via_wgmma, MatmulEngine, PrefixSharer,
-    ResidualKeys,
+    attend_residual_fused, matmul, MatmulEngine, PrefixSharer, ResidualKeys,
 };
 pub use profiles::{
-    choose_splits, combine_kernel_profile, decode_plan, fast_dequant_slots_per_elem, overlap_for,
-    packing_kernel_profile, residual_kernel_profile, ArchPath, OptimizationFlags,
+    choose_splits, combine_kernel_profile, decode_plan, fast_dequant_slots_per_elem,
+    packing_kernel_profile, ArchPath, OptimizationFlags,
 };
 pub use shape::DecodeShape;
 pub use softmax::{reference_attention, OnlineSoftmax};

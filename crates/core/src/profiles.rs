@@ -49,7 +49,7 @@ impl ArchPath {
     /// Throughput penalty for running legacy SM80 instructions on newer
     /// tensor cores (the ~35% loss the paper cites for pre-Hopper kernels
     /// on H100, §III-A). Multiplies issued TC work.
-    pub fn legacy_tc_penalty(self, arch: &GpuArch) -> f64 {
+    pub(crate) fn legacy_tc_penalty(self, arch: &GpuArch) -> f64 {
         if self == ArchPath::Sm80 && arch.gen.supports_wgmma() {
             1.35
         } else {
@@ -127,7 +127,7 @@ fn softmax_ops(shape: &DecodeShape, tokens: usize) -> (f64, f64, f64) {
 }
 
 /// The overlap structure implied by the flags and arch path.
-pub fn overlap_for(path: ArchPath, flags: OptimizationFlags) -> OverlapSpec {
+pub(crate) fn overlap_for(path: ArchPath, flags: OptimizationFlags) -> OverlapSpec {
     if !flags.warp_parallelism {
         return OverlapSpec::SERIALIZED_DEQUANT;
     }
@@ -255,7 +255,7 @@ pub fn packing_kernel_profile(
 /// Profile of the **Residual Kernel** (paper §V-B): FP16 attention over the
 /// residual region, with fused quantize+pack amortized over the `Nr` steps
 /// between flushes.
-pub fn residual_kernel_profile(
+pub(crate) fn residual_kernel_profile(
     shape: &DecodeShape,
     scheme: QuantScheme,
     arch: &GpuArch,

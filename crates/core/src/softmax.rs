@@ -169,7 +169,7 @@ impl OnlineSoftmax {
     }
 
     /// Output channels tracked.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 

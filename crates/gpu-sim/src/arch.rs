@@ -146,18 +146,18 @@ impl GpuArch {
 
     /// CUDA-core instruction issue rate, instructions/s (an FMA is one
     /// instruction at two FLOPs).
-    pub fn cuda_ips(&self) -> f64 {
+    pub(crate) fn cuda_ips(&self) -> f64 {
         self.cuda_fp32_tflops * 1e12 / 2.0
     }
 
     /// Issue rate achievable by kernel code mixing integer unpacking with
     /// FP math (the realistic rate for dequantization inner loops).
-    pub fn cuda_ips_effective(&self) -> f64 {
+    pub(crate) fn cuda_ips_effective(&self) -> f64 {
         self.cuda_ips() * self.cuda_issue_efficiency
     }
 
     /// Aggregate shared-memory bandwidth, bytes/s (128 B per SM per clock).
-    pub fn smem_bw_bytes(&self) -> f64 {
+    pub(crate) fn smem_bw_bytes(&self) -> f64 {
         self.sms as f64 * 128.0 * self.clock_ghz * 1e9
     }
 
@@ -165,7 +165,7 @@ impl GpuArch {
     ///
     /// Returns 0 when the precision is unsupported (callers must fall back
     /// to CUDA cores or a wider format).
-    pub fn tc_flops(&self, precision: Precision) -> f64 {
+    pub(crate) fn tc_flops(&self, precision: Precision) -> f64 {
         let tflops = match precision {
             Precision::Fp16 => self.tc_fp16_tflops,
             Precision::Fp8 => self.tc_fp8_tflops,
@@ -188,7 +188,7 @@ impl GpuArch {
     /// the Tensor-Core MAC rate. On every shipped profile DRAM binds —
     /// exactly the regime the paper targets — but the `min` keeps the
     /// weight honest for compute-starved spec files too.
-    pub fn decode_weight(&self) -> f64 {
+    pub(crate) fn decode_weight(&self) -> f64 {
         let macs_per_s = self.tc_flops(Precision::Fp16) / 2.0;
         self.effective_bw_bytes().min(macs_per_s)
     }

@@ -66,7 +66,7 @@ impl InterconnectModel {
 
     /// Bytes each device sends over the ring to all-reduce a
     /// `payload_bytes` tensor across `devices` devices.
-    pub fn allreduce_bytes_per_device(&self, payload_bytes: f64, devices: usize) -> f64 {
+    pub(crate) fn allreduce_bytes_per_device(&self, payload_bytes: f64, devices: usize) -> f64 {
         if devices <= 1 {
             0.0
         } else {

@@ -59,12 +59,12 @@ impl MmaShape {
     }
 
     /// Elements of operand `A` each warp lane holds.
-    pub const fn a_regs_per_lane(self) -> usize {
+    pub(crate) const fn a_regs_per_lane(self) -> usize {
         self.m() * self.k() / WARP_LANES
     }
 
     /// Elements of the accumulator each lane holds.
-    pub const fn acc_regs_per_lane(self) -> usize {
+    pub(crate) const fn acc_regs_per_lane(self) -> usize {
         self.m() * self.n() / WARP_LANES
     }
 
@@ -214,7 +214,7 @@ impl Fragment {
     /// # Panics
     ///
     /// Panics if `regs_per_lane > 16` (no modelled shape needs more).
-    pub fn zeroed(regs_per_lane: usize) -> Self {
+    pub(crate) fn zeroed(regs_per_lane: usize) -> Self {
         assert!(
             regs_per_lane <= 16,
             "at most 16 fragment registers per lane"
@@ -226,25 +226,25 @@ impl Fragment {
     }
 
     /// Registers per lane.
-    pub fn regs_per_lane(&self) -> usize {
+    pub(crate) fn regs_per_lane(&self) -> usize {
         self.regs_per_lane
     }
 
     /// Reads one register.
-    pub fn get(&self, lane: usize, reg: usize) -> F16 {
+    pub(crate) fn get(&self, lane: usize, reg: usize) -> F16 {
         debug_assert!(reg < self.regs_per_lane);
         self.regs[lane][reg]
     }
 
     /// Writes one register.
-    pub fn set(&mut self, lane: usize, reg: usize, v: F16) {
+    pub(crate) fn set(&mut self, lane: usize, reg: usize, v: F16) {
         debug_assert!(reg < self.regs_per_lane);
         self.regs[lane][reg] = v;
     }
 
     /// Gathers a tile from the fragment *interpreting* slots via `layout`
     /// (what an MMA instruction does internally).
-    pub fn to_tile(&self, layout: FragmentLayout) -> Tile {
+    pub(crate) fn to_tile(&self, layout: FragmentLayout) -> Tile {
         let (rows, cols) = layout.dims();
         let mut t = Tile::zeros(rows, cols);
         for lane in 0..WARP_LANES {
@@ -262,7 +262,7 @@ impl Fragment {
     /// # Panics
     ///
     /// Panics if the tile shape does not match the layout.
-    pub fn from_tile(tile: &Tile, layout: FragmentLayout) -> Self {
+    pub(crate) fn from_tile(tile: &Tile, layout: FragmentLayout) -> Self {
         let (rows, cols) = layout.dims();
         assert_eq!(
             (tile.rows(), tile.cols()),
@@ -277,12 +277,6 @@ impl Fragment {
             }
         }
         f
-    }
-
-    /// The values held by one lane, in register order — the quantization
-    /// granularity of the Residual Kernel.
-    pub fn lane_values(&self, lane: usize) -> Vec<F16> {
-        self.regs[lane][..self.regs_per_lane].to_vec()
     }
 }
 
@@ -413,18 +407,6 @@ mod tests {
             got.max_abs_diff(&tile) > 50.0,
             "naive packing must scramble"
         );
-    }
-
-    #[test]
-    fn lane_values_are_contiguous_register_order() {
-        let layout = FragmentLayout::new(MmaShape::M16N8K16, Operand::B);
-        let tile = Tile::from_fn(16, 8, |r, c| (r * 8 + c) as f32);
-        let frag = Fragment::from_tile(&tile, layout);
-        let vals = frag.lane_values(0);
-        assert_eq!(vals.len(), 4);
-        // (0,0),(1,0),(8,0),(9,0) → 0, 8, 64, 72
-        let got: Vec<f32> = vals.iter().map(|v| v.to_f32()).collect();
-        assert_eq!(got, vec![0.0, 8.0, 64.0, 72.0]);
     }
 }
 

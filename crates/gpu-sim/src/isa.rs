@@ -28,17 +28,17 @@ impl AccFragment {
     }
 
     /// The instruction shape this accumulator belongs to.
-    pub fn shape(&self) -> MmaShape {
+    pub(crate) fn shape(&self) -> MmaShape {
         self.shape
     }
 
     /// Reads one accumulator register.
-    pub fn get(&self, lane: usize, reg: usize) -> f32 {
+    pub(crate) fn get(&self, lane: usize, reg: usize) -> f32 {
         self.regs[lane][reg]
     }
 
     /// Writes one accumulator register.
-    pub fn set(&mut self, lane: usize, reg: usize, v: f32) {
+    pub(crate) fn set(&mut self, lane: usize, reg: usize, v: f32) {
         self.regs[lane][reg] = v;
     }
 
@@ -53,24 +53,6 @@ impl AccFragment {
             }
         }
         t
-    }
-
-    /// Scatters an `M × N` tile into accumulator registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn from_tile(tile: &Tile, shape: MmaShape) -> Self {
-        let layout = FragmentLayout::new(shape, Operand::Acc);
-        assert_eq!((tile.rows(), tile.cols()), (shape.m(), shape.n()));
-        let mut acc = AccFragment::zeroed(shape);
-        for r in 0..shape.m() {
-            for c in 0..shape.n() {
-                let (lane, reg) = layout.position(r, c);
-                acc.set(lane, reg, tile[(r, c)]);
-            }
-        }
-        acc
     }
 }
 

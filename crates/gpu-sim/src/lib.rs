@@ -1,12 +1,13 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 //! # bd-gpu-sim — a GPU execution-model simulator for BitDecoding-RS
 //!
 //! Rust has no tensor-core kernel tooling and this reproduction targets
 //! machines without NVIDIA GPUs, so the paper's hardware substrate is
-//! replaced by this simulator (see `DESIGN.md` §1). It has two layers that
-//! share one vocabulary:
+//! replaced by this simulator (see `docs/ARCHITECTURE.md`, § `bd-gpu-sim`).
+//! It has two layers that share one vocabulary:
 //!
 //! * a **functional layer** ([`fragment`], [`isa`], [`tile`], [`smem`])
 //!   that executes real data movement at value granularity — fragment
@@ -49,9 +50,7 @@ pub use isa::{
     LOP3_AND_OR,
 };
 pub use profile::{CudaOps, KernelProfile, OverlapSpec};
-pub use smem::{
-    conflict_factor, ldmatrix_x4_transactions, staged_offset, warp_transactions, Swizzle,
-};
+pub use smem::{conflict_factor, warp_transactions, Swizzle};
 pub use spec::{builtin_device, DeviceSpec, SpecError, BUILTIN_PROFILES};
 pub use tile::Tile;
 pub use topology::{builtin_topology, Island, Topology, TopologySpec, BUILTIN_TOPOLOGIES};

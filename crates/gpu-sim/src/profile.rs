@@ -35,11 +35,6 @@ impl CudaOps {
     pub fn issue_slots(&self) -> f64 {
         self.dequant + self.quant + self.fma + self.reduce + self.misc + 4.0 * (self.cvt + self.exp)
     }
-
-    /// Raw instruction count without rate weighting.
-    pub fn total_ops(&self) -> f64 {
-        self.dequant + self.cvt + self.quant + self.exp + self.fma + self.reduce + self.misc
-    }
 }
 
 impl Add for CudaOps {
@@ -171,7 +166,7 @@ impl KernelProfile {
     }
 
     /// Total DRAM traffic.
-    pub fn dram_bytes(&self) -> f64 {
+    pub(crate) fn dram_bytes(&self) -> f64 {
         self.dram_read_bytes + self.dram_write_bytes
     }
 
@@ -194,7 +189,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(ops.issue_slots(), 10.0 + 4.0 * 7.0);
-        assert_eq!(ops.total_ops(), 17.0);
     }
 
     #[test]

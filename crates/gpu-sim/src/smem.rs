@@ -50,7 +50,12 @@ pub fn warp_transactions(byte_addrs: &[usize], bytes_per_lane: usize) -> u32 {
 /// Byte offset of `(row, col_16B_chunk)` within a staged tile, applying the
 /// swizzle. `row_stride_bytes` is the padded row pitch, and columns are
 /// addressed in 16-byte chunks (the `ldmatrix` access granularity).
-pub fn staged_offset(row: usize, chunk: usize, row_stride_bytes: usize, swizzle: Swizzle) -> usize {
+pub(crate) fn staged_offset(
+    row: usize,
+    chunk: usize,
+    row_stride_bytes: usize,
+    swizzle: Swizzle,
+) -> usize {
     let chunks_per_row = (row_stride_bytes / 16).max(1);
     let chunk = chunk % chunks_per_row;
     let c = match swizzle {
@@ -80,26 +85,6 @@ pub fn optimal_transactions(byte_addrs: &[usize], bytes_per_lane: usize) -> u32 
     words.sort_unstable();
     words.dedup();
     words.len().div_ceil(NUM_BANKS) as u32
-}
-
-/// Transactions for one `ldmatrix.x4` load of four 8×8 FP16 tiles from a
-/// staged region: 32 lanes each present one 16-byte row pointer.
-///
-/// `row_stride_bytes` is the staged pitch; `col_chunk(lane)` selects which
-/// 16-byte chunk of the row the lane's tile occupies.
-pub fn ldmatrix_x4_transactions(
-    row_stride_bytes: usize,
-    swizzle: Swizzle,
-    col_chunk: impl Fn(usize) -> usize,
-) -> u32 {
-    let addrs: Vec<usize> = (0..32)
-        .map(|lane| {
-            let row = lane % 8 + (lane / 16) * 8; // two tile-rows of 8
-            let chunk = col_chunk(lane);
-            staged_offset(row, chunk, row_stride_bytes, swizzle)
-        })
-        .collect();
-    warp_transactions(&addrs, 16)
 }
 
 /// Conflict multiplier for an `ldmatrix.x4` load from a

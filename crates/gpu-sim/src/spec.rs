@@ -23,7 +23,7 @@
 //! duplicate keys rejected — and every failure is a typed [`SpecError`]
 //! carrying the offending line.
 //!
-//! The same low-level scanner ([`scan_sections`]) backs the `.topo`
+//! The same low-level scanner (`scan_sections`) backs the `.topo`
 //! fleet format in [`crate::topology`].
 
 use crate::arch::{ArchGen, GpuArch};
@@ -201,7 +201,7 @@ impl SpecSection {
 /// Splits a spec document into sections. Blank lines and `#` comments are
 /// skipped; a `key = value` line before any section header is a syntax
 /// error. This scanner is shared by the `.devspec` and `.topo` formats.
-pub fn scan_sections(text: &str) -> Result<Vec<SpecSection>, SpecError> {
+pub(crate) fn scan_sections(text: &str) -> Result<Vec<SpecSection>, SpecError> {
     let mut sections: Vec<SpecSection> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
@@ -439,7 +439,7 @@ impl DeviceSpec {
     }
 
     /// Unwraps into the [`GpuArch`] the cost model consumes.
-    pub fn into_arch(self) -> GpuArch {
+    pub(crate) fn into_arch(self) -> GpuArch {
         self.arch
     }
 

@@ -221,7 +221,7 @@ impl TopologySpec {
     ///
     /// Returns [`SpecError::UnknownReference`] when neither the registry
     /// nor the shipped profiles know a device name.
-    pub fn resolve_with(
+    pub(crate) fn resolve_with(
         &self,
         lookup: impl Fn(&str) -> Option<GpuArch>,
     ) -> Result<Topology, SpecError> {
@@ -360,23 +360,14 @@ impl Topology {
         }
     }
 
-    /// Replaces the host (swap) link. On a hierarchical fleet this sets
-    /// the topology-wide default; island-specific overrides keep
-    /// precedence.
-    pub fn with_host_link(mut self, host_link: InterconnectModel) -> Self {
-        match &mut self.fabric {
-            Fabric::Flat { host, .. } | Fabric::Hierarchical { host, .. } => *host = host_link,
-        }
-        self
-    }
-
     /// The fleet name (`"flat"` for [`Topology::flat`]).
     pub fn name(&self) -> &str {
         &self.name
     }
 
     /// The topology-wide default host link.
-    pub fn host_link(&self) -> InterconnectModel {
+    #[cfg(test)]
+    fn host_link(&self) -> InterconnectModel {
         match &self.fabric {
             Fabric::Flat { host, .. } | Fabric::Hierarchical { host, .. } => *host,
         }
@@ -400,7 +391,7 @@ impl Topology {
     }
 
     /// Resolved islands, empty for flat.
-    pub fn islands(&self) -> &[Island] {
+    pub(crate) fn islands(&self) -> &[Island] {
         match &self.fabric {
             Fabric::Flat { .. } => &[],
             Fabric::Hierarchical { islands, .. } => islands,
@@ -408,7 +399,7 @@ impl Topology {
     }
 
     /// Per-device placement weights: each device's modeled decode
-    /// throughput ([`GpuArch::decode_weight`]). Empty for flat (devices
+    /// throughput (`GpuArch::decode_weight`). Empty for flat (devices
     /// are interchangeable there).
     pub fn device_weights(&self) -> Vec<f64> {
         self.device_archs()

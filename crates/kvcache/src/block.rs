@@ -32,7 +32,7 @@ pub enum PackedPayload {
 
 impl PackedPayload {
     /// Bytes occupied in device memory.
-    pub fn byte_size(&self) -> usize {
+    pub(crate) fn byte_size(&self) -> usize {
         match self {
             PackedPayload::Int { words, params } => words.len() * 2 + params.len() * 4,
             PackedPayload::Fp4 { codes, scales } => codes.len() + scales.len(),
@@ -53,7 +53,7 @@ pub struct PackedTensor {
 
 impl PackedTensor {
     /// Bytes occupied in device memory.
-    pub fn byte_size(&self) -> usize {
+    pub(crate) fn byte_size(&self) -> usize {
         self.payload.byte_size()
     }
 

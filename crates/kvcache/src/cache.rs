@@ -310,7 +310,7 @@ impl QuantizedKvCache {
     }
 
     /// Device bytes held by one head (packed payloads + FP16 residual).
-    pub fn head_bytes(&self, head: usize) -> usize {
+    pub(crate) fn head_bytes(&self, head: usize) -> usize {
         let slot = &self.heads[head];
         let packed: usize = slot.packed.iter().map(PackedBlock::byte_size).sum();
         let residual = slot.residual_k.len() * self.config.dim * 2 * 2;

@@ -41,12 +41,6 @@ impl PackLayout {
     pub const fn residual_block(&self, width: BitWidth) -> usize {
         self.shape.pn() * self.warps_n * width.packing_ratio()
     }
-
-    /// Elements each lane packs per fragment tile (the B-fragment register
-    /// count).
-    pub const fn lane_elems_per_tile(&self) -> usize {
-        self.shape.b_regs_per_lane()
-    }
 }
 
 impl Default for PackLayout {
@@ -98,10 +92,5 @@ mod tests {
             assert_eq!(packed % 128, 0);
             assert!(res < 128);
         }
-    }
-
-    #[test]
-    fn lane_elems_match_fragment() {
-        assert_eq!(PackLayout::sm80_default().lane_elems_per_tile(), 4);
     }
 }

@@ -41,7 +41,7 @@ impl TokenMatrix {
     }
 
     /// An empty matrix with capacity reserved for `tokens` rows.
-    pub fn with_capacity(tokens: usize, dim: usize) -> Self {
+    pub(crate) fn with_capacity(tokens: usize, dim: usize) -> Self {
         TokenMatrix {
             data: Vec::with_capacity(tokens * dim),
             dim,
@@ -108,7 +108,7 @@ impl TokenMatrix {
     }
 
     /// One token's channels, mutably.
-    pub fn row_mut(&mut self, t: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, t: usize) -> &mut [f32] {
         &mut self.data[t * self.dim..(t + 1) * self.dim]
     }
 
@@ -120,7 +120,7 @@ impl TokenMatrix {
     /// # Panics
     ///
     /// Panics on a row-width mismatch.
-    pub fn push_row(&mut self, row: &[f32]) {
+    pub(crate) fn push_row(&mut self, row: &[f32]) {
         if self.dim == 0 && self.data.is_empty() {
             self.dim = row.len();
         }
@@ -158,7 +158,7 @@ impl TokenMatrix {
     }
 
     /// Iterates over token rows as mutable slices.
-    pub fn iter_mut(&mut self) -> std::slice::ChunksExactMut<'_, f32> {
+    pub(crate) fn iter_mut(&mut self) -> std::slice::ChunksExactMut<'_, f32> {
         self.data.chunks_exact_mut(self.dim.max(1))
     }
 
@@ -173,7 +173,7 @@ impl TokenMatrix {
     }
 
     /// Removes all tokens, keeping the width and capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.data.clear();
     }
 

@@ -8,12 +8,12 @@
 //! page-table indirection traffic.
 //!
 //! Physical pages are **reference-counted** so several sequences can map
-//! the same page (copy-on-write prefix sharing): [`PagedPool::adopt`]
+//! the same page (copy-on-write prefix sharing): `PagedPool::adopt`
 //! admits a sequence whose table prefix aliases already-allocated pages,
-//! [`PagedPool::cow`] gives a writer a private copy of one shared table
+//! `PagedPool::cow` gives a writer a private copy of one shared table
 //! slot, and [`PagedPool::release`] only returns a page to the free list
 //! when its last reference drops. Every page carries a **generation**
-//! ([`PagedPool::generation`]) that bumps when the page is freed, so a
+//! (`PagedPool::generation`) that bumps when the page is freed, so a
 //! stale reference (e.g. recorded in a swapped-out blob) can detect that
 //! its page was recycled.
 
@@ -191,7 +191,11 @@ impl PagedPool {
     /// # Panics
     ///
     /// Panics if any adopted page is not currently allocated.
-    pub fn adopt(&mut self, slots: &[Option<PageId>], tokens: usize) -> Result<SeqId, PagedOom> {
+    pub(crate) fn adopt(
+        &mut self,
+        slots: &[Option<PageId>],
+        tokens: usize,
+    ) -> Result<SeqId, PagedOom> {
         for page in slots.iter().flatten() {
             assert!(
                 self.refs.contains_key(page),
@@ -246,7 +250,7 @@ impl PagedPool {
     ///
     /// Panics on an unknown sequence, an out-of-range slot, or a slot
     /// whose page is exclusively owned (nothing to copy from).
-    pub fn cow(&mut self, seq: SeqId, slot: usize) -> Result<(PageId, PageId), PagedOom> {
+    pub(crate) fn cow(&mut self, seq: SeqId, slot: usize) -> Result<(PageId, PageId), PagedOom> {
         let old = self.tables[&seq][slot];
         let Some(count) = self.refs.get_mut(&old) else {
             panic!("cow on free page {old:?}");
@@ -293,14 +297,14 @@ impl PagedPool {
     }
 
     /// References currently held on a page (0 = free).
-    pub fn refcount(&self, page: PageId) -> u32 {
+    pub(crate) fn refcount(&self, page: PageId) -> u32 {
         self.refs.get(&page).copied().unwrap_or(0)
     }
 
     /// How many times the page has been freed **or mutated in place** —
     /// compare against a recorded value to detect that a page was recycled
     /// (or its frame rewritten) in between.
-    pub fn generation(&self, page: PageId) -> u64 {
+    pub(crate) fn generation(&self, page: PageId) -> u64 {
         self.gens.get(&page).copied().unwrap_or(0)
     }
 
@@ -352,11 +356,6 @@ impl PagedPool {
         }
     }
 
-    /// Whether the prefix cache holds a pin on this page.
-    pub fn is_pinned(&self, page: PageId) -> bool {
-        self.pinned.contains(&page)
-    }
-
     /// References held on a page by **sequences** — the raw refcount minus
     /// the cache pin, if any. This is the count every sharing decision
     /// (copy-on-write, swap re-share, preemption accounting) consults, so
@@ -368,7 +367,7 @@ impl PagedPool {
 
     /// Pinned pages no sequence maps any more — exactly the pages the
     /// prefix cache could return to the free list on demand.
-    pub fn reclaimable_pages(&self) -> usize {
+    pub(crate) fn reclaimable_pages(&self) -> usize {
         self.pinned
             .iter()
             .filter(|&&p| self.seq_refcount(p) == 0)
@@ -377,7 +376,7 @@ impl PagedPool {
 
     /// Allocated pages mapped by more than one sequence (cache pins do not
     /// count as sharers).
-    pub fn shared_pages(&self) -> usize {
+    pub(crate) fn shared_pages(&self) -> usize {
         self.refs
             .keys()
             .filter(|&&p| self.seq_refcount(p) > 1)
@@ -393,12 +392,12 @@ impl PagedPool {
     /// Table entries summed over all sequences — what the pool would hold
     /// without sharing. `logical_pages() - (total_pages() - free_pages())`
     /// is the number of pages sharing saves.
-    pub fn logical_pages(&self) -> usize {
+    pub(crate) fn logical_pages(&self) -> usize {
         self.tables.values().map(Vec::len).sum()
     }
 
     /// Current token length of a sequence.
-    pub fn seq_len(&self, seq: SeqId) -> Option<usize> {
+    pub(crate) fn seq_len(&self, seq: SeqId) -> Option<usize> {
         self.seq_lens.get(&seq).copied()
     }
 
@@ -412,17 +411,11 @@ impl PagedPool {
     /// # Panics
     ///
     /// Panics if the sequence is unknown or the token is beyond its length.
-    pub fn translate(&self, seq: SeqId, token: usize) -> (PageId, usize) {
+    pub(crate) fn translate(&self, seq: SeqId, token: usize) -> (PageId, usize) {
         let len = self.seq_lens[&seq];
         assert!(token < len, "token {token} beyond sequence length {len}");
         let table = &self.tables[&seq];
         (table[token / self.page_tokens], token % self.page_tokens)
-    }
-
-    /// Bytes of page-table metadata one attention pass over a sequence
-    /// reads (8 B per entry: pointer-sized page descriptors).
-    pub fn table_read_bytes(&self, seq: SeqId) -> f64 {
-        self.tables.get(&seq).map_or(0.0, |t| t.len() as f64 * 8.0)
     }
 }
 
@@ -590,7 +583,6 @@ mod tests {
         let a = pool.admit();
         pool.grow(a, 32).unwrap(); // pages 0,1
         pool.pin_page(PageId(0));
-        assert!(pool.is_pinned(PageId(0)));
         assert_eq!(pool.refcount(PageId(0)), 2);
         // Pins are invisible to sharing accounting.
         assert_eq!(pool.seq_refcount(PageId(0)), 1);
@@ -635,13 +627,5 @@ mod tests {
         let s = pool.admit();
         pool.grow(s, 80).unwrap();
         assert!((pool.utilization() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn table_read_bytes_scale_with_pages() {
-        let mut pool = PagedPool::new(100, 64);
-        let s = pool.admit();
-        pool.grow(s, 64 * 10).unwrap();
-        assert_eq!(pool.table_read_bytes(s), 80.0);
     }
 }

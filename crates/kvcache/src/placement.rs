@@ -245,14 +245,6 @@ impl Placement {
             Partitioning::Weighted => self.bounds[d + 1] - self.bounds[d],
         }
     }
-
-    /// Iterates the global head indices resident on device `d`, in local
-    /// slot order.
-    pub fn heads_of(&self, d: DeviceId) -> Vec<usize> {
-        (0..self.heads)
-            .filter(|&h| self.device_of(h) == d)
-            .collect()
-    }
 }
 
 impl fmt::Display for Placement {
@@ -298,9 +290,10 @@ mod tests {
                     // Local indices are a bijection per device.
                     for d in 0..pl.devices() {
                         let d = DeviceId(d as u32);
-                        let heads_of = pl.heads_of(d);
-                        let locals: Vec<usize> =
-                            heads_of.iter().map(|&h| pl.local_index(h)).collect();
+                        let locals: Vec<usize> = (0..heads)
+                            .filter(|&h| pl.device_of(h) == d)
+                            .map(|h| pl.local_index(h))
+                            .collect();
                         let want: Vec<usize> = (0..pl.heads_on(d)).collect();
                         assert_eq!(locals, want, "{p:?} {d} local order");
                     }

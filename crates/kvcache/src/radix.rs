@@ -152,13 +152,17 @@ impl RadixIndex {
     }
 
     /// The child of `parent` (or the root) keyed by `key`.
-    pub fn child(&self, parent: Option<usize>, key: u64) -> Option<usize> {
+    pub(crate) fn child(&self, parent: Option<usize>, key: u64) -> Option<usize> {
         self.children(parent).by_key.get(&key).copied()
     }
 
     /// The child of `parent` (or the root) that `digest` was last recorded
     /// on.
-    pub fn source_child(&self, parent: Option<usize>, digest: SourceDigest) -> Option<usize> {
+    pub(crate) fn source_child(
+        &self,
+        parent: Option<usize>,
+        digest: SourceDigest,
+    ) -> Option<usize> {
         self.children(parent).by_source.get(&digest).copied()
     }
 
@@ -167,7 +171,7 @@ impl RadixIndex {
     /// same rows went through two codecs; the one admitted last keeps it.
     /// The caller must have verified the node's bytes against the rows
     /// behind `digest`, or written them itself.
-    pub fn set_source(&mut self, id: usize, digest: SourceDigest) {
+    pub(crate) fn set_source(&mut self, id: usize, digest: SourceDigest) {
         let Some(Some(node)) = self.nodes.get_mut(id) else {
             panic!("dangling radix node id {id}");
         };
@@ -187,7 +191,7 @@ impl RadixIndex {
     ///
     /// Panics on a dangling id — ids are only valid until their subtree is
     /// removed.
-    pub fn node(&self, id: usize) -> &RadixNode {
+    pub(crate) fn node(&self, id: usize) -> &RadixNode {
         match self.nodes.get(id) {
             Some(Some(n)) => n,
             _ => panic!("dangling radix node id {id}"),
@@ -195,7 +199,7 @@ impl RadixIndex {
     }
 
     /// Marks a node recently used.
-    pub fn touch(&mut self, id: usize) {
+    pub(crate) fn touch(&mut self, id: usize) {
         self.clock += 1;
         let clock = self.clock;
         match self.nodes.get_mut(id) {
@@ -205,7 +209,7 @@ impl RadixIndex {
     }
 
     /// Inserts a new run under `parent` (or as a root) and returns its id.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         parent: Option<usize>,
         key: u64,
@@ -241,7 +245,7 @@ impl RadixIndex {
 
     /// Removes a node and its whole subtree, returning every page the
     /// subtree held (parent-first order) so the caller can unpin them.
-    pub fn remove_subtree(&mut self, id: usize) -> Vec<PageId> {
+    pub(crate) fn remove_subtree(&mut self, id: usize) -> Vec<PageId> {
         // Detach from the parent (or the root set) first.
         let (parent, key, source) = {
             let n = self.node(id);
@@ -285,7 +289,7 @@ impl RadixIndex {
     /// page satisfies `evictable`, returning its pages — or `None` when no
     /// such subtree exists. Recency of a subtree is its most recent use;
     /// ties break on the lower node id, keeping eviction deterministic.
-    pub fn evict_lru_subtree(
+    pub(crate) fn evict_lru_subtree(
         &mut self,
         evictable: &impl Fn(PageId) -> bool,
     ) -> Option<Vec<PageId>> {
@@ -307,13 +311,14 @@ impl RadixIndex {
     }
 
     /// Number of live runs in the index.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.iter().flatten().count()
     }
 
     /// Every page the index currently holds, in arena order — the leak
     /// audit surface: this must equal the store's pinned-page set exactly.
-    pub fn all_pages(&self) -> Vec<PageId> {
+    pub(crate) fn all_pages(&self) -> Vec<PageId> {
         self.nodes
             .iter()
             .flatten()

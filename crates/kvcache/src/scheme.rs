@@ -151,7 +151,7 @@ impl QuantScheme {
     }
 
     /// Payload bytes for one token of one head (`dim` channels, K **and** V).
-    pub fn payload_bytes_per_token(&self, dim: usize) -> f64 {
+    pub(crate) fn payload_bytes_per_token(&self, dim: usize) -> f64 {
         2.0 * dim as f64 * self.bits_per_value() as f64 / 8.0
     }
 
@@ -185,11 +185,6 @@ impl QuantScheme {
     /// Total cache bytes per token of one head (payload + metadata).
     pub fn bytes_per_token(&self, dim: usize) -> f64 {
         self.payload_bytes_per_token(dim) + self.params_bytes_per_token(dim)
-    }
-
-    /// Effective compression ratio against an FP16 cache.
-    pub fn compression_vs_fp16(&self, dim: usize) -> f64 {
-        (2.0 * dim as f64 * 2.0) / self.bytes_per_token(dim)
     }
 
     /// Paper-style label, e.g. `"KC-4"` or `"mxfp4"`.
@@ -228,8 +223,9 @@ mod tests {
     fn compression_ratios() {
         let d = 128;
         // INT4 ≈ 4x minus metadata overhead; INT2 ≈ 8x minus metadata.
-        let c4 = QuantScheme::kc4().compression_vs_fp16(d);
-        let c2 = QuantScheme::kc2().compression_vs_fp16(d);
+        let fp16 = (2 * d * 2) as f64;
+        let c4 = fp16 / QuantScheme::kc4().bytes_per_token(d);
+        let c2 = fp16 / QuantScheme::kc2().bytes_per_token(d);
         assert!(c4 > 3.5 && c4 < 4.0, "KC-4 compression {c4}");
         assert!(c2 > 6.2 && c2 < 8.0, "KC-2 compression {c2}");
         assert!(c2 > c4);

@@ -98,24 +98,13 @@ impl SwappedShardedSeq {
             .collect()
     }
 
-    /// Pages [`ShardedKvStore::swap_in`] must reserve **per device**,
-    /// given the store's page size (identical on every device, since all
-    /// devices mirror the same reservation).
-    pub fn pages_needed(&self, page_tokens: usize) -> usize {
-        self.per_device
-            .iter()
-            .map(|b| b.pages_needed(page_tokens))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Verifies every device share against its recorded checksum.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::CorruptBlob`] when any share's payload
     /// changed since swap-out.
-    pub fn verify(&self) -> Result<(), StoreError> {
+    pub(crate) fn verify(&self) -> Result<(), StoreError> {
         for share in &self.per_device {
             share.verify()?;
         }
@@ -125,7 +114,7 @@ impl SwappedShardedSeq {
     /// Flips one payload bit of device `device`'s share (taken modulo the
     /// device count) **without** updating its checksum — the tamper hook
     /// the fault injector and the corruption tests use. See
-    /// [`SwappedSeq::flip_bit`].
+    /// `SwappedSeq::flip_bit`.
     pub fn flip_bit(&mut self, device: usize, bit: u64) {
         if self.per_device.is_empty() {
             return;
@@ -285,7 +274,7 @@ impl ShardedKvStore {
 
     /// Monotone count of copy-on-write breaks summed over every device
     /// since this store was built (resets when the store is rebuilt, e.g.
-    /// after a device loss). See [`PagedKvStore::cow_breaks`].
+    /// after a device loss). See `PagedKvStore::cow_breaks`.
     pub fn cow_breaks(&self) -> usize {
         self.devices.iter().map(PagedKvStore::cow_breaks).sum()
     }
@@ -619,12 +608,6 @@ impl ShardedKvStore {
         }
     }
 
-    /// Whether the prefix cache is enabled (identical on every device —
-    /// the toggle is all-device atomic).
-    pub fn prefix_cache_enabled(&self) -> bool {
-        self.devices[0].prefix_cache_enabled()
-    }
-
     /// Lifetime prefix-cache counters summed over every device.
     pub fn prefix_cache_stats(&self) -> PrefixCacheStats {
         let mut stats = PrefixCacheStats::default();
@@ -632,15 +615,6 @@ impl ShardedKvStore {
             stats.absorb(dev.prefix_cache_stats());
         }
         stats
-    }
-
-    /// Pages the prefix caches currently hold pinned, summed over every
-    /// device.
-    pub fn prefix_cached_pages(&self) -> usize {
-        self.devices
-            .iter()
-            .map(PagedKvStore::prefix_cached_pages)
-            .sum()
     }
 
     /// Admits **and** prefills a sequence on **every** device in one step:
@@ -1157,7 +1131,6 @@ mod tests {
                 let placement = Placement::new(devices, part, 4);
                 let mut store = ShardedKvStore::new(cfg(16), placement, 64, 32);
                 store.set_prefix_cache(true);
-                assert!(store.prefix_cache_enabled());
                 // 128 packed tokens = one full 4-page run per device
                 // (Nr = 128, 32-token pages), plus a 32-token residual.
                 let len = 160;
@@ -1205,9 +1178,15 @@ mod tests {
                 // returns every one of them (leak audit).
                 store.evict(a);
                 store.evict(b);
-                assert_eq!(store.prefix_cached_pages(), 4 * devices);
+                let cached = |s: &ShardedKvStore| -> usize {
+                    s.devices
+                        .iter()
+                        .map(PagedKvStore::prefix_cached_pages)
+                        .sum()
+                };
+                assert_eq!(cached(&store), 4 * devices);
                 store.set_prefix_cache(false);
-                assert_eq!(store.prefix_cached_pages(), 0);
+                assert_eq!(cached(&store), 0);
                 assert_eq!(store.free_pages(), store.total_pages());
             }
         }

@@ -12,7 +12,7 @@ impl PagedKvStore {
     /// resident and either `at_token` is `Nr`-aligned or the rows past the
     /// last aligned boundary are still in the parent's FP16 residual
     /// window.
-    pub fn can_fork(&self, parent: SeqId, at_token: usize) -> bool {
+    pub(crate) fn can_fork(&self, parent: SeqId, at_token: usize) -> bool {
         let Some(state) = self.seqs.get(&parent) else {
             return false;
         };
@@ -23,7 +23,7 @@ impl PagedKvStore {
     /// Pages a [`PagedKvStore::fork`] would **newly** allocate (the shared
     /// prefix costs nothing), or `None` when the fork itself is invalid —
     /// what admission preflight should charge a shared-prompt request.
-    pub fn fork_new_pages(
+    pub(crate) fn fork_new_pages(
         &self,
         parent: SeqId,
         at_token: usize,

@@ -405,22 +405,22 @@ impl PagedKvStore {
     }
 
     /// The cache configuration shared by every sequence.
-    pub fn config(&self) -> &CacheConfig {
+    pub(crate) fn config(&self) -> &CacheConfig {
         &self.config
     }
 
     /// KV heads per sequence.
-    pub fn heads(&self) -> usize {
+    pub(crate) fn heads(&self) -> usize {
         self.heads
     }
 
     /// Residual block size `Nr`.
-    pub fn residual_block(&self) -> usize {
+    pub(crate) fn residual_block(&self) -> usize {
         self.config.residual_block()
     }
 
     /// Tokens per page.
-    pub fn page_tokens(&self) -> usize {
+    pub(crate) fn page_tokens(&self) -> usize {
         self.pool.page_tokens()
     }
 
@@ -441,7 +441,7 @@ impl PagedKvStore {
 
     /// Fraction of pages in use, counting reclaimable cache holdings as
     /// free (consistent with [`PagedKvStore::free_pages`]).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         1.0 - self.free_pages() as f64 / self.total_pages().max(1) as f64
     }
 
@@ -569,7 +569,7 @@ impl PagedKvStore {
     /// # Panics
     ///
     /// Panics on a non-resident sequence.
-    pub fn residual_len(&self, seq: SeqId) -> usize {
+    pub(crate) fn residual_len(&self, seq: SeqId) -> usize {
         self.seqs[&seq].residual_k[0].tokens()
     }
 

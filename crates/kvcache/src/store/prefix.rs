@@ -97,11 +97,6 @@ impl PagedKvStore {
         }
     }
 
-    /// Whether the radix prefix cache is enabled.
-    pub fn prefix_cache_enabled(&self) -> bool {
-        self.prefix_cache
-    }
-
     /// Pages per cache run — the smallest page count whose tokens are a
     /// whole number of `Nr` blocks, so adopting a run never splits a
     /// packed block across an adopted/private boundary (and the adopter's

@@ -28,7 +28,7 @@ pub struct KvSharingStats {
 
 impl KvSharingStats {
     /// Accumulates another snapshot (per-device aggregation).
-    pub fn absorb(&mut self, other: KvSharingStats) {
+    pub(crate) fn absorb(&mut self, other: KvSharingStats) {
         self.physical_pages += other.physical_pages;
         self.logical_pages += other.logical_pages;
         self.shared_pages += other.shared_pages;
@@ -59,7 +59,7 @@ pub struct PrefixCacheStats {
 
 impl PrefixCacheStats {
     /// Accumulates another device's counters (sharded aggregation).
-    pub fn absorb(&mut self, other: PrefixCacheStats) {
+    pub(crate) fn absorb(&mut self, other: PrefixCacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.pages_reused += other.pages_reused;
@@ -81,7 +81,7 @@ pub struct PrefixAdmit {
 
 impl PrefixAdmit {
     /// Accumulates another device's share of the same admission.
-    pub fn absorb(&mut self, other: PrefixAdmit) {
+    pub(crate) fn absorb(&mut self, other: PrefixAdmit) {
         self.pages_reused += other.pages_reused;
         self.bytes_reused += other.bytes_reused;
     }
@@ -91,7 +91,7 @@ impl PagedKvStore {
     /// Monotone count of copy-on-write breaks since the store was built:
     /// each is one shared page privatized because a sequence wrote into
     /// it. Observability reads this per step to attribute CoW traffic.
-    pub fn cow_breaks(&self) -> usize {
+    pub(crate) fn cow_breaks(&self) -> usize {
         self.cow_breaks
     }
 
@@ -211,18 +211,14 @@ impl PagedKvStore {
     }
 
     /// Lifetime prefix-cache counters (all zero while disabled).
-    pub fn prefix_cache_stats(&self) -> PrefixCacheStats {
+    pub(crate) fn prefix_cache_stats(&self) -> PrefixCacheStats {
         self.prefix_stats
     }
 
     /// Pages the prefix cache currently holds pinned (shared with, or
     /// outliving, their registering sequences).
-    pub fn prefix_cached_pages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn prefix_cached_pages(&self) -> usize {
         self.radix.all_pages().len()
-    }
-
-    /// Runs (radix nodes) currently cached.
-    pub fn prefix_cached_runs(&self) -> usize {
-        self.radix.node_count()
     }
 }

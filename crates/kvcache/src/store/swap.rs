@@ -89,12 +89,6 @@ impl SwappedSeq {
         self.len == 0
     }
 
-    /// Pages [`PagedKvStore::swap_in`] must reserve, given the store's
-    /// page size.
-    pub fn pages_needed(&self, page_tokens: usize) -> usize {
-        self.reserved_tokens.div_ceil(page_tokens)
-    }
-
     /// Host bytes the blob occupies (packed payloads + FP16 residual
     /// windows) — the traffic one swap direction moves over the host link.
     pub fn host_bytes(&self) -> usize {
@@ -123,7 +117,7 @@ impl SwappedSeq {
     /// every reshare `(page, generation)` record — each container after
     /// its length (heads, blocks per head, rows per window, records), so
     /// no content can move from one head, window or record to the next.
-    pub fn computed_checksum(&self) -> u64 {
+    pub(crate) fn computed_checksum(&self) -> u64 {
         let mut fold = packed_fold();
         for v in [
             self.dim as u64,
@@ -167,7 +161,7 @@ impl SwappedSeq {
     ///
     /// Returns [`StoreError::CorruptBlob`] when any payload bit changed
     /// since swap-out.
-    pub fn verify(&self) -> Result<(), StoreError> {
+    pub(crate) fn verify(&self) -> Result<(), StoreError> {
         let got = self.computed_checksum();
         if got == self.checksum {
             Ok(())
@@ -184,7 +178,7 @@ impl SwappedSeq {
     /// The bit lands in the first packed payload when the blob holds any
     /// flushed block, in the FP16 residual window otherwise; a blob with
     /// no payload at all is left unchanged.
-    pub fn flip_bit(&mut self, bit: u64) {
+    pub(crate) fn flip_bit(&mut self, bit: u64) {
         for head in &mut self.blocks {
             for block in head {
                 match &mut block.k.payload {
@@ -411,9 +405,9 @@ impl PagedKvStore {
     /// Pages a [`PagedKvStore::swap_in`] of `blob` would **newly**
     /// allocate given the store's current residency — recorded shared
     /// pages that are still alive re-share rather than re-reserve, so
-    /// admission preflight should count this, not
-    /// [`SwappedSeq::pages_needed`].
-    pub fn swap_in_new_pages(&self, blob: &SwappedSeq) -> usize {
+    /// admission preflight should count this, not the blob's whole
+    /// reservation.
+    pub(crate) fn swap_in_new_pages(&self, blob: &SwappedSeq) -> usize {
         let slots = self.reshare_slots(blob);
         let total = blob
             .reserved_tokens

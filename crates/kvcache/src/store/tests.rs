@@ -729,11 +729,11 @@ fn swap_round_trip_is_bitwise_and_frees_pages_between() {
         assert_eq!(store.free_pages(), free_before, "swap-out frees all pages");
         assert_eq!(store.resident(), 0);
         assert_eq!(blob.host_bytes(), bytes);
-        assert_eq!(blob.pages_needed(page_tokens), held);
         assert!(store.swap_out(seq).is_err(), "already swapped out");
 
         let seq2 = store.swap_in(&blob).unwrap();
         assert_ne!(seq2, seq, "ids are never reused");
+        assert_eq!(free_before - store.free_pages(), held, "same reservation");
         assert!(
             store.matches_cache(seq2, &cache, 0),
             "page_tokens={page_tokens}: swap round trip not bitwise"
@@ -1155,7 +1155,7 @@ fn swap_in_registered_run_gains_its_source_digest_from_the_next_prefill() {
     // Registered by a swap-in: packed keys only, no source digest.
     store.set_prefix_cache(true);
     store.swap_in(&blob).unwrap();
-    assert_eq!(store.prefix_cached_runs(), 2);
+    assert_eq!(store.radix.node_count(), 2);
     let encoded = AtomicUsize::new(0);
     let codec = CountingCodec(&encoded);
     // The source lookup misses, the packed chain behind it hits — and
@@ -1167,7 +1167,7 @@ fn swap_in_registered_run_gains_its_source_digest_from_the_next_prefill() {
         heads * 2,
         "packed path quantizes first"
     );
-    assert_eq!(store.prefix_cached_runs(), 2, "adopted, not duplicated");
+    assert_eq!(store.radix.node_count(), 2, "adopted, not duplicated");
     encoded.store(0, Ordering::Relaxed);
     let (_, second) = store.admit_prefill_cached(&k, &v, len, &codec).unwrap();
     assert_eq!(second.pages_reused, 2 * 4);
@@ -1176,7 +1176,7 @@ fn swap_in_registered_run_gains_its_source_digest_from_the_next_prefill() {
         heads,
         "now found before quantizing"
     );
-    assert_eq!(store.prefix_cached_runs(), 2);
+    assert_eq!(store.radix.node_count(), 2);
 }
 
 #[test]
@@ -1246,7 +1246,7 @@ fn recycled_page_generation_blocks_stale_adoption() {
     assert_eq!(stats.evicted_pages, 4);
     // The stale entry was replaced by `b`'s fresh registration, and
     // the restored bytes are correct.
-    assert_eq!(store.prefix_cached_runs(), 1);
+    assert_eq!(store.radix.node_count(), 1);
     let mut plain = PagedKvStore::new(cfg(16), 1, 16, 32);
     let s2 = plain.admit(128).unwrap();
     plain.prefill(s2, &k, &v, &ReferenceCodec).unwrap();
@@ -1508,7 +1508,7 @@ fn every_heads_leaf_reaches_both_chains() {
             assert_eq!(admit.pages_reused, r * 4, "{at}");
             // Runs `r..` got keys of their own: none answered to a key
             // the cached prompt's runs hold.
-            assert_eq!(store.prefix_cached_runs(), 2 * runs - r, "{at}");
+            assert_eq!(store.radix.node_count(), 2 * runs - r, "{at}");
             assert!(
                 store.matches_cache(seq, &contiguous_twin(&store, &k, &v2), 0),
                 "{at}"

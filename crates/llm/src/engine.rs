@@ -53,13 +53,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Sets the weight precision (builder style).
-    pub fn with_weights(mut self, weights: WeightPrecision) -> Self {
+    pub(crate) fn with_weights(mut self, weights: WeightPrecision) -> Self {
         self.weights = weights;
         self
     }
 
     /// Overrides the interconnect link model (builder style).
-    pub fn with_interconnect(mut self, interconnect: InterconnectModel) -> Self {
+    #[cfg(test)]
+    fn with_interconnect(mut self, interconnect: InterconnectModel) -> Self {
         self.interconnect = interconnect;
         self
     }
@@ -68,7 +69,7 @@ impl<'a> Engine<'a> {
     /// (QKV/O projections + SwiGLU MLP for every layer + LM head), at batch
     /// size `batch`. Decode GEMMs are weight-traffic bound at practical
     /// batch sizes.
-    pub fn linear_profile(&self, batch: usize) -> KernelProfile {
+    pub(crate) fn linear_profile(&self, batch: usize) -> KernelProfile {
         let m = &self.model;
         let weight_bytes = m.param_count() * self.weights.bytes_per_param() / m.gpus as f64;
         let act_bytes = batch as f64 * m.hidden as f64 * 2.0 * (4.0 * m.layers as f64);
@@ -95,7 +96,7 @@ impl<'a> Engine<'a> {
 
     /// Attention shape for one layer at `(batch, seq_len)` with a typical
     /// half-full residual region.
-    pub fn attention_shape(&self, batch: usize, seq_len: usize) -> DecodeShape {
+    pub(crate) fn attention_shape(&self, batch: usize, seq_len: usize) -> DecodeShape {
         let residual = 64.min(seq_len / 2);
         DecodeShape::new(batch, self.model.attention(), seq_len).with_residual(residual)
     }
@@ -119,7 +120,7 @@ impl<'a> Engine<'a> {
     /// the hidden activations on the [`InterconnectModel`], twice per
     /// layer (after attention-out and after the MLP). Zero for a
     /// single-GPU model.
-    pub fn tp_allreduce_s(&self, batch: usize) -> f64 {
+    pub(crate) fn tp_allreduce_s(&self, batch: usize) -> f64 {
         if self.model.gpus <= 1 {
             return 0.0;
         }
@@ -142,7 +143,7 @@ impl<'a> Engine<'a> {
 
     /// Prefill latency for a context of `seq_len` (compute-bound flash
     /// prefill + weight streaming), used by generation-latency figures.
-    pub fn prefill_latency(&self, seq_len: usize) -> f64 {
+    pub(crate) fn prefill_latency(&self, seq_len: usize) -> f64 {
         let m = &self.model;
         let flops = 2.0 * m.param_count() * seq_len as f64 / m.gpus as f64
             + 4.0 * m.layers as f64 * (m.heads_q * m.head_dim) as f64 * (seq_len as f64).powi(2)

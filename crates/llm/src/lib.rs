@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 //! # bd-llm — end-to-end LLM inference simulation
@@ -14,13 +15,11 @@
 //! * [`serving`] — paged max-batch throughput evaluation, both analytic
 //!   and functional (driving the `bd-serve` batched decode runtime).
 
-pub mod batching;
 pub mod engine;
 pub mod memory;
 pub mod model;
 pub mod serving;
 
-pub use batching::{simulate_continuous_batching, synth_trace, BatchSimReport, Request};
 pub use engine::{Engine, WeightPrecision};
 pub use memory::{MemoryModel, OomError, RESERVE_BYTES};
 pub use model::ModelConfig;

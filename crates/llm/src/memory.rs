@@ -115,7 +115,7 @@ impl MemoryModel {
     }
 
     /// Largest batch that fits at `seq_len` (0 if even batch 1 OOMs).
-    pub fn max_batch(
+    pub(crate) fn max_batch(
         &self,
         model: &ModelConfig,
         system: &dyn DecodeSystem,

@@ -29,7 +29,7 @@ pub struct ModelConfig {
 
 impl ModelConfig {
     /// LLaMA-2-7B (MHA).
-    pub const fn llama2_7b() -> Self {
+    pub(crate) const fn llama2_7b() -> Self {
         ModelConfig {
             name: "llama-2-7B",
             layers: 32,
@@ -59,7 +59,7 @@ impl ModelConfig {
     }
 
     /// LLaMA-3.1-70B (GQA, g_q = 8, 8-way tensor parallel).
-    pub const fn llama31_70b() -> Self {
+    pub(crate) const fn llama31_70b() -> Self {
         ModelConfig {
             name: "llama-3.1-70B",
             layers: 80,
@@ -74,7 +74,7 @@ impl ModelConfig {
     }
 
     /// Qwen3-8B (GQA).
-    pub const fn qwen3_8b() -> Self {
+    pub(crate) const fn qwen3_8b() -> Self {
         ModelConfig {
             name: "Qwen3-8B",
             layers: 36,
@@ -89,7 +89,7 @@ impl ModelConfig {
     }
 
     /// Qwen3-14B (GQA).
-    pub const fn qwen3_14b() -> Self {
+    pub(crate) const fn qwen3_14b() -> Self {
         ModelConfig {
             name: "Qwen3-14B",
             layers: 40,
@@ -120,7 +120,7 @@ impl ModelConfig {
     }
 
     /// Total parameter count (attention + SwiGLU MLP + embeddings + head).
-    pub fn param_count(&self) -> f64 {
+    pub(crate) fn param_count(&self) -> f64 {
         let d = self.hidden as f64;
         let attn = d * (self.heads_q + 2 * self.heads_kv) as f64 * self.head_dim as f64
             + (self.heads_q * self.head_dim) as f64 * d;
@@ -130,14 +130,8 @@ impl ModelConfig {
     }
 
     /// FP16 weight bytes per GPU (tensor-parallel shards split evenly).
-    pub fn weight_bytes_fp16_per_gpu(&self) -> f64 {
+    pub(crate) fn weight_bytes_fp16_per_gpu(&self) -> f64 {
         self.param_count() * 2.0 / self.gpus as f64
-    }
-
-    /// FP16 KV-cache bytes per token per sequence, all layers, per GPU.
-    pub fn kv_bytes_per_token_fp16_per_gpu(&self) -> f64 {
-        2.0 * self.layers as f64 * self.heads_kv as f64 * self.head_dim as f64 * 2.0
-            / self.gpus as f64
     }
 }
 
@@ -150,6 +144,7 @@ impl fmt::Display for ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bd_baselines::{DecodeSystem, FlashDecoding};
     use bd_core::AttentionVariant;
 
     #[test]
@@ -193,7 +188,7 @@ mod tests {
         // 2 · n_layers · h_kv · d · 2 bytes (the paper's §II formula).
         let m = ModelConfig::llama31_8b();
         assert_eq!(
-            m.kv_bytes_per_token_fp16_per_gpu(),
+            FlashDecoding::v2().kv_bytes_per_token(&m.attention()) * m.layers as f64,
             2.0 * 32.0 * 8.0 * 128.0 * 2.0
         );
     }

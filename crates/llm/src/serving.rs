@@ -42,7 +42,7 @@ impl ServePolicy {
 
     /// Installs the selected policy on a session (benches and CLIs share
     /// this instead of re-matching on policy structs).
-    pub fn install(self, session: ServeSession) -> ServeSession {
+    pub(crate) fn install(self, session: ServeSession) -> ServeSession {
         match self {
             ServePolicy::Fcfs => session,
             ServePolicy::FcfsPreempt => session.with_policy(FcfsPreempt::default()),
@@ -218,9 +218,49 @@ pub fn serve_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batching::{synth_trace, Request};
     use bd_baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
     use bd_serve::{replay_contiguous, SloSummary};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One inference request in a trace.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Request {
+        /// Arrival time in seconds.
+        arrival_s: f64,
+        /// Prompt (prefill) length in tokens.
+        prompt_tokens: usize,
+        /// Tokens to generate.
+        gen_tokens: usize,
+    }
+
+    /// Synthesizes a Poisson-arrival trace with log-uniform prompt lengths.
+    fn synth_trace(
+        rate_rps: f64,
+        duration_s: f64,
+        prompt_range: (usize, usize),
+        gen_tokens: usize,
+        seed: u64,
+    ) -> Vec<Request> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = 0.0f64;
+        let mut out = Vec::new();
+        let (lo, hi) = prompt_range;
+        while t < duration_s {
+            let u: f64 = rng.random::<f64>().max(1e-12);
+            t += -u.ln() / rate_rps; // exponential inter-arrival
+            if t >= duration_s {
+                break;
+            }
+            let lu = (lo as f64).ln() + rng.random::<f64>() * ((hi as f64).ln() - (lo as f64).ln());
+            out.push(Request {
+                arrival_s: t,
+                prompt_tokens: lu.exp().round() as usize,
+                gen_tokens,
+            });
+        }
+        out
+    }
 
     fn report(model: ModelConfig, sys: &dyn DecodeSystem, w: WeightPrecision) -> ServingReport {
         max_throughput(model, sys, GpuArch::a100(), w, 32768)

@@ -101,12 +101,6 @@ impl F16 {
         (self.0 & 0x7C00) == 0 && (self.0 & 0x03FF) != 0
     }
 
-    /// Returns `true` if the sign bit is set (including `-0.0` and NaNs with
-    /// the sign bit set).
-    pub fn is_sign_negative(self) -> bool {
-        (self.0 & 0x8000) != 0
-    }
-
     /// Absolute value (clears the sign bit).
     pub fn abs(self) -> Self {
         F16(self.0 & 0x7FFF)
@@ -134,7 +128,7 @@ impl F16 {
     /// GPU `fma.rn.f16` contract used during dequantization
     /// (`x = q * scale + zero`).
     #[inline]
-    pub fn hfma(self, a: F16, b: F16) -> Self {
+    pub(crate) fn hfma(self, a: F16, b: F16) -> Self {
         F16::from_f32(self.to_f32() * a.to_f32() + b.to_f32())
     }
 }
@@ -204,7 +198,7 @@ impl Neg for F16 {
 /// round-correct FP addition against a magic bias, normal results by integer
 /// rounding-bias addition.
 #[inline]
-pub fn f32_to_f16_bits(fbits: u32) -> u16 {
+pub(crate) fn f32_to_f16_bits(fbits: u32) -> u16 {
     const F32_INFTY: u32 = 255 << 23;
     const F16_MAX: u32 = (127 + 16) << 23;
     const DENORM_MAGIC_BITS: u32 = ((127 - 15) + (23 - 10) + 1) << 23;
@@ -239,10 +233,10 @@ pub fn f32_to_f16_bits(fbits: u32) -> u16 {
 /// through a branch-free pass the compiler can vectorize: results in the
 /// binary16 normal range round their 13 excess mantissa bits to nearest
 /// even in place, results in the subnormal range round through the same
-/// `+ 0.5` alignment [`f32_to_f16_bits`] uses. A row holding anything
+/// `+ 0.5` alignment `f32_to_f16_bits` uses. A row holding anything
 /// larger, infinite or NaN is redone element by element through [`F16`].
 /// On a host with F16C the pass converts 8 values per `vcvtps2ph` /
-/// `vcvtph2ps` pair instead ([`Isa::round_through_f16`]).
+/// `vcvtph2ps` pair instead (`Isa::round_through_f16`).
 ///
 /// # Panics
 ///
@@ -258,7 +252,7 @@ pub fn round_through_f16_in_place(xs: &mut [f32]) {
 
 impl Isa {
     /// [`round_through_f16`] in this instance.
-    pub fn round_through_f16(self, src: &[f32], dst: &mut [f32]) {
+    pub(crate) fn round_through_f16(self, src: &[f32], dst: &mut [f32]) {
         assert_eq!(src.len(), dst.len(), "slab length mismatch");
         let overflow = match self.avx2() {
             Some(avx2) => avx2.round(src, dst),
@@ -328,7 +322,7 @@ const SIGN_MASK: u32 = 0x8000_0000;
 
 /// Exact binary16 → `f32` conversion on raw bits.
 #[inline]
-pub fn f16_bits_to_f32(h: u16) -> u32 {
+pub(crate) fn f16_bits_to_f32(h: u16) -> u32 {
     const MAGIC_BITS: u32 = 113 << 23;
     const SHIFTED_EXP: u32 = 0x7C00 << 13;
 

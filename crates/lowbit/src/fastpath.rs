@@ -88,7 +88,7 @@ pub struct FusedScale {
 
 impl FusedScale {
     /// Builds the fused constants from plain quantization parameters.
-    pub fn new(params: QuantParams) -> Self {
+    pub(crate) fn new(params: QuantParams) -> Self {
         let s = params.scale;
         let bias = F16::from_f32(params.zero.to_f32() - MAGIC_BIAS * s.to_f32());
         FusedScale {
@@ -155,16 +155,6 @@ pub fn dequant_register(
     (out, ops)
 }
 
-/// Instruction counts for the *slow* `static_cast` path over the same
-/// register, for the cost model's comparison (Fig. 3 discussion / Table II).
-///
-/// Each element needs: shift+mask (1), `cvt.rn.f16.s32` (modelled at the
-/// documented quarter-rate, counted as 4 slots), and an `HFMA` (1).
-pub fn slow_path_ops(width: BitWidth) -> u32 {
-    let n = codes_per_u32(width) as u32;
-    n * (1 + 4 + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,7 +166,7 @@ mod tests {
             .map(|i| (i as u8 * 7 + 3) & width.max_code())
             .collect();
         let reg = pack_u32(&codes, width, PackOrder::FastDequant);
-        let (vals, ops) = dequant_register(reg, width, params);
+        let (vals, _) = dequant_register(reg, width, params);
         assert_eq!(vals.len(), n);
         // The fused bias is rounded to f16, so allow a 1-ulp-of-result slack.
         let tol = params.scale.to_f32() * 0.01 + 2e-3 * params.zero.to_f32().abs().max(1.0);
@@ -188,8 +178,6 @@ mod tests {
                 v.to_f32()
             );
         }
-        // Fast path must use far fewer instructions than the slow path.
-        assert!(ops.total() < slow_path_ops(width));
     }
 
     #[test]
@@ -254,8 +242,5 @@ mod tests {
                 hfma2: 8
             }
         );
-        // 11 and 23 slots vs 48 / 96 for the slow path.
-        assert!(ops4.total() * 4 < slow_path_ops(BitWidth::B4));
-        assert!(ops2.total() * 4 < slow_path_ops(BitWidth::B2));
     }
 }

@@ -91,7 +91,7 @@ impl E8M0 {
     }
 
     /// Builds the scale `2^exp`, clamping `exp` to the representable range.
-    pub fn from_exponent(exp: i32) -> Self {
+    pub(crate) fn from_exponent(exp: i32) -> Self {
         E8M0(exp.saturating_add(127).clamp(0, 254) as u8)
     }
 
@@ -140,7 +140,7 @@ impl E4M3 {
     }
 
     /// Encodes with round-to-nearest-even, saturating at ±448.
-    pub fn from_f32(x: f32) -> Self {
+    pub(crate) fn from_f32(x: f32) -> Self {
         if x.is_nan() {
             return E4M3(0x7F);
         }
@@ -186,11 +186,6 @@ impl Fp4Kind {
             Fp4Kind::Mx => 32,
             Fp4Kind::Nv => 16,
         }
-    }
-
-    /// Bytes of scale metadata per block.
-    pub const fn scale_bytes(self) -> usize {
-        1
     }
 }
 

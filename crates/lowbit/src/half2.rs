@@ -62,7 +62,7 @@ impl Half2 {
 
     /// Element-wise fused multiply-add: `self * a + b`, the `HFMA2`
     /// instruction applied during dequantization.
-    pub fn hfma2(self, a: Half2, b: Half2) -> Self {
+    pub(crate) fn hfma2(self, a: Half2, b: Half2) -> Self {
         Half2 {
             lo: self.lo.hfma(a.lo, b.lo),
             hi: self.hi.hfma(a.hi, b.hi),

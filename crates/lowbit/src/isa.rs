@@ -16,7 +16,7 @@
 //! out the AVX2 one): a tile's segments are permuted two at a time
 //! ([`Avx512::permute2`]), a 16-entry LUT line is built in one register
 //! ([`Avx512::dequant_lines`]), `row_times_matrix` runs 128-lane tiles
-//! first, and the exp takes 8 doubles per register ([`Avx512::exp`]). The residual kernel runs in the AVX2 instance on such a
+//! first, and the exp takes 8 doubles per register (`Avx512::exp`). The residual kernel runs in the AVX2 instance on such a
 //! host too ([`Isa::without_avx512`]): wider, it timed slower.
 #![allow(unsafe_code)]
 
@@ -139,8 +139,8 @@ impl Isa {
     }
 
     /// `*x = x.exp()` for every `x` in `xs`, bit for bit `f32::exp` on a
-    /// host whose libm runs `__expf_fma` (see [`Avx2::exp`] and
-    /// [`Avx512::exp`]).
+    /// host whose libm runs `__expf_fma` (see `Avx2::exp` and
+    /// `Avx512::exp`).
     #[inline(always)]
     pub fn exp_in_place(self, xs: &mut [f32]) {
         match (self.avx512(), self.avx2()) {
@@ -189,7 +189,7 @@ impl Avx2 {
     /// 2.36's `__expf_fma` on 2 × 4 doubles, its special-case lanes
     /// (`|x| ≥ 88`, Inf, NaN) by `f32::exp`.
     #[inline(always)]
-    pub fn exp(self, xs: &mut [f32]) {
+    pub(crate) fn exp(self, xs: &mut [f32]) {
         exp_by_8(
             xs,
             #[inline(always)]
@@ -221,7 +221,7 @@ impl Avx2 {
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 impl Avx512 {
     /// The AVX2 proof: AVX-512 F, BW, VL and DQ come on top of it.
-    pub fn avx2(self) -> Avx2 {
+    pub(crate) fn avx2(self) -> Avx2 {
         Avx2(())
     }
 
@@ -251,7 +251,7 @@ impl Avx512 {
     /// [`Avx2::exp`] with each 8 lanes' doubles in one register: the same
     /// steps, and a table read by two `vpermt2q` and a blend, not a gather.
     #[inline(always)]
-    pub fn exp(self, xs: &mut [f32]) {
+    pub(crate) fn exp(self, xs: &mut [f32]) {
         exp_by_8(
             xs,
             #[inline(always)]

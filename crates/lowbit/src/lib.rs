@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -44,7 +45,7 @@ pub use f16::F16;
 pub use fp4::{BlockScale, Fp4Block, Fp4Kind, E2M1, E4M3, E8M0};
 pub use half2::Half2;
 pub use pack::{
-    codes_per_u16, codes_per_u32, fuse_words, pack_u16, pack_u32, split_register, unpack_u16,
-    unpack_u32, unpack_u32_into, PackOrder, FAST_PERM_INT2, FAST_PERM_INT4,
+    codes_per_u32, fuse_words, pack_u16, pack_u32, split_register, unpack_u16, unpack_u32,
+    unpack_u32_into, PackOrder, FAST_PERM_INT2, FAST_PERM_INT4,
 };
 pub use quant::{emit_code, quantize_group, BitWidth, MinMax, QuantParams};

@@ -40,7 +40,7 @@ pub const fn codes_per_u32(width: BitWidth) -> usize {
 }
 
 /// Number of codes held by one 16-bit storage word.
-pub const fn codes_per_u16(width: BitWidth) -> usize {
+pub(crate) const fn codes_per_u16(width: BitWidth) -> usize {
     width.packing_ratio()
 }
 

@@ -50,11 +50,6 @@ impl BitWidth {
     pub const fn packing_ratio(self) -> usize {
         (16 / self.bits()) as usize
     }
-
-    /// Bytes of packed payload required per quantized element.
-    pub const fn bytes_per_element(self) -> f64 {
-        self.bits() as f64 / 8.0
-    }
 }
 
 impl fmt::Display for BitWidth {
@@ -307,7 +302,6 @@ mod tests {
         assert_eq!(BitWidth::B2.packing_ratio(), 8);
         assert_eq!(BitWidth::B4.max_code(), 15);
         assert_eq!(BitWidth::B2.max_code(), 3);
-        assert_eq!(BitWidth::B4.bytes_per_element(), 0.5);
     }
 
     #[test]

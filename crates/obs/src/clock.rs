@@ -32,7 +32,7 @@ impl Default for DualClock {
 
 impl DualClock {
     /// Starts both clocks at zero (wall epoch = now).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DualClock {
             epoch: Instant::now(),
             sim_ns: AtomicU64::new(0),
@@ -42,11 +42,6 @@ impl DualClock {
     /// Microseconds of wall time elapsed since the clock was created.
     pub fn wall_us(&self) -> f64 {
         self.epoch.elapsed().as_nanos() as f64 / 1_000.0
-    }
-
-    /// Current modeled simulator time, in microseconds.
-    pub fn sim_us(&self) -> f64 {
-        self.sim_ns.load(Ordering::Relaxed) as f64 / 1_000.0
     }
 
     /// Advances the modeled clock by `seconds` (clamped at ≥ 0) and
@@ -78,22 +73,19 @@ mod tests {
     #[test]
     fn sim_advances_by_requested_amount() {
         let c = DualClock::new();
-        assert_eq!(c.sim_us(), 0.0);
         let (b0, e0) = c.advance_sim_s(0.001); // 1 ms
         assert_eq!(b0, 0.0);
         assert_eq!(e0, 1_000.0);
         let (b1, e1) = c.advance_sim_s(0.5e-6); // 0.5 µs
         assert_eq!(b1, 1_000.0);
         assert_eq!(e1, 1_000.5);
-        assert_eq!(c.sim_us(), 1_000.5);
     }
 
     #[test]
     fn sim_ignores_nonpositive_and_nonfinite() {
         let c = DualClock::new();
-        c.advance_sim_s(-1.0);
-        c.advance_sim_s(f64::NAN);
-        c.advance_sim_s(f64::INFINITY);
-        assert_eq!(c.sim_us(), 0.0);
+        for seconds in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(c.advance_sim_s(seconds), (0.0, 0.0));
+        }
     }
 }

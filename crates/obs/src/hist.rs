@@ -74,12 +74,12 @@ impl LogHistogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.record_n(value, 1);
     }
 
     /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -95,7 +95,7 @@ impl LogHistogram {
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
@@ -105,7 +105,7 @@ impl LogHistogram {
     }
 
     /// Mean of raw sample values, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -119,7 +119,7 @@ impl LogHistogram {
     }
 
     /// Largest raw sample, or `None` when empty.
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 
@@ -128,7 +128,7 @@ impl LogHistogram {
     /// `ceil(p/100 · count)`. Returns `None` when empty; `p` is clamped
     /// to `[0, 100]` and a rank of at least 1 is used so `p = 0` returns
     /// the quantized minimum.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
+    pub(crate) fn percentile(&self, p: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }

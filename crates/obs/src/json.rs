@@ -86,10 +86,18 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts: the descent is
+/// recursive, so hostile input must not choose the stack depth.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document; trailing whitespace only.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -102,6 +110,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -142,8 +152,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err("nesting deeper than 128"))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -225,13 +246,17 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
+                            // Exactly four ASCII hex digits (`from_str_radix`
+                            // would also take a sign).
+                            let code = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                                .and_then(|h| {
+                                    h.iter().try_fold(0, |code, &d| {
+                                        Some(code << 4 | char::from(d).to_digit(16)?)
+                                    })
+                                })
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
                             // Surrogate pairs are not needed for our
                             // machine-emitted ASCII artifacts; map lone
@@ -373,9 +398,13 @@ mod tests {
             "\"unterminated",
             "[1] extra",
             "{'a': 1}",
+            "\"\\u+041\"",
+            &"[".repeat(1_000_000),
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 //! # bd-obs — zero-dependency observability for the serve runtime
@@ -15,8 +16,8 @@
 //!   Chrome `trace_event` JSON ([`SpanTracer::chrome_trace_json`]) that
 //!   loads directly in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 //!   Lanes separate the session control path from per-device execution.
-//! * **Metrics** ([`MetricsRegistry`], [`LogHistogram`]) — named counters,
-//!   gauges, and log-bucketed histograms whose percentile readout is
+//! * **Metrics** ([`MetricsRegistry`], [`LogHistogram`]) — named counters
+//!   and gauges, and log-bucketed histograms whose percentile readout is
 //!   *exactly* the nearest-rank percentile of the quantized samples
 //!   (≤ 1/32 relative quantization error, exact below 32).
 //! * **Request lifecycle** ([`LifecycleTracker`]) — submit → admit →
@@ -102,12 +103,6 @@ impl ObsConfig {
         self
     }
 
-    /// Enables or disables the structured event log.
-    pub fn with_events(mut self, on: bool) -> Self {
-        self.events = on;
-        self
-    }
-
     /// Enables or disables lifecycle/SLO tracking.
     pub fn with_lifecycle(mut self, on: bool) -> Self {
         self.lifecycle = on;
@@ -117,12 +112,6 @@ impl ObsConfig {
     /// Overrides the span ring-buffer capacity.
     pub fn with_span_capacity(mut self, cap: usize) -> Self {
         self.span_capacity = cap;
-        self
-    }
-
-    /// Overrides the event-log capacity.
-    pub fn with_event_capacity(mut self, cap: usize) -> Self {
-        self.event_capacity = cap;
         self
     }
 }

@@ -41,7 +41,7 @@ pub struct Quantiles {
 impl Quantiles {
     /// Extracts quantiles from a histogram, multiplying every statistic
     /// by `scale` (e.g. `1e-6` to turn microsecond samples into seconds).
-    pub fn from_hist(h: &LogHistogram, scale: f64) -> Self {
+    pub(crate) fn from_hist(h: &LogHistogram, scale: f64) -> Self {
         Quantiles {
             count: h.count(),
             p50: h.percentile(50.0).unwrap_or(0) as f64 * scale,
@@ -280,11 +280,6 @@ impl LifecycleTracker {
         }
     }
 
-    /// Tokens counted for one request so far (replays excluded).
-    pub fn request_tokens(&self, id: u64) -> Option<u64> {
-        self.reqs.get(&id).map(|r| r.tokens)
-    }
-
     /// Rolls the tracker up into a `Copy` summary. Zeroed when disabled.
     pub fn summary(&self) -> SloSummary {
         if !self.enabled {
@@ -363,7 +358,6 @@ mod tests {
         t.on_token(1, 1, 30.0);
         t.on_token(1, 2, 31.0);
         t.on_token(1, 3, 40.0);
-        assert_eq!(t.request_tokens(1), Some(3));
         let s = t.summary();
         assert_eq!(s.tokens, 3);
         assert_eq!(s.tbt_steps.count, 2); // gaps 1→2 and 2→3 only

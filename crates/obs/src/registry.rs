@@ -1,24 +1,19 @@
-//! Named metrics registry: counters, gauges, histograms.
+//! Named metrics registry: counters and gauges.
 //!
 //! A deliberately small, deterministic registry: names are `&'static
-//! str`, storage is `BTreeMap` so iteration (and JSON export) order is
+//! str`, storage is `BTreeMap` so iteration order is
 //! alphabetical and stable across runs. The registry is owned by one
 //! writer (the serve session) — no interior mutability, no atomics —
 //! which keeps the mutation paths branch-plus-BTreeMap-lookup cheap and
 //! the whole structure trivially clonable for snapshots.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::hist::LogHistogram;
-
-/// Registry of named counters (monotone u64), gauges (last-set f64),
-/// and log-bucketed histograms.
+/// Registry of named counters (monotone u64) and gauges (last-set f64).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
-    hists: BTreeMap<&'static str, LogHistogram>,
 }
 
 impl MetricsRegistry {
@@ -37,11 +32,6 @@ impl MetricsRegistry {
         self.gauges.insert(name, value);
     }
 
-    /// Records `value` into histogram `name` (creating it empty).
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().record(value);
-    }
-
     /// Current counter value (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -52,63 +42,15 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// The named histogram, if anything was observed into it.
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.hists.get(name)
-    }
-
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Renders the registry as a JSON object with stable (alphabetical)
-    /// key order: `{"counters":{...},"gauges":{...},"histograms":{...}}`.
-    /// Histograms export count/p50/p90/p99/max/mean.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            if v.is_finite() {
-                let _ = write!(out, "\"{k}\":{v}");
-            } else {
-                let _ = write!(out, "\"{k}\":null");
-            }
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{k}\":{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},\"mean\":{:.3}}}",
-                h.count(),
-                h.percentile(50.0).unwrap_or(0),
-                h.percentile(90.0).unwrap_or(0),
-                h.percentile(99.0).unwrap_or(0),
-                h.max().unwrap_or(0),
-                h.mean()
-            );
-        }
-        out.push_str("}}");
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{self, JsonValue};
 
     #[test]
     fn counters_gauges_histograms_round_trip() {
@@ -116,37 +58,8 @@ mod tests {
         r.inc("serve.admitted", 3);
         r.inc("serve.admitted", 2);
         r.set_gauge("serve.pages_free", 17.0);
-        for v in [10u64, 20, 30] {
-            r.observe("serve.batch", v);
-        }
         assert_eq!(r.counter("serve.admitted"), 5);
         assert_eq!(r.counter("never.touched"), 0);
         assert_eq!(r.gauge("serve.pages_free"), Some(17.0));
-        assert_eq!(r.histogram("serve.batch").unwrap().count(), 3);
-        assert_eq!(
-            r.histogram("serve.batch").unwrap().percentile(50.0),
-            Some(20)
-        );
-    }
-
-    #[test]
-    fn to_json_is_valid_and_alphabetical() {
-        let mut r = MetricsRegistry::new();
-        r.inc("z.last", 1);
-        r.inc("a.first", 2);
-        r.set_gauge("g.nan", f64::NAN);
-        r.observe("h.x", 100);
-        let doc = r.to_json();
-        let parsed = json::parse(&doc).unwrap();
-        let counters = parsed.get("counters").unwrap().as_object().unwrap();
-        assert_eq!(counters[0].0, "a.first");
-        assert_eq!(counters[1].0, "z.last");
-        assert_eq!(
-            parsed.get("gauges").unwrap().get("g.nan"),
-            Some(&JsonValue::Null)
-        );
-        let hx = parsed.get("histograms").unwrap().get("h.x").unwrap();
-        assert_eq!(hx.get("count").and_then(JsonValue::as_f64), Some(1.0));
-        assert_eq!(hx.get("p99").and_then(JsonValue::as_f64), Some(100.0));
     }
 }

@@ -196,7 +196,7 @@ impl SpanTracer {
     }
 
     /// Pushes a finished record into the ring.
-    pub fn record(&self, record: SpanRecord) {
+    pub(crate) fn record(&self, record: SpanRecord) {
         if !self.is_enabled() {
             return;
         }

@@ -95,7 +95,7 @@ impl FaultPlan {
 
     /// Adds one event to the schedule.
     #[must_use]
-    pub fn at(mut self, step: usize, kind: FaultKind) -> Self {
+    pub(crate) fn at(mut self, step: usize, kind: FaultKind) -> Self {
         self.events.push(FaultEvent { step, kind });
         self.events.sort_by_key(|e| e.step);
         self
@@ -180,7 +180,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// An injector over `plan`'s schedule.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             events: plan.events,
             injected: 0,
@@ -190,11 +190,6 @@ impl FaultInjector {
     /// Events already fired.
     pub fn injected(&self) -> usize {
         self.injected
-    }
-
-    /// `true` when every scheduled event has fired.
-    pub fn is_drained(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Takes the earliest due event for which `f` returns `Some`.
@@ -211,7 +206,7 @@ impl FaultInjector {
     /// Takes one due device-loss event, returning the device to kill. The
     /// session loops this until `None` at each step top (losing two
     /// devices in one step is two successive rebuilds).
-    pub fn take_device_loss(&mut self, now: usize) -> Option<usize> {
+    pub(crate) fn take_device_loss(&mut self, now: usize) -> Option<usize> {
         self.take_due(now, |k| match k {
             FaultKind::DeviceLoss { device } => Some(device),
             _ => None,
@@ -221,7 +216,7 @@ impl FaultInjector {
     /// Takes one due swap-corruption event, returning the bit to flip.
     /// Called at swap-in time, so a corruption scheduled between swap-ins
     /// waits for the next one.
-    pub fn take_swap_corruption(&mut self, now: usize) -> Option<u64> {
+    pub(crate) fn take_swap_corruption(&mut self, now: usize) -> Option<u64> {
         self.take_due(now, |k| match k {
             FaultKind::CorruptSwap { bit } => Some(bit),
             _ => None,
@@ -231,7 +226,7 @@ impl FaultInjector {
     /// Takes **all** due transient-link events, returning the total failed
     /// attempts to price into this step's interconnect time, and how many
     /// events that covered.
-    pub fn take_transient_failures(&mut self, now: usize) -> (u32, usize) {
+    pub(crate) fn take_transient_failures(&mut self, now: usize) -> (u32, usize) {
         let mut failures = 0;
         let mut events = 0;
         while let Some(f) = self.take_due(now, |k| match k {
@@ -246,7 +241,7 @@ impl FaultInjector {
 
     /// Takes one due pool-exhaustion event, returning `(pages,
     /// hold_steps)`.
-    pub fn take_pool_exhaustion(&mut self, now: usize) -> Option<(usize, Option<usize>)> {
+    pub(crate) fn take_pool_exhaustion(&mut self, now: usize) -> Option<(usize, Option<usize>)> {
         self.take_due(now, |k| match k {
             FaultKind::PoolExhaustion { pages, hold_steps } => Some((pages, hold_steps)),
             _ => None,
@@ -272,7 +267,6 @@ mod tests {
         assert_eq!(inj.take_device_loss(10), None);
         assert_eq!(inj.take_transient_failures(10), (1, 1));
         assert_eq!(inj.injected(), 3);
-        assert!(inj.is_drained());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!   blocked — that guard is what prevents two sequences from thrashing
 //!   each other's pages in alternate steps — and backfill is bounded by
 //!   an aging rule: a swapped-out sequence blocked for
-//!   [`FcfsPreempt::with_patience`] steps pauses further admissions until
+//!   `FcfsPreempt::with_patience` steps pauses further admissions until
 //!   it fits, so sustained fresh load cannot starve it indefinitely.
 //! * [`ShortestRemainingFirst`] — picks the queued request with the
 //!   fewest remaining tokens to generate (ties broken FCFS), never
@@ -209,7 +209,7 @@ struct Starved {
 /// parked swapped-out sequence forever (each newcomer fits the pages the
 /// victim needs, so its swap-in never does). The policy therefore
 /// **ages** the blocked resumable it is tracking: after
-/// [`FcfsPreempt::with_patience`] distinct blocked steps (default 8) it
+/// `FcfsPreempt::with_patience` distinct blocked steps (default 8) it
 /// stops backfilling past it, pausing admissions until draining
 /// sequences return enough pages for the swap-in — a bounded wait, since
 /// every running sequence holds its full generation budget.
@@ -230,7 +230,7 @@ impl FcfsPreempt {
     /// # Panics
     ///
     /// Panics if `patience` is zero (the policy would never backfill).
-    pub fn with_patience(patience: usize) -> Self {
+    pub(crate) fn with_patience(patience: usize) -> Self {
         assert!(patience > 0, "patience must be positive");
         FcfsPreempt {
             patience,

@@ -314,7 +314,7 @@ impl Total<FastDequantOps> for FastDequantOps {
 
 impl ServeMetrics {
     /// Mean per-device utilization (1.0 = perfectly balanced step).
-    pub fn mean_device_utilization(&self) -> f64 {
+    pub(crate) fn mean_device_utilization(&self) -> f64 {
         let n = self.per_device.len().max(1) as f64;
         self.per_device.iter().map(|d| d.utilization).sum::<f64>() / n
     }

@@ -14,13 +14,13 @@ use bd_obs::{device_lane, EventField, SpanStart, LANE_SESSION};
 
 impl StepLedger {
     /// Records one swap transfer's host traffic and modeled time.
-    pub fn add_swap(&mut self, bytes: f64, modeled_s: f64) {
+    pub(crate) fn add_swap(&mut self, bytes: f64, modeled_s: f64) {
         self.swap_bytes += bytes;
         self.modeled_swap_s += modeled_s;
     }
 
     /// Records one injected fault (or absorbed failure).
-    pub fn add_fault(&mut self, events: usize) {
+    pub(crate) fn add_fault(&mut self, events: usize) {
         self.faults_injected += events;
         self.degraded = true;
     }

@@ -218,23 +218,6 @@ pub enum AdmissionError {
     UnknownParent(RequestId),
 }
 
-impl AdmissionError {
-    /// Pages the request is short by (0 for non-capacity rejections).
-    pub fn shortfall_pages(&self) -> usize {
-        match self {
-            AdmissionError::TooLarge {
-                needed_pages,
-                total_pages,
-            } => needed_pages.saturating_sub(*total_pages),
-            AdmissionError::Backpressure {
-                needed_pages,
-                available_pages,
-            } => needed_pages.saturating_sub(*available_pages),
-            AdmissionError::EmptyGeneration | AdmissionError::UnknownParent(_) => 0,
-        }
-    }
-}
-
 impl fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -174,7 +174,7 @@ struct SeqState<'a> {
 impl<'a> SeqTask<'a> {
     /// The sequence of `windows` at generation step `step`, driven by
     /// `model`, with one unit per each of `heads` KV heads to wait for.
-    pub fn new(
+    pub(crate) fn new(
         windows: LaunchSeq<'a>,
         step: usize,
         model: &'a mut dyn SequenceModel,

@@ -1,12 +1,13 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # bitdecoding — facade crate for BitDecoding-RS
 //!
 //! A full-system Rust reproduction of **"BitDecoding: Unlocking Tensor
 //! Cores for Long-Context LLMs with Low-Bit KV Cache"** (HPCA 2026) on a
-//! simulated GPU substrate. See `README.md` for the architecture overview
-//! and `DESIGN.md` for the substitution rationale (no GPU is required —
-//! or used).
+//! simulated GPU substrate. See `README.md` for the quickstart and
+//! `docs/ARCHITECTURE.md` for the architecture and why the GPU is
+//! simulated (no GPU is required — or used).
 //!
 //! This crate re-exports the workspace's public API under stable paths:
 //!
@@ -17,7 +18,7 @@
 //! * [`baselines`] — FlashDecoding/KIVI/Atom/QServe comparison systems;
 //! * [`serve`] — the batched decode runtime (paged packed KV storage,
 //!   pluggable scheduling policies with swap-out/swap-in preemption,
-//!   persistent worker pool);
+//!   one scoped thread launch per decode step);
 //! * [`llm`] — end-to-end model-level simulation;
 //! * [`accuracy`] — quantization fidelity evaluation.
 //!
