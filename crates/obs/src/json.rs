@@ -153,7 +153,7 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
             Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
-                Err(self.err("nesting deeper than 128"))
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
             }
             Some(open @ (b'{' | b'[')) => {
                 self.depth += 1;

@@ -10,7 +10,7 @@ use std::path::Path;
 /// `pub enum`, `pub trait`, `pub const`, `pub type`, `pub mod` or
 /// `pub static` (`pub(crate)` does not count). A ceiling only goes down:
 /// an item that nothing outside its crate names is `pub(crate)`, and a
-/// PR that shrinks a crate's surface lowers its number here.
+/// change that shrinks a crate's surface lowers its number here.
 const PUB_ITEM_CEILINGS: [(&str, usize); 10] = [
     ("accuracy", 9),
     ("baselines", 33),
