@@ -8,8 +8,8 @@
 //!    scales vs power-of-two E8M0, on accuracy and on Blackwell kernel
 //!    speed (scale-metadata traffic differs).
 
-use bd_accuracy::{evaluate_scheme, evaluate_scheme_rotated, longbench_proxy};
-use bd_baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
+use bd_bench::accuracy::{evaluate_scheme, evaluate_scheme_rotated, longbench_proxy};
+use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
 use bd_bench::{banner, row, shape, subbanner};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;

@@ -2,7 +2,7 @@
 //! (KIVI), CUDA-core-only fused kernels (Atom/QServe), and BitDecoding's
 //! cooperative Tensor Core + CUDA core design, on one workload.
 
-use bd_baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
+use bd_bench::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
 use bd_bench::{banner, row, shape, subbanner};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;

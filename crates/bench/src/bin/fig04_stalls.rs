@@ -3,7 +3,7 @@
 //! collapses compute throughput and Tensor-Core utilization; the Wn=4
 //! layout restores them.
 
-use bd_baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
+use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
 use bd_bench::{banner, row, shape, subbanner};
 use bd_core::{AttentionConfig, OptimizationFlags};
 use bd_gpu_sim::GpuArch;

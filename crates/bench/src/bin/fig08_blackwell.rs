@@ -2,7 +2,7 @@
 //! RTX PRO 6000): Single (seq-len sweep, bs = 1) and Batches (batch sweep,
 //! 8K context), speedups over FP16 FlashDecoding-v2.
 
-use bd_baselines::{BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
+use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
 use bd_bench::{banner, shape, speedup_table};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;

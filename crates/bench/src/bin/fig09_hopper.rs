@@ -2,7 +2,7 @@
 //! kernels vs the wgmma/TMA "v3" kernels, against FlashAttention-v2/v3,
 //! in the Single (seq sweep) and Batches (batch sweep) settings.
 
-use bd_baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
+use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
 use bd_bench::{banner, shape, speedup_table};
 use bd_core::{ArchPath, AttentionConfig};
 use bd_gpu_sim::GpuArch;

@@ -2,7 +2,7 @@
 //! MHA and GQA rows × Single / Batches / Pages columns, speedups over FP16
 //! FlashDecoding-v2 (KIVI in Single/Batches; Atom + QServe in Pages).
 
-use bd_baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
+use bd_bench::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
 use bd_bench::{banner, shape, speedup_table};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;

@@ -2,7 +2,7 @@
 //! shift toward compute-bound and CUDA-core-only systems fall below the
 //! FP16 baseline.
 
-use bd_baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
+use bd_bench::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
 use bd_bench::{banner, shape, speedup_table};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;

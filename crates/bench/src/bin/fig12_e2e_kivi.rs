@@ -2,10 +2,10 @@
 //! (A100): (a) single-batch generation-latency speedup at 32K/64K/128K
 //! (with KIVI's 128K OOM), (b) decode throughput vs batch size at 4K.
 
-use bd_baselines::{BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
+use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
+use bd_bench::llm::{Engine, MemoryModel, ModelConfig, WeightPrecision};
 use bd_bench::{banner, fmt_x, row, subbanner};
 use bd_gpu_sim::GpuArch;
-use bd_llm::{Engine, MemoryModel, ModelConfig, WeightPrecision};
 
 fn main() {
     banner("Fig. 12: end-to-end vs KIVI (LLaMA-3.1-8B, A100)");

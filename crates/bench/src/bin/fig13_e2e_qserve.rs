@@ -1,10 +1,10 @@
 //! Fig. 13 — Paged serving throughput vs QServe across five models at a
 //! 32K context: maximum tokens/s under the largest memory-admissible batch.
 
-use bd_baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
+use bd_bench::baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
+use bd_bench::llm::{max_throughput, ModelConfig, WeightPrecision};
 use bd_bench::{banner, row, subbanner};
 use bd_gpu_sim::GpuArch;
-use bd_llm::{max_throughput, ModelConfig, WeightPrecision};
 
 fn main() {
     banner("Fig. 13: paged serving throughput (seq len = 32k, A100)");

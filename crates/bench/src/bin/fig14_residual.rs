@@ -2,7 +2,7 @@
 //! FlashDecoding-v2 vs INT4 without a residual region (whole cache packed)
 //! vs INT4 with the residual region (extra Residual Kernel launch).
 
-use bd_baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
+use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
 use bd_bench::{banner, fmt_ms, row, subbanner};
 use bd_core::{AttentionConfig, DecodeShape};
 use bd_gpu_sim::GpuArch;

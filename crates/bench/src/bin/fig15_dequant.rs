@@ -3,7 +3,7 @@
 //! (b) micro-analysis of unit pressure (memory throughput, Tensor Core,
 //! FMA, ALU) for Atom vs BitDecoding.
 
-use bd_baselines::{BitDecodingSys, CudaOnly, DecodeSystem};
+use bd_bench::baselines::{BitDecodingSys, CudaOnly, DecodeSystem};
 use bd_bench::{banner, row, shape, subbanner};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;

@@ -2,7 +2,7 @@
 //! generations: continuous-packing baseline → +layout induction → +warp
 //! parallelism → +software pipeline, as speedups over the baseline.
 
-use bd_baselines::{BitDecodingSys, ContinuousPacking, DecodeSystem};
+use bd_bench::baselines::{BitDecodingSys, ContinuousPacking, DecodeSystem};
 use bd_bench::{banner, fmt_x, row, shape, subbanner};
 use bd_core::{AttentionConfig, OptimizationFlags};
 use bd_gpu_sim::GpuArch;

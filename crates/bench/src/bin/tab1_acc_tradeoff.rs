@@ -2,12 +2,12 @@
 //! largest admissible batch (LLaMA-3.1-8B, 32K, A100) against the measured
 //! attention fidelity and the LongBench-proxy score.
 
-use bd_accuracy::{evaluate_scheme, longbench_proxy, FP16_LONGBENCH};
-use bd_baselines::{BitDecodingSys, FlashDecoding};
+use bd_bench::accuracy::{evaluate_scheme, longbench_proxy, FP16_LONGBENCH};
+use bd_bench::baselines::{BitDecodingSys, FlashDecoding};
+use bd_bench::llm::{max_throughput, ModelConfig, WeightPrecision};
 use bd_bench::{banner, row, subbanner};
 use bd_gpu_sim::GpuArch;
 use bd_kvcache::QuantScheme;
-use bd_llm::{max_throughput, ModelConfig, WeightPrecision};
 
 fn main() {
     banner("Table I: efficiency and accuracy trade-off (LLaMA-3.1-8B, 32K, A100)");

@@ -2,7 +2,7 @@
 //! and Ladder-style transform kernels vs BitDecoding's fused path, for a
 //! 128K-token prefill and a single decode step.
 
-use bd_baselines::{table2_row, TransformKind};
+use bd_bench::baselines::{table2_row, TransformKind};
 use bd_bench::{banner, row, subbanner};
 use bd_gpu_sim::GpuArch;
 use bd_kvcache::QuantScheme;

@@ -2,7 +2,7 @@
 //! and Tensor-Core utilization from the cost model, and *validity* from the
 //! functional simulator (non-cooperative `Wn > 1` really corrupts outputs).
 
-use bd_baselines::{BitDecodingSys, DecodeSystem};
+use bd_bench::baselines::{BitDecodingSys, DecodeSystem};
 use bd_bench::{banner, row, shape, subbanner};
 use bd_core::{AttentionConfig, BitDecoder, OptimizationFlags};
 use bd_gpu_sim::GpuArch;

@@ -1,8 +1,8 @@
 //! End-to-end decode-step simulation: attention kernels (from any
 //! [`DecodeSystem`]) plus the projection/MLP GEMMs, per layer, per GPU.
 
+use crate::baselines::DecodeSystem;
 use crate::model::ModelConfig;
-use bd_baselines::DecodeSystem;
 use bd_core::DecodeShape;
 use bd_gpu_sim::{GpuArch, InterconnectModel, KernelProfile, OverlapSpec};
 
@@ -168,7 +168,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bd_baselines::{BitDecodingSys, FlashDecoding};
+    use crate::baselines::{BitDecodingSys, FlashDecoding};
 
     #[test]
     fn weight_traffic_floors_small_batch_latency() {
@@ -266,7 +266,7 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use bd_baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
+    use crate::baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
 
     #[test]
     fn int4_weights_cut_linear_time() {

@@ -2,9 +2,9 @@
 //! end-to-end experiments (paper Fig. 12's KIVI OOM, Fig. 13's
 //! max-batch-under-memory throughput).
 
+use crate::baselines::DecodeSystem;
 use crate::engine::WeightPrecision;
 use crate::model::ModelConfig;
-use bd_baselines::DecodeSystem;
 use bd_core::DecodeShape;
 use bd_gpu_sim::GpuArch;
 use std::fmt;
@@ -138,7 +138,7 @@ impl MemoryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bd_baselines::{BitDecodingSys, FlashDecoding, Kivi};
+    use crate::baselines::{BitDecodingSys, FlashDecoding, Kivi};
 
     fn a100() -> GpuArch {
         GpuArch::a100()

@@ -144,7 +144,7 @@ impl fmt::Display for ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bd_baselines::{DecodeSystem, FlashDecoding};
+    use crate::baselines::{DecodeSystem, FlashDecoding};
     use bd_core::AttentionVariant;
 
     #[test]

@@ -4,10 +4,10 @@
 //! runtime (`bd-serve`) — concurrent sequences decoding actual values
 //! through the fused kernel over paged packed storage.
 
+use crate::baselines::DecodeSystem;
 use crate::engine::{Engine, WeightPrecision};
 use crate::memory::MemoryModel;
 use crate::model::ModelConfig;
-use bd_baselines::DecodeSystem;
 use bd_core::{AttentionConfig, BitDecoder};
 use bd_gpu_sim::GpuArch;
 use bd_kvcache::{PagedPool, QuantScheme};
@@ -218,7 +218,7 @@ pub fn serve_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bd_baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
+    use crate::baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
     use bd_serve::{replay_contiguous, SloSummary};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -2,7 +2,7 @@
 //! ordered results (the binaries themselves are exercised by
 //! `all_experiments`; these tests pin the invariants the tables rely on).
 
-use bd_baselines::{speedup, BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
+use bd_bench::baselines::{speedup, BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
 use bd_bench::{shape, typical_residual};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;

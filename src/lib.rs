@@ -46,16 +46,15 @@
 //! # }
 //! ```
 
-pub use bd_accuracy as accuracy;
-pub use bd_baselines as baselines;
+pub use bd_bench::{accuracy, baselines, llm};
 pub use bd_core as core;
 pub use bd_gpu_sim as gpu;
 pub use bd_kvcache as kvcache;
-pub use bd_llm as llm;
 pub use bd_lowbit as lowbit;
 pub use bd_serve as serve;
 
-pub use bd_baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
+pub use bd_bench::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
+pub use bd_bench::llm::{Engine, MemoryModel, ModelConfig, WeightPrecision};
 pub use bd_core::{
     AttentionConfig, BitDecoder, DecodeError, DecodeOutput, DecodeReport, DecodeShape,
     OptimizationFlags,
@@ -68,7 +67,6 @@ pub use bd_kvcache::{
     CacheConfig, DeviceId, PackLayout, PagedKvStore, Partitioning, Placement, QuantScheme,
     QuantizedKvCache, ShardedKvStore,
 };
-pub use bd_llm::{Engine, MemoryModel, ModelConfig, WeightPrecision};
 pub use bd_serve::{
     Fcfs, FcfsPreempt, SchedulerPolicy, ServeConfig, ServeSession, ShortestRemainingFirst,
     SynthSequence,
