@@ -10,13 +10,13 @@ use bd_kvcache::{PackLayout, QuantScheme};
 #[derive(Clone, Copy, Debug)]
 pub struct BitDecodingSys {
     /// Quantization scheme.
-    pub scheme: QuantScheme,
+    pub(crate) scheme: QuantScheme,
     /// Optimization flags (ablations).
-    pub flags: OptimizationFlags,
+    pub(crate) flags: OptimizationFlags,
     /// Force the SM80 "v2" kernels even on Hopper+ (`None` = auto).
-    pub force_path: Option<ArchPath>,
+    pub(crate) force_path: Option<ArchPath>,
     /// Paged KV management.
-    pub paged: bool,
+    pub(crate) paged: bool,
 }
 
 impl BitDecodingSys {
@@ -41,7 +41,7 @@ impl BitDecodingSys {
     }
 
     /// KT-4 default.
-    pub const fn kt4() -> Self {
+    pub(crate) const fn kt4() -> Self {
         Self::new(QuantScheme::kt4())
     }
 
@@ -52,13 +52,13 @@ impl BitDecodingSys {
     }
 
     /// Builder-style path override.
-    pub const fn with_path(mut self, path: ArchPath) -> Self {
+    pub(crate) const fn with_path(mut self, path: ArchPath) -> Self {
         self.force_path = Some(path);
         self
     }
 
     /// Builder-style flag override (ablations).
-    pub const fn with_flags(mut self, flags: OptimizationFlags) -> Self {
+    pub(crate) const fn with_flags(mut self, flags: OptimizationFlags) -> Self {
         self.flags = flags;
         self
     }

@@ -12,14 +12,14 @@ use bd_kvcache::QuantScheme;
 /// token *and re-packs the touched region*, then runs a low-bit attention
 /// kernel without layout induction, warp parallelism, or pipelining.
 #[derive(Clone, Copy, Debug)]
-pub struct ContinuousPacking {
+pub(crate) struct ContinuousPacking {
     /// Quantization scheme (the paper's breakdown uses 4-bit).
-    pub scheme: QuantScheme,
+    pub(crate) scheme: QuantScheme,
 }
 
 impl ContinuousPacking {
     /// 4-bit continuous packing.
-    pub const fn kc4() -> Self {
+    pub(crate) const fn kc4() -> Self {
         ContinuousPacking {
             scheme: QuantScheme::kc4(),
         }

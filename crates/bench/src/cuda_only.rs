@@ -15,7 +15,7 @@ use bd_kvcache::QuantScheme;
 
 /// Which CUDA-core-only system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CudaOnlyKind {
+pub(crate) enum CudaOnlyKind {
     /// Atom: 4-bit, page-managed, **no GQA support**.
     Atom,
     /// QServe: W4A8KV4, page-managed, GQA supported but expensive.
@@ -31,7 +31,7 @@ pub struct CudaOnly {
 
 impl CudaOnly {
     /// The Atom baseline.
-    pub const fn atom() -> Self {
+    pub(crate) const fn atom() -> Self {
         CudaOnly {
             kind: CudaOnlyKind::Atom,
         }

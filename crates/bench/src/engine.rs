@@ -3,7 +3,6 @@
 
 use crate::baselines::DecodeSystem;
 use crate::model::ModelConfig;
-use bd_core::DecodeShape;
 use bd_gpu_sim::{GpuArch, InterconnectModel, KernelProfile, OverlapSpec};
 
 /// Weight precision of the serving stack (QServe runs W4, others FP16).
@@ -27,16 +26,16 @@ impl WeightPrecision {
 /// An end-to-end engine: a model served by an attention system on a GPU.
 pub struct Engine<'a> {
     /// Model architecture.
-    pub model: ModelConfig,
+    pub(crate) model: ModelConfig,
     /// Attention decode system.
-    pub system: &'a dyn DecodeSystem,
+    pub(crate) system: &'a dyn DecodeSystem,
     /// Target GPU (each of `model.gpus` identical).
-    pub arch: GpuArch,
+    pub(crate) arch: GpuArch,
     /// Weight precision.
-    pub weights: WeightPrecision,
+    pub(crate) weights: WeightPrecision,
     /// The link model pricing tensor-parallel all-reduces when
     /// `model.gpus > 1`.
-    pub interconnect: InterconnectModel,
+    pub(crate) interconnect: InterconnectModel,
 }
 
 impl<'a> Engine<'a> {
@@ -94,16 +93,9 @@ impl<'a> Engine<'a> {
         p
     }
 
-    /// Attention shape for one layer at `(batch, seq_len)` with a typical
-    /// half-full residual region.
-    pub(crate) fn attention_shape(&self, batch: usize, seq_len: usize) -> DecodeShape {
-        let residual = 64.min(seq_len / 2);
-        DecodeShape::new(batch, self.model.attention(), seq_len).with_residual(residual)
-    }
-
     /// Fixed per-step serving-stack overhead (scheduler, sampling, python
     /// dispatch) — present in every measured system, roughly constant.
-    pub const STACK_OVERHEAD_S: f64 = 4e-3;
+    pub(crate) const STACK_OVERHEAD_S: f64 = 4e-3;
 
     /// Latency of one decode step (seconds): per-layer attention + all
     /// linear GEMMs + stack overhead (+ a small tensor-parallel all-reduce
@@ -132,12 +124,13 @@ impl<'a> Engine<'a> {
     /// isolates the quantity BitDecoding accelerates (weight streaming and
     /// stack overheads are identical across attention systems).
     pub fn attention_step_latency(&self, batch: usize, seq_len: usize) -> f64 {
-        let shape = self.attention_shape(batch, seq_len);
+        // One layer's shape, with a typical half-full residual region.
+        let shape = crate::shape(batch, self.model.attention(), seq_len);
         self.system.latency_s(&shape, &self.arch) * self.model.layers as f64
     }
 
     /// Decode throughput in generated tokens per second at a batch size.
-    pub fn throughput(&self, batch: usize, seq_len: usize) -> f64 {
+    pub(crate) fn throughput(&self, batch: usize, seq_len: usize) -> f64 {
         batch as f64 / self.decode_step_latency(batch, seq_len)
     }
 
@@ -157,7 +150,12 @@ impl<'a> Engine<'a> {
 
     /// Full generation latency: prefill of `seq_len` then `gen_tokens`
     /// decode steps as the context grows.
-    pub fn generation_latency(&self, batch: usize, seq_len: usize, gen_tokens: usize) -> f64 {
+    pub(crate) fn generation_latency(
+        &self,
+        batch: usize,
+        seq_len: usize,
+        gen_tokens: usize,
+    ) -> f64 {
         // The context grows negligibly relative to long prompts; sample the
         // step latency at the midpoint.
         let mid = seq_len + gen_tokens / 2;

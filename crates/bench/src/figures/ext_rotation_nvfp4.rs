@@ -8,14 +8,16 @@
 //!    scales vs power-of-two E8M0, on accuracy and on Blackwell kernel
 //!    speed (scale-metadata traffic differs).
 
-use bd_bench::accuracy::{evaluate_scheme, evaluate_scheme_rotated, longbench_proxy};
-use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
-use bd_bench::{banner, row, shape, subbanner};
+use crate::accuracy::{evaluate_scheme, longbench_proxy};
+use crate::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
+use crate::rotation::evaluate_scheme_rotated;
+use crate::{banner, row, shape, subbanner};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;
 use bd_kvcache::QuantScheme;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Extension 1: outlier-smoothing rotation (d=128, 1K tokens)");
     subbanner("attention fidelity with and without Q/K Hadamard rotation");
     row(&[
@@ -102,4 +104,5 @@ fn main() {
     println!("NVFP4's E4M3 scales track block maxima ~2x tighter than E8M0's powers of");
     println!("two at 2x the scale-metadata traffic — visible as slightly better accuracy");
     println!("at nearly identical kernel speed.");
+    Ok(())
 }

@@ -2,12 +2,13 @@
 //! (KIVI), CUDA-core-only fused kernels (Atom/QServe), and BitDecoding's
 //! cooperative Tensor Core + CUDA core design, on one workload.
 
-use bd_bench::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
-use bd_bench::{banner, row, shape, subbanner};
+use crate::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
+use crate::{banner, row, shape, subbanner};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 2: system taxonomy on one workload (GQA 32/8, len=8k, bs=8, RTX 4090)");
     let arch = GpuArch::rtx4090();
     let s = shape(8, AttentionConfig::gqa(32, 8, 128), 8192);
@@ -49,4 +50,5 @@ fn main() {
     println!("The taxonomy of paper Fig. 2: non-fused designs multiply launches and");
     println!("round trips; CUDA-only fusion leaves Tensor Cores idle and serializes");
     println!("dequantization; BitDecoding overlaps both units.");
+    Ok(())
 }

@@ -3,12 +3,13 @@
 //! collapses compute throughput and Tensor-Core utilization; the Wn=4
 //! layout restores them.
 
-use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
-use bd_bench::{banner, row, shape, subbanner};
+use crate::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
+use crate::{banner, row, shape, subbanner};
 use bd_core::{AttentionConfig, OptimizationFlags};
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 4: dequantization stalls under the original warp layout (RTX 4090)");
     let arch = GpuArch::rtx4090();
     let s = shape(8, AttentionConfig::gqa(32, 8, 128), 32768);
@@ -57,4 +58,5 @@ fn main() {
     println!("Paper reference (Fig. 4b): with dequant under the original layout, memory");
     println!("stalls rise and compute throughput / TC utilization drop by ~2x; the Wn");
     println!("re-partitioning recovers them.");
+    Ok(())
 }

@@ -2,13 +2,14 @@
 //! RTX PRO 6000): Single (seq-len sweep, bs = 1) and Batches (batch sweep,
 //! 8K context), speedups over FP16 FlashDecoding-v2.
 
-use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
-use bd_bench::{banner, shape, speedup_table};
+use crate::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
+use crate::{banner, shape, speedup_table};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;
 use bd_kvcache::QuantScheme;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 8: Blackwell MXFP4 kernel performance");
     let flash = FlashDecoding::v2();
     let kivi4 = Kivi::int4();
@@ -49,4 +50,5 @@ fn main() {
     println!();
     println!("Paper reference: up to 8.6x (batched) and >4.3x (single 128k) on RTX 5090;");
     println!("up to 6.5x on RTX PRO 6000 at large batch.");
+    Ok(())
 }

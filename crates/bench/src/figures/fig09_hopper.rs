@@ -2,12 +2,13 @@
 //! kernels vs the wgmma/TMA "v3" kernels, against FlashAttention-v2/v3,
 //! in the Single (seq sweep) and Batches (batch sweep) settings.
 
-use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
-use bd_bench::{banner, shape, speedup_table};
+use crate::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
+use crate::{banner, shape, speedup_table};
 use bd_core::{ArchPath, AttentionConfig};
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 9: Hopper (H100) kernel performance");
     let arch = GpuArch::h100();
     let attn = AttentionConfig::gqa(128, 32, 128);
@@ -50,4 +51,5 @@ fn main() {
 
     println!();
     println!("Paper reference: BitDecoding-v2 reaches ~4.1x; v3 (wgmma + TMA) up to 8.0x.");
+    Ok(())
 }

@@ -2,12 +2,13 @@
 //! MHA and GQA rows × Single / Batches / Pages columns, speedups over FP16
 //! FlashDecoding-v2 (KIVI in Single/Batches; Atom + QServe in Pages).
 
-use bd_bench::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
-use bd_bench::{banner, shape, speedup_table};
+use crate::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
+use crate::{banner, shape, speedup_table};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 10: RTX 4090 kernel performance");
     let arch = GpuArch::rtx4090();
     let flash = FlashDecoding::v2();
@@ -56,4 +57,5 @@ fn main() {
     println!();
     println!("Paper reference: ~4x (4-bit) and >7x (2-bit) in Single/Batches;");
     println!("Pages MHA: BitDecoding >6x vs QServe 3.5x; Pages GQA: 3x vs 1.4x.");
+    Ok(())
 }

@@ -2,12 +2,13 @@
 //! shift toward compute-bound and CUDA-core-only systems fall below the
 //! FP16 baseline.
 
-use bd_bench::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
-use bd_bench::{banner, shape, speedup_table};
+use crate::baselines::{BitDecodingSys, CudaOnly, DecodeSystem, FlashDecoding, Kivi};
+use crate::{banner, shape, speedup_table};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 11: A100 kernel performance");
     let arch = GpuArch::a100();
     let flash = FlashDecoding::v2();
@@ -64,4 +65,5 @@ fn main() {
     println!();
     println!("Paper reference: BitDecoding up to ~3x; KIVI and QServe fall below the");
     println!("FP16 baseline; the 4-bit vs 2-bit gap narrows versus the RTX 4090.");
+    Ok(())
 }

@@ -2,12 +2,13 @@
 //! (A100): (a) single-batch generation-latency speedup at 32K/64K/128K
 //! (with KIVI's 128K OOM), (b) decode throughput vs batch size at 4K.
 
-use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
-use bd_bench::llm::{Engine, MemoryModel, ModelConfig, WeightPrecision};
-use bd_bench::{banner, fmt_x, row, subbanner};
+use crate::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding, Kivi};
+use crate::llm::{Engine, MemoryModel, ModelConfig, WeightPrecision};
+use crate::{banner, fmt_x, row, subbanner};
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 12: end-to-end vs KIVI (LLaMA-3.1-8B, A100)");
     let model = ModelConfig::llama31_8b();
     let arch = GpuArch::a100();
@@ -86,4 +87,5 @@ fn main() {
     println!();
     println!("Paper reference: (a) BitDecoding up to 3.3x at 128K, KIVI OOMs at 128K;");
     println!("(b) KC-4/KC-2 reach ~900/1200 tok/s while KIVI peaks below 700.");
+    Ok(())
 }

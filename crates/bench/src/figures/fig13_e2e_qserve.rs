@@ -1,12 +1,13 @@
 //! Fig. 13 — Paged serving throughput vs QServe across five models at a
 //! 32K context: maximum tokens/s under the largest memory-admissible batch.
 
-use bd_bench::baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
-use bd_bench::llm::{max_throughput, ModelConfig, WeightPrecision};
-use bd_bench::{banner, row, subbanner};
+use crate::baselines::{BitDecodingSys, CudaOnly, FlashDecoding};
+use crate::llm::{max_throughput, ModelConfig, WeightPrecision};
+use crate::{banner, row, subbanner};
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 13: paged serving throughput (seq len = 32k, A100)");
     let arch = GpuArch::a100();
     let fp16 = FlashDecoding::v2();
@@ -48,4 +49,5 @@ fn main() {
     println!("48.5/8.1/147.2, llama-3.1-70B 11.1/n.a./28.2, Qwen3-8B 51.1/45.2/128.4,");
     println!("Qwen3-14B 44.0/32.7/99.5 — QServe wins only on the MHA llama-2-7B;");
     println!("BitDecoding leads everywhere with >2x over QServe.");
+    Ok(())
 }

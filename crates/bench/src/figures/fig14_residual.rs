@@ -2,12 +2,13 @@
 //! FlashDecoding-v2 vs INT4 without a residual region (whole cache packed)
 //! vs INT4 with the residual region (extra Residual Kernel launch).
 
-use bd_bench::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
-use bd_bench::{banner, fmt_ms, row, subbanner};
+use crate::baselines::{BitDecodingSys, DecodeSystem, FlashDecoding};
+use crate::{banner, fmt_ms, row, subbanner};
 use bd_core::{AttentionConfig, DecodeShape};
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 14: runtime overhead of the residual KV cache (RTX 4090)");
     let arch = GpuArch::rtx4090();
     let attn = AttentionConfig::gqa(32, 8, 128);
@@ -43,4 +44,5 @@ fn main() {
     println!("0.041/0.094/0.162/0.291/0.555; INT4 w/ 0.057/0.112/0.180/0.309/0.572 —");
     println!("a fixed ~17 us residual-kernel launch that vanishes relative to long");
     println!("contexts.");
+    Ok(())
 }

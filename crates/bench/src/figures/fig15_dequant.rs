@@ -3,12 +3,13 @@
 //! (b) micro-analysis of unit pressure (memory throughput, Tensor Core,
 //! FMA, ALU) for Atom vs BitDecoding.
 
-use bd_bench::baselines::{BitDecodingSys, CudaOnly, DecodeSystem};
-use bd_bench::{banner, row, shape, subbanner};
+use crate::baselines::{BitDecodingSys, CudaOnly, DecodeSystem};
+use crate::{banner, row, shape, subbanner};
 use bd_core::AttentionConfig;
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 15: dequantization overhead (RTX 4090)");
     let arch = GpuArch::rtx4090();
     let attn = AttentionConfig::mha(32, 128);
@@ -67,4 +68,5 @@ fn main() {
     println!("Paper reference: Atom/QServe spend ~45-50% of kernel time dequantizing;");
     println!("BitDecoding <15% (4-bit) and ~35% (2-bit). Micro: Atom 72% mem / 0% TC /");
     println!("19% FMA / 33% ALU vs BitDecoding 88% mem / 24% TC / 13% FMA / 13% ALU.");
+    Ok(())
 }

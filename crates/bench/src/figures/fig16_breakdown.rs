@@ -2,12 +2,14 @@
 //! generations: continuous-packing baseline → +layout induction → +warp
 //! parallelism → +software pipeline, as speedups over the baseline.
 
-use bd_bench::baselines::{BitDecodingSys, ContinuousPacking, DecodeSystem};
-use bd_bench::{banner, fmt_x, row, shape, subbanner};
+use crate::baselines::{BitDecodingSys, DecodeSystem};
+use crate::continuous::ContinuousPacking;
+use crate::{banner, fmt_x, row, shape, subbanner};
 use bd_core::{AttentionConfig, OptimizationFlags};
 use bd_gpu_sim::GpuArch;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Fig. 16: optimization breakdown across architectures");
     let attn = AttentionConfig::gqa(32, 8, 128);
     let s = shape(8, attn, 8192);
@@ -54,4 +56,5 @@ fn main() {
     println!("Paper reference: layout induction unlocks Tensor Cores, warp parallelism");
     println!("adds a large further gain, the pipeline finishes at up to ~8-10x over the");
     println!("continuous-packing baseline, growing with architecture generation.");
+    Ok(())
 }

@@ -2,14 +2,15 @@
 //! largest admissible batch (LLaMA-3.1-8B, 32K, A100) against the measured
 //! attention fidelity and the LongBench-proxy score.
 
-use bd_bench::accuracy::{evaluate_scheme, longbench_proxy, FP16_LONGBENCH};
-use bd_bench::baselines::{BitDecodingSys, FlashDecoding};
-use bd_bench::llm::{max_throughput, ModelConfig, WeightPrecision};
-use bd_bench::{banner, row, subbanner};
+use crate::accuracy::{evaluate_scheme, longbench_proxy, FP16_LONGBENCH};
+use crate::baselines::{BitDecodingSys, FlashDecoding};
+use crate::llm::{max_throughput, ModelConfig, WeightPrecision};
+use crate::{banner, row, subbanner};
 use bd_gpu_sim::GpuArch;
 use bd_kvcache::QuantScheme;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Table I: efficiency and accuracy trade-off (LLaMA-3.1-8B, 32K, A100)");
     let model = ModelConfig::llama31_8b();
     let arch = GpuArch::a100();
@@ -61,4 +62,5 @@ fn main() {
     println!("(-0.2%); INT2 209.48 (+4.25x) @ 47.38 (-2.7%). The proxy score is a");
     println!("calibrated mapping from measured attention fidelity — see");
     println!("`bitdecoding::accuracy::longbench_proxy`.");
+    Ok(())
 }

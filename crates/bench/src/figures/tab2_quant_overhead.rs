@@ -2,12 +2,13 @@
 //! and Ladder-style transform kernels vs BitDecoding's fused path, for a
 //! 128K-token prefill and a single decode step.
 
-use bd_bench::baselines::{table2_row, TransformKind};
-use bd_bench::{banner, row, subbanner};
+use crate::transforms::{table2_row, TransformKind};
+use crate::{banner, row, subbanner};
 use bd_gpu_sim::GpuArch;
 use bd_kvcache::QuantScheme;
+use std::error::Error;
 
-fn main() {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Table II: quantization + packing latency (128K context, A100)");
     let arch = GpuArch::a100();
     let seq = 131072;
@@ -33,4 +34,5 @@ fn main() {
     println!("BitDecoding 0.0599 / 0.008. Weight-oriented transforms must re-run layout");
     println!("passes over the dynamic cache; BitDecoding's fused pack touches only the");
     println!("residual block.");
+    Ok(())
 }

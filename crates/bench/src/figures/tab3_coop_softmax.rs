@@ -2,8 +2,8 @@
 //! and Tensor-Core utilization from the cost model, and *validity* from the
 //! functional simulator (non-cooperative `Wn > 1` really corrupts outputs).
 
-use bd_bench::baselines::{BitDecodingSys, DecodeSystem};
-use bd_bench::{banner, row, shape, subbanner};
+use crate::baselines::{BitDecodingSys, DecodeSystem};
+use crate::{banner, row, shape, subbanner};
 use bd_core::{AttentionConfig, BitDecoder, OptimizationFlags};
 use bd_gpu_sim::GpuArch;
 use bd_kvcache::{QuantScheme, TokenMatrix};
@@ -53,7 +53,7 @@ fn functional_deviation(flags: OptimizationFlags) -> Result<f32, Box<dyn Error>>
     Ok(diff)
 }
 
-fn main() -> Result<(), Box<dyn Error>> {
+pub(super) fn run() -> Result<(), Box<dyn Error>> {
     banner("Table III: cooperative softmax and warp parallelism (RTX 4090)");
     let arch = GpuArch::rtx4090();
     let s = shape(8, AttentionConfig::gqa(32, 8, 128), 32768);

@@ -10,7 +10,7 @@ use bd_gpu_sim::{GpuArch, KernelProfile, OverlapSpec};
 
 /// Which FlashAttention generation the kernel uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlashVersion {
+pub(crate) enum FlashVersion {
     /// SM80-era kernels (`mma.m16n8k16`, `cp.async`).
     V2,
     /// Hopper kernels (`wgmma`, TMA, warp specialization).
@@ -21,7 +21,7 @@ pub enum FlashVersion {
 #[derive(Clone, Copy, Debug)]
 pub struct FlashDecoding {
     /// Kernel generation.
-    pub version: FlashVersion,
+    pub(crate) version: FlashVersion,
 }
 
 impl FlashDecoding {
@@ -33,7 +33,7 @@ impl FlashDecoding {
     }
 
     /// FlashDecoding/FlashAttention-v3 (Hopper only).
-    pub const fn v3() -> Self {
+    pub(crate) const fn v3() -> Self {
         FlashDecoding {
             version: FlashVersion::V3,
         }

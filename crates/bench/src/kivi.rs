@@ -22,7 +22,7 @@ use bd_lowbit::BitWidth;
 #[derive(Clone, Copy, Debug)]
 pub struct Kivi {
     /// Cache bit width (4 or 2).
-    pub width: BitWidth,
+    pub(crate) width: BitWidth,
 }
 
 impl Kivi {
@@ -34,7 +34,7 @@ impl Kivi {
     }
 
     /// KIVI-2.
-    pub const fn int2() -> Self {
+    pub(crate) const fn int2() -> Self {
         Kivi {
             width: BitWidth::B2,
         }

@@ -15,13 +15,14 @@
 //! * [`accuracy`] — quantization fidelity on outlier-structured synthetic
 //!   KV, and the LongBench-proxy score of Table I.
 //!
-//! One binary per paper artefact (`src/bin/fig*.rs`, `src/bin/tab*.rs`)
-//! prints the rows and series the paper reports. Measured speed lives
-//! elsewhere: `BENCHMARK.json` + the standalone `benchmark/` package at the
-//! repository root are the only timing harness.
-//!
-//! Run everything with `cargo run -p bd-bench --release --bin all_experiments`,
-//! or an individual artefact, e.g. `--bin fig10_ada`.
+//! The figures and tables themselves are one private module each, printing
+//! the rows and series the paper reports; the `all_experiments` binary runs
+//! them in one process through [`run_figures`]. Run everything with
+//! `cargo run -p bd-bench --release --bin all_experiments`, or name
+//! artefacts, e.g. `-- fig10_ada tab1_acc_tradeoff`. `tests/golden_figures.rs`
+//! pins the whole output byte for byte. Measured speed lives elsewhere:
+//! `BENCHMARK.json` + the standalone `benchmark/` package at the repository
+//! root are the only timing harness.
 
 // The modules sit at the crate root, each under the name it had as a
 // module of its own crate; `baselines`, `llm` and `accuracy` below name
@@ -31,6 +32,7 @@ mod continuous;
 mod cuda_only;
 mod engine;
 mod eval;
+mod figures;
 mod flash;
 mod kivi;
 mod memory;
@@ -40,6 +42,8 @@ mod serving;
 mod synth;
 mod system;
 mod transforms;
+
+pub use figures::run_figures;
 
 use baselines::DecodeSystem;
 use bd_core::DecodeShape;
@@ -55,19 +59,16 @@ pub mod baselines {
     //! * [`CudaOnly`] — fused CUDA-core-only low-bit attention (Atom,
     //!   QServe);
     //! * [`BitDecodingSys`] — the paper's system, adapted to the same
-    //!   [`DecodeSystem`] interface;
-    //! * [`TransformKind`] — Marlin/Ladder-style weight-transform kernels
-    //!   for the Table II overhead comparison;
-    //! * [`ContinuousPacking`] — the QuaRot-style breakdown baseline
-    //!   (Fig. 16).
+    //!   [`DecodeSystem`] interface ([`speedup`] compares two of them);
+    //! * Marlin/Ladder-style weight-transform kernels for the Table II
+    //!   overhead comparison, and the QuaRot-style continuous-packing
+    //!   baseline of the Fig. 16 breakdown, which only the figures use.
 
     pub use crate::bitdecoding_sys::BitDecodingSys;
-    pub use crate::continuous::ContinuousPacking;
-    pub use crate::cuda_only::{CudaOnly, CudaOnlyKind};
-    pub use crate::flash::{FlashDecoding, FlashVersion};
+    pub use crate::cuda_only::CudaOnly;
+    pub use crate::flash::FlashDecoding;
     pub use crate::kivi::Kivi;
     pub use crate::system::{speedup, DecodeSystem};
-    pub use crate::transforms::{table2_row, TransformKind};
 }
 
 pub mod llm {
@@ -85,7 +86,7 @@ pub mod llm {
     //!   batched decode runtime).
 
     pub use crate::engine::{Engine, WeightPrecision};
-    pub use crate::memory::{MemoryModel, OomError, RESERVE_BYTES};
+    pub use crate::memory::{MemoryModel, OomError};
     pub use crate::model::ModelConfig;
     pub use crate::serving::{
         max_throughput, serve_scenario, FunctionalServeReport, ScenarioRequest, ServePolicy,
@@ -104,24 +105,22 @@ pub mod accuracy {
     //! calibrated to the paper's scale.
 
     pub use crate::eval::{evaluate_scheme, longbench_proxy, AccuracyReport, FP16_LONGBENCH};
-    pub use crate::rotation::evaluate_scheme_rotated;
-    pub use crate::synth::KvDistribution;
 }
 
 /// Prints a section banner.
-pub fn banner(title: &str) {
+pub(crate) fn banner(title: &str) {
     println!();
     println!("=== {title} ===");
 }
 
 /// Prints a sub-banner.
-pub fn subbanner(title: &str) {
+pub(crate) fn subbanner(title: &str) {
     println!();
     println!("--- {title} ---");
 }
 
 /// Prints one aligned table row.
-pub fn row(cells: &[String]) {
+pub(crate) fn row(cells: &[String]) {
     let mut line = String::new();
     for (i, c) in cells.iter().enumerate() {
         let width = if i == 0 { 28 } else { 14 };
@@ -131,18 +130,18 @@ pub fn row(cells: &[String]) {
 }
 
 /// Formats a speedup cell.
-pub fn fmt_x(v: f64) -> String {
+pub(crate) fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")
 }
 
 /// Formats a milliseconds cell.
-pub fn fmt_ms(v_s: f64) -> String {
+pub(crate) fn fmt_ms(v_s: f64) -> String {
     format!("{:.3} ms", v_s * 1e3)
 }
 
 /// A standard speedup sweep: each system's speedup over `baseline` across
 /// shapes, printed as one row per system with one column per shape.
-pub fn speedup_table(
+pub(crate) fn speedup_table(
     header: &str,
     shapes: &[(String, DecodeShape)],
     systems: &[&dyn DecodeSystem],
@@ -176,18 +175,19 @@ pub fn speedup_table(
 }
 
 /// Residual region length used in kernel sweeps (a typical mid-fill state).
-pub fn typical_residual(seq_len: usize) -> usize {
+pub(crate) fn typical_residual(seq_len: usize) -> usize {
     64.min(seq_len / 2)
 }
 
 /// Builds a labelled shape for kernel sweeps.
-pub fn shape(batch: usize, attn: bd_core::AttentionConfig, seq_len: usize) -> DecodeShape {
+pub(crate) fn shape(batch: usize, attn: bd_core::AttentionConfig, seq_len: usize) -> DecodeShape {
     DecodeShape::new(batch, attn, seq_len).with_residual(typical_residual(seq_len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baselines::{speedup, BitDecodingSys, FlashDecoding, Kivi};
     use bd_core::AttentionConfig;
 
     #[test]
@@ -202,5 +202,57 @@ mod tests {
     fn formatting() {
         assert_eq!(fmt_x(2.345), "2.35x");
         assert_eq!(fmt_ms(0.0015), "1.500 ms");
+    }
+
+    #[test]
+    fn speedups_are_finite_across_the_full_grid() {
+        let attn_grid = [
+            AttentionConfig::mha(32, 128),
+            AttentionConfig::gqa(32, 8, 128),
+            AttentionConfig::gqa(128, 8, 128),
+            AttentionConfig::mqa(32, 128),
+        ];
+        let flash = FlashDecoding::v2();
+        let bd = BitDecodingSys::kc4();
+        let kivi = Kivi::int2();
+        for arch in GpuArch::all() {
+            for attn in attn_grid {
+                for len in [1024usize, 32768] {
+                    for bs in [1usize, 32] {
+                        let s = shape(bs, attn, len);
+                        for sys in [&bd as &dyn DecodeSystem, &kivi] {
+                            let sp = speedup(sys, &flash, &s, &arch);
+                            assert!(
+                                sp.is_finite() && sp > 0.0,
+                                "{} {attn} {len} {bs}",
+                                arch.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bitdecoding_speedup_grows_with_context_on_every_arch() {
+        let attn = AttentionConfig::gqa(32, 8, 128);
+        let flash = FlashDecoding::v2();
+        let bd = BitDecodingSys::kc4();
+        for arch in GpuArch::all() {
+            let short = speedup(&bd, &flash, &shape(8, attn, 2048), &arch);
+            let long = speedup(&bd, &flash, &shape(8, attn, 131072), &arch);
+            assert!(
+                long > short,
+                "{}: speedup must grow with context ({short} -> {long})",
+                arch.name
+            );
+        }
+    }
+
+    #[test]
+    fn typical_residual_is_bounded() {
+        assert_eq!(typical_residual(10), 5);
+        assert_eq!(typical_residual(1 << 20), 64);
     }
 }

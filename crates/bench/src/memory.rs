@@ -11,17 +11,17 @@ use std::fmt;
 
 /// Bytes reserved per GPU for the CUDA context, activations and allocator
 /// slack.
-pub const RESERVE_BYTES: f64 = 2.5e9;
+pub(crate) const RESERVE_BYTES: f64 = 2.5e9;
 
 /// Out-of-memory diagnosis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OomError {
     /// Bytes required.
-    pub required: f64,
+    pub(crate) required: f64,
     /// Bytes available.
-    pub capacity: f64,
+    pub(crate) capacity: f64,
     /// What overflowed.
-    pub what: String,
+    pub(crate) what: String,
 }
 
 impl fmt::Display for OomError {
@@ -42,9 +42,9 @@ impl std::error::Error for OomError {}
 #[derive(Clone, Debug)]
 pub struct MemoryModel {
     /// Usable bytes per GPU.
-    pub capacity: f64,
+    pub(crate) capacity: f64,
     /// Weight bytes per GPU.
-    pub weights: f64,
+    pub(crate) weights: f64,
 }
 
 impl MemoryModel {

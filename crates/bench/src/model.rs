@@ -12,17 +12,17 @@ pub struct ModelConfig {
     /// Decoder layers.
     pub layers: usize,
     /// Model (hidden) dimension.
-    pub hidden: usize,
+    pub(crate) hidden: usize,
     /// Query heads.
-    pub heads_q: usize,
+    pub(crate) heads_q: usize,
     /// KV heads.
-    pub heads_kv: usize,
+    pub(crate) heads_kv: usize,
     /// Head dimension.
-    pub head_dim: usize,
+    pub(crate) head_dim: usize,
     /// FFN intermediate dimension (SwiGLU).
-    pub intermediate: usize,
+    pub(crate) intermediate: usize,
     /// Vocabulary size.
-    pub vocab: usize,
+    pub(crate) vocab: usize,
     /// Tensor-parallel GPUs used in the paper's evaluation.
     pub gpus: usize,
 }

@@ -60,7 +60,7 @@ pub(crate) fn rotate_rows(m: &TokenMatrix) -> TokenMatrix {
 /// # Panics
 ///
 /// Panics if `dim` is not a power of two.
-pub fn evaluate_scheme_rotated(
+pub(crate) fn evaluate_scheme_rotated(
     scheme: QuantScheme,
     dim: usize,
     tokens: usize,

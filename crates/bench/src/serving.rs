@@ -31,15 +31,6 @@ pub enum ServePolicy {
 }
 
 impl ServePolicy {
-    /// The policy's serve-layer label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServePolicy::Fcfs => "fcfs",
-            ServePolicy::FcfsPreempt => "fcfs-preempt",
-            ServePolicy::ShortestRemainingFirst => "shortest-remaining-first",
-        }
-    }
-
     /// Installs the selected policy on a session (benches and CLIs share
     /// this instead of re-matching on policy structs).
     pub(crate) fn install(self, session: ServeSession) -> ServeSession {
@@ -56,12 +47,8 @@ impl ServePolicy {
 pub struct ServingReport {
     /// System label.
     pub system: String,
-    /// Model name.
-    pub model: String,
     /// Batch size actually served (memory-limited).
     pub batch: usize,
-    /// Decode-step latency at that batch (seconds).
-    pub step_latency_s: f64,
     /// Sustained generated tokens per second.
     pub tokens_per_s: f64,
 }
@@ -99,9 +86,7 @@ pub fn max_throughput(
     if admitted == 0 {
         return ServingReport {
             system: system.label(),
-            model: model.name.to_owned(),
             batch: 0,
-            step_latency_s: f64::INFINITY,
             tokens_per_s: 0.0,
         };
     }
@@ -110,9 +95,7 @@ pub fn max_throughput(
     let step = engine.decode_step_latency(admitted, seq_len);
     ServingReport {
         system: system.label(),
-        model: model.name.to_owned(),
         batch: admitted,
-        step_latency_s: step,
         tokens_per_s: admitted as f64 / step,
     }
 }

@@ -20,14 +20,9 @@ use rand::rngs::StdRng;
 /// tokens). This is precisely the structure that makes channel-wise scaling
 /// accurate and per-token (tensor-wise) scaling lossy.
 #[derive(Clone, Debug)]
-pub struct KvDistribution {
+pub(crate) struct KvDistribution {
     /// Channels per head.
-    pub dim: usize,
-    /// Fraction of Key channels that are outliers (~3% in published
-    /// measurements).
-    pub outlier_fraction: f64,
-    /// Mean magnitude of outlier channels (in units of the typical σ).
-    pub outlier_scale: f32,
+    pub(crate) dim: usize,
     per_channel_mean: Vec<f32>,
     per_channel_scale: Vec<f32>,
 }
@@ -36,6 +31,8 @@ impl KvDistribution {
     /// Builds a distribution with the published outlier profile.
     pub(crate) fn new(dim: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
+        // ~3% of Key channels are outliers in published measurements, with
+        // a mean magnitude of 25 typical σ.
         let outlier_fraction = 0.03;
         let outlier_scale = 25.0;
         let n_outliers = ((dim as f64 * outlier_fraction).round() as usize).max(1);
@@ -54,8 +51,6 @@ impl KvDistribution {
         }
         KvDistribution {
             dim,
-            outlier_fraction,
-            outlier_scale,
             per_channel_mean,
             per_channel_scale,
         }
@@ -81,11 +76,10 @@ impl KvDistribution {
     /// Indices of the hot channels (for tests).
     #[cfg(test)]
     fn outlier_channels(&self) -> Vec<usize> {
-        let threshold = self.outlier_scale * 0.5;
         self.per_channel_mean
             .iter()
             .enumerate()
-            .filter(|(_, &m)| m.abs() > threshold)
+            .filter(|(_, &m)| m != 0.0)
             .map(|(c, _)| c)
             .collect()
     }

@@ -15,7 +15,7 @@ use bd_kvcache::QuantScheme;
 
 /// Which transform system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransformKind {
+pub(crate) enum TransformKind {
     /// Marlin-style repack: a long chain of element-wise/gather passes.
     Marlin,
     /// Ladder-style hardware-aware transform: a few compiled passes.
@@ -26,7 +26,7 @@ pub enum TransformKind {
 
 impl TransformKind {
     /// Label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TransformKind::Marlin => "Marlin",
             TransformKind::Ladder => "Ladder",
@@ -136,7 +136,7 @@ impl TransformKind {
 }
 
 /// Table II row: `(prefill_ms, decode_ms)` for one system on one GPU.
-pub fn table2_row(
+pub(crate) fn table2_row(
     kind: TransformKind,
     arch: &GpuArch,
     seq_len: usize,

@@ -13,7 +13,7 @@ use std::path::Path;
 /// change that shrinks a crate's surface lowers its number here. A crate
 /// that goes takes its row with it.
 const PUB_ITEM_CEILINGS: [(&str, usize); 7] = [
-    ("bench", 69),
+    ("bench", 42),
     ("core", 84),
     ("gpu-sim", 114),
     ("kvcache", 207),
