@@ -7,7 +7,7 @@
 
 //! # bd-serve — the tensor-parallel batched decode runtime
 //!
-//! Where `bd-llm` *prices* serving analytically, this crate *executes* it:
+//! Where `bd-bench` *prices* serving analytically, this crate *executes* it:
 //! many concurrent sequences decode real values through the PR-1 fused
 //! flat-layout kernel over paged packed KV storage **sharded across
 //! simulated devices** — the paper's "Page" serving setting (§VI-A,

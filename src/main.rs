@@ -31,6 +31,11 @@ fn parse_scheme(name: &str) -> Option<QuantScheme> {
     }
 }
 
+/// A count the user typed: a positive integer.
+fn positive(arg: &str) -> Option<usize> {
+    arg.parse().ok().filter(|&n| n > 0)
+}
+
 fn usage() -> ExitCode {
     eprintln!("usage:");
     eprintln!("  bitdecoding archs");
@@ -38,6 +43,7 @@ fn usage() -> ExitCode {
     eprintln!("  bitdecoding sweep <arch> <scheme>");
     eprintln!("  bitdecoding serve <arch> <scheme> <len>");
     eprintln!();
+    eprintln!("counts are positive integers, and <hq> a multiple of <hkv>");
     eprintln!("archs: a100, rtx4090, h100, rtx5090, rtxpro6000");
     eprintln!("schemes: kt4, kc4, kt2, kc2, mxfp4, nvfp4");
     ExitCode::from(2)
@@ -69,16 +75,20 @@ fn main() -> ExitCode {
             let (Some(arch), Some(scheme)) = (parse_arch(&args[1]), parse_scheme(&args[2])) else {
                 return usage();
             };
-            let parse = |s: &String| s.parse::<usize>().ok();
             let (Some(hq), Some(hkv), Some(d), Some(len)) = (
-                parse(&args[3]),
-                parse(&args[4]),
-                parse(&args[5]),
-                parse(&args[6]),
+                positive(&args[3]),
+                positive(&args[4]),
+                positive(&args[5]),
+                positive(&args[6]),
             ) else {
                 return usage();
             };
-            let batch = args.get(7).and_then(parse).unwrap_or(1);
+            let Some(batch) = args.get(7).map_or(Some(1), |b| positive(b)) else {
+                return usage();
+            };
+            if hq % hkv != 0 {
+                return usage();
+            }
             let attn = AttentionConfig::new(hq, hkv, d);
             let shape = DecodeShape::new(batch, attn, len).with_residual(64.min(len / 2));
             let sys = BitDecodingSys::new(scheme);
@@ -118,7 +128,7 @@ fn main() -> ExitCode {
             let (Some(arch), Some(scheme)) = (parse_arch(&args[1]), parse_scheme(&args[2])) else {
                 return usage();
             };
-            let Some(len) = args[3].parse::<usize>().ok() else {
+            let Some(len) = positive(&args[3]) else {
                 return usage();
             };
             let model = ModelConfig::llama31_8b();
