@@ -1,6 +1,7 @@
 //! Accuracy evaluation: attention-output fidelity under cache quantization,
 //! plus the documented LongBench-proxy mapping (paper Table I).
 
+use crate::rotation::rotate_rows;
 use crate::synth::KvDistribution;
 use bd_core::reference_attention;
 use bd_kvcache::{BlockCodec, QuantScheme, ReferenceCodec, TokenMatrix};
@@ -50,6 +51,24 @@ pub fn evaluate_scheme(
     tokens: usize,
     trials: usize,
 ) -> AccuracyReport {
+    evaluate(scheme, dim, tokens, trials, false)
+}
+
+/// [`evaluate_scheme`], with Q and K Hadamard-rotated before quantization
+/// when `rotate` is set (Values are quantized unrotated, as in RotateKV).
+/// Rotating both leaves every score invariant, so the unrotated attention
+/// stays the reference.
+///
+/// # Panics
+///
+/// Panics if `rotate` is set and `dim` is not a power of two.
+pub(crate) fn evaluate(
+    scheme: QuantScheme,
+    dim: usize,
+    tokens: usize,
+    trials: usize,
+    rotate: bool,
+) -> AccuracyReport {
     let dist = KvDistribution::new(dim, 1234);
     let mut rng = StdRng::seed_from_u64(99);
     let scale = 1.0 / (dim as f32).sqrt();
@@ -64,15 +83,21 @@ pub fn evaluate_scheme(
     for _ in 0..trials {
         let k = dist.sample_keys(tokens, &mut rng);
         let v = dist.sample_values(tokens, &mut rng);
-        let q = dist.sample_queries(4, &mut rng).to_rows();
+        let q = dist.sample_queries(4, &mut rng);
+        let (qq, qk) = if rotate {
+            (rotate_rows(&q), rotate_rows(&k))
+        } else {
+            (q.clone(), k.clone())
+        };
+        let (q, qq) = (q.to_rows(), qq.to_rows());
 
-        let block = codec.encode(&k, &v, scheme);
+        let block = codec.encode(&qk, &v, scheme);
         let (dk, dv) = codec.decode(&block, scheme);
 
         let reference = reference_attention(&q, &k, &v, scale);
-        let quantized = reference_attention(&q, &dk, &dv, scale);
+        let quantized = reference_attention(&qq, &dk, &dv, scale);
 
-        for (qrow, (r, z)) in q.iter().zip(reference.iter().zip(&quantized)) {
+        for ((qrow, qqrow), (r, z)) in q.iter().zip(&qq).zip(reference.iter().zip(&quantized)) {
             let mut dot = 0.0f64;
             let mut nr = 0.0f64;
             let mut nz = 0.0f64;
@@ -86,7 +111,7 @@ pub fn evaluate_scheme(
             cos_sum += dot / (nr.sqrt() * nz.sqrt()).max(1e-12);
 
             let wr = softmax_weights(qrow, &k, scale);
-            let wz = softmax_weights(qrow, &dk, scale);
+            let wz = softmax_weights(qqrow, &dk, scale);
             let kl: f64 = wr
                 .iter()
                 .zip(&wz)

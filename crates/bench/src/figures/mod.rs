@@ -1,51 +1,45 @@
 //! The paper's figures and tables, one module each, run in paper order by
 //! [`run_figures`].
 
-mod ext_rotation_nvfp4;
-mod fig02_taxonomy;
-mod fig04_stalls;
-mod fig08_blackwell;
-mod fig09_hopper;
-mod fig10_ada;
-mod fig11_ampere;
-mod fig12_e2e_kivi;
-mod fig13_e2e_qserve;
-mod fig14_residual;
-mod fig15_dequant;
-mod fig16_breakdown;
-mod tab1_acc_tradeoff;
-mod tab2_quant_overhead;
-mod tab3_coop_softmax;
-
 use std::error::Error;
 use std::process::ExitCode;
 
 /// A reproduction: prints its rows and series to stdout.
 type Figure = fn() -> Result<(), Box<dyn Error>>;
 
-/// Every reproduction, in paper order, under its name.
-const FIGURES: [(&str, Figure); 15] = [
-    ("fig02_taxonomy", fig02_taxonomy::run),
-    ("fig04_stalls", fig04_stalls::run),
-    ("fig08_blackwell", fig08_blackwell::run),
-    ("fig09_hopper", fig09_hopper::run),
-    ("fig10_ada", fig10_ada::run),
-    ("fig11_ampere", fig11_ampere::run),
-    ("fig12_e2e_kivi", fig12_e2e_kivi::run),
-    ("fig13_e2e_qserve", fig13_e2e_qserve::run),
-    ("fig14_residual", fig14_residual::run),
-    ("fig15_dequant", fig15_dequant::run),
-    ("fig16_breakdown", fig16_breakdown::run),
-    ("tab1_acc_tradeoff", tab1_acc_tradeoff::run),
-    ("tab2_quant_overhead", tab2_quant_overhead::run),
-    ("tab3_coop_softmax", tab3_coop_softmax::run),
-    ("ext_rotation_nvfp4", ext_rotation_nvfp4::run),
-];
+/// Declares one module per reproduction, each with a `run` [`Figure`],
+/// and `FIGURES`: their names and entry points, in the order given.
+macro_rules! figures {
+    ($($name:ident),* $(,)?) => {
+        $(mod $name;)*
+
+        const FIGURES: &[(&str, Figure)] = &[$((stringify!($name), $name::run)),*];
+    };
+}
+
+// Paper order.
+figures!(
+    fig02_taxonomy,
+    fig04_stalls,
+    fig08_blackwell,
+    fig09_hopper,
+    fig10_ada,
+    fig11_ampere,
+    fig12_e2e_kivi,
+    fig13_e2e_qserve,
+    fig14_residual,
+    fig15_dequant,
+    fig16_breakdown,
+    tab1_acc_tradeoff,
+    tab2_quant_overhead,
+    tab3_coop_softmax,
+    ext_rotation_nvfp4,
+);
 
 /// Runs the named figure and table reproductions in the order given, or
 /// all of them in paper order when `names` is empty, each under a `##`
-/// banner. Exits 1 if any of them fails, and 2 without running anything
-/// if a name is not one of them.
+/// banner. The exit code is 1 if any of them fails, and 2, with nothing
+/// run, if a name is not one of them.
 pub fn run_figures(names: &[String]) -> ExitCode {
     let mut selected = Vec::with_capacity(FIGURES.len());
     for name in names {
@@ -61,7 +55,7 @@ pub fn run_figures(names: &[String]) -> ExitCode {
         }
     }
     if selected.is_empty() {
-        selected.extend(FIGURES);
+        selected.extend_from_slice(FIGURES);
     }
     let mut failures = Vec::new();
     for (name, figure) in &selected {

@@ -9,12 +9,8 @@
 //! evaluation that quantifies the effect on this crate's synthetic
 //! outlier-structured caches.
 
-use crate::eval::AccuracyReport;
-use crate::synth::KvDistribution;
-use bd_core::reference_attention;
-use bd_kvcache::{BlockCodec, QuantScheme, ReferenceCodec, TokenMatrix};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::eval::{evaluate, AccuracyReport};
+use bd_kvcache::{QuantScheme, TokenMatrix};
 
 /// In-place fast Walsh–Hadamard transform with `1/√n` normalization
 /// (orthogonal and self-inverse).
@@ -66,53 +62,7 @@ pub(crate) fn evaluate_scheme_rotated(
     tokens: usize,
     trials: usize,
 ) -> AccuracyReport {
-    let dist = KvDistribution::new(dim, 1234);
-    let mut rng = StdRng::seed_from_u64(99);
-    let scale = 1.0 / (dim as f32).sqrt();
-    let codec = ReferenceCodec;
-
-    let mut sq_err = 0.0f64;
-    let mut sq_ref = 0.0f64;
-    let mut cos_sum = 0.0f64;
-    let mut rows = 0usize;
-
-    for _ in 0..trials {
-        let k = dist.sample_keys(tokens, &mut rng);
-        let v = dist.sample_values(tokens, &mut rng);
-        let q = dist.sample_queries(4, &mut rng);
-
-        // Rotate Q and K identically: scores are invariant, so the
-        // unrotated reference is still the ground truth.
-        let rk = rotate_rows(&k);
-        let rq = rotate_rows(&q);
-
-        let block = codec.encode(&rk, &v, scheme);
-        let (drk, dv) = codec.decode(&block, scheme);
-
-        let reference = reference_attention(&q.to_rows(), &k, &v, scale);
-        let quantized = reference_attention(&rq.to_rows(), &drk, &dv, scale);
-
-        for (r, z) in reference.iter().zip(&quantized) {
-            let mut dot = 0.0f64;
-            let mut nr = 0.0f64;
-            let mut nz = 0.0f64;
-            for (a, b) in r.iter().zip(z) {
-                sq_err += f64::from(a - b) * f64::from(a - b);
-                sq_ref += f64::from(*a) * f64::from(*a);
-                dot += f64::from(*a) * f64::from(*b);
-                nr += f64::from(*a) * f64::from(*a);
-                nz += f64::from(*b) * f64::from(*b);
-            }
-            cos_sum += dot / (nr.sqrt() * nz.sqrt()).max(1e-12);
-            rows += 1;
-        }
-    }
-
-    AccuracyReport {
-        output_rel_rmse: (sq_err / sq_ref.max(1e-12)).sqrt(),
-        cosine: cos_sum / rows as f64,
-        attn_kl: f64::NAN, // attention-weight KL not tracked for rotations
-    }
+    evaluate(scheme, dim, tokens, trials, true)
 }
 
 #[cfg(test)]
