@@ -63,10 +63,13 @@ pub fn run_figures(names: &[String]) -> ExitCode {
         println!("##################################################################");
         println!("## {name}");
         println!("##################################################################");
-        if let Err(e) = figure() {
-            eprintln!("{name} failed: {e}");
-            failures.push(*name);
+        // A panicking figure fails alone, as it did as a process of its own.
+        match std::panic::catch_unwind(figure) {
+            Ok(Ok(())) => continue,
+            Ok(Err(e)) => eprintln!("{name} failed: {e}"),
+            Err(_) => eprintln!("{name} panicked"),
         }
+        failures.push(*name);
     }
     if !failures.is_empty() {
         eprintln!("\nfailed experiments: {failures:?}");
