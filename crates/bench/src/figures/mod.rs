@@ -63,7 +63,7 @@ pub fn run_figures(names: &[String]) -> ExitCode {
         println!("##################################################################");
         println!("## {name}");
         println!("##################################################################");
-        // A panicking figure fails alone, as it did as a process of its own.
+        // A panicking figure fails alone; the others still run.
         match std::panic::catch_unwind(figure) {
             Ok(Ok(())) => continue,
             Ok(Err(e)) => eprintln!("{name} failed: {e}"),

@@ -24,9 +24,8 @@
 //! `BENCHMARK.json` + the standalone `benchmark/` package at the repository
 //! root are the only timing harness.
 
-// The modules sit at the crate root, each under the name it had as a
-// module of its own crate; `baselines`, `llm` and `accuracy` below name
-// their public items.
+// The implementation modules are private and flat; `baselines`, `llm` and
+// `accuracy` below name their public items.
 mod bitdecoding_sys;
 mod continuous;
 mod cuda_only;
