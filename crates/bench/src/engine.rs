@@ -194,8 +194,7 @@ mod tests {
     fn bitdecoding_speedup_at_128k() {
         // Paper §VI-B headline: 3x single-batch latency reduction at 128K.
         // Our weight-streaming model runs near roofline, so the e2e ratio
-        // is smaller (see EXPERIMENTS.md); the attention-layer speedup
-        // carries the 3-4x factor.
+        // is smaller; the attention-layer speedup carries the 3-4x factor.
         let fp16 = FlashDecoding::v2();
         let bd = BitDecodingSys::kc4();
         let model = ModelConfig::llama31_8b();

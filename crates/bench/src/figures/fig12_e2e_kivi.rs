@@ -48,8 +48,8 @@ pub(super) fn run() -> Result<(), Box<dyn Error>> {
             let sp = e_base.generation_latency(1, len, 128) / e_sys.generation_latency(1, len, 128);
             cells.push(fmt_x(sp));
         }
-        // Attention-layer-only speedups (isolates what the kernel changes;
-        // see EXPERIMENTS.md on the e2e weight-streaming floor).
+        // Attention-layer-only speedups: what the kernel changes, without
+        // the weight streaming every system pays alike.
         for len in [32768usize, 131072] {
             if mem.check(&model, *sys, 1, len).is_err() {
                 attn_cells.push("OOM".into());
